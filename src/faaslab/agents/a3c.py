@@ -3,9 +3,10 @@
 Every worker owns an environment copy and local network parameters. Workers
 sample actions from their local actor, accumulate transitions, and every
 ``update_freq`` steps (or at episode end) push gradients to the shared global
-stores and pull back a fresh snapshot. An asynchronous mode runs workers as
-threads; a deterministic mode serializes them round-robin per episode for
-reproducible experiments.
+stores and pull back a fresh snapshot. ``train`` is the only entry point: an
+asynchronous mode runs workers as threads; a deterministic mode serializes
+them round-robin per episode for reproducible experiments. Both modes give a
+worker the same workload schedule.
 """
 from __future__ import annotations
 
@@ -184,24 +185,6 @@ class _Worker:
                             updates=self.updates)
 
 
-def worker_loop(worker_id: int, env: ServerlessEnv, workloads: Sequence[WorkloadSpec],
-                actor_spec: NetworkSpec, critic_spec: NetworkSpec,
-                global_actor: ParameterStore, global_critic: ParameterStore,
-                config: TrainConfig,
-                on_episode: Optional[Callable[[EpisodeStats], None]] = None) -> list[EpisodeStats]:
-    """Run one worker for ``config.episodes`` episodes over its workload cycle."""
-    worker = _Worker(worker_id, env, actor_spec, critic_spec, global_actor,
-                     global_critic, config)
-    stats = []
-    for episode in range(config.episodes):
-        workload = workloads[(worker_id + episode * config.workers) % len(workloads)]
-        row = worker.run_episode(workload, episode)
-        stats.append(row)
-        if on_episode is not None:
-            on_episode(row)
-    return stats
-
-
 def train(
     envs: Sequence[ServerlessEnv],
     pool: Sequence[WorkloadSpec],
@@ -210,9 +193,10 @@ def train(
     critic_store: Optional[ParameterStore] = None,
     on_episode: Optional[Callable[[EpisodeStats], None]] = None,
 ) -> TrainResult:
-    """Launch ``config.workers`` worker loops against shared global stores.
+    """Run ``config.workers`` workers against shared global stores.
 
-    The workload pool is shuffled once (seeded) and cycled per episode. In
+    The workload pool is shuffled once (seeded); worker ``w``'s episode ``e``
+    takes entry ``(w + e * workers) % len(pool)`` in either mode. In
     deterministic mode workers advance round-robin, one episode each, on a
     single thread; in async mode each worker runs in its own thread.
     """
@@ -239,31 +223,28 @@ def train(
     stats: list[EpisodeStats] = []
     stats_lock = threading.Lock()
 
-    def record(row: EpisodeStats) -> None:
+    workers = [_Worker(w, envs[w], actor_spec, critic_spec, actor_store,
+                       critic_store, config) for w in range(config.workers)]
+
+    def run(worker: _Worker, episode: int) -> None:
+        workload = order[(worker.worker_id + episode * config.workers) % len(order)]
+        row = worker.run_episode(workload, episode)
         with stats_lock:
             stats.append(row)
         if on_episode is not None:
             on_episode(row)
 
-    workers = [_Worker(w, envs[w], actor_spec, critic_spec, actor_store,
-                       critic_store, config) for w in range(config.workers)]
-
-    def run_all(worker: _Worker) -> None:
-        for episode in range(config.episodes):
-            workload = order[(worker.worker_id + episode * config.workers) % len(order)]
-            record(worker.run_episode(workload, episode))
-
     if config.sync_mode == "deterministic":
         for episode in range(config.episodes):
             for worker in workers:
-                workload = order[(worker.worker_id + episode * config.workers) % len(order)]
-                record(worker.run_episode(workload, episode))
+                run(worker, episode)
     else:
         failures: list[BaseException] = []
 
         def guarded(worker: _Worker) -> None:
             try:
-                run_all(worker)
+                for episode in range(config.episodes):
+                    run(worker, episode)
             except BaseException as exc:  # surfaced after join
                 failures.append(exc)
 

@@ -3,7 +3,8 @@
 Unlike the learned agent, which reconfigures a single target function per
 decision tick, these controllers evaluate every deployed function on every
 tick (matching how the real autoscalers operate). None of them emit vertical
-resizes.
+resizes. Episodes start, advance and drain through ``ServerlessEnv``, the
+same code that runs the learned agents' episodes.
 """
 from __future__ import annotations
 
@@ -12,10 +13,10 @@ from typing import Optional, Sequence
 
 from .cluster import (ClusterEngine, FunctionProfile, FunctionSnapshot, SimConfig,
                       VmSpec, ceil_guarded, desired_replicas)
-from .env import EnvConfig
-from .errors import ConfigError, SimulationError
-from .metrics import EpisodeLedger, EpisodeMetrics
-from .workload import WorkloadSpec, synthesize
+from .env import EnvConfig, ServerlessEnv
+from .errors import ConfigError
+from .metrics import EpisodeMetrics
+from .workload import WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -128,38 +129,27 @@ def run_baseline(
     """One full episode under a rule-based scaler.
 
     Every ``decision_interval`` the policy's desired replica count is turned
-    into a scaling delta per function and applied; metric windows match the
-    learned agent's observation windows so calibration and evaluation share
-    one definition.
+    into a scaling delta per function and applied; ``ServerlessEnv.run_window``
+    then runs the window, as it does for the learned agent, so calibration,
+    training and evaluation share one definition. No target is picked and no
+    agent state is built.
     """
     cfg = policy_config or BaselinePolicyConfig()
-    engine = ClusterEngine(vms, profiles, workload.applications, sim_config)
-    engine.load_arrivals(synthesize(workload))
-    engine.advance(0.0)
-    ledger = EpisodeLedger(engine)
+    env = ServerlessEnv(vms, profiles, env_config, sim_config)
+    env.start_episode(workload)
+    engine = env.engine
     channels: list[tuple[float, float, float]] = []
     replica_log: list[tuple[float, int, int]] = []
-
-    interval = env_config.decision_interval
-    steps = workload.duration / interval
-    if abs(steps - round(steps)) > 1e-9:
-        raise ConfigError("workload duration must be a multiple of decision_interval")
-    for step in range(int(round(steps))):
-        t0 = step * interval
+    for step in range(env.total_steps):
+        t0 = step * env_config.decision_interval
         snap = engine.snapshot(None, window=env_config.observe_delay)
         for fn in engine.deployed_fns:
             desired = decide(policy, snap.functions[fn], cfg, sim_config.max_replicas)
             engine.apply_horizontal(fn, desired - snap.functions[fn].replicas)
             if record_replicas:
                 replica_log.append((t0, fn, engine.pod_count(fn)))
-        engine.advance(t0 + env_config.observe_delay)
+        window = env.run_window(t0, collect_channels)
         if collect_channels:
-            channels.append(ledger.window_channels(t0, t0 + env_config.observe_delay))
-        engine.advance(t0 + interval)
-    while engine.pending_requests():
-        nxt = engine.next_event_time()
-        if nxt is None:
-            raise SimulationError("pending requests but no scheduled events")
-        engine.advance(nxt)
-    return BaselineResult(policy=policy, summary=ledger.summary(), channels=channels,
+            channels.append(window)
+    return BaselineResult(policy=policy, summary=env.ledger.summary(), channels=channels,
                           replica_log=replica_log, engine=engine)

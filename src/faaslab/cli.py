@@ -274,6 +274,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     band = args.band or "mid"
     if band not in EVAL_BANDS:
         raise ConfigError(f"unknown band {band!r}")
+    per_band = exp.workload.workloads_per_band
+    if not 0 <= args.workload_index < per_band:
+        raise ConfigError(f"--workload-index {args.workload_index} outside [0, {per_band})")
     workload = exp.eval_sets([band])[band][args.workload_index]
     res = run_baseline(args.policy, exp.vms, exp.profiles, workload, exp.env,
                        exp.sim, exp.baselines, record_replicas=True)

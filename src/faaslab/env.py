@@ -4,6 +4,10 @@ Each step decodes a 3-dimensional discrete action (horizontal target
 utilization, CPU resize delta, memory resize delta), applies vertical then
 horizontal scaling for one target function, lets the simulator run for an
 observation window, and emits a blended negative reward.
+
+``start_episode`` and ``run_window`` are the only code that starts, advances
+and drains an episode: the agents reach them through ``reset`` and ``step``,
+and the rule-based baselines call them directly.
 """
 from __future__ import annotations
 
@@ -138,22 +142,25 @@ class ServerlessEnv:
 
     # ------------------------------------------------------------------ reset
 
-    def reset(self, workload: WorkloadSpec, seed: Optional[int] = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = random.Random(seed)
+    def start_episode(self, workload: WorkloadSpec) -> None:
+        """Build the engine for ``workload`` at time 0; ``reset`` adds target and state."""
         self.engine = ClusterEngine(self.vms, self.profiles, workload.applications,
                                     self.sim_config)
         self.engine.load_arrivals(synthesize(workload))
         self.engine.advance(0.0)
         self.ledger = EpisodeLedger(self.engine)
-        self._episode_duration = workload.duration
-        steps = self._episode_duration / self.config.decision_interval
+        steps = workload.duration / self.config.decision_interval
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("workload duration must be a multiple of decision_interval")
-        self._total_steps = int(round(steps))
+        self.total_steps = int(round(steps))
         self._steps_taken = 0
         self.done = False
         self.trace.clear()
+
+    def reset(self, workload: WorkloadSpec, seed: Optional[int] = None) -> np.ndarray:
+        if seed is not None:
+            self._rng = random.Random(seed)
+        self.start_episode(workload)
         self._select_target()
         return self._state()
 
@@ -181,16 +188,9 @@ class ServerlessEnv:
         n_delta = self.engine.horizontal_delta(target, decoded.target_util)
         self.engine.apply_horizontal(target, n_delta)
 
-        self.engine.advance(t0 + self.config.observe_delay)
-        channels = self.ledger.window_channels(t0, t0 + self.config.observe_delay)
+        channels = self.run_window(t0, channels=True)
         reward = step_reward(channels, self.bounds, self.config.beta)
-        self.engine.advance(t0 + self.config.decision_interval)
-
-        self._steps_taken += 1
-        if self._steps_taken >= self._total_steps:
-            self._drain()
-            self.done = True
-        else:
+        if not self.done:
             self._select_target()
         info = {
             "target_fn": target,
@@ -207,13 +207,24 @@ class ServerlessEnv:
                                reward))
         return self._state(), reward, self.done, info
 
-    def _drain(self) -> None:
-        # Let in-flight and queued requests resolve or drop before closing out.
-        while self.engine.pending_requests():
-            t = self.engine.next_event_time()
-            if t is None:
-                raise SimulationError("pending requests but no scheduled events")
-            self.engine.advance(t)
+    def run_window(self, t0: float, channels: bool) -> Optional[tuple[float, float, float]]:
+        """Advance through the decision window at ``t0``; drain after the last one.
+
+        Returns the observation window's (rfrt, rfr, cost) if ``channels``, else None.
+        """
+        self.engine.advance(t0 + self.config.observe_delay)
+        window = (self.ledger.window_channels(t0, t0 + self.config.observe_delay)
+                  if channels else None)
+        self.engine.advance(t0 + self.config.decision_interval)
+        self._steps_taken += 1
+        if self._steps_taken >= self.total_steps:
+            while self.engine.pending_requests():
+                t = self.engine.next_event_time()
+                if t is None:
+                    raise SimulationError("pending requests but no scheduled events")
+                self.engine.advance(t)
+            self.done = True
+        return window
 
     def export_trace(self, path) -> None:
         """Write the per-step decision trace as delimited text (debug aid)."""

@@ -47,12 +47,12 @@ class RewardBounds:
         if not path.exists():
             raise MetricsError(
                 f"calibration file {path} not found; run `faaslab calibrate` first")
-        data = yaml.safe_load(path.read_text())
         try:
+            data = yaml.safe_load(path.read_text())
             return cls(**{name: ChannelBounds(lo=float(data[name]["min"]),
                                               hi=float(data[name]["max"]))
                           for name in ("rfrt", "rfr", "cost")})
-        except (KeyError, TypeError) as exc:
+        except (yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: malformed calibration file ({exc})") from None
 
 

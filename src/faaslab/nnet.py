@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -291,23 +292,29 @@ class ParameterStore:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"checkpoint {path} not found")
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta.get("format") != CHECKPOINT_FORMAT:
-                raise ConfigError(f"{path}: unsupported checkpoint format {meta.get('format')}")
-            spec = NetworkSpec(input_dim=int(meta["input_dim"]),
-                               hidden=tuple(meta["hidden"]),
-                               head_sizes=tuple(meta["head_sizes"]),
-                               seed=int(meta["seed"]))
-            store = cls(spec)
-            n = len(store.params)
-            for i in range(n):
-                for attr, key in ((store.params, f"p{i}"), (store.m, f"m{i}"),
-                                  (store.v, f"v{i}")):
-                    arr = data[key]
-                    if arr.shape != attr[i].shape:
-                        raise ConfigError(f"{path}: array {key} has shape {arr.shape}, "
-                                          f"expected {attr[i].shape}")
-                    attr[i] = arr.astype(np.float64)
-            store.version = int(meta["version"])
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                meta = json.loads(str(data["meta"]))
+                if meta.get("format") != CHECKPOINT_FORMAT:
+                    raise ConfigError(f"{path}: unsupported checkpoint format "
+                                      f"{meta.get('format')}")
+                spec = NetworkSpec(input_dim=int(meta["input_dim"]),
+                                   hidden=tuple(meta["hidden"]),
+                                   head_sizes=tuple(meta["head_sizes"]),
+                                   seed=int(meta["seed"]))
+                store = cls(spec)
+                n = len(store.params)
+                for i in range(n):
+                    for attr, key in ((store.params, f"p{i}"), (store.m, f"m{i}"),
+                                      (store.v, f"v{i}")):
+                        arr = data[key]
+                        if arr.shape != attr[i].shape:
+                            raise ConfigError(f"{path}: array {key} has shape {arr.shape}, "
+                                              f"expected {attr[i].shape}")
+                        attr[i] = arr.astype(np.float64)
+                store.version = int(meta["version"])
+        except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
+                zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{path}: corrupt checkpoint "
+                              f"({type(exc).__name__}: {exc})") from None
         return store

@@ -6,7 +6,7 @@ import pytest
 from faaslab.agents import (DqnConfig, TrainConfig, Transition,
                             action_to_compound, aggregate, compound_to_action,
                             compute_advantages, dqn_train, evaluate_targets,
-                            greedy_index, select_action, train, worker_loop)
+                            greedy_index, select_action, train)
 from faaslab.cluster import Application, FunctionProfile
 from faaslab.env import ACTION_SIZES, EnvConfig, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError
@@ -124,14 +124,10 @@ class TestWorkerLoop:
     def test_update_per_episode_when_f_equals_t(self, desk_vms):
         cfg = TrainConfig(workers=1, episodes=3, update_freq=3, seed=5,
                           hidden=(16, 16))
-        env = tiny_env(desk_vms, seed=5)
-        spec_a = NetworkSpec(env.state_dim, cfg.hidden, ACTION_SIZES, cfg.seed)
-        spec_c = NetworkSpec(env.state_dim, cfg.hidden, (1,), cfg.seed + 1)
-        ga, gc = ParameterStore(spec_a), ParameterStore(spec_c)
-        stats = worker_loop(0, env, [tiny_workload()], spec_a, spec_c, ga, gc, cfg)
+        result = train([tiny_env(desk_vms, seed=5)], [tiny_workload()], cfg)
         # T = 3 steps per episode equals f, so exactly one flush per episode
-        assert [s.updates for s in stats] == [1, 2, 3]
-        assert ga.version == gc.version == 3
+        assert [s.updates for s in result.stats] == [1, 2, 3]
+        assert result.actor.version == result.critic.version == 3
 
     def test_deterministic_single_worker_reproducible(self, desk_vms):
         def run():

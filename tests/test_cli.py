@@ -1,8 +1,11 @@
+import random
+
 import yaml
 
 import pytest
 
 from faaslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, read_csv
+from faaslab.nnet import NetworkSpec, ParameterStore
 
 
 def write_config(tmp_path, **extra):
@@ -187,6 +190,12 @@ class TestSimulate:
         assert kind in {"arrival", "queue", "assign", "retry", "drop", "finish",
                         "pod_create", "pod_ready", "pod_terminating", "pod_remove"}
 
+    @pytest.mark.parametrize("index", [2, 99, -1])
+    def test_workload_index_outside_band_is_config_error(self, workspace, index):
+        config, _ = workspace  # two workloads per band
+        assert main(["simulate", "--config", str(config),
+                     "--workload-index", str(index)]) == EXIT_CONFIG
+
 
 class TestErrors:
     def test_bad_config_file(self, tmp_path):
@@ -205,3 +214,24 @@ class TestErrors:
                                         "calibration_per_band": 1,
                                         "constant_rate": 0})
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("damage", ["random_bytes", "truncated"])
+    def test_corrupt_checkpoint_is_config_error(self, workspace, capsys, damage):
+        config, run_dir = workspace
+        ckpt = run_dir.parent / f"{damage}.npz"
+        if damage == "random_bytes":
+            ckpt.write_bytes(random.Random(0).randbytes(4096))
+        else:
+            ParameterStore(NetworkSpec(input_dim=4, hidden=(8,),
+                                       head_sizes=(11, 11, 11))).save(ckpt)
+            ckpt.write_bytes(ckpt.read_bytes()[:ckpt.stat().st_size // 2])
+        assert main(["evaluate", "--config", str(config), "--band", "low",
+                     "--targets", str(ckpt)]) == EXIT_CONFIG
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_invalid_calibration_yaml_is_config_error(self, workspace, capsys):
+        config, run_dir = workspace
+        run_dir.mkdir(parents=True)
+        (run_dir / "calibration.yaml").write_text("rfrt: {min: 1\n")
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        assert "calibration.yaml" in capsys.readouterr().err
