@@ -53,19 +53,19 @@ def _policy_from_store(store: ParameterStore):
 
 
 def _greedy_episode(store: ParameterStore, vms, profiles, workload: WorkloadSpec,
-                    env_config: EnvConfig, sim_config: SimConfig,
-                    bounds: Optional[RewardBounds]) -> EpisodeMetrics:
+                    env_config: EnvConfig, sim_config: SimConfig) -> EpisodeMetrics:
+    """One episode under the checkpoint's greedy policy; no reward is computed."""
     policy = _policy_from_store(store)
     env = ServerlessEnv(vms, profiles,
                         replace(env_config, target_mode="highest_rfrt"),
-                        sim_config, bounds=bounds, seed=0)
+                        sim_config, seed=0)
     state = env.reset(workload)
     if store.spec.input_dim != env.state_dim:
         raise ConfigError(f"checkpoint expects state dim {store.spec.input_dim}, "
                           f"environment provides {env.state_dim}")
     done = False
     while not done:
-        state, _, done, _ = env.step(policy(state))
+        state, _, done, _ = env.step(policy(state), rewarded=False)
     return env.ledger.summary()
 
 
@@ -83,7 +83,9 @@ def evaluate_targets(
     """Per-workload metrics for every target on every banded workload set.
 
     Workloads evaluate independently (optionally in a thread pool); results
-    merge deterministically by (target, band, workload index).
+    merge deterministically by (target, band, workload index). ``bounds`` is
+    ignored: greedy evaluation computes no reward. It stays in the signature
+    for callers that pass the arguments by position.
     """
     stores: dict[str, ParameterStore] = {}
     for target in targets:
@@ -103,7 +105,7 @@ def evaluate_targets(
         target, band, idx, workload = job
         if target in stores:
             summary = _greedy_episode(stores[target], vms, profiles, workload,
-                                      env_config, sim_config, bounds)
+                                      env_config, sim_config)
         else:
             summary = run_baseline(target, vms, profiles, workload, env_config,
                                    sim_config, policy_config).summary

@@ -125,6 +125,7 @@ def run_baseline(
     policy_config: Optional[BaselinePolicyConfig] = None,
     collect_channels: bool = False,
     record_replicas: bool = False,
+    log_events: bool = False,
 ) -> BaselineResult:
     """One full episode under a rule-based scaler.
 
@@ -132,10 +133,10 @@ def run_baseline(
     into a scaling delta per function and applied; ``ServerlessEnv.run_window``
     then runs the window, as it does for the learned agent, so calibration,
     training and evaluation share one definition. No target is picked and no
-    agent state is built.
+    agent state is built. ``log_events`` keeps the engine's event log.
     """
     cfg = policy_config or BaselinePolicyConfig()
-    env = ServerlessEnv(vms, profiles, env_config, sim_config)
+    env = ServerlessEnv(vms, profiles, env_config, sim_config, log_events=log_events)
     env.start_episode(workload)
     engine = env.engine
     channels: list[tuple[float, float, float]] = []

@@ -185,11 +185,9 @@ def cmd_train_sweep(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     exp = _load(args)
     bands = [args.band] if args.band else None
-    bounds = (RewardBounds.load(exp.calibration_file)
-              if exp.calibration_file.exists() else None)
     rows = evaluate_targets(args.targets, exp.eval_sets(bands), exp.vms,
-                            exp.profiles, exp.env, exp.sim, bounds,
-                            exp.baselines, parallel=exp.eval_parallel)
+                            exp.profiles, exp.env, exp.sim,
+                            policy_config=exp.baselines, parallel=exp.eval_parallel)
     out = exp.output_dir
     meta = _meta_lines(exp, exp.train.seed, "deterministic")
     write_csv(out / "eval_workloads.csv", meta,
@@ -279,7 +277,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--workload-index {args.workload_index} outside [0, {per_band})")
     workload = exp.eval_sets([band])[band][args.workload_index]
     res = run_baseline(args.policy, exp.vms, exp.profiles, workload, exp.env,
-                       exp.sim, exp.baselines, record_replicas=True)
+                       exp.sim, exp.baselines, record_replicas=True, log_events=True)
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / f"events_{args.policy}_{band}_{args.workload_index}.log"

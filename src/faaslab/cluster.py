@@ -15,7 +15,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, SimulationError
 
@@ -93,7 +94,10 @@ class VmState:
     ``active_seconds`` accumulates wall time during which the VM is "active";
     by default that is time with at least one in-flight request, optionally
     (``active_time_mode="pods"``) time hosting at least one pod. Closed busy
-    intervals are kept in ``busy_log`` for interval cost queries.
+    intervals are kept in ``busy_log`` for interval cost queries. They are
+    disjoint and appended in time order, so both their starts and their ends
+    ascend, and ``busy_overlap`` bisects to the first interval that can
+    overlap a window instead of scanning the whole log.
     """
 
     spec: VmSpec
@@ -112,9 +116,17 @@ class VmState:
         return self.active_seconds + open_part
 
     def busy_overlap(self, t0: float, t1: float) -> float:
-        """Total busy time inside [t0, t1]; the open interval counts to t1."""
+        """Total busy time inside [t0, t1]; the open interval counts to t1.
+
+        Intervals ending at or before t0, or starting after t1, would add
+        exactly 0.0, so they are skipped without changing the sum.
+        """
         total = 0.0
-        for start, end in self.busy_log:
+        log = self.busy_log
+        for i in range(bisect.bisect_right(log, t0, key=itemgetter(1)), len(log)):
+            start, end = log[i]
+            if start > t1:
+                break
             total += max(0.0, min(end, t1) - max(start, t0))
         if self.busy_since is not None:
             total += max(0.0, t1 - max(self.busy_since, t0))
@@ -154,15 +166,29 @@ class PodState:
     phase: PodPhase
     ready_at: float
     in_flight: set[int] = field(default_factory=set)
+    # Requests the limits admit at once; kept in step with them by ``resize``.
+    max_concurrency: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.max_concurrency = self.concurrency_bound()
+
+    def concurrency_bound(self) -> int:
+        return floor_guarded(min(self.cpu_limit / self.profile.req_cpu,
+                                 self.mem_limit / self.profile.req_mem))
+
+    def resize(self, cpu_delta: float, mem_delta: float) -> None:
+        self.cpu_limit += cpu_delta
+        self.mem_limit += mem_delta
+        self.max_concurrency = self.concurrency_bound()
+
+    @property
+    def is_open(self) -> bool:
+        """Ready and below its concurrency bound: routing may assign to it."""
+        return self.phase is PodPhase.READY and len(self.in_flight) < self.max_concurrency
 
     @property
     def function_id(self) -> int:
         return self.profile.function_id
-
-    @property
-    def max_concurrency(self) -> int:
-        return floor_guarded(min(self.cpu_limit / self.profile.req_cpu,
-                                 self.mem_limit / self.profile.req_mem))
 
     @property
     def cpu_used(self) -> float:
@@ -269,19 +295,17 @@ class ClusterSnapshot:
     functions: dict[int, FunctionSnapshot]
 
 
-class _EventKind(Enum):
-    ARRIVAL = 0
-    POD_READY = 1
-    FINISH = 2
-    RETRY = 3
-
-
 class ClusterEngine:
     """Single-threaded deterministic event-queue simulator.
 
     An engine owns its full cluster state; parallel experiments use
     independent engine instances. All event dispatch is ordered by
     (timestamp, insertion sequence) so identical inputs replay identically.
+    Each heap entry carries the handler to call and its one argument.
+
+    With ``log_events`` every event also appends a ``(time, kind, *ids)``
+    tuple to ``event_log``; otherwise ``event_log`` stays empty. The log is a
+    pure sink: nothing in the simulation reads it.
     """
 
     def __init__(
@@ -290,6 +314,7 @@ class ClusterEngine:
         profiles: Iterable[FunctionProfile] | Mapping[int, FunctionProfile],
         apps: Iterable[Application],
         config: SimConfig = SimConfig(),
+        log_events: bool = True,
     ):
         if isinstance(profiles, Mapping):
             profiles = profiles.values()
@@ -326,9 +351,13 @@ class ClusterEngine:
         self.pods: dict[int, PodState] = {}
         self.fn_pods: dict[int, list[int]] = {fn: [] for fn in self.profiles}
         self._rr_cursor: dict[int, int] = {fn: 0 for fn in self.profiles}
+        # Pods per function for which ``PodState.is_open`` holds.
+        self.open_pods: dict[int, int] = {fn: 0 for fn in self.profiles}
 
         self.requests: dict[int, RequestRecord] = {}
         self.chains: dict[int, list[int]] = {}
+        # Per app, root id -> response-time ratio of each fully completed chain.
+        self.chain_ratios: dict[int, dict[int, float]] = {app_id: {} for app_id in self.apps}
         self.queued_ids: dict[int, set[int]] = {fn: set() for fn in self.profiles}
         self.creation_shortfall: dict[int, int] = {fn: 0 for fn in self.profiles}
 
@@ -340,8 +369,9 @@ class ClusterEngine:
         self.completed_total = 0
         self.dropped_total = 0
 
+        self.log_events = log_events
         self.event_log: list[tuple] = []
-        self._heap: list[tuple[float, int, _EventKind, tuple]] = []
+        self._heap: list[tuple[float, int, Callable[[ClusterEngine, int], None], int]] = []
         self._seq = 0
         self._next_pod_id = 0
         self._next_request_id = 0
@@ -349,9 +379,10 @@ class ClusterEngine:
 
     # ------------------------------------------------------------------ events
 
-    def _push(self, time: float, kind: _EventKind, payload: tuple) -> None:
+    def _push(self, time: float, handler: Callable[[ClusterEngine, int], None],
+              arg: int) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        heapq.heappush(self._heap, (time, self._seq, handler, arg))
 
     def load_arrivals(self, arrivals: Iterable[tuple[float, int]]) -> None:
         """Queue entry-function arrivals as (timestamp, app_id) pairs."""
@@ -360,24 +391,18 @@ class ClusterEngine:
                 raise ConfigError(f"arrival references unknown app {app_id}")
             if t < self.clock:
                 raise ConfigError(f"arrival at {t} lies before the clock ({self.clock})")
-            self._push(t, _EventKind.ARRIVAL, (app_id,))
+            self._push(t, ClusterEngine._on_arrival, app_id)
 
     def advance(self, until: float) -> list[tuple]:
         """Dispatch every event with timestamp <= until; returns the new log slice."""
         if until < self.clock - _EPS:
             raise SimulationError(f"cannot advance backwards ({self.clock} -> {until})")
         mark = len(self.event_log)
-        while self._heap and self._heap[0][0] <= until:
-            time, _, kind, payload = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            time, _, handler, arg = heapq.heappop(heap)
             self.clock = time
-            if kind is _EventKind.ARRIVAL:
-                self._on_arrival(*payload)
-            elif kind is _EventKind.POD_READY:
-                self._on_pod_ready(*payload)
-            elif kind is _EventKind.FINISH:
-                self._on_finish(*payload)
-            elif kind is _EventKind.RETRY:
-                self._on_retry(*payload)
+            handler(self, arg)
         self.clock = until
         return self.event_log[mark:]
 
@@ -389,7 +414,8 @@ class ClusterEngine:
         return len(self.requests) > self.completed_total + self.dropped_total
 
     def _log(self, kind: str, *ids) -> None:
-        self.event_log.append((self.clock, kind) + ids)
+        if self.log_events:
+            self.event_log.append((self.clock, kind) + ids)
 
     # --------------------------------------------------------------- lifecycle
 
@@ -417,17 +443,21 @@ class ClusterEngine:
         """Assign a queued request via the per-function round-robin cursor.
 
         Returns the pod id on assignment, or None when every ready pod is at
-        its concurrency bound.
+        its concurrency bound. That case costs O(1): ``open_pods`` counts the
+        pods that could take the request, and at 0 the pod scan is skipped.
         """
         fn = req.function_id
-        if fn not in self.profiles:
+        open_pods = self.open_pods.get(fn)
+        if open_pods is None:
             raise ConfigError(f"request targets unknown function {fn}")
+        if not open_pods:
+            return None
         pod_ids = self.fn_pods[fn]
         n = len(pod_ids)
         cursor = self._rr_cursor[fn] % n if n else 0
         for off in range(n):
             pod = self.pods[pod_ids[(cursor + off) % n]]
-            if pod.phase is PodPhase.READY and len(pod.in_flight) < pod.max_concurrency:
+            if pod.is_open:
                 self._rr_cursor[fn] = (cursor + off + 1) % n
                 self._assign(req, pod)
                 return pod.pod_id
@@ -440,9 +470,11 @@ class ClusterEngine:
         self.queued_ids[req.function_id].add(req.request_id)
         req.retries = 1  # the failed arrival-time attempt counts
         self._log("queue", req.request_id)
-        self._push(self.clock + self.config.retry_interval, _EventKind.RETRY, (req.request_id,))
+        self._push(self.clock + self.config.retry_interval, ClusterEngine._on_retry,
+                   req.request_id)
 
     def _assign(self, req: RequestRecord, pod: PodState) -> None:
+        """Start ``req`` on ``pod``, which must be open."""
         vm = self.vms[pod.vm_id]
         req.status = RequestStatus.RUNNING
         req.start_time = self.clock
@@ -450,6 +482,8 @@ class ClusterEngine:
         req.vm_id = pod.vm_id
         self.queued_ids[req.function_id].discard(req.request_id)
         pod.in_flight.add(req.request_id)
+        if len(pod.in_flight) == pod.max_concurrency:
+            self.open_pods[req.function_id] -= 1
         vm.cpu_used += pod.profile.req_cpu
         vm.mem_used += pod.profile.req_mem
         vm.inflight += 1
@@ -458,7 +492,7 @@ class ClusterEngine:
         exec_time = pod.profile.standard_response_time
         if self.config.exec_noise_sigma > 0:
             exec_time *= self._rng.lognormvariate(0.0, self.config.exec_noise_sigma)
-        self._push(self.clock + exec_time, _EventKind.FINISH, (req.request_id,))
+        self._push(self.clock + exec_time, ClusterEngine._on_finish, req.request_id)
 
     def _on_finish(self, request_id: int) -> None:
         req = self.requests[request_id]
@@ -467,6 +501,8 @@ class ClusterEngine:
         req.status = RequestStatus.COMPLETED
         req.finish_time = self.clock
         pod.in_flight.discard(request_id)
+        if pod.phase is PodPhase.READY and len(pod.in_flight) == pod.max_concurrency - 1:
+            self.open_pods[req.function_id] += 1
         vm.cpu_used -= pod.profile.req_cpu
         vm.mem_used -= pod.profile.req_mem
         vm.inflight -= 1
@@ -484,6 +520,20 @@ class ClusterEngine:
             child = self._new_request(req.app_id, nxt, req.root_id)
             self._log("arrival", child.request_id, child.function_id)
             self._route_or_queue(child)
+        else:
+            self.record_chain(req.root_id)
+
+    def record_chain(self, root_id: int) -> None:
+        """Store the response-time ratio of the fully completed chain ``root_id``.
+
+        The ratio is the chain's summed response time over its summed standard
+        response time, added up stage by stage in chain order.
+        """
+        records = [self.requests[rid] for rid in self.chains[root_id]]
+        actual = sum(r.response_time for r in records)
+        standard = sum(self.profiles[r.function_id].standard_response_time
+                       for r in records)
+        self.chain_ratios[records[0].app_id][root_id] = actual / standard
 
     def _on_retry(self, request_id: int) -> None:
         req = self.requests.get(request_id)
@@ -503,7 +553,8 @@ class ClusterEngine:
             return True
         req.retries += 1
         if self.route_request(req) is None:
-            self._push(self.clock + self.config.retry_interval, _EventKind.RETRY, (req.request_id,))
+            self._push(self.clock + self.config.retry_interval, ClusterEngine._on_retry,
+                       req.request_id)
         return False
 
     def _on_pod_ready(self, pod_id: int) -> None:
@@ -511,6 +562,8 @@ class ClusterEngine:
         if pod is None or pod.phase is not PodPhase.CREATING:
             return  # stale: pod was scaled down while starting
         pod.phase = PodPhase.READY
+        if pod.is_open:
+            self.open_pods[pod.function_id] += 1
         self._log("pod_ready", pod_id)
 
     # ----------------------------------------------------------- vm activity
@@ -606,7 +659,7 @@ class ClusterEngine:
         best.cpu_allocated += cpu
         best.mem_allocated += mem
         self._update_vm_activity(best)
-        self._push(pod.ready_at, _EventKind.POD_READY, (pod_id,))
+        self._push(pod.ready_at, ClusterEngine._on_pod_ready, pod_id)
         self._log("pod_create", pod_id, best.spec.vm_id)
         return pod_id
 
@@ -619,12 +672,16 @@ class ClusterEngine:
             self._remove_pod(pod)
             affected.append(pod.pod_id)
         for pod in busy[:max(0, count - len(idle))]:
+            if pod.is_open:
+                self.open_pods[fn] -= 1
             pod.phase = PodPhase.TERMINATING
             self._log("pod_terminating", pod.pod_id)
             affected.append(pod.pod_id)
         return affected
 
     def _remove_pod(self, pod: PodState) -> None:
+        if pod.is_open:
+            self.open_pods[pod.function_id] -= 1
         vm = self.vms[pod.vm_id]
         vm.pods.discard(pod.pod_id)
         vm.cpu_allocated -= pod.cpu_limit
@@ -686,8 +743,9 @@ class ClusterEngine:
         cpu_now, mem_now = self.pod_size[fn]
         self.pod_size[fn] = (cpu_now + cpu_delta, mem_now + mem_delta)
         for pod in self._live_pods(fn):
-            pod.cpu_limit += cpu_delta
-            pod.mem_limit += mem_delta
+            was_open = pod.is_open
+            pod.resize(cpu_delta, mem_delta)
+            self.open_pods[fn] += pod.is_open - was_open
             vm = self.vms[pod.vm_id]
             vm.cpu_allocated += cpu_delta
             vm.mem_allocated += mem_delta
@@ -795,9 +853,13 @@ class ClusterEngine:
             assert vm.cpu_used <= vm.cpu_allocated + 1e-6, "cpu usage above allocation"
             assert vm.mem_used <= vm.mem_allocated + 1e-6, "mem usage above allocation"
         for pod in self.pods.values():
+            assert pod.max_concurrency == pod.concurrency_bound(), "stale concurrency bound"
             assert len(pod.in_flight) <= pod.max_concurrency, "pod concurrency overflow"
             if pod.phase is PodPhase.CREATING:
                 assert not pod.in_flight, "creating pod is serving requests"
+        for fn, pod_ids in self.fn_pods.items():
+            open_count = sum(1 for pid in pod_ids if self.pods[pid].is_open)
+            assert open_count == self.open_pods[fn], "open-pod count drift"
         counts = self.request_counts()
         assert (counts["Completed"] + counts["Dropped"] + counts["Queued"]
                 + counts["Running"]) == counts["Total"], "request accounting broken"

@@ -109,7 +109,8 @@ class ServerlessEnv:
     """One agent's copy of the scaling decision process.
 
     Environments are independent and single-threaded; training with several
-    workers instantiates one environment per worker.
+    workers instantiates one environment per worker. ``log_events`` turns on
+    the engine's event log, which no episode metric reads.
     """
 
     def __init__(
@@ -121,6 +122,7 @@ class ServerlessEnv:
         bounds: Optional[RewardBounds] = None,
         seed: int = 0,
         record_trace: bool = False,
+        log_events: bool = False,
     ):
         self.vms = tuple(sorted(vms, key=lambda s: s.vm_id))
         self.profiles = dict(profiles)
@@ -134,6 +136,7 @@ class ServerlessEnv:
         self.done = True
         self._steps_taken = 0
         self.record_trace = record_trace
+        self.log_events = log_events
         self.trace: list[tuple] = []
 
     @property
@@ -145,7 +148,7 @@ class ServerlessEnv:
     def start_episode(self, workload: WorkloadSpec) -> None:
         """Build the engine for ``workload`` at time 0; ``reset`` adds target and state."""
         self.engine = ClusterEngine(self.vms, self.profiles, workload.applications,
-                                    self.sim_config)
+                                    self.sim_config, log_events=self.log_events)
         self.engine.load_arrivals(synthesize(workload))
         self.engine.advance(0.0)
         self.ledger = EpisodeLedger(self.engine)
@@ -176,7 +179,14 @@ class ServerlessEnv:
 
     # ------------------------------------------------------------------- step
 
-    def step(self, action: ScalingAction) -> tuple[np.ndarray, float, bool, dict]:
+    def step(self, action: ScalingAction,
+             rewarded: bool = True) -> tuple[np.ndarray, Optional[float], bool, dict]:
+        """Apply ``action`` to the target function and run one decision window.
+
+        With ``rewarded=False`` (greedy evaluation) the window's reward
+        channels and the reward are not computed: the reward is None, and no
+        calibrated bounds are needed.
+        """
         if self.done or self.engine is None:
             raise SimulationError("episode is over; call reset() before stepping")
         decoded = decode(action)
@@ -188,8 +198,8 @@ class ServerlessEnv:
         n_delta = self.engine.horizontal_delta(target, decoded.target_util)
         self.engine.apply_horizontal(target, n_delta)
 
-        channels = self.run_window(t0, channels=True)
-        reward = step_reward(channels, self.bounds, self.config.beta)
+        channels = self.run_window(t0, channels=rewarded)
+        reward = step_reward(channels, self.bounds, self.config.beta) if rewarded else None
         if not self.done:
             self._select_target()
         info = {

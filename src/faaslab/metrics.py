@@ -9,7 +9,7 @@ from typing import Sequence
 
 import yaml
 
-from .cluster import ClusterEngine, RequestStatus
+from .cluster import ClusterEngine
 from .errors import ConfigError, MetricsError
 
 _DEGENERATE_SPAN = 1e-12
@@ -125,23 +125,16 @@ class EpisodeLedger:
         Only fully completed chains contribute; dropped chains are accounted
         by the failure rate instead. Applications with no completed chain are
         skipped; if every application is empty the metric is undefined.
+
+        The engine records each chain's ratio as its last function finishes
+        (``ClusterEngine.chain_ratios``); they are summed here in root-id
+        order, the order in which the chains started.
         """
         engine = self.engine
         if not engine.apps:
             raise MetricsError("no applications deployed")
-        per_app: dict[int, list[float]] = {app_id: [] for app_id in engine.apps}
-        for root_id, chain in engine.chains.items():
-            records = [engine.requests[rid] for rid in chain]
-            if any(r.status is not RequestStatus.COMPLETED for r in records):
-                continue
-            app = engine.apps[records[0].app_id]
-            if len(records) != len(app.function_sequence):
-                continue  # chain still mid-flight
-            actual = sum(r.response_time for r in records)
-            standard = sum(engine.profiles[r.function_id].standard_response_time
-                           for r in records)
-            per_app[app.app_id].append(actual / standard)
-        means = [sum(v) / len(v) for v in per_app.values() if v]
+        means = [sum(ratios[root] for root in sorted(ratios)) / len(ratios)
+                 for ratios in engine.chain_ratios.values() if ratios]
         if not means:
             raise MetricsError("no completed application chains; RART undefined")
         return sum(means) / len(means)

@@ -463,7 +463,7 @@ def test_c09_baseline_trajectories_match_formulas():
         vm = VmSpec(vm_id=0, cpu_capacity=8.0, mem_capacity=32768.0, unit_price=0.3)
         return run_baseline(policy, [vm], {0: profile}, wl,
                             EnvConfig(episode_duration=30.0),
-                            record_replicas=True)
+                            record_replicas=True, log_events=True)
 
     # light load: 2 req/s, 0.25 s executions, pods hold 4 concurrent requests
     light = scripted_profile(standard_response_time=0.25)
@@ -491,7 +491,7 @@ def test_c09_baseline_trajectories_match_formulas():
     # bit-exact determinism across reruns
     a = run("kube_cpu", light, rate=2)
     b = run("kube_cpu", light, rate=2)
-    assert a.engine.event_log == b.engine.event_log
+    assert a.engine.event_log and a.engine.event_log == b.engine.event_log
     assert a.replica_log == b.replica_log
     _report(9, "baseline trajectory hand-check")
 

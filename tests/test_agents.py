@@ -236,8 +236,8 @@ class TestEvaluate:
         args = (desk_vms, {0: tiny_profile()}, tiny_workload(rate=4),
                 EnvConfig(episode_duration=30.0))
         from faaslab.cluster import SimConfig
-        live = _greedy_episode(result.actor, *args, SimConfig(), BOUNDS)
-        disk = _greedy_episode(loaded, *args, SimConfig(), BOUNDS)
+        live = _greedy_episode(result.actor, *args, SimConfig())
+        disk = _greedy_episode(loaded, *args, SimConfig())
         assert live == disk  # the checkpoint reproduces evaluation metrics
 
         sets = {"mid": [tiny_workload(rate=4)]}

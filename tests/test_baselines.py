@@ -1,9 +1,9 @@
 import pytest
 
-from faaslab.baselines import (BaselinePolicyConfig, KnativeConfig, KubeCpuConfig,
-                               OpenFaasConfig, decide, knative_decide,
+from faaslab.baselines import (BASELINES, BaselinePolicyConfig, KnativeConfig,
+                               KubeCpuConfig, OpenFaasConfig, decide, knative_decide,
                                kube_cpu_decide, openfaas_decide, run_baseline)
-from faaslab.cluster import Application, FunctionProfile, FunctionSnapshot
+from faaslab.cluster import Application, FunctionProfile, FunctionSnapshot, SimConfig
 from faaslab.env import EnvConfig
 from faaslab.errors import ConfigError
 from faaslab.workload import TraceSeries, WorkloadSpec
@@ -99,12 +99,43 @@ class TestRunBaseline:
             res = run_baseline(policy, desk_vms, {0: profile},
                                one_fn_workload(rate=4),
                                EnvConfig(episode_duration=30.0),
-                               collect_channels=True, record_replicas=True)
+                               collect_channels=True, record_replicas=True,
+                               log_events=True)
+            assert res.engine.event_log
             return (res.engine.event_log, res.channels, res.replica_log,
                     res.summary)
 
         for policy in ("knative", "kube_cpu", "openfaas"):
             assert run(policy) == run(policy)
+
+    @pytest.mark.parametrize("policy", BASELINES)
+    def test_event_log_is_a_pure_sink(self, desk_vms, policy):
+        """Turning the event log off changes no result, only the log itself."""
+        profiles = {fn: FunctionProfile(function_id=fn, req_cpu=0.25, req_mem=256.0,
+                                        standard_response_time=r0,
+                                        cold_start_seconds=2.0,
+                                        initial_pod_cpu=0.5, initial_pod_mem=512.0)
+                    for fn, r0 in ((0, 1.0), (1, 0.5))}
+        apps = (Application(app_id=0, function_sequence=(0, 1)),
+                Application(app_id=1, function_sequence=(1,)))
+        wl = WorkloadSpec(duration=30, applications=apps,
+                          entry_traces={0: TraceSeries("a", (12,) * 30),
+                                        1: TraceSeries("b", (6,) * 30)})
+
+        def run(log_events):
+            return run_baseline(policy, desk_vms, profiles, wl,
+                                EnvConfig(episode_duration=30.0),
+                                SimConfig(exec_noise_sigma=0.3, seed=4),
+                                collect_channels=True, record_replicas=True,
+                                log_events=log_events)
+
+        logged, silent = run(True), run(False)
+        assert logged.engine.event_log and silent.engine.event_log == []
+        assert logged.summary == silent.summary
+        assert logged.channels == silent.channels
+        assert logged.replica_log == silent.replica_log
+        assert logged.engine.requests == silent.engine.requests
+        assert logged.summary.dropped > 0 and logged.summary.completed > 0
 
     def test_never_resizes_pods(self, desk_vms, profile):
         res = run_baseline("kube_cpu", desk_vms, {0: profile},

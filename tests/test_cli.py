@@ -155,6 +155,19 @@ class TestEvaluate:
               "--targets", str(ckpt), "kube_cpu"])
         assert no_timestamp(run_dir / "eval_summary.csv") == rerun_first
 
+    def test_checkpoint_target_needs_no_calibration_file(self, workspace):
+        # Greedy evaluation computes no reward, so it needs no reward bounds.
+        config, run_dir = workspace
+        main(["calibrate", "--config", str(config)])
+        main(["train", "--config", str(config)])
+        args = ["evaluate", "--config", str(config), "--band", "low",
+                "--targets", str(run_dir / "actor_a3c_beta1_w1.npz")]
+        assert main(args) == EXIT_OK
+        with_bounds = read_csv(run_dir / "eval_workloads.csv")[2]
+        (run_dir / "calibration.yaml").unlink()
+        assert main(args) == EXIT_OK
+        assert read_csv(run_dir / "eval_workloads.csv")[2] == with_bounds
+
 
 class TestReport:
     def test_missing_artifacts_listed(self, workspace):

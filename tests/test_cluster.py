@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from faaslab.cluster import (Application, ClusterEngine,
                              FunctionProfile, PodPhase, RequestStatus,
-                             SimConfig, VmSpec, ceil_guarded, desired_replicas,
-                             floor_guarded)
+                             SimConfig, VmSpec, VmState, ceil_guarded,
+                             desired_replicas, floor_guarded)
 from faaslab.errors import ConfigError, SimulationError
 
 
@@ -317,6 +319,37 @@ class TestSnapshot:
         eng.advance(20.0)
         snap = eng.snapshot(0, window=10.0)
         assert snap.functions[0].arrival_rate == pytest.approx(3.0)
+
+
+class TestBusyOverlap:
+    @staticmethod
+    def brute_overlap(vm, t0, t1):
+        total = 0.0
+        for start, end in vm.busy_log:
+            total += max(0.0, min(end, t1) - max(start, t0))
+        if vm.busy_since is not None:
+            total += max(0.0, t1 - max(vm.busy_since, t0))
+        return total
+
+    def test_matches_full_scan_bit_for_bit(self, big_vm):
+        rng = random.Random(5)
+        for _ in range(300):
+            vm = VmState(spec=big_vm)
+            t = rng.uniform(0.0, 3.0)
+            for _ in range(rng.randrange(40)):
+                start = t + rng.choice((0.0, rng.uniform(0.0, 4.0)))
+                end = start + rng.choice((0.0, rng.uniform(0.0, 4.0)))
+                vm.busy_log.append((start, end))
+                t = end
+            if rng.random() < 0.5:
+                vm.busy_since = t + rng.uniform(0.0, 2.0)
+            edges = [x for interval in vm.busy_log for x in interval] or [0.0]
+            # windows in random order, some starting or ending on an interval edge
+            for _ in range(30):
+                t0 = rng.choice((rng.uniform(-1.0, t + 3.0), rng.choice(edges)))
+                t1 = rng.choice((t0 + rng.uniform(0.0, 15.0), rng.choice(edges)))
+                t0, t1 = min(t0, t1), max(t0, t1)
+                assert vm.busy_overlap(t0, t1) == self.brute_overlap(vm, t0, t1)
 
 
 class TestInvariantsAndDeterminism:

@@ -18,7 +18,11 @@ def warm_engine(vm, profile, app, pods=1):
 
 
 def inject_chain(eng, app_id, arrival, ratios):
-    """Append one fully completed chain with the given per-stage ratios."""
+    """Append one fully completed chain with the given per-stage ratios.
+
+    The chain is registered through ``record_chain``, as the engine does when
+    a chain's last function finishes.
+    """
     app = eng.apps[app_id]
     root = None
     t = arrival
@@ -39,6 +43,7 @@ def inject_chain(eng, app_id, arrival, ratios):
             eng.chains[root].append(rid)
         t = req.finish_time
     eng.completed_total += len(app.function_sequence)
+    eng.record_chain(root)
 
 
 class TestRfrt:
