@@ -13,8 +13,10 @@ import bisect
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import pairwise
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -87,7 +89,7 @@ class VmSpec:
             raise ConfigError(f"vm {self.vm_id}: unit price must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class VmState:
     """Mutable per-VM bookkeeping.
 
@@ -156,7 +158,7 @@ class FunctionProfile:
             raise ConfigError(f"function {self.function_id}: standard_response_time must stay below 10 s")
 
 
-@dataclass
+@dataclass(slots=True)
 class PodState:
     pod_id: int
     profile: FunctionProfile
@@ -207,7 +209,7 @@ class PodState:
         return self.mem_used / self.mem_limit
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     request_id: int
     app_id: int
@@ -295,13 +297,34 @@ class ClusterSnapshot:
     functions: dict[int, FunctionSnapshot]
 
 
+# Heap entry: (time, seq, handler, arg); dispatch calls handler(engine, arg).
+_Event = tuple[float, int, Callable[["ClusterEngine", int], None], int]
+
+
 class ClusterEngine:
     """Single-threaded deterministic event-queue simulator.
 
     An engine owns its full cluster state; parallel experiments use
     independent engine instances. All event dispatch is ordered by
     (timestamp, insertion sequence) so identical inputs replay identically.
-    Each heap entry carries the handler to call and its one argument.
+
+    Pending events live in three places, all keyed by the same (time, seq):
+
+    * ``_retries``, a FIFO of ``(time, seq, request_id)``. A retry is due one
+      ``retry_interval`` after the clock it was pushed at, and the clock never
+      passes a pending event, so retries fall due in push order and the FIFO
+      stays sorted. ``advance`` re-queues a retry against a function with no
+      open pod in place, without routing it.
+    * ``_arrivals``, the loaded arrivals that are not yet due, sorted latest
+      first. Only the earliest pending arrival is in the heap; dispatching it
+      moves the next one in.
+    * ``_heap``, entries ``(time, seq, handler, arg)``: finishes, pod
+      readiness, that one arrival, and any retry that falls due before the
+      FIFO's last entry (possible after ``advance`` goes back by up to
+      ``_EPS``).
+
+    ``advance`` always dispatches the smaller of the FIFO head and the heap
+    top, so the order is the one a single heap of every event would give.
 
     With ``log_events`` every event also appends a ``(time, kind, *ids)``
     tuple to ``event_log``; otherwise ``event_log`` stays empty. The log is a
@@ -371,7 +394,10 @@ class ClusterEngine:
 
         self.log_events = log_events
         self.event_log: list[tuple] = []
-        self._heap: list[tuple[float, int, Callable[[ClusterEngine, int], None], int]] = []
+        self._heap: list[_Event] = []
+        self._retries: deque[tuple[float, int, int]] = deque()
+        self._arrivals: list[_Event] = []
+        self._next_arrival: Optional[_Event] = None  # the arrival in the heap
         self._seq = 0
         self._next_pod_id = 0
         self._next_request_id = 0
@@ -384,14 +410,45 @@ class ClusterEngine:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, handler, arg))
 
+    def _push_retry(self, request_id: int) -> None:
+        self._seq += 1
+        time = self.clock + self.config.retry_interval
+        retries = self._retries
+        if retries and time < retries[-1][0]:
+            heapq.heappush(self._heap, (time, self._seq, ClusterEngine._on_retry, request_id))
+        else:
+            retries.append((time, self._seq, request_id))
+
     def load_arrivals(self, arrivals: Iterable[tuple[float, int]]) -> None:
-        """Queue entry-function arrivals as (timestamp, app_id) pairs."""
+        """Queue entry-function arrivals as (timestamp, app_id) pairs.
+
+        Each arrival takes its sequence number in input order, so ties in time
+        dispatch in input order. The input need not be sorted.
+        """
+        batch = []
         for t, app_id in arrivals:
             if app_id not in self.apps:
                 raise ConfigError(f"arrival references unknown app {app_id}")
             if t < self.clock:
                 raise ConfigError(f"arrival at {t} lies before the clock ({self.clock})")
-            self._push(t, ClusterEngine._on_arrival, app_id)
+            self._seq += 1
+            batch.append((t, self._seq, ClusterEngine._on_arrival, app_id))
+        if not batch:
+            return
+        pending = self._arrivals
+        if self._next_arrival is not None:
+            self._heap.remove(self._next_arrival)
+            heapq.heapify(self._heap)
+            pending.append(self._next_arrival)
+        pending.extend(batch)
+        pending.sort(reverse=True)
+        self._feed_arrival()
+
+    def _feed_arrival(self) -> None:
+        """Move the earliest pending arrival into the heap."""
+        self._next_arrival = self._arrivals.pop() if self._arrivals else None
+        if self._next_arrival is not None:
+            heapq.heappush(self._heap, self._next_arrival)
 
     def advance(self, until: float) -> list[tuple]:
         """Dispatch every event with timestamp <= until; returns the new log slice."""
@@ -399,15 +456,44 @@ class ClusterEngine:
             raise SimulationError(f"cannot advance backwards ({self.clock} -> {until})")
         mark = len(self.event_log)
         heap = self._heap
-        while heap and heap[0][0] <= until:
-            time, _, handler, arg = heapq.heappop(heap)
-            self.clock = time
-            handler(self, arg)
+        retries = self._retries
+        requests = self.requests
+        open_pods = self.open_pods
+        interval = self.config.retry_interval
+        max_retries = self.config.max_retries
+        log = self.event_log if self.log_events else None
+        queued = RequestStatus.QUEUED
+        while True:
+            if retries and (not heap or retries[0] < heap[0]):
+                time, _, request_id = retries[0]
+                if time > until:
+                    break
+                retries.popleft()
+                req = requests[request_id]
+                if (req.status is queued and not open_pods[req.function_id]
+                        and req.retries < max_retries):
+                    # No pod can take it and the budget is not spent: what
+                    # _on_retry would do, without a routing attempt.
+                    if log is not None:
+                        log.append((time, "retry", request_id))
+                    req.retries += 1
+                    self._seq += 1
+                    retries.append((time + interval, self._seq, request_id))
+                    continue
+                self.clock = time
+                self._on_retry(request_id)
+            elif heap and heap[0][0] <= until:
+                time, _, handler, arg = heapq.heappop(heap)
+                self.clock = time
+                handler(self, arg)
+            else:
+                break
         self.clock = until
         return self.event_log[mark:]
 
     def next_event_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
+        return min((queue[0][0] for queue in (self._heap, self._retries) if queue),
+                   default=None)
 
     def pending_requests(self) -> bool:
         """True while any request is neither completed nor dropped."""
@@ -435,6 +521,7 @@ class ClusterEngine:
         return req
 
     def _on_arrival(self, app_id: int) -> None:
+        self._feed_arrival()
         req = self._new_request(app_id, 0, None)
         self._log("arrival", req.request_id, req.function_id)
         self._route_or_queue(req)
@@ -470,8 +557,7 @@ class ClusterEngine:
         self.queued_ids[req.function_id].add(req.request_id)
         req.retries = 1  # the failed arrival-time attempt counts
         self._log("queue", req.request_id)
-        self._push(self.clock + self.config.retry_interval, ClusterEngine._on_retry,
-                   req.request_id)
+        self._push_retry(req.request_id)
 
     def _assign(self, req: RequestRecord, pod: PodState) -> None:
         """Start ``req`` on ``pod``, which must be open."""
@@ -553,8 +639,7 @@ class ClusterEngine:
             return True
         req.retries += 1
         if self.route_request(req) is None:
-            self._push(self.clock + self.config.retry_interval, ClusterEngine._on_retry,
-                       req.request_id)
+            self._push_retry(req.request_id)
         return False
 
     def _on_pod_ready(self, pod_id: int) -> None:
@@ -863,6 +948,21 @@ class ClusterEngine:
         counts = self.request_counts()
         assert (counts["Completed"] + counts["Dropped"] + counts["Queued"]
                 + counts["Running"]) == counts["Total"], "request accounting broken"
+        assert all(a < b for a, b in pairwise(self._retries)), "retry FIFO out of order"
+        for fn, ids in self.queued_ids.items():
+            assert ids == {r.request_id for r in self.requests.values()
+                           if r.function_id == fn and r.status is RequestStatus.QUEUED}, \
+                "queued-id set drift"
+        retrying = {rid for _, _, rid in self._retries}
+        retrying.update(arg for _, _, handler, arg in self._heap
+                        if handler is ClusterEngine._on_retry)
+        assert set().union(*self.queued_ids.values()) <= retrying, \
+            "queued request without a pending retry"
+        pending, head = self._arrivals, self._next_arrival
+        assert all(a > b for a, b in pairwise(pending)), "pending arrivals out of order"
+        assert head is None or head in self._heap, "next arrival missing from the heap"
+        assert not pending or (head is not None and head < pending[-1]), \
+            "earliest pending arrival is not in the heap"
 
 
 def _count_in_window(times: list[float], t0: float, t1: float) -> int:

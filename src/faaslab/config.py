@@ -24,7 +24,8 @@ from .cluster import Application, FunctionProfile, SimConfig, VmSpec
 from .env import EnvConfig
 from .errors import ConfigError
 from .workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
-                       load_traces, make_workload, select_apps, synthetic_traces)
+                       load_traces, make_workload, select_apps, synthetic_traces,
+                       training_apps)
 
 # Table of VM shapes: (vCPU, memory MB, $/hour).
 VM_SHAPES = {
@@ -160,10 +161,13 @@ class Experiment:
             corpus, band = self._constant_corpus(), None
         else:
             corpus = self.corpus
-        return make_workload(self.apps, corpus, band, self.workload.duration,
+        apps = training_apps(self.apps, seed) if training else self.apps
+        return make_workload(apps, corpus, band, self.workload.duration,
                              seed, jitter=self.workload.jitter, training=training)
 
     def train_pool(self) -> list[WorkloadSpec]:
+        """Training workloads; each drives at most MAX_TRAINING_ENTRY_FNS
+        entry functions, drawn from its own seed when the preset has more."""
         base = self.train.seed
         return [self._one(TRAIN_BAND, base + i, training=True)
                 for i in range(self.workload.train_pool_size)]

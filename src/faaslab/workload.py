@@ -214,6 +214,21 @@ def synthesize(spec: WorkloadSpec) -> list[tuple[float, int]]:
     return arrivals
 
 
+def training_apps(applications: Sequence[Application], seed: int) -> tuple[Application, ...]:
+    """The applications one training workload drives.
+
+    With at most MAX_TRAINING_ENTRY_FNS entry functions that is all of them;
+    with more, the applications of a ``seed``-drawn subset of that many entry
+    functions.
+    """
+    apps = tuple(applications)
+    entries = sorted({app.function_sequence[0] for app in apps})
+    if len(entries) <= MAX_TRAINING_ENTRY_FNS:
+        return apps
+    chosen = set(random.Random(seed).sample(entries, MAX_TRAINING_ENTRY_FNS))
+    return tuple(app for app in apps if app.function_sequence[0] in chosen)
+
+
 def make_workload(
     applications: Sequence[Application],
     corpus: Sequence[TraceSeries],

@@ -76,6 +76,22 @@ class TestTrain:
         assert all(r[2] == "0.5" for r in rows)
         assert "config_hash" in meta and "seed" in meta and "mode" in meta
 
+    def test_paper_preset_trains(self, tmp_path):
+        # 8 single-function apps; each training workload drives 4 of them
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump({
+            "preset": "paper",
+            "output_dir": str(tmp_path / "run"),
+            "workload": {"duration": 10, "workloads_per_band": 1,
+                         "train_pool_size": 2, "calibration_per_band": 1},
+            "train": {"workers": 1, "episodes": 2, "seed": 3,
+                      "sync_mode": "deterministic", "hidden": [8, 8]},
+        }))
+        assert main(["calibrate", "--config", str(path)]) == EXIT_OK
+        assert main(["train", "--config", str(path), "--beta", "1.0"]) == EXIT_OK
+        _, _, rows = read_csv(tmp_path / "run" / "curves_a3c_beta1_w1.csv")
+        assert len(rows) == 2
+
     def test_resume_continues(self, workspace):
         config, run_dir = workspace
         main(["calibrate", "--config", str(config)])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -84,6 +85,185 @@ class TestAdvance:
         ]
         assert eng.completed_total == 2
         eng.check_invariants()
+
+
+class TestTieOrder:
+    """Same-timestamp events dispatch in push order, whatever their kind."""
+
+    @pytest.fixture
+    def solo(self, single_app, big_vm):
+        # concurrency 1, 1 s cold start, 1 s response time
+        prof = FunctionProfile(function_id=0, req_cpu=0.5, req_mem=256.0,
+                               standard_response_time=1.0, cold_start_seconds=1.0,
+                               initial_pod_cpu=0.5, initial_pod_mem=512.0)
+        return make_engine([big_vm], [prof], [single_app])
+
+    def test_finish_pushed_before_retry(self, solo):
+        solo.apply_horizontal(0, 1)
+        solo.load_arrivals([(2.0, 0), (2.0, 0)])
+        solo.advance(5.0)
+        assert solo.event_log == [
+            (0.0, "pod_create", 0, 0),
+            (1.0, "pod_ready", 0),
+            (2.0, "arrival", 0, 0),
+            (2.0, "assign", 0, 0),
+            (2.0, "arrival", 1, 0),
+            (2.0, "queue", 1),
+            (3.0, "finish", 0),
+            (3.0, "retry", 1),  # the pod is free again: routes
+            (3.0, "assign", 1, 0),
+            (4.0, "finish", 1),
+        ]
+
+    def test_retry_pushed_before_finish(self, solo):
+        solo.apply_horizontal(0, 1)
+        solo.load_arrivals([(1.0, 0), (2.0, 0)])
+        solo.advance(2.0)
+        solo.load_arrivals([(2.0, 0)])
+        solo.advance(5.0)
+        assert solo.event_log == [
+            (0.0, "pod_create", 0, 0),
+            (1.0, "pod_ready", 0),
+            (1.0, "arrival", 0, 0),
+            (1.0, "assign", 0, 0),
+            (2.0, "arrival", 1, 0),
+            (2.0, "queue", 1),
+            (2.0, "finish", 0),
+            (2.0, "arrival", 2, 0),
+            (2.0, "assign", 2, 0),
+            (3.0, "retry", 1),  # pod still busy with request 2: retries again
+            (3.0, "finish", 2),
+            (4.0, "retry", 1),
+            (4.0, "assign", 1, 0),
+            (5.0, "finish", 1),
+        ]
+
+    def test_retry_pushed_before_pod_ready(self, solo):
+        solo.load_arrivals([(0.0, 0)])
+        solo.advance(0.0)
+        solo.apply_horizontal(0, 1)
+        solo.advance(3.0)
+        assert solo.event_log == [
+            (0.0, "arrival", 0, 0),
+            (0.0, "queue", 0),
+            (0.0, "pod_create", 0, 0),
+            (1.0, "retry", 0),  # the pod is not ready yet
+            (1.0, "pod_ready", 0),
+            (2.0, "retry", 0),
+            (2.0, "assign", 0, 0),
+            (3.0, "finish", 0),
+        ]
+
+    def test_pod_ready_pushed_before_retry(self, solo):
+        solo.apply_horizontal(0, 1)
+        solo.load_arrivals([(0.0, 0)])
+        solo.advance(3.0)
+        assert solo.event_log == [
+            (0.0, "pod_create", 0, 0),
+            (0.0, "arrival", 0, 0),
+            (0.0, "queue", 0),
+            (1.0, "pod_ready", 0),
+            (1.0, "retry", 0),
+            (1.0, "assign", 0, 0),
+            (2.0, "finish", 0),
+        ]
+
+    def test_retry_due_before_an_earlier_pushed_one(self, solo):
+        # advancing back by less than the clock tolerance lets a later push
+        # fall due before a retry pushed earlier
+        solo.load_arrivals([(2.0, 0)])
+        solo.advance(2.0)
+        t = 2.0 - 5e-10
+        solo.advance(t)
+        solo.load_arrivals([(t, 0)])
+        solo.advance(3.5)
+        assert solo.event_log == [
+            (2.0, "arrival", 0, 0),
+            (2.0, "queue", 0),
+            (t, "arrival", 1, 0),
+            (t, "queue", 1),
+            (t + 1.0, "retry", 1),
+            (3.0, "retry", 0),
+        ]
+        solo.advance(20.0)
+        expected, late, early = [], t + 1.0, 3.0
+        for _ in range(8):
+            late += 1.0
+            early += 1.0
+            expected += [(late, "retry", 1), (early, "retry", 0)]
+        late += 1.0
+        expected += [(late, "retry", 1), (late, "drop", 1),
+                     (12.0, "retry", 0), (12.0, "drop", 0)]
+        assert solo.event_log[6:] == expected
+
+    def test_next_event_time_with_only_retries_pending(self, solo):
+        solo.load_arrivals([(0.5, 0), (0.75, 0)])
+        solo.advance(1.0)
+        assert solo.next_event_time() == 1.5
+        solo.advance(1.5)
+        assert solo.next_event_time() == 1.75
+        solo.advance(1.75)
+        assert solo.next_event_time() == 2.5
+
+
+class TestTieHeavyDigests:
+    """Seeded scenarios on a 0.25 s grid, where same-time events are common.
+
+    Arrival times, response times, cold starts and the retry interval are all
+    multiples of 0.25 s, and random scaling actions run every half second.
+    Each scenario's full event log must hash to the recorded digest.
+    """
+
+    VMS = (VmSpec(vm_id=0, cpu_capacity=1.0, mem_capacity=4096.0, unit_price=0.048),
+           VmSpec(vm_id=1, cpu_capacity=2.0, mem_capacity=8192.0, unit_price=0.0848))
+    PROFILES = (FunctionProfile(function_id=0, req_cpu=0.25, req_mem=256.0,
+                                standard_response_time=0.75, cold_start_seconds=1.0,
+                                initial_pod_cpu=0.5, initial_pod_mem=512.0),
+                FunctionProfile(function_id=1, req_cpu=0.5, req_mem=256.0,
+                                standard_response_time=0.5, cold_start_seconds=1.25,
+                                initial_pod_cpu=0.5, initial_pod_mem=512.0))
+    APPS = (Application(app_id=0, function_sequence=(0, 1)),
+            Application(app_id=1, function_sequence=(1,)))
+    # First 16 hex digits of sha256(repr(event_log)) for seeds 0..19.
+    DIGESTS = (
+        "a8c658e16c86e75b", "9a79eb4bb4536d1f", "a048b3a93cd1550e", "5705ecddab2e2748",
+        "1693f71aa0d10ec4", "3620384cc969bb2d", "48489059cd4a5978", "924976a0f99720ef",
+        "fab73d32d1901c7c", "bc40f2f70c48b42c", "4b296319fe14df29", "f40a8664827d9db1",
+        "879bf9d2aa51899f", "75af4aaf6c3cf315", "b015187a640318e1", "42d264c72428a3f4",
+        "c7c798ee96b09357", "20583eed8e1f7b35", "5c8b58d1efd17ae4", "1d434f122f8a1711",
+    )
+
+    @classmethod
+    def scenario(cls, seed: int) -> ClusterEngine:
+        rng = random.Random(seed)
+        eng = make_engine(cls.VMS, cls.PROFILES, cls.APPS, retry_interval=1.0,
+                          seed=seed)
+        arrivals = [(0.25 * rng.randrange(120), rng.randrange(2))
+                    for _ in range(rng.randrange(60, 160))]
+        rng.shuffle(arrivals)
+        # odd seeds load the traffic after t=5 in a second, unsorted batch
+        later = [a for a in arrivals if a[0] >= 5.0] if seed % 2 else []
+        eng.load_arrivals([a for a in arrivals if a not in later])
+        for step in range(60):
+            fn = rng.randrange(2)
+            if rng.random() < 0.6:
+                eng.apply_horizontal(fn, rng.randrange(-2, 4))
+            else:
+                eng.apply_vertical(fn, *eng.clamp_vertical(
+                    fn, rng.choice((-0.25, 0.0, 0.25)), rng.choice((-256.0, 0.0, 256.0))))
+            eng.advance(0.5 * (step + 1))
+            eng.check_invariants()
+            if later and eng.clock == 5.0:
+                eng.load_arrivals(later)
+        while (t := eng.next_event_time()) is not None:
+            eng.advance(t)
+        eng.check_invariants()
+        return eng
+
+    def test_event_logs_match_recorded_digests(self):
+        digests = tuple(hashlib.sha256(repr(self.scenario(seed).event_log).encode())
+                        .hexdigest()[:16] for seed in range(20))
+        assert digests == self.DIGESTS
 
 
 class TestRouting:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from faaslab.cluster import Application, FunctionProfile
+from faaslab.config import load_experiment
 from faaslab.env import (ACTION_SIZES, DecodedAction, EnvConfig, ScalingAction,
                          ServerlessEnv, decode, grid_value)
 from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import ChannelBounds, RewardBounds
-from faaslab.workload import TraceSeries, WorkloadSpec
+from faaslab.workload import MAX_TRAINING_ENTRY_FNS, TraceSeries, WorkloadSpec
 
 BOUNDS = RewardBounds(rfrt=ChannelBounds(1.0, 11.0), rfr=ChannelBounds(0.0, 1.0),
                       cost=ChannelBounds(0.0, 0.01))
@@ -201,3 +202,23 @@ class TestStep:
         assert len(lines) == 4
         first = lines[1].split()
         assert first[0] == "0" and first[2:5] == ["5", "5", "5"]
+
+
+class TestPaperTrainingPool:
+    def test_pool_builds_and_an_episode_steps(self):
+        # the paper preset has 8 single-function apps, more entry functions
+        # than one training workload may drive
+        exp = load_experiment(overrides={"preset": "paper"})
+        assert len({app.function_sequence[0] for app in exp.apps}) > MAX_TRAINING_ENTRY_FNS
+        pool = exp.train_pool()
+        assert pool == exp.train_pool()
+        assert all(len(w.entry_functions) <= MAX_TRAINING_ENTRY_FNS for w in pool)
+        assert len({w.applications for w in pool}) > 1  # the draw follows the seed
+        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, BOUNDS, seed=1)
+        state = env.reset(pool[0])
+        assert env.engine.deployed_fns == tuple(sorted(
+            fn for app in pool[0].applications for fn in app.function_sequence))
+        assert state.shape == (env.state_dim,)
+        state, reward, done, _ = env.step(ScalingAction(5, 5, 5))
+        assert state.shape == (env.state_dim,)
+        assert reward is not None and not done

@@ -5,7 +5,8 @@ from faaslab.errors import ConfigError
 from faaslab.workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
                               builtin_catalog, filter_traces, load_traces,
                               make_workload, save_traces, select_apps,
-                              synthesize, synthetic_traces, window_rates)
+                              synthesize, synthetic_traces, training_apps,
+                              window_rates)
 
 
 class TestTraceIO:
@@ -131,6 +132,13 @@ class TestBandFitting:
         with pytest.raises(ConfigError, match="at most 4"):
             make_workload(apps, corpus, TRAIN_BAND, duration=60, seed=1, training=True)
         make_workload(apps, corpus, TRAIN_BAND, duration=60, seed=1, training=False)
+
+    def test_training_apps_draw_a_seeded_subset(self):
+        _, four = select_apps(["primary", "float", "matmul", "thumbnail"])
+        assert training_apps(four, seed=1) == tuple(four)
+        _, five = select_apps(["primary", "float", "matmul", "linpack", "load"])
+        drawn = [training_apps(five, seed) for seed in range(8)]
+        assert all(len(apps) == 4 and set(apps) < set(five) for apps in drawn)
 
 
 class TestCatalog:
