@@ -3,15 +3,15 @@
 Every worker owns an environment copy and local network parameters. Workers
 sample actions from their local actor, accumulate transitions, and every
 ``update_freq`` steps (or at episode end) push gradients to the shared global
-stores and pull back a fresh snapshot. ``train`` is the only entry point: an
-asynchronous mode runs workers as threads; a deterministic mode serializes
-them round-robin per episode for reproducible experiments. Both modes give a
-worker the same workload schedule.
+stores and pull back a fresh snapshot. ``train`` is the only entry point. It
+runs the workers round-robin, one episode each, on the calling thread, so a
+run is reproducible from its seed. The A3C paper runs workers as lock-free
+threads; under CPython's global interpreter lock the pure-Python simulator
+gains nothing from threads, so there are none.
 """
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -44,7 +44,7 @@ class TrainConfig:
     update_freq: int = 30
     entropy_beta: float = 0.01
     seed: int = 7
-    sync_mode: str = "deterministic"  # "deterministic" | "async"
+    sync_mode: str = "deterministic"  # the only mode; kept for configs that name it
     grad_clip: Optional[float] = None
     hidden: tuple[int, ...] = ACTOR_HIDDEN
 
@@ -53,8 +53,9 @@ class TrainConfig:
             raise ConfigError("workers, episodes, and update_freq must be >= 1")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.sync_mode not in ("deterministic", "async"):
-            raise ConfigError(f"unknown sync mode {self.sync_mode!r}")
+        if self.sync_mode != "deterministic":
+            raise ConfigError(f"sync_mode must be 'deterministic' (workers run "
+                              f"round-robin on one thread), got {self.sync_mode!r}")
 
 
 @dataclass
@@ -196,9 +197,8 @@ def train(
     """Run ``config.workers`` workers against shared global stores.
 
     The workload pool is shuffled once (seeded); worker ``w``'s episode ``e``
-    takes entry ``(w + e * workers) % len(pool)`` in either mode. In
-    deterministic mode workers advance round-robin, one episode each, on a
-    single thread; in async mode each worker runs in its own thread.
+    takes entry ``(w + e * workers) % len(pool)``. Workers advance
+    round-robin, one episode each, on the calling thread.
     """
     if len(envs) != config.workers:
         raise ConfigError(f"need {config.workers} environments, got {len(envs)}")
@@ -221,42 +221,14 @@ def train(
     order = list(pool)
     random.Random(config.seed).shuffle(order)
     stats: list[EpisodeStats] = []
-    stats_lock = threading.Lock()
-
     workers = [_Worker(w, envs[w], actor_spec, critic_spec, actor_store,
                        critic_store, config) for w in range(config.workers)]
-
-    def run(worker: _Worker, episode: int) -> None:
-        workload = order[(worker.worker_id + episode * config.workers) % len(order)]
-        row = worker.run_episode(workload, episode)
-        with stats_lock:
+    for episode in range(config.episodes):
+        for worker in workers:
+            workload = order[(worker.worker_id + episode * config.workers) % len(order)]
+            row = worker.run_episode(workload, episode)
             stats.append(row)
-        if on_episode is not None:
-            on_episode(row)
-
-    if config.sync_mode == "deterministic":
-        for episode in range(config.episodes):
-            for worker in workers:
-                run(worker, episode)
-    else:
-        failures: list[BaseException] = []
-
-        def guarded(worker: _Worker) -> None:
-            try:
-                for episode in range(config.episodes):
-                    run(worker, episode)
-            except BaseException as exc:  # surfaced after join
-                failures.append(exc)
-
-        threads = [threading.Thread(target=guarded, args=(w,), name=f"worker-{w.worker_id}")
-                   for w in workers]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        if failures:
-            raise failures[0]
-
-    stats.sort(key=lambda s: (s.episode, s.worker))
+            if on_episode is not None:
+                on_episode(row)
     return TrainResult(actor=actor_store, critic=critic_store, stats=stats,
                        worker_updates=[w.updates for w in workers])

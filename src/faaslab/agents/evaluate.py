@@ -8,7 +8,6 @@ with the worst recent response-time ratio as the scaling target.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -82,11 +81,16 @@ def evaluate_targets(
 ) -> list[EvalRow]:
     """Per-workload metrics for every target on every banded workload set.
 
-    Workloads evaluate independently (optionally in a thread pool); results
-    merge deterministically by (target, band, workload index). ``bounds`` is
-    ignored: greedy evaluation computes no reward. It stays in the signature
-    for callers that pass the arguments by position.
+    Episodes run one after another on the calling thread; rows come back
+    sorted by (target, band, workload index) whatever the order of
+    ``targets``. ``bounds`` is ignored: greedy evaluation computes no reward.
+    It stays in the signature for callers that pass the arguments by
+    position, and ``parallel`` for callers that name it; it must be 1,
+    because the pure-Python simulator gains nothing from threads.
     """
+    if parallel != 1:
+        raise ConfigError(f"parallel must be 1 (evaluation runs on one thread), "
+                          f"got {parallel}")
     stores: dict[str, ParameterStore] = {}
     for target in targets:
         if target not in BASELINES:
@@ -96,27 +100,18 @@ def evaluate_targets(
                                   f"name {BASELINES} nor a checkpoint path")
             stores[target] = ParameterStore.load(path)
 
-    jobs = [(target, band, idx, workload)
-            for target in targets
-            for band, workloads in sorted(workload_sets.items())
-            for idx, workload in enumerate(workloads)]
-
-    def run(job) -> EvalRow:
-        target, band, idx, workload = job
-        if target in stores:
-            summary = _greedy_episode(stores[target], vms, profiles, workload,
-                                      env_config, sim_config)
-        else:
-            summary = run_baseline(target, vms, profiles, workload, env_config,
-                                   sim_config, policy_config).summary
-        return EvalRow(target=target, band=band, workload_index=idx,
-                       rart=summary.rart, rfr=summary.rfr, cost=summary.cost)
-
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+    rows = []
+    for target in targets:
+        for band, workloads in sorted(workload_sets.items()):
+            for idx, workload in enumerate(workloads):
+                if target in stores:
+                    summary = _greedy_episode(stores[target], vms, profiles, workload,
+                                              env_config, sim_config)
+                else:
+                    summary = run_baseline(target, vms, profiles, workload, env_config,
+                                           sim_config, policy_config).summary
+                rows.append(EvalRow(target=target, band=band, workload_index=idx,
+                                    rart=summary.rart, rfr=summary.rfr, cost=summary.cost))
     rows.sort(key=lambda r: (r.target, r.band, r.workload_index))
     return rows
 

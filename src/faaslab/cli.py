@@ -32,6 +32,8 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 CURVE_COLUMNS = ("episode", "worker", "beta", "reward", "rfrt", "rfr", "cost")
+DETERMINISTIC_HELP = ("accepted for compatibility: training is always deterministic, "
+                      "with workers run round-robin on one thread")
 
 
 def _meta_lines(exp: Experiment, seed: int, mode: str) -> list[str]:
@@ -117,16 +119,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- train
 
 def _train_one(exp: Experiment, agent: str, beta: float, workers: int,
-               mode: str, resume: bool) -> Path:
+               resume: bool) -> Path:
     bounds = RewardBounds.load(exp.calibration_file)
     env_cfg = replace(exp.env, beta=beta, target_mode="random")
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
     pool = exp.train_pool()
-    tag = f"{agent}_beta{beta:g}_w{workers}"
 
     if agent == "a3c":
-        cfg = replace(exp.train, workers=workers, sync_mode=mode)
+        tag = f"a3c_beta{beta:g}_w{workers}"
+        cfg = replace(exp.train, workers=workers)
         envs = [ServerlessEnv(exp.vms, exp.profiles, env_cfg, exp.sim, bounds,
                               seed=cfg.seed + w) for w in range(workers)]
         actor_path = out / f"actor_{tag}.npz"
@@ -140,6 +142,7 @@ def _train_one(exp: Experiment, agent: str, beta: float, workers: int,
         seed = cfg.seed
         checkpoint = actor_path
     elif agent == "dqn":
+        tag = f"dqn_beta{beta:g}"  # one environment: no worker count
         cfg = exp.dqn
         env = ServerlessEnv(exp.vms, exp.profiles, env_cfg, exp.sim, bounds,
                             seed=cfg.seed)
@@ -154,7 +157,7 @@ def _train_one(exp: Experiment, agent: str, beta: float, workers: int,
         raise ConfigError(f"unknown agent {agent!r}; choose a3c or dqn")
 
     curve_path = out / f"curves_{tag}.csv"
-    write_csv(curve_path, _meta_lines(exp, seed, mode), CURVE_COLUMNS,
+    write_csv(curve_path, _meta_lines(exp, seed, "deterministic"), CURVE_COLUMNS,
               [(s.episode, s.worker, f"{beta:g}", f"{s.reward:.9g}",
                 f"{s.rfrt:.9g}", f"{s.rfr:.9g}", f"{s.cost:.9g}") for s in stats])
     print(f"trained {tag}: {len(stats)} episodes -> {checkpoint}")
@@ -166,17 +169,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     exp = _load(args)
     beta = args.beta if args.beta is not None else exp.env.beta
     workers = args.workers if args.workers is not None else exp.train.workers
-    mode = "deterministic" if args.deterministic else exp.train.sync_mode
-    _train_one(exp, args.agent, beta, workers, mode, args.resume)
+    _train_one(exp, args.agent, beta, workers, args.resume)
     return EXIT_OK
 
 
 def cmd_train_sweep(args: argparse.Namespace) -> int:
     exp = _load(args)
     workers = args.workers if args.workers is not None else exp.train.workers
-    mode = "deterministic" if args.deterministic else exp.train.sync_mode
     for beta in exp.beta_list:
-        _train_one(exp, args.agent, beta, workers, mode, resume=False)
+        _train_one(exp, args.agent, beta, workers, resume=False)
     return EXIT_OK
 
 
@@ -187,7 +188,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     bands = [args.band] if args.band else None
     rows = evaluate_targets(args.targets, exp.eval_sets(bands), exp.vms,
                             exp.profiles, exp.env, exp.sim,
-                            policy_config=exp.baselines, parallel=exp.eval_parallel)
+                            policy_config=exp.baselines)
     out = exp.output_dir
     meta = _meta_lines(exp, exp.train.seed, "deterministic")
     write_csv(out / "eval_workloads.csv", meta,
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", choices=("a3c", "dqn"), default="a3c")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true")
+    p.add_argument("--deterministic", action="store_true", help=DETERMINISTIC_HELP)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--agent", choices=("a3c", "dqn"), default="a3c")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true")
+    p.add_argument("--deterministic", action="store_true", help=DETERMINISTIC_HELP)
     p.set_defaults(func=cmd_train_sweep)
 
     p = sub.add_parser("evaluate", help="evaluate checkpoints and baselines")

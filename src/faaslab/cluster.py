@@ -684,12 +684,6 @@ class ClusterEngine:
             return 1.0 if self.queued_ids[fn] else 0.0
         return sum(p.cpu_util for p in live) / len(live)
 
-    def avg_mem_util(self, fn: int) -> float:
-        live = self._live_pods(fn)
-        if not live:
-            return 1.0 if self.queued_ids[fn] else 0.0
-        return sum(p.mem_util for p in live) / len(live)
-
     def horizontal_delta(self, fn: int, target_util: float) -> int:
         if fn not in self.profiles:
             raise ConfigError(f"unknown function {fn}")

@@ -141,7 +141,7 @@ class Experiment:
     beta_list: list[float]
     output_dir: Path
     calibration_file: Path
-    eval_parallel: int = 1
+    eval_parallel: int = 1  # always 1; load_experiment rejects other values
 
     @property
     def config_hash(self) -> str:
@@ -172,24 +172,24 @@ class Experiment:
         return [self._one(TRAIN_BAND, base + i, training=True)
                 for i in range(self.workload.train_pool_size)]
 
+    def _banded(self, bands: Sequence[str], offset: int,
+                per_band: int) -> dict[str, list[WorkloadSpec]]:
+        """``per_band`` workloads per band, seeded ``offset + 100 * k + i``
+        for the k-th band in sorted order."""
+        return {band: [self._one(EVAL_BANDS[band], offset + 100 * k + i, training=False)
+                       for i in range(per_band)]
+                for k, band in enumerate(sorted(bands))}
+
     def eval_sets(self, bands: Optional[Sequence[str]] = None) -> dict[str, list[WorkloadSpec]]:
         chosen = tuple(bands) if bands else self.workload.bands
-        sets = {}
-        for b_idx, band in enumerate(sorted(chosen)):
+        for band in chosen:
             if band not in EVAL_BANDS:
                 raise ConfigError(f"unknown band {band!r}")
-            seeds = [_EVAL_SEED_OFFSET + 100 * b_idx + i
-                     for i in range(self.workload.workloads_per_band)]
-            sets[band] = [self._one(EVAL_BANDS[band], s, training=False) for s in seeds]
-        return sets
+        return self._banded(chosen, _EVAL_SEED_OFFSET, self.workload.workloads_per_band)
 
     def calibration_sets(self) -> dict[str, list[WorkloadSpec]]:
-        sets = {}
-        for b_idx, band in enumerate(sorted(self.workload.bands)):
-            seeds = [_CALIB_SEED_OFFSET + 100 * b_idx + i
-                     for i in range(self.workload.calibration_per_band)]
-            sets[band] = [self._one(EVAL_BANDS[band], s, training=False) for s in seeds]
-        return sets
+        return self._banded(self.workload.bands, _CALIB_SEED_OFFSET,
+                            self.workload.calibration_per_band)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -292,6 +292,11 @@ def load_experiment(path: Optional[str | Path] = None,
     if not all(isinstance(x, (int, float)) and 0 <= x <= 1 for x in beta_list):
         raise ConfigError("beta_list values must lie in [0, 1]")
 
+    eval_parallel = data.get("eval_parallel", 1)
+    if eval_parallel != 1:
+        raise ConfigError(f"eval_parallel must be 1 (evaluation runs on one thread), "
+                          f"got {eval_parallel!r}")
+
     output_dir = Path(data.get("output_dir", "runs"))
     calibration_file = Path(data.get("calibration_file")
                             or output_dir / "calibration.yaml")
@@ -300,5 +305,4 @@ def load_experiment(path: Optional[str | Path] = None,
         env=env, sim=sim, train=train, dqn=dqn, baselines=baselines,
         workload=workload, beta_list=[float(x) for x in beta_list],
         output_dir=output_dir, calibration_file=calibration_file,
-        eval_parallel=int(data.get("eval_parallel", 1)),
     )

@@ -144,14 +144,21 @@ class TestWorkerLoop:
         for pa, pb in zip(a.critic.params, b.critic.params):
             assert np.array_equal(pa, pb)
 
-    def test_async_version_equals_total_updates(self, desk_vms):
+    def test_multi_worker_version_equals_total_updates(self, desk_vms):
         cfg = TrainConfig(workers=3, episodes=2, update_freq=2, seed=7,
-                          sync_mode="async", hidden=(16, 16))
+                          hidden=(16, 16))
         envs = [tiny_env(desk_vms, seed=7 + w) for w in range(3)]
         result = train(envs, [tiny_workload()], cfg)
         assert len(result.stats) == 6
+        assert [(s.episode, s.worker) for s in result.stats] == \
+               [(e, w) for e in range(2) for w in range(3)]
         assert result.actor.version == sum(result.worker_updates)
         assert result.critic.version == sum(result.worker_updates)
+
+    def test_only_deterministic_sync_mode(self):
+        assert TrainConfig(sync_mode="deterministic").sync_mode == "deterministic"
+        with pytest.raises(ConfigError, match="sync_mode"):
+            TrainConfig(sync_mode="async")
 
     def test_worker_count_must_match_envs(self, desk_vms):
         cfg = TrainConfig(workers=2, episodes=1)
@@ -247,14 +254,22 @@ class TestEvaluate:
                                  EnvConfig(episode_duration=30.0), bounds=BOUNDS)
         assert rows == rows2
 
-    def test_parallel_merge_matches_sequential(self, desk_vms):
+    def test_rows_merge_by_target_band_index(self, desk_vms):
         sets = {"mid": [tiny_workload(rate=4), tiny_workload(rate=6)],
                 "low": [tiny_workload(rate=2)]}
         kwargs = dict(vms=desk_vms, profiles={0: tiny_profile()},
                       env_config=EnvConfig(episode_duration=30.0))
-        seq = evaluate_targets(["knative", "openfaas"], sets, parallel=1, **kwargs)
-        par = evaluate_targets(["knative", "openfaas"], sets, parallel=4, **kwargs)
-        assert seq == par
+        forward = evaluate_targets(["openfaas", "knative"], sets, **kwargs)
+        backward = evaluate_targets(["knative", "openfaas"], sets, **kwargs)
+        assert forward == backward
+        assert [(r.target, r.band, r.workload_index) for r in forward] == [
+            (t, b, i) for t in ("knative", "openfaas")
+            for b, i in (("low", 0), ("mid", 0), ("mid", 1))]
+
+    def test_parallel_other_than_one_rejected(self, desk_vms):
+        with pytest.raises(ConfigError, match="parallel"):
+            evaluate_targets(["knative"], {"mid": [tiny_workload()]}, desk_vms,
+                             {0: tiny_profile()}, parallel=2)
 
     def test_aggregate_skips_undefined_rart(self):
         from faaslab.agents import EvalRow

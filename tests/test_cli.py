@@ -114,7 +114,23 @@ class TestTrain:
         config, run_dir = workspace
         main(["calibrate", "--config", str(config)])
         assert main(["train", "--config", str(config), "--agent", "dqn"]) == EXIT_OK
-        assert (run_dir / "dqn_beta1_w1.npz").exists()
+        assert (run_dir / "dqn_beta1.npz").exists()
+
+    def test_dqn_outputs_carry_no_worker_count(self, tmp_path):
+        config = write_config(tmp_path,
+                              train={"workers": 2, "episodes": 1, "update_freq": 3,
+                                     "seed": 3, "hidden": [16, 16]})
+        run_dir = tmp_path / "run"
+        main(["calibrate", "--config", str(config)])
+        assert main(["train", "--config", str(config), "--agent", "dqn"]) == EXIT_OK
+        assert (run_dir / "dqn_beta1.npz").exists()
+        assert (run_dir / "curves_dqn_beta1.csv").exists()
+        assert not [p.name for p in run_dir.iterdir() if "_w" in p.name]
+
+    def test_async_sync_mode_is_a_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, train={"sync_mode": "async"})
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        assert "sync_mode" in capsys.readouterr().err
 
 
 class TestTrainSweep:
@@ -153,6 +169,12 @@ class TestEvaluate:
         assert float(by_target["knative"][i_rel]) == pytest.approx(
             (ref - knative) / ref)
         assert float(by_target["kube_cpu"][i_rel]) == pytest.approx(0.0)
+
+    def test_eval_parallel_other_than_one_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, eval_parallel=2)
+        assert main(["evaluate", "--config", str(config),
+                     "--targets", "kube_cpu"]) == EXIT_CONFIG
+        assert "eval_parallel" in capsys.readouterr().err
 
     def test_unknown_target_is_config_error(self, workspace):
         config, _ = workspace

@@ -7,7 +7,8 @@ from faaslab.env import (ACTION_SIZES, DecodedAction, EnvConfig, ScalingAction,
                          ServerlessEnv, decode, grid_value)
 from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import ChannelBounds, RewardBounds
-from faaslab.workload import MAX_TRAINING_ENTRY_FNS, TraceSeries, WorkloadSpec
+from faaslab.workload import (EVAL_BANDS, MAX_TRAINING_ENTRY_FNS, TraceSeries,
+                              WorkloadSpec)
 
 BOUNDS = RewardBounds(rfrt=ChannelBounds(1.0, 11.0), rfr=ChannelBounds(0.0, 1.0),
                       cost=ChannelBounds(0.0, 0.01))
@@ -222,3 +223,20 @@ class TestPaperTrainingPool:
         state, reward, done, _ = env.step(ScalingAction(5, 5, 5))
         assert state.shape == (env.state_dim,)
         assert reward is not None and not done
+
+
+class TestBandedSeeds:
+    def test_eval_and_calibration_seed_formula(self):
+        # seed = offset + 100 * (index of the band in sorted order) + i
+        exp = load_experiment(overrides={"workload": {"workloads_per_band": 3,
+                                                      "calibration_per_band": 2}})
+        calib = {band: [w.seed for w in ws] for band, ws in exp.calibration_sets().items()}
+        assert calib == {"high": [50000, 50001], "low": [50100, 50101],
+                         "mid": [50200, 50201]}
+        evals = exp.eval_sets()
+        assert [w.seed for w in evals["high"]] == [10000, 10001, 10002]
+        assert [w.seed for w in evals["mid"]] == [10200, 10201, 10202]
+        assert [w.seed for w in exp.eval_sets(["mid"])["mid"]] == [10000, 10001, 10002]
+        assert all(w.band == EVAL_BANDS[band] for band, ws in evals.items() for w in ws)
+        with pytest.raises(ConfigError, match="unknown band"):
+            exp.eval_sets(["mid", "extreme"])
