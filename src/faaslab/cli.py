@@ -32,8 +32,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 CURVE_COLUMNS = ("episode", "worker", "beta", "reward", "rfrt", "rfr", "cost")
-DETERMINISTIC_HELP = ("accepted for compatibility: training is always deterministic, "
-                      "with workers run round-robin on one thread")
 
 
 def _meta_lines(exp: Experiment, seed: int, mode: str) -> list[str]:
@@ -320,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", choices=("a3c", "dqn"), default="a3c")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true", help=DETERMINISTIC_HELP)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -328,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--agent", choices=("a3c", "dqn"), default="a3c")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true", help=DETERMINISTIC_HELP)
     p.set_defaults(func=cmd_train_sweep)
 
     p = sub.add_parser("evaluate", help="evaluate checkpoints and baselines")

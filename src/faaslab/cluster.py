@@ -223,6 +223,7 @@ class RequestRecord:
     retries: int = 0
     pod_id: Optional[int] = None
     vm_id: Optional[int] = None
+    chain_elapsed: float = 0.0  # summed response time of the chain's earlier stages
 
     @property
     def response_time(self) -> float:
@@ -378,9 +379,14 @@ class ClusterEngine:
         self.open_pods: dict[int, int] = {fn: 0 for fn in self.profiles}
 
         self.requests: dict[int, RequestRecord] = {}
-        self.chains: dict[int, list[int]] = {}
-        # Per app, root id -> response-time ratio of each fully completed chain.
+        # Per app, root id -> response-time ratio of each fully completed chain:
+        # its summed response time over its summed standard response time.
         self.chain_ratios: dict[int, dict[int, float]] = {app_id: {} for app_id in self.apps}
+        self._chain_standard: dict[int, float] = {
+            app_id: sum(self.profiles[fn].standard_response_time
+                        for fn in app.function_sequence)
+            for app_id, app in self.apps.items()
+        }
         self.queued_ids: dict[int, set[int]] = {fn: set() for fn in self.profiles}
         self.creation_shortfall: dict[int, int] = {fn: 0 for fn in self.profiles}
 
@@ -505,25 +511,26 @@ class ClusterEngine:
 
     # --------------------------------------------------------------- lifecycle
 
-    def _new_request(self, app_id: int, chain_index: int, root_id: Optional[int]) -> RequestRecord:
+    def _on_arrival(self, app_id: int) -> None:
+        self._feed_arrival()
+        self._arrive(app_id, 0, None)
+
+    def _arrive(self, app_id: int, chain_index: int, root_id: Optional[int],
+                chain_elapsed: float = 0.0) -> None:
+        """A request for stage ``chain_index`` of ``app_id`` arrives now.
+
+        ``root_id`` None starts a new chain rooted at this request.
+        """
         rid = self._next_request_id
         self._next_request_id += 1
         fn = self.apps[app_id].function_sequence[chain_index]
         req = RequestRecord(request_id=rid, app_id=app_id, chain_index=chain_index,
                             function_id=fn, arrival_time=self.clock,
-                            root_id=rid if root_id is None else root_id)
+                            root_id=rid if root_id is None else root_id,
+                            chain_elapsed=chain_elapsed)
         self.requests[rid] = req
-        if root_id is None:
-            self.chains[rid] = [rid]
-        else:
-            self.chains[root_id].append(rid)
         self.arrival_times[fn].append(self.clock)
-        return req
-
-    def _on_arrival(self, app_id: int) -> None:
-        self._feed_arrival()
-        req = self._new_request(app_id, 0, None)
-        self._log("arrival", req.request_id, req.function_id)
+        self._log("arrival", rid, fn)
         self._route_or_queue(req)
 
     def route_request(self, req: RequestRecord) -> Optional[int]:
@@ -599,27 +606,16 @@ class ClusterEngine:
         self._log("finish", request_id)
         if pod.phase is PodPhase.TERMINATING and not pod.in_flight:
             self._remove_pod(pod)
-        app = self.apps[req.app_id]
+        # Stages finish in chain order, so this adds up in the same order as
+        # the standard times in ``_chain_standard``.
+        elapsed = req.chain_elapsed + req.response_time
         nxt = req.chain_index + 1
-        if nxt < len(app.function_sequence):
+        if nxt < len(self.apps[req.app_id].function_sequence):
             # Chained functions hand off immediately: no inter-function delay.
-            child = self._new_request(req.app_id, nxt, req.root_id)
-            self._log("arrival", child.request_id, child.function_id)
-            self._route_or_queue(child)
+            self._arrive(req.app_id, nxt, req.root_id, elapsed)
         else:
-            self.record_chain(req.root_id)
-
-    def record_chain(self, root_id: int) -> None:
-        """Store the response-time ratio of the fully completed chain ``root_id``.
-
-        The ratio is the chain's summed response time over its summed standard
-        response time, added up stage by stage in chain order.
-        """
-        records = [self.requests[rid] for rid in self.chains[root_id]]
-        actual = sum(r.response_time for r in records)
-        standard = sum(self.profiles[r.function_id].standard_response_time
-                       for r in records)
-        self.chain_ratios[records[0].app_id][root_id] = actual / standard
+            self.chain_ratios[req.app_id][req.root_id] = (
+                elapsed / self._chain_standard[req.app_id])
 
     def _on_retry(self, request_id: int) -> None:
         req = self.requests.get(request_id)

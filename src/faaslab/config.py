@@ -100,7 +100,9 @@ def _read_yaml(path: str | Path):
     if not path.exists():
         raise ConfigError(f"file not found: {path}")
     try:
-        return yaml.safe_load(path.read_text())
+        return yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from None
 
@@ -145,7 +147,10 @@ class Experiment:
 
     @property
     def config_hash(self) -> str:
-        canon = json.dumps(self.raw, sort_keys=True, default=str)
+        """Hash of the resolved config, without where its outputs go."""
+        inputs = {k: v for k, v in self.raw.items()
+                  if k not in ("output_dir", "calibration_file")}
+        canon = json.dumps(inputs, sort_keys=True, default=str)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     # --------------------------------------------------------- workload sets

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -121,7 +120,6 @@ class ServerlessEnv:
         sim_config: SimConfig = SimConfig(),
         bounds: Optional[RewardBounds] = None,
         seed: int = 0,
-        record_trace: bool = False,
         log_events: bool = False,
     ):
         self.vms = tuple(sorted(vms, key=lambda s: s.vm_id))
@@ -135,9 +133,7 @@ class ServerlessEnv:
         self.target_fn: Optional[int] = None
         self.done = True
         self._steps_taken = 0
-        self.record_trace = record_trace
         self.log_events = log_events
-        self.trace: list[tuple] = []
 
     @property
     def state_dim(self) -> int:
@@ -158,7 +154,6 @@ class ServerlessEnv:
         self.total_steps = int(round(steps))
         self._steps_taken = 0
         self.done = False
-        self.trace.clear()
 
     def reset(self, workload: WorkloadSpec, seed: Optional[int] = None) -> np.ndarray:
         if seed is not None:
@@ -210,11 +205,6 @@ class ServerlessEnv:
             "channels": channels,
             "time": self.engine.clock,
         }
-        if self.record_trace:
-            self.trace.append((t0, target, *action.as_tuple(),
-                               decoded.target_util, decoded.cpu_delta,
-                               decoded.mem_delta, cpu_star, mem_star, n_delta,
-                               reward))
         return self._state(), reward, self.done, info
 
     def run_window(self, t0: float, channels: bool) -> Optional[tuple[float, float, float]]:
@@ -235,16 +225,6 @@ class ServerlessEnv:
                 self.engine.advance(t)
             self.done = True
         return window
-
-    def export_trace(self, path) -> None:
-        """Write the per-step decision trace as delimited text (debug aid)."""
-        header = ("time target a1 a2 a3 target_util cpu_delta mem_delta "
-                  "cpu_applied mem_applied n_delta reward")
-        lines = [header]
-        for row in self.trace:
-            lines.append(" ".join(f"{v:.6g}" if isinstance(v, float) else str(v)
-                                  for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
 
     # ------------------------------------------------------------------ state
 

@@ -43,27 +43,32 @@ class TraceSeries:
 def load_traces(path: str | Path) -> list[TraceSeries]:
     """Parse a delimited trace file: ``trace_id, c1 c2 ... cn`` per line."""
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     series = []
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "," not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'id, counts...'")
-            trace_id, _, rest = line.partition(",")
-            trace_id = trace_id.strip()
-            if not trace_id:
-                raise ConfigError(f"{path}:{lineno}: missing trace id")
-            try:
-                counts = tuple(int(tok) for tok in rest.split())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: non-integer count ({exc})") from None
-            if not counts:
-                raise ConfigError(f"{path}:{lineno}: no counts")
-            if any(c < 0 for c in counts):
-                raise ConfigError(f"{path}:{lineno}: negative count")
-            series.append(TraceSeries(trace_id=trace_id, counts=counts))
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "," not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'id, counts...'")
+        trace_id, _, rest = line.partition(",")
+        trace_id = trace_id.strip()
+        if not trace_id:
+            raise ConfigError(f"{path}:{lineno}: missing trace id")
+        try:
+            counts = tuple(int(tok) for tok in rest.split())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: non-integer count ({exc})") from None
+        if not counts:
+            raise ConfigError(f"{path}:{lineno}: no counts")
+        if any(c < 0 for c in counts):
+            raise ConfigError(f"{path}:{lineno}: negative count")
+        series.append(TraceSeries(trace_id=trace_id, counts=counts))
     if not series:
         raise ConfigError(f"{path}: no traces found")
     return series

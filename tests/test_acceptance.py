@@ -526,7 +526,7 @@ def test_c10_command_determinism(tmp_path):
 
     def run_all():
         assert main(["calibrate", "--config", str(cfg_path)]) == 0
-        assert main(["train", "--config", str(cfg_path), "--deterministic"]) == 0
+        assert main(["train", "--config", str(cfg_path)]) == 0
         assert main(["evaluate", "--config", str(cfg_path), "--band", "mid",
                      "--targets", "kube_cpu",
                      str(run_dir / "actor_a3c_beta1_w1.npz")]) == 0

@@ -5,6 +5,7 @@ import yaml
 import pytest
 
 from faaslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, read_csv
+from faaslab.config import load_experiment
 from faaslab.nnet import NetworkSpec, ParameterStore
 
 
@@ -58,8 +59,7 @@ class TestTrain:
         assert main(["calibrate", "--config", str(config)]) == EXIT_OK
         outputs = []
         for _ in range(2):
-            assert main(["train", "--config", str(config), "--beta", "1.0",
-                         "--deterministic"]) == EXIT_OK
+            assert main(["train", "--config", str(config), "--beta", "1.0"]) == EXIT_OK
             curve = run_dir / "curves_a3c_beta1_w1.csv"
             assert (run_dir / "actor_a3c_beta1_w1.npz").exists()
             assert (run_dir / "critic_a3c_beta1_w1.npz").exists()
@@ -280,9 +280,43 @@ class TestErrors:
                      "--targets", str(ckpt)]) == EXIT_CONFIG
         assert str(ckpt) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["config", "cluster_file", "profiles_file",
+                                     "traces_file"])
+    def test_non_utf8_input_is_config_error(self, tmp_path, capsys, key):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"# caf\xe9\n")
+        config = bad if key == "config" else write_config(tmp_path, **{key: str(bad)})
+        assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not UTF-8" in err
+
+    def test_missing_traces_file_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "traces.txt"
+        config = write_config(tmp_path, traces_file=str(missing))
+        assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
+        assert str(missing) in capsys.readouterr().err
+
     def test_invalid_calibration_yaml_is_config_error(self, workspace, capsys):
         config, run_dir = workspace
         run_dir.mkdir(parents=True)
         (run_dir / "calibration.yaml").write_text("rfrt: {min: 1\n")
         assert main(["train", "--config", str(config)]) == EXIT_CONFIG
         assert "calibration.yaml" in capsys.readouterr().err
+
+
+class TestConfigHash:
+    def test_output_location_does_not_change_the_hash(self, tmp_path):
+        hashes = set()
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            config = write_config(tmp_path / name)
+            exp = load_experiment(config)
+            assert exp.output_dir == tmp_path / name / "run"
+            hashes.add(exp.config_hash)
+        assert len(hashes) == 1
+
+    def test_changed_seed_changes_the_hash(self, tmp_path):
+        config = write_config(tmp_path)
+        base = load_experiment(config)
+        reseeded = load_experiment(config, overrides={"train": {"seed": 4}})
+        assert base.config_hash != reseeded.config_hash

@@ -8,6 +8,7 @@ from faaslab.cluster import (Application, ClusterEngine,
                              SimConfig, VmSpec, VmState, ceil_guarded,
                              desired_replicas, floor_guarded)
 from faaslab.errors import ConfigError, SimulationError
+from faaslab.workload import select_apps
 
 
 def make_engine(vms, profiles, apps, **cfg):
@@ -625,4 +626,40 @@ class TestInvariantsAndDeterminism:
         assert child.function_id == 1
         assert child.arrival_time == eng.requests[0].finish_time == 3.0
         assert child.finish_time == 3.5
-        assert eng.chains[0] == [0, 1]
+        assert child.root_id == 0
+
+    def test_chain_ratios_are_in_order_stage_sums(self, desk_vms):
+        # Two 5-stage apps and a 2-stage app under execution noise, queueing and
+        # horizontal scaling. Each stored ratio must equal, bit for bit, the
+        # stages' response times over their standard times, both summed in
+        # chain order from the request records.
+        profiles, apps = select_apps(["facial", "todo", "thumbnail"])
+        eng = make_engine(desk_vms, profiles, apps, exec_noise_sigma=0.3, seed=5)
+        rng = random.Random(11)
+        eng.load_arrivals((rng.uniform(0.0, 60.0), rng.choice(apps).app_id)
+                          for _ in range(400))
+        for t in range(0, 60, 5):
+            for fn in eng.deployed_fns:
+                eng.apply_horizontal(fn, eng.horizontal_delta(fn, 0.5))
+            eng.advance(t + 5.0)
+        while eng.pending_requests():
+            eng.advance(eng.next_event_time())
+
+        stages: dict[int, list] = {}
+        for req in eng.requests.values():
+            stages.setdefault(req.root_id, []).append(req)
+        completed = {app.app_id: {} for app in apps}
+        for root, reqs in stages.items():
+            reqs.sort(key=lambda r: r.chain_index)
+            app_id = reqs[0].app_id
+            if (len(reqs) < len(eng.apps[app_id].function_sequence)
+                    or reqs[-1].status is not RequestStatus.COMPLETED):
+                continue
+            actual = sum(r.response_time for r in reqs)
+            standard = sum(profiles[r.function_id].standard_response_time
+                           for r in reqs)
+            completed[app_id][root] = actual / standard
+        assert eng.chain_ratios == completed
+        assert all(len(ratios) > 20 for ratios in completed.values())
+        assert any(r > 1.0 for ratios in completed.values() for r in ratios.values())
+        assert eng.dropped_total > 0

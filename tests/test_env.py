@@ -187,23 +187,6 @@ class TestStep:
         with pytest.raises(Exception, match="calibrate"):
             env.step(ScalingAction(5, 5, 5))
 
-    def test_trace_export(self, desk_vms, env_pair, tmp_path):
-        env_src, wl = env_pair
-        env = ServerlessEnv(desk_vms, env_src.profiles, env_src.config,
-                            bounds=BOUNDS, seed=1, record_trace=True)
-        env.reset(wl)
-        done = False
-        while not done:
-            _, _, done, _ = env.step(ScalingAction(5, 5, 5))
-        assert len(env.trace) == 3
-        path = tmp_path / "trace.txt"
-        env.export_trace(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("time target a1 a2 a3")
-        assert len(lines) == 4
-        first = lines[1].split()
-        assert first[0] == "0" and first[2:5] == ["5", "5", "5"]
-
 
 class TestPaperTrainingPool:
     def test_pool_builds_and_an_episode_steps(self):

@@ -20,30 +20,28 @@ def warm_engine(vm, profile, app, pods=1):
 def inject_chain(eng, app_id, arrival, ratios):
     """Append one fully completed chain with the given per-stage ratios.
 
-    The chain is registered through ``record_chain``, as the engine does when
-    a chain's last function finishes.
+    The chain ratio is stored as the engine stores it when a chain's last
+    function finishes: summed response time over summed standard time, both
+    added up stage by stage in chain order.
     """
     app = eng.apps[app_id]
-    root = None
+    root = eng._next_request_id
     t = arrival
+    actual = standard = 0.0
     for stage, fn in enumerate(app.function_sequence):
         rid = eng._next_request_id
         eng._next_request_id += 1
         r0 = eng.profiles[fn].standard_response_time
         req = RequestRecord(request_id=rid, app_id=app_id, chain_index=stage,
-                            function_id=fn, arrival_time=t,
-                            root_id=root if root is not None else rid,
+                            function_id=fn, arrival_time=t, root_id=root,
                             start_time=t, finish_time=t + ratios[stage] * r0,
                             status=RequestStatus.COMPLETED)
         eng.requests[rid] = req
-        if root is None:
-            root = rid
-            eng.chains[root] = [rid]
-        else:
-            eng.chains[root].append(rid)
+        actual += req.response_time
+        standard += r0
         t = req.finish_time
     eng.completed_total += len(app.function_sequence)
-    eng.record_chain(root)
+    eng.chain_ratios[app_id][root] = actual / standard
 
 
 class TestRfrt:
