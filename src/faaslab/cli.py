@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -188,6 +189,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                             exp.profiles, exp.env, exp.sim,
                             policy_config=exp.baselines)
     out = exp.output_dir
+    # A checkpoint is labelled by its path relative to the output directory,
+    # so an absolute and a relative path to one file give the same CSVs.
+    labels = {t: t if t in BASELINE_NAMES else os.path.relpath(Path(t).resolve(), out.resolve())
+              for t in args.targets}
+    rows = sorted((replace(r, target=labels[r.target]) for r in rows),
+                  key=lambda r: (r.target, r.band, r.workload_index))
     meta = _meta_lines(exp, exp.train.seed, "deterministic")
     write_csv(out / "eval_workloads.csv", meta,
               ("target", "band", "workload", "rart", "rfr", "cost"),

@@ -217,13 +217,13 @@ class RequestRecord:
     function_id: int
     arrival_time: float
     root_id: int
+    chain_elapsed: float = 0.0  # summed response time of the chain's earlier stages
     start_time: Optional[float] = None
     finish_time: Optional[float] = None
     status: RequestStatus = RequestStatus.QUEUED
     retries: int = 0
     pod_id: Optional[int] = None
     vm_id: Optional[int] = None
-    chain_elapsed: float = 0.0  # summed response time of the chain's earlier stages
 
     @property
     def response_time(self) -> float:
@@ -327,9 +327,12 @@ class ClusterEngine:
     ``advance`` always dispatches the smaller of the FIFO head and the heap
     top, so the order is the one a single heap of every event would give.
 
+    An arrival calls ``route_request`` only when its function has an open
+    pod (``open_pods``); otherwise it is queued at once.
+
     With ``log_events`` every event also appends a ``(time, kind, *ids)``
-    tuple to ``event_log``; otherwise ``event_log`` stays empty. The log is a
-    pure sink: nothing in the simulation reads it.
+    tuple to ``event_log``; otherwise nothing is appended and ``event_log``
+    stays empty. The log is a pure sink: nothing in the simulation reads it.
     """
 
     def __init__(
@@ -343,6 +346,7 @@ class ClusterEngine:
         if isinstance(profiles, Mapping):
             profiles = profiles.values()
         self.config = config
+        self._pods_mode = config.active_time_mode == "pods"
         self.clock = 0.0
         self.vms: dict[int, VmState] = {}
         for spec in sorted(vms, key=lambda s: s.vm_id):
@@ -512,26 +516,37 @@ class ClusterEngine:
     # --------------------------------------------------------------- lifecycle
 
     def _on_arrival(self, app_id: int) -> None:
-        self._feed_arrival()
+        # what _feed_arrival does: move the next pending arrival into the heap
+        pending = self._arrivals
+        self._next_arrival = nxt = pending.pop() if pending else None
+        if nxt is not None:
+            heapq.heappush(self._heap, nxt)
         self._arrive(app_id, 0, None)
 
     def _arrive(self, app_id: int, chain_index: int, root_id: Optional[int],
                 chain_elapsed: float = 0.0) -> None:
         """A request for stage ``chain_index`` of ``app_id`` arrives now.
 
-        ``root_id`` None starts a new chain rooted at this request.
+        ``root_id`` None starts a new chain rooted at this request. The
+        request is routed if its function has an open pod and queued
+        otherwise; a failed arrival-time attempt counts as its first retry.
         """
         rid = self._next_request_id
-        self._next_request_id += 1
+        self._next_request_id = rid + 1
+        now = self.clock
         fn = self.apps[app_id].function_sequence[chain_index]
-        req = RequestRecord(request_id=rid, app_id=app_id, chain_index=chain_index,
-                            function_id=fn, arrival_time=self.clock,
-                            root_id=rid if root_id is None else root_id,
-                            chain_elapsed=chain_elapsed)
+        req = RequestRecord(rid, app_id, chain_index, fn, now,
+                            rid if root_id is None else root_id, chain_elapsed)
         self.requests[rid] = req
-        self.arrival_times[fn].append(self.clock)
-        self._log("arrival", rid, fn)
-        self._route_or_queue(req)
+        self.arrival_times[fn].append(now)
+        if self.log_events:
+            self.event_log.append((now, "arrival", rid, fn))
+        if not self.open_pods[fn] or self.route_request(req) is None:
+            self.queued_ids[fn].add(rid)
+            req.retries = 1
+            if self.log_events:
+                self.event_log.append((now, "queue", rid))
+            self._push_retry(rid)
 
     def route_request(self, req: RequestRecord) -> Optional[int]:
         """Assign a queued request via the per-function round-robin cursor.
@@ -547,68 +562,80 @@ class ClusterEngine:
         if not open_pods:
             return None
         pod_ids = self.fn_pods[fn]
+        pods = self.pods
+        ready = PodPhase.READY
         n = len(pod_ids)
         cursor = self._rr_cursor[fn] % n if n else 0
         for off in range(n):
-            pod = self.pods[pod_ids[(cursor + off) % n]]
-            if pod.is_open:
+            pod = pods[pod_ids[(cursor + off) % n]]
+            if pod.phase is ready and len(pod.in_flight) < pod.max_concurrency:
                 self._rr_cursor[fn] = (cursor + off + 1) % n
                 self._assign(req, pod)
                 return pod.pod_id
         return None
 
-    def _route_or_queue(self, req: RequestRecord) -> None:
-        """First routing attempt at arrival; failure starts the retry cycle."""
-        if self.route_request(req) is not None:
-            return
-        self.queued_ids[req.function_id].add(req.request_id)
-        req.retries = 1  # the failed arrival-time attempt counts
-        self._log("queue", req.request_id)
-        self._push_retry(req.request_id)
-
     def _assign(self, req: RequestRecord, pod: PodState) -> None:
         """Start ``req`` on ``pod``, which must be open."""
+        now = self.clock
+        rid = req.request_id
+        profile = pod.profile
+        in_flight = pod.in_flight
         vm = self.vms[pod.vm_id]
         req.status = RequestStatus.RUNNING
-        req.start_time = self.clock
+        req.start_time = now
         req.pod_id = pod.pod_id
         req.vm_id = pod.vm_id
-        self.queued_ids[req.function_id].discard(req.request_id)
-        pod.in_flight.add(req.request_id)
-        if len(pod.in_flight) == pod.max_concurrency:
+        if req.retries:  # a request that never queued is not in the set
+            self.queued_ids[req.function_id].discard(rid)
+        in_flight.add(rid)
+        if len(in_flight) == pod.max_concurrency:
             self.open_pods[req.function_id] -= 1
-        vm.cpu_used += pod.profile.req_cpu
-        vm.mem_used += pod.profile.req_mem
+        vm.cpu_used += profile.req_cpu
+        vm.mem_used += profile.req_mem
         vm.inflight += 1
-        self._update_vm_activity(vm)
-        self._log("assign", req.request_id, pod.pod_id)
-        exec_time = pod.profile.standard_response_time
-        if self.config.exec_noise_sigma > 0:
-            exec_time *= self._rng.lognormvariate(0.0, self.config.exec_noise_sigma)
-        self._push(self.clock + exec_time, ClusterEngine._on_finish, req.request_id)
+        if vm.busy_since is None:  # in either mode a VM serving a request is active
+            vm.busy_since = now
+        if self.log_events:
+            self.event_log.append((now, "assign", rid, pod.pod_id))
+        exec_time = profile.standard_response_time
+        sigma = self.config.exec_noise_sigma
+        if sigma > 0:
+            exec_time *= self._rng.lognormvariate(0.0, sigma)
+        self._seq += 1
+        heapq.heappush(self._heap, (now + exec_time, self._seq, ClusterEngine._on_finish, rid))
 
     def _on_finish(self, request_id: int) -> None:
+        now = self.clock
         req = self.requests[request_id]
         pod = self.pods[req.pod_id]
+        profile = pod.profile
+        in_flight = pod.in_flight
         vm = self.vms[pod.vm_id]
         req.status = RequestStatus.COMPLETED
-        req.finish_time = self.clock
-        pod.in_flight.discard(request_id)
-        if pod.phase is PodPhase.READY and len(pod.in_flight) == pod.max_concurrency - 1:
+        req.finish_time = now
+        in_flight.discard(request_id)
+        if pod.phase is PodPhase.READY and len(in_flight) == pod.max_concurrency - 1:
             self.open_pods[req.function_id] += 1
-        vm.cpu_used -= pod.profile.req_cpu
-        vm.mem_used -= pod.profile.req_mem
+        vm.cpu_used -= profile.req_cpu
+        vm.mem_used -= profile.req_mem
         vm.inflight -= 1
-        self._update_vm_activity(vm)
+        if not vm.inflight and not self._pods_mode:
+            # The last request left: close the busy interval. In "pods" mode
+            # the pod is still on the VM, so the VM stays active.
+            vm.active_seconds += now - vm.busy_since
+            vm.busy_log.append((vm.busy_since, now))
+            vm.busy_since = None
         self.completed_total += 1
-        ratio = req.response_time / pod.profile.standard_response_time
-        self.completions[req.function_id].append((self.clock, ratio))
-        self._log("finish", request_id)
-        if pod.phase is PodPhase.TERMINATING and not pod.in_flight:
+        response = now - req.arrival_time
+        self.completions[req.function_id].append(
+            (now, response / profile.standard_response_time))
+        if self.log_events:
+            self.event_log.append((now, "finish", request_id))
+        if pod.phase is PodPhase.TERMINATING and not in_flight:
             self._remove_pod(pod)
         # Stages finish in chain order, so this adds up in the same order as
         # the standard times in ``_chain_standard``.
-        elapsed = req.chain_elapsed + req.response_time
+        elapsed = req.chain_elapsed + response
         nxt = req.chain_index + 1
         if nxt < len(self.apps[req.app_id].function_sequence):
             # Chained functions hand off immediately: no inter-function delay.
@@ -649,13 +676,8 @@ class ClusterEngine:
 
     # ----------------------------------------------------------- vm activity
 
-    def _vm_is_active(self, vm: VmState) -> bool:
-        if self.config.active_time_mode == "pods":
-            return bool(vm.pods)
-        return vm.inflight > 0
-
     def _update_vm_activity(self, vm: VmState) -> None:
-        active = self._vm_is_active(vm)
+        active = bool(vm.pods) if self._pods_mode else vm.inflight > 0
         if active and vm.busy_since is None:
             vm.busy_since = self.clock
         elif not active and vm.busy_since is not None:

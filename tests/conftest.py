@@ -1,6 +1,14 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from faaslab.cluster import Application, FunctionProfile, VmSpec
+
+# HYPOTHESIS_PROFILE=ci runs property tests that do not fix their own example
+# count (the differential engine test) with five times the default.
+settings.register_profile("ci", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

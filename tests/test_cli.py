@@ -207,6 +207,24 @@ class TestEvaluate:
         assert read_csv(run_dir / "eval_workloads.csv")[2] == with_bounds
 
 
+    def test_checkpoint_label_does_not_depend_on_the_path_given(self, workspace,
+                                                                 monkeypatch):
+        config, run_dir = workspace
+        main(["calibrate", "--config", str(config)])
+        main(["train", "--config", str(config)])
+        monkeypatch.chdir(run_dir.parent)
+        bodies = []
+        for ckpt in (run_dir / "actor_a3c_beta1_w1.npz", "run/actor_a3c_beta1_w1.npz"):
+            assert main(["evaluate", "--config", str(config), "--band", "low",
+                         "--targets", "kube_cpu", str(ckpt)]) == EXIT_OK
+            bodies.append([no_timestamp(run_dir / name)
+                           for name in ("eval_workloads.csv", "eval_summary.csv")])
+        assert bodies[0] == bodies[1]
+        _, header, rows = read_csv(run_dir / "eval_workloads.csv")
+        assert [r[header.index("target")] for r in rows] == \
+            ["actor_a3c_beta1_w1.npz"] * 2 + ["kube_cpu"] * 2
+
+
 class TestReport:
     def test_missing_artifacts_listed(self, workspace):
         config, run_dir = workspace

@@ -1,0 +1,150 @@
+"""Differential test: ``ClusterEngine`` against ``ReferenceEngine``.
+
+Both engines run the same random scenario: chains of one to three
+functions, tied (0.25 s grid) and untied arrival times loaded unsorted, more
+arrivals loaded mid-run, random horizontal and clamped vertical scaling,
+arrivals just after a step back in time by less than the clock tolerance, both
+``active_time_mode``s and execution noise on and off. The timing constants
+are multiples of 0.25 s, so without noise many events share a timestamp.
+
+After every advance the engines must agree exactly: event log, every
+``RequestRecord``, pods, VM accounting and busy logs, chain ratios,
+completions, the episode summary and the reward channels of the window just
+run. The fast engine's open-pod counts must equal a full scan, and its own
+``check_invariants`` must pass.
+"""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from faaslab.cluster import Application, ClusterEngine, FunctionProfile, SimConfig, VmSpec
+from faaslab.metrics import EpisodeLedger
+
+from reference_engine import ReferenceEngine
+
+VMS = (VmSpec(vm_id=0, cpu_capacity=1.0, mem_capacity=4096.0, unit_price=0.048),
+       VmSpec(vm_id=1, cpu_capacity=2.0, mem_capacity=8192.0, unit_price=0.0848))
+# Concurrency bounds 2, 1 and 3 at the initial pod sizes.
+PROFILES = (FunctionProfile(function_id=0, req_cpu=0.25, req_mem=256.0,
+                            standard_response_time=0.75, cold_start_seconds=1.0,
+                            initial_pod_cpu=0.5, initial_pod_mem=512.0),
+            FunctionProfile(function_id=1, req_cpu=0.5, req_mem=256.0,
+                            standard_response_time=0.5, cold_start_seconds=1.25,
+                            initial_pod_cpu=0.5, initial_pod_mem=512.0),
+            FunctionProfile(function_id=2, req_cpu=0.1, req_mem=128.0,
+                            standard_response_time=0.25, cold_start_seconds=0.5,
+                            initial_pod_cpu=0.3, initial_pod_mem=384.0))
+
+functions = st.sampled_from((0, 1, 2))
+chains = st.lists(st.lists(functions, min_size=1, max_size=3), min_size=1, max_size=3)
+
+def on_grid(max_steps):
+    return st.integers(0, max_steps).map(lambda k: 0.25 * k)
+
+
+# mostly on the grid, where ties are common
+times = st.one_of(on_grid(80), on_grid(80), on_grid(80), st.floats(0.0, 20.0))
+steps = st.one_of(on_grid(12), on_grid(12), on_grid(12), st.floats(0.0, 3.0))
+operations = st.one_of(
+    st.tuples(st.just("horizontal"), functions, st.integers(-3, 4)),
+    st.tuples(st.just("vertical"), functions,
+              st.sampled_from((-0.25, 0.0, 0.25)), st.floats(-1024.0, 1024.0)),
+    st.tuples(st.just("advance"), steps),
+    st.tuples(st.just("back"), st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+    st.tuples(st.just("load"), st.lists(st.tuples(steps, st.integers(0, 2)),
+                                        min_size=1, max_size=20)),
+)
+
+
+def vm_state(vm):
+    return (vm.cpu_allocated, vm.mem_allocated, vm.cpu_used, vm.mem_used, vm.pods,
+            vm.inflight, vm.active_seconds, vm.busy_since, vm.busy_log)
+
+
+def agree(what, fast_value, ref_value):
+    # A plain message: pytest's diff of two large containers is very slow.
+    if fast_value != ref_value:
+        raise AssertionError(f"{what} differ")
+
+
+def assert_same(fast, ref, t0):
+    agree("clocks", fast.clock, ref.clock)
+    agree("event logs", fast.event_log, ref.event_log if fast.log_events else [])
+    agree("request records", fast.requests, ref.requests)
+    agree("pods", fast.pods, ref.pods)
+    agree("pod lists", fast.fn_pods, ref.fn_pods)
+    agree("round-robin cursors", fast._rr_cursor, ref._rr_cursor)
+    agree("queued ids", fast.queued_ids, ref.queued_ids)
+    agree("open-pod counts", fast.open_pods, ref.open_pod_counts())
+    agree("vm states", [vm_state(vm) for vm in fast.vms.values()],
+          [vm_state(vm) for vm in ref.vms.values()])
+    agree("chain ratios", fast.chain_ratios, ref.chain_ratios)
+    agree("completions", fast.completions, ref.completions)
+    agree("arrival times", fast.arrival_times, ref.arrival_times)
+    agree("drop times", fast.drop_times, ref.drop_times)
+    agree("next event times", fast.next_event_time(), ref.next_event_time())
+    fast_ledger, ref_ledger = EpisodeLedger(fast), EpisodeLedger(ref)
+    agree("window channels", fast_ledger.window_channels(t0, fast.clock),
+          ref_ledger.window_channels(t0, ref.clock))
+    # repr compares floats exactly and treats an undefined (nan) RART as equal
+    agree("summaries", repr(fast_ledger.summary()), repr(ref_ledger.summary()))
+    fast.check_invariants()
+
+
+@settings(deadline=None)
+@given(
+    noise=st.sampled_from((0.0, 0.0, 0.4)),
+    mode=st.sampled_from(("inflight", "pods")),
+    seed=st.integers(0, 1000),
+    retry=st.tuples(st.sampled_from((0.5, 1.0)), st.sampled_from((1, 3, 10))),
+    log_events=st.sampled_from((True, True, True, False)),
+    sequences=chains,
+    initial_pods=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    arrivals=st.lists(st.tuples(times, st.integers(0, 2)), min_size=5, max_size=80),
+    ops=st.lists(operations, max_size=30),
+)
+def test_engine_matches_reference(noise, mode, seed, retry, log_events, sequences,
+                                  initial_pods, arrivals, ops):
+    apps = [Application(app_id=i, function_sequence=tuple(seq))
+            for i, seq in enumerate(sequences)]
+    config = SimConfig(retry_interval=retry[0], max_retries=retry[1],
+                       exec_noise_sigma=noise, active_time_mode=mode, seed=seed)
+    fast = ClusterEngine(VMS, PROFILES, apps, config, log_events=log_events)
+    ref = ReferenceEngine(VMS, PROFILES, apps, config)
+    n_apps = len(apps)
+
+    def load(batch):
+        batch = [(t, app % n_apps) for t, app in batch]
+        fast.load_arrivals(batch)
+        ref.load_arrivals(batch)
+
+    def advance(until):
+        t0 = fast.clock
+        fast.advance(until)
+        ref.advance(until)
+        assert_same(fast, ref, t0)
+
+    load(arrivals)
+    for fn, pods in enumerate(initial_pods):
+        fast.apply_horizontal(fn, pods)
+        ref.apply_horizontal(fn, pods)
+    for op in ops:
+        if op[0] == "horizontal":
+            agree("scaled pods", fast.apply_horizontal(op[1], op[2]),
+                  ref.apply_horizontal(op[1], op[2]))
+        elif op[0] == "vertical":
+            clamped = fast.clamp_vertical(*op[1:])
+            agree("clamped resizes", clamped, ref.clamp_vertical(*op[1:]))
+            fast.apply_vertical(op[1], *clamped)
+            ref.apply_vertical(op[1], *clamped)
+        elif op[0] == "advance":
+            advance(fast.clock + op[1])
+        elif op[0] == "back" and (t := fast.next_event_time()) is not None:
+            # run to the next event, step back by less than the clock
+            # tolerance and let requests arrive there
+            advance(t)
+            advance(t - 5e-10)
+            load([(fast.clock, app) for app in op[1]])
+        elif op[0] == "load":
+            load([(fast.clock + dt, app) for dt, app in op[1]])
+    while (t := fast.next_event_time()) is not None and t <= 200.0:
+        advance(t + 2.0)

@@ -1,14 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 
-from faaslab.cluster import Application, FunctionProfile
+from faaslab.cluster import Application, FunctionProfile, RequestStatus
 from faaslab.config import load_experiment
 from faaslab.env import (ACTION_SIZES, DecodedAction, EnvConfig, ScalingAction,
                          ServerlessEnv, decode, grid_value)
 from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import ChannelBounds, RewardBounds
 from faaslab.workload import (EVAL_BANDS, MAX_TRAINING_ENTRY_FNS, TraceSeries,
-                              WorkloadSpec)
+                              WorkloadSpec, make_workload)
 
 BOUNDS = RewardBounds(rfrt=ChannelBounds(1.0, 11.0), rfr=ChannelBounds(0.0, 1.0),
                       cost=ChannelBounds(0.0, 0.01))
@@ -206,6 +208,31 @@ class TestPaperTrainingPool:
         state, reward, done, _ = env.step(ScalingAction(5, 5, 5))
         assert state.shape == (env.state_dim,)
         assert reward is not None and not done
+
+
+class TestJitteredArrivals:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_invariants_hold_through_an_episode(self, seed):
+        # jitter places each window's arrivals at random, so times rarely tie
+        exp = load_experiment()
+        band = sorted(EVAL_BANDS)[seed % len(EVAL_BANDS)]
+        workload = make_workload(exp.apps, exp.corpus, EVAL_BANDS[band],
+                                 exp.workload.duration, seed, jitter=True)
+        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, BOUNDS, seed=seed)
+        env.reset(workload)
+        engine = env.engine
+        rng = random.Random(seed)
+        done = False
+        while not done:
+            action = ScalingAction(*(rng.randrange(k) for k in ACTION_SIZES))
+            _, _, done, _ = env.step(action)
+            engine.check_invariants()
+            in_flight = sum(1 for r in engine.requests.values()
+                            if r.status in (RequestStatus.QUEUED, RequestStatus.RUNNING))
+            arrived = sum(len(times) for times in engine.arrival_times.values())
+            assert arrived == len(engine.requests)
+            assert arrived == engine.completed_total + engine.dropped_total + in_flight
+        assert engine.completed_total > 0 and not in_flight
 
 
 class TestBandedSeeds:
