@@ -283,7 +283,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--workload-index {args.workload_index} outside [0, {per_band})")
     workload = exp.eval_sets([band])[band][args.workload_index]
     res = run_baseline(args.policy, exp.vms, exp.profiles, workload, exp.env,
-                       exp.sim, exp.baselines, record_replicas=True, log_events=True)
+                       exp.sim, exp.baselines, log_events=True)
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / f"events_{args.policy}_{band}_{args.workload_index}.log"

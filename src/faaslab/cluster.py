@@ -13,10 +13,10 @@ import bisect
 import heapq
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import pairwise
+from itertools import chain, pairwise
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -311,21 +311,22 @@ class ClusterEngine:
 
     Pending events live in three places, all keyed by the same (time, seq):
 
-    * ``_retries``, a FIFO of ``(time, seq, request_id)``. A retry is due one
-      ``retry_interval`` after the clock it was pushed at, and the clock never
-      passes a pending event, so retries fall due in push order and the FIFO
-      stays sorted. ``advance`` re-queues a retry against a function with no
-      open pod in place, without routing it.
-    * ``_arrivals``, the loaded arrivals that are not yet due, sorted latest
-      first. Only the earliest pending arrival is in the heap; dispatching it
-      moves the next one in.
+    * ``_retries``, a FIFO of ``(time, seq, request_id)``: every pending
+      retry, one per queued request. A retry is due one ``retry_interval``
+      after the clock it was pushed at, so it almost always goes at the tail;
+      one that falls due before the tail (possible after ``advance`` goes back
+      by up to ``_EPS``) is inserted in order.
+    * ``_arrivals``, the loaded arrivals that are not yet in the heap, sorted
+      latest first. Each ``load_arrivals`` moves the earliest one into the
+      heap and each dispatched arrival moves the next one, so the earliest
+      pending arrival is always in the heap.
     * ``_heap``, entries ``(time, seq, handler, arg)``: finishes, pod
-      readiness, that one arrival, and any retry that falls due before the
-      FIFO's last entry (possible after ``advance`` goes back by up to
-      ``_EPS``).
+      readiness and arrivals, never a retry.
 
     ``advance`` always dispatches the smaller of the FIFO head and the heap
     top, so the order is the one a single heap of every event would give.
+    A due retry is logged, then dropped once the retry budget is spent,
+    routed when its function has an open pod (``open_pods``), or re-queued.
 
     An arrival calls ``route_request`` only when its function has an open
     pod (``open_pods``); otherwise it is queued at once.
@@ -407,7 +408,6 @@ class ClusterEngine:
         self._heap: list[_Event] = []
         self._retries: deque[tuple[float, int, int]] = deque()
         self._arrivals: list[_Event] = []
-        self._next_arrival: Optional[_Event] = None  # the arrival in the heap
         self._seq = 0
         self._next_pod_id = 0
         self._next_request_id = 0
@@ -422,12 +422,12 @@ class ClusterEngine:
 
     def _push_retry(self, request_id: int) -> None:
         self._seq += 1
-        time = self.clock + self.config.retry_interval
+        entry = (self.clock + self.config.retry_interval, self._seq, request_id)
         retries = self._retries
-        if retries and time < retries[-1][0]:
-            heapq.heappush(self._heap, (time, self._seq, ClusterEngine._on_retry, request_id))
+        if retries and entry < retries[-1]:
+            bisect.insort(retries, entry)
         else:
-            retries.append((time, self._seq, request_id))
+            retries.append(entry)
 
     def load_arrivals(self, arrivals: Iterable[tuple[float, int]]) -> None:
         """Queue entry-function arrivals as (timestamp, app_id) pairs.
@@ -443,22 +443,11 @@ class ClusterEngine:
                 raise ConfigError(f"arrival at {t} lies before the clock ({self.clock})")
             self._seq += 1
             batch.append((t, self._seq, ClusterEngine._on_arrival, app_id))
-        if not batch:
-            return
-        pending = self._arrivals
-        if self._next_arrival is not None:
-            self._heap.remove(self._next_arrival)
-            heapq.heapify(self._heap)
-            pending.append(self._next_arrival)
-        pending.extend(batch)
-        pending.sort(reverse=True)
-        self._feed_arrival()
-
-    def _feed_arrival(self) -> None:
-        """Move the earliest pending arrival into the heap."""
-        self._next_arrival = self._arrivals.pop() if self._arrivals else None
-        if self._next_arrival is not None:
-            heapq.heappush(self._heap, self._next_arrival)
+        if batch:
+            pending = self._arrivals
+            pending.extend(batch)
+            pending.sort(reverse=True)
+            heapq.heappush(self._heap, pending.pop())
 
     def advance(self, until: float) -> list[tuple]:
         """Dispatch every event with timestamp <= until; returns the new log slice."""
@@ -469,29 +458,30 @@ class ClusterEngine:
         retries = self._retries
         requests = self.requests
         open_pods = self.open_pods
-        interval = self.config.retry_interval
         max_retries = self.config.max_retries
         log = self.event_log if self.log_events else None
-        queued = RequestStatus.QUEUED
         while True:
             if retries and (not heap or retries[0] < heap[0]):
                 time, _, request_id = retries[0]
                 if time > until:
                     break
                 retries.popleft()
-                req = requests[request_id]
-                if (req.status is queued and not open_pods[req.function_id]
-                        and req.retries < max_retries):
-                    # No pod can take it and the budget is not spent: what
-                    # _on_retry would do, without a routing attempt.
-                    if log is not None:
-                        log.append((time, "retry", request_id))
-                    req.retries += 1
-                    self._seq += 1
-                    retries.append((time + interval, self._seq, request_id))
-                    continue
                 self.clock = time
-                self._on_retry(request_id)
+                req = requests[request_id]
+                fn = req.function_id
+                if log is not None:
+                    log.append((time, "retry", request_id))
+                if req.retries >= max_retries:
+                    req.status = RequestStatus.DROPPED
+                    self.queued_ids[fn].discard(request_id)
+                    self.dropped_total += 1
+                    self.drop_times[fn].append(time)
+                    if log is not None:
+                        log.append((time, "drop", request_id))
+                    continue
+                req.retries += 1
+                if not open_pods[fn] or self.route_request(req) is None:
+                    self._push_retry(request_id)
             elif heap and heap[0][0] <= until:
                 time, _, handler, arg = heapq.heappop(heap)
                 self.clock = time
@@ -516,11 +506,8 @@ class ClusterEngine:
     # --------------------------------------------------------------- lifecycle
 
     def _on_arrival(self, app_id: int) -> None:
-        # what _feed_arrival does: move the next pending arrival into the heap
-        pending = self._arrivals
-        self._next_arrival = nxt = pending.pop() if pending else None
-        if nxt is not None:
-            heapq.heappush(self._heap, nxt)
+        if self._arrivals:
+            heapq.heappush(self._heap, self._arrivals.pop())
         self._arrive(app_id, 0, None)
 
     def _arrive(self, app_id: int, chain_index: int, root_id: Optional[int],
@@ -643,27 +630,6 @@ class ClusterEngine:
         else:
             self.chain_ratios[req.app_id][req.root_id] = (
                 elapsed / self._chain_standard[req.app_id])
-
-    def _on_retry(self, request_id: int) -> None:
-        req = self.requests.get(request_id)
-        if req is None or req.status is not RequestStatus.QUEUED:
-            return
-        self._log("retry", request_id)
-        self.drop_if_exhausted(req)
-
-    def drop_if_exhausted(self, req: RequestRecord) -> bool:
-        """Retry-budget check: drop at the limit, otherwise re-attempt routing."""
-        if req.retries >= self.config.max_retries:
-            req.status = RequestStatus.DROPPED
-            self.queued_ids[req.function_id].discard(req.request_id)
-            self.dropped_total += 1
-            self.drop_times[req.function_id].append(self.clock)
-            self._log("drop", req.request_id)
-            return True
-        req.retries += 1
-        if self.route_request(req) is None:
-            self._push_retry(req.request_id)
-        return False
 
     def _on_pod_ready(self, pod_id: int) -> None:
         pod = self.pods.get(pod_id)
@@ -965,15 +931,13 @@ class ClusterEngine:
             assert ids == {r.request_id for r in self.requests.values()
                            if r.function_id == fn and r.status is RequestStatus.QUEUED}, \
                 "queued-id set drift"
-        retrying = {rid for _, _, rid in self._retries}
-        retrying.update(arg for _, _, handler, arg in self._heap
-                        if handler is ClusterEngine._on_retry)
-        assert set().union(*self.queued_ids.values()) <= retrying, \
-            "queued request without a pending retry"
-        pending, head = self._arrivals, self._next_arrival
+        assert (Counter(rid for _, _, rid in self._retries)
+                == Counter(chain.from_iterable(self.queued_ids.values()))), \
+            "queued requests and pending retries differ"
+        pending = self._arrivals
         assert all(a > b for a, b in pairwise(pending)), "pending arrivals out of order"
-        assert head is None or head in self._heap, "next arrival missing from the heap"
-        assert not pending or (head is not None and head < pending[-1]), \
+        assert not pending or min((e for e in self._heap if e[2] is ClusterEngine._on_arrival),
+                                  default=pending[-1]) < pending[-1], \
             "earliest pending arrival is not in the heap"
 
 

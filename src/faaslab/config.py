@@ -214,6 +214,13 @@ def _section(data: dict, name: str) -> dict:
     return dict(section)
 
 
+def _listed(value, key: str) -> list:
+    """A config value that must be a list; a scalar is an error naming the key."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+    return list(value)
+
+
 def _build(cls, data: dict, name: str):
     try:
         return cls(**data)
@@ -246,7 +253,7 @@ def load_experiment(path: Optional[str | Path] = None,
         shapes = data.get("cluster")
         if not shapes:
             raise ConfigError("config needs either cluster_file or a cluster shape list")
-        vms = cluster_from_shapes(shapes)
+        vms = cluster_from_shapes(_listed(shapes, "cluster"))
 
     applications = data.get("applications")
     if data.get("profiles_file"):
@@ -255,7 +262,9 @@ def load_experiment(path: Optional[str | Path] = None,
                 isinstance(a, dict) for a in applications):
             raise ConfigError("profiles_file requires explicit applications: "
                               "[{app_id, functions}]")
-        apps = [Application(app_id=a["app_id"], function_sequence=tuple(a["functions"]))
+        apps = [Application(app_id=a["app_id"],
+                            function_sequence=tuple(_listed(a["functions"],
+                                                            "applications.functions")))
                 for a in applications]
         for app in apps:
             for fn in app.function_sequence:
@@ -276,9 +285,9 @@ def load_experiment(path: Optional[str | Path] = None,
     env = _build(EnvConfig, {"episode_duration": float(_section(data, "workload").get(
         "duration", 60)), **_section(data, "env")}, "env")
     sim = _build(SimConfig, _section(data, "sim"), "sim")
-    train = _build(TrainConfig, {k: tuple(v) if k == "hidden" else v
+    train = _build(TrainConfig, {k: tuple(_listed(v, "train.hidden")) if k == "hidden" else v
                                  for k, v in _section(data, "train").items()}, "train")
-    dqn = _build(DqnConfig, {k: tuple(v) if k == "hidden" else v
+    dqn = _build(DqnConfig, {k: tuple(_listed(v, "dqn.hidden")) if k == "hidden" else v
                              for k, v in _section(data, "dqn").items()}, "dqn")
     b = _section(data, "baselines")
     baselines = BaselinePolicyConfig(
@@ -290,10 +299,11 @@ def load_experiment(path: Optional[str | Path] = None,
     wl_data.pop("duration", None)
     workload = _build(WorkloadSettings, {
         "duration": env.episode_duration,
-        **{k: tuple(v) if k == "bands" else v for k, v in wl_data.items()},
+        **{k: tuple(_listed(v, "workload.bands")) if k == "bands" else v
+           for k, v in wl_data.items()},
     }, "workload")
 
-    beta_list = data.get("beta_list", [0.0, 0.25, 0.5, 0.75, 1.0])
+    beta_list = _listed(data.get("beta_list", [0.0, 0.25, 0.5, 0.75, 1.0]), "beta_list")
     if not all(isinstance(x, (int, float)) and 0 <= x <= 1 for x in beta_list):
         raise ConfigError("beta_list values must lie in [0, 1]")
 

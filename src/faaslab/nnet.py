@@ -9,7 +9,6 @@ be verified against finite differences.
 from __future__ import annotations
 
 import json
-import threading
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -225,11 +224,11 @@ def global_norm(grads: Sequence[np.ndarray]) -> float:
 
 
 class ParameterStore:
-    """Shared weights plus optimizer state, with atomic snapshot/apply.
+    """Shared weights plus optimizer state.
 
-    ``snapshot`` and ``apply`` serialize on an internal lock so worker threads
-    can interleave freely. The version counter increases by one per applied
-    update (used for bias correction and bookkeeping).
+    ``snapshot`` copies the weights out; ``apply`` takes one Adam step. The
+    version counter increases by one per applied update (used for bias
+    correction and bookkeeping).
     """
 
     def __init__(self, spec: NetworkSpec, params: Optional[list[np.ndarray]] = None):
@@ -238,11 +237,9 @@ class ParameterStore:
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.version = 0
-        self._lock = threading.Lock()
 
     def snapshot(self) -> tuple[list[np.ndarray], int]:
-        with self._lock:
-            return [p.copy() for p in self.params], self.version
+        return [p.copy() for p in self.params], self.version
 
     def apply(self, grads: Sequence[np.ndarray], lr: float = 1e-4,
               clip_norm: Optional[float] = None) -> int:
@@ -256,18 +253,17 @@ class ParameterStore:
             norm = global_norm(grads)
             if norm > clip_norm:
                 grads = [g * (clip_norm / norm) for g in grads]
-        with self._lock:
-            self.version += 1
-            t = self.version
-            bias1 = 1.0 - ADAM_BETA1 ** t
-            bias2 = 1.0 - ADAM_BETA2 ** t
-            for p, m, v, g in zip(self.params, self.m, self.v, grads):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g ** 2
-                p -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-            return self.version
+        self.version += 1
+        t = self.version
+        bias1 = 1.0 - ADAM_BETA1 ** t
+        bias2 = 1.0 - ADAM_BETA2 ** t
+        for p, m, v, g in zip(self.params, self.m, self.v, grads):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g ** 2
+            p -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        return self.version
 
     # ------------------------------------------------------------ checkpoints
 
@@ -283,9 +279,8 @@ class ParameterStore:
         arrays = {f"p{i}": p for i, p in enumerate(self.params)}
         arrays.update({f"m{i}": m for i, m in enumerate(self.m)})
         arrays.update({f"v{i}": v for i, v in enumerate(self.v)})
-        with self._lock:
-            with Path(path).open("wb") as fh:  # keep the exact path, no .npz suffixing
-                np.savez(fh, meta=json.dumps(meta), **arrays)
+        with Path(path).open("wb") as fh:  # keep the exact path, no .npz suffixing
+            np.savez(fh, meta=json.dumps(meta), **arrays)
 
     @classmethod
     def load(cls, path: str | Path) -> "ParameterStore":

@@ -4,7 +4,8 @@
 of the per-request lifecycle with the rule it stands for:
 
 * one heap holds every event. Each loaded arrival is pushed at load time, and
-  each retry is a heap entry dispatched through ``_on_retry``;
+  each retry is a heap entry dispatched through ``_on_retry``, which logs it
+  and then drops the request at the retry budget or attempts routing again;
 * routing scans the function's pods round-robin and tests phase and
   concurrency bound directly; it never reads ``open_pods``;
 * each lifecycle step goes through its own small helper:
@@ -13,9 +14,9 @@ of the per-request lifecycle with the rule it stands for:
 * chain ratios are recomputed from the request records when read;
 * ``busy_overlap`` sums over the whole busy log.
 
-Scaling (placement, scale-down, resizes, pod readiness, drops) has no fast
-path and is inherited. Run side by side with a ``ClusterEngine`` on the same
-inputs, every event, record and float must come out the same.
+Scaling (placement, scale-down, resizes, pod readiness) has no fast path and
+is inherited. Run side by side with a ``ClusterEngine`` on the same inputs,
+every event, record and float must come out the same.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ class ReferenceEngine(ClusterEngine):
             self._push(t, ReferenceEngine._on_arrival, app_id)
 
     def _push_retry(self, request_id: int) -> None:
-        self._push(self.clock + self.config.retry_interval, ClusterEngine._on_retry,
+        self._push(self.clock + self.config.retry_interval, ReferenceEngine._on_retry,
                    request_id)
 
     def advance(self, until: float) -> list[tuple]:
@@ -138,6 +139,20 @@ class ReferenceEngine(ClusterEngine):
         if self.config.exec_noise_sigma > 0:
             exec_time *= self._rng.lognormvariate(0.0, self.config.exec_noise_sigma)
         self._push(self.clock + exec_time, ReferenceEngine._on_finish, req.request_id)
+
+    def _on_retry(self, request_id: int) -> None:
+        req = self.requests[request_id]
+        self._log("retry", request_id)
+        if req.retries >= self.config.max_retries:
+            req.status = RequestStatus.DROPPED
+            self.queued_ids[req.function_id].discard(request_id)
+            self.dropped_total += 1
+            self.drop_times[req.function_id].append(self.clock)
+            self._log("drop", request_id)
+            return
+        req.retries += 1
+        if self.route_request(req) is None:
+            self._push_retry(request_id)
 
     def _on_finish(self, request_id: int) -> None:
         req = self.requests[request_id]

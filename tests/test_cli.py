@@ -308,6 +308,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert str(bad) in err and "not UTF-8" in err
 
+    @pytest.mark.parametrize("key, extra", [
+        ("beta_list", {"beta_list": 0.5}),
+        ("workload.bands", {"workload": {"duration": 30, "bands": "low"}}),
+        ("train.hidden", {"train": {"hidden": 16}}),
+        ("cluster", {"cluster": "t4g.large"}),
+    ])
+    def test_scalar_for_a_list_is_config_error(self, tmp_path, capsys, key, extra):
+        config = write_config(tmp_path, **extra)
+        assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
+        assert f"{key!r} must be a list" in capsys.readouterr().err
+
     def test_missing_traces_file_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "traces.txt"
         config = write_config(tmp_path, traces_file=str(missing))

@@ -197,6 +197,56 @@ class TestTieOrder:
                      (12.0, "retry", 0), (12.0, "drop", 0)]
         assert solo.event_log[6:] == expected
 
+    def test_reload_before_a_pending_arrival(self, solo):
+        # the second load's earliest arrival (2.5) comes before the first
+        # load's pending 3.0, and the third load ties with that 3.0
+        solo.apply_horizontal(0, 1)
+        solo.load_arrivals([(3.0, 0), (5.0, 0)])
+        solo.advance(2.0)
+        solo.load_arrivals([(4.0, 0), (2.5, 0)])
+        solo.advance(2.75)
+        solo.load_arrivals([(3.0, 0), (6.0, 0)])
+        solo.check_invariants()
+        solo.advance(12.0)
+        solo.check_invariants()
+        assert solo.event_log == [
+            (0.0, "pod_create", 0, 0),
+            (1.0, "pod_ready", 0),
+            (2.5, "arrival", 0, 0),
+            (2.5, "assign", 0, 0),
+            (3.0, "arrival", 1, 0),  # loaded first: dispatches first
+            (3.0, "queue", 1),
+            (3.0, "arrival", 2, 0),
+            (3.0, "queue", 2),
+            (3.5, "finish", 0),
+            (4.0, "arrival", 3, 0),  # loaded before the retries were pushed
+            (4.0, "assign", 3, 0),
+            (4.0, "retry", 1),
+            (4.0, "retry", 2),
+            (5.0, "arrival", 4, 0),  # before the finish pushed at 4.0
+            (5.0, "queue", 4),
+            (5.0, "finish", 3),
+            (5.0, "retry", 1),
+            (5.0, "assign", 1, 0),
+            (5.0, "retry", 2),
+            (6.0, "arrival", 5, 0),
+            (6.0, "queue", 5),
+            (6.0, "retry", 4),
+            (6.0, "finish", 1),
+            (6.0, "retry", 2),
+            (6.0, "assign", 2, 0),
+            (7.0, "retry", 5),
+            (7.0, "retry", 4),
+            (7.0, "finish", 2),
+            (8.0, "retry", 5),
+            (8.0, "assign", 5, 0),
+            (8.0, "retry", 4),
+            (9.0, "finish", 5),
+            (9.0, "retry", 4),
+            (9.0, "assign", 4, 0),
+            (10.0, "finish", 4),
+        ]
+
     def test_next_event_time_with_only_retries_pending(self, solo):
         solo.load_arrivals([(0.5, 0), (0.75, 0)])
         solo.advance(1.0)
@@ -322,7 +372,7 @@ class TestRetryDrop:
         eng.advance(0.0)
         req = eng.requests[0]
         req.retries = 10
-        assert eng.drop_if_exhausted(req) is True
+        eng.advance(1.0)  # the retry due at 1.0 finds the budget spent
         assert req.status is RequestStatus.DROPPED
 
         eng = make_engine([big_vm], [fast_profile], [single_app])
@@ -330,7 +380,8 @@ class TestRetryDrop:
         eng.advance(0.0)
         req = eng.requests[0]
         req.retries = 3
-        assert eng.drop_if_exhausted(req) is False
+        eng.advance(1.0)
+        assert req.status is RequestStatus.QUEUED
         assert req.retries == 4
 
 
