@@ -13,7 +13,7 @@ from .cluster import (Application, ClusterEngine, FunctionProfile, PodPhase,
                       VmSpec, VmState)
 from .env import EnvConfig, ScalingAction, ServerlessEnv, decode
 from .errors import ConfigError, FaasLabError, MetricsError, SimulationError
-from .metrics import EpisodeLedger, RewardBounds, objective, step_reward
+from .metrics import EpisodeLedger, RewardBounds, step_reward
 from .workload import TraceSeries, WorkloadSpec, load_traces, make_workload, synthesize
 
 __all__ = [
@@ -22,6 +22,6 @@ __all__ = [
     "RequestRecord", "RequestStatus", "SimConfig", "VmSpec", "VmState",
     "EnvConfig", "ScalingAction", "ServerlessEnv", "decode",
     "ConfigError", "FaasLabError", "MetricsError", "SimulationError",
-    "EpisodeLedger", "RewardBounds", "objective", "step_reward",
+    "EpisodeLedger", "RewardBounds", "step_reward",
     "TraceSeries", "WorkloadSpec", "load_traces", "make_workload", "synthesize",
 ]

@@ -111,7 +111,6 @@ class BaselineResult:
     policy: str
     summary: EpisodeMetrics
     channels: list[tuple[float, float, float]]
-    replica_log: list[tuple[float, int, int]]  # (tick time, function, replicas)
     engine: ClusterEngine
 
 
@@ -124,7 +123,6 @@ def run_baseline(
     sim_config: SimConfig = SimConfig(),
     policy_config: Optional[BaselinePolicyConfig] = None,
     collect_channels: bool = False,
-    record_replicas: bool = False,
     log_events: bool = False,
 ) -> BaselineResult:
     """One full episode under a rule-based scaler.
@@ -140,17 +138,14 @@ def run_baseline(
     env.start_episode(workload)
     engine = env.engine
     channels: list[tuple[float, float, float]] = []
-    replica_log: list[tuple[float, int, int]] = []
     for step in range(env.total_steps):
         t0 = step * env_config.decision_interval
         snap = engine.snapshot(None, window=env_config.observe_delay)
         for fn in engine.deployed_fns:
             desired = decide(policy, snap.functions[fn], cfg, sim_config.max_replicas)
             engine.apply_horizontal(fn, desired - snap.functions[fn].replicas)
-            if record_replicas:
-                replica_log.append((t0, fn, engine.pod_count(fn)))
         window = env.run_window(t0, collect_channels)
         if collect_channels:
             channels.append(window)
     return BaselineResult(policy=policy, summary=env.ledger.summary(), channels=channels,
-                          replica_log=replica_log, engine=engine)
+                          engine=engine)

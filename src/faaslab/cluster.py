@@ -93,13 +93,13 @@ class VmSpec:
 class VmState:
     """Mutable per-VM bookkeeping.
 
-    ``active_seconds`` accumulates wall time during which the VM is "active";
-    by default that is time with at least one in-flight request, optionally
-    (``active_time_mode="pods"``) time hosting at least one pod. Closed busy
-    intervals are kept in ``busy_log`` for interval cost queries. They are
-    disjoint and appended in time order, so both their starts and their ends
-    ascend, and ``busy_overlap`` bisects to the first interval that can
-    overlap a window instead of scanning the whole log.
+    ``busy_log`` is the only record of when the VM was "active": by default
+    while it has at least one in-flight request, optionally
+    (``active_time_mode="pods"``) while it hosts at least one pod. It holds
+    the closed busy intervals; ``busy_since`` starts the open one. The
+    intervals are disjoint and appended in time order, so both their starts
+    and their ends ascend, and ``busy_overlap`` bisects to the first interval
+    that can overlap a window instead of scanning the whole log.
     """
 
     spec: VmSpec
@@ -109,13 +109,8 @@ class VmState:
     mem_used: float = 0.0
     pods: set[int] = field(default_factory=set)
     inflight: int = 0
-    active_seconds: float = 0.0
     busy_since: Optional[float] = None
     busy_log: list[tuple[float, float]] = field(default_factory=list)
-
-    def active_seconds_until(self, now: float) -> float:
-        open_part = (now - self.busy_since) if self.busy_since is not None else 0.0
-        return self.active_seconds + open_part
 
     def busy_overlap(self, t0: float, t1: float) -> float:
         """Total busy time inside [t0, t1]; the open interval counts to t1.
@@ -285,7 +280,6 @@ class FunctionSnapshot:
     avg_pod_cpu_util: float
     avg_pod_mem_util: float
     replicas: int
-    ready_replicas: int
     running_requests: int
     queued_requests: int
     standard_response_time: float
@@ -609,7 +603,6 @@ class ClusterEngine:
         if not vm.inflight and not self._pods_mode:
             # The last request left: close the busy interval. In "pods" mode
             # the pod is still on the VM, so the VM stays active.
-            vm.active_seconds += now - vm.busy_since
             vm.busy_log.append((vm.busy_since, now))
             vm.busy_since = None
         self.completed_total += 1
@@ -647,7 +640,6 @@ class ClusterEngine:
         if active and vm.busy_since is None:
             vm.busy_since = self.clock
         elif not active and vm.busy_since is not None:
-            vm.active_seconds += self.clock - vm.busy_since
             vm.busy_log.append((vm.busy_since, self.clock))
             vm.busy_since = None
 
@@ -837,12 +829,22 @@ class ClusterEngine:
     def window_drops(self, fn: int, t0: float, t1: float) -> int:
         return _count_in_window(self.drop_times[fn], t0, t1)
 
-    def window_completions(self, fn: int, t0: float, t1: float) -> list[float]:
-        """Response-time ratios of requests completed inside (t0, t1]."""
+    def window_rfrt(self, fn: int, t0: float, t1: float) -> float:
+        """Mean response-time ratio of fn requests completed in (t0, t1].
+
+        An empty window reports the neutral ratio 1.0, so idle functions
+        neither reward nor punish a scaling policy.
+        """
         entries = self.completions[fn]
-        lo = bisect.bisect_right(entries, t0, key=lambda e: e[0])
-        hi = bisect.bisect_right(entries, t1, key=lambda e: e[0])
-        return [ratio for _, ratio in entries[lo:hi]]
+        lo = bisect.bisect_right(entries, t0, key=itemgetter(0))
+        hi = bisect.bisect_right(entries, t1, key=itemgetter(0))
+        ratios = [ratio for _, ratio in entries[lo:hi]]
+        return sum(ratios) / len(ratios) if ratios else 1.0
+
+    def window_rfr(self, fn: int, t0: float, t1: float) -> float:
+        """Drops in (t0, t1] over arrivals in (t0, t1]; 0.0 with no arrivals."""
+        arrived = self.window_arrivals(fn, t0, t1)
+        return self.window_drops(fn, t0, t1) / arrived if arrived else 0.0
 
     def snapshot(self, target_fn: Optional[int], window: float) -> ClusterSnapshot:
         now = self.clock
@@ -867,9 +869,6 @@ class ClusterEngine:
         fns = {}
         for fn in self.deployed_fns:
             live = self._live_pods(fn)
-            arrived = self.window_arrivals(fn, t0, now)
-            ratios = self.window_completions(fn, t0, now)
-            drops = self.window_drops(fn, t0, now)
             cpu_size, mem_size = self.pod_size[fn]
             profile = self.profiles[fn]
             fns[fn] = FunctionSnapshot(
@@ -878,13 +877,13 @@ class ClusterEngine:
                 pod_mem=mem_size,
                 req_cpu=profile.req_cpu,
                 req_mem=profile.req_mem,
-                arrival_rate=arrived / window if window > 0 else 0.0,
-                rfrt=sum(ratios) / len(ratios) if ratios else 1.0,
-                rfr=drops / arrived if arrived else 0.0,
+                arrival_rate=(self.window_arrivals(fn, t0, now) / window
+                              if window > 0 else 0.0),
+                rfrt=self.window_rfrt(fn, t0, now),
+                rfr=self.window_rfr(fn, t0, now),
                 avg_pod_cpu_util=sum(p.cpu_util for p in live) / len(live) if live else 0.0,
                 avg_pod_mem_util=sum(p.mem_util for p in live) / len(live) if live else 0.0,
                 replicas=len(live),
-                ready_replicas=sum(1 for p in live if p.phase is PodPhase.READY),
                 running_requests=sum(len(p.in_flight) for p in live),
                 queued_requests=len(self.queued_ids[fn]),
                 standard_response_time=profile.standard_response_time,

@@ -262,6 +262,10 @@ def load_experiment(path: Optional[str | Path] = None,
                 isinstance(a, dict) for a in applications):
             raise ConfigError("profiles_file requires explicit applications: "
                               "[{app_id, functions}]")
+        for a in applications:
+            for key in ("app_id", "functions"):
+                if key not in a:
+                    raise ConfigError(f"applications entry {a} is missing key {key!r}")
         apps = [Application(app_id=a["app_id"],
                             function_sequence=tuple(_listed(a["functions"],
                                                             "applications.functions")))
@@ -282,8 +286,7 @@ def load_experiment(path: Optional[str | Path] = None,
     else:
         corpus = synthetic_traces()
 
-    env = _build(EnvConfig, {"episode_duration": float(_section(data, "workload").get(
-        "duration", 60)), **_section(data, "env")}, "env")
+    env = _build(EnvConfig, _section(data, "env"), "env")
     sim = _build(SimConfig, _section(data, "sim"), "sim")
     train = _build(TrainConfig, {k: tuple(_listed(v, "train.hidden")) if k == "hidden" else v
                                  for k, v in _section(data, "train").items()}, "train")
@@ -295,13 +298,9 @@ def load_experiment(path: Optional[str | Path] = None,
         kube_cpu=_build(KubeCpuConfig, _section(b, "kube_cpu"), "baselines.kube_cpu"),
         openfaas=_build(OpenFaasConfig, _section(b, "openfaas"), "baselines.openfaas"),
     )
-    wl_data = _section(data, "workload")
-    wl_data.pop("duration", None)
     workload = _build(WorkloadSettings, {
-        "duration": env.episode_duration,
-        **{k: tuple(_listed(v, "workload.bands")) if k == "bands" else v
-           for k, v in wl_data.items()},
-    }, "workload")
+        k: tuple(_listed(v, "workload.bands")) if k == "bands" else v
+        for k, v in _section(data, "workload").items()}, "workload")
 
     beta_list = _listed(data.get("beta_list", [0.0, 0.25, 0.5, 0.75, 1.0]), "beta_list")
     if not all(isinstance(x, (int, float)) and 0 <= x <= 1 for x in beta_list):

@@ -74,7 +74,6 @@ def decode(action: ScalingAction) -> DecodedAction:
 class EnvConfig:
     decision_interval: float = 10.0
     observe_delay: float = 10.0
-    episode_duration: float = 300.0
     beta: float = 1.0
     target_mode: str = "random"  # "random" (training) | "highest_rfrt" (evaluation)
     rfrt_cap: float = 20.0       # state normalizer for the response-time ratio
@@ -87,17 +86,10 @@ class EnvConfig:
             raise ConfigError("intervals must be positive")
         if self.observe_delay > self.decision_interval + 1e-9:
             raise ConfigError("observe_delay must not exceed decision_interval")
-        steps = self.episode_duration / self.decision_interval
-        if abs(steps - round(steps)) > 1e-9 or steps < 1:
-            raise ConfigError("episode_duration must be a multiple of decision_interval")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         if self.target_mode not in ("random", "highest_rfrt"):
             raise ConfigError(f"unknown target mode {self.target_mode!r}")
-
-    @property
-    def steps_per_episode(self) -> int:
-        return int(round(self.episode_duration / self.decision_interval))
 
 
 FEATURES_PER_VM = 7
@@ -169,7 +161,7 @@ class ServerlessEnv:
         else:
             now = self.engine.clock
             t0 = now - self.config.observe_delay
-            scored = sorted(((-self.ledger.window_rfrt(fn, t0, now), fn) for fn in fns))
+            scored = sorted(((-self.engine.window_rfrt(fn, t0, now), fn) for fn in fns))
             self.target_fn = scored[0][1]
 
     # ------------------------------------------------------------------- step

@@ -1,5 +1,9 @@
 """Episode and window metrics: response-time ratios, failure rates, VM cost,
-reward shaping, and calibration bounds for reward normalization."""
+reward shaping, and calibration bounds for reward normalization.
+
+The per-window RFRT and RFR formulas are ``ClusterEngine.window_rfrt`` and
+``window_rfr``; VM cost is the integral of each VM's busy log
+(``VmState.busy_overlap``), over a window or over the whole episode."""
 from __future__ import annotations
 
 import math
@@ -90,31 +94,17 @@ class EpisodeLedger:
 
     # ----------------------------------------------------------- window views
 
-    def window_rfrt(self, fn: int, t0: float, t1: float) -> float:
-        """Mean response-time ratio of fn requests completed in (t0, t1].
-
-        An empty window reports the neutral ratio 1.0, so idle functions
-        neither reward nor punish a scaling policy.
-        """
-        ratios = self.engine.window_completions(fn, t0, t1)
-        return sum(ratios) / len(ratios) if ratios else 1.0
-
-    def window_rfr(self, fn: int, t0: float, t1: float) -> float:
-        """Drops during the window over arrivals during the window (0 if none)."""
-        arrived = self.engine.window_arrivals(fn, t0, t1)
-        if arrived == 0:
-            return 0.0
-        return self.engine.window_drops(fn, t0, t1) / arrived
-
     def window_cost(self, t0: float, t1: float) -> float:
+        """VM cost of the busy time inside [t0, t1], summed over VMs."""
         return sum(vm.spec.unit_price * vm.busy_overlap(t0, t1) / 3600.0
                    for vm in self.engine.vms.values())
 
     def window_channels(self, t0: float, t1: float) -> tuple[float, float, float]:
         """(mean RFRT, mean RFR, cost) over all deployed functions in (t0, t1]."""
-        fns = self.engine.deployed_fns
-        rfrt = sum(self.window_rfrt(fn, t0, t1) for fn in fns) / len(fns)
-        rfr = sum(self.window_rfr(fn, t0, t1) for fn in fns) / len(fns)
+        engine = self.engine
+        fns = engine.deployed_fns
+        rfrt = sum(engine.window_rfrt(fn, t0, t1) for fn in fns) / len(fns)
+        rfr = sum(engine.window_rfr(fn, t0, t1) for fn in fns) / len(fns)
         return rfrt, rfr, self.window_cost(t0, t1)
 
     # ---------------------------------------------------------- episode views
@@ -152,26 +142,22 @@ class EpisodeLedger:
         return sum(ratios) / len(ratios) if ratios else 1.0
 
     def episode_cost(self) -> float:
-        now = self.engine.clock
-        return sum(vm.spec.unit_price * vm.active_seconds_until(now) / 3600.0
-                   for vm in self.engine.vms.values())
+        """VM cost from time 0 to the clock: the integral of the busy log."""
+        return self.window_cost(0.0, self.engine.clock)
 
-    def summary(self, beta: float | None = None) -> "EpisodeMetrics":
+    def summary(self) -> "EpisodeMetrics":
         try:
             rart = self.episode_rart()
         except MetricsError:
             rart = math.nan
-        rfr = self.episode_rfr()
-        cost = self.episode_cost()
         return EpisodeMetrics(
             rart=rart,
-            rfr=rfr,
-            cost=cost,
+            rfr=self.episode_rfr(),
+            cost=self.episode_cost(),
             rfrt=self.episode_rfrt(),
             completed=self.engine.completed_total,
             dropped=self.engine.dropped_total,
             total=len(self.engine.requests),
-            objective=objective(rart, rfr, cost, beta) if beta is not None else math.nan,
         )
 
 
@@ -184,7 +170,6 @@ class EpisodeMetrics:
     completed: int
     dropped: int
     total: int
-    objective: float
 
 
 def step_reward(channels: tuple[float, float, float], bounds: RewardBounds | None,
@@ -203,8 +188,3 @@ def step_reward(channels: tuple[float, float, float], bounds: RewardBounds | Non
     r1 = 0.5 * (bounds.rfrt.normalize(rfrt) + bounds.rfr.normalize(rfr))
     r2 = bounds.cost.normalize(cost)
     return -(beta * r1 + (1.0 - beta) * r2)
-
-
-def objective(rart: float, rfr: float, cost: float, beta: float) -> float:
-    """Episode-level blended objective: beta*(RART + RFR) + (1-beta)*cost."""
-    return beta * (rart + rfr) + (1.0 - beta) * cost

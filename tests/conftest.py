@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from faaslab.cluster import Application, FunctionProfile, VmSpec
+from faaslab.cluster import Application, ClusterEngine, FunctionProfile, VmSpec
 
 # HYPOTHESIS_PROFILE=ci runs property tests that do not fix their own example
 # count (the differential engine test) with five times the default.
@@ -37,3 +37,18 @@ def fast_profile():
 @pytest.fixture
 def single_app():
     return Application(app_id=0, function_sequence=(0,))
+
+
+@pytest.fixture
+def replica_log(monkeypatch):
+    """(clock, function, live pods) after every ``ClusterEngine.apply_horizontal``."""
+    log = []
+    apply_horizontal = ClusterEngine.apply_horizontal
+
+    def recording(engine, fn, delta):
+        affected = apply_horizontal(engine, fn, delta)
+        log.append((engine.clock, fn, engine.pod_count(fn)))
+        return affected
+
+    monkeypatch.setattr(ClusterEngine, "apply_horizontal", recording)
+    return log

@@ -190,7 +190,6 @@ class ReferenceEngine(ClusterEngine):
         if active and vm.busy_since is None:
             vm.busy_since = self.clock
         elif not active and vm.busy_since is not None:
-            vm.active_seconds += self.clock - vm.busy_since
             vm.busy_log.append((vm.busy_since, self.clock))
             vm.busy_since = None
 

@@ -259,7 +259,7 @@ def test_c04_metric_identities_against_brute_force():
         for seed in (1, 2, 3):
             wl = make_workload(apps, corpus, EVAL_BANDS["mid"], 60, 7000 + seed)
             res = run_baseline(policy, DESK_VMS, profiles, wl,
-                               EnvConfig(episode_duration=60.0))
+                               EnvConfig())
             ledger = EpisodeLedger(res.engine)
             assert abs(ledger.episode_rfr() - brute_rfr(res.engine)) <= 1e-9
             assert abs(ledger.episode_rfrt() - brute_rfrt(res.engine)) <= 1e-9
@@ -350,7 +350,7 @@ def test_c06_reward_bounds_and_channel_separation():
                                   rfr=ChannelBounds(0.01, 0.99), cost=base.cost)
 
     def rollout(beta, bounds):
-        cfg = EnvConfig(episode_duration=60.0, beta=beta)
+        cfg = EnvConfig(beta=beta)
         env = ServerlessEnv(DESK_VMS, profiles, cfg, bounds=bounds, seed=4)
         env.reset(wl, seed=4)
         rng = np.random.default_rng(9)
@@ -380,8 +380,7 @@ def test_c07_learning_smoke_test():
     profiles, apps = select_apps(["primary"])
     wl = WorkloadSpec(duration=60, applications=tuple(apps),
                       entry_traces={0: TraceSeries("c10", (10,) * 60)})
-    env_cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0,
-                        episode_duration=60.0, beta=1.0)
+    env_cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0, beta=1.0)
     res = run_baseline("kube_cpu", DESK_VMS, profiles, wl, env_cfg,
                        collect_channels=True)
     bounds = derive_bounds(res.channels)
@@ -411,8 +410,7 @@ def test_c08_beta_ordering_reproduction(tmp_path):
     profiles, apps = select_apps(["primary", "thumbnail", "load"])
     assert len(profiles) == 4
     corpus = synthetic_traces()
-    env_cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0,
-                        episode_duration=60.0)
+    env_cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0)
     samples = []
     for b_idx, band in enumerate(sorted(EVAL_BANDS)):
         for i in range(6):
@@ -453,46 +451,42 @@ def test_c08_beta_ordering_reproduction(tmp_path):
 
 # ---------------------------------------------------------------- criterion 9
 
-def test_c09_baseline_trajectories_match_formulas():
+def test_c09_baseline_trajectories_match_formulas(replica_log):
     """Replica trajectories under a scripted load match hand computation."""
     app = Application(app_id=0, function_sequence=(0,))
 
     def run(policy, profile, rate):
+        """The episode's engine and its replica count per decision tick."""
         wl = WorkloadSpec(duration=30, applications=(app,),
                           entry_traces={0: TraceSeries(f"r{rate}", (rate,) * 30)})
         vm = VmSpec(vm_id=0, cpu_capacity=8.0, mem_capacity=32768.0, unit_price=0.3)
-        return run_baseline(policy, [vm], {0: profile}, wl,
-                            EnvConfig(episode_duration=30.0),
-                            record_replicas=True, log_events=True)
+        replica_log.clear()
+        res = run_baseline(policy, [vm], {0: profile}, wl, EnvConfig(), log_events=True)
+        return res.engine, [c for _, _, c in replica_log]
 
     # light load: 2 req/s, 0.25 s executions, pods hold 4 concurrent requests
     light = scripted_profile(standard_response_time=0.25)
     # t=0: no pods + queued arrival -> proxy utilization 1.0 -> ceil(1/0.5) = 2
     # t=10, 20: one in-flight request over two (then one) 1-vCPU pods
-    res = run("kube_cpu", light, rate=2)
-    assert [c for _, _, c in res.replica_log] == [2, 1, 1]
+    assert run("kube_cpu", light, rate=2)[1] == [2, 1, 1]
     # knative: outstanding work is one request at every tick -> ceil(1/3) = 1
-    res = run("knative", light, rate=2)
-    assert [c for _, _, c in res.replica_log] == [1, 1, 1]
+    assert run("knative", light, rate=2)[1] == [1, 1, 1]
     # openfaas falls through to the cpu mode at 2 req/s and 0.25 s runtime
-    res = run("openfaas", light, rate=2)
-    assert [c for _, _, c in res.replica_log] == [2, 1, 1]
+    assert run("openfaas", light, rate=2)[1] == [2, 1, 1]
 
     # slow functions (3 s > 2 s cutoff) use capacity mode: ceil(in-flight/4)
     slow = scripted_profile(standard_response_time=3.0)
-    res = run("openfaas", slow, rate=1)
-    assert [c for _, _, c in res.replica_log] == [1, 1, 1]
+    assert run("openfaas", slow, rate=1)[1] == [1, 1, 1]
 
     # fast heavy load (32 req/s > 20) uses rps mode: ceil(32/8) = 4
     fast = scripted_profile(standard_response_time=0.5)
-    res = run("openfaas", fast, rate=32)
-    assert [c for _, _, c in res.replica_log] == [2, 4, 4]
+    assert run("openfaas", fast, rate=32)[1] == [2, 4, 4]
 
     # bit-exact determinism across reruns
-    a = run("kube_cpu", light, rate=2)
-    b = run("kube_cpu", light, rate=2)
-    assert a.engine.event_log and a.engine.event_log == b.engine.event_log
-    assert a.replica_log == b.replica_log
+    (a, a_replicas), (b, b_replicas) = (run("kube_cpu", light, rate=2)
+                                        for _ in range(2))
+    assert a.event_log and a.event_log == b.event_log
+    assert a_replicas == b_replicas
     _report(9, "baseline trajectory hand-check")
 
 

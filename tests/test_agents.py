@@ -31,8 +31,7 @@ def tiny_workload(rate=2, duration=30):
 
 
 def tiny_env(desk_vms, seed=0, beta=1.0):
-    cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0,
-                    episode_duration=30.0, beta=beta)
+    cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0, beta=beta)
     return ServerlessEnv(desk_vms, {0: tiny_profile()}, cfg, bounds=BOUNDS,
                          seed=seed)
 
@@ -218,7 +217,7 @@ class TestEvaluate:
     def test_baseline_deterministic_and_no_checkpoint_needed(self, desk_vms):
         sets = {"mid": [tiny_workload(rate=6)]}
         kwargs = dict(vms=desk_vms, profiles={0: tiny_profile()},
-                      env_config=EnvConfig(episode_duration=30.0))
+                      env_config=EnvConfig())
         a = evaluate_targets(["kube_cpu"], sets, **kwargs)
         b = evaluate_targets(["kube_cpu"], sets, **kwargs)
         assert a == b
@@ -241,7 +240,7 @@ class TestEvaluate:
         result.actor.save(path)
         loaded = ParameterStore.load(path)
         args = (desk_vms, {0: tiny_profile()}, tiny_workload(rate=4),
-                EnvConfig(episode_duration=30.0))
+                EnvConfig())
         from faaslab.cluster import SimConfig
         live = _greedy_episode(result.actor, *args, SimConfig())
         disk = _greedy_episode(loaded, *args, SimConfig())
@@ -249,16 +248,16 @@ class TestEvaluate:
 
         sets = {"mid": [tiny_workload(rate=4)]}
         rows = evaluate_targets([str(path)], sets, desk_vms, {0: tiny_profile()},
-                                EnvConfig(episode_duration=30.0), bounds=BOUNDS)
+                                EnvConfig(), bounds=BOUNDS)
         rows2 = evaluate_targets([str(path)], sets, desk_vms, {0: tiny_profile()},
-                                 EnvConfig(episode_duration=30.0), bounds=BOUNDS)
+                                 EnvConfig(), bounds=BOUNDS)
         assert rows == rows2
 
     def test_rows_merge_by_target_band_index(self, desk_vms):
         sets = {"mid": [tiny_workload(rate=4), tiny_workload(rate=6)],
                 "low": [tiny_workload(rate=2)]}
         kwargs = dict(vms=desk_vms, profiles={0: tiny_profile()},
-                      env_config=EnvConfig(episode_duration=30.0))
+                      env_config=EnvConfig())
         forward = evaluate_targets(["openfaas", "knative"], sets, **kwargs)
         backward = evaluate_targets(["knative", "openfaas"], sets, **kwargs)
         assert forward == backward

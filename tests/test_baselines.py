@@ -17,7 +17,7 @@ def snap(**kw):
     defaults = dict(function_id=0, pod_cpu=1.0, pod_mem=1024.0, req_cpu=0.25,
                     req_mem=256.0, arrival_rate=0.0, rfrt=1.0, rfr=0.0,
                     avg_pod_cpu_util=0.0, avg_pod_mem_util=0.0, replicas=0,
-                    ready_replicas=0, running_requests=0, queued_requests=0,
+                    running_requests=0, queued_requests=0,
                     standard_response_time=1.0)
     defaults.update(kw)
     return FunctionSnapshot(**defaults)
@@ -90,26 +90,26 @@ class TestRunBaseline:
     def test_zero_traffic_costs_nothing(self, desk_vms, profile):
         res = run_baseline("knative", desk_vms, {0: profile},
                            one_fn_workload(rate=0),
-                           EnvConfig(episode_duration=30.0))
+                           EnvConfig())
         assert res.summary.cost == 0.0
         assert res.summary.total == 0
 
-    def test_rerun_bit_identical(self, desk_vms, profile):
+    def test_rerun_bit_identical(self, desk_vms, profile, replica_log):
         def run(policy):
+            replica_log.clear()
             res = run_baseline(policy, desk_vms, {0: profile},
                                one_fn_workload(rate=4),
-                               EnvConfig(episode_duration=30.0),
-                               collect_channels=True, record_replicas=True,
-                               log_events=True)
+                               EnvConfig(),
+                               collect_channels=True, log_events=True)
             assert res.engine.event_log
-            return (res.engine.event_log, res.channels, res.replica_log,
+            return (res.engine.event_log, res.channels, list(replica_log),
                     res.summary)
 
         for policy in ("knative", "kube_cpu", "openfaas"):
             assert run(policy) == run(policy)
 
     @pytest.mark.parametrize("policy", BASELINES)
-    def test_event_log_is_a_pure_sink(self, desk_vms, policy):
+    def test_event_log_is_a_pure_sink(self, desk_vms, policy, replica_log):
         """Turning the event log off changes no result, only the log itself."""
         profiles = {fn: FunctionProfile(function_id=fn, req_cpu=0.25, req_mem=256.0,
                                         standard_response_time=r0,
@@ -123,30 +123,31 @@ class TestRunBaseline:
                                         1: TraceSeries("b", (6,) * 30)})
 
         def run(log_events):
-            return run_baseline(policy, desk_vms, profiles, wl,
-                                EnvConfig(episode_duration=30.0),
-                                SimConfig(exec_noise_sigma=0.3, seed=4),
-                                collect_channels=True, record_replicas=True,
-                                log_events=log_events)
+            replica_log.clear()
+            res = run_baseline(policy, desk_vms, profiles, wl,
+                               EnvConfig(),
+                               SimConfig(exec_noise_sigma=0.3, seed=4),
+                               collect_channels=True, log_events=log_events)
+            return res, list(replica_log)
 
-        logged, silent = run(True), run(False)
+        (logged, logged_replicas), (silent, silent_replicas) = run(True), run(False)
         assert logged.engine.event_log and silent.engine.event_log == []
         assert logged.summary == silent.summary
         assert logged.channels == silent.channels
-        assert logged.replica_log == silent.replica_log
+        assert logged_replicas == silent_replicas
         assert logged.engine.requests == silent.engine.requests
         assert logged.summary.dropped > 0 and logged.summary.completed > 0
 
     def test_never_resizes_pods(self, desk_vms, profile):
         res = run_baseline("kube_cpu", desk_vms, {0: profile},
                            one_fn_workload(rate=6),
-                           EnvConfig(episode_duration=30.0))
+                           EnvConfig())
         assert res.engine.pod_size[0] == (profile.initial_pod_cpu,
                                           profile.initial_pod_mem)
         for pod in res.engine.pods.values():
             assert pod.cpu_limit == profile.initial_pod_cpu
 
-    def test_scales_every_deployed_function(self, desk_vms):
+    def test_scales_every_deployed_function(self, desk_vms, replica_log):
         profiles = {i: FunctionProfile(function_id=i, req_cpu=0.1, req_mem=128.0,
                                        standard_response_time=0.5,
                                        cold_start_seconds=2.0,
@@ -157,14 +158,13 @@ class TestRunBaseline:
         wl = WorkloadSpec(duration=30, applications=apps,
                           entry_traces={0: TraceSeries("a", (3,) * 30),
                                         1: TraceSeries("b", (3,) * 30)})
-        res = run_baseline("kube_cpu", desk_vms, profiles, wl,
-                           EnvConfig(episode_duration=30.0), record_replicas=True)
-        ticks = {(t, fn) for t, fn, _ in res.replica_log}
+        run_baseline("kube_cpu", desk_vms, profiles, wl, EnvConfig())
+        ticks = {(t, fn) for t, fn, _ in replica_log}
         assert ticks == {(t, fn) for t in (0.0, 10.0, 20.0) for fn in (0, 1)}
 
-    def test_replica_counts_within_bounds(self, desk_vms, profile):
-        res = run_baseline("openfaas", desk_vms, {0: profile},
-                           one_fn_workload(rate=8),
-                           EnvConfig(episode_duration=30.0), record_replicas=True)
-        for _, _, count in res.replica_log:
+    def test_replica_counts_within_bounds(self, desk_vms, profile, replica_log):
+        run_baseline("openfaas", desk_vms, {0: profile},
+                     one_fn_workload(rate=8), EnvConfig())
+        assert replica_log
+        for _, _, count in replica_log:
             assert 0 <= count <= 80

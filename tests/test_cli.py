@@ -319,6 +319,25 @@ class TestErrors:
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
         assert f"{key!r} must be a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, key", [({"functions": [0]}, "app_id"),
+                                            ({"app_id": 0}, "functions")])
+    def test_application_entry_without_a_key_is_config_error(self, tmp_path, capsys,
+                                                             entry, key):
+        profiles = tmp_path / "profiles.yaml"
+        profiles.write_text(yaml.safe_dump([{
+            "function_id": 0, "req_cpu": 0.25, "req_mem": 256.0,
+            "standard_response_time": 1.0, "cold_start_seconds": 2.0,
+            "initial_pod_cpu": 1.0, "initial_pod_mem": 1024.0}]))
+        config = write_config(tmp_path, profiles_file=str(profiles), applications=[entry])
+        assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
+        assert f"missing key {key!r}" in capsys.readouterr().err
+
+    def test_duration_not_a_multiple_of_decision_interval(self, tmp_path, capsys):
+        config = write_config(tmp_path, env={"decision_interval": 10},
+                              workload={"duration": 35, "calibration_per_band": 1})
+        assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
+        assert "decision_interval" in capsys.readouterr().err
+
     def test_missing_traces_file_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "traces.txt"
         config = write_config(tmp_path, traces_file=str(missing))

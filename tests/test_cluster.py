@@ -601,8 +601,8 @@ class TestInvariantsAndDeterminism:
         b = self._scripted_run(desk_vms, [fast_profile], [single_app])
         assert a.event_log == b.event_log
         assert a.request_counts() == b.request_counts()
-        assert [vm.active_seconds for vm in a.vms.values()] == \
-               [vm.active_seconds for vm in b.vms.values()]
+        assert [(vm.busy_log, vm.busy_since) for vm in a.vms.values()] == \
+               [(vm.busy_log, vm.busy_since) for vm in b.vms.values()]
 
     def test_accounting_holds_throughout(self, desk_vms, fast_profile, single_app):
         eng = make_engine(desk_vms, [fast_profile], [single_app])
@@ -628,10 +628,10 @@ class TestInvariantsAndDeterminism:
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 1)
         eng.advance(5.0)  # idle pod: no active time
-        assert eng.vms[0].active_seconds_until(5.0) == 0.0
+        assert eng.vms[0].busy_overlap(0.0, 5.0) == 0.0
         eng.load_arrivals([(5.0, 0)])
         eng.advance(10.0)
-        assert eng.vms[0].active_seconds_until(10.0) == pytest.approx(1.0)
+        assert eng.vms[0].busy_overlap(0.0, 10.0) == pytest.approx(1.0)
 
     def test_pods_mode_counts_hosting_time(self, big_vm, fast_profile, single_app):
         # alternative activity reading: a VM is active while it hosts any pod
@@ -639,10 +639,10 @@ class TestInvariantsAndDeterminism:
                           active_time_mode="pods")
         eng.apply_horizontal(0, 1)
         eng.advance(5.0)  # no traffic at all
-        assert eng.vms[0].active_seconds_until(5.0) == pytest.approx(5.0)
+        assert eng.vms[0].busy_overlap(0.0, 5.0) == pytest.approx(5.0)
         eng.apply_horizontal(0, -1)
         eng.advance(9.0)
-        assert eng.vms[0].active_seconds_until(9.0) == pytest.approx(5.0)
+        assert eng.vms[0].busy_overlap(0.0, 9.0) == pytest.approx(5.0)
 
     def test_execution_noise_flag(self, big_vm, fast_profile, single_app):
         def response(sigma, seed):

@@ -57,7 +57,7 @@ operations = st.one_of(
 
 def vm_state(vm):
     return (vm.cpu_allocated, vm.mem_allocated, vm.cpu_used, vm.mem_used, vm.pods,
-            vm.inflight, vm.active_seconds, vm.busy_since, vm.busy_log)
+            vm.inflight, vm.busy_since, vm.busy_log)
 
 
 def agree(what, fast_value, ref_value):

@@ -29,8 +29,7 @@ def env_pair(desk_vms):
                               standard_response_time=1.0, cold_start_seconds=2.0,
                               initial_pod_cpu=0.5, initial_pod_mem=1024.0)
     app = Application(app_id=0, function_sequence=(0,))
-    cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0,
-                    episode_duration=30.0, beta=1.0)
+    cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0, beta=1.0)
     env = ServerlessEnv(desk_vms, {0: profile}, cfg, bounds=BOUNDS, seed=1)
     return env, constant_workload([app], rate=2, duration=30)
 
@@ -66,16 +65,19 @@ class TestDecode:
 
 
 class TestEnvConfig:
-    def test_duration_must_divide(self):
-        with pytest.raises(ConfigError):
-            EnvConfig(decision_interval=10.0, episode_duration=35.0)
+    def test_duration_must_divide(self, desk_vms, fast_profile, single_app):
+        env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig(decision_interval=10.0))
+        with pytest.raises(ConfigError, match="decision_interval"):
+            env.start_episode(constant_workload([single_app], rate=0, duration=35))
 
     def test_observe_within_interval(self):
         with pytest.raises(ConfigError):
             EnvConfig(decision_interval=10.0, observe_delay=11.0)
 
-    def test_steps_per_episode(self):
-        assert EnvConfig(episode_duration=300.0).steps_per_episode == 30
+    def test_steps_per_episode(self, desk_vms, fast_profile, single_app):
+        env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig())
+        env.start_episode(constant_workload([single_app], rate=0, duration=300))
+        assert env.total_steps == 30
 
 
 class TestReset:
@@ -102,14 +104,14 @@ class TestReset:
                     for i in (2, 7)}
         apps = [Application(app_id=0, function_sequence=(2,)),
                 Application(app_id=1, function_sequence=(7,))]
-        cfg = EnvConfig(episode_duration=30.0, target_mode="highest_rfrt")
+        cfg = EnvConfig(target_mode="highest_rfrt")
         env = ServerlessEnv(desk_vms, profiles, cfg, bounds=BOUNDS)
         env.reset(constant_workload(apps, rate=1, duration=30))
         assert env.target_fn == 2
 
     def test_workload_function_without_profile_rejected(self, desk_vms, fast_profile):
         app = Application(app_id=0, function_sequence=(0, 3))
-        env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig(episode_duration=30.0),
+        env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig(),
                             bounds=BOUNDS)
         with pytest.raises(ConfigError):
             env.reset(constant_workload([app], rate=1, duration=30))
@@ -184,7 +186,7 @@ class TestStep:
 
     def test_reward_requires_calibration(self, desk_vms, fast_profile, single_app):
         env = ServerlessEnv(desk_vms, {0: fast_profile},
-                            EnvConfig(episode_duration=30.0), bounds=None)
+                            EnvConfig(), bounds=None)
         env.reset(constant_workload([single_app], rate=1, duration=30))
         with pytest.raises(Exception, match="calibrate"):
             env.step(ScalingAction(5, 5, 5))
