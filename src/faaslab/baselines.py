@@ -140,10 +140,11 @@ def run_baseline(
     channels: list[tuple[float, float, float]] = []
     for step in range(env.total_steps):
         t0 = step * env_config.decision_interval
-        snap = engine.snapshot(None, window=env_config.observe_delay)
-        for fn in engine.deployed_fns:
-            desired = decide(policy, snap.functions[fn], cfg, sim_config.max_replicas)
-            engine.apply_horizontal(fn, desired - snap.functions[fn].replicas)
+        # Every function is judged on the cluster as it stood before this tick's scaling.
+        snaps = [engine.snapshot(fn, env_config.observe_delay) for fn in engine.deployed_fns]
+        for snap in snaps:
+            desired = decide(policy, snap, cfg, sim_config.max_replicas)
+            engine.apply_horizontal(snap.function_id, desired - snap.replicas)
         window = env.run_window(t0, collect_channels)
         if collect_channels:
             channels.append(window)

@@ -253,22 +253,10 @@ class SimConfig:
             raise ConfigError(f"unknown active_time_mode {self.active_time_mode!r}")
 
 
-# Snapshot records handed to scaling policies and the RL state builder.
-
-@dataclass(frozen=True)
-class VmSnapshot:
-    vm_id: int
-    cpu_util: float
-    mem_util: float
-    cpu_alloc: float
-    mem_alloc: float
-    cpu_capacity: float
-    mem_capacity: float
-    target_replicas: int
-
-
 @dataclass(frozen=True)
 class FunctionSnapshot:
+    """One function's load and performance, handed to scaling policies and the RL state."""
+
     function_id: int
     pod_cpu: float
     pod_mem: float
@@ -283,13 +271,6 @@ class FunctionSnapshot:
     running_requests: int
     queued_requests: int
     standard_response_time: float
-
-
-@dataclass(frozen=True)
-class ClusterSnapshot:
-    time: float
-    vms: tuple[VmSnapshot, ...]
-    functions: dict[int, FunctionSnapshot]
 
 
 # Heap entry: (time, seq, handler, arg); dispatch calls handler(engine, arg).
@@ -307,9 +288,8 @@ class ClusterEngine:
 
     * ``_retries``, a FIFO of ``(time, seq, request_id)``: every pending
       retry, one per queued request. A retry is due one ``retry_interval``
-      after the clock it was pushed at, so it almost always goes at the tail;
-      one that falls due before the tail (possible after ``advance`` goes back
-      by up to ``_EPS``) is inserted in order.
+      after the clock it was pushed at, and the clock never goes back, so
+      each push goes at the tail.
     * ``_arrivals``, the loaded arrivals that are not yet in the heap, sorted
       latest first. Each ``load_arrivals`` moves the earliest one into the
       heap and each dispatched arrival moves the next one, so the earliest
@@ -416,12 +396,8 @@ class ClusterEngine:
 
     def _push_retry(self, request_id: int) -> None:
         self._seq += 1
-        entry = (self.clock + self.config.retry_interval, self._seq, request_id)
-        retries = self._retries
-        if retries and entry < retries[-1]:
-            bisect.insort(retries, entry)
-        else:
-            retries.append(entry)
+        self._retries.append((self.clock + self.config.retry_interval, self._seq,
+                              request_id))
 
     def load_arrivals(self, arrivals: Iterable[tuple[float, int]]) -> None:
         """Queue entry-function arrivals as (timestamp, app_id) pairs.
@@ -482,7 +458,7 @@ class ClusterEngine:
                 handler(self, arg)
             else:
                 break
-        self.clock = until
+        self.clock = max(self.clock, until)  # an until up to _EPS behind keeps the clock
         return self.event_log[mark:]
 
     def next_event_time(self) -> Optional[float]:
@@ -653,18 +629,21 @@ class ClusterEngine:
     def pod_count(self, fn: int) -> int:
         return len(self._live_pods(fn))
 
-    def avg_cpu_util(self, fn: int) -> float:
-        """Average pod CPU utilization; 1.0 proxy when traffic waits on zero pods."""
-        live = self._live_pods(fn)
-        if not live:
-            return 1.0 if self.queued_ids[fn] else 0.0
-        return sum(p.cpu_util for p in live) / len(live)
+    def replicas_per_vm(self, fn: int) -> Counter[int]:
+        """Live pods of ``fn`` on each VM, keyed by vm id; 0 for a VM without one."""
+        return Counter(pod.vm_id for pod in self._live_pods(fn))
 
     def horizontal_delta(self, fn: int, target_util: float) -> int:
+        """Replica change that brings fn's average pod CPU utilization to the target."""
         if fn not in self.profiles:
             raise ConfigError(f"unknown function {fn}")
-        current = self.pod_count(fn)
-        return desired_replicas(current, self.avg_cpu_util(fn), target_util,
+        live = self._live_pods(fn)
+        if live:
+            util = sum(p.cpu_util for p in live) / len(live)
+        else:  # 1.0 proxy when traffic waits on zero pods
+            util = 1.0 if self.queued_ids[fn] else 0.0
+        current = len(live)
+        return desired_replicas(current, util, target_util,
                                 self.config.max_replicas) - current
 
     def apply_horizontal(self, fn: int, delta: int) -> list[int]:
@@ -766,9 +745,7 @@ class ClusterEngine:
             raise ConfigError(f"unknown function {fn}")
         cpu_now, mem_now = self.pod_size[fn]
         live = self._live_pods(fn)
-        per_vm: dict[int, int] = {}
-        for pod in live:
-            per_vm[pod.vm_id] = per_vm.get(pod.vm_id, 0) + 1
+        per_vm = self.replicas_per_vm(fn)
 
         def vm_avail(vm: VmState, dim: str) -> float:
             if dim == "cpu":
@@ -846,49 +823,30 @@ class ClusterEngine:
         arrived = self.window_arrivals(fn, t0, t1)
         return self.window_drops(fn, t0, t1) / arrived if arrived else 0.0
 
-    def snapshot(self, target_fn: Optional[int], window: float) -> ClusterSnapshot:
+    def snapshot(self, fn: int, window: float) -> FunctionSnapshot:
+        """Function ``fn`` now; rates and ratios cover the last ``window`` seconds."""
         now = self.clock
         t0 = now - window
-        vm_rows = []
-        for vm in self.vms.values():
-            replicas = 0
-            if target_fn is not None:
-                replicas = sum(1 for pid in vm.pods
-                               if self.pods[pid].function_id == target_fn
-                               and self.pods[pid].phase is not PodPhase.TERMINATING)
-            vm_rows.append(VmSnapshot(
-                vm_id=vm.spec.vm_id,
-                cpu_util=vm.cpu_used / vm.spec.cpu_capacity,
-                mem_util=vm.mem_used / vm.spec.mem_capacity,
-                cpu_alloc=vm.cpu_allocated / vm.spec.cpu_capacity,
-                mem_alloc=vm.mem_allocated / vm.spec.mem_capacity,
-                cpu_capacity=vm.spec.cpu_capacity,
-                mem_capacity=vm.spec.mem_capacity,
-                target_replicas=replicas,
-            ))
-        fns = {}
-        for fn in self.deployed_fns:
-            live = self._live_pods(fn)
-            cpu_size, mem_size = self.pod_size[fn]
-            profile = self.profiles[fn]
-            fns[fn] = FunctionSnapshot(
-                function_id=fn,
-                pod_cpu=cpu_size,
-                pod_mem=mem_size,
-                req_cpu=profile.req_cpu,
-                req_mem=profile.req_mem,
-                arrival_rate=(self.window_arrivals(fn, t0, now) / window
-                              if window > 0 else 0.0),
-                rfrt=self.window_rfrt(fn, t0, now),
-                rfr=self.window_rfr(fn, t0, now),
-                avg_pod_cpu_util=sum(p.cpu_util for p in live) / len(live) if live else 0.0,
-                avg_pod_mem_util=sum(p.mem_util for p in live) / len(live) if live else 0.0,
-                replicas=len(live),
-                running_requests=sum(len(p.in_flight) for p in live),
-                queued_requests=len(self.queued_ids[fn]),
-                standard_response_time=profile.standard_response_time,
-            )
-        return ClusterSnapshot(time=now, vms=tuple(vm_rows), functions=fns)
+        live = self._live_pods(fn)
+        cpu_size, mem_size = self.pod_size[fn]
+        profile = self.profiles[fn]
+        return FunctionSnapshot(
+            function_id=fn,
+            pod_cpu=cpu_size,
+            pod_mem=mem_size,
+            req_cpu=profile.req_cpu,
+            req_mem=profile.req_mem,
+            arrival_rate=(self.window_arrivals(fn, t0, now) / window
+                          if window > 0 else 0.0),
+            rfrt=self.window_rfrt(fn, t0, now),
+            rfr=self.window_rfr(fn, t0, now),
+            avg_pod_cpu_util=sum(p.cpu_util for p in live) / len(live) if live else 0.0,
+            avg_pod_mem_util=sum(p.mem_util for p in live) / len(live) if live else 0.0,
+            replicas=len(live),
+            running_requests=sum(len(p.in_flight) for p in live),
+            queued_requests=len(self.queued_ids[fn]),
+            standard_response_time=profile.standard_response_time,
+        )
 
     # ------------------------------------------------------------ diagnostics
 

@@ -78,8 +78,6 @@ class EnvConfig:
     target_mode: str = "random"  # "random" (training) | "highest_rfrt" (evaluation)
     rfrt_cap: float = 20.0       # state normalizer for the response-time ratio
     rate_cap: float = 60.0       # state normalizer for arrival rate (req/s)
-    cpu_cap_norm: float = 8.0    # fleet maximum vCPU
-    mem_cap_norm: float = 32768.0  # fleet maximum MB
 
     def __post_init__(self) -> None:
         if self.decision_interval <= 0 or self.observe_delay <= 0:
@@ -90,6 +88,9 @@ class EnvConfig:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         if self.target_mode not in ("random", "highest_rfrt"):
             raise ConfigError(f"unknown target mode {self.target_mode!r}")
+        for name in ("rfrt_cap", "rate_cap"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 FEATURES_PER_VM = 7
@@ -101,7 +102,8 @@ class ServerlessEnv:
 
     Environments are independent and single-threaded; training with several
     workers instantiates one environment per worker. ``log_events`` turns on
-    the engine's event log, which no episode metric reads.
+    the engine's event log, which no episode metric reads. VM capacity
+    features are normalized by the fleet's largest VM.
     """
 
     def __init__(
@@ -115,6 +117,10 @@ class ServerlessEnv:
         log_events: bool = False,
     ):
         self.vms = tuple(sorted(vms, key=lambda s: s.vm_id))
+        if not self.vms:
+            raise ConfigError("cluster has no VMs")
+        self._max_cpu = max(s.cpu_capacity for s in self.vms)
+        self._max_mem = max(s.mem_capacity for s in self.vms)
         self.profiles = dict(profiles)
         self.config = env_config
         self.sim_config = sim_config
@@ -222,20 +228,22 @@ class ServerlessEnv:
 
     def _state(self) -> np.ndarray:
         cfg = self.config
-        snap = self.engine.snapshot(self.target_fn, window=cfg.observe_delay)
+        engine = self.engine
+        replicas = engine.replicas_per_vm(self.target_fn)
+        max_replicas = engine.config.max_replicas
         features: list[float] = []
-        max_replicas = self.engine.config.max_replicas
-        for vm in snap.vms:
+        for vm_id, vm in engine.vms.items():
+            spec = vm.spec
             features.extend((
-                vm.cpu_util,
-                vm.mem_util,
-                vm.cpu_alloc,
-                vm.mem_alloc,
-                vm.cpu_capacity / cfg.cpu_cap_norm,
-                vm.mem_capacity / cfg.mem_cap_norm,
-                vm.target_replicas / max_replicas,
+                vm.cpu_used / spec.cpu_capacity,
+                vm.mem_used / spec.mem_capacity,
+                vm.cpu_allocated / spec.cpu_capacity,
+                vm.mem_allocated / spec.mem_capacity,
+                spec.cpu_capacity / self._max_cpu,
+                spec.mem_capacity / self._max_mem,
+                replicas[vm_id] / max_replicas,
             ))
-        fn = snap.functions[self.target_fn]
+        fn = engine.snapshot(self.target_fn, cfg.observe_delay)
         features.extend((
             fn.pod_cpu / POD_CPU_MAX,
             fn.pod_mem / POD_MEM_MAX,

@@ -67,7 +67,7 @@ class ReferenceEngine(ClusterEngine):
             time, _, handler, arg = heapq.heappop(self._heap)
             self.clock = time
             handler(self, arg)
-        self.clock = until
+        self.clock = max(self.clock, until)
         return self.event_log[mark:]
 
     def next_event_time(self) -> Optional[float]:

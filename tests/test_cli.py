@@ -319,6 +319,16 @@ class TestErrors:
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
         assert f"{key!r} must be a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("rfrt_cap", 0), ("rate_cap", 0),
+                                            ("rate_cap", -1.0), ("cpu_cap_norm", 8.0),
+                                            ("mem_cap_norm", 32768.0)])
+    def test_bad_env_key_is_config_error(self, tmp_path, capsys, key, value):
+        # calibrate builds no agent state, so without the check a zero cap
+        # would only fail later, dividing by zero in train
+        config = write_config(tmp_path, env={key: value})
+        assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry, key", [({"functions": [0]}, "app_id"),
                                             ({"app_id": 0}, "functions")])
     def test_application_entry_without_a_key_is_config_error(self, tmp_path, capsys,

@@ -1,14 +1,16 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from faaslab.cluster import (Application, ClusterEngine,
                              FunctionProfile, PodPhase, RequestStatus,
                              SimConfig, VmSpec, VmState, ceil_guarded,
                              desired_replicas, floor_guarded)
+from faaslab.env import EnvConfig, ServerlessEnv
 from faaslab.errors import ConfigError, SimulationError
-from faaslab.workload import select_apps
+from faaslab.workload import TraceSeries, WorkloadSpec, select_apps
 
 
 def make_engine(vms, profiles, apps, **cfg):
@@ -65,6 +67,19 @@ class TestAdvance:
         eng.advance(5.0)
         with pytest.raises(SimulationError):
             eng.advance(1.0)
+
+    def test_advance_short_of_the_clock_keeps_it(self, big_vm, fast_profile,
+                                                 single_app):
+        # going back by less than the tolerance must not log a busy interval
+        # that ends before it starts
+        eng = make_engine([big_vm], [fast_profile], [single_app],
+                          active_time_mode="pods")
+        eng.advance(5.0)
+        eng.apply_horizontal(0, 1)
+        eng.advance(5.0 - 5e-10)
+        assert eng.clock == 5.0
+        eng.apply_horizontal(0, -1)
+        assert eng.vms[0].busy_log == [(5.0, 5.0)]
 
     def test_interleaved_trace_matches_hand_simulation(self, big_vm, fast_profile,
                                                        single_app):
@@ -170,31 +185,31 @@ class TestTieOrder:
         ]
 
     def test_retry_due_before_an_earlier_pushed_one(self, solo):
-        # advancing back by less than the clock tolerance lets a later push
-        # fall due before a retry pushed earlier
+        # advancing back by less than the clock tolerance leaves the clock at
+        # 2.0, so a later push cannot fall due before an earlier one
         solo.load_arrivals([(2.0, 0)])
         solo.advance(2.0)
         t = 2.0 - 5e-10
         solo.advance(t)
-        solo.load_arrivals([(t, 0)])
+        assert solo.clock == 2.0
+        with pytest.raises(ConfigError):
+            solo.load_arrivals([(t, 0)])
+        solo.load_arrivals([(2.0, 0)])
         solo.advance(3.5)
         assert solo.event_log == [
             (2.0, "arrival", 0, 0),
             (2.0, "queue", 0),
-            (t, "arrival", 1, 0),
-            (t, "queue", 1),
-            (t + 1.0, "retry", 1),
+            (2.0, "arrival", 1, 0),
+            (2.0, "queue", 1),
             (3.0, "retry", 0),
+            (3.0, "retry", 1),
         ]
         solo.advance(20.0)
-        expected, late, early = [], t + 1.0, 3.0
-        for _ in range(8):
-            late += 1.0
-            early += 1.0
-            expected += [(late, "retry", 1), (early, "retry", 0)]
-        late += 1.0
-        expected += [(late, "retry", 1), (late, "drop", 1),
-                     (12.0, "retry", 0), (12.0, "drop", 0)]
+        expected = []
+        for k in range(4, 12):
+            expected += [(float(k), "retry", 0), (float(k), "retry", 1)]
+        expected += [(12.0, "retry", 0), (12.0, "drop", 0),
+                     (12.0, "retry", 1), (12.0, "drop", 1)]
         assert solo.event_log[6:] == expected
 
     def test_reload_before_a_pending_arrival(self, solo):
@@ -522,26 +537,34 @@ class TestVerticalScaling:
 
 
 class TestSnapshot:
+    @staticmethod
+    def idle_env(vms, profile, app):
+        """An env reset on a traffic-free workload; function 0 is the target."""
+        env = ServerlessEnv(vms, {0: profile}, EnvConfig(observe_delay=10.0))
+        workload = WorkloadSpec(duration=30, applications=(app,),
+                                entry_traces={0: TraceSeries("idle", (0,) * 30)})
+        return env, env.reset(workload)
+
     def test_fresh_cluster_all_zero(self, desk_vms, fast_profile, single_app):
-        eng = make_engine(desk_vms, [fast_profile], [single_app])
-        snap = eng.snapshot(0, window=10.0)
-        for vm in snap.vms:
-            assert vm.cpu_util == vm.mem_util == vm.cpu_alloc == vm.mem_alloc == 0.0
-            assert vm.target_replicas == 0
-        assert snap.functions[0].rfrt == 1.0
-        assert snap.functions[0].arrival_rate == 0.0
+        env, state = self.idle_env(desk_vms, fast_profile, single_app)
+        for v in range(len(desk_vms)):
+            assert np.all(state[7 * v:7 * v + 4] == 0.0)  # util and alloc
+            assert state[7 * v + 6] == 0.0  # target replicas
+        snap = env.engine.snapshot(0, window=10.0)
+        assert snap.rfrt == 1.0
+        assert snap.arrival_rate == 0.0
 
     def test_allocation_ratio(self, single_app):
         prof = FunctionProfile(function_id=0, req_cpu=0.1, req_mem=64.0,
                                standard_response_time=1.0, cold_start_seconds=1.0,
                                initial_pod_cpu=0.5, initial_pod_mem=2048.0)
         vm = VmSpec(vm_id=0, cpu_capacity=2.0, mem_capacity=8192.0, unit_price=0.1)
-        eng = make_engine([vm], [prof], [single_app])
-        eng.apply_horizontal(0, 1)
-        snap = eng.snapshot(0, window=10.0)
-        assert snap.vms[0].cpu_alloc == pytest.approx(0.25)
-        assert snap.vms[0].mem_alloc == pytest.approx(0.25)
-        assert snap.vms[0].target_replicas == 1
+        env, _ = self.idle_env([vm], prof, single_app)
+        env.engine.apply_horizontal(0, 1)
+        state = env._state()
+        assert state[2] == pytest.approx(0.25)  # cpu alloc
+        assert state[3] == pytest.approx(0.25)  # mem alloc
+        assert state[6] == 1 / env.engine.config.max_replicas  # one target replica
 
     def test_windowed_arrival_rate(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
@@ -549,8 +572,7 @@ class TestSnapshot:
         eng.advance(2.0)
         eng.load_arrivals([(10.0 + (i + 0.5) / 3.0, 0) for i in range(30)])
         eng.advance(20.0)
-        snap = eng.snapshot(0, window=10.0)
-        assert snap.functions[0].arrival_rate == pytest.approx(3.0)
+        assert eng.snapshot(0, window=10.0).arrival_rate == pytest.approx(3.0)
 
 
 class TestBusyOverlap:

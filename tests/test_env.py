@@ -1,4 +1,7 @@
+import hashlib
 import random
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,6 +112,14 @@ class TestReset:
         env.reset(constant_workload(apps, rate=1, duration=30))
         assert env.target_fn == 2
 
+    def test_capacity_features_relative_to_largest_vm(self, desk_vms, fast_profile,
+                                                      single_app):
+        env = ServerlessEnv(desk_vms[:4], {0: fast_profile}, bounds=BOUNDS)
+        state = env.reset(constant_workload([single_app], rate=2, duration=30))
+        # the largest of these VMs has 4 vCPU and 16384 MB
+        assert [state[7 * v + 4] for v in range(4)] == [0.25, 0.5, 0.5, 1.0]
+        assert [state[7 * v + 5] for v in range(4)] == [0.25, 0.5, 0.5, 1.0]
+
     def test_workload_function_without_profile_rejected(self, desk_vms, fast_profile):
         app = Application(app_id=0, function_sequence=(0, 3))
         env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig(),
@@ -190,6 +201,31 @@ class TestStep:
         env.reset(constant_workload([single_app], rate=1, duration=30))
         with pytest.raises(Exception, match="calibrate"):
             env.step(ScalingAction(5, 5, 5))
+
+
+class TestStateDigest:
+    # sha256 over every state vector and reward of seeded random-action
+    # episodes; a one-ulp change in any state feature or reward changes it
+    DIGEST = "8ab52f3eb71c1e2e60cbfefa4529fea2db06aff3d9fb44f3609ccfd7bff2e4ec"
+
+    def test_states_and_rewards_unchanged(self):
+        digest = hashlib.sha256()
+        for preset in ("desk", "paper"):
+            exp = load_experiment(overrides={"preset": preset})
+            for workload in (exp.train_pool()[0], exp.eval_sets(["high"])["high"][0]):
+                for mode in ("random", "highest_rfrt"):
+                    env = ServerlessEnv(exp.vms, exp.profiles,
+                                        replace(exp.env, target_mode=mode), exp.sim,
+                                        BOUNDS, seed=3)
+                    rng = random.Random(7)
+                    digest.update(env.reset(workload).tobytes())
+                    done = False
+                    while not done:
+                        action = ScalingAction(*(rng.randrange(k) for k in ACTION_SIZES))
+                        state, reward, done, _ = env.step(action)
+                        digest.update(state.tobytes())
+                        digest.update(struct.pack("<d", reward))
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestPaperTrainingPool:
