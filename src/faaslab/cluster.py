@@ -162,7 +162,7 @@ class PodState:
     mem_limit: float
     phase: PodPhase
     ready_at: float
-    in_flight: set[int] = field(default_factory=set)
+    in_flight: int = 0  # requests running on the pod now
     # Requests the limits admit at once; kept in step with them by ``resize``.
     max_concurrency: int = field(init=False)
 
@@ -181,7 +181,7 @@ class PodState:
     @property
     def is_open(self) -> bool:
         """Ready and below its concurrency bound: routing may assign to it."""
-        return self.phase is PodPhase.READY and len(self.in_flight) < self.max_concurrency
+        return self.phase is PodPhase.READY and self.in_flight < self.max_concurrency
 
     @property
     def function_id(self) -> int:
@@ -189,11 +189,11 @@ class PodState:
 
     @property
     def cpu_used(self) -> float:
-        return len(self.in_flight) * self.profile.req_cpu
+        return self.in_flight * self.profile.req_cpu
 
     @property
     def mem_used(self) -> float:
-        return len(self.in_flight) * self.profile.req_mem
+        return self.in_flight * self.profile.req_mem
 
     @property
     def cpu_util(self) -> float:
@@ -219,12 +219,6 @@ class RequestRecord:
     retries: int = 0
     pod_id: Optional[int] = None
     vm_id: Optional[int] = None
-
-    @property
-    def response_time(self) -> float:
-        if self.status is not RequestStatus.COMPLETED:
-            raise SimulationError(f"request {self.request_id} has no response time")
-        return self.finish_time - self.arrival_time
 
 
 @dataclass(frozen=True)
@@ -305,6 +299,11 @@ class ClusterEngine:
     An arrival calls ``route_request`` only when its function has an open
     pod (``open_pods``); otherwise it is queued at once.
 
+    Per request the engine keeps only what it reads back: each pod counts
+    its running requests in ``PodState.in_flight``, and each finish appends
+    its time and response-time ratio to the function's ``completion_times``
+    and ``completion_ratios``, two parallel lists in finish order.
+
     With ``log_events`` every event also appends a ``(time, kind, *ids)``
     tuple to ``event_log``; otherwise nothing is appended and ``event_log``
     stays empty. The log is a pure sink: nothing in the simulation reads it.
@@ -371,7 +370,8 @@ class ClusterEngine:
 
         # Monotone per-function histories for windowed metrics.
         self.arrival_times: dict[int, list[float]] = {fn: [] for fn in self.profiles}
-        self.completions: dict[int, list[tuple[float, float]]] = {fn: [] for fn in self.profiles}
+        self.completion_times: dict[int, list[float]] = {fn: [] for fn in self.profiles}
+        self.completion_ratios: dict[int, list[float]] = {fn: [] for fn in self.profiles}
         self.drop_times: dict[int, list[float]] = {fn: [] for fn in self.profiles}
 
         self.completed_total = 0
@@ -403,17 +403,24 @@ class ClusterEngine:
         """Queue entry-function arrivals as (timestamp, app_id) pairs.
 
         Each arrival takes its sequence number in input order, so ties in time
-        dispatch in input order. The input need not be sorted.
+        dispatch in input order. The input need not be sorted. A batch with an
+        unknown app or a time before the clock is rejected whole: the
+        ``ConfigError`` names its first such arrival and the engine is left
+        as it was.
         """
+        apps = self.apps
+        clock = self.clock
+        seq = self._seq
         batch = []
         for t, app_id in arrivals:
-            if app_id not in self.apps:
+            if app_id not in apps:
                 raise ConfigError(f"arrival references unknown app {app_id}")
-            if t < self.clock:
-                raise ConfigError(f"arrival at {t} lies before the clock ({self.clock})")
-            self._seq += 1
-            batch.append((t, self._seq, ClusterEngine._on_arrival, app_id))
+            if t < clock:
+                raise ConfigError(f"arrival at {t} lies before the clock ({clock})")
+            seq += 1
+            batch.append((t, seq, ClusterEngine._on_arrival, app_id))
         if batch:
+            self._seq = seq
             pending = self._arrivals
             pending.extend(batch)
             pending.sort(reverse=True)
@@ -450,7 +457,9 @@ class ClusterEngine:
                         log.append((time, "drop", request_id))
                     continue
                 req.retries += 1
-                if not open_pods[fn] or self.route_request(req) is None:
+                if open_pods[fn]:
+                    self.route_request(req)
+                else:
                     self._push_retry(request_id)
             elif heap and heap[0][0] <= until:
                 time, _, handler, arg = heapq.heappop(heap)
@@ -498,7 +507,9 @@ class ClusterEngine:
         self.arrival_times[fn].append(now)
         if self.log_events:
             self.event_log.append((now, "arrival", rid, fn))
-        if not self.open_pods[fn] or self.route_request(req) is None:
+        if self.open_pods[fn]:
+            self.route_request(req)
+        else:
             self.queued_ids[fn].add(rid)
             req.retries = 1
             if self.log_events:
@@ -511,6 +522,8 @@ class ClusterEngine:
         Returns the pod id on assignment, or None when every ready pod is at
         its concurrency bound. That case costs O(1): ``open_pods`` counts the
         pods that could take the request, and at 0 the pod scan is skipped.
+        The engine calls this only when the count is positive, and a scan
+        that then finds no open pod raises ``SimulationError``.
         """
         fn = req.function_id
         open_pods = self.open_pods.get(fn)
@@ -525,18 +538,18 @@ class ClusterEngine:
         cursor = self._rr_cursor[fn] % n if n else 0
         for off in range(n):
             pod = pods[pod_ids[(cursor + off) % n]]
-            if pod.phase is ready and len(pod.in_flight) < pod.max_concurrency:
+            if pod.phase is ready and pod.in_flight < pod.max_concurrency:
                 self._rr_cursor[fn] = (cursor + off + 1) % n
                 self._assign(req, pod)
                 return pod.pod_id
-        return None
+        raise SimulationError(
+            f"function {fn}: open-pod count is {open_pods} but no pod is open")
 
     def _assign(self, req: RequestRecord, pod: PodState) -> None:
         """Start ``req`` on ``pod``, which must be open."""
         now = self.clock
         rid = req.request_id
         profile = pod.profile
-        in_flight = pod.in_flight
         vm = self.vms[pod.vm_id]
         req.status = RequestStatus.RUNNING
         req.start_time = now
@@ -544,8 +557,8 @@ class ClusterEngine:
         req.vm_id = pod.vm_id
         if req.retries:  # a request that never queued is not in the set
             self.queued_ids[req.function_id].discard(rid)
-        in_flight.add(rid)
-        if len(in_flight) == pod.max_concurrency:
+        pod.in_flight += 1
+        if pod.in_flight == pod.max_concurrency:
             self.open_pods[req.function_id] -= 1
         vm.cpu_used += profile.req_cpu
         vm.mem_used += profile.req_mem
@@ -566,13 +579,13 @@ class ClusterEngine:
         req = self.requests[request_id]
         pod = self.pods[req.pod_id]
         profile = pod.profile
-        in_flight = pod.in_flight
+        fn = req.function_id
         vm = self.vms[pod.vm_id]
         req.status = RequestStatus.COMPLETED
         req.finish_time = now
-        in_flight.discard(request_id)
-        if pod.phase is PodPhase.READY and len(in_flight) == pod.max_concurrency - 1:
-            self.open_pods[req.function_id] += 1
+        in_flight = pod.in_flight = pod.in_flight - 1
+        if pod.phase is PodPhase.READY and in_flight == pod.max_concurrency - 1:
+            self.open_pods[fn] += 1
         vm.cpu_used -= profile.req_cpu
         vm.mem_used -= profile.req_mem
         vm.inflight -= 1
@@ -583,8 +596,8 @@ class ClusterEngine:
             vm.busy_since = None
         self.completed_total += 1
         response = now - req.arrival_time
-        self.completions[req.function_id].append(
-            (now, response / profile.standard_response_time))
+        self.completion_times[fn].append(now)
+        self.completion_ratios[fn].append(response / profile.standard_response_time)
         if self.log_events:
             self.event_log.append((now, "finish", request_id))
         if pod.phase is PodPhase.TERMINATING and not in_flight:
@@ -625,9 +638,6 @@ class ClusterEngine:
         """Pods of a function that participate in scaling (not Terminating)."""
         return [self.pods[pid] for pid in self.fn_pods[fn]
                 if self.pods[pid].phase is not PodPhase.TERMINATING]
-
-    def pod_count(self, fn: int) -> int:
-        return len(self._live_pods(fn))
 
     def replicas_per_vm(self, fn: int) -> Counter[int]:
         """Live pods of ``fn`` on each VM, keyed by vm id; 0 for a VM without one."""
@@ -812,10 +822,9 @@ class ClusterEngine:
         An empty window reports the neutral ratio 1.0, so idle functions
         neither reward nor punish a scaling policy.
         """
-        entries = self.completions[fn]
-        lo = bisect.bisect_right(entries, t0, key=itemgetter(0))
-        hi = bisect.bisect_right(entries, t1, key=itemgetter(0))
-        ratios = [ratio for _, ratio in entries[lo:hi]]
+        times = self.completion_times[fn]
+        ratios = self.completion_ratios[fn][bisect.bisect_right(times, t0):
+                                            bisect.bisect_right(times, t1)]
         return sum(ratios) / len(ratios) if ratios else 1.0
 
     def window_rfr(self, fn: int, t0: float, t1: float) -> float:
@@ -843,7 +852,7 @@ class ClusterEngine:
             avg_pod_cpu_util=sum(p.cpu_util for p in live) / len(live) if live else 0.0,
             avg_pod_mem_util=sum(p.mem_util for p in live) / len(live) if live else 0.0,
             replicas=len(live),
-            running_requests=sum(len(p.in_flight) for p in live),
+            running_requests=sum(p.in_flight for p in live),
             queued_requests=len(self.queued_ids[fn]),
             standard_response_time=profile.standard_response_time,
         )
@@ -872,9 +881,12 @@ class ClusterEngine:
             assert vm.mem_allocated <= vm.spec.mem_capacity + 1e-6, "mem over-allocation"
             assert vm.cpu_used <= vm.cpu_allocated + 1e-6, "cpu usage above allocation"
             assert vm.mem_used <= vm.mem_allocated + 1e-6, "mem usage above allocation"
+        running = Counter(r.pod_id for r in self.requests.values()
+                          if r.status is RequestStatus.RUNNING)
         for pod in self.pods.values():
+            assert pod.in_flight == running[pod.pod_id], "in-flight count drift"
             assert pod.max_concurrency == pod.concurrency_bound(), "stale concurrency bound"
-            assert len(pod.in_flight) <= pod.max_concurrency, "pod concurrency overflow"
+            assert pod.in_flight <= pod.max_concurrency, "pod concurrency overflow"
             if pod.phase is PodPhase.CREATING:
                 assert not pod.in_flight, "creating pod is serving requests"
         for fn, pod_ids in self.fn_pods.items():

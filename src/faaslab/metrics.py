@@ -138,7 +138,7 @@ class EpisodeLedger:
     def episode_rfrt(self) -> float:
         """Mean response-time ratio over every completed function request."""
         ratios = [r for fn in self.engine.deployed_fns
-                  for _, r in self.engine.completions[fn]]
+                  for r in self.engine.completion_ratios[fn]]
         return sum(ratios) / len(ratios) if ratios else 1.0
 
     def episode_cost(self) -> float:

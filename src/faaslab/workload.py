@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import cycle, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -201,21 +203,21 @@ def synthesize(spec: WorkloadSpec) -> list[tuple[float, int]]:
         apps.sort()
     rng = random.Random(spec.seed)
     arrivals: list[tuple[float, int]] = []
-    deal = {fn: 0 for fn in entry_apps}
+    deal = {fn: 0 for fn in entry_apps}  # index of the app the next arrival goes to
     for w, rates in enumerate(window_rates(spec)):
         for fn in sorted(rates):
             count = rates[fn]
             if count <= 0:
                 continue
             if spec.jitter:
-                offsets = sorted(rng.random() for _ in range(count))
+                times = [w + off for off in sorted([rng.random() for _ in range(count)])]
             else:
-                offsets = [i / count for i in range(count)]
+                times = [w + i / count for i in range(count)]
             apps = entry_apps[fn]
-            for off in offsets:
-                arrivals.append((w + off, apps[deal[fn] % len(apps)]))
-                deal[fn] += 1
-    arrivals.sort(key=lambda pair: pair[0])
+            start = deal[fn]
+            arrivals.extend(zip(times, islice(cycle(apps), start, None)))
+            deal[fn] = (start + count) % len(apps)
+    arrivals.sort(key=itemgetter(0))
     return arrivals
 
 

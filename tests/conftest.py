@@ -47,7 +47,7 @@ def replica_log(monkeypatch):
 
     def recording(engine, fn, delta):
         affected = apply_horizontal(engine, fn, delta)
-        log.append((engine.clock, fn, engine.pod_count(fn)))
+        log.append((engine.clock, fn, engine.snapshot(fn, 0.0).replicas))
         return affected
 
     monkeypatch.setattr(ClusterEngine, "apply_horizontal", recording)

@@ -1,6 +1,6 @@
 """Independent brute-force recomputation of episode metrics from the raw
 request ledger. Deliberately avoids the engine's streaming histories
-(completions lists, busy logs, counters): everything derives from per-request
+(completion lists, busy logs, counters): everything derives from per-request
 timestamps and statuses."""
 from __future__ import annotations
 

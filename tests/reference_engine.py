@@ -3,15 +3,17 @@
 ``ReferenceEngine`` subclasses ``ClusterEngine`` and replaces every fast path
 of the per-request lifecycle with the rule it stands for:
 
-* one heap holds every event. Each loaded arrival is pushed at load time, and
-  each retry is a heap entry dispatched through ``_on_retry``, which logs it
-  and then drops the request at the retry budget or attempts routing again;
+* one heap holds every event. A loaded batch is checked arrival by arrival,
+  then each arrival is pushed, and each retry is a heap entry dispatched
+  through ``_on_retry``, which logs it and then drops the request at the
+  retry budget or attempts routing again;
 * routing scans the function's pods round-robin and tests phase and
   concurrency bound directly; it never reads ``open_pods``;
 * each lifecycle step goes through its own small helper:
   ``_arrive`` -> ``_route_or_queue`` -> ``route_request`` -> ``_assign`` ->
   ``_update_vm_activity``/``_log``;
-* chain ratios are recomputed from the request records when read;
+* chain ratios are recomputed from the request records when read, and each
+  finish appends its response time computed from the record;
 * ``busy_overlap`` sums over the whole busy log.
 
 Scaling (placement, scale-down, resizes, pod readiness) has no fast path and
@@ -48,11 +50,13 @@ class ReferenceEngine(ClusterEngine):
     # ------------------------------------------------------------------ events
 
     def load_arrivals(self, arrivals: Iterable[tuple[float, int]]) -> None:
+        arrivals = list(arrivals)
         for t, app_id in arrivals:
             if app_id not in self.apps:
                 raise ConfigError(f"arrival references unknown app {app_id}")
             if t < self.clock:
                 raise ConfigError(f"arrival at {t} lies before the clock ({self.clock})")
+        for t, app_id in arrivals:
             self._push(t, ReferenceEngine._on_arrival, app_id)
 
     def _push_retry(self, request_id: int) -> None:
@@ -103,7 +107,7 @@ class ReferenceEngine(ClusterEngine):
     @staticmethod
     def takes_requests(pod: PodState) -> bool:
         return (pod.phase is PodPhase.READY
-                and len(pod.in_flight) < pod.concurrency_bound())
+                and pod.in_flight < pod.concurrency_bound())
 
     def route_request(self, req: RequestRecord) -> Optional[int]:
         fn = req.function_id
@@ -127,8 +131,8 @@ class ReferenceEngine(ClusterEngine):
         req.pod_id = pod.pod_id
         req.vm_id = pod.vm_id
         self.queued_ids[req.function_id].discard(req.request_id)
-        pod.in_flight.add(req.request_id)
-        if len(pod.in_flight) == pod.max_concurrency:
+        pod.in_flight += 1
+        if pod.in_flight == pod.max_concurrency:
             self.open_pods[req.function_id] -= 1
         vm.cpu_used += pod.profile.req_cpu
         vm.mem_used += pod.profile.req_mem
@@ -160,23 +164,25 @@ class ReferenceEngine(ClusterEngine):
         vm = self.vms[pod.vm_id]
         req.status = RequestStatus.COMPLETED
         req.finish_time = self.clock
-        pod.in_flight.discard(request_id)
-        if pod.phase is PodPhase.READY and len(pod.in_flight) == pod.max_concurrency - 1:
+        pod.in_flight -= 1
+        if pod.phase is PodPhase.READY and pod.in_flight == pod.max_concurrency - 1:
             self.open_pods[req.function_id] += 1
         vm.cpu_used -= pod.profile.req_cpu
         vm.mem_used -= pod.profile.req_mem
         vm.inflight -= 1
         self._update_vm_activity(vm)
         self.completed_total += 1
-        ratio = req.response_time / pod.profile.standard_response_time
-        self.completions[req.function_id].append((self.clock, ratio))
+        response = req.finish_time - req.arrival_time
+        self.completion_times[req.function_id].append(self.clock)
+        self.completion_ratios[req.function_id].append(
+            response / pod.profile.standard_response_time)
         self._log("finish", request_id)
         if pod.phase is PodPhase.TERMINATING and not pod.in_flight:
             self._remove_pod(pod)
         nxt = req.chain_index + 1
         if nxt < len(self.apps[req.app_id].function_sequence):
             self._arrive(req.app_id, nxt, req.root_id,
-                         req.chain_elapsed + req.response_time)
+                         req.chain_elapsed + response)
 
     # ----------------------------------------------------------- vm activity
 

@@ -164,7 +164,7 @@ def test_c03_simulator_oracle_scenarios():
         (2.0, "assign", 0, 0),
         (3.0, "finish", 0),
     ]
-    assert eng.requests[0].response_time == 3.0
+    assert eng.requests[0].finish_time - eng.requests[0].arrival_time == 3.0
 
     # (b) round-robin rotation over two warm pods
     eng = ClusterEngine([vm], [scripted_profile()], [app])

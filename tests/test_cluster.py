@@ -362,12 +362,66 @@ class TestRouting:
         eng.load_arrivals([(1.1, 0), (1.2, 0), (1.3, 0)])
         eng.advance(1.4)
         assert eng.requests[2].status is RequestStatus.QUEUED
-        assert len(eng.pods[0].in_flight) == 2
+        assert eng.pods[0].in_flight == 2
 
     def test_unknown_function_rejected(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
         with pytest.raises(ConfigError):
             eng.load_arrivals([(0.0, 99)])
+
+    def test_no_open_pod_returns_none(self, big_vm, fast_profile, single_app):
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.apply_horizontal(0, 1)  # still creating
+        eng.load_arrivals([(0.0, 0)])
+        eng.advance(0.0)
+        assert eng.route_request(eng.requests[0]) is None
+
+    def test_open_count_without_open_pod_raises(self, big_vm, fast_profile,
+                                                single_app):
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.apply_horizontal(0, 1)  # still creating, so no pod is open
+        eng.open_pods[0] = 1
+        eng.load_arrivals([(0.0, 0)])
+        with pytest.raises(SimulationError, match="no pod is open"):
+            eng.advance(0.0)
+
+
+class TestLoadArrivals:
+    @staticmethod
+    def started(vm, profile, app):
+        eng = make_engine([vm], [profile], [app])
+        eng.apply_horizontal(0, 1)
+        eng.load_arrivals([(1.0, 0), (3.0, 0)])
+        eng.advance(2.0)
+        return eng
+
+    @pytest.fixture
+    def eng(self, big_vm, fast_profile, single_app):
+        return self.started(big_vm, fast_profile, single_app)
+
+    @pytest.mark.parametrize("batch, message", [
+        ([(2.5, 0), (3.0, 7), (2.5, 9)], "arrival references unknown app 7"),
+        ([(2.5, 0), (1.5, 0), (1.0, 0)], r"arrival at 1\.5 lies before the clock \(2\.0\)"),
+        ([(2.5, 0), (1.5, 0), (3.0, 7)], r"arrival at 1\.5 lies before the clock"),
+        ([(2.5, 0), (3.0, 7), (1.5, 0)], "unknown app 7"),
+        ([(1.5, 7), (1.0, 0)], "unknown app 7"),  # an arrival's app is checked first
+    ])
+    def test_error_names_first_bad_arrival(self, eng, batch, message):
+        with pytest.raises(ConfigError, match=message):
+            eng.load_arrivals(batch)
+
+    @pytest.mark.parametrize("bad", [(2.5, 7), (1.5, 0)])
+    def test_rejected_batch_changes_nothing(self, big_vm, fast_profile, single_app,
+                                            bad):
+        engines = [self.started(big_vm, fast_profile, single_app) for _ in range(2)]
+        with pytest.raises(ConfigError):
+            engines[0].load_arrivals([(2.0, 0), (2.25, 0), bad, (4.0, 0)])
+        assert engines[0].next_event_time() == engines[1].next_event_time() == 3.0
+        for eng in engines:
+            eng.load_arrivals([(2.0, 0), (2.5, 0)])
+            eng.advance(20.0)
+        assert engines[0].event_log == engines[1].event_log
+        assert len(engines[0].requests) == 4
 
 
 class TestRetryDrop:
@@ -443,7 +497,7 @@ class TestHorizontalScaling:
         eng.advance(2.0)
         eng.load_arrivals([(2.5, 0)])
         eng.advance(2.6)  # request runs on pod 0 (round-robin start)
-        assert len(eng.pods[0].in_flight) == 1
+        assert eng.pods[0].in_flight == 1
         eng.apply_horizontal(0, -3)
         removes = [e[2] for e in eng.event_log if e[1] == "pod_remove"]
         assert removes == [2, 1]  # idle pods, newest first
@@ -626,6 +680,20 @@ class TestInvariantsAndDeterminism:
         assert [(vm.busy_log, vm.busy_since) for vm in a.vms.values()] == \
                [(vm.busy_log, vm.busy_since) for vm in b.vms.values()]
 
+    def test_recount_catches_moved_in_flight_request(self, big_vm, fast_profile,
+                                                     single_app):
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.apply_horizontal(0, 2)
+        eng.load_arrivals([(3.0, 0), (3.1, 0)])
+        eng.advance(3.5)
+        assert [pod.in_flight for pod in eng.pods.values()] == [1, 1]
+        eng.check_invariants()
+        # same VM totals, but one pod now claims the other's request
+        eng.pods[0].in_flight -= 1
+        eng.pods[1].in_flight += 1
+        with pytest.raises(AssertionError, match="in-flight count drift"):
+            eng.check_invariants()
+
     def test_accounting_holds_throughout(self, desk_vms, fast_profile, single_app):
         eng = make_engine(desk_vms, [fast_profile], [single_app])
         eng.load_arrivals([(i * 0.21, 0) for i in range(50)])
@@ -643,7 +711,7 @@ class TestInvariantsAndDeterminism:
         eng.advance(10.0)
         req = eng.requests[0]
         assert req.start_time >= eng.pods[0].ready_at
-        assert req.response_time > fast_profile.standard_response_time
+        assert req.finish_time - req.arrival_time > fast_profile.standard_response_time
 
     def test_active_seconds_accrue_only_with_inflight(self, big_vm, fast_profile,
                                                       single_app):
@@ -674,7 +742,8 @@ class TestInvariantsAndDeterminism:
             eng.advance(2.0)
             eng.load_arrivals([(3.0, 0)])
             eng.advance(60.0)
-            return eng.requests[0].response_time
+            req = eng.requests[0]
+            return req.finish_time - req.arrival_time
 
         assert response(0.0, 1) == 1.0  # default: deterministic standard time
         noisy = response(0.3, 1)
@@ -728,7 +797,7 @@ class TestInvariantsAndDeterminism:
             if (len(reqs) < len(eng.apps[app_id].function_sequence)
                     or reqs[-1].status is not RequestStatus.COMPLETED):
                 continue
-            actual = sum(r.response_time for r in reqs)
+            actual = sum(r.finish_time - r.arrival_time for r in reqs)
             standard = sum(profiles[r.function_id].standard_response_time
                            for r in reqs)
             completed[app_id][root] = actual / standard

@@ -3,20 +3,24 @@
 Both engines run the same random scenario: chains of one to three
 functions, tied (0.25 s grid) and untied arrival times loaded unsorted, more
 arrivals loaded mid-run, random horizontal and clamped vertical scaling,
-arrivals just after a step back in time by less than the clock tolerance, both
-``active_time_mode``s and execution noise on and off. The timing constants
-are multiples of 0.25 s, so without noise many events share a timestamp.
+arrivals just after a step back in time by less than the clock tolerance,
+batches that ``load_arrivals`` must reject whole, both ``active_time_mode``s
+and execution noise on and off. The timing constants are multiples of
+0.25 s, so without noise many events share a timestamp.
 
 After every advance the engines must agree exactly: event log, every
 ``RequestRecord``, pods, VM accounting and busy logs, chain ratios,
-completions, the episode summary and the reward channels of the window just
-run. The fast engine's open-pod counts must equal a full scan, and its own
-``check_invariants`` must pass.
+completion times and ratios, the episode summary and the reward channels of
+the window just run. The fast engine's open-pod counts must equal a full
+scan, and its own ``check_invariants`` must pass. A rejected batch must raise
+the same message in both engines.
 """
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faaslab.cluster import Application, ClusterEngine, FunctionProfile, SimConfig, VmSpec
+from faaslab.errors import ConfigError
 from faaslab.metrics import EpisodeLedger
 
 from reference_engine import ReferenceEngine
@@ -52,6 +56,10 @@ operations = st.one_of(
     st.tuples(st.just("back"), st.lists(st.integers(0, 2), min_size=1, max_size=3)),
     st.tuples(st.just("load"), st.lists(st.tuples(steps, st.integers(0, 2)),
                                         min_size=1, max_size=20)),
+    # a batch with one bad arrival (an app id past the last app, or a time
+    # before the clock) somewhere among good ones
+    st.tuples(st.just("rejected load"), st.lists(st.tuples(steps, st.integers(0, 2))),
+              st.integers(0, 20), st.sampled_from(("app", "time"))),
 )
 
 
@@ -78,7 +86,8 @@ def assert_same(fast, ref, t0):
     agree("vm states", [vm_state(vm) for vm in fast.vms.values()],
           [vm_state(vm) for vm in ref.vms.values()])
     agree("chain ratios", fast.chain_ratios, ref.chain_ratios)
-    agree("completions", fast.completions, ref.completions)
+    agree("completion times", fast.completion_times, ref.completion_times)
+    agree("completion ratios", fast.completion_ratios, ref.completion_ratios)
     agree("arrival times", fast.arrival_times, ref.arrival_times)
     agree("drop times", fast.drop_times, ref.drop_times)
     agree("next event times", fast.next_event_time(), ref.next_event_time())
@@ -146,5 +155,16 @@ def test_engine_matches_reference(noise, mode, seed, retry, log_events, sequence
             load([(fast.clock, app) for app in op[1]])
         elif op[0] == "load":
             load([(fast.clock + dt, app) for dt, app in op[1]])
+        elif op[0] == "rejected load":
+            batch = [(fast.clock + dt, app % n_apps) for dt, app in op[1]]
+            bad = (fast.clock, n_apps) if op[3] == "app" else (fast.clock - 0.25, 0)
+            batch.insert(min(op[2], len(batch)), bad)
+            messages = []
+            for engine in (fast, ref):
+                with pytest.raises(ConfigError) as rejected:
+                    engine.load_arrivals(batch)
+                messages.append(str(rejected.value))
+            agree("rejection messages", *messages)
+            agree("next event times", fast.next_event_time(), ref.next_event_time())
     while (t := fast.next_event_time()) is not None and t <= 200.0:
         advance(t + 2.0)

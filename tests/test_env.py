@@ -135,7 +135,7 @@ class TestStep:
         # mid action: T=0.5; zero pods with queued traffic -> desired ceil(1/0.5)=2
         _, reward, done, info = env.step(ScalingAction(5, 5, 5))
         assert info["n_delta"] == 2
-        assert env.engine.pod_count(0) == 2
+        assert env.engine.snapshot(0, 0.0).replicas == 2
         assert -1.0 <= reward <= 0.0
         assert not done
 
@@ -146,14 +146,14 @@ class TestStep:
                             bounds=BOUNDS, seed=1)
         env.reset(wl)
         env.step(ScalingAction(10, 5, 5))  # T=0.9 bootstraps 2 pods
-        assert env.engine.pod_count(0) == 2
+        assert env.engine.snapshot(0, 0.0).replicas == 2
         # grow cpu limit 0.5 -> 0.75: per-pod utilization drops to 1/3, so
         # desired = ceil(2 * (1/3) / 0.9) = 1 and one pod is removed. Without
         # the resize the same action would keep both (ceil(2*0.5/0.9) = 2).
         _, _, _, info = env.step(ScalingAction(10, 10, 5))
         assert info["clamped"][0] == pytest.approx(0.25)
         assert info["n_delta"] == -1
-        assert env.engine.pod_count(0) == 1
+        assert env.engine.snapshot(0, 0.0).replicas == 1
 
     def test_identical_envs_identical_streams(self, desk_vms, env_pair):
         env_a, wl = env_pair

@@ -37,7 +37,7 @@ def inject_chain(eng, app_id, arrival, ratios):
                             start_time=t, finish_time=t + ratios[stage] * r0,
                             status=RequestStatus.COMPLETED)
         eng.requests[rid] = req
-        actual += req.response_time
+        actual += req.finish_time - req.arrival_time
         standard += r0
         t = req.finish_time
     eng.completed_total += len(app.function_sequence)
@@ -53,7 +53,8 @@ class TestRfrt:
 
     def test_mean_of_ratios(self, big_vm, fast_profile, single_app):
         eng = warm_engine(big_vm, fast_profile, single_app)
-        eng.completions[0] = [(5.0, 2.0), (6.0, 4.0)]
+        eng.completion_times[0] = [5.0, 6.0]
+        eng.completion_ratios[0] = [2.0, 4.0]
         assert eng.window_rfrt(0, 0.0, 10.0) == pytest.approx(3.0)
 
     def test_empty_window_neutral(self, big_vm, fast_profile, single_app):
@@ -71,7 +72,8 @@ class TestRfrt:
         eng.apply_horizontal(0, 1)
         # pod ready at 2.5; queued request retries at 1, 2 fail, succeeds at 3
         eng.advance(10.0)
-        assert eng.requests[0].response_time == pytest.approx(4.0)
+        req = eng.requests[0]
+        assert req.finish_time - req.arrival_time == pytest.approx(4.0)
         assert eng.window_rfrt(0, 0.0, 10.0) == pytest.approx(4.0)
 
 

@@ -1,6 +1,11 @@
+import hashlib
+import struct
+from dataclasses import replace
+
 import pytest
 
 from faaslab.cluster import Application
+from faaslab.config import load_experiment
 from faaslab.errors import ConfigError
 from faaslab.workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
                               builtin_catalog, filter_traces, load_traces,
@@ -101,6 +106,36 @@ class TestSynthesize:
         app = Application(app_id=0, function_sequence=(0,))
         with pytest.raises(ConfigError):
             WorkloadSpec(duration=10, applications=(app,), entry_traces={})
+
+
+class TestSynthesizeDigest:
+    # sha256 over every (time, app) pair synthesize returns, recorded before
+    # synthesize was rewritten; a one-ulp change in any time, a different app
+    # or a different order of tied times changes it
+    DIGEST = "50641a1720c1b3ac4a691076711ef4fa5584c368a22b23f51efeb033f719f18c"
+
+    @staticmethod
+    def specs():
+        for preset in ("desk", "paper"):
+            exp = load_experiment(overrides={"preset": preset})
+            yield exp.train_pool()[0]
+            yield exp.eval_sets(["high"])["high"][0]
+        # apps 0 and 1 share entry function 0, so its counts are dealt
+        # round-robin between them; app 2 has an entry function of its own
+        apps = (Application(app_id=0, function_sequence=(0, 1)),
+                Application(app_id=1, function_sequence=(0,)),
+                Application(app_id=2, function_sequence=(2,)))
+        yield WorkloadSpec(duration=30, applications=apps, seed=5,
+                           entry_traces={0: TraceSeries("odd", (3, 0, 5, 1, 7)),
+                                         2: TraceSeries("even", (2, 4, 0))})
+
+    def test_output_unchanged(self):
+        digest = hashlib.sha256()
+        for spec in self.specs():
+            for jitter in (False, True):
+                for t, app_id in synthesize(replace(spec, jitter=jitter)):
+                    digest.update(struct.pack("<dq", t, app_id))
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestBandFitting:
