@@ -53,6 +53,8 @@ class TrainConfig:
             raise ConfigError("workers, episodes, and update_freq must be >= 1")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
         if self.sync_mode != "deterministic":
             raise ConfigError(f"sync_mode must be 'deterministic' (workers run "
                               f"round-robin on one thread), got {self.sync_mode!r}")

@@ -62,6 +62,10 @@ class DqnConfig:
             raise ConfigError("invalid DQN configuration")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
+        if self.seed < 0:
+            raise ConfigError(f"dqn.seed must be >= 0, got {self.seed}")
+        if self.batch_size < 1:
+            raise ConfigError(f"dqn.batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, pairwise
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, SimulationError
 
@@ -245,6 +245,8 @@ class SimConfig:
             raise ConfigError("invalid simulator configuration")
         if self.active_time_mode not in ("inflight", "pods"):
             raise ConfigError(f"unknown active_time_mode {self.active_time_mode!r}")
+        if self.exec_noise_sigma < 0:
+            raise ConfigError(f"sim.exec_noise_sigma must be >= 0, got {self.exec_noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -267,8 +269,8 @@ class FunctionSnapshot:
     standard_response_time: float
 
 
-# Heap entry: (time, seq, handler, arg); dispatch calls handler(engine, arg).
-_Event = tuple[float, int, Callable[["ClusterEngine", int], None], int]
+# Event kinds of a heap entry (time, seq, kind, arg); arg is an app, request or pod id.
+_ARRIVAL, _FINISH, _POD_READY = 0, 1, 2
 
 
 class ClusterEngine:
@@ -278,26 +280,27 @@ class ClusterEngine:
     independent engine instances. All event dispatch is ordered by
     (timestamp, insertion sequence) so identical inputs replay identically.
 
-    Pending events live in three places, all keyed by the same (time, seq):
+    Pending events are of four kinds, all keyed by the same (time, seq):
 
-    * ``_retries``, a FIFO of ``(time, seq, request_id)``: every pending
-      retry, one per queued request. A retry is due one ``retry_interval``
-      after the clock it was pushed at, and the clock never goes back, so
-      each push goes at the tail.
-    * ``_arrivals``, the loaded arrivals that are not yet in the heap, sorted
+    * retries sit in ``_retries``, a FIFO of ``(time, seq, request_id)``,
+      one per queued request. A retry is due one ``retry_interval`` after
+      the clock it was pushed at, and the clock never goes back, so each
+      push goes at the tail.
+    * arrivals, finishes and pod readiness sit in ``_heap`` as
+      ``(time, seq, kind, arg)``, where ``kind`` is ``_ARRIVAL``,
+      ``_FINISH`` or ``_POD_READY`` and ``arg`` the app, request or pod id.
+    * loaded arrivals not yet in the heap wait in ``_arrivals``, sorted
       latest first. Each ``load_arrivals`` moves the earliest one into the
       heap and each dispatched arrival moves the next one, so the earliest
       pending arrival is always in the heap.
-    * ``_heap``, entries ``(time, seq, handler, arg)``: finishes, pod
-      readiness and arrivals, never a retry.
 
-    ``advance`` always dispatches the smaller of the FIFO head and the heap
-    top, so the order is the one a single heap of every event would give.
+    ``advance`` is the one dispatch loop. It always takes the smaller of the
+    FIFO head and the heap top, so the order is the one a single heap of
+    every event would give, and runs retries, arrivals and finishes inline.
     A due retry is logged, then dropped once the retry budget is spent,
     routed when its function has an open pod (``open_pods``), or re-queued.
-
-    An arrival calls ``route_request`` only when its function has an open
-    pod (``open_pods``); otherwise it is queued at once.
+    An arrival or a chain hand-off calls ``route_request`` only when its
+    function has an open pod; otherwise it is queued at once.
 
     Per request the engine keeps only what it reads back: each pod counts
     its running requests in ``PodState.in_flight``, and each finish appends
@@ -379,9 +382,9 @@ class ClusterEngine:
 
         self.log_events = log_events
         self.event_log: list[tuple] = []
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, int, int]] = []
         self._retries: deque[tuple[float, int, int]] = deque()
-        self._arrivals: list[_Event] = []
+        self._arrivals: list[tuple[float, int, int, int]] = []
         self._seq = 0
         self._next_pod_id = 0
         self._next_request_id = 0
@@ -389,10 +392,9 @@ class ClusterEngine:
 
     # ------------------------------------------------------------------ events
 
-    def _push(self, time: float, handler: Callable[[ClusterEngine, int], None],
-              arg: int) -> None:
+    def _push(self, time: float, kind: int, arg: int) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, handler, arg))
+        heapq.heappush(self._heap, (time, self._seq, kind, arg))
 
     def _push_retry(self, request_id: int) -> None:
         self._seq += 1
@@ -418,7 +420,7 @@ class ClusterEngine:
             if t < clock:
                 raise ConfigError(f"arrival at {t} lies before the clock ({clock})")
             seq += 1
-            batch.append((t, seq, ClusterEngine._on_arrival, app_id))
+            batch.append((t, seq, _ARRIVAL, app_id))
         if batch:
             self._seq = seq
             pending = self._arrivals
@@ -433,9 +435,21 @@ class ClusterEngine:
         mark = len(self.event_log)
         heap = self._heap
         retries = self._retries
+        arrivals = self._arrivals
         requests = self.requests
+        pods = self.pods
+        vms = self.vms
+        apps = self.apps
         open_pods = self.open_pods
+        queued_ids = self.queued_ids
+        completion_times = self.completion_times
+        completion_ratios = self.completion_ratios
         max_retries = self.config.max_retries
+        pods_mode = self._pods_mode
+        push_retry = self._push_retry
+        arrive = self._arrive
+        heappop = heapq.heappop
+        ready, terminating = PodPhase.READY, PodPhase.TERMINATING
         log = self.event_log if self.log_events else None
         while True:
             if retries and (not heap or retries[0] < heap[0]):
@@ -450,7 +464,7 @@ class ClusterEngine:
                     log.append((time, "retry", request_id))
                 if req.retries >= max_retries:
                     req.status = RequestStatus.DROPPED
-                    self.queued_ids[fn].discard(request_id)
+                    queued_ids[fn].discard(request_id)
                     self.dropped_total += 1
                     self.drop_times[fn].append(time)
                     if log is not None:
@@ -460,11 +474,54 @@ class ClusterEngine:
                 if open_pods[fn]:
                     self.route_request(req)
                 else:
-                    self._push_retry(request_id)
+                    push_retry(request_id)
             elif heap and heap[0][0] <= until:
-                time, _, handler, arg = heapq.heappop(heap)
+                time, _, kind, arg = heappop(heap)
                 self.clock = time
-                handler(self, arg)
+                if kind == _FINISH:
+                    req = requests[arg]
+                    pod = pods[req.pod_id]
+                    profile = pod.profile
+                    fn = req.function_id
+                    vm = vms[pod.vm_id]
+                    req.status = RequestStatus.COMPLETED
+                    req.finish_time = time
+                    in_flight = pod.in_flight = pod.in_flight - 1
+                    if pod.phase is ready and in_flight == pod.max_concurrency - 1:
+                        open_pods[fn] += 1
+                    vm.cpu_used -= profile.req_cpu
+                    vm.mem_used -= profile.req_mem
+                    vm.inflight -= 1
+                    if not vm.inflight and not pods_mode:
+                        # The last request left: close the busy interval. In
+                        # "pods" mode the pod is still on the VM, so it stays active.
+                        vm.busy_log.append((vm.busy_since, time))
+                        vm.busy_since = None
+                    self.completed_total += 1
+                    response = time - req.arrival_time
+                    completion_times[fn].append(time)
+                    completion_ratios[fn].append(response / profile.standard_response_time)
+                    if log is not None:
+                        log.append((time, "finish", arg))
+                    if pod.phase is terminating and not in_flight:
+                        self._remove_pod(pod)
+                    # Stages finish in chain order, so this adds up in the same
+                    # order as the standard times in ``_chain_standard``.
+                    elapsed = req.chain_elapsed + response
+                    app_id = req.app_id
+                    nxt = req.chain_index + 1
+                    if nxt < len(apps[app_id].function_sequence):
+                        # Chained functions hand off immediately: no inter-function delay.
+                        arrive(app_id, nxt, req.root_id, elapsed)
+                    else:
+                        self.chain_ratios[app_id][req.root_id] = (
+                            elapsed / self._chain_standard[app_id])
+                elif kind == _ARRIVAL:
+                    if arrivals:
+                        heapq.heappush(heap, arrivals.pop())
+                    arrive(arg, 0, None)
+                else:
+                    self._on_pod_ready(arg)
             else:
                 break
         self.clock = max(self.clock, until)  # an until up to _EPS behind keeps the clock
@@ -483,11 +540,6 @@ class ClusterEngine:
             self.event_log.append((self.clock, kind) + ids)
 
     # --------------------------------------------------------------- lifecycle
-
-    def _on_arrival(self, app_id: int) -> None:
-        if self._arrivals:
-            heapq.heappush(self._heap, self._arrivals.pop())
-        self._arrive(app_id, 0, None)
 
     def _arrive(self, app_id: int, chain_index: int, root_id: Optional[int],
                 chain_elapsed: float = 0.0) -> None:
@@ -517,8 +569,9 @@ class ClusterEngine:
             self._push_retry(rid)
 
     def route_request(self, req: RequestRecord) -> Optional[int]:
-        """Assign a queued request via the per-function round-robin cursor.
+        """Start a request on the next open pod by the per-function round-robin cursor.
 
+        Starting it charges the pod and its VM and schedules its finish.
         Returns the pod id on assignment, or None when every ready pod is at
         its concurrency bound. That case costs O(1): ``open_pods`` counts the
         pods that could take the request, and at 0 the pod scan is skipped.
@@ -539,79 +592,39 @@ class ClusterEngine:
         for off in range(n):
             pod = pods[pod_ids[(cursor + off) % n]]
             if pod.phase is ready and pod.in_flight < pod.max_concurrency:
-                self._rr_cursor[fn] = (cursor + off + 1) % n
-                self._assign(req, pod)
-                return pod.pod_id
-        raise SimulationError(
-            f"function {fn}: open-pod count is {open_pods} but no pod is open")
-
-    def _assign(self, req: RequestRecord, pod: PodState) -> None:
-        """Start ``req`` on ``pod``, which must be open."""
+                break
+        else:
+            raise SimulationError(
+                f"function {fn}: open-pod count is {open_pods} but no pod is open")
+        self._rr_cursor[fn] = (cursor + off + 1) % n
         now = self.clock
         rid = req.request_id
+        pod_id = pod.pod_id
         profile = pod.profile
         vm = self.vms[pod.vm_id]
         req.status = RequestStatus.RUNNING
         req.start_time = now
-        req.pod_id = pod.pod_id
+        req.pod_id = pod_id
         req.vm_id = pod.vm_id
         if req.retries:  # a request that never queued is not in the set
-            self.queued_ids[req.function_id].discard(rid)
+            self.queued_ids[fn].discard(rid)
         pod.in_flight += 1
         if pod.in_flight == pod.max_concurrency:
-            self.open_pods[req.function_id] -= 1
+            self.open_pods[fn] -= 1
         vm.cpu_used += profile.req_cpu
         vm.mem_used += profile.req_mem
         vm.inflight += 1
         if vm.busy_since is None:  # in either mode a VM serving a request is active
             vm.busy_since = now
         if self.log_events:
-            self.event_log.append((now, "assign", rid, pod.pod_id))
+            self.event_log.append((now, "assign", rid, pod_id))
         exec_time = profile.standard_response_time
         sigma = self.config.exec_noise_sigma
         if sigma > 0:
             exec_time *= self._rng.lognormvariate(0.0, sigma)
         self._seq += 1
-        heapq.heappush(self._heap, (now + exec_time, self._seq, ClusterEngine._on_finish, rid))
-
-    def _on_finish(self, request_id: int) -> None:
-        now = self.clock
-        req = self.requests[request_id]
-        pod = self.pods[req.pod_id]
-        profile = pod.profile
-        fn = req.function_id
-        vm = self.vms[pod.vm_id]
-        req.status = RequestStatus.COMPLETED
-        req.finish_time = now
-        in_flight = pod.in_flight = pod.in_flight - 1
-        if pod.phase is PodPhase.READY and in_flight == pod.max_concurrency - 1:
-            self.open_pods[fn] += 1
-        vm.cpu_used -= profile.req_cpu
-        vm.mem_used -= profile.req_mem
-        vm.inflight -= 1
-        if not vm.inflight and not self._pods_mode:
-            # The last request left: close the busy interval. In "pods" mode
-            # the pod is still on the VM, so the VM stays active.
-            vm.busy_log.append((vm.busy_since, now))
-            vm.busy_since = None
-        self.completed_total += 1
-        response = now - req.arrival_time
-        self.completion_times[fn].append(now)
-        self.completion_ratios[fn].append(response / profile.standard_response_time)
-        if self.log_events:
-            self.event_log.append((now, "finish", request_id))
-        if pod.phase is PodPhase.TERMINATING and not in_flight:
-            self._remove_pod(pod)
-        # Stages finish in chain order, so this adds up in the same order as
-        # the standard times in ``_chain_standard``.
-        elapsed = req.chain_elapsed + response
-        nxt = req.chain_index + 1
-        if nxt < len(self.apps[req.app_id].function_sequence):
-            # Chained functions hand off immediately: no inter-function delay.
-            self._arrive(req.app_id, nxt, req.root_id, elapsed)
-        else:
-            self.chain_ratios[req.app_id][req.root_id] = (
-                elapsed / self._chain_standard[req.app_id])
+        heapq.heappush(self._heap, (now + exec_time, self._seq, _FINISH, rid))
+        return pod_id
 
     def _on_pod_ready(self, pod_id: int) -> None:
         pod = self.pods.get(pod_id)
@@ -703,7 +716,7 @@ class ClusterEngine:
         best.cpu_allocated += cpu
         best.mem_allocated += mem
         self._update_vm_activity(best)
-        self._push(pod.ready_at, ClusterEngine._on_pod_ready, pod_id)
+        self._push(pod.ready_at, _POD_READY, pod_id)
         self._log("pod_create", pod_id, best.spec.vm_id)
         return pod_id
 
@@ -905,7 +918,7 @@ class ClusterEngine:
             "queued requests and pending retries differ"
         pending = self._arrivals
         assert all(a > b for a, b in pairwise(pending)), "pending arrivals out of order"
-        assert not pending or min((e for e in self._heap if e[2] is ClusterEngine._on_arrival),
+        assert not pending or min((e for e in self._heap if e[2] == _ARRIVAL),
                                   default=pending[-1]) < pending[-1], \
             "earliest pending arrival is not in the heap"
 

@@ -120,6 +120,9 @@ class WorkloadSettings:
     def __post_init__(self) -> None:
         if self.duration <= 0 or self.workloads_per_band < 1 or self.train_pool_size < 1:
             raise ConfigError("invalid workload settings")
+        if self.constant_rate is not None and self.constant_rate < 0:
+            raise ConfigError(
+                f"workload.constant_rate must be >= 0 or null, got {self.constant_rate}")
         for band in self.bands:
             if band not in EVAL_BANDS:
                 raise ConfigError(f"unknown band {band!r}; known: {sorted(EVAL_BANDS)}")

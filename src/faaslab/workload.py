@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import cycle, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cluster import Application, FunctionProfile
 from .errors import ConfigError
@@ -36,10 +36,6 @@ class TraceSeries:
 
     def rate_at(self, window: int) -> int:
         return self.counts[window % len(self.counts)]
-
-    @property
-    def max_rate(self) -> int:
-        return max(self.counts)
 
 
 def load_traces(path: str | Path) -> list[TraceSeries]:
@@ -74,17 +70,6 @@ def load_traces(path: str | Path) -> list[TraceSeries]:
     if not series:
         raise ConfigError(f"{path}: no traces found")
     return series
-
-
-def save_traces(series: Iterable[TraceSeries], path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        for s in series:
-            fh.write(f"{s.trace_id}, {' '.join(str(c) for c in s.counts)}\n")
-
-
-def filter_traces(series: Iterable[TraceSeries], max_rate: int) -> list[TraceSeries]:
-    """Keep only series whose peak per-window rate stays at or below the cap."""
-    return [s for s in series if s.max_rate <= max_rate]
 
 
 def synthetic_traces(n: int = 40, length: int = 360, seed: int = 20260810,

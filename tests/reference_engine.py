@@ -3,10 +3,13 @@
 ``ReferenceEngine`` subclasses ``ClusterEngine`` and replaces every fast path
 of the per-request lifecycle with the rule it stands for:
 
-* one heap holds every event. A loaded batch is checked arrival by arrival,
-  then each arrival is pushed, and each retry is a heap entry dispatched
-  through ``_on_retry``, which logs it and then drops the request at the
-  retry budget or attempts routing again;
+* one heap holds every event as ``(time, seq, handler, arg)``, and
+  ``advance`` calls ``handler(engine, arg)``; only the ``_POD_READY`` entries
+  the inherited ``_place_pod`` pushes carry an event kind, dispatched to
+  ``ClusterEngine._on_pod_ready``. A loaded batch is checked arrival by
+  arrival, then each arrival is pushed, and each retry is a heap entry
+  dispatched through ``_on_retry``, which logs it and then drops the request
+  at the retry budget or attempts routing again;
 * routing scans the function's pods round-robin and tests phase and
   concurrency bound directly; it never reads ``open_pods``;
 * each lifecycle step goes through its own small helper:
@@ -25,7 +28,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional
 
-from faaslab.cluster import (_EPS, ClusterEngine, PodPhase, PodState,
+from faaslab.cluster import (_EPS, _POD_READY, ClusterEngine, PodPhase, PodState,
                              RequestRecord, RequestStatus, VmState)
 from faaslab.errors import ConfigError, SimulationError
 
@@ -70,6 +73,8 @@ class ReferenceEngine(ClusterEngine):
         while self._heap and self._heap[0][0] <= until:
             time, _, handler, arg = heapq.heappop(self._heap)
             self.clock = time
+            if handler == _POD_READY:  # pushed by the inherited _place_pod
+                handler = ClusterEngine._on_pod_ready
             handler(self, arg)
         self.clock = max(self.clock, until)
         return self.event_log[mark:]

@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from faaslab.baselines import (BASELINES, BaselinePolicyConfig, KnativeConfig,
                                KubeCpuConfig, OpenFaasConfig, decide, knative_decide,
                                kube_cpu_decide, openfaas_decide, run_baseline)
 from faaslab.cluster import Application, FunctionProfile, FunctionSnapshot, SimConfig
+from faaslab.config import load_experiment
 from faaslab.env import EnvConfig
 from faaslab.errors import ConfigError
 from faaslab.workload import TraceSeries, WorkloadSpec
@@ -168,3 +171,35 @@ class TestRunBaseline:
         assert replica_log
         for _, _, count in replica_log:
             assert 0 <= count <= 80
+
+
+class TestEventLogDigests:
+    """Every baseline's full event log on high-band workload 0 of each preset.
+
+    These pin simulated behaviour at preset scale, with scaling, queueing,
+    retries and drops all in play: a rewrite of the engine's event loop must
+    leave every digest unchanged.
+    """
+
+    # First 16 hex digits of sha256(repr(event_log)).
+    DIGESTS = {
+        ("desk", "knative"): "ab5ad47fd73a44f9",
+        ("desk", "kube_cpu"): "66d53e3ce7503ac5",
+        ("desk", "openfaas"): "66d53e3ce7503ac5",
+        ("paper", "knative"): "f7b0575ba15c9601",
+        ("paper", "kube_cpu"): "2b06a9b68f81d2e6",
+        ("paper", "openfaas"): "2b06a9b68f81d2e6",
+    }
+
+    @pytest.mark.parametrize("preset", ["desk", "paper"])
+    def test_event_logs_match_recorded_digests(self, preset):
+        exp = load_experiment(overrides={"preset": preset})
+        workload = exp.eval_sets(["high"])["high"][0]
+        digests = {}
+        for policy in BASELINES:
+            res = run_baseline(policy, exp.vms, exp.profiles, workload, exp.env,
+                               exp.sim, exp.baselines, log_events=True)
+            digests[preset, policy] = hashlib.sha256(
+                repr(res.engine.event_log).encode()).hexdigest()[:16]
+        assert digests == {key: digest for key, digest in self.DIGESTS.items()
+                           if key[0] == preset}

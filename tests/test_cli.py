@@ -329,6 +329,24 @@ class TestErrors:
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("calibrate", "sim.exec_noise_sigma", -1),
+        ("train", "train.seed", -1),
+        ("train --agent dqn", "dqn.seed", -1),
+        ("train --agent dqn", "dqn.batch_size", 0),
+        ("calibrate", "workload.constant_rate", -5),
+    ], ids=["sim.exec_noise_sigma", "train.seed", "dqn.seed", "dqn.batch_size",
+            "workload.constant_rate"])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, key,
+                                                value):
+        config = write_config(tmp_path, cluster=["t4g.large"])
+        cfg = yaml.safe_load(config.read_text())
+        section, name = key.split(".")
+        cfg.setdefault(section, {})[name] = value
+        config.write_text(yaml.safe_dump(cfg))
+        assert main([*command.split(), "--config", str(config)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry, key", [({"functions": [0]}, "app_id"),
                                             ({"app_id": 0}, "functions")])
     def test_application_entry_without_a_key_is_config_error(self, tmp_path, capsys,

@@ -1,10 +1,11 @@
 import hashlib
+import heapq
 import random
 
 import numpy as np
 import pytest
 
-from faaslab.cluster import (Application, ClusterEngine,
+from faaslab.cluster import (_ARRIVAL, Application, ClusterEngine,
                              FunctionProfile, PodPhase, RequestStatus,
                              SimConfig, VmSpec, VmState, ceil_guarded,
                              desired_replicas, floor_guarded)
@@ -692,6 +693,32 @@ class TestInvariantsAndDeterminism:
         eng.pods[0].in_flight -= 1
         eng.pods[1].in_flight += 1
         with pytest.raises(AssertionError, match="in-flight count drift"):
+            eng.check_invariants()
+
+    @pytest.mark.parametrize("damage, message", [
+        ("heap_arrival", "earliest pending arrival is not in the heap"),
+        ("pending_order", "pending arrivals out of order"),
+        ("retry_order", "retry FIFO out of order"),
+    ], ids=["heap_arrival", "pending_order", "retry_order"])
+    def test_invariants_catch_corrupted_event_queues(self, big_vm, fast_profile,
+                                                     single_app, damage, message):
+        # No pods: the arrivals at 0.0 and 0.5 queue with a retry each, the one
+        # at 1.0 is in the heap and three more wait in the pending list.
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.load_arrivals([(i * 0.5, 0) for i in range(6)])
+        eng.advance(0.75)
+        assert (len(eng._retries), len(eng._arrivals)) == (2, 3)
+        eng.check_invariants()
+        if damage == "heap_arrival":
+            eng._heap[:] = [e for e in eng._heap if e[2] != _ARRIVAL]
+            heapq.heapify(eng._heap)
+        elif damage == "pending_order":
+            pending = eng._arrivals
+            pending[0], pending[1] = pending[1], pending[0]
+        else:
+            retries = eng._retries
+            retries[0], retries[1] = retries[1], retries[0]
+        with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
 
     def test_accounting_holds_throughout(self, desk_vms, fast_profile, single_app):

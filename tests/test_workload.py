@@ -8,10 +8,9 @@ from faaslab.cluster import Application
 from faaslab.config import load_experiment
 from faaslab.errors import ConfigError
 from faaslab.workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
-                              builtin_catalog, filter_traces, load_traces,
-                              make_workload, save_traces, select_apps,
-                              synthesize, synthetic_traces, training_apps,
-                              window_rates)
+                              builtin_catalog, load_traces, make_workload,
+                              select_apps, synthesize, synthetic_traces,
+                              training_apps, window_rates)
 
 
 class TestTraceIO:
@@ -42,15 +41,9 @@ class TestTraceIO:
             load_traces(p)
 
     def test_roundtrip(self, tmp_path):
-        original = [TraceSeries("a", (1, 2, 3)), TraceSeries("b", (0, 4))]
         p = tmp_path / "out.txt"
-        save_traces(original, p)
-        assert load_traces(p) == original
-
-    def test_filter_by_peak_rate(self):
-        corpus = [TraceSeries("lo", (10, 20)), TraceSeries("hi", (10, 61))]
-        kept = filter_traces(corpus, max_rate=60)
-        assert [s.trace_id for s in kept] == ["lo"]
+        p.write_text("a, 1 2 3\nb, 0 4\n")
+        assert load_traces(p) == [TraceSeries("a", (1, 2, 3)), TraceSeries("b", (0, 4))]
 
     def test_trace_validation(self):
         with pytest.raises(ConfigError):
@@ -207,4 +200,4 @@ class TestSyntheticCorpus:
         assert a == b
         for series in a:
             assert len(series.counts) == 100
-            assert series.max_rate <= 60
+            assert max(series.counts) <= 60
