@@ -405,7 +405,8 @@ class ClusterEngine:
         """Queue entry-function arrivals as (timestamp, app_id) pairs.
 
         Each arrival takes its sequence number in input order, so ties in time
-        dispatch in input order. The input need not be sorted. A batch with an
+        dispatch in input order. The input need not be sorted; a sorted batch
+        loaded while no arrival is pending skips the sort. A batch with an
         unknown app or a time before the clock is rejected whole: the
         ``ConfigError`` names its first such arrival and the engine is left
         as it was.
@@ -414,18 +415,27 @@ class ClusterEngine:
         clock = self.clock
         seq = self._seq
         batch = []
+        last = clock
+        in_order = True
         for t, app_id in arrivals:
             if app_id not in apps:
                 raise ConfigError(f"arrival references unknown app {app_id}")
-            if t < clock:
-                raise ConfigError(f"arrival at {t} lies before the clock ({clock})")
+            if not t >= last:  # out of order, before the clock, or NaN
+                if t < clock:
+                    raise ConfigError(f"arrival at {t} lies before the clock ({clock})")
+                in_order = False
+            last = t
             seq += 1
             batch.append((t, seq, _ARRIVAL, app_id))
         if batch:
             self._seq = seq
             pending = self._arrivals
-            pending.extend(batch)
-            pending.sort(reverse=True)
+            if pending or not in_order:
+                pending.extend(batch)
+                pending.sort(reverse=True)
+            else:  # an in-order batch alone: latest first is its reverse
+                batch.reverse()
+                pending.extend(batch)
             heapq.heappush(self._heap, pending.pop())
 
     def advance(self, until: float) -> list[tuple]:

@@ -5,15 +5,24 @@ request rate (req/s) during one second-long window of the workload. Arrivals
 inside a window are evenly spaced by default (keeps oracle tests exact); a
 jitter flag places them uniformly at random instead, which is equivalent to a
 Poisson process conditioned on the window count.
+
+Synthesis runs as numpy array passes, not a loop per window and arrival:
+``window_rates`` band-fits one windows x entry-functions count array, and
+``synthesize`` derives each arrival's window, offset and dealt app from it.
+The times are bit-identical to the scalar rule kept as the reference in
+``tests/oracles.py``. Each offset or rescaled count is one correctly rounded
+float64 division (``i / count``, ``raw * target / total``) on the same exact
+integers, and a stable sort keeps arrivals with tied times in (window,
+function, index) order.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import cycle, islice
-from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .cluster import Application, FunctionProfile
 from .errors import ConfigError
@@ -33,9 +42,6 @@ class TraceSeries:
             raise ConfigError(f"trace {self.trace_id!r} is empty")
         if any(c < 0 for c in self.counts):
             raise ConfigError(f"trace {self.trace_id!r} has negative counts")
-
-    def rate_at(self, window: int) -> int:
-        return self.counts[window % len(self.counts)]
 
 
 def load_traces(path: str | Path) -> list[TraceSeries]:
@@ -115,6 +121,10 @@ class WorkloadSpec:
             raise ConfigError("workload duration must be positive")
         if not self.applications:
             raise ConfigError("workload has no applications")
+        if self.band is not None and not (
+                len(self.band) == 2 and all(isinstance(b, int) for b in self.band)
+                and 0 <= self.band[0] <= self.band[1]):
+            raise ConfigError(f"workload band must be integers 0 <= lo <= hi, got {self.band}")
         for app in self.applications:
             entry = app.function_sequence[0]
             if entry not in self.entry_traces:
@@ -125,51 +135,44 @@ class WorkloadSpec:
         return tuple(sorted({app.function_sequence[0] for app in self.applications}))
 
 
-def _band_fit(raw: dict[int, int], lo: int, hi: int) -> dict[int, int]:
-    """Adjust one window's per-function counts so the aggregate lands in [lo, hi].
+def window_rates(spec: WorkloadSpec) -> np.ndarray:
+    """Per-window request rate of each entry function, band-fitted if set.
 
-    Counts are scaled proportionally toward the nearest band edge, then
-    nudged one request at a time (largest raw share first, ties to the lowest
-    function id) to absorb rounding. Deterministic.
+    One integer array of windows x entry functions, columns in
+    ``spec.entry_functions`` order. A window whose aggregate lies outside
+    ``band`` is scaled proportionally toward the nearest band edge. If its
+    rounded sum still misses the band it is nudged one request at a time
+    (largest raw share first, ties to the lowest function id). Deterministic.
     """
-    fns = sorted(raw)
-    total = sum(raw.values())
-    if lo <= total <= hi:
-        return dict(raw)
-    target = min(max(total, lo), hi)
-    if total == 0:
-        fitted = {fn: 0 for fn in fns}
-    else:
-        fitted = {fn: int(round(raw[fn] * target / total)) for fn in fns}
-    order = sorted(fns, key=lambda fn: (-raw[fn], fn))
-    sum_now = sum(fitted.values())
-    i = 0
-    while sum_now < lo:
-        fitted[order[i % len(order)]] += 1
-        sum_now += 1
-        i += 1
-    i = 0
-    while sum_now > hi:
-        fn = order[i % len(order)]
-        if fitted[fn] > 0:
-            fitted[fn] -= 1
-            sum_now -= 1
-        i += 1
-    return fitted
-
-
-def window_rates(spec: WorkloadSpec) -> list[dict[int, int]]:
-    """Per-window request rate for each entry function, band-fitted if set."""
     windows = int(spec.duration)
     if windows != spec.duration:
         raise ConfigError("workload duration must be a whole number of seconds")
-    entries = spec.entry_functions
-    rates = []
-    for w in range(windows):
-        raw = {fn: spec.entry_traces[fn].rate_at(w) for fn in entries}
-        if spec.band is not None:
-            raw = _band_fit(raw, spec.band[0], spec.band[1])
-        rates.append(raw)
+    rates = np.stack([np.resize(np.array(spec.entry_traces[fn].counts, dtype=np.int64), windows)
+                      for fn in spec.entry_functions], axis=1)
+    if spec.band is None:
+        return rates
+    lo, hi = spec.band
+    total = rates.sum(axis=1)
+    target = np.clip(total, lo, hi)
+    off = np.flatnonzero(total != target)
+    raw = rates[off]
+    # One float64 division of exact integers, rounded half to even: the value
+    # int(round(raw * target / total)) gives on Python ints.
+    fitted = np.rint(raw * target[off, None] / np.maximum(total[off], 1)[:, None]).astype(np.int64)
+    sums = fitted.sum(axis=1)
+    for k in np.flatnonzero((sums < lo) | (sums > hi)).tolist():
+        row, order = fitted[k], np.argsort(-raw[k], kind="stable")
+        n, short, excess = len(order), lo - int(sums[k]), int(sums[k]) - hi
+        if short > 0:  # one request each, round-robin in nudge order
+            row[order] += short // n + (np.arange(n) < short % n)
+        i = 0
+        while excess > 0:
+            fn = order[i % n]
+            if row[fn] > 0:
+                row[fn] -= 1
+                excess -= 1
+            i += 1
+    rates[off] = fitted
     return rates
 
 
@@ -178,32 +181,31 @@ def synthesize(spec: WorkloadSpec) -> list[tuple[float, int]]:
 
     Only entry functions get synthetic arrivals; chained successors are
     spawned by the simulator when the preceding function completes. When
-    several applications share an entry function the per-window count is
-    dealt round-robin across them.
+    several applications share an entry function its arrivals are dealt
+    round-robin across them (sorted by app id), window after window.
     """
-    entry_apps: dict[int, list[int]] = {}
-    for app in spec.applications:
-        entry_apps.setdefault(app.function_sequence[0], []).append(app.app_id)
-    for apps in entry_apps.values():
-        apps.sort()
-    rng = random.Random(spec.seed)
-    arrivals: list[tuple[float, int]] = []
-    deal = {fn: 0 for fn in entry_apps}  # index of the app the next arrival goes to
-    for w, rates in enumerate(window_rates(spec)):
-        for fn in sorted(rates):
-            count = rates[fn]
-            if count <= 0:
-                continue
-            if spec.jitter:
-                times = [w + off for off in sorted([rng.random() for _ in range(count)])]
-            else:
-                times = [w + i / count for i in range(count)]
-            apps = entry_apps[fn]
-            start = deal[fn]
-            arrivals.extend(zip(times, islice(cycle(apps), start, None)))
-            deal[fn] = (start + count) % len(apps)
-    arrivals.sort(key=itemgetter(0))
-    return arrivals
+    rates = window_rates(spec)
+    entries = spec.entry_functions
+    counts = rates.ravel()  # cells in (window, entry function) order
+    cell = np.repeat(np.arange(counts.size), counts)
+    index = np.arange(cell.size) - (np.cumsum(counts) - counts)[cell]  # within its cell
+    if spec.jitter:
+        rng = random.Random(spec.seed)
+        draws = np.array([rng.random() for _ in range(cell.size)])
+        offsets = draws[np.lexsort((draws, cell))]  # sorted within each cell
+    else:
+        offsets = index / counts[cell]
+    times = cell // len(entries) + offsets
+    # An arrival's running index among its entry function's arrivals, modulo
+    # that function's app count, picks its app from the function's sorted ids.
+    apps = [sorted(app.app_id for app in spec.applications if app.function_sequence[0] == fn)
+            for fn in entries]
+    sizes = np.array([len(ids) for ids in apps])
+    column = cell % len(entries)
+    dealt = (np.cumsum(rates, axis=0) - rates).ravel()[cell] + index
+    app_ids = np.concatenate(apps)[(np.cumsum(sizes) - sizes)[column] + dealt % sizes[column]]
+    order = np.argsort(times, kind="stable")
+    return list(zip(times[order].tolist(), app_ids[order].tolist()))
 
 
 def training_apps(applications: Sequence[Application], seed: int) -> tuple[Application, ...]:

@@ -1,10 +1,19 @@
 """Independent brute-force recomputation of episode metrics from the raw
 request ledger. Deliberately avoids the engine's streaming histories
 (completion lists, busy logs, counters): everything derives from per-request
-timestamps and statuses."""
+timestamps and statuses.
+
+Also the scalar workload synthesis rule, one window, function and arrival at
+a time, as the reference for the array passes of ``faaslab.workload``."""
 from __future__ import annotations
 
+import random
+from itertools import cycle, islice
+from operator import itemgetter
+
 from faaslab.cluster import ClusterEngine, RequestStatus
+from faaslab.errors import ConfigError
+from faaslab.workload import WorkloadSpec
 
 
 def brute_rart(engine: ClusterEngine) -> float:
@@ -70,3 +79,89 @@ def brute_cost(engine: ClusterEngine) -> float:
         busy = _union_length(per_vm.get(vm.spec.vm_id, []))
         cost += vm.spec.unit_price * busy / 3600.0
     return cost
+
+
+# --------------------------------------------------------------------------
+# The scalar synthesis rule that faaslab.workload replaced with array passes,
+# kept verbatim apart from names; TraceSeries.rate_at(w) was counts[w % len].
+
+def scalar_band_fit(raw: dict[int, int], lo: int, hi: int) -> dict[int, int]:
+    """Adjust one window's per-function counts so the aggregate lands in [lo, hi].
+
+    Counts are scaled proportionally toward the nearest band edge, then
+    nudged one request at a time (largest raw share first, ties to the lowest
+    function id) to absorb rounding. Deterministic.
+    """
+    fns = sorted(raw)
+    total = sum(raw.values())
+    if lo <= total <= hi:
+        return dict(raw)
+    target = min(max(total, lo), hi)
+    if total == 0:
+        fitted = {fn: 0 for fn in fns}
+    else:
+        fitted = {fn: int(round(raw[fn] * target / total)) for fn in fns}
+    order = sorted(fns, key=lambda fn: (-raw[fn], fn))
+    sum_now = sum(fitted.values())
+    i = 0
+    while sum_now < lo:
+        fitted[order[i % len(order)]] += 1
+        sum_now += 1
+        i += 1
+    i = 0
+    while sum_now > hi:
+        fn = order[i % len(order)]
+        if fitted[fn] > 0:
+            fitted[fn] -= 1
+            sum_now -= 1
+        i += 1
+    return fitted
+
+
+def scalar_window_rates(spec: WorkloadSpec) -> list[dict[int, int]]:
+    """Per-window request rate for each entry function, band-fitted if set."""
+    windows = int(spec.duration)
+    if windows != spec.duration:
+        raise ConfigError("workload duration must be a whole number of seconds")
+    entries = spec.entry_functions
+    rates = []
+    for w in range(windows):
+        raw = {fn: spec.entry_traces[fn].counts[w % len(spec.entry_traces[fn].counts)]
+               for fn in entries}
+        if spec.band is not None:
+            raw = scalar_band_fit(raw, spec.band[0], spec.band[1])
+        rates.append(raw)
+    return rates
+
+
+def scalar_synthesize(spec: WorkloadSpec) -> list[tuple[float, int]]:
+    """Materialize the arrival list: time-ordered (timestamp, app_id) pairs.
+
+    Only entry functions get synthetic arrivals; chained successors are
+    spawned by the simulator when the preceding function completes. When
+    several applications share an entry function the per-window count is
+    dealt round-robin across them.
+    """
+    entry_apps: dict[int, list[int]] = {}
+    for app in spec.applications:
+        entry_apps.setdefault(app.function_sequence[0], []).append(app.app_id)
+    for apps in entry_apps.values():
+        apps.sort()
+    rng = random.Random(spec.seed)
+    arrivals: list[tuple[float, int]] = []
+    deal = {fn: 0 for fn in entry_apps}  # index of the app the next arrival goes to
+    for w, rates in enumerate(scalar_window_rates(spec)):
+        for fn in sorted(rates):
+            count = rates[fn]
+            if count <= 0:
+                continue
+            if spec.jitter:
+                times = [w + off for off in sorted([rng.random() for _ in range(count)])]
+            else:
+                times = [w + i / count for i in range(count)]
+            apps = entry_apps[fn]
+            start = deal[fn]
+            arrivals.extend(zip(times, islice(cycle(apps), start, None)))
+            deal[fn] = (start + count) % len(apps)
+    arrivals.sort(key=itemgetter(0))
+    return arrivals

@@ -406,6 +406,7 @@ class TestLoadArrivals:
         ([(2.5, 0), (1.5, 0), (3.0, 7)], r"arrival at 1\.5 lies before the clock"),
         ([(2.5, 0), (3.0, 7), (1.5, 0)], "unknown app 7"),
         ([(1.5, 7), (1.0, 0)], "unknown app 7"),  # an arrival's app is checked first
+        ([(float("nan"), 0), (1.5, 0)], r"arrival at 1\.5 lies before the clock"),
     ])
     def test_error_names_first_bad_arrival(self, eng, batch, message):
         with pytest.raises(ConfigError, match=message):

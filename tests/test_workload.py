@@ -1,8 +1,11 @@
 import hashlib
 import struct
 from dataclasses import replace
+from itertools import starmap
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from faaslab.cluster import Application
 from faaslab.config import load_experiment
@@ -12,6 +15,8 @@ from faaslab.workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
                               select_apps, synthesize, synthetic_traces,
                               training_apps, window_rates)
 
+from oracles import scalar_synthesize
+
 
 class TestTraceIO:
     def test_row_parses_as_rates(self, tmp_path):
@@ -20,7 +25,6 @@ class TestTraceIO:
         series = load_traces(p)
         assert series[0].trace_id == "f1"
         assert series[0].counts == (3, 5, 2)
-        assert [series[0].rate_at(w) for w in range(3)] == [3, 5, 2]
 
     def test_negative_count_rejected_with_line(self, tmp_path):
         p = tmp_path / "traces.txt"
@@ -100,6 +104,46 @@ class TestSynthesize:
         with pytest.raises(ConfigError):
             WorkloadSpec(duration=10, applications=(app,), entry_traces={})
 
+    @pytest.mark.parametrize("band", [
+        (9, 4),    # lo above hi: the fit used to land every window on hi, below lo
+        (-5, -1),  # negative bounds: the fit used to make negative counts
+    ])
+    def test_band_outside_zero_lo_hi_rejected(self, band):
+        with pytest.raises(ConfigError, match="band"):
+            self._spec((10, 0, 3), 3, band=band)
+
+
+PAIR = struct.Struct("<dq")  # one (time, app id) arrival
+
+
+@st.composite
+def workload_specs(draw):
+    """Specs of 1-5 entry functions with 1-3 apps each; app ids are shuffled,
+    so an entry function's apps are dealt in an order their ids must set."""
+    fns = draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True))
+    entries = [fn for fn in fns for _ in range(draw(st.integers(1, 3)))]
+    ids = draw(st.permutations(range(len(entries))))
+    # one byte per window keeps generation cheap; counts run 0-70
+    counts = st.binary(min_size=1, max_size=40).map(lambda b: tuple(x % 71 for x in b))
+    band = st.lists(st.integers(0, 200), min_size=2, max_size=2).map(sorted).map(tuple)
+    return WorkloadSpec(
+        duration=draw(st.integers(1, 40)),
+        # function 10 is a chained successor, which gets no arrivals of its own
+        applications=tuple(Application(app_id=app_id, function_sequence=(fn, 10))
+                           for app_id, fn in zip(ids, entries)),
+        entry_traces={fn: TraceSeries(f"t{fn}", draw(counts)) for fn in fns},
+        band=draw(st.none() | band), seed=draw(st.integers(0, 2**32)),
+        jitter=draw(st.booleans()))
+
+
+@given(spec=workload_specs())
+def test_synthesize_matches_scalar_rule(spec):
+    arrivals = synthesize(spec)
+    # A numpy scalar would slow every heap comparison and change event-log reprs.
+    assert {(type(t), type(app_id)) for t, app_id in arrivals} <= {(float, int)}
+    assert (b"".join(starmap(PAIR.pack, arrivals))
+            == b"".join(starmap(PAIR.pack, scalar_synthesize(spec))))
+
 
 class TestSynthesizeDigest:
     # sha256 over every (time, app) pair synthesize returns, recorded before
@@ -142,8 +186,9 @@ class TestBandFitting:
         for w in range(60):
             count = sum(1 for t, _ in arrivals if w <= t < w + 1)
             assert lo <= count <= hi
-        for rates in window_rates(spec):
-            assert lo <= sum(rates.values()) <= hi
+        sums = window_rates(spec).sum(axis=1)
+        assert sums.shape == (60,)
+        assert ((lo <= sums) & (sums <= hi)).all()
 
     def test_zero_windows_filled_to_band_floor(self):
         app = Application(app_id=0, function_sequence=(0,))
