@@ -14,11 +14,12 @@ import heapq
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain, pairwise
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .errors import ConfigError, SimulationError
 
@@ -204,8 +205,10 @@ class PodState:
         return self.mem_used / self.mem_limit
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
+    """One request as it stood when the record was built from the engine's columns."""
+
     request_id: int
     app_id: int
     chain_index: int
@@ -219,6 +222,30 @@ class RequestRecord:
     retries: int = 0
     pod_id: Optional[int] = None
     vm_id: Optional[int] = None
+
+
+class RequestView(Mapping[int, RequestRecord]):
+    """Read-only mapping of request id to ``RequestRecord`` over the engine's columns.
+
+    ``len`` is O(1). Each lookup builds a new frozen record: a snapshot that
+    later events do not change.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple[list, ...]):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._columns[0])))
+
+    def __getitem__(self, rid: int) -> RequestRecord:
+        if not isinstance(rid, int) or not 0 <= rid < len(self._columns[0]):
+            raise KeyError(rid)
+        return RequestRecord(rid, *[column[rid] for column in self._columns])
 
 
 @dataclass(frozen=True)
@@ -302,10 +329,13 @@ class ClusterEngine:
     An arrival or a chain hand-off calls ``route_request`` only when its
     function has an open pod; otherwise it is queued at once.
 
-    Per request the engine keeps only what it reads back: each pod counts
-    its running requests in ``PodState.in_flight``, and each finish appends
-    its time and response-time ratio to the function's ``completion_times``
-    and ``completion_ratios``, two parallel lists in finish order.
+    Requests are columns: ``req_status`` and its parallel lists, one per
+    ``RequestRecord`` field after the id, indexed by request id. They hold
+    no object the garbage collector tracks. ``requests`` is a read-only
+    ``RequestView`` of them whose lookups build frozen snapshots. Each pod
+    counts its running requests in ``PodState.in_flight``, and each finish
+    appends its time and response-time ratio to the function's
+    ``completion_times`` and ``completion_ratios``, in finish order.
 
     With ``log_events`` every event also appends a ``(time, kind, *ids)``
     tuple to ``event_log``; otherwise nothing is appended and ``event_log``
@@ -359,7 +389,14 @@ class ClusterEngine:
         # Pods per function for which ``PodState.is_open`` holds.
         self.open_pods: dict[int, int] = {fn: 0 for fn in self.profiles}
 
-        self.requests: dict[int, RequestRecord] = {}
+        # One column per RequestRecord field after the id, indexed by request id.
+        self._req_columns = tuple([] for _ in fields(RequestRecord)[1:])
+        (self.req_app_id, self.req_chain_index, self.req_function_id,
+         self.req_arrival_time, self.req_root_id, self.req_chain_elapsed,
+         self.req_start_time, self.req_finish_time, self.req_status,
+         self.req_retries, self.req_pod_id, self.req_vm_id) = self._req_columns
+        self.requests: Mapping[int, RequestRecord] = RequestView(self._req_columns)
+        self._app_fns = {app_id: app.function_sequence for app_id, app in self.apps.items()}
         # Per app, root id -> response-time ratio of each fully completed chain:
         # its summed response time over its summed standard response time.
         self.chain_ratios: dict[int, dict[int, float]] = {app_id: {} for app_id in self.apps}
@@ -387,7 +424,6 @@ class ClusterEngine:
         self._arrivals: list[tuple[float, int, int, int]] = []
         self._seq = 0
         self._next_pod_id = 0
-        self._next_request_id = 0
         self._rng = random.Random(config.seed)
 
     # ------------------------------------------------------------------ events
@@ -409,7 +445,8 @@ class ClusterEngine:
         loaded while no arrival is pending skips the sort. A batch with an
         unknown app or a time before the clock is rejected whole: the
         ``ConfigError`` names its first such arrival and the engine is left
-        as it was.
+        as it was. Failing those, a batch with a NaN or infinite time is
+        rejected the same way, naming its first one.
         """
         apps = self.apps
         clock = self.clock
@@ -417,16 +454,26 @@ class ClusterEngine:
         batch = []
         last = clock
         in_order = True
+        nonfinite = None  # the batch's first NaN or infinite time
         for t, app_id in arrivals:
             if app_id not in apps:
                 raise ConfigError(f"arrival references unknown app {app_id}")
-            if not t >= last:  # out of order, before the clock, or NaN
+            if not t >= last:  # out of order, before the clock, NaN, or after an inf
                 if t < clock:
                     raise ConfigError(f"arrival at {t} lies before the clock ({clock})")
+                if nonfinite is None:
+                    if batch and last == math.inf:
+                        nonfinite = last
+                    elif t != t:
+                        nonfinite = t
                 in_order = False
             last = t
             seq += 1
             batch.append((t, seq, _ARRIVAL, app_id))
+        if nonfinite is None and batch and last == math.inf:
+            nonfinite = last  # only infinite times follow the batch's first one
+        if nonfinite is not None:
+            raise ConfigError(f"arrival at {nonfinite} is not a finite time")
         if batch:
             self._seq = seq
             pending = self._arrivals
@@ -446,94 +493,130 @@ class ClusterEngine:
         heap = self._heap
         retries = self._retries
         arrivals = self._arrivals
-        requests = self.requests
         pods = self.pods
         vms = self.vms
-        apps = self.apps
+        app_fns = self._app_fns
         open_pods = self.open_pods
         queued_ids = self.queued_ids
+        arrival_times = self.arrival_times
         completion_times = self.completion_times
         completion_ratios = self.completion_ratios
+        (req_app_id, req_chain_index, req_fn, req_arrival_time, req_root_id, req_chain_elapsed,
+         _, req_finish_time, req_status, req_retries, req_pod_id, _) = self._req_columns
+        # Column handles for the new-request block.
+        (add_app_id, add_chain_index, add_fn, add_arrival_time, add_root_id,
+         add_chain_elapsed, add_start_time, add_finish_time, add_status, add_retries,
+         add_pod_id, add_vm_id) = (column.append for column in self._req_columns)
         max_retries = self.config.max_retries
         pods_mode = self._pods_mode
         push_retry = self._push_retry
-        arrive = self._arrive
-        heappop = heapq.heappop
+        route = self.route_request
+        heappop, heappush = heapq.heappop, heapq.heappush
         ready, terminating = PodPhase.READY, PodPhase.TERMINATING
+        queued = RequestStatus.QUEUED
         log = self.event_log if self.log_events else None
         while True:
             if retries and (not heap or retries[0] < heap[0]):
-                time, _, request_id = retries[0]
+                time, _, rid = retries[0]
                 if time > until:
                     break
                 retries.popleft()
                 self.clock = time
-                req = requests[request_id]
-                fn = req.function_id
+                fn = req_fn[rid]
                 if log is not None:
-                    log.append((time, "retry", request_id))
-                if req.retries >= max_retries:
-                    req.status = RequestStatus.DROPPED
-                    queued_ids[fn].discard(request_id)
+                    log.append((time, "retry", rid))
+                tries = req_retries[rid]
+                if tries >= max_retries:
+                    req_status[rid] = RequestStatus.DROPPED
+                    queued_ids[fn].discard(rid)
                     self.dropped_total += 1
                     self.drop_times[fn].append(time)
                     if log is not None:
-                        log.append((time, "drop", request_id))
+                        log.append((time, "drop", rid))
                     continue
-                req.retries += 1
+                req_retries[rid] = tries + 1
                 if open_pods[fn]:
-                    self.route_request(req)
+                    route(rid)
                 else:
-                    push_retry(request_id)
-            elif heap and heap[0][0] <= until:
-                time, _, kind, arg = heappop(heap)
-                self.clock = time
-                if kind == _FINISH:
-                    req = requests[arg]
-                    pod = pods[req.pod_id]
-                    profile = pod.profile
-                    fn = req.function_id
-                    vm = vms[pod.vm_id]
-                    req.status = RequestStatus.COMPLETED
-                    req.finish_time = time
-                    in_flight = pod.in_flight = pod.in_flight - 1
-                    if pod.phase is ready and in_flight == pod.max_concurrency - 1:
-                        open_pods[fn] += 1
-                    vm.cpu_used -= profile.req_cpu
-                    vm.mem_used -= profile.req_mem
-                    vm.inflight -= 1
-                    if not vm.inflight and not pods_mode:
-                        # The last request left: close the busy interval. In
-                        # "pods" mode the pod is still on the VM, so it stays active.
-                        vm.busy_log.append((vm.busy_since, time))
-                        vm.busy_since = None
-                    self.completed_total += 1
-                    response = time - req.arrival_time
-                    completion_times[fn].append(time)
-                    completion_ratios[fn].append(response / profile.standard_response_time)
-                    if log is not None:
-                        log.append((time, "finish", arg))
-                    if pod.phase is terminating and not in_flight:
-                        self._remove_pod(pod)
-                    # Stages finish in chain order, so this adds up in the same
-                    # order as the standard times in ``_chain_standard``.
-                    elapsed = req.chain_elapsed + response
-                    app_id = req.app_id
-                    nxt = req.chain_index + 1
-                    if nxt < len(apps[app_id].function_sequence):
-                        # Chained functions hand off immediately: no inter-function delay.
-                        arrive(app_id, nxt, req.root_id, elapsed)
-                    else:
-                        self.chain_ratios[app_id][req.root_id] = (
-                            elapsed / self._chain_standard[app_id])
-                elif kind == _ARRIVAL:
-                    if arrivals:
-                        heapq.heappush(heap, arrivals.pop())
-                    arrive(arg, 0, None)
-                else:
-                    self._on_pod_ready(arg)
-            else:
+                    push_retry(rid)
+                continue
+            if not heap or heap[0][0] > until:
                 break
+            time, _, kind, arg = heappop(heap)
+            self.clock = time
+            if kind == _FINISH:
+                pod = pods[req_pod_id[arg]]
+                profile = pod.profile
+                fn = req_fn[arg]
+                vm = vms[pod.vm_id]
+                req_status[arg] = RequestStatus.COMPLETED
+                req_finish_time[arg] = time
+                in_flight = pod.in_flight = pod.in_flight - 1
+                if pod.phase is ready and in_flight == pod.max_concurrency - 1:
+                    open_pods[fn] += 1
+                vm.cpu_used -= profile.req_cpu
+                vm.mem_used -= profile.req_mem
+                vm.inflight -= 1
+                if not vm.inflight and not pods_mode:
+                    # The last request left: close the busy interval. In
+                    # "pods" mode the pod is still on the VM, so it stays active.
+                    vm.busy_log.append((vm.busy_since, time))
+                    vm.busy_since = None
+                self.completed_total += 1
+                response = time - req_arrival_time[arg]
+                completion_times[fn].append(time)
+                completion_ratios[fn].append(response / profile.standard_response_time)
+                if log is not None:
+                    log.append((time, "finish", arg))
+                if pod.phase is terminating and not in_flight:
+                    self._remove_pod(pod)
+                # Stages finish in chain order, so this adds up in the same
+                # order as the standard times in ``_chain_standard``.
+                elapsed = req_chain_elapsed[arg] + response
+                app_id = req_app_id[arg]
+                root = req_root_id[arg]
+                stage = req_chain_index[arg] + 1
+                fns = app_fns[app_id]
+                if stage == len(fns):
+                    self.chain_ratios[app_id][root] = elapsed / self._chain_standard[app_id]
+                    continue
+                # Chained functions hand off immediately: no inter-function delay.
+            elif kind == _ARRIVAL:
+                if arrivals:
+                    heappush(heap, arrivals.pop())
+                app_id, stage, root, elapsed = arg, 0, len(req_status), 0.0
+                fns = app_fns[arg]
+            else:
+                self._on_pod_ready(arg)
+                continue
+            # A request for stage ``stage`` of ``app_id`` arrives now, with the
+            # next id. It is routed if its function has an open pod and queued
+            # otherwise; a failed arrival-time attempt counts as its first retry.
+            rid = len(req_status)
+            fn = fns[stage]
+            add_app_id(app_id)
+            add_chain_index(stage)
+            add_fn(fn)
+            add_arrival_time(time)
+            add_root_id(root)
+            add_chain_elapsed(elapsed)
+            add_start_time(None)
+            add_finish_time(None)
+            add_status(queued)
+            add_pod_id(None)
+            add_vm_id(None)
+            arrival_times[fn].append(time)
+            if log is not None:
+                log.append((time, "arrival", rid, fn))
+            if open_pods[fn]:
+                add_retries(0)
+                route(rid)
+            else:
+                add_retries(1)
+                queued_ids[fn].add(rid)
+                if log is not None:
+                    log.append((time, "queue", rid))
+                push_retry(rid)
         self.clock = max(self.clock, until)  # an until up to _EPS behind keeps the clock
         return self.event_log[mark:]
 
@@ -551,35 +634,8 @@ class ClusterEngine:
 
     # --------------------------------------------------------------- lifecycle
 
-    def _arrive(self, app_id: int, chain_index: int, root_id: Optional[int],
-                chain_elapsed: float = 0.0) -> None:
-        """A request for stage ``chain_index`` of ``app_id`` arrives now.
-
-        ``root_id`` None starts a new chain rooted at this request. The
-        request is routed if its function has an open pod and queued
-        otherwise; a failed arrival-time attempt counts as its first retry.
-        """
-        rid = self._next_request_id
-        self._next_request_id = rid + 1
-        now = self.clock
-        fn = self.apps[app_id].function_sequence[chain_index]
-        req = RequestRecord(rid, app_id, chain_index, fn, now,
-                            rid if root_id is None else root_id, chain_elapsed)
-        self.requests[rid] = req
-        self.arrival_times[fn].append(now)
-        if self.log_events:
-            self.event_log.append((now, "arrival", rid, fn))
-        if self.open_pods[fn]:
-            self.route_request(req)
-        else:
-            self.queued_ids[fn].add(rid)
-            req.retries = 1
-            if self.log_events:
-                self.event_log.append((now, "queue", rid))
-            self._push_retry(rid)
-
-    def route_request(self, req: RequestRecord) -> Optional[int]:
-        """Start a request on the next open pod by the per-function round-robin cursor.
+    def route_request(self, rid: int) -> Optional[int]:
+        """Start request ``rid`` on the next open pod by the per-function round-robin cursor.
 
         Starting it charges the pod and its VM and schedules its finish.
         Returns the pod id on assignment, or None when every ready pod is at
@@ -588,10 +644,8 @@ class ClusterEngine:
         The engine calls this only when the count is positive, and a scan
         that then finds no open pod raises ``SimulationError``.
         """
-        fn = req.function_id
-        open_pods = self.open_pods.get(fn)
-        if open_pods is None:
-            raise ConfigError(f"request targets unknown function {fn}")
+        fn = self.req_function_id[rid]
+        open_pods = self.open_pods[fn]
         if not open_pods:
             return None
         pod_ids = self.fn_pods[fn]
@@ -608,15 +662,14 @@ class ClusterEngine:
                 f"function {fn}: open-pod count is {open_pods} but no pod is open")
         self._rr_cursor[fn] = (cursor + off + 1) % n
         now = self.clock
-        rid = req.request_id
         pod_id = pod.pod_id
         profile = pod.profile
         vm = self.vms[pod.vm_id]
-        req.status = RequestStatus.RUNNING
-        req.start_time = now
-        req.pod_id = pod_id
-        req.vm_id = pod.vm_id
-        if req.retries:  # a request that never queued is not in the set
+        self.req_status[rid] = RequestStatus.RUNNING
+        self.req_start_time[rid] = now
+        self.req_pod_id[rid] = pod_id
+        self.req_vm_id[rid] = pod.vm_id
+        if self.req_retries[rid]:  # a request that never queued is not in the set
             self.queued_ids[fn].discard(rid)
         pod.in_flight += 1
         if pod.in_flight == pod.max_concurrency:
@@ -884,9 +937,9 @@ class ClusterEngine:
 
     def request_counts(self) -> dict[str, int]:
         counts = {status.value: 0 for status in RequestStatus}
-        for req in self.requests.values():
-            counts[req.status.value] += 1
-        counts["Total"] = len(self.requests)
+        for status, n in Counter(self.req_status).items():
+            counts[status.value] = n
+        counts["Total"] = len(self.req_status)
         return counts
 
     def check_invariants(self) -> None:
@@ -904,10 +957,24 @@ class ClusterEngine:
             assert vm.mem_allocated <= vm.spec.mem_capacity + 1e-6, "mem over-allocation"
             assert vm.cpu_used <= vm.cpu_allocated + 1e-6, "cpu usage above allocation"
             assert vm.mem_used <= vm.mem_allocated + 1e-6, "mem usage above allocation"
-        running = Counter(r.pod_id for r in self.requests.values()
-                          if r.status is RequestStatus.RUNNING)
+        assert len({len(column) for column in self._req_columns}) == 1, \
+            "request columns differ in length"
+        running_pods: Counter[int] = Counter()
+        for rid, (fn, status, pod_id, finish, retries) in enumerate(zip(
+                self.req_function_id, self.req_status, self.req_pod_id,
+                self.req_finish_time, self.req_retries)):
+            if status is RequestStatus.RUNNING:
+                assert pod_id is not None and finish is None, \
+                    "running request without a pod or with a finish time"
+                running_pods[pod_id] += 1
+            elif status is RequestStatus.COMPLETED:
+                assert finish is not None, "completed request without a finish time"
+            elif status is RequestStatus.QUEUED:
+                assert rid in self.queued_ids[fn] and pod_id is None, \
+                    "queued request not in queued_ids or holding a pod"
+            assert retries <= self.config.max_retries, "retries above the retry budget"
         for pod in self.pods.values():
-            assert pod.in_flight == running[pod.pod_id], "in-flight count drift"
+            assert pod.in_flight == running_pods[pod.pod_id], "in-flight count drift"
             assert pod.max_concurrency == pod.concurrency_bound(), "stale concurrency bound"
             assert pod.in_flight <= pod.max_concurrency, "pod concurrency overflow"
             if pod.phase is PodPhase.CREATING:
@@ -915,14 +982,9 @@ class ClusterEngine:
         for fn, pod_ids in self.fn_pods.items():
             open_count = sum(1 for pid in pod_ids if self.pods[pid].is_open)
             assert open_count == self.open_pods[fn], "open-pod count drift"
-        counts = self.request_counts()
-        assert (counts["Completed"] + counts["Dropped"] + counts["Queued"]
-                + counts["Running"]) == counts["Total"], "request accounting broken"
         assert all(a < b for a, b in pairwise(self._retries)), "retry FIFO out of order"
-        for fn, ids in self.queued_ids.items():
-            assert ids == {r.request_id for r in self.requests.values()
-                           if r.function_id == fn and r.status is RequestStatus.QUEUED}, \
-                "queued-id set drift"
+        assert all(self.req_status[rid] is RequestStatus.QUEUED and self.req_function_id[rid] == fn
+                   for fn, ids in self.queued_ids.items() for rid in ids), "queued-id set drift"
         assert (Counter(rid for _, _, rid in self._retries)
                 == Counter(chain.from_iterable(self.queued_ids.values()))), \
             "queued requests and pending retries differ"

@@ -7,7 +7,8 @@ of the per-request lifecycle with the rule it stands for:
   ``advance`` calls ``handler(engine, arg)``; only the ``_POD_READY`` entries
   the inherited ``_place_pod`` pushes carry an event kind, dispatched to
   ``ClusterEngine._on_pod_ready``. A loaded batch is checked arrival by
-  arrival, then each arrival is pushed, and each retry is a heap entry
+  arrival for its app and the clock, then again for a non-finite time, then
+  each arrival is pushed, and each retry is a heap entry
   dispatched through ``_on_retry``, which logs it and then drops the request
   at the retry budget or attempts routing again;
 * routing scans the function's pods round-robin and tests phase and
@@ -15,6 +16,8 @@ of the per-request lifecycle with the rule it stands for:
 * each lifecycle step goes through its own small helper:
   ``_arrive`` -> ``_route_or_queue`` -> ``route_request`` -> ``_assign`` ->
   ``_update_vm_activity``/``_log``;
+* each request is one mutable ``Record`` in the ``requests`` dict, where
+  ``ClusterEngine`` keeps columns;
 * chain ratios are recomputed from the request records when read, and each
   finish appends its response time computed from the record;
 * ``busy_overlap`` sums over the whole busy log.
@@ -26,11 +29,32 @@ every event, record and float must come out the same.
 from __future__ import annotations
 
 import heapq
+import math
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from faaslab.cluster import (_EPS, _POD_READY, ClusterEngine, PodPhase, PodState,
-                             RequestRecord, RequestStatus, VmState)
+                             RequestStatus, VmState)
 from faaslab.errors import ConfigError, SimulationError
+
+
+@dataclass(slots=True)
+class Record:
+    """The fields of ``RequestRecord``, as one mutable object per request."""
+
+    request_id: int
+    app_id: int
+    chain_index: int
+    function_id: int
+    arrival_time: float
+    root_id: int
+    chain_elapsed: float = 0.0
+    start_time: Optional[float] = None
+    finish_time: Optional[float] = None
+    status: RequestStatus = RequestStatus.QUEUED
+    retries: int = 0
+    pod_id: Optional[int] = None
+    vm_id: Optional[int] = None
 
 
 class FullScanVm(VmState):
@@ -49,6 +73,7 @@ class ReferenceEngine(ClusterEngine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.vms = {vm_id: FullScanVm(spec=vm.spec) for vm_id, vm in self.vms.items()}
+        self.requests: dict[int, Record] = {}
 
     # ------------------------------------------------------------------ events
 
@@ -59,6 +84,9 @@ class ReferenceEngine(ClusterEngine):
                 raise ConfigError(f"arrival references unknown app {app_id}")
             if t < self.clock:
                 raise ConfigError(f"arrival at {t} lies before the clock ({self.clock})")
+        for t, _ in arrivals:
+            if not math.isfinite(t):
+                raise ConfigError(f"arrival at {t} is not a finite time")
         for t, app_id in arrivals:
             self._push(t, ReferenceEngine._on_arrival, app_id)
 
@@ -89,20 +117,19 @@ class ReferenceEngine(ClusterEngine):
 
     def _arrive(self, app_id: int, chain_index: int, root_id: Optional[int],
                 chain_elapsed: float = 0.0) -> None:
-        rid = self._next_request_id
-        self._next_request_id += 1
+        rid = len(self.requests)
         fn = self.apps[app_id].function_sequence[chain_index]
-        req = RequestRecord(request_id=rid, app_id=app_id, chain_index=chain_index,
-                            function_id=fn, arrival_time=self.clock,
-                            root_id=rid if root_id is None else root_id,
-                            chain_elapsed=chain_elapsed)
+        req = Record(request_id=rid, app_id=app_id, chain_index=chain_index,
+                     function_id=fn, arrival_time=self.clock,
+                     root_id=rid if root_id is None else root_id,
+                     chain_elapsed=chain_elapsed)
         self.requests[rid] = req
         self.arrival_times[fn].append(self.clock)
         self._log("arrival", rid, fn)
         self._route_or_queue(req)
 
-    def _route_or_queue(self, req: RequestRecord) -> None:
-        if self.route_request(req) is not None:
+    def _route_or_queue(self, req: Record) -> None:
+        if self.route_request(req.request_id) is not None:
             return
         self.queued_ids[req.function_id].add(req.request_id)
         req.retries = 1  # the failed arrival-time attempt counts
@@ -114,10 +141,9 @@ class ReferenceEngine(ClusterEngine):
         return (pod.phase is PodPhase.READY
                 and pod.in_flight < pod.concurrency_bound())
 
-    def route_request(self, req: RequestRecord) -> Optional[int]:
+    def route_request(self, rid: int) -> Optional[int]:
+        req = self.requests[rid]
         fn = req.function_id
-        if fn not in self.fn_pods:
-            raise ConfigError(f"request targets unknown function {fn}")
         pod_ids = self.fn_pods[fn]
         n = len(pod_ids)
         cursor = self._rr_cursor[fn] % n if n else 0
@@ -129,7 +155,7 @@ class ReferenceEngine(ClusterEngine):
                 return pod.pod_id
         return None
 
-    def _assign(self, req: RequestRecord, pod: PodState) -> None:
+    def _assign(self, req: Record, pod: PodState) -> None:
         vm = self.vms[pod.vm_id]
         req.status = RequestStatus.RUNNING
         req.start_time = self.clock
@@ -160,7 +186,7 @@ class ReferenceEngine(ClusterEngine):
             self._log("drop", request_id)
             return
         req.retries += 1
-        if self.route_request(req) is None:
+        if self.route_request(request_id) is None:
             self._push_retry(request_id)
 
     def _on_finish(self, request_id: int) -> None:
@@ -209,7 +235,7 @@ class ReferenceEngine(ClusterEngine):
     @property
     def chain_ratios(self) -> dict[int, dict[int, float]]:
         """Per app, root id -> ratio of every fully completed chain, from the records."""
-        chains: dict[int, list[RequestRecord]] = {}
+        chains: dict[int, list[Record]] = {}
         for req in self.requests.values():
             chains.setdefault(req.root_id, []).append(req)
         ratios: dict[int, dict[int, float]] = {app_id: {} for app_id in self.apps}

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import hashlib
 import heapq
 import random
@@ -11,6 +13,7 @@ from faaslab.cluster import (_ARRIVAL, Application, ClusterEngine,
                              desired_replicas, floor_guarded)
 from faaslab.env import EnvConfig, ServerlessEnv
 from faaslab.errors import ConfigError, SimulationError
+from faaslab.metrics import EpisodeLedger
 from faaslab.workload import TraceSeries, WorkloadSpec, select_apps
 
 
@@ -375,7 +378,7 @@ class TestRouting:
         eng.apply_horizontal(0, 1)  # still creating
         eng.load_arrivals([(0.0, 0)])
         eng.advance(0.0)
-        assert eng.route_request(eng.requests[0]) is None
+        assert eng.route_request(0) is None
 
     def test_open_count_without_open_pod_raises(self, big_vm, fast_profile,
                                                 single_app):
@@ -407,12 +410,21 @@ class TestLoadArrivals:
         ([(2.5, 0), (3.0, 7), (1.5, 0)], "unknown app 7"),
         ([(1.5, 7), (1.0, 0)], "unknown app 7"),  # an arrival's app is checked first
         ([(float("nan"), 0), (1.5, 0)], r"arrival at 1\.5 lies before the clock"),
+        # a NaN or infinite time is named only when nothing else is wrong
+        ([(2.5, 0), (float("nan"), 0), (3.0, 0)], "arrival at nan is not a finite time"),
+        ([(2.5, 0), (float("inf"), 0), (float("inf"), 0)], "arrival at inf is not a finite"),
+        ([(float("inf"), 0), (2.5, 0), (float("nan"), 0)], "arrival at inf is not a finite"),
+        ([(2.5, 0), (float("inf"), 0), (float("nan"), 0)], "arrival at inf is not a finite"),
+        ([(float("nan"), 0), (float("inf"), 0)], "arrival at nan is not a finite"),
+        ([(float("inf"), 0), (3.0, 7)], "unknown app 7"),
+        ([(2.5, 0), (float("-inf"), 0)], r"arrival at -inf lies before the clock"),
     ])
     def test_error_names_first_bad_arrival(self, eng, batch, message):
         with pytest.raises(ConfigError, match=message):
             eng.load_arrivals(batch)
 
-    @pytest.mark.parametrize("bad", [(2.5, 7), (1.5, 0)])
+    @pytest.mark.parametrize("bad", [(2.5, 7), (1.5, 0), (float("nan"), 0),
+                                     (float("inf"), 0)])
     def test_rejected_batch_changes_nothing(self, big_vm, fast_profile, single_app,
                                             bad):
         engines = [self.started(big_vm, fast_profile, single_app) for _ in range(2)]
@@ -441,17 +453,16 @@ class TestRetryDrop:
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.load_arrivals([(0.0, 0)])
         eng.advance(0.0)
-        req = eng.requests[0]
-        req.retries = 10
+        eng.req_retries[0] = 10
         eng.advance(1.0)  # the retry due at 1.0 finds the budget spent
-        assert req.status is RequestStatus.DROPPED
+        assert eng.requests[0].status is RequestStatus.DROPPED
 
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.load_arrivals([(0.0, 0)])
         eng.advance(0.0)
-        req = eng.requests[0]
-        req.retries = 3
+        eng.req_retries[0] = 3
         eng.advance(1.0)
+        req = eng.requests[0]
         assert req.status is RequestStatus.QUEUED
         assert req.retries == 4
 
@@ -722,6 +733,38 @@ class TestInvariantsAndDeterminism:
         with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
 
+    @pytest.mark.parametrize("damage, message", [
+        ("length", "request columns differ in length"),
+        ("running", "running request without a pod or with a finish time"),
+        ("completed", "completed request without a finish time"),
+        ("queued", "queued request not in queued_ids or holding a pod"),
+        ("retries", "retries above the retry budget"),
+    ], ids=["length", "running", "completed", "queued", "retries"])
+    def test_invariants_catch_corrupted_request_columns(self, big_vm, fast_profile,
+                                                       single_app, damage, message):
+        # One pod of concurrency 4: request 0 finishes at 3.0, requests 1-3
+        # run from 2.5 and requests 4 and 5 wait for their retry at 3.5.
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.apply_horizontal(0, 1)
+        eng.load_arrivals([(2.0, 0)] + [(2.5, 0)] * 5)
+        eng.advance(3.25)
+        assert [r.status for r in eng.requests.values()] == (
+            [RequestStatus.COMPLETED] + [RequestStatus.RUNNING] * 3
+            + [RequestStatus.QUEUED] * 2)
+        eng.check_invariants()
+        if damage == "length":
+            eng.req_vm_id.append(None)
+        elif damage == "running":
+            eng.req_finish_time[1] = 3.0
+        elif damage == "completed":
+            eng.req_finish_time[0] = None
+        elif damage == "queued":
+            eng.req_pod_id[4] = 0
+        else:
+            eng.req_retries[4] = eng.config.max_retries + 1
+        with pytest.raises(AssertionError, match=message):
+            eng.check_invariants()
+
     def test_accounting_holds_throughout(self, desk_vms, fast_profile, single_app):
         eng = make_engine(desk_vms, [fast_profile], [single_app])
         eng.load_arrivals([(i * 0.21, 0) for i in range(50)])
@@ -833,3 +876,46 @@ class TestInvariantsAndDeterminism:
         assert all(len(ratios) > 20 for ratios in completed.values())
         assert any(r > 1.0 for ratios in completed.values() for r in ratios.values())
         assert eng.dropped_total > 0
+
+
+class TestRequestStore:
+    @staticmethod
+    def two_stage_engine(vm):
+        profiles = [FunctionProfile(function_id=fn, req_cpu=0.25, req_mem=256.0,
+                                    standard_response_time=0.1, cold_start_seconds=1.0,
+                                    initial_pod_cpu=1.0, initial_pod_mem=1024.0)
+                    for fn in (0, 1)]
+        eng = make_engine([vm], profiles, [Application(app_id=0, function_sequence=(0, 1))])
+        for fn in (0, 1):
+            eng.apply_horizontal(fn, 2)
+        return eng
+
+    def test_requests_add_no_tracked_objects(self, big_vm):
+        # Requests live in columns of numbers, None and enum members, so an
+        # episode's worth of them leaves the garbage collector nothing new to
+        # scan. One tracked object per request would add about 10,000 here.
+        eng = self.two_stage_engine(big_vm)
+        arrivals = [(i * 0.02, 0) for i in range(5000)]
+        gc.collect()
+        before = len(gc.get_objects())
+        eng.load_arrivals(arrivals)
+        eng.advance(200.0)
+        assert not eng.pending_requests() and len(eng.requests) == 10_000
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
+
+    def test_view_is_read_only_and_counts_every_request(self, big_vm):
+        eng = self.two_stage_engine(big_vm)
+        eng.load_arrivals([(2.0 + i * 0.05, 0) for i in range(40)])
+        eng.advance(2.02)
+        record = eng.requests[0]
+        with pytest.raises(TypeError):
+            eng.requests[0] = record
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.status = RequestStatus.DROPPED
+        assert 0 in eng.requests and len(eng.requests) not in eng.requests
+        eng.advance(20.0)
+        # a record is a snapshot: it keeps the state it was built with
+        assert record.status is RequestStatus.RUNNING
+        assert eng.requests[0].status is RequestStatus.COMPLETED
+        assert len(eng.requests) == EpisodeLedger(eng).summary().total == 80

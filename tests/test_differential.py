@@ -8,22 +8,28 @@ batches that ``load_arrivals`` must reject whole, both ``active_time_mode``s
 and execution noise on and off. The timing constants are multiples of
 0.25 s, so without noise many events share a timestamp.
 
-After every advance the engines must agree exactly: event log, every
-``RequestRecord``, pods, VM accounting and busy logs, chain ratios,
+After every advance the engines must agree exactly: event log, the fields
+of every request (``ClusterEngine`` columns against ``ReferenceEngine``
+records), pods, VM accounting and busy logs, chain ratios,
 completion times and ratios, the episode summary and the reward channels of
 the window just run. The fast engine's open-pod counts must equal a full
 scan, and its own ``check_invariants`` must pass. A rejected batch must raise
 the same message in both engines.
 """
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faaslab.cluster import Application, ClusterEngine, FunctionProfile, SimConfig, VmSpec
+from faaslab.cluster import (Application, ClusterEngine, FunctionProfile, RequestRecord,
+                             SimConfig, VmSpec)
 from faaslab.errors import ConfigError
 from faaslab.metrics import EpisodeLedger
 
-from reference_engine import ReferenceEngine
+from reference_engine import Record, ReferenceEngine
+
+FIELDS = tuple(f.name for f in fields(RequestRecord))
 
 VMS = (VmSpec(vm_id=0, cpu_capacity=1.0, mem_capacity=4096.0, unit_price=0.048),
        VmSpec(vm_id=1, cpu_capacity=2.0, mem_capacity=8192.0, unit_price=0.0848))
@@ -56,11 +62,20 @@ operations = st.one_of(
     st.tuples(st.just("back"), st.lists(st.integers(0, 2), min_size=1, max_size=3)),
     st.tuples(st.just("load"), st.lists(st.tuples(steps, st.integers(0, 2)),
                                         min_size=1, max_size=20)),
-    # a batch with one bad arrival (an app id past the last app, or a time
-    # before the clock) somewhere among good ones
+    # a batch with one bad arrival (an app id past the last app, a time
+    # before the clock, or a NaN or infinite time) somewhere among good ones
     st.tuples(st.just("rejected load"), st.lists(st.tuples(steps, st.integers(0, 2))),
-              st.integers(0, 20), st.sampled_from(("app", "time"))),
+              st.integers(0, 20), st.sampled_from(("app", "time", "nan", "inf"))),
 )
+
+
+def request_fields(requests):
+    return [tuple(getattr(requests[rid], name) for name in FIELDS)
+            for rid in range(len(requests))]
+
+
+def test_reference_records_have_the_record_fields():
+    assert tuple(f.name for f in fields(Record)) == FIELDS
 
 
 def vm_state(vm):
@@ -77,7 +92,7 @@ def agree(what, fast_value, ref_value):
 def assert_same(fast, ref, t0):
     agree("clocks", fast.clock, ref.clock)
     agree("event logs", fast.event_log, ref.event_log if fast.log_events else [])
-    agree("request records", fast.requests, ref.requests)
+    agree("request fields", request_fields(fast.requests), request_fields(ref.requests))
     agree("pods", fast.pods, ref.pods)
     agree("pod lists", fast.fn_pods, ref.fn_pods)
     agree("round-robin cursors", fast._rr_cursor, ref._rr_cursor)
@@ -157,7 +172,8 @@ def test_engine_matches_reference(noise, mode, seed, retry, log_events, sequence
             load([(fast.clock + dt, app) for dt, app in op[1]])
         elif op[0] == "rejected load":
             batch = [(fast.clock + dt, app % n_apps) for dt, app in op[1]]
-            bad = (fast.clock, n_apps) if op[3] == "app" else (fast.clock - 0.25, 0)
+            bad = {"app": (fast.clock, n_apps), "time": (fast.clock - 0.25, 0),
+                   "nan": (float("nan"), 0), "inf": (float("inf"), 0)}[op[3]]
             batch.insert(min(op[2], len(batch)), bad)
             messages = []
             for engine in (fast, ref):

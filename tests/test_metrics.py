@@ -1,7 +1,7 @@
 import pytest
 
 from faaslab.cluster import (Application, ClusterEngine, FunctionProfile,
-                             RequestRecord, RequestStatus, SimConfig, VmSpec)
+                             RequestStatus, SimConfig, VmSpec)
 from faaslab.errors import ConfigError, MetricsError
 from faaslab.metrics import (ChannelBounds, EpisodeLedger, RewardBounds,
                              derive_bounds, step_reward)
@@ -25,21 +25,20 @@ def inject_chain(eng, app_id, arrival, ratios):
     added up stage by stage in chain order.
     """
     app = eng.apps[app_id]
-    root = eng._next_request_id
+    root = len(eng.requests)
     t = arrival
     actual = standard = 0.0
     for stage, fn in enumerate(app.function_sequence):
-        rid = eng._next_request_id
-        eng._next_request_id += 1
         r0 = eng.profiles[fn].standard_response_time
-        req = RequestRecord(request_id=rid, app_id=app_id, chain_index=stage,
-                            function_id=fn, arrival_time=t, root_id=root,
-                            start_time=t, finish_time=t + ratios[stage] * r0,
-                            status=RequestStatus.COMPLETED)
-        eng.requests[rid] = req
-        actual += req.finish_time - req.arrival_time
+        finish = t + ratios[stage] * r0
+        fields = dict(app_id=app_id, chain_index=stage, function_id=fn, arrival_time=t,
+                      root_id=root, chain_elapsed=0.0, start_time=t, finish_time=finish,
+                      status=RequestStatus.COMPLETED, retries=0, pod_id=None, vm_id=None)
+        for name, value in fields.items():
+            getattr(eng, f"req_{name}").append(value)
+        actual += finish - t
         standard += r0
-        t = req.finish_time
+        t = finish
     eng.completed_total += len(app.function_sequence)
     eng.chain_ratios[app_id][root] = actual / standard
 
