@@ -34,11 +34,6 @@ def compound_to_action(index: int) -> ScalingAction:
     return ScalingAction(DQN_GRID_POINTS[i1], DQN_GRID_POINTS[i2], DQN_GRID_POINTS[i3])
 
 
-def action_to_compound(i1: int, i2: int, i3: int) -> int:
-    base = len(DQN_GRID_POINTS)
-    return (i1 * base + i2) * base + i3
-
-
 def greedy_index(values: np.ndarray) -> int:
     """Argmax over compound-action values; ties resolve to the lowest index."""
     return int(np.argmax(values))

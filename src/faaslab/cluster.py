@@ -17,7 +17,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import chain, pairwise
+from itertools import pairwise
 from operator import itemgetter
 from typing import Optional
 
@@ -94,13 +94,15 @@ class VmSpec:
 class VmState:
     """Mutable per-VM bookkeeping.
 
+    ``pod_count`` counts the VM's pods; ``PodState.vm_id`` says which they are.
     ``busy_log`` is the only record of when the VM was "active": by default
     while it has at least one in-flight request, optionally
     (``active_time_mode="pods"``) while it hosts at least one pod. It holds
-    the closed busy intervals; ``busy_since`` starts the open one. The
-    intervals are disjoint and appended in time order, so both their starts
-    and their ends ascend, and ``busy_overlap`` bisects to the first interval
-    that can overlap a window instead of scanning the whole log.
+    the closed busy intervals; ``busy_since``, set exactly while the VM is
+    active, starts the open one. The intervals are disjoint and appended in
+    time order, so both their starts and their ends ascend, and
+    ``busy_overlap`` bisects to the first interval that can overlap a window
+    instead of scanning the whole log.
     """
 
     spec: VmSpec
@@ -108,7 +110,7 @@ class VmState:
     mem_allocated: float = 0.0
     cpu_used: float = 0.0
     mem_used: float = 0.0
-    pods: set[int] = field(default_factory=set)
+    pod_count: int = 0
     inflight: int = 0
     busy_since: Optional[float] = None
     busy_log: list[tuple[float, float]] = field(default_factory=list)
@@ -162,7 +164,6 @@ class PodState:
     cpu_limit: float
     mem_limit: float
     phase: PodPhase
-    ready_at: float
     in_flight: int = 0  # requests running on the pod now
     # Requests the limits admit at once; kept in step with them by ``resize``.
     max_concurrency: int = field(init=False)
@@ -310,9 +311,9 @@ class ClusterEngine:
     Pending events are of four kinds, all keyed by the same (time, seq):
 
     * retries sit in ``_retries``, a FIFO of ``(time, seq, request_id)``,
-      one per queued request. A retry is due one ``retry_interval`` after
-      the clock it was pushed at, and the clock never goes back, so each
-      push goes at the tail.
+      one per queued request; ``queued`` counts them per function. A retry
+      is due one ``retry_interval`` after the clock it was pushed at, and
+      the clock never goes back, so each push goes at the tail.
     * arrivals, finishes and pod readiness sit in ``_heap`` as
       ``(time, seq, kind, arg)``, where ``kind`` is ``_ARRIVAL``,
       ``_FINISH`` or ``_POD_READY`` and ``arg`` the app, request or pod id.
@@ -335,7 +336,8 @@ class ClusterEngine:
     ``RequestView`` of them whose lookups build frozen snapshots. Each pod
     counts its running requests in ``PodState.in_flight``, and each finish
     appends its time and response-time ratio to the function's
-    ``completion_times`` and ``completion_ratios``, in finish order.
+    ``completion_times`` and ``completion_ratios``, in finish order. The pod
+    table ``pods`` is the one record of where each pod runs.
 
     With ``log_events`` every event also appends a ``(time, kind, *ids)``
     tuple to ``event_log``; otherwise nothing is appended and ``event_log``
@@ -405,7 +407,8 @@ class ClusterEngine:
                         for fn in app.function_sequence)
             for app_id, app in self.apps.items()
         }
-        self.queued_ids: dict[int, set[int]] = {fn: set() for fn in self.profiles}
+        # Queued requests per function; each has one entry in ``_retries``.
+        self.queued: dict[int, int] = {fn: 0 for fn in self.profiles}
         self.creation_shortfall: dict[int, int] = {fn: 0 for fn in self.profiles}
 
         # Monotone per-function histories for windowed metrics.
@@ -497,7 +500,7 @@ class ClusterEngine:
         vms = self.vms
         app_fns = self._app_fns
         open_pods = self.open_pods
-        queued_ids = self.queued_ids
+        n_queued = self.queued
         arrival_times = self.arrival_times
         completion_times = self.completion_times
         completion_ratios = self.completion_ratios
@@ -528,7 +531,7 @@ class ClusterEngine:
                 tries = req_retries[rid]
                 if tries >= max_retries:
                     req_status[rid] = RequestStatus.DROPPED
-                    queued_ids[fn].discard(rid)
+                    n_queued[fn] -= 1
                     self.dropped_total += 1
                     self.drop_times[fn].append(time)
                     if log is not None:
@@ -613,7 +616,7 @@ class ClusterEngine:
                 route(rid)
             else:
                 add_retries(1)
-                queued_ids[fn].add(rid)
+                n_queued[fn] += 1
                 if log is not None:
                     log.append((time, "queue", rid))
                 push_retry(rid)
@@ -669,8 +672,8 @@ class ClusterEngine:
         self.req_start_time[rid] = now
         self.req_pod_id[rid] = pod_id
         self.req_vm_id[rid] = pod.vm_id
-        if self.req_retries[rid]:  # a request that never queued is not in the set
-            self.queued_ids[fn].discard(rid)
+        if self.req_retries[rid]:  # a request that never queued is not counted
+            self.queued[fn] -= 1
         pod.in_flight += 1
         if pod.in_flight == pod.max_concurrency:
             self.open_pods[fn] -= 1
@@ -698,16 +701,6 @@ class ClusterEngine:
             self.open_pods[pod.function_id] += 1
         self._log("pod_ready", pod_id)
 
-    # ----------------------------------------------------------- vm activity
-
-    def _update_vm_activity(self, vm: VmState) -> None:
-        active = bool(vm.pods) if self._pods_mode else vm.inflight > 0
-        if active and vm.busy_since is None:
-            vm.busy_since = self.clock
-        elif not active and vm.busy_since is not None:
-            vm.busy_log.append((vm.busy_since, self.clock))
-            vm.busy_since = None
-
     # -------------------------------------------------------------- scaling
 
     def _live_pods(self, fn: int) -> list[PodState]:
@@ -727,7 +720,7 @@ class ClusterEngine:
         if live:
             util = sum(p.cpu_util for p in live) / len(live)
         else:  # 1.0 proxy when traffic waits on zero pods
-            util = 1.0 if self.queued_ids[fn] else 0.0
+            util = 1.0 if self.queued[fn] else 0.0
         current = len(live)
         return desired_replicas(current, util, target_util,
                                 self.config.max_replicas) - current
@@ -770,43 +763,40 @@ class ClusterEngine:
         pod_id = self._next_pod_id
         self._next_pod_id += 1
         profile = self.profiles[fn]
-        pod = PodState(pod_id=pod_id, profile=profile, vm_id=best.spec.vm_id,
-                       cpu_limit=cpu, mem_limit=mem, phase=PodPhase.CREATING,
-                       ready_at=self.clock + profile.cold_start_seconds)
-        self.pods[pod_id] = pod
+        self.pods[pod_id] = PodState(pod_id=pod_id, profile=profile, vm_id=best.spec.vm_id,
+                                     cpu_limit=cpu, mem_limit=mem, phase=PodPhase.CREATING)
         self.fn_pods[fn].append(pod_id)
-        best.pods.add(pod_id)
+        best.pod_count += 1
         best.cpu_allocated += cpu
         best.mem_allocated += mem
-        self._update_vm_activity(best)
-        self._push(pod.ready_at, _POD_READY, pod_id)
+        if self._pods_mode and best.busy_since is None:  # the VM's first pod
+            best.busy_since = self.clock
+        self._push(self.clock + profile.cold_start_seconds, _POD_READY, pod_id)
         self._log("pod_create", pod_id, best.spec.vm_id)
         return pod_id
 
     def _scale_down(self, fn: int, count: int) -> list[int]:
-        live = self._live_pods(fn)
-        idle = sorted((p for p in live if not p.in_flight), key=lambda p: -p.pod_id)
-        busy = sorted((p for p in live if p.in_flight), key=lambda p: -p.pod_id)
-        affected = []
-        for pod in idle[:count]:
-            self._remove_pod(pod)
-            affected.append(pod.pod_id)
-        for pod in busy[:max(0, count - len(idle))]:
+        chosen = sorted(self._live_pods(fn), key=lambda p: (p.in_flight > 0, -p.pod_id))[:count]
+        for pod in chosen:
+            if not pod.in_flight:
+                self._remove_pod(pod)
+                continue
             if pod.is_open:
                 self.open_pods[fn] -= 1
             pod.phase = PodPhase.TERMINATING
             self._log("pod_terminating", pod.pod_id)
-            affected.append(pod.pod_id)
-        return affected
+        return [pod.pod_id for pod in chosen]
 
     def _remove_pod(self, pod: PodState) -> None:
         if pod.is_open:
             self.open_pods[pod.function_id] -= 1
         vm = self.vms[pod.vm_id]
-        vm.pods.discard(pod.pod_id)
+        vm.pod_count -= 1
         vm.cpu_allocated -= pod.cpu_limit
         vm.mem_allocated -= pod.mem_limit
-        self._update_vm_activity(vm)
+        if self._pods_mode and not vm.pod_count:  # the VM's last pod left
+            vm.busy_log.append((vm.busy_since, self.clock))
+            vm.busy_since = None
         fn = pod.function_id
         idx = self.fn_pods[fn].index(pod.pod_id)
         self.fn_pods[fn].pop(idx)
@@ -831,20 +821,12 @@ class ClusterEngine:
             raise ConfigError(f"unknown function {fn}")
         cpu_now, mem_now = self.pod_size[fn]
         live = self._live_pods(fn)
-        per_vm = self.replicas_per_vm(fn)
-
-        def vm_avail(vm: VmState, dim: str) -> float:
-            if dim == "cpu":
-                return vm.spec.cpu_capacity - vm.cpu_allocated
-            return vm.spec.mem_capacity - vm.mem_allocated
+        per_vm = [(self.vms[vm_id], n) for vm_id, n in self.replicas_per_vm(fn).items()]
 
         def clamp(delta: float, now: float, lo: float, hi: float,
-                  util_floor: float, dim: str) -> float:
+                  util_floor: float, free_per_replica: Iterable[float]) -> float:
             if delta > 0:
-                room = hi - now
-                for vm_id, replicas in per_vm.items():
-                    room = min(room, vm_avail(self.vms[vm_id], dim) / replicas)
-                return max(0.0, min(delta, room))
+                return max(0.0, min(delta, hi - now, *free_per_replica))
             if delta < 0:
                 floor = max(lo, util_floor)
                 return min(0.0, max(delta, floor - now))
@@ -852,8 +834,10 @@ class ClusterEngine:
 
         cpu_floor = max((p.cpu_used for p in live), default=0.0)
         mem_floor = max((p.mem_used for p in live), default=0.0)
-        cpu_star = clamp(cpu_delta, cpu_now, POD_CPU_MIN, POD_CPU_MAX, cpu_floor, "cpu")
-        mem_star = clamp(mem_delta, mem_now, POD_MEM_MIN, POD_MEM_MAX, mem_floor, "mem")
+        cpu_star = clamp(cpu_delta, cpu_now, POD_CPU_MIN, POD_CPU_MAX, cpu_floor,
+                         ((vm.spec.cpu_capacity - vm.cpu_allocated) / n for vm, n in per_vm))
+        mem_star = clamp(mem_delta, mem_now, POD_MEM_MIN, POD_MEM_MAX, mem_floor,
+                         ((vm.spec.mem_capacity - vm.mem_allocated) / n for vm, n in per_vm))
         return cpu_star, mem_star
 
     def apply_vertical(self, fn: int, cpu_delta: float, mem_delta: float) -> None:
@@ -929,40 +913,40 @@ class ClusterEngine:
             avg_pod_mem_util=sum(p.mem_util for p in live) / len(live) if live else 0.0,
             replicas=len(live),
             running_requests=sum(p.in_flight for p in live),
-            queued_requests=len(self.queued_ids[fn]),
+            queued_requests=self.queued[fn],
             standard_response_time=profile.standard_response_time,
         )
 
     # ------------------------------------------------------------ diagnostics
 
-    def request_counts(self) -> dict[str, int]:
-        counts = {status.value: 0 for status in RequestStatus}
-        for status, n in Counter(self.req_status).items():
-            counts[status.value] = n
-        counts["Total"] = len(self.req_status)
-        return counts
-
     def check_invariants(self) -> None:
-        """Recompute derived quantities from scratch and compare; test hook."""
-        for vm in self.vms.values():
-            alloc_cpu = sum(self.pods[p].cpu_limit for p in vm.pods)
-            alloc_mem = sum(self.pods[p].mem_limit for p in vm.pods)
-            used_cpu = sum(self.pods[p].cpu_used for p in vm.pods)
-            used_mem = sum(self.pods[p].mem_used for p in vm.pods)
-            assert abs(alloc_cpu - vm.cpu_allocated) < 1e-6, "cpu allocation drift"
-            assert abs(alloc_mem - vm.mem_allocated) < 1e-6, "mem allocation drift"
-            assert abs(used_cpu - vm.cpu_used) < 1e-6, "cpu usage drift"
-            assert abs(used_mem - vm.mem_used) < 1e-6, "mem usage drift"
+        """Recount derived counts and totals from their records; raise AssertionError on drift.
+
+        Tests call it, and so does the benchmark after every episode.
+        """
+        hosted: dict[int, list[PodState]] = {vm_id: [] for vm_id in self.vms}
+        for pod in self.pods.values():
+            hosted[pod.vm_id].append(pod)
+        for vm_id, vm in self.vms.items():
+            pods = hosted[vm_id]
+            assert vm.pod_count == len(pods), "pod count drift"
+            assert vm.inflight == sum(p.in_flight for p in pods), "vm in-flight count drift"
+            assert abs(sum(p.cpu_limit for p in pods) - vm.cpu_allocated) < 1e-6, "cpu allocation drift"
+            assert abs(sum(p.mem_limit for p in pods) - vm.mem_allocated) < 1e-6, "mem allocation drift"
+            assert abs(sum(p.cpu_used for p in pods) - vm.cpu_used) < 1e-6, "cpu usage drift"
+            assert abs(sum(p.mem_used for p in pods) - vm.mem_used) < 1e-6, "mem usage drift"
             assert vm.cpu_allocated <= vm.spec.cpu_capacity + 1e-6, "cpu over-allocation"
             assert vm.mem_allocated <= vm.spec.mem_capacity + 1e-6, "mem over-allocation"
             assert vm.cpu_used <= vm.cpu_allocated + 1e-6, "cpu usage above allocation"
             assert vm.mem_used <= vm.mem_allocated + 1e-6, "mem usage above allocation"
+            active = vm.pod_count > 0 if self._pods_mode else vm.inflight > 0
+            assert (vm.busy_since is not None) == active, "busy interval out of step with activity"
         assert len({len(column) for column in self._req_columns}) == 1, \
             "request columns differ in length"
         running_pods: Counter[int] = Counter()
-        for rid, (fn, status, pod_id, finish, retries) in enumerate(zip(
-                self.req_function_id, self.req_status, self.req_pod_id,
-                self.req_finish_time, self.req_retries)):
+        queued_rids = []
+        for rid, (status, pod_id, finish, retries) in enumerate(zip(
+                self.req_status, self.req_pod_id, self.req_finish_time, self.req_retries)):
             if status is RequestStatus.RUNNING:
                 assert pod_id is not None and finish is None, \
                     "running request without a pod or with a finish time"
@@ -970,8 +954,8 @@ class ClusterEngine:
             elif status is RequestStatus.COMPLETED:
                 assert finish is not None, "completed request without a finish time"
             elif status is RequestStatus.QUEUED:
-                assert rid in self.queued_ids[fn] and pod_id is None, \
-                    "queued request not in queued_ids or holding a pod"
+                assert pod_id is None, "queued request holding a pod"
+                queued_rids.append(rid)
             assert retries <= self.config.max_retries, "retries above the retry budget"
         for pod in self.pods.values():
             assert pod.in_flight == running_pods[pod.pod_id], "in-flight count drift"
@@ -983,11 +967,11 @@ class ClusterEngine:
             open_count = sum(1 for pid in pod_ids if self.pods[pid].is_open)
             assert open_count == self.open_pods[fn], "open-pod count drift"
         assert all(a < b for a, b in pairwise(self._retries)), "retry FIFO out of order"
-        assert all(self.req_status[rid] is RequestStatus.QUEUED and self.req_function_id[rid] == fn
-                   for fn, ids in self.queued_ids.items() for rid in ids), "queued-id set drift"
-        assert (Counter(rid for _, _, rid in self._retries)
-                == Counter(chain.from_iterable(self.queued_ids.values()))), \
+        # queued_rids ascends: one pending retry per queued request and none for any other
+        assert sorted(rid for _, _, rid in self._retries) == queued_rids, \
             "queued requests and pending retries differ"
+        queued_fns = Counter(self.req_function_id[rid] for rid in queued_rids)
+        assert self.queued == {fn: queued_fns[fn] for fn in self.profiles}, "queued count drift"
         pending = self._arrivals
         assert all(a > b for a, b in pairwise(pending)), "pending arrivals out of order"
         assert not pending or min((e for e in self._heap if e[2] == _ARRIVAL),

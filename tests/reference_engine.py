@@ -18,6 +18,13 @@ of the per-request lifecycle with the rule it stands for:
   ``_update_vm_activity``/``_log``;
 * each request is one mutable ``Record`` in the ``requests`` dict, where
   ``ClusterEngine`` keeps columns;
+* queued requests are kept as per-function id sets in ``queued_ids``, and the
+  inherited ``snapshot`` and ``horizontal_delta`` read their sizes through
+  the ``queued`` property;
+* a VM's busy interval opens and closes by ``_update_vm_activity``, which
+  asks ``_vm_is_active``: in-flight requests, or in "pods" mode a scan of the
+  pod table. It runs after every assign and finish, and after the inherited
+  ``_place_pod`` and ``_remove_pod``, so their inline rule is checked too;
 * chain ratios are recomputed from the request records when read, and each
   finish appends its response time computed from the record;
 * ``busy_overlap`` sums over the whole busy log.
@@ -74,6 +81,7 @@ class ReferenceEngine(ClusterEngine):
         super().__init__(*args, **kwargs)
         self.vms = {vm_id: FullScanVm(spec=vm.spec) for vm_id, vm in self.vms.items()}
         self.requests: dict[int, Record] = {}
+        self.queued_ids: dict[int, set[int]] = {fn: set() for fn in self.profiles}
 
     # ------------------------------------------------------------------ events
 
@@ -217,9 +225,19 @@ class ReferenceEngine(ClusterEngine):
 
     # ----------------------------------------------------------- vm activity
 
+    def _place_pod(self, fn: int) -> Optional[int]:
+        pod_id = super()._place_pod(fn)
+        if pod_id is not None:
+            self._update_vm_activity(self.vms[self.pods[pod_id].vm_id])
+        return pod_id
+
+    def _remove_pod(self, pod: PodState) -> None:
+        super()._remove_pod(pod)
+        self._update_vm_activity(self.vms[pod.vm_id])
+
     def _vm_is_active(self, vm: VmState) -> bool:
         if self.config.active_time_mode == "pods":
-            return bool(vm.pods)
+            return any(pod.vm_id == vm.spec.vm_id for pod in self.pods.values())
         return vm.inflight > 0
 
     def _update_vm_activity(self, vm: VmState) -> None:
@@ -253,6 +271,15 @@ class ReferenceEngine(ClusterEngine):
     @chain_ratios.setter
     def chain_ratios(self, _value) -> None:
         pass  # ClusterEngine.__init__ sets up the store the fast path fills
+
+    @property
+    def queued(self) -> dict[int, int]:
+        """Per function, the number of queued requests, from the id sets."""
+        return {fn: len(ids) for fn, ids in self.queued_ids.items()}
+
+    @queued.setter
+    def queued(self, _value) -> None:
+        pass  # ClusterEngine.__init__ sets up the counts the fast path keeps
 
     def open_pod_counts(self) -> dict[int, int]:
         """Per function, the pods routing could assign to, by a full scan."""

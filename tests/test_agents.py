@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from faaslab.agents import (DqnConfig, TrainConfig, Transition,
-                            action_to_compound, aggregate, compound_to_action,
+from faaslab.agents import (DQN_GRID_POINTS, N_COMPOUND_ACTIONS, DqnConfig, TrainConfig,
+                            Transition, aggregate, compound_to_action,
                             compute_advantages, dqn_train, evaluate_targets,
                             greedy_index, select_action, train)
 from faaslab.cluster import Application, FunctionProfile
@@ -179,10 +180,12 @@ class TestDqn:
     def test_compound_encoding(self):
         assert compound_to_action(0) == ScalingAction(0, 0, 0)
         assert compound_to_action(63) == ScalingAction(10, 10, 10)
-        assert compound_to_action(action_to_compound(1, 2, 3)) == \
-               ScalingAction(3, 7, 10)
-        seen = {compound_to_action(i) for i in range(64)}
-        assert len(seen) == 64
+        assert compound_to_action(27) == ScalingAction(3, 7, 10)  # base-4 digits 1, 2, 3
+        # the 64 indices map one-to-one onto the grid points cubed
+        assert N_COMPOUND_ACTIONS == 64
+        decoded = [compound_to_action(i) for i in range(N_COMPOUND_ACTIONS)]
+        assert sorted((a.a1, a.a2, a.a3) for a in decoded) == \
+               sorted(itertools.product(DQN_GRID_POINTS, repeat=3))
         with pytest.raises(ConfigError):
             compound_to_action(64)
 

@@ -689,7 +689,7 @@ class TestInvariantsAndDeterminism:
         a = self._scripted_run(desk_vms, [fast_profile], [single_app])
         b = self._scripted_run(desk_vms, [fast_profile], [single_app])
         assert a.event_log == b.event_log
-        assert a.request_counts() == b.request_counts()
+        assert list(a.requests.values()) == list(b.requests.values())
         assert [(vm.busy_log, vm.busy_since) for vm in a.vms.values()] == \
                [(vm.busy_log, vm.busy_since) for vm in b.vms.values()]
 
@@ -737,9 +737,10 @@ class TestInvariantsAndDeterminism:
         ("length", "request columns differ in length"),
         ("running", "running request without a pod or with a finish time"),
         ("completed", "completed request without a finish time"),
-        ("queued", "queued request not in queued_ids or holding a pod"),
+        ("queued", "queued request holding a pod"),
         ("retries", "retries above the retry budget"),
-    ], ids=["length", "running", "completed", "queued", "retries"])
+        ("queued_count", "queued count drift"),
+    ], ids=["length", "running", "completed", "queued", "retries", "queued_count"])
     def test_invariants_catch_corrupted_request_columns(self, big_vm, fast_profile,
                                                        single_app, damage, message):
         # One pod of concurrency 4: request 0 finishes at 3.0, requests 1-3
@@ -760,8 +761,36 @@ class TestInvariantsAndDeterminism:
             eng.req_finish_time[0] = None
         elif damage == "queued":
             eng.req_pod_id[4] = 0
-        else:
+        elif damage == "retries":
             eng.req_retries[4] = eng.config.max_retries + 1
+        else:
+            eng.queued[0] += 1
+        with pytest.raises(AssertionError, match=message):
+            eng.check_invariants()
+
+    @pytest.mark.parametrize("mode", ["inflight", "pods"])
+    @pytest.mark.parametrize("damage, message", [
+        ("busy_since", "busy interval out of step with activity"),
+        ("pod_count", "pod count drift"),
+        ("inflight", "vm in-flight count drift"),
+    ], ids=["busy_since", "pod_count", "inflight"])
+    def test_invariants_catch_corrupted_vm_records(self, big_vm, fast_profile, single_app,
+                                                   mode, damage, message):
+        # One idle pod after its only request finished: the VM is idle in
+        # "inflight" mode and active in "pods" mode.
+        eng = make_engine([big_vm], [fast_profile], [single_app], active_time_mode=mode)
+        eng.apply_horizontal(0, 1)
+        eng.load_arrivals([(2.0, 0)])
+        eng.advance(5.0)
+        vm = eng.vms[0]
+        assert (vm.pod_count, vm.inflight, vm.busy_since is None) == (1, 0, mode == "inflight")
+        eng.check_invariants()
+        if damage == "busy_since":
+            vm.busy_since = eng.clock if vm.busy_since is None else None
+        elif damage == "pod_count":
+            vm.pod_count += 1
+        else:
+            vm.inflight += 1
         with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
 
@@ -781,7 +810,7 @@ class TestInvariantsAndDeterminism:
         eng.apply_horizontal(0, 1)
         eng.advance(10.0)
         req = eng.requests[0]
-        assert req.start_time >= eng.pods[0].ready_at
+        assert req.start_time >= fast_profile.cold_start_seconds  # the pod was created at 0.0
         assert req.finish_time - req.arrival_time > fast_profile.standard_response_time
 
     def test_active_seconds_accrue_only_with_inflight(self, big_vm, fast_profile,

@@ -79,7 +79,7 @@ def test_reference_records_have_the_record_fields():
 
 
 def vm_state(vm):
-    return (vm.cpu_allocated, vm.mem_allocated, vm.cpu_used, vm.mem_used, vm.pods,
+    return (vm.cpu_allocated, vm.mem_allocated, vm.cpu_used, vm.mem_used, vm.pod_count,
             vm.inflight, vm.busy_since, vm.busy_log)
 
 
@@ -96,7 +96,7 @@ def assert_same(fast, ref, t0):
     agree("pods", fast.pods, ref.pods)
     agree("pod lists", fast.fn_pods, ref.fn_pods)
     agree("round-robin cursors", fast._rr_cursor, ref._rr_cursor)
-    agree("queued ids", fast.queued_ids, ref.queued_ids)
+    agree("queued counts", fast.queued, ref.queued)
     agree("open-pod counts", fast.open_pods, ref.open_pod_counts())
     agree("vm states", [vm_state(vm) for vm in fast.vms.values()],
           [vm_state(vm) for vm in ref.vms.values()])
