@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..env import ACTION_SIZES, ScalingAction, ServerlessEnv
-from ..errors import ConfigError, FaasLabError
+from ..errors import ConfigError, FaasLabError, require
 from ..nnet import (NetworkSpec, ParameterStore, actor_loss_and_grad,
                     critic_loss_and_grad, forward_actor, forward_critic)
 from ..workload import WorkloadSpec
@@ -49,15 +49,16 @@ class TrainConfig:
     hidden: tuple[int, ...] = ACTOR_HIDDEN
 
     def __post_init__(self) -> None:
-        if self.workers < 1 or self.episodes < 1 or self.update_freq < 1:
-            raise ConfigError("workers, episodes, and update_freq must be >= 1")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.seed < 0:
-            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
-        if self.sync_mode != "deterministic":
-            raise ConfigError(f"sync_mode must be 'deterministic' (workers run "
-                              f"round-robin on one thread), got {self.sync_mode!r}")
+        for key in ("workers", "episodes", "update_freq"):
+            require(getattr(self, key) >= 1, f"train.{key} must be >= 1", getattr(self, key))
+        require(0.0 <= self.gamma < 1.0, "train.gamma must lie in [0, 1)", self.gamma)
+        require(self.lr > 0, "train.lr must be > 0", self.lr)
+        require(self.entropy_beta >= 0, "train.entropy_beta must be >= 0", self.entropy_beta)
+        require(self.seed >= 0, "train.seed must be >= 0", self.seed)
+        require(self.sync_mode == "deterministic", "train.sync_mode must be 'deterministic' "
+                "(workers run round-robin on one thread)", self.sync_mode)
+        require(self.grad_clip is None or self.grad_clip > 0,
+                "train.grad_clip must be > 0 or null", self.grad_clip)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..env import ScalingAction, ServerlessEnv
-from ..errors import ConfigError
+from ..errors import ConfigError, require
 from ..nnet import NetworkSpec, ParameterStore, forward_heads, q_loss_and_grad
 from ..workload import WorkloadSpec
 from .a3c import EpisodeStats
@@ -53,14 +53,16 @@ class DqnConfig:
     hidden: tuple[int, ...] = (150, 150)
 
     def __post_init__(self) -> None:
-        if self.episodes < 1 or self.buffer_capacity < self.batch_size:
-            raise ConfigError("invalid DQN configuration")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.seed < 0:
-            raise ConfigError(f"dqn.seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError(f"dqn.batch_size must be >= 1, got {self.batch_size}")
+        for key in ("episodes", "batch_size", "target_refresh"):
+            require(getattr(self, key) >= 1, f"dqn.{key} must be >= 1", getattr(self, key))
+        require(self.buffer_capacity >= self.batch_size,
+                "dqn.buffer_capacity must be >= dqn.batch_size", self.buffer_capacity)
+        require(0.0 <= self.gamma < 1.0, "dqn.gamma must lie in [0, 1)", self.gamma)
+        require(self.lr > 0, "dqn.lr must be > 0", self.lr)
+        for key in ("eps_start", "eps_end"):
+            require(0.0 <= getattr(self, key) <= 1.0, f"dqn.{key} must lie in [0, 1]",
+                    getattr(self, key))
+        require(self.seed >= 0, "dqn.seed must be >= 0", self.seed)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .cluster import (ClusterEngine, FunctionProfile, FunctionSnapshot, SimConfig,
                       VmSpec, ceil_guarded, desired_replicas)
 from .env import EnvConfig, ServerlessEnv
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .metrics import EpisodeMetrics
 from .workload import WorkloadSpec
 
@@ -25,8 +25,11 @@ class KnativeConfig:
     target_utilization: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.target_concurrency <= 0 or not 0 < self.target_utilization <= 1:
-            raise ConfigError("invalid knative thresholds")
+        require(self.target_concurrency > 0, "baselines.knative.target_concurrency must be > 0",
+                self.target_concurrency)
+        require(0 < self.target_utilization <= 1,
+                "baselines.knative.target_utilization must lie in (0, 1]",
+                self.target_utilization)
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,8 @@ class KubeCpuConfig:
     cpu_threshold: float = 0.50
 
     def __post_init__(self) -> None:
-        if not 0 < self.cpu_threshold <= 1:
-            raise ConfigError("invalid kube-cpu threshold")
+        require(0 < self.cpu_threshold <= 1, "baselines.kube_cpu.cpu_threshold must lie in (0, 1]",
+                self.cpu_threshold)
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,13 @@ class OpenFaasConfig:
     high_rate_cutoff: float = 20.0   # req/s; faster+busier functions use rps mode
 
     def __post_init__(self) -> None:
-        if min(self.capacity_threshold, self.rps_threshold, self.cpu_threshold,
-               self.long_exec_cutoff, self.high_rate_cutoff) <= 0:
-            raise ConfigError("invalid openfaas thresholds")
+        for key in ("capacity_threshold", "rps_threshold", "long_exec_cutoff",
+                    "high_rate_cutoff"):
+            require(getattr(self, key) > 0, f"baselines.openfaas.{key} must be > 0",
+                    getattr(self, key))
+        # cpu mode decides with the kube_cpu rule, which needs (0, 1]
+        require(0 < self.cpu_threshold <= 1,
+                "baselines.openfaas.cpu_threshold must lie in (0, 1]", self.cpu_threshold)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from itertools import pairwise
 from operator import itemgetter
 from typing import Optional
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, require
 
 # Hard bounds on a single pod's resource limits (vCPU / MB).
 POD_CPU_MIN = 0.1
@@ -269,12 +269,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.retry_interval <= 0 or self.max_retries < 0 or self.max_replicas < 1:
-            raise ConfigError("invalid simulator configuration")
-        if self.active_time_mode not in ("inflight", "pods"):
-            raise ConfigError(f"unknown active_time_mode {self.active_time_mode!r}")
-        if self.exec_noise_sigma < 0:
-            raise ConfigError(f"sim.exec_noise_sigma must be >= 0, got {self.exec_noise_sigma}")
+        require(self.retry_interval > 0, "sim.retry_interval must be > 0", self.retry_interval)
+        require(self.max_retries >= 0, "sim.max_retries must be >= 0", self.max_retries)
+        require(self.max_replicas >= 1, "sim.max_replicas must be >= 1", self.max_replicas)
+        require(self.active_time_mode in ("inflight", "pods"),
+                "sim.active_time_mode must be 'inflight' or 'pods'", self.active_time_mode)
+        require(self.exec_noise_sigma >= 0, "sim.exec_noise_sigma must be >= 0",
+                self.exec_noise_sigma)
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .agents.a3c import TrainConfig
 from .agents.dqn import DqnConfig
-from .baselines import (BaselinePolicyConfig, KnativeConfig, KubeCpuConfig,
-                        OpenFaasConfig)
+from .baselines import BaselinePolicyConfig
 from .cluster import Application, FunctionProfile, SimConfig, VmSpec
 from .env import EnvConfig
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
                        load_traces, make_workload, select_apps, synthetic_traces,
                        training_apps)
@@ -72,10 +72,7 @@ def load_cluster_file(path: str | Path) -> list[VmSpec]:
     data = _read_yaml(path)
     if not isinstance(data, list) or not data:
         raise ConfigError(f"{path}: expected a non-empty list of VM records")
-    try:
-        return [VmSpec(**row) for row in data]
-    except TypeError as exc:
-        raise ConfigError(f"{path}: bad VM record ({exc})") from None
+    return [_typed(VmSpec, row, f"{path}[{i}]") for i, row in enumerate(data)]
 
 
 def load_profiles_file(path: str | Path) -> dict[int, FunctionProfile]:
@@ -84,11 +81,8 @@ def load_profiles_file(path: str | Path) -> dict[int, FunctionProfile]:
     if not isinstance(data, list) or not data:
         raise ConfigError(f"{path}: expected a non-empty list of profile records")
     profiles = {}
-    for row in data:
-        try:
-            profile = FunctionProfile(**row)
-        except TypeError as exc:
-            raise ConfigError(f"{path}: bad profile record ({exc})") from None
+    for i, row in enumerate(data):
+        profile = _typed(FunctionProfile, row, f"{path}[{i}]")
         if profile.function_id in profiles:
             raise ConfigError(f"{path}: duplicate function id {profile.function_id}")
         profiles[profile.function_id] = profile
@@ -118,14 +112,48 @@ class WorkloadSettings:
     bands: tuple[str, ...] = ("low", "mid", "high")
 
     def __post_init__(self) -> None:
-        if self.duration <= 0 or self.workloads_per_band < 1 or self.train_pool_size < 1:
-            raise ConfigError("invalid workload settings")
-        if self.constant_rate is not None and self.constant_rate < 0:
-            raise ConfigError(
-                f"workload.constant_rate must be >= 0 or null, got {self.constant_rate}")
+        require(self.duration > 0 and float(self.duration).is_integer(),
+                "workload.duration must be a whole number of seconds > 0", self.duration)
+        for key in ("workloads_per_band", "train_pool_size", "calibration_per_band"):
+            require(getattr(self, key) >= 1, f"workload.{key} must be >= 1", getattr(self, key))
+        require(self.constant_rate is None or self.constant_rate >= 0,
+                "workload.constant_rate must be >= 0 or null", self.constant_rate)
         for band in self.bands:
-            if band not in EVAL_BANDS:
-                raise ConfigError(f"unknown band {band!r}; known: {sorted(EVAL_BANDS)}")
+            require(band in EVAL_BANDS, f"workload.bands must be in {sorted(EVAL_BANDS)}", band)
+
+
+@dataclass(frozen=True)
+class _AppEntry:
+    """One explicit application chain, used with a profiles file."""
+    app_id: int
+    functions: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _TopLevel:
+    """The keys a config file may hold at its top level."""
+    preset: str = "desk"
+    applications: Optional[list] = None  # catalog names, or _AppEntry mappings
+    cluster: Optional[tuple[str, ...]] = None
+    cluster_file: Optional[str] = None
+    profiles_file: Optional[str] = None
+    traces_file: Optional[str] = None
+    output_dir: str = "runs"
+    calibration_file: Optional[str] = None
+    beta_list: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
+    eval_parallel: int = 1
+    env: EnvConfig = field(default_factory=EnvConfig)
+    sim: SimConfig = field(default_factory=SimConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    dqn: DqnConfig = field(default_factory=DqnConfig)
+    baselines: BaselinePolicyConfig = field(default_factory=BaselinePolicyConfig)
+    workload: WorkloadSettings = field(default_factory=WorkloadSettings)
+
+    def __post_init__(self) -> None:
+        for beta in self.beta_list:
+            require(0 <= beta <= 1, "beta_list values must lie in [0, 1]", beta)
+        require(self.eval_parallel == 1, "eval_parallel must be 1 (evaluation runs "
+                "on one thread)", self.eval_parallel)
 
 
 @dataclass
@@ -210,25 +238,39 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _section(data: dict, name: str) -> dict:
-    section = data.get(name) or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return dict(section)
+def _typed(cls, data, name: str):
+    """Read config value ``data`` as annotation ``cls``; errors name ``name``.
 
-
-def _listed(value, key: str) -> list:
-    """A config value that must be a list; a scalar is an error naming the key."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
-    return list(value)
-
-
-def _build(cls, data: dict, name: str):
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"config section {name!r}: {exc}") from None
+    A dataclass takes a mapping (null gives its defaults) and reads each field by
+    its annotation, recursively; an unknown or missing key is an error. ``int``
+    rejects bool and float, ``float`` takes a finite float or an int (kept as
+    given), ``Optional[X]`` also takes null, and ``tuple[X, ...]`` a list of X.
+    """
+    if is_dataclass(cls):
+        data = {} if data is None else data
+        if not isinstance(data, dict):
+            raise ConfigError(f"config section {name!r} must be a mapping, got {data!r}")
+        hints, prefix = get_type_hints(cls), f"{name}." if name else ""
+        for key in data:
+            if key not in hints:
+                raise ConfigError(f"unknown config key {prefix}{key}")
+        for f in fields(cls):
+            if f.name not in data and f.default is f.default_factory is MISSING:
+                raise ConfigError(f"{name} is missing key {f.name!r}")
+        return cls(**{key: _typed(hints[key], value, prefix + key)
+                      for key, value in data.items()})
+    if get_origin(cls) is Union:  # Optional[X]
+        return None if data is None else _typed(get_args(cls)[0], data, name)
+    if get_origin(cls) is tuple:
+        if not isinstance(data, (list, tuple)):
+            raise ConfigError(f"config key {name!r} must be a list, got {data!r}")
+        return tuple(_typed(get_args(cls)[0], item, name) for item in data)
+    ok = (isinstance(data, int) or isinstance(data, float) and math.isfinite(data)
+          if cls is float else isinstance(data, cls)) and isinstance(data, bool) is (cls is bool)
+    if not ok:
+        kind = "a finite float" if cls is float else cls.__name__
+        raise ConfigError(f"config key {name!r} must be {kind}, got {data!r}")
+    return data
 
 
 def load_experiment(path: Optional[str | Path] = None,
@@ -243,83 +285,46 @@ def load_experiment(path: Optional[str | Path] = None,
             raise ConfigError(f"{path}: top level must be a mapping")
         file_data = loaded
     preset = (overrides or {}).get("preset") or file_data.get("preset", "desk")
-    if preset not in _PRESETS:
+    if not isinstance(preset, str) or preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; known: {sorted(_PRESETS)}")
     data = _merge(_PRESETS[preset], file_data)
     if overrides:
         data = _merge(data, overrides)
     data["preset"] = preset
 
-    if data.get("cluster_file"):
-        vms = load_cluster_file(data["cluster_file"])
-    else:
-        shapes = data.get("cluster")
-        if not shapes:
-            raise ConfigError("config needs either cluster_file or a cluster shape list")
-        vms = cluster_from_shapes(_listed(shapes, "cluster"))
+    top = _typed(_TopLevel, data, "")
 
-    applications = data.get("applications")
-    if data.get("profiles_file"):
-        profiles = load_profiles_file(data["profiles_file"])
-        if not isinstance(applications, list) or not all(
-                isinstance(a, dict) for a in applications):
+    if top.cluster_file:
+        vms = load_cluster_file(top.cluster_file)
+    elif top.cluster:
+        vms = cluster_from_shapes(top.cluster)
+    else:
+        raise ConfigError("config needs either cluster_file or a cluster shape list")
+
+    if top.profiles_file:
+        profiles = load_profiles_file(top.profiles_file)
+        if top.applications is None:
             raise ConfigError("profiles_file requires explicit applications: "
                               "[{app_id, functions}]")
-        for a in applications:
-            for key in ("app_id", "functions"):
-                if key not in a:
-                    raise ConfigError(f"applications entry {a} is missing key {key!r}")
-        apps = [Application(app_id=a["app_id"],
-                            function_sequence=tuple(_listed(a["functions"],
-                                                            "applications.functions")))
-                for a in applications]
+        entries = [_typed(_AppEntry, a, f"applications[{i}]")
+                   for i, a in enumerate(top.applications)]
+        apps = [Application(e.app_id, e.functions) for e in entries]
         for app in apps:
             for fn in app.function_sequence:
                 if fn not in profiles:
                     raise ConfigError(f"application {app.app_id} uses function {fn} "
                                       "missing from the profiles file")
     else:
-        if not isinstance(applications, list) or not all(
-                isinstance(a, str) for a in applications):
+        if top.applications is None or not all(isinstance(a, str) for a in top.applications):
             raise ConfigError("applications must be catalog names (or provide profiles_file)")
-        profiles, apps = select_apps(applications)
+        profiles, apps = select_apps(top.applications)
 
-    if data.get("traces_file"):
-        corpus = load_traces(data["traces_file"])
-    else:
-        corpus = synthetic_traces()
-
-    env = _build(EnvConfig, _section(data, "env"), "env")
-    sim = _build(SimConfig, _section(data, "sim"), "sim")
-    train = _build(TrainConfig, {k: tuple(_listed(v, "train.hidden")) if k == "hidden" else v
-                                 for k, v in _section(data, "train").items()}, "train")
-    dqn = _build(DqnConfig, {k: tuple(_listed(v, "dqn.hidden")) if k == "hidden" else v
-                             for k, v in _section(data, "dqn").items()}, "dqn")
-    b = _section(data, "baselines")
-    baselines = BaselinePolicyConfig(
-        knative=_build(KnativeConfig, _section(b, "knative"), "baselines.knative"),
-        kube_cpu=_build(KubeCpuConfig, _section(b, "kube_cpu"), "baselines.kube_cpu"),
-        openfaas=_build(OpenFaasConfig, _section(b, "openfaas"), "baselines.openfaas"),
-    )
-    workload = _build(WorkloadSettings, {
-        k: tuple(_listed(v, "workload.bands")) if k == "bands" else v
-        for k, v in _section(data, "workload").items()}, "workload")
-
-    beta_list = _listed(data.get("beta_list", [0.0, 0.25, 0.5, 0.75, 1.0]), "beta_list")
-    if not all(isinstance(x, (int, float)) and 0 <= x <= 1 for x in beta_list):
-        raise ConfigError("beta_list values must lie in [0, 1]")
-
-    eval_parallel = data.get("eval_parallel", 1)
-    if eval_parallel != 1:
-        raise ConfigError(f"eval_parallel must be 1 (evaluation runs on one thread), "
-                          f"got {eval_parallel!r}")
-
-    output_dir = Path(data.get("output_dir", "runs"))
-    calibration_file = Path(data.get("calibration_file")
-                            or output_dir / "calibration.yaml")
+    corpus = load_traces(top.traces_file) if top.traces_file else synthetic_traces()
+    output_dir = Path(top.output_dir)
     return Experiment(
         raw=data, vms=vms, profiles=profiles, apps=apps, corpus=corpus,
-        env=env, sim=sim, train=train, dqn=dqn, baselines=baselines,
-        workload=workload, beta_list=[float(x) for x in beta_list],
-        output_dir=output_dir, calibration_file=calibration_file,
+        env=top.env, sim=top.sim, train=top.train, dqn=top.dqn, baselines=top.baselines,
+        workload=top.workload, beta_list=[float(x) for x in top.beta_list],
+        output_dir=output_dir,
+        calibration_file=Path(top.calibration_file or output_dir / "calibration.yaml"),
     )

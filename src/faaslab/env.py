@@ -19,7 +19,7 @@ import numpy as np
 
 from .cluster import (POD_CPU_MAX, POD_MEM_MAX, ClusterEngine, FunctionProfile,
                       SimConfig, VmSpec)
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, require
 from .metrics import EpisodeLedger, RewardBounds, step_reward
 from .workload import WorkloadSpec, synthesize
 
@@ -80,17 +80,13 @@ class EnvConfig:
     rate_cap: float = 60.0       # state normalizer for arrival rate (req/s)
 
     def __post_init__(self) -> None:
-        if self.decision_interval <= 0 or self.observe_delay <= 0:
-            raise ConfigError("intervals must be positive")
-        if self.observe_delay > self.decision_interval + 1e-9:
-            raise ConfigError("observe_delay must not exceed decision_interval")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.target_mode not in ("random", "highest_rfrt"):
-            raise ConfigError(f"unknown target mode {self.target_mode!r}")
-        for name in ("rfrt_cap", "rate_cap"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for key in ("decision_interval", "observe_delay", "rfrt_cap", "rate_cap"):
+            require(getattr(self, key) > 0, f"env.{key} must be > 0", getattr(self, key))
+        require(self.observe_delay <= self.decision_interval + 1e-9,
+                "env.observe_delay must not exceed env.decision_interval", self.observe_delay)
+        require(0.0 <= self.beta <= 1.0, "env.beta must lie in [0, 1]", self.beta)
+        require(self.target_mode in ("random", "highest_rfrt"),
+                "env.target_mode must be 'random' or 'highest_rfrt'", self.target_mode)
 
 
 FEATURES_PER_VM = 7
@@ -148,7 +144,7 @@ class ServerlessEnv:
         self.ledger = EpisodeLedger(self.engine)
         steps = workload.duration / self.config.decision_interval
         if abs(steps - round(steps)) > 1e-9:
-            raise ConfigError("workload duration must be a multiple of decision_interval")
+            raise ConfigError("workload.duration must be a multiple of env.decision_interval")
         self.total_steps = int(round(steps))
         self._steps_taken = 0
         self.done = False

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and ``require``, the range
+check of the config dataclasses."""
 
 
 class FaasLabError(Exception):
@@ -15,3 +16,12 @@ class SimulationError(FaasLabError):
 
 class MetricsError(FaasLabError):
     """Metric undefined for the requested scope, or missing calibration."""
+
+
+def require(ok: bool, rule: str, value: object) -> None:
+    """Raise ``ConfigError("<rule>, got <value>")`` unless ``ok``.
+
+    ``rule`` names its config key, as in ``"sim.max_retries must be >= 0"``.
+    """
+    if not ok:
+        raise ConfigError(f"{rule}, got {value!r}")

@@ -346,6 +346,24 @@ class TestRouting:
         assigns = [e for e in eng.event_log if e[1] == "assign"]
         assert [pod for (_, _, _, pod) in assigns] == [0, 1, 0]
 
+    def test_cursor_wraps_when_its_pod_is_removed(self, big_vm, fast_profile,
+                                                  single_app):
+        # Two requests leave the cursor at index 2. Removing pod 2 must wrap
+        # it to 0; left at 2, it would point at pod 3 once that is created.
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.apply_horizontal(0, 3)
+        eng.advance(2.0)
+        eng.load_arrivals([(2.5, 0), (2.6, 0)])
+        eng.advance(2.6)
+        eng.apply_horizontal(0, -1)  # removes idle pod 2
+        eng.apply_horizontal(0, 1)   # creates pod 3, ready at 4.6
+        eng.advance(4.7)
+        eng.load_arrivals([(4.8, 0)])
+        eng.advance(4.8)
+        assigns = [e for e in eng.event_log if e[1] == "assign"]
+        assert [pod for (_, _, _, pod) in assigns] == [0, 1, 0]
+        assert 3 in eng.pods
+
     def test_no_ready_pods_queues_with_retry(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.load_arrivals([(0.0, 0)])
