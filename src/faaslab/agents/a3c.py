@@ -81,22 +81,11 @@ class TrainResult:
 
 
 def select_action(spec: NetworkSpec, params: Sequence[np.ndarray], state: np.ndarray,
-                  mode: str = "sample",
-                  rng: Optional[np.random.Generator] = None) -> ScalingAction:
-    """Draw (or argmax) one index per head from the factorized policy."""
-    probs = forward_actor(spec, params, state)
-    indices = []
-    for head in probs:
-        p = head[0]
-        if mode == "greedy":
-            indices.append(int(np.argmax(p)))
-        elif mode == "sample":
-            if rng is None:
-                raise ConfigError("sampling requires an rng")
-            indices.append(int(rng.choice(len(p), p=p / p.sum())))
-        else:
-            raise ConfigError(f"unknown action-selection mode {mode!r}")
-    return ScalingAction(*indices)
+                  rng: np.random.Generator) -> ScalingAction:
+    """Sample one index per head of the factorized policy (greedy evaluation
+    takes each head's ``greedy_index`` instead, in ``agents.evaluate``)."""
+    probs = [head[0] for head in forward_actor(spec, params, state)]
+    return ScalingAction(*(int(rng.choice(len(p), p=p / p.sum())) for p in probs))
 
 
 def compute_advantages(
@@ -137,8 +126,8 @@ class _Worker:
         self.global_critic = global_critic
         self.config = config
         self.rng = np.random.default_rng(config.seed + 1000 * worker_id)
-        self.local_actor, _ = global_actor.snapshot()
-        self.local_critic, _ = global_critic.snapshot()
+        self.local_actor = global_actor.snapshot()
+        self.local_critic = global_critic.snapshot()
         self.t = 0  # lifetime step counter; update cadence runs off it
         self.memory: list[Transition] = []
         self.updates = 0
@@ -160,8 +149,8 @@ class _Worker:
                                 clip_norm=self.config.grad_clip)
         self.global_critic.apply(critic_grads, lr=self.config.lr,
                                  clip_norm=self.config.grad_clip)
-        self.local_actor, _ = self.global_actor.snapshot()
-        self.local_critic, _ = self.global_critic.snapshot()
+        self.local_actor = self.global_actor.snapshot()
+        self.local_critic = self.global_critic.snapshot()
         self.memory.clear()
         self.updates += 1
 
@@ -171,8 +160,7 @@ class _Worker:
             done = False
             total_reward = 0.0
             while not done:
-                action = select_action(self.actor_spec, self.local_actor, state,
-                                       "sample", self.rng)
+                action = select_action(self.actor_spec, self.local_actor, state, self.rng)
                 next_state, reward, done, _ = self.env.step(action)
                 self.memory.append(Transition(state, action, reward, next_state, done))
                 total_reward += reward

@@ -35,7 +35,7 @@ def compound_to_action(index: int) -> ScalingAction:
 
 
 def greedy_index(values: np.ndarray) -> int:
-    """Argmax over compound-action values; ties resolve to the lowest index."""
+    """Argmax over one head's action values or probabilities; ties resolve to the lowest index."""
     return int(np.argmax(values))
 
 
@@ -87,7 +87,7 @@ def dqn_train(
         store = ParameterStore(spec)
     elif store.spec != spec:
         raise ConfigError("resumed DQN checkpoint does not match the environment")
-    target_params, _ = store.snapshot()
+    target_params = store.snapshot()
     rng = np.random.default_rng(config.seed)
     buffer: deque = deque(maxlen=config.buffer_capacity)
 
@@ -130,7 +130,7 @@ def dqn_train(
                 store.apply(grads, lr=config.lr)
                 updates += 1
                 if updates % config.target_refresh == 0:
-                    target_params, _ = store.snapshot()
+                    target_params = store.snapshot()
         summary = env.ledger.summary()
         row = EpisodeStats(worker=0, episode=episode, reward=total_reward,
                            rfrt=summary.rfrt, rfr=summary.rfr, cost=summary.cost,

@@ -19,9 +19,8 @@ from ..cluster import FunctionProfile, SimConfig, VmSpec
 from ..env import ACTION_SIZES, EnvConfig, ScalingAction, ServerlessEnv
 from ..errors import ConfigError
 from ..metrics import EpisodeMetrics, RewardBounds
-from ..nnet import ParameterStore, forward_heads
+from ..nnet import ParameterStore, forward_actor, forward_heads
 from ..workload import WorkloadSpec
-from .a3c import select_action
 from .dqn import N_COMPOUND_ACTIONS, compound_to_action, greedy_index
 
 BASELINE_NAMES = BASELINES
@@ -41,7 +40,8 @@ def _policy_from_store(store: ParameterStore):
     heads = store.spec.head_sizes
     if heads == ACTION_SIZES:
         def actor_policy(state: np.ndarray) -> ScalingAction:
-            return select_action(store.spec, store.params, state, "greedy")
+            heads = forward_actor(store.spec, store.params, state)
+            return ScalingAction(*(greedy_index(head[0]) for head in heads))
         return actor_policy
     if heads == (N_COMPOUND_ACTIONS,):
         def value_policy(state: np.ndarray) -> ScalingAction:

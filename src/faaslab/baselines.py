@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .cluster import (ClusterEngine, FunctionProfile, FunctionSnapshot, SimConfig,
-                      VmSpec, ceil_guarded, desired_replicas)
+                      VmSpec, ceil_guarded, cpu_target_replicas)
 from .env import EnvConfig, ServerlessEnv
 from .errors import ConfigError, require
 from .metrics import EpisodeMetrics
@@ -80,11 +80,8 @@ def knative_decide(snap: FunctionSnapshot, cfg: KnativeConfig,
 
 def kube_cpu_decide(snap: FunctionSnapshot, cfg: KubeCpuConfig,
                     max_replicas: int) -> int:
-    if snap.replicas > 0:
-        util = snap.avg_pod_cpu_util
-    else:
-        util = 1.0 if snap.queued_requests > 0 else 0.0
-    return desired_replicas(snap.replicas, util, cfg.cpu_threshold, max_replicas)
+    return cpu_target_replicas(snap.replicas, snap.avg_pod_cpu_util, snap.queued_requests,
+                               cfg.cpu_threshold, max_replicas)
 
 
 def openfaas_decide(snap: FunctionSnapshot, cfg: OpenFaasConfig,
@@ -93,9 +90,9 @@ def openfaas_decide(snap: FunctionSnapshot, cfg: OpenFaasConfig,
         desired = ceil_guarded(_outstanding(snap) / cfg.capacity_threshold)
     elif snap.arrival_rate > cfg.high_rate_cutoff:
         desired = ceil_guarded(snap.arrival_rate / cfg.rps_threshold)
-    else:
-        return kube_cpu_decide(snap, KubeCpuConfig(cpu_threshold=cfg.cpu_threshold),
-                               max_replicas)
+    else:  # cpu mode: the kube_cpu rule
+        return cpu_target_replicas(snap.replicas, snap.avg_pod_cpu_util, snap.queued_requests,
+                                   cfg.cpu_threshold, max_replicas)
     return min(max(desired, 0), max_replicas)
 
 
@@ -115,7 +112,6 @@ def decide(policy: str, snap: FunctionSnapshot, cfg: BaselinePolicyConfig,
 
 @dataclass
 class BaselineResult:
-    policy: str
     summary: EpisodeMetrics
     channels: list[tuple[float, float, float]]
     engine: ClusterEngine
@@ -155,5 +151,4 @@ def run_baseline(
         window = env.run_window(t0, collect_channels)
         if collect_channels:
             channels.append(window)
-    return BaselineResult(policy=policy, summary=env.ledger.summary(), channels=channels,
-                          engine=engine)
+    return BaselineResult(summary=env.ledger.summary(), channels=channels, engine=engine)

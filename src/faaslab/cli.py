@@ -102,7 +102,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             samples.extend(res.channels)
             total_requests += res.summary.total
     if total_requests == 0:
-        raise ConfigError("calibration workloads carried no traffic; "
+        source = ("workload.constant_rate" if exp.workload.constant_rate is not None
+                  else "traces_file")
+        raise ConfigError(f"calibration workloads carried no traffic (from {source}); "
                           "bounds would be degenerate")
     bounds = derive_bounds(samples)
     exp.calibration_file.parent.mkdir(parents=True, exist_ok=True)
@@ -140,7 +142,7 @@ def _train_one(exp: Experiment, agent: str, beta: float, workers: int,
         stats = result.stats
         seed = cfg.seed
         checkpoint = actor_path
-    elif agent == "dqn":
+    else:  # dqn; argparse allows only the two
         tag = f"dqn_beta{beta:g}"  # one environment: no worker count
         cfg = exp.dqn
         env = ServerlessEnv(exp.vms, exp.profiles, env_cfg, exp.sim, bounds,
@@ -152,8 +154,6 @@ def _train_one(exp: Experiment, agent: str, beta: float, workers: int,
         stats = result.stats
         seed = cfg.seed
         checkpoint = q_path
-    else:
-        raise ConfigError(f"unknown agent {agent!r}; choose a3c or dqn")
 
     curve_path = out / f"curves_{tag}.csv"
     write_csv(curve_path, _meta_lines(exp, seed, "deterministic"), CURVE_COLUMNS,
@@ -276,8 +276,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     exp = _load(args)
     band = args.band or "mid"
-    if band not in EVAL_BANDS:
-        raise ConfigError(f"unknown band {band!r}")
     per_band = exp.workload.workloads_per_band
     if not 0 <= args.workload_index < per_band:
         raise ConfigError(f"--workload-index {args.workload_index} outside [0, {per_band})")

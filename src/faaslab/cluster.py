@@ -63,6 +63,15 @@ def desired_replicas(
     return min(ceil_guarded(base * avg_cpu_util / target_util), max_replicas)
 
 
+def cpu_target_replicas(replicas: int, avg_cpu_util: float, queued: int,
+                        target_util: float, max_replicas: int) -> int:
+    """``desired_replicas`` of a function; with zero replicas its utilization
+    reads 1.0 while requests queue and 0.0 otherwise."""
+    if not replicas:
+        avg_cpu_util = 1.0 if queued else 0.0
+    return desired_replicas(replicas, avg_cpu_util, target_util, max_replicas)
+
+
 class PodPhase(Enum):
     CREATING = "Creating"
     READY = "Ready"
@@ -274,7 +283,8 @@ class SimConfig:
         require(self.max_replicas >= 1, "sim.max_replicas must be >= 1", self.max_replicas)
         require(self.active_time_mode in ("inflight", "pods"),
                 "sim.active_time_mode must be 'inflight' or 'pods'", self.active_time_mode)
-        require(self.exec_noise_sigma >= 0, "sim.exec_noise_sigma must be >= 0",
+        # lognormvariate's exp(sigma * z) overflows past 709: z > 70 at sigma 10, never drawn
+        require(0 <= self.exec_noise_sigma <= 10, "sim.exec_noise_sigma must lie in [0, 10]",
                 self.exec_noise_sigma)
 
 
@@ -489,11 +499,12 @@ class ClusterEngine:
                 pending.extend(batch)
             heapq.heappush(self._heap, pending.pop())
 
-    def advance(self, until: float) -> list[tuple]:
-        """Dispatch every event with timestamp <= until; returns the new log slice."""
+    def advance(self, until: float) -> None:
+        """Dispatch every event with timestamp <= until and move the clock to it.
+
+        With ``log_events`` each dispatched event is appended to ``event_log``."""
         if until < self.clock - _EPS:
             raise SimulationError(f"cannot advance backwards ({self.clock} -> {until})")
-        mark = len(self.event_log)
         heap = self._heap
         retries = self._retries
         arrivals = self._arrivals
@@ -622,7 +633,6 @@ class ClusterEngine:
                     log.append((time, "queue", rid))
                 push_retry(rid)
         self.clock = max(self.clock, until)  # an until up to _EPS behind keeps the clock
-        return self.event_log[mark:]
 
     def next_event_time(self) -> Optional[float]:
         return min((queue[0][0] for queue in (self._heap, self._retries) if queue),
@@ -638,20 +648,16 @@ class ClusterEngine:
 
     # --------------------------------------------------------------- lifecycle
 
-    def route_request(self, rid: int) -> Optional[int]:
+    def route_request(self, rid: int) -> int:
         """Start request ``rid`` on the next open pod by the per-function round-robin cursor.
 
-        Starting it charges the pod and its VM and schedules its finish.
-        Returns the pod id on assignment, or None when every ready pod is at
-        its concurrency bound. That case costs O(1): ``open_pods`` counts the
-        pods that could take the request, and at 0 the pod scan is skipped.
-        The engine calls this only when the count is positive, and a scan
-        that then finds no open pod raises ``SimulationError``.
+        Starting it charges the pod and its VM and schedules its finish; the
+        pod id is returned. Callers route only while ``open_pods`` counts an
+        open pod for the request's function; a scan that finds none raises
+        ``SimulationError``.
         """
         fn = self.req_function_id[rid]
         open_pods = self.open_pods[fn]
-        if not open_pods:
-            return None
         pod_ids = self.fn_pods[fn]
         pods = self.pods
         ready = PodPhase.READY
@@ -718,13 +724,9 @@ class ClusterEngine:
         if fn not in self.profiles:
             raise ConfigError(f"unknown function {fn}")
         live = self._live_pods(fn)
-        if live:
-            util = sum(p.cpu_util for p in live) / len(live)
-        else:  # 1.0 proxy when traffic waits on zero pods
-            util = 1.0 if self.queued[fn] else 0.0
-        current = len(live)
-        return desired_replicas(current, util, target_util,
-                                self.config.max_replicas) - current
+        util = sum(p.cpu_util for p in live) / len(live) if live else 0.0
+        return cpu_target_replicas(len(live), util, self.queued[fn], target_util,
+                                   self.config.max_replicas) - len(live)
 
     def apply_horizontal(self, fn: int, delta: int) -> list[int]:
         """Create or remove pods; returns ids of pods created/affected.
@@ -923,61 +925,68 @@ class ClusterEngine:
     def check_invariants(self) -> None:
         """Recount derived counts and totals from their records; raise AssertionError on drift.
 
-        Tests call it, and so does the benchmark after every episode.
+        Tests call it, and so does the benchmark after every episode. The
+        checks raise explicitly, so they also run under ``python -O``.
         """
         hosted: dict[int, list[PodState]] = {vm_id: [] for vm_id in self.vms}
         for pod in self.pods.values():
             hosted[pod.vm_id].append(pod)
         for vm_id, vm in self.vms.items():
             pods = hosted[vm_id]
-            assert vm.pod_count == len(pods), "pod count drift"
-            assert vm.inflight == sum(p.in_flight for p in pods), "vm in-flight count drift"
-            assert abs(sum(p.cpu_limit for p in pods) - vm.cpu_allocated) < 1e-6, "cpu allocation drift"
-            assert abs(sum(p.mem_limit for p in pods) - vm.mem_allocated) < 1e-6, "mem allocation drift"
-            assert abs(sum(p.cpu_used for p in pods) - vm.cpu_used) < 1e-6, "cpu usage drift"
-            assert abs(sum(p.mem_used for p in pods) - vm.mem_used) < 1e-6, "mem usage drift"
-            assert vm.cpu_allocated <= vm.spec.cpu_capacity + 1e-6, "cpu over-allocation"
-            assert vm.mem_allocated <= vm.spec.mem_capacity + 1e-6, "mem over-allocation"
-            assert vm.cpu_used <= vm.cpu_allocated + 1e-6, "cpu usage above allocation"
-            assert vm.mem_used <= vm.mem_allocated + 1e-6, "mem usage above allocation"
+            _check(vm.pod_count == len(pods), "pod count drift")
+            _check(vm.inflight == sum(p.in_flight for p in pods), "vm in-flight count drift")
+            _check(abs(sum(p.cpu_limit for p in pods) - vm.cpu_allocated) < 1e-6, "cpu allocation drift")
+            _check(abs(sum(p.mem_limit for p in pods) - vm.mem_allocated) < 1e-6, "mem allocation drift")
+            _check(abs(sum(p.cpu_used for p in pods) - vm.cpu_used) < 1e-6, "cpu usage drift")
+            _check(abs(sum(p.mem_used for p in pods) - vm.mem_used) < 1e-6, "mem usage drift")
+            _check(vm.cpu_allocated <= vm.spec.cpu_capacity + 1e-6, "cpu over-allocation")
+            _check(vm.mem_allocated <= vm.spec.mem_capacity + 1e-6, "mem over-allocation")
+            _check(vm.cpu_used <= vm.cpu_allocated + 1e-6, "cpu usage above allocation")
+            _check(vm.mem_used <= vm.mem_allocated + 1e-6, "mem usage above allocation")
             active = vm.pod_count > 0 if self._pods_mode else vm.inflight > 0
-            assert (vm.busy_since is not None) == active, "busy interval out of step with activity"
-        assert len({len(column) for column in self._req_columns}) == 1, \
-            "request columns differ in length"
+            _check((vm.busy_since is not None) == active, "busy interval out of step with activity")
+        _check(len({len(column) for column in self._req_columns}) == 1,
+               "request columns differ in length")
         running_pods: Counter[int] = Counter()
         queued_rids = []
         for rid, (status, pod_id, finish, retries) in enumerate(zip(
                 self.req_status, self.req_pod_id, self.req_finish_time, self.req_retries)):
             if status is RequestStatus.RUNNING:
-                assert pod_id is not None and finish is None, \
-                    "running request without a pod or with a finish time"
+                _check(pod_id is not None and finish is None,
+                       "running request without a pod or with a finish time")
                 running_pods[pod_id] += 1
             elif status is RequestStatus.COMPLETED:
-                assert finish is not None, "completed request without a finish time"
+                _check(finish is not None, "completed request without a finish time")
             elif status is RequestStatus.QUEUED:
-                assert pod_id is None, "queued request holding a pod"
+                _check(pod_id is None, "queued request holding a pod")
                 queued_rids.append(rid)
-            assert retries <= self.config.max_retries, "retries above the retry budget"
+            _check(retries <= self.config.max_retries, "retries above the retry budget")
         for pod in self.pods.values():
-            assert pod.in_flight == running_pods[pod.pod_id], "in-flight count drift"
-            assert pod.max_concurrency == pod.concurrency_bound(), "stale concurrency bound"
-            assert pod.in_flight <= pod.max_concurrency, "pod concurrency overflow"
+            _check(pod.in_flight == running_pods[pod.pod_id], "in-flight count drift")
+            _check(pod.max_concurrency == pod.concurrency_bound(), "stale concurrency bound")
+            _check(pod.in_flight <= pod.max_concurrency, "pod concurrency overflow")
             if pod.phase is PodPhase.CREATING:
-                assert not pod.in_flight, "creating pod is serving requests"
+                _check(not pod.in_flight, "creating pod is serving requests")
         for fn, pod_ids in self.fn_pods.items():
             open_count = sum(1 for pid in pod_ids if self.pods[pid].is_open)
-            assert open_count == self.open_pods[fn], "open-pod count drift"
-        assert all(a < b for a, b in pairwise(self._retries)), "retry FIFO out of order"
+            _check(open_count == self.open_pods[fn], "open-pod count drift")
+        _check(all(a < b for a, b in pairwise(self._retries)), "retry FIFO out of order")
         # queued_rids ascends: one pending retry per queued request and none for any other
-        assert sorted(rid for _, _, rid in self._retries) == queued_rids, \
-            "queued requests and pending retries differ"
+        _check(sorted(rid for _, _, rid in self._retries) == queued_rids,
+               "queued requests and pending retries differ")
         queued_fns = Counter(self.req_function_id[rid] for rid in queued_rids)
-        assert self.queued == {fn: queued_fns[fn] for fn in self.profiles}, "queued count drift"
+        _check(self.queued == {fn: queued_fns[fn] for fn in self.profiles}, "queued count drift")
         pending = self._arrivals
-        assert all(a > b for a, b in pairwise(pending)), "pending arrivals out of order"
-        assert not pending or min((e for e in self._heap if e[2] == _ARRIVAL),
-                                  default=pending[-1]) < pending[-1], \
-            "earliest pending arrival is not in the heap"
+        _check(all(a > b for a, b in pairwise(pending)), "pending arrivals out of order")
+        _check(not pending or min((e for e in self._heap if e[2] == _ARRIVAL),
+                                  default=pending[-1]) < pending[-1],
+               "earliest pending arrival is not in the heap")
+
+
+def _check(ok: bool, message: str) -> None:
+    """``assert ok, message`` that ``python -O`` does not strip."""
+    if not ok:
+        raise AssertionError(message)
 
 
 def _count_in_window(times: list[float], t0: float, t1: float) -> int:

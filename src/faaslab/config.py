@@ -112,8 +112,9 @@ class WorkloadSettings:
     bands: tuple[str, ...] = ("low", "mid", "high")
 
     def __post_init__(self) -> None:
-        require(self.duration > 0 and float(self.duration).is_integer(),
-                "workload.duration must be a whole number of seconds > 0", self.duration)
+        require(0 < self.duration <= 86400 and float(self.duration).is_integer(),
+                "workload.duration must be a whole number of seconds in (0, 86400]",
+                self.duration)
         for key in ("workloads_per_band", "train_pool_size", "calibration_per_band"):
             require(getattr(self, key) >= 1, f"workload.{key} must be >= 1", getattr(self, key))
         require(self.constant_rate is None or self.constant_rate >= 0,

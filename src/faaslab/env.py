@@ -149,9 +149,8 @@ class ServerlessEnv:
         self._steps_taken = 0
         self.done = False
 
-    def reset(self, workload: WorkloadSpec, seed: Optional[int] = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = random.Random(seed)
+    def reset(self, workload: WorkloadSpec) -> np.ndarray:
+        """Start an episode; random targets are drawn with the constructor's ``seed``."""
         self.start_episode(workload)
         self._select_target()
         return self._state()

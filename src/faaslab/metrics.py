@@ -25,8 +25,9 @@ class ChannelBounds:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise ConfigError(f"channel bounds must satisfy lo < hi, got ({self.lo}, {self.hi})")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ConfigError(f"channel bounds must be finite with lo < hi, "
+                              f"got ({self.lo}, {self.hi})")
 
     def normalize(self, value: float) -> float:
         return min(1.0, max(0.0, (value - self.lo) / (self.hi - self.lo)))
@@ -56,7 +57,7 @@ class RewardBounds:
             return cls(**{name: ChannelBounds(lo=float(data[name]["min"]),
                                               hi=float(data[name]["max"]))
                           for name in ("rfrt", "rfr", "cost")})
-        except (yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
+        except (yaml.YAMLError, KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}: malformed calibration file ({exc})") from None
 
 
@@ -107,57 +108,28 @@ class EpisodeLedger:
         rfr = sum(engine.window_rfr(fn, t0, t1) for fn in fns) / len(fns)
         return rfrt, rfr, self.window_cost(t0, t1)
 
-    # ---------------------------------------------------------- episode views
-
-    def episode_rart(self) -> float:
-        """Average over applications of the mean chain response-time ratio.
-
-        Only fully completed chains contribute; dropped chains are accounted
-        by the failure rate instead. Applications with no completed chain are
-        skipped; if every application is empty the metric is undefined.
-
-        The engine records each chain's ratio as its last function finishes
-        (``ClusterEngine.chain_ratios``); they are summed here in root-id
-        order, the order in which the chains started.
-        """
-        engine = self.engine
-        if not engine.apps:
-            raise MetricsError("no applications deployed")
-        means = [sum(ratios[root] for root in sorted(ratios)) / len(ratios)
-                 for ratios in engine.chain_ratios.values() if ratios]
-        if not means:
-            raise MetricsError("no completed application chains; RART undefined")
-        return sum(means) / len(means)
-
-    def episode_rfr(self) -> float:
-        total = len(self.engine.requests)
-        if total == 0:
-            return 0.0
-        return self.engine.dropped_total / total
-
-    def episode_rfrt(self) -> float:
-        """Mean response-time ratio over every completed function request."""
-        ratios = [r for fn in self.engine.deployed_fns
-                  for r in self.engine.completion_ratios[fn]]
-        return sum(ratios) / len(ratios) if ratios else 1.0
-
-    def episode_cost(self) -> float:
-        """VM cost from time 0 to the clock: the integral of the busy log."""
-        return self.window_cost(0.0, self.engine.clock)
+    # ---------------------------------------------------------- episode view
 
     def summary(self) -> "EpisodeMetrics":
-        try:
-            rart = self.episode_rart()
-        except MetricsError:
-            rart = math.nan
+        """The episode's metrics, computed here and nowhere else.
+
+        RART: mean over applications of their completed chains' mean ratio
+        (``chain_ratios`` summed in root-id order), NaN with no completed chain.
+        RFR: drops over requests (0.0 with none). RFRT: mean ratio of completed
+        requests (1.0 with none). Cost: VM cost from time 0 to the clock."""
+        engine = self.engine
+        means = [sum(ratios[root] for root in sorted(ratios)) / len(ratios)
+                 for ratios in engine.chain_ratios.values() if ratios]
+        ratios = [r for fn in engine.deployed_fns for r in engine.completion_ratios[fn]]
+        total = len(engine.requests)
         return EpisodeMetrics(
-            rart=rart,
-            rfr=self.episode_rfr(),
-            cost=self.episode_cost(),
-            rfrt=self.episode_rfrt(),
-            completed=self.engine.completed_total,
-            dropped=self.engine.dropped_total,
-            total=len(self.engine.requests),
+            rart=sum(means) / len(means) if means else math.nan,
+            rfr=engine.dropped_total / total if total else 0.0,
+            cost=self.window_cost(0.0, engine.clock),
+            rfrt=sum(ratios) / len(ratios) if ratios else 1.0,
+            completed=engine.completed_total,
+            dropped=engine.dropped_total,
+            total=total,
         )
 
 

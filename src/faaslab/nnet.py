@@ -183,18 +183,12 @@ def critic_loss_and_grad(
     states: np.ndarray,
     targets: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean squared TD error and its gradient in the descent direction."""
-    x = _check_input(spec, states)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-    heads, acts = _forward(spec, params, x)
-    values = heads[0][:, 0]
-    if values.shape != targets.shape:
-        raise ConfigError("batch shapes disagree")
-    batch = x.shape[0]
-    err = values - targets
-    loss = float(np.mean(err ** 2))
-    grad_out = (2.0 * err / batch)[:, None]
-    return loss, _backward(spec, params, acts, [grad_out])
+    """Mean squared TD error and its gradient in the descent direction: the
+    ``q_loss_and_grad`` of the one scalar head, with every action index 0."""
+    if spec.head_sizes != (1,):
+        raise ConfigError("critic networks need a single scalar head")
+    actions = np.zeros(len(np.atleast_2d(states)), dtype=np.int64)
+    return q_loss_and_grad(spec, params, states, actions, targets)
 
 
 def q_loss_and_grad(
@@ -211,6 +205,8 @@ def q_loss_and_grad(
     heads, acts = _forward(spec, params, x)
     q = heads[0]
     batch = x.shape[0]
+    if idx.shape != (batch,) or targets.shape != (batch,):
+        raise ConfigError("batch shapes disagree")
     rows = np.arange(batch)
     err = q[rows, idx] - targets
     loss = float(np.mean(err ** 2))
@@ -238,8 +234,8 @@ class ParameterStore:
         self.v = [np.zeros_like(p) for p in self.params]
         self.version = 0
 
-    def snapshot(self) -> tuple[list[np.ndarray], int]:
-        return [p.copy() for p in self.params], self.version
+    def snapshot(self) -> list[np.ndarray]:
+        return [p.copy() for p in self.params]
 
     def apply(self, grads: Sequence[np.ndarray], lr: float = 1e-4,
               clip_norm: Optional[float] = None) -> int:
@@ -306,6 +302,8 @@ class ParameterStore:
                         if arr.shape != attr[i].shape:
                             raise ConfigError(f"{path}: array {key} has shape {arr.shape}, "
                                               f"expected {attr[i].shape}")
+                        if not np.isfinite(arr).all():
+                            raise ConfigError(f"{path}: array {key} holds non-finite values")
                         attr[i] = arr.astype(np.float64)
                 store.version = int(meta["version"])
         except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,

@@ -8,6 +8,7 @@ from faaslab.agents import (DQN_GRID_POINTS, N_COMPOUND_ACTIONS, DqnConfig, Trai
                             Transition, aggregate, compound_to_action,
                             compute_advantages, dqn_train, evaluate_targets,
                             greedy_index, select_action, train)
+from faaslab.agents.evaluate import _policy_from_store
 from faaslab.cluster import Application, FunctionProfile
 from faaslab.env import ACTION_SIZES, EnvConfig, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError
@@ -42,18 +43,17 @@ class TestSelectAction:
         spec = NetworkSpec(input_dim=4, hidden=(6,), head_sizes=ACTION_SIZES, seed=1)
         params = init_params(spec)
         state = np.full(4, 0.5)
-        a = select_action(spec, params, state, "sample", np.random.default_rng(12))
-        b = select_action(spec, params, state, "sample", np.random.default_rng(12))
+        a = select_action(spec, params, state, np.random.default_rng(12))
+        b = select_action(spec, params, state, np.random.default_rng(12))
         assert a == b
 
     def test_greedy_picks_dominant_probability(self):
-        spec = NetworkSpec(input_dim=1, hidden=(), head_sizes=(5,))
-        params = [np.zeros((1, 5)), np.zeros(5)]
-        params[1][3] = 10.0
-        probs_spec = NetworkSpec(input_dim=1, hidden=(), head_sizes=(5, 5, 5))
-        p = [np.zeros((1, 5)), np.array([0.0, 0.0, 0.0, 10.0, 0.0]),
-             np.zeros((1, 5)), np.zeros(5), np.zeros((1, 5)), np.zeros(5)]
-        action = select_action(probs_spec, p, np.array([1.0]), "greedy")
+        # Greedy evaluation of an actor checkpoint: each head's greedy_index.
+        probs_spec = NetworkSpec(input_dim=1, hidden=(), head_sizes=ACTION_SIZES)
+        p = [np.zeros((1, 11)), np.zeros(11), np.zeros((1, 11)), np.zeros(11),
+             np.zeros((1, 11)), np.zeros(11)]
+        p[1][3] = 10.0
+        action = _policy_from_store(ParameterStore(probs_spec, p))(np.array([1.0]))
         assert action.a1 == 3
         assert action.a2 == 0 and action.a3 == 0
 
@@ -67,7 +67,7 @@ class TestSelectAction:
         n = 100_000
         counts = [np.zeros(4), np.zeros(3), np.zeros(5)]
         for _ in range(n):
-            a = select_action(spec, params, state, "sample", rng)
+            a = select_action(spec, params, state, rng)
             for d, idx in enumerate(a.as_tuple()):
                 counts[d][idx] += 1
         for dim in range(3):

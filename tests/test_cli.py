@@ -284,16 +284,19 @@ class TestErrors:
                                         "constant_rate": 0})
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("damage", ["random_bytes", "truncated"])
+    @pytest.mark.parametrize("damage", ["random_bytes", "truncated", "nan_array"])
     def test_corrupt_checkpoint_is_config_error(self, workspace, capsys, damage):
         config, run_dir = workspace
         ckpt = run_dir.parent / f"{damage}.npz"
+        store = ParameterStore(NetworkSpec(input_dim=4, hidden=(8,), head_sizes=(11, 11, 11)))
         if damage == "random_bytes":
             ckpt.write_bytes(random.Random(0).randbytes(4096))
-        else:
-            ParameterStore(NetworkSpec(input_dim=4, hidden=(8,),
-                                       head_sizes=(11, 11, 11))).save(ckpt)
+        elif damage == "truncated":
+            store.save(ckpt)
             ckpt.write_bytes(ckpt.read_bytes()[:ckpt.stat().st_size // 2])
+        else:  # a well-formed file whose weights are NaN
+            store.params[0][:] = float("nan")
+            store.save(ckpt)
         assert main(["evaluate", "--config", str(config), "--band", "low",
                      "--targets", str(ckpt)]) == EXIT_CONFIG
         assert str(ckpt) in capsys.readouterr().err
@@ -335,8 +338,9 @@ class TestErrors:
         ("train --agent dqn", "dqn.seed", -1),
         ("train --agent dqn", "dqn.batch_size", 0),
         ("calibrate", "workload.constant_rate", -5),
+        ("calibrate", "workload.constant_rate", 0),  # loads, then carries no traffic
     ], ids=["sim.exec_noise_sigma", "train.seed", "dqn.seed", "dqn.batch_size",
-            "workload.constant_rate"])
+            "workload.constant_rate", "workload.constant_rate-no-traffic"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, key,
                                                 value):
         config = write_config(tmp_path, cluster=["t4g.large"])
@@ -376,6 +380,15 @@ class TestErrors:
         config, run_dir = workspace
         run_dir.mkdir(parents=True)
         (run_dir / "calibration.yaml").write_text("rfrt: {min: 1\n")
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        assert "calibration.yaml" in capsys.readouterr().err
+
+    def test_infinite_calibration_bound_is_config_error(self, workspace, capsys):
+        config, run_dir = workspace
+        run_dir.mkdir(parents=True)
+        (run_dir / "calibration.yaml").write_text(
+            "cost: {min: 0.0, max: .inf}\nrfr: {min: 0.0, max: 1.0}\n"
+            "rfrt: {min: 1.0, max: 5.0}\n")
         assert main(["train", "--config", str(config)]) == EXIT_CONFIG
         assert "calibration.yaml" in capsys.readouterr().err
 

@@ -2,7 +2,12 @@ import dataclasses
 import gc
 import hashlib
 import heapq
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ import pytest
 from faaslab.cluster import (_ARRIVAL, Application, ClusterEngine,
                              FunctionProfile, PodPhase, RequestStatus,
                              SimConfig, VmSpec, VmState, ceil_guarded,
-                             desired_replicas, floor_guarded)
+                             cpu_target_replicas, desired_replicas, floor_guarded)
 from faaslab.env import EnvConfig, ServerlessEnv
 from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import EpisodeLedger
@@ -52,18 +57,27 @@ class TestDesiredReplicas:
         with pytest.raises(SimulationError):
             desired_replicas(4, 0.5, 0.0)
 
+    def test_zero_replicas_read_queued_traffic_as_full_utilization(self):
+        assert cpu_target_replicas(0, 0.0, 3, 0.5, 80) == 2
+        assert cpu_target_replicas(0, 0.0, 0, 0.5, 80) == 0
+        assert cpu_target_replicas(0, 0.0, 3, 0.1, 5) == 5
+        # with replicas the measured utilization decides, whatever is queued
+        assert cpu_target_replicas(4, 0.8, 0, 0.4, 80) == 8
+        assert cpu_target_replicas(4, 0.0, 3, 0.4, 80) == 0
+
 
 class TestAdvance:
     def test_empty_queue_clock_jump(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
-        assert eng.advance(10.0) == []
+        assert eng.advance(10.0) is None
+        assert eng.event_log == []
         assert eng.clock == 10.0
 
     def test_events_dispatch_in_order(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.load_arrivals([(2.0, 0), (1.0, 0)])
-        log = eng.advance(5.0)
-        arrival_times = [e[0] for e in log if e[1] == "arrival"]
+        eng.advance(5.0)
+        arrival_times = [e[0] for e in eng.event_log if e[1] == "arrival"]
         assert arrival_times == sorted(arrival_times) == [1.0, 2.0]
 
     def test_backwards_advance_rejected(self, big_vm, fast_profile, single_app):
@@ -391,12 +405,13 @@ class TestRouting:
         with pytest.raises(ConfigError):
             eng.load_arrivals([(0.0, 99)])
 
-    def test_no_open_pod_returns_none(self, big_vm, fast_profile, single_app):
+    def test_no_open_pod_raises(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 1)  # still creating
         eng.load_arrivals([(0.0, 0)])
         eng.advance(0.0)
-        assert eng.route_request(0) is None
+        with pytest.raises(SimulationError, match="no pod is open"):
+            eng.route_request(0)
 
     def test_open_count_without_open_pod_raises(self, big_vm, fast_profile,
                                                 single_app):
@@ -811,6 +826,28 @@ class TestInvariantsAndDeterminism:
             vm.inflight += 1
         with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
+
+    def test_invariants_survive_optimized_python(self):
+        # ``python -O`` strips assert statements; check_invariants must still raise.
+        script = textwrap.dedent("""
+            from faaslab.cluster import Application, ClusterEngine, FunctionProfile, VmSpec
+            vm = VmSpec(vm_id=0, cpu_capacity=8.0, mem_capacity=32768.0, unit_price=0.3)
+            profile = FunctionProfile(function_id=0, req_cpu=0.25, req_mem=256.0,
+                                      standard_response_time=1.0, cold_start_seconds=2.0,
+                                      initial_pod_cpu=1.0, initial_pod_mem=1024.0)
+            eng = ClusterEngine([vm], [profile], [Application(app_id=0, function_sequence=(0,))])
+            eng.apply_horizontal(0, 1)
+            eng.vms[0].pod_count += 1
+            try:
+                eng.check_invariants()
+            except AssertionError as exc:
+                print("raised:", exc)
+            """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                                text=True, check=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.stdout.strip() == "raised: pod count drift"
 
     def test_accounting_holds_throughout(self, desk_vms, fast_profile, single_app):
         eng = make_engine(desk_vms, [fast_profile], [single_app])

@@ -5,8 +5,10 @@ Each leaf key of the config sections, plus ``beta_list``, ``cluster`` and
 must either accept the value or raise a ``ConfigError`` that names the key,
 and an accepted value must never make a command exit 3 (an unexpected
 error). ``train --agent dqn`` runs every accepted value here; the full command
-cross product (also ``train``, ``calibrate``, ``evaluate`` of the three
-baselines and ``simulate``) runs under ``HYPOTHESIS_PROFILE=ci``.
+cross product (also ``train``, ``train-sweep``, ``calibrate``, ``evaluate`` of
+the three baselines, ``simulate``, and ``train`` followed by ``evaluate`` of
+the actor checkpoint it wrote and ``report``) runs under
+``HYPOTHESIS_PROFILE=ci``.
 """
 import copy
 import dataclasses
@@ -75,9 +77,24 @@ COMMANDS = [
     *(pytest.param(command, marks=pytest.mark.skipif(
         os.environ.get("HYPOTHESIS_PROFILE") != "ci",
         reason="the full command cross product runs under HYPOTHESIS_PROFILE=ci"))
-      for command in ("train", "calibrate", "evaluate --targets kube_cpu knative openfaas",
-                      "simulate")),
+      for command in ("train", "train-sweep", "calibrate",
+                      "evaluate --targets kube_cpu knative openfaas", "simulate",
+                      "train && evaluate --targets {checkpoint} && report")),
 ]
+
+
+def run_steps(command, config, run_dir):
+    """Run the ``&&``-separated steps of ``command`` up to the first nonzero exit.
+
+    ``{checkpoint}`` stands for the actor checkpoint an earlier step wrote.
+    """
+    for step in command.split(" && "):
+        if "{checkpoint}" in step:
+            step = step.format(checkpoint=next(run_dir.glob("actor_*.npz")))
+        code = main([*step.split(), "--config", str(config)])
+        if code:
+            return code
+    return code
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -89,13 +106,14 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     path = tmp_path / "config.yaml"
     crashed = []
     for key in LEAF_KEYS:
-        for value in VALUES:
+        for i, value in enumerate(VALUES):
             if not accepted(key, value):
                 continue
+            run_dir = tmp_path / f"run-{key}-{i}"  # holds no earlier run's outputs
             cfg = config_with(key, value)
-            cfg.update(output_dir=str(tmp_path / "run"), calibration_file=str(calibration))
+            cfg.update(output_dir=str(run_dir), calibration_file=str(calibration))
             path.write_text(yaml.safe_dump(cfg))
-            if main([*command.split(), "--config", str(path)]) == EXIT_RUNTIME:
+            if run_steps(command, path, run_dir) == EXIT_RUNTIME:
                 crashed.append((key, value, capsys.readouterr().err.strip()))
             capsys.readouterr()
     assert crashed == []
@@ -122,10 +140,21 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     ({"train": {"grad_clip": 0.0}}, "train.grad_clip"),
     ({"workload": {"calibration_per_band": 0}}, "workload.calibration_per_band"),
     ({"baselines": {"openfaas": {"cpu_threshold": 2.5}}}, "baselines.openfaas.cpu_threshold"),
+    # finite but huge: they would overflow lognormvariate and window_rates
+    ({"sim": {"exec_noise_sigma": 1.0e+308}}, "sim.exec_noise_sigma"),
+    ({"sim": {"exec_noise_sigma": 1.0e+15}}, "sim.exec_noise_sigma"),
+    ({"workload": {"duration": 1.0e+308}}, "workload.duration"),
+    ({"workload": {"duration": 1.0e+15}}, "workload.duration"),
 ])
 def test_wrong_type_or_unknown_key_is_named(overrides, key):
     with pytest.raises(ConfigError, match=key):
         load_experiment(overrides=overrides)
+
+
+def test_upper_bounds_are_inclusive():
+    exp = load_experiment(overrides={"sim": {"exec_noise_sigma": 10},
+                                     "workload": {"duration": 86400}})
+    assert exp.sim.exec_noise_sigma == 10 and exp.workload.duration == 86400
 
 
 def test_values_are_kept_as_given():

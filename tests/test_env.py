@@ -95,8 +95,8 @@ class TestReset:
 
     def test_same_seed_same_state(self, env_pair):
         env, wl = env_pair
-        a = env.reset(wl, seed=5)
-        b = env.reset(wl, seed=5)
+        a, b = (ServerlessEnv(env.vms, env.profiles, env.config, bounds=BOUNDS, seed=5).reset(wl)
+                for _ in range(2))
         assert np.array_equal(a, b)
 
     def test_eval_mode_tie_picks_lowest_function(self, desk_vms):
@@ -161,8 +161,8 @@ class TestStep:
         cfg = env_a.config
         env_b = ServerlessEnv(desk_vms, {0: profile}, cfg, bounds=BOUNDS, seed=1)
         actions = [ScalingAction(7, 4, 6), ScalingAction(2, 5, 5), ScalingAction(9, 6, 3)]
-        sa = env_a.reset(wl, seed=3)
-        sb = env_b.reset(wl, seed=3)
+        sa = env_a.reset(wl)
+        sb = env_b.reset(wl)
         assert np.array_equal(sa, sb)
         for action in actions:
             ra = env_a.step(action)

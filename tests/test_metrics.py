@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from faaslab.cluster import (Application, ClusterEngine, FunctionProfile,
@@ -81,7 +83,7 @@ class TestRart:
         eng = warm_engine(big_vm, fast_profile, single_app)
         eng.load_arrivals([(3.0, 0)])
         eng.advance(10.0)
-        assert EpisodeLedger(eng).episode_rart() == pytest.approx(1.0)
+        assert EpisodeLedger(eng).summary().rart == pytest.approx(1.0)
 
     def test_chain_ratio_sums(self, big_vm):
         profs = [FunctionProfile(function_id=i, req_cpu=0.25, req_mem=256.0,
@@ -91,7 +93,7 @@ class TestRart:
         app = Application(app_id=0, function_sequence=(0, 1))
         eng = ClusterEngine([big_vm], profs, [app])
         inject_chain(eng, 0, arrival=0.0, ratios=[2.0, 2.0])
-        assert EpisodeLedger(eng).episode_rart() == pytest.approx(2.0)
+        assert EpisodeLedger(eng).summary().rart == pytest.approx(2.0)
 
     def test_unweighted_mean_over_apps(self, big_vm, fast_profile):
         apps = [Application(app_id=0, function_sequence=(0,)),
@@ -101,14 +103,13 @@ class TestRart:
             inject_chain(eng, 0, arrival=float(i), ratios=[1.5])
         for i in range(1000):
             inject_chain(eng, 1, arrival=float(i), ratios=[3.0])
-        assert EpisodeLedger(eng).episode_rart() == pytest.approx(2.25)
+        assert EpisodeLedger(eng).summary().rart == pytest.approx(2.25)
 
     def test_dropped_chains_excluded(self, big_vm, fast_profile, single_app):
         eng = ClusterEngine([big_vm], [fast_profile], [single_app])
         eng.load_arrivals([(0.0, 0)])
         eng.advance(20.0)  # dropped at t=10, nothing completed
-        with pytest.raises(MetricsError):
-            EpisodeLedger(eng).episode_rart()
+        assert math.isnan(EpisodeLedger(eng).summary().rart)
 
 
 class TestRfr:
@@ -117,7 +118,7 @@ class TestRfr:
         eng.load_arrivals([(3.0 + 0.5 * i, 0) for i in range(50)])
         eng.advance(60.0)
         assert eng.dropped_total == 0
-        assert EpisodeLedger(eng).episode_rfr() == 0.0
+        assert EpisodeLedger(eng).summary().rfr == 0.0
 
     def test_fraction(self, big_vm, fast_profile, single_app):
         eng = ClusterEngine([big_vm], [fast_profile], [single_app])
@@ -129,7 +130,7 @@ class TestRfr:
         eng.load_arrivals([(15.0 + i, 0) for i in range(8)])
         eng.advance(30.0)
         assert eng.dropped_total == 2 and len(eng.requests) == 10
-        assert EpisodeLedger(eng).episode_rfr() == pytest.approx(0.2)
+        assert EpisodeLedger(eng).summary().rfr == pytest.approx(0.2)
 
     def test_window_recombination(self, desk_vms, fast_profile, single_app):
         eng = ClusterEngine(desk_vms, [fast_profile], [single_app])
@@ -146,7 +147,7 @@ class TestRfr:
         ledger = EpisodeLedger(eng)
         rfr_parts = [d / a if a else 0.0 for d, a in zip(dropped, arrived)]
         recombined = sum(r * a for r, a in zip(rfr_parts, arrived)) / sum(arrived)
-        assert recombined == pytest.approx(ledger.episode_rfr(), abs=1e-12)
+        assert recombined == pytest.approx(ledger.summary().rfr, abs=1e-12)
 
 
 class TestVmCost:
@@ -158,13 +159,13 @@ class TestVmCost:
         eng.load_arrivals([(2.0 + i, 0) for i in range(1800)])
         eng.advance(2000.0)
         assert eng.vms[0].busy_overlap(0.0, eng.clock) == pytest.approx(1800.0)
-        assert EpisodeLedger(eng).episode_cost() == pytest.approx(0.0424)
+        assert EpisodeLedger(eng).summary().cost == pytest.approx(0.0424)
 
     def test_idle_accrues_nothing(self, desk_vms, fast_profile, single_app):
         eng = ClusterEngine(desk_vms, [fast_profile], [single_app])
         eng.apply_horizontal(0, 3)
         eng.advance(100.0)
-        assert EpisodeLedger(eng).episode_cost() == 0.0
+        assert EpisodeLedger(eng).summary().cost == 0.0
 
     def test_additive_across_vms_and_windows(self, fast_profile):
         vms = [VmSpec(vm_id=0, cpu_capacity=1.0, mem_capacity=1024.0, unit_price=0.1),
@@ -176,7 +177,7 @@ class TestVmCost:
         eng.load_arrivals([(3.0, 0), (3.5, 0), (20.0, 0)])
         eng.advance(30.0)
         ledger = EpisodeLedger(eng)
-        total = ledger.episode_cost()
+        total = ledger.summary().cost
         w1 = ledger.window_cost(0.0, 10.0)
         w2 = ledger.window_cost(10.0, 30.0)
         assert w1 + w2 == pytest.approx(total, abs=1e-12)

@@ -237,9 +237,9 @@ class TestParameterStore:
     def test_snapshot_isolated_from_updates(self):
         spec = NetworkSpec(input_dim=3, hidden=(3,), head_sizes=(1,), seed=4)
         store = ParameterStore(spec)
-        snap, version = store.snapshot()
+        snap = store.snapshot()
         store.apply([np.ones_like(p) for p in store.params])
-        assert version == 0
+        assert store.version == 1
         assert not np.array_equal(snap[0], store.params[0])
 
 
