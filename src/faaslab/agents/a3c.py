@@ -53,7 +53,7 @@ class TrainConfig:
             require(getattr(self, key) >= 1, f"train.{key} must be >= 1", getattr(self, key))
         require(0.0 <= self.gamma < 1.0, "train.gamma must lie in [0, 1)", self.gamma)
         require(self.lr > 0, "train.lr must be > 0", self.lr)
-        require(self.entropy_beta >= 0, "train.entropy_beta must be >= 0", self.entropy_beta)
+        require(0 <= self.entropy_beta <= 1, "train.entropy_beta must lie in [0, 1]", self.entropy_beta)
         require(self.seed >= 0, "train.seed must be >= 0", self.seed)
         require(self.sync_mode == "deterministic", "train.sync_mode must be 'deterministic' "
                 "(workers run round-robin on one thread)", self.sync_mode)

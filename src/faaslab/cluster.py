@@ -21,6 +21,8 @@ from itertools import pairwise
 from operator import itemgetter
 from typing import Optional
 
+import numpy as np
+
 from .errors import ConfigError, SimulationError, require
 
 # Hard bounds on a single pod's resource limits (vCPU / MB).
@@ -308,8 +310,11 @@ class FunctionSnapshot:
     standard_response_time: float
 
 
-# Event kinds of a heap entry (time, seq, kind, arg); arg is an app, request or pod id.
-_ARRIVAL, _FINISH, _POD_READY = 0, 1, 2
+# Event kinds of a heap entry (time, seq, kind, arg); arg is a request or pod id.
+_FINISH, _POD_READY = 0, 1
+# The next-arrival pair once every loaded arrival is dispatched: after the
+# (time, seq) of any event, even one at time inf.
+_NO_ARRIVAL = (math.inf, math.inf)
 
 
 class ClusterEngine:
@@ -319,27 +324,27 @@ class ClusterEngine:
     independent engine instances. All event dispatch is ordered by
     (timestamp, insertion sequence) so identical inputs replay identically.
 
-    Pending events are of four kinds, all keyed by the same (time, seq):
+    Pending events come from three sources, all keyed by the same (time, seq):
 
     * retries sit in ``_retries``, a FIFO of ``(time, seq, request_id)``,
       one per queued request; ``queued`` counts them per function. A retry
       is due one ``retry_interval`` after the clock it was pushed at, and
       the clock never goes back, so each push goes at the tail.
-    * arrivals, finishes and pod readiness sit in ``_heap`` as
-      ``(time, seq, kind, arg)``, where ``kind`` is ``_ARRIVAL``,
-      ``_FINISH`` or ``_POD_READY`` and ``arg`` the app, request or pod id.
-    * loaded arrivals not yet in the heap wait in ``_arrivals``, sorted
-      latest first. Each ``load_arrivals`` moves the earliest one into the
-      heap and each dispatched arrival moves the next one, so the earliest
-      pending arrival is always in the heap.
+    * finishes and pod readiness sit in ``_heap`` as ``(time, seq, kind,
+      arg)``, where ``kind`` is ``_FINISH`` or ``_POD_READY`` and ``arg`` the
+      request or pod id.
+    * loaded arrivals sit in ``_pending``, three lists of times, sequence
+      numbers and app ids in ``(time, seq)`` order; the ones before
+      ``_cursor`` are dispatched, and once all are the lists are emptied.
 
-    ``advance`` is the one dispatch loop. It always takes the smaller of the
-    FIFO head and the heap top, so the order is the one a single heap of
-    every event would give, and runs retries, arrivals and finishes inline.
-    A due retry is logged, then dropped once the retry budget is spent,
-    routed when its function has an open pod (``open_pods``), or re-queued.
-    An arrival or a chain hand-off calls ``route_request`` only when its
-    function has an open pod; otherwise it is queued at once.
+    ``advance`` is the one dispatch loop. It always takes the smallest of the
+    FIFO head, the heap top and the next arrival, so the order is the one a
+    single heap of every event would give, and runs retries, arrivals and
+    finishes inline. A due retry is logged, then dropped once the retry
+    budget is spent, routed when its function has an open pod
+    (``open_pods``), or re-queued. An arrival or a chain hand-off calls
+    ``route_request`` only when its function has an open pod; otherwise it
+    is queued at once.
 
     Requests are columns: ``req_status`` and its parallel lists, one per
     ``RequestRecord`` field after the id, indexed by request id. They hold
@@ -435,7 +440,8 @@ class ClusterEngine:
         self.event_log: list[tuple] = []
         self._heap: list[tuple[float, int, int, int]] = []
         self._retries: deque[tuple[float, int, int]] = deque()
-        self._arrivals: list[tuple[float, int, int, int]] = []
+        self._pending: tuple[list[float], list[int], list[int]] = ([], [], [])
+        self._cursor = 0
         self._seq = 0
         self._next_pod_id = 0
         self._rng = random.Random(config.seed)
@@ -451,53 +457,46 @@ class ClusterEngine:
         self._retries.append((self.clock + self.config.retry_interval, self._seq,
                               request_id))
 
-    def load_arrivals(self, arrivals: Iterable[tuple[float, int]]) -> None:
-        """Queue entry-function arrivals as (timestamp, app_id) pairs.
+    def load_arrivals(self, times: Sequence[float] | np.ndarray,
+                      app_ids: Sequence[int] | np.ndarray) -> None:
+        """Queue entry-function arrivals: one of app ``app_ids[i]`` at ``times[i]``.
 
-        Each arrival takes its sequence number in input order, so ties in time
+        Arrival ``i`` takes sequence number ``_seq + 1 + i``, so ties in time
         dispatch in input order. The input need not be sorted; a sorted batch
-        loaded while no arrival is pending skips the sort. A batch with an
+        loaded while no arrival is pending skips the merge. A batch with an
         unknown app or a time before the clock is rejected whole: the
         ``ConfigError`` names its first such arrival and the engine is left
         as it was. Failing those, a batch with a NaN or infinite time is
         rejected the same way, naming its first one.
         """
-        apps = self.apps
+        times = np.asarray(times, dtype=np.float64)
+        apps = np.asarray(app_ids)
+        if times.ndim != 1 or apps.shape != times.shape:
+            raise ConfigError("arrival times and app ids must be two columns of one length")
         clock = self.clock
-        seq = self._seq
-        batch = []
-        last = clock
-        in_order = True
-        nonfinite = None  # the batch's first NaN or infinite time
-        for t, app_id in arrivals:
-            if app_id not in apps:
-                raise ConfigError(f"arrival references unknown app {app_id}")
-            if not t >= last:  # out of order, before the clock, NaN, or after an inf
-                if t < clock:
-                    raise ConfigError(f"arrival at {t} lies before the clock ({clock})")
-                if nonfinite is None:
-                    if batch and last == math.inf:
-                        nonfinite = last
-                    elif t != t:
-                        nonfinite = t
-                in_order = False
-            last = t
-            seq += 1
-            batch.append((t, seq, _ARRIVAL, app_id))
-        if nonfinite is None and batch and last == math.inf:
-            nonfinite = last  # only infinite times follow the batch's first one
-        if nonfinite is not None:
-            raise ConfigError(f"arrival at {nonfinite} is not a finite time")
-        if batch:
-            self._seq = seq
-            pending = self._arrivals
-            if pending or not in_order:
-                pending.extend(batch)
-                pending.sort(reverse=True)
-            else:  # an in-order batch alone: latest first is its reverse
-                batch.reverse()
-                pending.extend(batch)
-            heapq.heappush(self._heap, pending.pop())
+        unknown = ~np.isin(apps, list(self.apps))
+        bad = unknown | (times < clock)
+        if bad.any():
+            k = int(bad.argmax())
+            if unknown[k]:
+                raise ConfigError(f"arrival references unknown app {apps[k].item()}")
+            raise ConfigError(f"arrival at {times[k].item()} lies before the clock ({clock})")
+        nonfinite = ~np.isfinite(times)
+        if nonfinite.any():
+            raise ConfigError(
+                f"arrival at {times[nonfinite.argmax()].item()} is not a finite time")
+        columns = (times, np.arange(self._seq + 1, self._seq + 1 + times.size),
+                   apps.astype(np.int64))
+        self._seq += times.size
+        rest = self._cursor
+        if rest < len(self._pending[0]) or (times[1:] < times[:-1]).any():
+            # merge the undispatched arrivals and the batch in (time, seq) order
+            columns = [np.concatenate((np.array(old[rest:], dtype=new.dtype), new))
+                       for old, new in zip(self._pending, columns)]
+            order = np.lexsort((columns[1], columns[0]))
+            columns = [column[order] for column in columns]
+        self._pending = tuple(column.tolist() for column in columns)
+        self._cursor = 0
 
     def advance(self, until: float) -> None:
         """Dispatch every event with timestamp <= until and move the clock to it.
@@ -507,7 +506,11 @@ class ClusterEngine:
             raise SimulationError(f"cannot advance backwards ({self.clock} -> {until})")
         heap = self._heap
         retries = self._retries
-        arrivals = self._arrivals
+        pending_times, pending_seqs, pending_apps = self._pending
+        n_pending = len(pending_times)
+        i = self._cursor
+        # The next arrival's (time, seq), rebuilt as each arrival is dispatched.
+        nxt = (pending_times[i], pending_seqs[i]) if i < n_pending else _NO_ARRIVAL
         pods = self.pods
         vms = self.vms
         app_fns = self._app_fns
@@ -526,12 +529,12 @@ class ClusterEngine:
         pods_mode = self._pods_mode
         push_retry = self._push_retry
         route = self.route_request
-        heappop, heappush = heapq.heappop, heapq.heappush
+        heappop = heapq.heappop
         ready, terminating = PodPhase.READY, PodPhase.TERMINATING
         queued = RequestStatus.QUEUED
         log = self.event_log if self.log_events else None
         while True:
-            if retries and (not heap or retries[0] < heap[0]):
+            if retries and (not heap or retries[0] < heap[0]) and retries[0] < nxt:
                 time, _, rid = retries[0]
                 if time > until:
                     break
@@ -555,11 +558,14 @@ class ClusterEngine:
                 else:
                     push_retry(rid)
                 continue
-            if not heap or heap[0][0] > until:
-                break
-            time, _, kind, arg = heappop(heap)
-            self.clock = time
-            if kind == _FINISH:
+            if heap and heap[0] < nxt:
+                if heap[0][0] > until:
+                    break
+                time, _, kind, arg = heappop(heap)
+                self.clock = time
+                if kind == _POD_READY:
+                    self._on_pod_ready(arg)
+                    continue
                 pod = pods[req_pod_id[arg]]
                 profile = pod.profile
                 fn = req_fn[arg]
@@ -596,14 +602,16 @@ class ClusterEngine:
                     self.chain_ratios[app_id][root] = elapsed / self._chain_standard[app_id]
                     continue
                 # Chained functions hand off immediately: no inter-function delay.
-            elif kind == _ARRIVAL:
-                if arrivals:
-                    heappush(heap, arrivals.pop())
-                app_id, stage, root, elapsed = arg, 0, len(req_status), 0.0
-                fns = app_fns[arg]
             else:
-                self._on_pod_ready(arg)
-                continue
+                time = nxt[0]
+                if time > until or nxt is _NO_ARRIVAL:
+                    break
+                self.clock = time
+                app_id = pending_apps[i]
+                i += 1
+                nxt = (pending_times[i], pending_seqs[i]) if i < n_pending else _NO_ARRIVAL
+                stage, root, elapsed = 0, len(req_status), 0.0
+                fns = app_fns[app_id]
             # A request for stage ``stage`` of ``app_id`` arrives now, with the
             # next id. It is routed if its function has an open pod and queued
             # otherwise; a failed arrival-time attempt counts as its first retry.
@@ -632,11 +640,15 @@ class ClusterEngine:
                 if log is not None:
                     log.append((time, "queue", rid))
                 push_retry(rid)
+        if i and i == n_pending:  # every loaded arrival is dispatched: free the columns
+            self._pending, i = ([], [], []), 0
+        self._cursor = i
         self.clock = max(self.clock, until)  # an until up to _EPS behind keeps the clock
 
     def next_event_time(self) -> Optional[float]:
-        return min((queue[0][0] for queue in (self._heap, self._retries) if queue),
-                   default=None)
+        next_arrival = self._pending[0][self._cursor:self._cursor + 1]  # [] when none
+        return min([queue[0][0] for queue in (self._heap, self._retries) if queue]
+                   + next_arrival, default=None)
 
     def pending_requests(self) -> bool:
         """True while any request is neither completed nor dropped."""
@@ -976,11 +988,16 @@ class ClusterEngine:
                "queued requests and pending retries differ")
         queued_fns = Counter(self.req_function_id[rid] for rid in queued_rids)
         _check(self.queued == {fn: queued_fns[fn] for fn in self.profiles}, "queued count drift")
-        pending = self._arrivals
-        _check(all(a > b for a, b in pairwise(pending)), "pending arrivals out of order")
-        _check(not pending or min((e for e in self._heap if e[2] == _ARRIVAL),
-                                  default=pending[-1]) < pending[-1],
-               "earliest pending arrival is not in the heap")
+        _check(all(kind in (_FINISH, _POD_READY) for _, _, kind, _ in self._heap),
+               "heap entry of an unknown kind")
+        times, seqs, apps = self._pending
+        _check(len(times) == len(seqs) == len(apps), "pending arrival columns differ in length")
+        _check(0 <= self._cursor <= len(times), "arrival cursor out of range")
+        pending = list(zip(times[self._cursor:], seqs[self._cursor:]))
+        _check(all(a < b for a, b in pairwise(pending)), "pending arrivals out of order")
+        _check(not pending or pending[0][0] >= self.clock, "pending arrival before the clock")
+        _check(all(seq <= self._seq for _, seq in pending),
+               "pending arrival with an unissued sequence number")
 
 
 def _check(ok: bool, message: str) -> None:

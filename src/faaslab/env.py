@@ -137,14 +137,17 @@ class ServerlessEnv:
 
     def start_episode(self, workload: WorkloadSpec) -> None:
         """Build the engine for ``workload`` at time 0; ``reset`` adds target and state."""
-        self.engine = ClusterEngine(self.vms, self.profiles, workload.applications,
-                                    self.sim_config, log_events=self.log_events)
-        self.engine.load_arrivals(synthesize(workload))
-        self.engine.advance(0.0)
-        self.ledger = EpisodeLedger(self.engine)
         steps = workload.duration / self.config.decision_interval
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("workload.duration must be a multiple of env.decision_interval")
+        if round(steps) < 1:
+            raise ConfigError(f"env.decision_interval ({self.config.decision_interval}) "
+                              f"exceeds workload.duration ({workload.duration})")
+        self.engine = ClusterEngine(self.vms, self.profiles, workload.applications,
+                                    self.sim_config, log_events=self.log_events)
+        self.engine.load_arrivals(*synthesize(workload))
+        self.engine.advance(0.0)
+        self.ledger = EpisodeLedger(self.engine)
         self.total_steps = int(round(steps))
         self._steps_taken = 0
         self.done = False

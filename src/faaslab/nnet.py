@@ -275,6 +275,9 @@ class ParameterStore:
         arrays = {f"p{i}": p for i, p in enumerate(self.params)}
         arrays.update({f"m{i}": m for i, m in enumerate(self.m)})
         arrays.update({f"v{i}": v for i, v in enumerate(self.v)})
+        for key, arr in arrays.items():  # ``load`` would reject the file
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"{path}: array {key} holds non-finite values")
         with Path(path).open("wb") as fh:  # keep the exact path, no .npz suffixing
             np.savez(fh, meta=json.dumps(meta), **arrays)
 

@@ -176,8 +176,9 @@ def window_rates(spec: WorkloadSpec) -> np.ndarray:
     return rates
 
 
-def synthesize(spec: WorkloadSpec) -> list[tuple[float, int]]:
-    """Materialize the arrival list: time-ordered (timestamp, app_id) pairs.
+def synthesize(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Materialize the arrivals as two time-ordered columns: ``times``
+    (float64 seconds) and ``app_ids`` (int64), the form ``load_arrivals`` takes.
 
     Only entry functions get synthetic arrivals; chained successors are
     spawned by the simulator when the preceding function completes. When
@@ -205,7 +206,7 @@ def synthesize(spec: WorkloadSpec) -> list[tuple[float, int]]:
     dealt = (np.cumsum(rates, axis=0) - rates).ravel()[cell] + index
     app_ids = np.concatenate(apps)[(np.cumsum(sizes) - sizes)[column] + dealt % sizes[column]]
     order = np.argsort(times, kind="stable")
-    return list(zip(times[order].tolist(), app_ids[order].tolist()))
+    return times[order], app_ids[order]
 
 
 def training_apps(applications: Sequence[Application], seed: int) -> tuple[Application, ...]:

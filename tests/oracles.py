@@ -4,16 +4,25 @@ request ledger. Deliberately avoids the engine's streaming histories
 timestamps and statuses.
 
 Also the scalar workload synthesis rule, one window, function and arrival at
-a time, as the reference for the array passes of ``faaslab.workload``."""
+a time, as the reference for the array passes of ``faaslab.workload``, and
+``arrival_columns``, which turns (time, app_id) pairs into the two columns
+``ClusterEngine.load_arrivals`` takes."""
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from itertools import cycle, islice
 from operator import itemgetter
 
 from faaslab.cluster import ClusterEngine, RequestStatus
 from faaslab.errors import ConfigError
 from faaslab.workload import WorkloadSpec
+
+
+def arrival_columns(arrivals: Iterable[tuple[float, int]]) -> tuple[list[float], list[int]]:
+    """The ``(times, app_ids)`` columns of (time, app_id) pairs, in input order."""
+    arrivals = list(arrivals)
+    return [t for t, _ in arrivals], [app_id for _, app_id in arrivals]
 
 
 def brute_rart(engine: ClusterEngine) -> float:

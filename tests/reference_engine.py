@@ -6,11 +6,11 @@ of the per-request lifecycle with the rule it stands for:
 * one heap holds every event as ``(time, seq, handler, arg)``, and
   ``advance`` calls ``handler(engine, arg)``; only the ``_POD_READY`` entries
   the inherited ``_place_pod`` pushes carry an event kind, dispatched to
-  ``ClusterEngine._on_pod_ready``. A loaded batch is checked arrival by
-  arrival for its app and the clock, then again for a non-finite time, then
-  each arrival is pushed, and each retry is a heap entry
-  dispatched through ``_on_retry``, which logs it and then drops the request
-  at the retry budget or attempts routing again;
+  ``ClusterEngine._on_pod_ready``. A loaded batch is zipped into (time,
+  app) pairs, checked pair by pair for its app and the clock, then again
+  for a non-finite time, then each arrival is pushed. Each retry is a heap
+  entry dispatched through ``_on_retry``, which logs it and then drops the
+  request at the retry budget or attempts routing again;
 * routing scans the function's pods round-robin and tests phase and
   concurrency bound directly; it never reads ``open_pods``;
 * each lifecycle step goes through its own small helper:
@@ -85,8 +85,8 @@ class ReferenceEngine(ClusterEngine):
 
     # ------------------------------------------------------------------ events
 
-    def load_arrivals(self, arrivals: Iterable[tuple[float, int]]) -> None:
-        arrivals = list(arrivals)
+    def load_arrivals(self, times: Iterable[float], app_ids: Iterable[int]) -> None:
+        arrivals = [(float(t), app_id) for t, app_id in zip(times, app_ids)]
         for t, app_id in arrivals:
             if app_id not in self.apps:
                 raise ConfigError(f"arrival references unknown app {app_id}")

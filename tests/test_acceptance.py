@@ -31,7 +31,7 @@ from faaslab.nnet import (NetworkSpec, actor_loss_and_grad, critic_loss_and_grad
 from faaslab.workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
                               make_workload, select_apps, synthetic_traces)
 
-from oracles import brute_cost, brute_rart, brute_rfr, brute_rfrt
+from oracles import arrival_columns, brute_cost, brute_rart, brute_rfr, brute_rfrt
 
 DESK_VMS = [
     VmSpec(vm_id=0, cpu_capacity=1.0, mem_capacity=4096.0, unit_price=0.048),
@@ -114,7 +114,7 @@ def test_c02_vertical_constraint_property_suite():
         eng.apply_horizontal(0, int(rng.integers(0, 6)))
         eng.advance(0.5)  # pods ready
         arrivals = int(rng.integers(0, 12))
-        eng.load_arrivals([(0.6 + 0.001 * i, 0) for i in range(arrivals)])
+        eng.load_arrivals(*arrival_columns([(0.6 + 0.001 * i, 0) for i in range(arrivals)]))
         eng.advance(1.0)  # long executions stay in flight
         cpu_delta = float(rng.uniform(-0.5, 0.5))
         mem_delta = float(rng.uniform(-1024.0, 1024.0))
@@ -155,7 +155,7 @@ def test_c03_simulator_oracle_scenarios():
 
     # (a) cold start: request waits for pod readiness, served on a retry tick
     eng = ClusterEngine([vm], [scripted_profile()], [app])
-    eng.load_arrivals([(0.0, 0)])
+    eng.load_arrivals(*arrival_columns([(0.0, 0)]))
     eng.advance(0.0)
     eng.apply_horizontal(0, 1)
     eng.advance(5.0)
@@ -175,7 +175,7 @@ def test_c03_simulator_oracle_scenarios():
     eng = ClusterEngine([vm], [scripted_profile()], [app])
     eng.apply_horizontal(0, 2)
     eng.advance(2.0)
-    eng.load_arrivals([(3.0, 0), (3.25, 0), (3.5, 0)])
+    eng.load_arrivals(*arrival_columns([(3.0, 0), (3.25, 0), (3.5, 0)]))
     eng.advance(5.0)
     assert eng.event_log == [
         (0.0, "pod_create", 0, 0),
@@ -195,7 +195,7 @@ def test_c03_simulator_oracle_scenarios():
 
     # (c) retry budget: queued at t=0, retried each second, dropped at t=10
     eng = ClusterEngine([vm], [scripted_profile()], [app])
-    eng.load_arrivals([(0.0, 0)])
+    eng.load_arrivals(*arrival_columns([(0.0, 0)]))
     eng.advance(15.0)
     expected = [(0.0, "arrival", 0, 0), (0.0, "queue", 0)]
     expected += [(float(t), "retry", 0) for t in range(1, 11)]
@@ -211,7 +211,7 @@ def test_c03_simulator_oracle_scenarios():
     eng.apply_horizontal(0, 1)
     eng.apply_horizontal(1, 1)
     eng.advance(1.0)
-    eng.load_arrivals([(2.0, 0)])
+    eng.load_arrivals(*arrival_columns([(2.0, 0)]))
     eng.advance(5.0)
     assert eng.event_log == [
         (0.0, "pod_create", 0, 0),
@@ -230,7 +230,7 @@ def test_c03_simulator_oracle_scenarios():
     eng = ClusterEngine([vm], [scripted_profile(cold_start_seconds=1.0)], [app])
     eng.apply_horizontal(0, 3)
     eng.advance(1.0)
-    eng.load_arrivals([(1.5, 0)])
+    eng.load_arrivals(*arrival_columns([(1.5, 0)]))
     eng.advance(1.75)
     eng.apply_horizontal(0, -3)
     eng.advance(3.0)

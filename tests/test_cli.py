@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import yaml
 
 import pytest
 
 from faaslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, read_csv
 from faaslab.config import load_experiment
+from faaslab.metrics import ChannelBounds, RewardBounds
 from faaslab.nnet import NetworkSpec, ParameterStore
 
 
@@ -294,9 +296,13 @@ class TestErrors:
         elif damage == "truncated":
             store.save(ckpt)
             ckpt.write_bytes(ckpt.read_bytes()[:ckpt.stat().st_size // 2])
-        else:  # a well-formed file whose weights are NaN
-            store.params[0][:] = float("nan")
+        else:  # a well-formed file whose weights are NaN, which save refuses to write
             store.save(ckpt)
+            with np.load(ckpt) as data:
+                arrays = dict(data)
+            arrays["p0"][:] = float("nan")
+            with ckpt.open("wb") as fh:
+                np.savez(fh, **arrays)
         assert main(["evaluate", "--config", str(config), "--band", "low",
                      "--targets", str(ckpt)]) == EXIT_CONFIG
         assert str(ckpt) in capsys.readouterr().err
@@ -339,8 +345,10 @@ class TestErrors:
         ("train --agent dqn", "dqn.batch_size", 0),
         ("calibrate", "workload.constant_rate", -5),
         ("calibrate", "workload.constant_rate", 0),  # loads, then carries no traffic
+        ("train", "train.entropy_beta", 1.0e+308),
     ], ids=["sim.exec_noise_sigma", "train.seed", "dqn.seed", "dqn.batch_size",
-            "workload.constant_rate", "workload.constant_rate-no-traffic"])
+            "workload.constant_rate", "workload.constant_rate-no-traffic",
+            "train.entropy_beta"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, key,
                                                 value):
         config = write_config(tmp_path, cluster=["t4g.large"])
@@ -369,6 +377,19 @@ class TestErrors:
                               workload={"duration": 35, "calibration_per_band": 1})
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
         assert "decision_interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "train"])
+    def test_decision_interval_above_duration(self, tmp_path, capsys, command):
+        # 20 / 1e15 rounds to 0 steps: no episode would take a decision
+        calibration = tmp_path / "calibration.yaml"
+        RewardBounds(ChannelBounds(0.0, 2.0), ChannelBounds(0.0, 1.0),
+                     ChannelBounds(0.0, 1e-3)).save(calibration)
+        config = write_config(tmp_path, env={"decision_interval": 1.0e+15},
+                              calibration_file=str(calibration),
+                              workload={"duration": 20, "calibration_per_band": 1,
+                                        "train_pool_size": 1})
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert "env.decision_interval" in capsys.readouterr().err
 
     def test_missing_traces_file_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "traces.txt"

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faaslab.cluster import (_ARRIVAL, Application, ClusterEngine,
+from faaslab.cluster import (Application, ClusterEngine,
                              FunctionProfile, PodPhase, RequestStatus,
                              SimConfig, VmSpec, VmState, ceil_guarded,
                              cpu_target_replicas, desired_replicas, floor_guarded)
@@ -20,6 +20,8 @@ from faaslab.env import EnvConfig, ServerlessEnv
 from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import EpisodeLedger
 from faaslab.workload import TraceSeries, WorkloadSpec, select_apps
+
+from oracles import arrival_columns
 
 
 def make_engine(vms, profiles, apps, **cfg):
@@ -75,7 +77,7 @@ class TestAdvance:
 
     def test_events_dispatch_in_order(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
-        eng.load_arrivals([(2.0, 0), (1.0, 0)])
+        eng.load_arrivals(*arrival_columns([(2.0, 0), (1.0, 0)]))
         eng.advance(5.0)
         arrival_times = [e[0] for e in eng.event_log if e[1] == "arrival"]
         assert arrival_times == sorted(arrival_times) == [1.0, 2.0]
@@ -105,7 +107,7 @@ class TestAdvance:
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 1)
         eng.advance(2.0)
-        eng.load_arrivals([(2.5, 0), (3.0, 0)])
+        eng.load_arrivals(*arrival_columns([(2.5, 0), (3.0, 0)]))
         eng.advance(10.0)
         assert eng.event_log == [
             (0.0, "pod_create", 0, 0),
@@ -134,7 +136,7 @@ class TestTieOrder:
 
     def test_finish_pushed_before_retry(self, solo):
         solo.apply_horizontal(0, 1)
-        solo.load_arrivals([(2.0, 0), (2.0, 0)])
+        solo.load_arrivals(*arrival_columns([(2.0, 0), (2.0, 0)]))
         solo.advance(5.0)
         assert solo.event_log == [
             (0.0, "pod_create", 0, 0),
@@ -151,9 +153,9 @@ class TestTieOrder:
 
     def test_retry_pushed_before_finish(self, solo):
         solo.apply_horizontal(0, 1)
-        solo.load_arrivals([(1.0, 0), (2.0, 0)])
+        solo.load_arrivals(*arrival_columns([(1.0, 0), (2.0, 0)]))
         solo.advance(2.0)
-        solo.load_arrivals([(2.0, 0)])
+        solo.load_arrivals(*arrival_columns([(2.0, 0)]))
         solo.advance(5.0)
         assert solo.event_log == [
             (0.0, "pod_create", 0, 0),
@@ -173,7 +175,7 @@ class TestTieOrder:
         ]
 
     def test_retry_pushed_before_pod_ready(self, solo):
-        solo.load_arrivals([(0.0, 0)])
+        solo.load_arrivals(*arrival_columns([(0.0, 0)]))
         solo.advance(0.0)
         solo.apply_horizontal(0, 1)
         solo.advance(3.0)
@@ -190,7 +192,7 @@ class TestTieOrder:
 
     def test_pod_ready_pushed_before_retry(self, solo):
         solo.apply_horizontal(0, 1)
-        solo.load_arrivals([(0.0, 0)])
+        solo.load_arrivals(*arrival_columns([(0.0, 0)]))
         solo.advance(3.0)
         assert solo.event_log == [
             (0.0, "pod_create", 0, 0),
@@ -205,14 +207,14 @@ class TestTieOrder:
     def test_retry_due_before_an_earlier_pushed_one(self, solo):
         # advancing back by less than the clock tolerance leaves the clock at
         # 2.0, so a later push cannot fall due before an earlier one
-        solo.load_arrivals([(2.0, 0)])
+        solo.load_arrivals(*arrival_columns([(2.0, 0)]))
         solo.advance(2.0)
         t = 2.0 - 5e-10
         solo.advance(t)
         assert solo.clock == 2.0
         with pytest.raises(ConfigError):
-            solo.load_arrivals([(t, 0)])
-        solo.load_arrivals([(2.0, 0)])
+            solo.load_arrivals(*arrival_columns([(t, 0)]))
+        solo.load_arrivals(*arrival_columns([(2.0, 0)]))
         solo.advance(3.5)
         assert solo.event_log == [
             (2.0, "arrival", 0, 0),
@@ -234,11 +236,11 @@ class TestTieOrder:
         # the second load's earliest arrival (2.5) comes before the first
         # load's pending 3.0, and the third load ties with that 3.0
         solo.apply_horizontal(0, 1)
-        solo.load_arrivals([(3.0, 0), (5.0, 0)])
+        solo.load_arrivals(*arrival_columns([(3.0, 0), (5.0, 0)]))
         solo.advance(2.0)
-        solo.load_arrivals([(4.0, 0), (2.5, 0)])
+        solo.load_arrivals(*arrival_columns([(4.0, 0), (2.5, 0)]))
         solo.advance(2.75)
-        solo.load_arrivals([(3.0, 0), (6.0, 0)])
+        solo.load_arrivals(*arrival_columns([(3.0, 0), (6.0, 0)]))
         solo.check_invariants()
         solo.advance(12.0)
         solo.check_invariants()
@@ -281,7 +283,7 @@ class TestTieOrder:
         ]
 
     def test_next_event_time_with_only_retries_pending(self, solo):
-        solo.load_arrivals([(0.5, 0), (0.75, 0)])
+        solo.load_arrivals(*arrival_columns([(0.5, 0), (0.75, 0)]))
         solo.advance(1.0)
         assert solo.next_event_time() == 1.5
         solo.advance(1.5)
@@ -327,7 +329,7 @@ class TestTieHeavyDigests:
         rng.shuffle(arrivals)
         # odd seeds load the traffic after t=5 in a second, unsorted batch
         later = [a for a in arrivals if a[0] >= 5.0] if seed % 2 else []
-        eng.load_arrivals([a for a in arrivals if a not in later])
+        eng.load_arrivals(*arrival_columns([a for a in arrivals if a not in later]))
         for step in range(60):
             fn = rng.randrange(2)
             if rng.random() < 0.6:
@@ -338,7 +340,7 @@ class TestTieHeavyDigests:
             eng.advance(0.5 * (step + 1))
             eng.check_invariants()
             if later and eng.clock == 5.0:
-                eng.load_arrivals(later)
+                eng.load_arrivals(*arrival_columns(later))
         while (t := eng.next_event_time()) is not None:
             eng.advance(t)
         eng.check_invariants()
@@ -355,7 +357,7 @@ class TestRouting:
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 2)
         eng.advance(2.0)
-        eng.load_arrivals([(3.0, 0), (3.1, 0), (3.2, 0)])
+        eng.load_arrivals(*arrival_columns([(3.0, 0), (3.1, 0), (3.2, 0)]))
         eng.advance(3.3)
         assigns = [e for e in eng.event_log if e[1] == "assign"]
         assert [pod for (_, _, _, pod) in assigns] == [0, 1, 0]
@@ -367,12 +369,12 @@ class TestRouting:
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 3)
         eng.advance(2.0)
-        eng.load_arrivals([(2.5, 0), (2.6, 0)])
+        eng.load_arrivals(*arrival_columns([(2.5, 0), (2.6, 0)]))
         eng.advance(2.6)
         eng.apply_horizontal(0, -1)  # removes idle pod 2
         eng.apply_horizontal(0, 1)   # creates pod 3, ready at 4.6
         eng.advance(4.7)
-        eng.load_arrivals([(4.8, 0)])
+        eng.load_arrivals(*arrival_columns([(4.8, 0)]))
         eng.advance(4.8)
         assigns = [e for e in eng.event_log if e[1] == "assign"]
         assert [pod for (_, _, _, pod) in assigns] == [0, 1, 0]
@@ -380,7 +382,7 @@ class TestRouting:
 
     def test_no_ready_pods_queues_with_retry(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
-        eng.load_arrivals([(0.0, 0)])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
         eng.advance(0.0)
         req = eng.requests[0]
         assert req.status is RequestStatus.QUEUED
@@ -395,7 +397,7 @@ class TestRouting:
         eng.apply_horizontal(0, 1)
         eng.advance(1.0)
         assert eng.pods[0].max_concurrency == 2  # floor(0.5 / 0.25)
-        eng.load_arrivals([(1.1, 0), (1.2, 0), (1.3, 0)])
+        eng.load_arrivals(*arrival_columns([(1.1, 0), (1.2, 0), (1.3, 0)]))
         eng.advance(1.4)
         assert eng.requests[2].status is RequestStatus.QUEUED
         assert eng.pods[0].in_flight == 2
@@ -403,12 +405,12 @@ class TestRouting:
     def test_unknown_function_rejected(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
         with pytest.raises(ConfigError):
-            eng.load_arrivals([(0.0, 99)])
+            eng.load_arrivals(*arrival_columns([(0.0, 99)]))
 
     def test_no_open_pod_raises(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 1)  # still creating
-        eng.load_arrivals([(0.0, 0)])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
         eng.advance(0.0)
         with pytest.raises(SimulationError, match="no pod is open"):
             eng.route_request(0)
@@ -418,7 +420,7 @@ class TestRouting:
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 1)  # still creating, so no pod is open
         eng.open_pods[0] = 1
-        eng.load_arrivals([(0.0, 0)])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
         with pytest.raises(SimulationError, match="no pod is open"):
             eng.advance(0.0)
 
@@ -428,7 +430,7 @@ class TestLoadArrivals:
     def started(vm, profile, app):
         eng = make_engine([vm], [profile], [app])
         eng.apply_horizontal(0, 1)
-        eng.load_arrivals([(1.0, 0), (3.0, 0)])
+        eng.load_arrivals(*arrival_columns([(1.0, 0), (3.0, 0)]))
         eng.advance(2.0)
         return eng
 
@@ -454,7 +456,12 @@ class TestLoadArrivals:
     ])
     def test_error_names_first_bad_arrival(self, eng, batch, message):
         with pytest.raises(ConfigError, match=message):
-            eng.load_arrivals(batch)
+            eng.load_arrivals(*arrival_columns(batch))
+
+    def test_columns_of_two_lengths_rejected(self, eng):
+        with pytest.raises(ConfigError, match="two columns of one length"):
+            eng.load_arrivals([2.5, 3.0], [0])
+        assert eng.next_event_time() == 3.0
 
     @pytest.mark.parametrize("bad", [(2.5, 7), (1.5, 0), (float("nan"), 0),
                                      (float("inf"), 0)])
@@ -462,10 +469,10 @@ class TestLoadArrivals:
                                             bad):
         engines = [self.started(big_vm, fast_profile, single_app) for _ in range(2)]
         with pytest.raises(ConfigError):
-            engines[0].load_arrivals([(2.0, 0), (2.25, 0), bad, (4.0, 0)])
+            engines[0].load_arrivals(*arrival_columns([(2.0, 0), (2.25, 0), bad, (4.0, 0)]))
         assert engines[0].next_event_time() == engines[1].next_event_time() == 3.0
         for eng in engines:
-            eng.load_arrivals([(2.0, 0), (2.5, 0)])
+            eng.load_arrivals(*arrival_columns([(2.0, 0), (2.5, 0)]))
             eng.advance(20.0)
         assert engines[0].event_log == engines[1].event_log
         assert len(engines[0].requests) == 4
@@ -474,7 +481,7 @@ class TestLoadArrivals:
 class TestRetryDrop:
     def test_drop_after_ten_retries_at_t10(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
-        eng.load_arrivals([(0.0, 0)])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
         eng.advance(20.0)
         req = eng.requests[0]
         assert req.status is RequestStatus.DROPPED
@@ -484,14 +491,14 @@ class TestRetryDrop:
 
     def test_boundary_and_increment(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
-        eng.load_arrivals([(0.0, 0)])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
         eng.advance(0.0)
         eng.req_retries[0] = 10
         eng.advance(1.0)  # the retry due at 1.0 finds the budget spent
         assert eng.requests[0].status is RequestStatus.DROPPED
 
         eng = make_engine([big_vm], [fast_profile], [single_app])
-        eng.load_arrivals([(0.0, 0)])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
         eng.advance(0.0)
         eng.req_retries[0] = 3
         eng.advance(1.0)
@@ -541,7 +548,7 @@ class TestHorizontalScaling:
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 3)
         eng.advance(2.0)
-        eng.load_arrivals([(2.5, 0)])
+        eng.load_arrivals(*arrival_columns([(2.5, 0)]))
         eng.advance(2.6)  # request runs on pod 0 (round-robin start)
         assert eng.pods[0].in_flight == 1
         eng.apply_horizontal(0, -3)
@@ -577,7 +584,7 @@ class TestVerticalScaling:
         eng = make_engine([big_vm], [prof], [single_app])
         eng.apply_horizontal(0, 1)
         eng.advance(1.0)
-        eng.load_arrivals([(1.1, 0), (1.2, 0), (1.3, 0), (1.4, 0)])
+        eng.load_arrivals(*arrival_columns([(1.1, 0), (1.2, 0), (1.3, 0), (1.4, 0)]))
         eng.advance(1.5)  # 4 in flight -> pod cpu_used = 0.4
         cpu, _ = eng.clamp_vertical(0, -0.2, 0.0)
         assert cpu == pytest.approx(-0.1)
@@ -619,7 +626,7 @@ class TestVerticalScaling:
         eng = make_engine([big_vm], [prof], [single_app])
         eng.apply_horizontal(0, 2)
         eng.advance(1.0)
-        eng.load_arrivals([(1.1, 0), (1.2, 0), (1.3, 0), (1.4, 0)])
+        eng.load_arrivals(*arrival_columns([(1.1, 0), (1.2, 0), (1.3, 0), (1.4, 0)]))
         eng.advance(1.5)  # 2 in flight per pod -> util 0.5/0.5 = 1.0
         # desired = ceil(2 * 1.0 / 0.5) = 4 -> delta +2
         assert eng.horizontal_delta(0, 0.5) == 2
@@ -670,7 +677,7 @@ class TestSnapshot:
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 1)
         eng.advance(2.0)
-        eng.load_arrivals([(10.0 + (i + 0.5) / 3.0, 0) for i in range(30)])
+        eng.load_arrivals(*arrival_columns([(10.0 + (i + 0.5) / 3.0, 0) for i in range(30)]))
         eng.advance(20.0)
         assert eng.snapshot(0, window=10.0).arrival_rate == pytest.approx(3.0)
 
@@ -709,7 +716,7 @@ class TestBusyOverlap:
 class TestInvariantsAndDeterminism:
     def _scripted_run(self, vms, profiles, apps):
         eng = make_engine(vms, profiles, apps, seed=11)
-        eng.load_arrivals([(i * 0.37, 0) for i in range(40)])
+        eng.load_arrivals(*arrival_columns([(i * 0.37, 0) for i in range(40)]))
         eng.advance(0.0)
         eng.apply_horizontal(0, 2)
         eng.advance(5.0)
@@ -730,7 +737,7 @@ class TestInvariantsAndDeterminism:
                                                      single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 2)
-        eng.load_arrivals([(3.0, 0), (3.1, 0)])
+        eng.load_arrivals(*arrival_columns([(3.0, 0), (3.1, 0)]))
         eng.advance(3.5)
         assert [pod.in_flight for pod in eng.pods.values()] == [1, 1]
         eng.check_invariants()
@@ -741,30 +748,57 @@ class TestInvariantsAndDeterminism:
             eng.check_invariants()
 
     @pytest.mark.parametrize("damage, message", [
-        ("heap_arrival", "earliest pending arrival is not in the heap"),
+        ("heap_arrival", "heap entry of an unknown kind"),
         ("pending_order", "pending arrivals out of order"),
         ("retry_order", "retry FIFO out of order"),
-    ], ids=["heap_arrival", "pending_order", "retry_order"])
+        ("pending_length", "pending arrival columns differ in length"),
+        ("cursor", "arrival cursor out of range"),
+        ("pending_before_clock", "pending arrival before the clock"),
+        ("pending_seq", "pending arrival with an unissued sequence number"),
+    ], ids=["heap_arrival", "pending_order", "retry_order", "pending_length", "cursor",
+            "pending_before_clock", "pending_seq"])
     def test_invariants_catch_corrupted_event_queues(self, big_vm, fast_profile,
                                                      single_app, damage, message):
-        # No pods: the arrivals at 0.0 and 0.5 queue with a retry each, the one
-        # at 1.0 is in the heap and three more wait in the pending list.
+        # No pods: the arrivals at 0.0 and 0.5 queue with a retry each, and
+        # the four from 1.0 on wait behind the arrival cursor.
         eng = make_engine([big_vm], [fast_profile], [single_app])
-        eng.load_arrivals([(i * 0.5, 0) for i in range(6)])
+        eng.load_arrivals(*arrival_columns([(i * 0.5, 0) for i in range(6)]))
         eng.advance(0.75)
-        assert (len(eng._retries), len(eng._arrivals)) == (2, 3)
+        times, seqs, apps = eng._pending
+        i = eng._cursor
+        assert (len(eng._retries), len(times) - i) == (2, 4)
         eng.check_invariants()
-        if damage == "heap_arrival":
-            eng._heap[:] = [e for e in eng._heap if e[2] != _ARRIVAL]
-            heapq.heapify(eng._heap)
+        if damage == "heap_arrival":  # the next arrival as a heap entry
+            heapq.heappush(eng._heap, (times[i], seqs[i], "arrival", apps[i]))
         elif damage == "pending_order":
-            pending = eng._arrivals
-            pending[0], pending[1] = pending[1], pending[0]
-        else:
+            times[i], times[i + 1] = times[i + 1], times[i]
+        elif damage == "retry_order":
             retries = eng._retries
             retries[0], retries[1] = retries[1], retries[0]
+        elif damage == "pending_length":
+            apps.append(0)
+        elif damage == "cursor":
+            eng._cursor = len(times) + 1
+        elif damage == "pending_before_clock":
+            times[i] = eng.clock - 0.25
+        else:
+            seqs[-1] = eng._seq + 1
         with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
+
+    def test_next_event_time_sees_arrivals_alone(self, big_vm, fast_profile, single_app):
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        assert eng.next_event_time() is None
+        eng.load_arrivals(*arrival_columns([(2.5, 0), (4.0, 0)]))
+        assert not eng._heap and not eng._retries
+        assert eng.next_event_time() == 2.5
+        eng.apply_horizontal(0, 1)  # ready at 2.0, before the next arrival
+        assert eng.next_event_time() == 2.0
+        eng.advance(3.0)  # the 2.5 arrival finishes at 3.5
+        assert eng.next_event_time() == 3.5
+        eng.advance(3.5)
+        assert not eng._heap and not eng._retries
+        assert eng.next_event_time() == 4.0
 
     @pytest.mark.parametrize("damage, message", [
         ("length", "request columns differ in length"),
@@ -780,7 +814,7 @@ class TestInvariantsAndDeterminism:
         # run from 2.5 and requests 4 and 5 wait for their retry at 3.5.
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 1)
-        eng.load_arrivals([(2.0, 0)] + [(2.5, 0)] * 5)
+        eng.load_arrivals(*arrival_columns([(2.0, 0)] + [(2.5, 0)] * 5))
         eng.advance(3.25)
         assert [r.status for r in eng.requests.values()] == (
             [RequestStatus.COMPLETED] + [RequestStatus.RUNNING] * 3
@@ -813,7 +847,7 @@ class TestInvariantsAndDeterminism:
         # "inflight" mode and active in "pods" mode.
         eng = make_engine([big_vm], [fast_profile], [single_app], active_time_mode=mode)
         eng.apply_horizontal(0, 1)
-        eng.load_arrivals([(2.0, 0)])
+        eng.load_arrivals(*arrival_columns([(2.0, 0)]))
         eng.advance(5.0)
         vm = eng.vms[0]
         assert (vm.pod_count, vm.inflight, vm.busy_since is None) == (1, 0, mode == "inflight")
@@ -851,7 +885,7 @@ class TestInvariantsAndDeterminism:
 
     def test_accounting_holds_throughout(self, desk_vms, fast_profile, single_app):
         eng = make_engine(desk_vms, [fast_profile], [single_app])
-        eng.load_arrivals([(i * 0.21, 0) for i in range(50)])
+        eng.load_arrivals(*arrival_columns([(i * 0.21, 0) for i in range(50)]))
         eng.apply_horizontal(0, 1)
         for t in range(1, 31):
             eng.advance(float(t))
@@ -860,7 +894,7 @@ class TestInvariantsAndDeterminism:
     def test_cold_start_inflates_response_time(self, big_vm, fast_profile,
                                                single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
-        eng.load_arrivals([(0.0, 0)])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
         eng.advance(0.0)
         eng.apply_horizontal(0, 1)
         eng.advance(10.0)
@@ -874,7 +908,7 @@ class TestInvariantsAndDeterminism:
         eng.apply_horizontal(0, 1)
         eng.advance(5.0)  # idle pod: no active time
         assert eng.vms[0].busy_overlap(0.0, 5.0) == 0.0
-        eng.load_arrivals([(5.0, 0)])
+        eng.load_arrivals(*arrival_columns([(5.0, 0)]))
         eng.advance(10.0)
         assert eng.vms[0].busy_overlap(0.0, 10.0) == pytest.approx(1.0)
 
@@ -895,7 +929,7 @@ class TestInvariantsAndDeterminism:
                               exec_noise_sigma=sigma, seed=seed)
             eng.apply_horizontal(0, 1)
             eng.advance(2.0)
-            eng.load_arrivals([(3.0, 0)])
+            eng.load_arrivals(*arrival_columns([(3.0, 0)]))
             eng.advance(60.0)
             req = eng.requests[0]
             return req.finish_time - req.arrival_time
@@ -917,7 +951,7 @@ class TestInvariantsAndDeterminism:
         eng.apply_horizontal(0, 1)
         eng.apply_horizontal(1, 1)
         eng.advance(1.0)
-        eng.load_arrivals([(2.0, 0)])
+        eng.load_arrivals(*arrival_columns([(2.0, 0)]))
         eng.advance(5.0)
         child = eng.requests[1]
         assert child.function_id == 1
@@ -933,8 +967,8 @@ class TestInvariantsAndDeterminism:
         profiles, apps = select_apps(["facial", "todo", "thumbnail"])
         eng = make_engine(desk_vms, profiles, apps, exec_noise_sigma=0.3, seed=5)
         rng = random.Random(11)
-        eng.load_arrivals((rng.uniform(0.0, 60.0), rng.choice(apps).app_id)
-                          for _ in range(400))
+        eng.load_arrivals(*arrival_columns((rng.uniform(0.0, 60.0), rng.choice(apps).app_id)
+                          for _ in range(400)))
         for t in range(0, 60, 5):
             for fn in eng.deployed_fns:
                 eng.apply_horizontal(fn, eng.horizontal_delta(fn, 0.5))
@@ -982,7 +1016,7 @@ class TestRequestStore:
         arrivals = [(i * 0.02, 0) for i in range(5000)]
         gc.collect()
         before = len(gc.get_objects())
-        eng.load_arrivals(arrivals)
+        eng.load_arrivals(*arrival_columns(arrivals))
         eng.advance(200.0)
         assert not eng.pending_requests() and len(eng.requests) == 10_000
         gc.collect()
@@ -990,7 +1024,7 @@ class TestRequestStore:
 
     def test_view_is_read_only_and_counts_every_request(self, big_vm):
         eng = self.two_stage_engine(big_vm)
-        eng.load_arrivals([(2.0 + i * 0.05, 0) for i in range(40)])
+        eng.load_arrivals(*arrival_columns([(2.0 + i * 0.05, 0) for i in range(40)]))
         eng.advance(2.02)
         record = eng.requests[0]
         with pytest.raises(TypeError):

@@ -1,7 +1,7 @@
 """The typed config reader, held to every leaf key.
 
 Each leaf key of the config sections, plus ``beta_list``, ``cluster`` and
-``applications``, is set to each of eight wrong-or-edge values. The loader
+``applications``, is set to each of nine wrong-or-edge values. The loader
 must either accept the value or raise a ``ConfigError`` that names the key,
 and an accepted value must never make a command exit 3 (an unexpected
 error). ``train --agent dqn`` runs every accepted value here; the full command
@@ -33,7 +33,8 @@ SECTIONS = {"env": EnvConfig, "sim": SimConfig, "train": TrainConfig, "dqn": Dqn
             "baselines.kube_cpu": KubeCpuConfig, "baselines.openfaas": OpenFaasConfig}
 LEAF_KEYS = [f"{section}.{f.name}" for section, cls in SECTIONS.items()
              for f in dataclasses.fields(cls)] + ["beta_list", "cluster", "applications"]
-VALUES = ["abc", None, -1, 0, 2.5, [1], {"a": 1}, True]
+# 1e308 is finite but overflows anything it is multiplied into
+VALUES = ["abc", None, -1, 0, 2.5, [1], {"a": 1}, True, 1.0e+308]
 
 # One app on one VM, 20 s episodes, one episode per agent.
 BASE = {
@@ -145,6 +146,8 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     ({"sim": {"exec_noise_sigma": 1.0e+15}}, "sim.exec_noise_sigma"),
     ({"workload": {"duration": 1.0e+308}}, "workload.duration"),
     ({"workload": {"duration": 1.0e+15}}, "workload.duration"),
+    # a finite but huge entropy weight trained into infinite Adam moments
+    ({"train": {"entropy_beta": 1.0e+308}}, "train.entropy_beta"),
 ])
 def test_wrong_type_or_unknown_key_is_named(overrides, key):
     with pytest.raises(ConfigError, match=key):

@@ -1,8 +1,10 @@
 """Differential test: ``ClusterEngine`` against ``ReferenceEngine``.
 
 Both engines run the same random scenario: chains of one to three
-functions, tied (0.25 s grid) and untied arrival times loaded unsorted, more
-arrivals loaded mid-run, random horizontal and clamped vertical scaling,
+functions, tied (0.25 s grid and whole-second ``int``) and untied arrival
+times in one to three unsorted batches loaded together, more batches, sorted
+or not, loaded mid-run while earlier arrivals are still pending, random
+horizontal and clamped vertical scaling,
 arrivals just after a step back in time by less than the clock tolerance,
 batches that ``load_arrivals`` must reject whole, both ``active_time_mode``s
 and execution noise on and off. The timing constants are multiples of
@@ -27,6 +29,7 @@ from faaslab.cluster import (Application, ClusterEngine, FunctionProfile, Reques
 from faaslab.errors import ConfigError
 from faaslab.metrics import EpisodeLedger
 
+from oracles import arrival_columns
 from reference_engine import Record, ReferenceEngine
 
 FIELDS = tuple(f.name for f in fields(RequestRecord))
@@ -51,8 +54,9 @@ def on_grid(max_steps):
     return st.integers(0, max_steps).map(lambda k: 0.25 * k)
 
 
-# mostly on the grid, where ties are common
-times = st.one_of(on_grid(80), on_grid(80), on_grid(80), st.floats(0.0, 20.0))
+# mostly on the grid, where ties are common; whole seconds, given as ints,
+# tie with retries, finishes and pod readiness as well
+times = st.one_of(on_grid(80), on_grid(80), st.integers(0, 20), st.floats(0.0, 20.0))
 steps = st.one_of(on_grid(12), on_grid(12), on_grid(12), st.floats(0.0, 3.0))
 operations = st.one_of(
     st.tuples(st.just("horizontal"), functions, st.integers(-3, 4)),
@@ -61,7 +65,7 @@ operations = st.one_of(
     st.tuples(st.just("advance"), steps),
     st.tuples(st.just("back"), st.lists(st.integers(0, 2), min_size=1, max_size=3)),
     st.tuples(st.just("load"), st.lists(st.tuples(steps, st.integers(0, 2)),
-                                        min_size=1, max_size=20)),
+                                        min_size=1, max_size=20), st.booleans()),
     # a batch with one bad arrival (an app id past the last app, a time
     # before the clock, or a NaN or infinite time) somewhere among good ones
     st.tuples(st.just("rejected load"), st.lists(st.tuples(steps, st.integers(0, 2))),
@@ -123,11 +127,12 @@ def assert_same(fast, ref, t0):
     log_events=st.sampled_from((True, True, True, False)),
     sequences=chains,
     initial_pods=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
-    arrivals=st.lists(st.tuples(times, st.integers(0, 2)), min_size=5, max_size=80),
+    batches=st.lists(st.lists(st.tuples(times, st.integers(0, 2)), min_size=1, max_size=40),
+                     min_size=1, max_size=3),
     ops=st.lists(operations, max_size=30),
 )
 def test_engine_matches_reference(noise, mode, seed, retry, log_events, sequences,
-                                  initial_pods, arrivals, ops):
+                                  initial_pods, batches, ops):
     apps = [Application(app_id=i, function_sequence=tuple(seq))
             for i, seq in enumerate(sequences)]
     config = SimConfig(retry_interval=retry[0], max_retries=retry[1],
@@ -137,9 +142,9 @@ def test_engine_matches_reference(noise, mode, seed, retry, log_events, sequence
     n_apps = len(apps)
 
     def load(batch):
-        batch = [(t, app % n_apps) for t, app in batch]
-        fast.load_arrivals(batch)
-        ref.load_arrivals(batch)
+        columns = arrival_columns((t, app % n_apps) for t, app in batch)
+        fast.load_arrivals(*columns)
+        ref.load_arrivals(*columns)
 
     def advance(until):
         t0 = fast.clock
@@ -147,7 +152,8 @@ def test_engine_matches_reference(noise, mode, seed, retry, log_events, sequence
         ref.advance(until)
         assert_same(fast, ref, t0)
 
-    load(arrivals)
+    for batch in batches:
+        load(batch)
     for fn, pods in enumerate(initial_pods):
         fast.apply_horizontal(fn, pods)
         ref.apply_horizontal(fn, pods)
@@ -169,7 +175,8 @@ def test_engine_matches_reference(noise, mode, seed, retry, log_events, sequence
             advance(t - 5e-10)
             load([(fast.clock, app) for app in op[1]])
         elif op[0] == "load":
-            load([(fast.clock + dt, app) for dt, app in op[1]])
+            batch = [(fast.clock + dt, app) for dt, app in op[1]]
+            load(sorted(batch) if op[2] else batch)
         elif op[0] == "rejected load":
             batch = [(fast.clock + dt, app % n_apps) for dt, app in op[1]]
             bad = {"app": (fast.clock, n_apps), "time": (fast.clock - 0.25, 0),
@@ -178,7 +185,7 @@ def test_engine_matches_reference(noise, mode, seed, retry, log_events, sequence
             messages = []
             for engine in (fast, ref):
                 with pytest.raises(ConfigError) as rejected:
-                    engine.load_arrivals(batch)
+                    engine.load_arrivals(*arrival_columns(batch))
                 messages.append(str(rejected.value))
             agree("rejection messages", *messages)
             agree("next event times", fast.next_event_time(), ref.next_event_time())

@@ -8,6 +8,8 @@ from faaslab.errors import ConfigError, MetricsError
 from faaslab.metrics import (ChannelBounds, EpisodeLedger, RewardBounds,
                              derive_bounds, step_reward)
 
+from oracles import arrival_columns
+
 BOUNDS = RewardBounds(rfrt=ChannelBounds(1.0, 11.0), rfr=ChannelBounds(0.0, 1.0),
                       cost=ChannelBounds(0.0, 0.01))
 
@@ -48,7 +50,7 @@ def inject_chain(eng, app_id, arrival, ratios):
 class TestRfrt:
     def test_all_at_standard_time_is_one(self, big_vm, fast_profile, single_app):
         eng = warm_engine(big_vm, fast_profile, single_app)
-        eng.load_arrivals([(3.0, 0), (4.5, 0)])
+        eng.load_arrivals(*arrival_columns([(3.0, 0), (4.5, 0)]))
         eng.advance(10.0)
         assert eng.window_rfrt(0, 0.0, 10.0) == pytest.approx(1.0)
 
@@ -68,7 +70,7 @@ class TestRfrt:
                                   cold_start_seconds=2.5,
                                   initial_pod_cpu=1.0, initial_pod_mem=1024.0)
         eng = ClusterEngine([big_vm], [profile], [single_app])
-        eng.load_arrivals([(0.0, 0)])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
         eng.advance(0.0)
         eng.apply_horizontal(0, 1)
         # pod ready at 2.5; queued request retries at 1, 2 fail, succeeds at 3
@@ -81,7 +83,7 @@ class TestRfrt:
 class TestRart:
     def test_single_function_app_at_standard(self, big_vm, fast_profile, single_app):
         eng = warm_engine(big_vm, fast_profile, single_app)
-        eng.load_arrivals([(3.0, 0)])
+        eng.load_arrivals(*arrival_columns([(3.0, 0)]))
         eng.advance(10.0)
         assert EpisodeLedger(eng).summary().rart == pytest.approx(1.0)
 
@@ -107,7 +109,7 @@ class TestRart:
 
     def test_dropped_chains_excluded(self, big_vm, fast_profile, single_app):
         eng = ClusterEngine([big_vm], [fast_profile], [single_app])
-        eng.load_arrivals([(0.0, 0)])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
         eng.advance(20.0)  # dropped at t=10, nothing completed
         assert math.isnan(EpisodeLedger(eng).summary().rart)
 
@@ -115,7 +117,7 @@ class TestRart:
 class TestRfr:
     def test_no_drops(self, big_vm, fast_profile, single_app):
         eng = warm_engine(big_vm, fast_profile, single_app)
-        eng.load_arrivals([(3.0 + 0.5 * i, 0) for i in range(50)])
+        eng.load_arrivals(*arrival_columns([(3.0 + 0.5 * i, 0) for i in range(50)]))
         eng.advance(60.0)
         assert eng.dropped_total == 0
         assert EpisodeLedger(eng).summary().rfr == 0.0
@@ -123,18 +125,18 @@ class TestRfr:
     def test_fraction(self, big_vm, fast_profile, single_app):
         eng = ClusterEngine([big_vm], [fast_profile], [single_app])
         # 8 requests served by a warm pod, 2 arrive before any pod exists
-        eng.load_arrivals([(0.0, 0), (0.5, 0)])
+        eng.load_arrivals(*arrival_columns([(0.0, 0), (0.5, 0)]))
         eng.advance(11.0)  # both dropped by t=10.5
         eng.apply_horizontal(0, 1)
         eng.advance(14.0)
-        eng.load_arrivals([(15.0 + i, 0) for i in range(8)])
+        eng.load_arrivals(*arrival_columns([(15.0 + i, 0) for i in range(8)]))
         eng.advance(30.0)
         assert eng.dropped_total == 2 and len(eng.requests) == 10
         assert EpisodeLedger(eng).summary().rfr == pytest.approx(0.2)
 
     def test_window_recombination(self, desk_vms, fast_profile, single_app):
         eng = ClusterEngine(desk_vms, [fast_profile], [single_app])
-        eng.load_arrivals([(i * 0.13, 0) for i in range(100)])
+        eng.load_arrivals(*arrival_columns([(i * 0.13, 0) for i in range(100)]))
         eng.advance(0.0)
         eng.apply_horizontal(0, 1)
         eng.advance(40.0)
@@ -156,7 +158,7 @@ class TestVmCost:
         eng = ClusterEngine([vm], [fast_profile], [single_app])
         eng.apply_horizontal(0, 1)
         eng.advance(2.0)
-        eng.load_arrivals([(2.0 + i, 0) for i in range(1800)])
+        eng.load_arrivals(*arrival_columns([(2.0 + i, 0) for i in range(1800)]))
         eng.advance(2000.0)
         assert eng.vms[0].busy_overlap(0.0, eng.clock) == pytest.approx(1800.0)
         assert EpisodeLedger(eng).summary().cost == pytest.approx(0.0424)
@@ -174,7 +176,7 @@ class TestVmCost:
         eng = ClusterEngine(vms, [fast_profile], apps)
         eng.apply_horizontal(0, 2)  # one pod per vm (each fits exactly one)
         eng.advance(2.0)
-        eng.load_arrivals([(3.0, 0), (3.5, 0), (20.0, 0)])
+        eng.load_arrivals(*arrival_columns([(3.0, 0), (3.5, 0), (20.0, 0)]))
         eng.advance(30.0)
         ledger = EpisodeLedger(eng)
         total = ledger.summary().cost

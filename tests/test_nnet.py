@@ -283,3 +283,12 @@ class TestCheckpoint:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ParameterStore.load(tmp_path / "absent.npz")
+
+    def test_non_finite_array_is_not_saved(self, tmp_path):
+        # load rejects such a file, so save refuses to write it
+        store = ParameterStore(NetworkSpec(input_dim=3, hidden=(4,), head_sizes=(1,), seed=6))
+        store.v[0][0, 0] = np.inf
+        path = tmp_path / "c.npz"
+        with pytest.raises(ConfigError, match=r"c\.npz: array v0 holds non-finite values"):
+            store.save(path)
+        assert not path.exists()

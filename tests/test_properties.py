@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from faaslab.cluster import (Application, ClusterEngine, FunctionProfile,
                              RequestStatus, SimConfig, VmSpec)
 
+from oracles import arrival_columns
+
 VMS = (VmSpec(vm_id=0, cpu_capacity=1.0, mem_capacity=4096.0, unit_price=0.048),
        VmSpec(vm_id=1, cpu_capacity=2.0, mem_capacity=8192.0, unit_price=0.0848))
 PROFILES = (FunctionProfile(function_id=0, req_cpu=0.25, req_mem=256.0,
@@ -48,7 +50,7 @@ def test_invariants_hold_under_random_scaling(noise, mode, seed, initial_pods,
     engine = ClusterEngine(VMS, PROFILES, APPS,
                            SimConfig(exec_noise_sigma=noise, active_time_mode=mode,
                                      seed=seed))
-    engine.load_arrivals(sorted(arrivals))
+    engine.load_arrivals(*arrival_columns(sorted(arrivals)))
     for fn, pods in enumerate(initial_pods):
         engine.apply_horizontal(fn, pods)
 

@@ -3,6 +3,7 @@ import struct
 from dataclasses import replace
 from itertools import starmap
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,12 @@ from faaslab.workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
                               training_apps, window_rates)
 
 from oracles import scalar_synthesize
+
+
+def arrival_pairs(spec):
+    """``synthesize``'s two columns as a list of (time, app_id) pairs."""
+    times, app_ids = synthesize(spec)
+    return list(zip(times.tolist(), app_ids.tolist()))
 
 
 class TestTraceIO:
@@ -64,7 +71,7 @@ class TestSynthesize:
                             entry_traces={0: trace}, **kw)
 
     def test_even_spread_exact_counts(self):
-        arrivals = synthesize(self._spec((2, 2, 2), 3))
+        arrivals = arrival_pairs(self._spec((2, 2, 2), 3))
         assert len(arrivals) == 6
         for w in range(3):
             in_window = [t for t, _ in arrivals if w <= t < w + 1]
@@ -72,22 +79,22 @@ class TestSynthesize:
         assert arrivals == sorted(arrivals)
 
     def test_no_arrivals_after_duration(self):
-        arrivals = synthesize(self._spec((5, 5), 2))
+        arrivals = arrival_pairs(self._spec((5, 5), 2))
         assert all(t < 2.0 for t, _ in arrivals)
 
     def test_deterministic_for_same_seed(self):
-        a = synthesize(self._spec((3, 1, 4), 3, seed=9, jitter=True))
-        b = synthesize(self._spec((3, 1, 4), 3, seed=9, jitter=True))
+        a = arrival_pairs(self._spec((3, 1, 4), 3, seed=9, jitter=True))
+        b = arrival_pairs(self._spec((3, 1, 4), 3, seed=9, jitter=True))
         assert a == b
 
     def test_jitter_changes_placement_not_counts(self):
-        flat = synthesize(self._spec((4, 4), 2, seed=1))
-        jit = synthesize(self._spec((4, 4), 2, seed=1, jitter=True))
+        flat = arrival_pairs(self._spec((4, 4), 2, seed=1))
+        jit = arrival_pairs(self._spec((4, 4), 2, seed=1, jitter=True))
         assert len(flat) == len(jit) == 8
         assert flat != jit
 
     def test_trace_shorter_than_duration_cycles(self):
-        arrivals = synthesize(self._spec((1, 3), 4))
+        arrivals = arrival_pairs(self._spec((1, 3), 4))
         per_window = [sum(1 for t, _ in arrivals if w <= t < w + 1) for w in range(4)]
         assert per_window == [1, 3, 1, 3]
 
@@ -96,7 +103,7 @@ class TestSynthesize:
                 Application(app_id=1, function_sequence=(0,)))
         spec = WorkloadSpec(duration=1, applications=apps,
                             entry_traces={0: TraceSeries("t", (4,))})
-        arrivals = synthesize(spec)
+        arrivals = arrival_pairs(spec)
         assert [a for _, a in arrivals] == [0, 1, 0, 1]
 
     def test_missing_trace_assignment_rejected(self):
@@ -138,10 +145,10 @@ def workload_specs(draw):
 
 @given(spec=workload_specs())
 def test_synthesize_matches_scalar_rule(spec):
-    arrivals = synthesize(spec)
-    # A numpy scalar would slow every heap comparison and change event-log reprs.
-    assert {(type(t), type(app_id)) for t, app_id in arrivals} <= {(float, int)}
-    assert (b"".join(starmap(PAIR.pack, arrivals))
+    times, app_ids = synthesize(spec)
+    assert (times.dtype, app_ids.dtype) == (np.float64, np.int64)
+    assert (times[1:] >= times[:-1]).all()
+    assert (b"".join(starmap(PAIR.pack, zip(times.tolist(), app_ids.tolist())))
             == b"".join(starmap(PAIR.pack, scalar_synthesize(spec))))
 
 
@@ -170,7 +177,7 @@ class TestSynthesizeDigest:
         digest = hashlib.sha256()
         for spec in self.specs():
             for jitter in (False, True):
-                for t, app_id in synthesize(replace(spec, jitter=jitter)):
+                for t, app_id in arrival_pairs(replace(spec, jitter=jitter)):
                     digest.update(struct.pack("<dq", t, app_id))
         assert digest.hexdigest() == self.DIGEST
 
@@ -182,7 +189,7 @@ class TestBandFitting:
         corpus = synthetic_traces(n=12, length=120, seed=5)
         spec = make_workload(apps, corpus, EVAL_BANDS["mid"], duration=60, seed=3)
         lo, hi = EVAL_BANDS["mid"]
-        arrivals = synthesize(spec)
+        arrivals = arrival_pairs(spec)
         for w in range(60):
             count = sum(1 for t, _ in arrivals if w <= t < w + 1)
             assert lo <= count <= hi
@@ -195,7 +202,7 @@ class TestBandFitting:
         spec = WorkloadSpec(duration=2, applications=(app,),
                             entry_traces={0: TraceSeries("z", (0, 0))},
                             band=(5, 20))
-        arrivals = synthesize(spec)
+        arrivals = arrival_pairs(spec)
         per_window = [sum(1 for t, _ in arrivals if w <= t < w + 1) for w in range(2)]
         assert per_window == [5, 5]
 
