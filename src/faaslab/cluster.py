@@ -280,7 +280,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require(self.retry_interval > 0, "sim.retry_interval must be > 0", self.retry_interval)
+        # A retry falls due one interval after the clock. An hour is far past
+        # the presets' 1 s; at 1e308 the second retry would fall due at inf.
+        require(0 < self.retry_interval <= 3600, "sim.retry_interval must lie in (0, 3600]",
+                self.retry_interval)
         require(self.max_retries >= 0, "sim.max_retries must be >= 0", self.max_retries)
         require(self.max_replicas >= 1, "sim.max_replicas must be >= 1", self.max_replicas)
         require(self.active_time_mode in ("inflight", "pods"),
@@ -339,12 +342,14 @@ class ClusterEngine:
 
     ``advance`` is the one dispatch loop. It always takes the smallest of the
     FIFO head, the heap top and the next arrival, so the order is the one a
-    single heap of every event would give, and runs retries, arrivals and
-    finishes inline. A due retry is logged, then dropped once the retry
-    budget is spent, routed when its function has an open pod
-    (``open_pods``), or re-queued. An arrival or a chain hand-off calls
-    ``route_request`` only when its function has an open pod; otherwise it
-    is queued at once.
+    single heap of every event would give, and runs retries, arrivals,
+    finishes and routing inline; only pod readiness calls a method. A due
+    retry is logged, then dropped once the retry budget is spent, routed
+    when its function has an open pod (``open_pods``), or re-queued. An
+    arrival or a chain hand-off is routed when its function has an open
+    pod; otherwise it is queued at once. Both routes run one block at the
+    end of the loop body. ``route_request`` is the same rule for one queued
+    request, for callers outside the loop.
 
     Requests are columns: ``req_status`` and its parallel lists, one per
     ``RequestRecord`` field after the id, indexed by request id. They hold
@@ -425,7 +430,6 @@ class ClusterEngine:
         }
         # Queued requests per function; each has one entry in ``_retries``.
         self.queued: dict[int, int] = {fn: 0 for fn in self.profiles}
-        self.creation_shortfall: dict[int, int] = {fn: 0 for fn in self.profiles}
 
         # Monotone per-function histories for windowed metrics.
         self.arrival_times: dict[int, list[float]] = {fn: [] for fn in self.profiles}
@@ -451,11 +455,6 @@ class ClusterEngine:
     def _push(self, time: float, kind: int, arg: int) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, arg))
-
-    def _push_retry(self, request_id: int) -> None:
-        self._seq += 1
-        self._retries.append((self.clock + self.config.retry_interval, self._seq,
-                              request_id))
 
     def load_arrivals(self, times: Sequence[float] | np.ndarray,
                       app_ids: Sequence[int] | np.ndarray) -> None:
@@ -511,8 +510,12 @@ class ClusterEngine:
         i = self._cursor
         # The next arrival's (time, seq), rebuilt as each arrival is dispatched.
         nxt = (pending_times[i], pending_seqs[i]) if i < n_pending else _NO_ARRIVAL
+        # The last sequence number issued; written back to ``_seq`` on exit.
+        seq = self._seq
         pods = self.pods
         vms = self.vms
+        fn_pods = self.fn_pods
+        rr_cursor = self._rr_cursor
         app_fns = self._app_fns
         open_pods = self.open_pods
         n_queued = self.queued
@@ -520,18 +523,20 @@ class ClusterEngine:
         completion_times = self.completion_times
         completion_ratios = self.completion_ratios
         (req_app_id, req_chain_index, req_fn, req_arrival_time, req_root_id, req_chain_elapsed,
-         _, req_finish_time, req_status, req_retries, req_pod_id, _) = self._req_columns
+         req_start_time, req_finish_time, req_status, req_retries, req_pod_id,
+         req_vm_id) = self._req_columns
         # Column handles for the new-request block.
         (add_app_id, add_chain_index, add_fn, add_arrival_time, add_root_id,
          add_chain_elapsed, add_start_time, add_finish_time, add_status, add_retries,
          add_pod_id, add_vm_id) = (column.append for column in self._req_columns)
         max_retries = self.config.max_retries
+        retry_interval = self.config.retry_interval
+        sigma = self.config.exec_noise_sigma
+        lognormvariate = self._rng.lognormvariate
         pods_mode = self._pods_mode
-        push_retry = self._push_retry
-        route = self.route_request
-        heappop = heapq.heappop
+        heappop, heappush = heapq.heappop, heapq.heappush
         ready, terminating = PodPhase.READY, PodPhase.TERMINATING
-        queued = RequestStatus.QUEUED
+        queued, running = RequestStatus.QUEUED, RequestStatus.RUNNING
         log = self.event_log if self.log_events else None
         while True:
             if retries and (not heap or retries[0] < heap[0]) and retries[0] < nxt:
@@ -553,93 +558,134 @@ class ClusterEngine:
                         log.append((time, "drop", rid))
                     continue
                 req_retries[rid] = tries + 1
-                if open_pods[fn]:
-                    route(rid)
+                if not open_pods[fn]:
+                    seq += 1
+                    retries.append((time + retry_interval, seq, rid))
+                    continue
+                n_queued[fn] -= 1  # routed below
+            else:
+                if heap and heap[0] < nxt:
+                    if heap[0][0] > until:
+                        break
+                    time, _, kind, arg = heappop(heap)
+                    self.clock = time
+                    if kind == _POD_READY:
+                        self._on_pod_ready(arg)
+                        continue
+                    pod = pods[req_pod_id[arg]]
+                    profile = pod.profile
+                    fn = req_fn[arg]
+                    vm = vms[pod.vm_id]
+                    req_status[arg] = RequestStatus.COMPLETED
+                    req_finish_time[arg] = time
+                    in_flight = pod.in_flight = pod.in_flight - 1
+                    if pod.phase is ready and in_flight == pod.max_concurrency - 1:
+                        open_pods[fn] += 1
+                    vm.cpu_used -= profile.req_cpu
+                    vm.mem_used -= profile.req_mem
+                    vm.inflight -= 1
+                    if not vm.inflight and not pods_mode:
+                        # The last request left: close the busy interval. In
+                        # "pods" mode the pod is still on the VM, so it stays active.
+                        vm.busy_log.append((vm.busy_since, time))
+                        vm.busy_since = None
+                    self.completed_total += 1
+                    response = time - req_arrival_time[arg]
+                    completion_times[fn].append(time)
+                    completion_ratios[fn].append(response / profile.standard_response_time)
+                    if log is not None:
+                        log.append((time, "finish", arg))
+                    if pod.phase is terminating and not in_flight:
+                        self._remove_pod(pod)
+                    # Stages finish in chain order, so this adds up in the same
+                    # order as the standard times in ``_chain_standard``.
+                    elapsed = req_chain_elapsed[arg] + response
+                    app_id = req_app_id[arg]
+                    root = req_root_id[arg]
+                    stage = req_chain_index[arg] + 1
+                    fns = app_fns[app_id]
+                    if stage == len(fns):
+                        self.chain_ratios[app_id][root] = elapsed / self._chain_standard[app_id]
+                        continue
+                    # Chained functions hand off immediately: no inter-function delay.
                 else:
-                    push_retry(rid)
-                continue
-            if heap and heap[0] < nxt:
-                if heap[0][0] > until:
-                    break
-                time, _, kind, arg = heappop(heap)
-                self.clock = time
-                if kind == _POD_READY:
-                    self._on_pod_ready(arg)
-                    continue
-                pod = pods[req_pod_id[arg]]
-                profile = pod.profile
-                fn = req_fn[arg]
-                vm = vms[pod.vm_id]
-                req_status[arg] = RequestStatus.COMPLETED
-                req_finish_time[arg] = time
-                in_flight = pod.in_flight = pod.in_flight - 1
-                if pod.phase is ready and in_flight == pod.max_concurrency - 1:
-                    open_pods[fn] += 1
-                vm.cpu_used -= profile.req_cpu
-                vm.mem_used -= profile.req_mem
-                vm.inflight -= 1
-                if not vm.inflight and not pods_mode:
-                    # The last request left: close the busy interval. In
-                    # "pods" mode the pod is still on the VM, so it stays active.
-                    vm.busy_log.append((vm.busy_since, time))
-                    vm.busy_since = None
-                self.completed_total += 1
-                response = time - req_arrival_time[arg]
-                completion_times[fn].append(time)
-                completion_ratios[fn].append(response / profile.standard_response_time)
+                    time = nxt[0]
+                    if time > until or nxt is _NO_ARRIVAL:
+                        break
+                    self.clock = time
+                    app_id = pending_apps[i]
+                    i += 1
+                    nxt = (pending_times[i], pending_seqs[i]) if i < n_pending else _NO_ARRIVAL
+                    stage, root, elapsed = 0, len(req_status), 0.0
+                    fns = app_fns[app_id]
+                # A request for stage ``stage`` of ``app_id`` arrives now, with
+                # the next id. It is routed below if its function has an open
+                # pod and queued otherwise; a failed arrival-time attempt
+                # counts as its first retry.
+                rid = len(req_status)
+                fn = fns[stage]
+                add_app_id(app_id)
+                add_chain_index(stage)
+                add_fn(fn)
+                add_arrival_time(time)
+                add_root_id(root)
+                add_chain_elapsed(elapsed)
+                add_start_time(None)
+                add_finish_time(None)
+                add_status(queued)
+                add_pod_id(None)
+                add_vm_id(None)
+                arrival_times[fn].append(time)
                 if log is not None:
-                    log.append((time, "finish", arg))
-                if pod.phase is terminating and not in_flight:
-                    self._remove_pod(pod)
-                # Stages finish in chain order, so this adds up in the same
-                # order as the standard times in ``_chain_standard``.
-                elapsed = req_chain_elapsed[arg] + response
-                app_id = req_app_id[arg]
-                root = req_root_id[arg]
-                stage = req_chain_index[arg] + 1
-                fns = app_fns[app_id]
-                if stage == len(fns):
-                    self.chain_ratios[app_id][root] = elapsed / self._chain_standard[app_id]
+                    log.append((time, "arrival", rid, fn))
+                if not open_pods[fn]:
+                    add_retries(1)
+                    n_queued[fn] += 1
+                    if log is not None:
+                        log.append((time, "queue", rid))
+                    seq += 1
+                    retries.append((time + retry_interval, seq, rid))
                     continue
-                # Chained functions hand off immediately: no inter-function delay.
-            else:
-                time = nxt[0]
-                if time > until or nxt is _NO_ARRIVAL:
-                    break
-                self.clock = time
-                app_id = pending_apps[i]
-                i += 1
-                nxt = (pending_times[i], pending_seqs[i]) if i < n_pending else _NO_ARRIVAL
-                stage, root, elapsed = 0, len(req_status), 0.0
-                fns = app_fns[app_id]
-            # A request for stage ``stage`` of ``app_id`` arrives now, with the
-            # next id. It is routed if its function has an open pod and queued
-            # otherwise; a failed arrival-time attempt counts as its first retry.
-            rid = len(req_status)
-            fn = fns[stage]
-            add_app_id(app_id)
-            add_chain_index(stage)
-            add_fn(fn)
-            add_arrival_time(time)
-            add_root_id(root)
-            add_chain_elapsed(elapsed)
-            add_start_time(None)
-            add_finish_time(None)
-            add_status(queued)
-            add_pod_id(None)
-            add_vm_id(None)
-            arrival_times[fn].append(time)
-            if log is not None:
-                log.append((time, "arrival", rid, fn))
-            if open_pods[fn]:
                 add_retries(0)
-                route(rid)
+            # Start request ``rid`` of ``fn`` on the next open pod by the
+            # function's round-robin cursor: charge the pod and its VM and
+            # schedule the finish.
+            pod_ids = fn_pods[fn]
+            n = len(pod_ids)
+            cursor = rr_cursor[fn] % n if n else 0
+            for off in range(n):
+                pod = pods[pod_ids[(cursor + off) % n]]
+                if pod.phase is ready and pod.in_flight < pod.max_concurrency:
+                    break
             else:
-                add_retries(1)
-                n_queued[fn] += 1
-                if log is not None:
-                    log.append((time, "queue", rid))
-                push_retry(rid)
+                self._seq = seq
+                raise SimulationError(
+                    f"function {fn}: open-pod count is {open_pods[fn]} but no pod is open")
+            rr_cursor[fn] = (cursor + off + 1) % n
+            pod_id = pod.pod_id
+            profile = pod.profile
+            vm_id = pod.vm_id
+            vm = vms[vm_id]
+            req_status[rid] = running
+            req_start_time[rid] = time
+            req_pod_id[rid] = pod_id
+            req_vm_id[rid] = vm_id
+            in_flight = pod.in_flight = pod.in_flight + 1
+            if in_flight == pod.max_concurrency:
+                open_pods[fn] -= 1
+            vm.cpu_used += profile.req_cpu
+            vm.mem_used += profile.req_mem
+            vm.inflight += 1
+            if vm.busy_since is None:  # in either mode a VM serving a request is active
+                vm.busy_since = time
+            if log is not None:
+                log.append((time, "assign", rid, pod_id))
+            exec_time = profile.standard_response_time
+            if sigma > 0:
+                exec_time *= lognormvariate(0.0, sigma)
+            seq += 1
+            heappush(heap, (time + exec_time, seq, _FINISH, rid))
+        self._seq = seq
         if i and i == n_pending:  # every loaded arrival is dispatched: free the columns
             self._pending, i = ([], [], []), 0
         self._cursor = i
@@ -661,28 +707,30 @@ class ClusterEngine:
     # --------------------------------------------------------------- lifecycle
 
     def route_request(self, rid: int) -> int:
-        """Start request ``rid`` on the next open pod by the per-function round-robin cursor.
+        """Start queued request ``rid`` on the next open pod by its function's round-robin cursor.
 
-        Starting it charges the pod and its VM and schedules its finish; the
-        pod id is returned. Callers route only while ``open_pods`` counts an
-        open pod for the request's function; a scan that finds none raises
-        ``SimulationError``.
+        This is the single-request form of the rule ``advance`` applies
+        inline. Starting the request withdraws its pending retry, charges the
+        pod and its VM, and schedules its finish; the pod id is returned. A
+        request that is not queued, or a function with no open pod, raises
+        ``SimulationError`` and leaves the engine as it was.
         """
+        if not 0 <= rid < len(self.req_status) or self.req_status[rid] is not RequestStatus.QUEUED:
+            raise SimulationError(f"request {rid} is not queued")
         fn = self.req_function_id[rid]
-        open_pods = self.open_pods[fn]
         pod_ids = self.fn_pods[fn]
-        pods = self.pods
-        ready = PodPhase.READY
         n = len(pod_ids)
         cursor = self._rr_cursor[fn] % n if n else 0
         for off in range(n):
-            pod = pods[pod_ids[(cursor + off) % n]]
-            if pod.phase is ready and pod.in_flight < pod.max_concurrency:
+            pod = self.pods[pod_ids[(cursor + off) % n]]
+            if pod.is_open:
                 break
         else:
             raise SimulationError(
-                f"function {fn}: open-pod count is {open_pods} but no pod is open")
+                f"function {fn}: open-pod count is {self.open_pods[fn]} but no pod is open")
         self._rr_cursor[fn] = (cursor + off + 1) % n
+        self._retries.remove(next(entry for entry in self._retries if entry[2] == rid))
+        self.queued[fn] -= 1
         now = self.clock
         pod_id = pod.pod_id
         profile = pod.profile
@@ -691,8 +739,6 @@ class ClusterEngine:
         self.req_start_time[rid] = now
         self.req_pod_id[rid] = pod_id
         self.req_vm_id[rid] = pod.vm_id
-        if self.req_retries[rid]:  # a request that never queued is not counted
-            self.queued[fn] -= 1
         pod.in_flight += 1
         if pod.in_flight == pod.max_concurrency:
             self.open_pods[fn] -= 1
@@ -701,14 +747,12 @@ class ClusterEngine:
         vm.inflight += 1
         if vm.busy_since is None:  # in either mode a VM serving a request is active
             vm.busy_since = now
-        if self.log_events:
-            self.event_log.append((now, "assign", rid, pod_id))
+        self._log("assign", rid, pod_id)
         exec_time = profile.standard_response_time
         sigma = self.config.exec_noise_sigma
         if sigma > 0:
             exec_time *= self._rng.lognormvariate(0.0, sigma)
-        self._seq += 1
-        heapq.heappush(self._heap, (now + exec_time, self._seq, _FINISH, rid))
+        self._push(now + exec_time, _FINISH, rid)
         return pod_id
 
     def _on_pod_ready(self, pod_id: int) -> None:
@@ -744,8 +788,8 @@ class ClusterEngine:
         """Create or remove pods; returns ids of pods created/affected.
 
         Creations use best-fit placement (smallest remaining CPU after
-        placement, ties to the lowest vm id); placements that fit nowhere are
-        skipped and counted as shortfall. Removals take idle pods first,
+        placement, ties to the lowest vm id); once a placement fits nowhere
+        the rest are skipped. Removals take idle pods first,
         newest first; busy pods drain via Terminating.
         """
         if delta > 0:
@@ -753,7 +797,6 @@ class ClusterEngine:
             for _ in range(delta):
                 pod_id = self._place_pod(fn)
                 if pod_id is None:
-                    self.creation_shortfall[fn] += delta - len(created)
                     break
                 created.append(pod_id)
             return created
@@ -990,6 +1033,10 @@ class ClusterEngine:
         _check(self.queued == {fn: queued_fns[fn] for fn in self.profiles}, "queued count drift")
         _check(all(kind in (_FINISH, _POD_READY) for _, _, kind, _ in self._heap),
                "heap entry of an unknown kind")
+        _check(all(seq <= self._seq for _, seq, _, _ in self._heap),
+               "heap entry with an unissued sequence number")
+        _check(all(seq <= self._seq for _, seq, _ in self._retries),
+               "retry with an unissued sequence number")
         times, seqs, apps = self._pending
         _check(len(times) == len(seqs) == len(apps), "pending arrival columns differ in length")
         _check(0 <= self._cursor <= len(times), "arrival cursor out of range")

@@ -346,9 +346,10 @@ class TestErrors:
         ("calibrate", "workload.constant_rate", -5),
         ("calibrate", "workload.constant_rate", 0),  # loads, then carries no traffic
         ("train", "train.entropy_beta", 1.0e+308),
+        ("simulate", "sim.retry_interval", 1.0e+308),  # the second retry would fall due at inf
     ], ids=["sim.exec_noise_sigma", "train.seed", "dqn.seed", "dqn.batch_size",
             "workload.constant_rate", "workload.constant_rate-no-traffic",
-            "train.entropy_beta"])
+            "train.entropy_beta", "sim.retry_interval"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, key,
                                                 value):
         config = write_config(tmp_path, cluster=["t4g.large"])

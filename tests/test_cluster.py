@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faaslab.cluster import (Application, ClusterEngine,
+from faaslab.cluster import (_FINISH, Application, ClusterEngine,
                              FunctionProfile, PodPhase, RequestStatus,
                              SimConfig, VmSpec, VmState, ceil_guarded,
                              cpu_target_replicas, desired_replicas, floor_guarded)
@@ -415,6 +415,38 @@ class TestRouting:
         with pytest.raises(SimulationError, match="no pod is open"):
             eng.route_request(0)
 
+    def test_routing_a_queued_request_withdraws_its_retry(self, big_vm, fast_profile,
+                                                          single_app):
+        # Request 0 queues at 0.0 and re-queues at 1.0, due again at 2.0; the
+        # pod is ready at 1.5. Routing it at 1.6 must leave no retry behind.
+        prof = dataclasses.replace(fast_profile, cold_start_seconds=1.5)
+        eng = make_engine([big_vm], [prof], [single_app])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
+        eng.apply_horizontal(0, 1)
+        eng.advance(1.6)
+        assert eng.route_request(0) == 0
+        eng.check_invariants()
+        eng.advance(2.5)
+        assert eng.pods[0].in_flight == 1
+        eng.check_invariants()
+        eng.advance(5.0)
+        eng.check_invariants()
+        assert [e for e in eng.event_log if e[1] in ("assign", "retry", "finish")] == [
+            (1.0, "retry", 0), (1.6, "assign", 0, 0), (2.6, "finish", 0)]
+        assert eng.requests[0].status is RequestStatus.COMPLETED
+
+    def test_routing_a_request_that_is_not_queued_raises(self, big_vm, fast_profile,
+                                                         single_app):
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.apply_horizontal(0, 2)
+        eng.load_arrivals(*arrival_columns([(2.0, 0)]))
+        eng.advance(2.0)
+        assert eng.requests[0].status is RequestStatus.RUNNING
+        for rid in (0, 1, -1):  # running, and two ids that do not exist
+            with pytest.raises(SimulationError, match=f"request {rid} is not queued"):
+                eng.route_request(rid)
+        eng.check_invariants()
+
     def test_open_count_without_open_pod_raises(self, big_vm, fast_profile,
                                                 single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
@@ -515,13 +547,12 @@ class TestHorizontalScaling:
         with pytest.raises(ConfigError):
             eng.horizontal_delta(7, 0.5)
 
-    def test_full_cluster_records_shortfall(self, fast_profile, single_app):
+    def test_full_cluster_creates_nothing(self, fast_profile, single_app):
         tiny = VmSpec(vm_id=0, cpu_capacity=1.0, mem_capacity=1024.0, unit_price=0.05)
         eng = make_engine([tiny], [fast_profile], [single_app])
         assert eng.apply_horizontal(0, 1) == [0]
         created = eng.apply_horizontal(0, 2)  # no room left
         assert created == []
-        assert eng.creation_shortfall[0] == 2
 
     def test_best_fit_prefers_tightest_vm(self, single_app):
         prof = FunctionProfile(function_id=0, req_cpu=0.1, req_mem=64.0,
@@ -755,8 +786,10 @@ class TestInvariantsAndDeterminism:
         ("cursor", "arrival cursor out of range"),
         ("pending_before_clock", "pending arrival before the clock"),
         ("pending_seq", "pending arrival with an unissued sequence number"),
+        ("heap_seq", "heap entry with an unissued sequence number"),
+        ("retry_seq", "retry with an unissued sequence number"),
     ], ids=["heap_arrival", "pending_order", "retry_order", "pending_length", "cursor",
-            "pending_before_clock", "pending_seq"])
+            "pending_before_clock", "pending_seq", "heap_seq", "retry_seq"])
     def test_invariants_catch_corrupted_event_queues(self, big_vm, fast_profile,
                                                      single_app, damage, message):
         # No pods: the arrivals at 0.0 and 0.5 queue with a retry each, and
@@ -781,8 +814,13 @@ class TestInvariantsAndDeterminism:
             eng._cursor = len(times) + 1
         elif damage == "pending_before_clock":
             times[i] = eng.clock - 0.25
-        else:
+        elif damage == "pending_seq":
             seqs[-1] = eng._seq + 1
+        elif damage == "heap_seq":  # a finish whose number was never issued
+            heapq.heappush(eng._heap, (2.0, eng._seq + 1, _FINISH, 0))
+        else:  # the last retry renumbered past the last issued number
+            time, _, rid = eng._retries.pop()
+            eng._retries.append((time, eng._seq + 1, rid))
         with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
 

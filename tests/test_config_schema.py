@@ -155,9 +155,10 @@ def test_wrong_type_or_unknown_key_is_named(overrides, key):
 
 
 def test_upper_bounds_are_inclusive():
-    exp = load_experiment(overrides={"sim": {"exec_noise_sigma": 10},
+    exp = load_experiment(overrides={"sim": {"exec_noise_sigma": 10, "retry_interval": 3600},
                                      "workload": {"duration": 86400}})
     assert exp.sim.exec_noise_sigma == 10 and exp.workload.duration == 86400
+    assert exp.sim.retry_interval == 3600
 
 
 def test_values_are_kept_as_given():
