@@ -77,7 +77,6 @@ class TrainResult:
     actor: ParameterStore
     critic: ParameterStore
     stats: list[EpisodeStats]
-    worker_updates: list[int]
 
 
 def select_action(spec: NetworkSpec, params: Sequence[np.ndarray], state: np.ndarray,
@@ -221,5 +220,4 @@ def train(
             stats.append(row)
             if on_episode is not None:
                 on_episode(row)
-    return TrainResult(actor=actor_store, critic=critic_store, stats=stats,
-                       worker_updates=[w.updates for w in workers])
+    return TrainResult(actor=actor_store, critic=critic_store, stats=stats)

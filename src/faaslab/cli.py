@@ -217,13 +217,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
               f"{rel(a, 'rfr'):.9g}", f"{rel(a, 'cost'):.9g}") for a in agg]
     write_csv(out / "eval_summary.csv", meta, header, table)
 
-    widths = (24, 6, 9, 12, 12, 12)
-    print("".join(h.ljust(w) for h, w in zip(("target", "band", "workloads",
-                                              "RART", "RFR", "cost"), widths)))
-    for a in agg:
-        print("".join(str(v).ljust(w) for v, w in zip(
-            (a["target"], a["band"], a["workloads"], f"{a['rart']:.4f}",
-             f"{a['rfr']:.4f}", f"{a['cost']:.6f}"), widths)))
+    lines = [("target", "band", "workloads", "RART", "RFR", "cost")] + [
+        (a["target"], a["band"], str(a["workloads"]), f"{a['rart']:.4f}",
+         f"{a['rfr']:.4f}", f"{a['cost']:.6f}") for a in agg]
+    # Each column is two wider than its longest entry, so no two run together.
+    widths = [max(map(len, column)) + 2 for column in zip(*lines)]
+    for line in lines:
+        print("".join(v.ljust(w) for v, w in zip(line, widths)))
     print(f"wrote {out / 'eval_workloads.csv'} and {out / 'eval_summary.csv'}")
     return EXIT_OK
 

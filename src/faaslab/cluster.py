@@ -228,12 +228,10 @@ class RequestRecord:
     arrival_time: float
     root_id: int
     chain_elapsed: float = 0.0  # summed response time of the chain's earlier stages
-    start_time: Optional[float] = None
     finish_time: Optional[float] = None
     status: RequestStatus = RequestStatus.QUEUED
     retries: int = 0
     pod_id: Optional[int] = None
-    vm_id: Optional[int] = None
 
 
 class RequestView(Mapping[int, RequestRecord]):
@@ -357,8 +355,10 @@ class ClusterEngine:
     ``RequestView`` of them whose lookups build frozen snapshots. Each pod
     counts its running requests in ``PodState.in_flight``, and each finish
     appends its time and response-time ratio to the function's
-    ``completion_times`` and ``completion_ratios``, in finish order. The pod
-    table ``pods`` is the one record of where each pod runs.
+    ``completion_times`` and ``completion_ratios``, in finish order. A
+    request's start time and VM are not stored: its ``assign`` log entry
+    says when it started and on which pod, and the pod table ``pods`` is the
+    one record of where each pod runs.
 
     With ``log_events`` every event also appends a ``(time, kind, *ids)``
     tuple to ``event_log``; otherwise nothing is appended and ``event_log``
@@ -416,8 +416,8 @@ class ClusterEngine:
         self._req_columns = tuple([] for _ in fields(RequestRecord)[1:])
         (self.req_app_id, self.req_chain_index, self.req_function_id,
          self.req_arrival_time, self.req_root_id, self.req_chain_elapsed,
-         self.req_start_time, self.req_finish_time, self.req_status,
-         self.req_retries, self.req_pod_id, self.req_vm_id) = self._req_columns
+         self.req_finish_time, self.req_status, self.req_retries,
+         self.req_pod_id) = self._req_columns
         self.requests: Mapping[int, RequestRecord] = RequestView(self._req_columns)
         self._app_fns = {app_id: app.function_sequence for app_id, app in self.apps.items()}
         # Per app, root id -> response-time ratio of each fully completed chain:
@@ -523,12 +523,11 @@ class ClusterEngine:
         completion_times = self.completion_times
         completion_ratios = self.completion_ratios
         (req_app_id, req_chain_index, req_fn, req_arrival_time, req_root_id, req_chain_elapsed,
-         req_start_time, req_finish_time, req_status, req_retries, req_pod_id,
-         req_vm_id) = self._req_columns
+         req_finish_time, req_status, req_retries, req_pod_id) = self._req_columns
         # Column handles for the new-request block.
         (add_app_id, add_chain_index, add_fn, add_arrival_time, add_root_id,
-         add_chain_elapsed, add_start_time, add_finish_time, add_status, add_retries,
-         add_pod_id, add_vm_id) = (column.append for column in self._req_columns)
+         add_chain_elapsed, add_finish_time, add_status, add_retries,
+         add_pod_id) = (column.append for column in self._req_columns)
         max_retries = self.config.max_retries
         retry_interval = self.config.retry_interval
         sigma = self.config.exec_noise_sigma
@@ -630,11 +629,9 @@ class ClusterEngine:
                 add_arrival_time(time)
                 add_root_id(root)
                 add_chain_elapsed(elapsed)
-                add_start_time(None)
                 add_finish_time(None)
                 add_status(queued)
                 add_pod_id(None)
-                add_vm_id(None)
                 arrival_times[fn].append(time)
                 if log is not None:
                     log.append((time, "arrival", rid, fn))
@@ -664,12 +661,9 @@ class ClusterEngine:
             rr_cursor[fn] = (cursor + off + 1) % n
             pod_id = pod.pod_id
             profile = pod.profile
-            vm_id = pod.vm_id
-            vm = vms[vm_id]
+            vm = vms[pod.vm_id]
             req_status[rid] = running
-            req_start_time[rid] = time
             req_pod_id[rid] = pod_id
-            req_vm_id[rid] = vm_id
             in_flight = pod.in_flight = pod.in_flight + 1
             if in_flight == pod.max_concurrency:
                 open_pods[fn] -= 1
@@ -736,9 +730,7 @@ class ClusterEngine:
         profile = pod.profile
         vm = self.vms[pod.vm_id]
         self.req_status[rid] = RequestStatus.RUNNING
-        self.req_start_time[rid] = now
         self.req_pod_id[rid] = pod_id
-        self.req_vm_id[rid] = pod.vm_id
         pod.in_flight += 1
         if pod.in_flight == pod.max_concurrency:
             self.open_pods[fn] -= 1

@@ -238,8 +238,8 @@ class ParameterStore:
         return [p.copy() for p in self.params]
 
     def apply(self, grads: Sequence[np.ndarray], lr: float = 1e-4,
-              clip_norm: Optional[float] = None) -> int:
-        """Adam descent step on the given gradients; returns the new version."""
+              clip_norm: Optional[float] = None) -> None:
+        """Adam descent step on the given gradients; bumps ``version``."""
         if len(grads) != len(self.params):
             raise ConfigError("gradient list length mismatch")
         for g, p in zip(grads, self.params):
@@ -259,7 +259,6 @@ class ParameterStore:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g ** 2
             p -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        return self.version
 
     # ------------------------------------------------------------ checkpoints
 

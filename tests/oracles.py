@@ -78,11 +78,23 @@ def _union_length(intervals: list[tuple[float, float]]) -> float:
 
 
 def brute_cost(engine: ClusterEngine) -> float:
-    """VM cost from the union of each VM's per-request execution intervals."""
+    """VM cost from the union of each VM's per-request execution intervals.
+
+    The intervals come from the event log alone: ``pod_create`` places a pod
+    on a VM, ``assign`` starts a request on a pod and ``finish`` ends it.
+    """
+    assert engine.log_events, "brute_cost reads the event log"
+    pod_vm: dict[int, int] = {}
+    started: dict[int, tuple[float, int]] = {}
     per_vm: dict[int, list[tuple[float, float]]] = {}
-    for req in engine.requests.values():
-        if req.status is RequestStatus.COMPLETED and req.vm_id is not None:
-            per_vm.setdefault(req.vm_id, []).append((req.start_time, req.finish_time))
+    for time, kind, *ids in engine.event_log:
+        if kind == "pod_create":
+            pod_vm[ids[0]] = ids[1]
+        elif kind == "assign":
+            started[ids[0]] = (time, pod_vm[ids[1]])
+        elif kind == "finish":
+            start, vm_id = started.pop(ids[0])
+            per_vm.setdefault(vm_id, []).append((start, time))
     cost = 0.0
     for vm in engine.vms.values():
         busy = _union_length(per_vm.get(vm.spec.vm_id, []))

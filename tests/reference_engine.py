@@ -56,12 +56,10 @@ class Record:
     arrival_time: float
     root_id: int
     chain_elapsed: float = 0.0
-    start_time: Optional[float] = None
     finish_time: Optional[float] = None
     status: RequestStatus = RequestStatus.QUEUED
     retries: int = 0
     pod_id: Optional[int] = None
-    vm_id: Optional[int] = None
 
 
 class FullScanVm(VmState):
@@ -166,9 +164,7 @@ class ReferenceEngine(ClusterEngine):
     def _assign(self, req: Record, pod: PodState) -> None:
         vm = self.vms[pod.vm_id]
         req.status = RequestStatus.RUNNING
-        req.start_time = self.clock
         req.pod_id = pod.pod_id
-        req.vm_id = pod.vm_id
         self.queued_ids[req.function_id].discard(req.request_id)
         pod.in_flight += 1
         if pod.in_flight == pod.max_concurrency:

@@ -264,7 +264,7 @@ def test_c04_metric_identities_against_brute_force():
         for seed in (1, 2, 3):
             wl = make_workload(apps, corpus, EVAL_BANDS["mid"], 60, 7000 + seed)
             res = run_baseline(policy, DESK_VMS, profiles, wl,
-                               EnvConfig())
+                               EnvConfig(), log_events=True)
             summary = EpisodeLedger(res.engine).summary()
             assert abs(summary.rfr - brute_rfr(res.engine)) <= 1e-9
             assert abs(summary.rfrt - brute_rfrt(res.engine)) <= 1e-9

@@ -152,8 +152,9 @@ class TestWorkerLoop:
         assert len(result.stats) == 6
         assert [(s.episode, s.worker) for s in result.stats] == \
                [(e, w) for e in range(2) for w in range(3)]
-        assert result.actor.version == sum(result.worker_updates)
-        assert result.critic.version == sum(result.worker_updates)
+        last_updates = {s.worker: s.updates for s in result.stats}
+        assert result.actor.version == sum(last_updates.values())
+        assert result.critic.version == sum(last_updates.values())
 
     def test_only_deterministic_sync_mode(self):
         assert TrainConfig(sync_mode="deterministic").sync_mode == "deterministic"

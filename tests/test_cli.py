@@ -226,6 +226,24 @@ class TestEvaluate:
         assert [r[header.index("target")] for r in rows] == \
             ["actor_a3c_beta1_w1.npz"] * 2 + ["kube_cpu"] * 2
 
+    def test_stdout_table_keeps_its_columns_apart(self, workspace, capsys):
+        config, run_dir = workspace
+        main(["calibrate", "--config", str(config)])
+        main(["train", "--config", str(config)])
+        ckpt = run_dir.parent / "checkpoints" / "actor_a3c_beta1_w1.npz"
+        ckpt.parent.mkdir()
+        (run_dir / "actor_a3c_beta1_w1.npz").rename(ckpt)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config), "--band", "low",
+                     "--targets", "kube_cpu", str(ckpt)]) == EXIT_OK
+        table = capsys.readouterr().out.splitlines()[:-1]  # the last line names the files
+        label = "../checkpoints/actor_a3c_beta1_w1.npz"
+        assert len(label) > 24
+        assert table[0].split() == ["target", "band", "workloads", "RART", "RFR", "cost"]
+        assert [line.split()[:3] for line in table[1:]] == [
+            [label, "low", "2"], ["kube_cpu", "low", "2"]]
+        assert all(len(line.split()) == 6 for line in table)
+
 
 class TestReport:
     def test_missing_artifacts_listed(self, workspace):

@@ -517,7 +517,7 @@ class TestRetryDrop:
         eng.advance(20.0)
         req = eng.requests[0]
         assert req.status is RequestStatus.DROPPED
-        assert req.start_time is None
+        assert not [e for e in eng.event_log if e[1] == "assign" and e[2] == 0]
         drops = [e for e in eng.event_log if e[1] == "drop"]
         assert drops == [(10.0, "drop", 0)]
 
@@ -859,7 +859,7 @@ class TestInvariantsAndDeterminism:
             + [RequestStatus.QUEUED] * 2)
         eng.check_invariants()
         if damage == "length":
-            eng.req_vm_id.append(None)
+            eng.req_pod_id.append(None)
         elif damage == "running":
             eng.req_finish_time[1] = 3.0
         elif damage == "completed":
@@ -937,7 +937,8 @@ class TestInvariantsAndDeterminism:
         eng.apply_horizontal(0, 1)
         eng.advance(10.0)
         req = eng.requests[0]
-        assert req.start_time >= fast_profile.cold_start_seconds  # the pod was created at 0.0
+        (start,) = [e[0] for e in eng.event_log if e[1] == "assign" and e[2] == 0]
+        assert start >= fast_profile.cold_start_seconds  # the pod was created at 0.0
         assert req.finish_time - req.arrival_time > fast_profile.standard_response_time
 
     def test_active_seconds_accrue_only_with_inflight(self, big_vm, fast_profile,

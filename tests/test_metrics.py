@@ -36,8 +36,8 @@ def inject_chain(eng, app_id, arrival, ratios):
         r0 = eng.profiles[fn].standard_response_time
         finish = t + ratios[stage] * r0
         fields = dict(app_id=app_id, chain_index=stage, function_id=fn, arrival_time=t,
-                      root_id=root, chain_elapsed=0.0, start_time=t, finish_time=finish,
-                      status=RequestStatus.COMPLETED, retries=0, pod_id=None, vm_id=None)
+                      root_id=root, chain_elapsed=0.0, finish_time=finish,
+                      status=RequestStatus.COMPLETED, retries=0, pod_id=None)
         for name, value in fields.items():
             getattr(eng, f"req_{name}").append(value)
         actual += finish - t

@@ -199,8 +199,10 @@ class TestParameterStore:
         store = ParameterStore(spec)
         before = [p.copy() for p in store.params]
         zeros = [np.zeros_like(p) for p in store.params]
-        assert store.apply(zeros) == 1
-        assert store.apply(zeros) == 2
+        store.apply(zeros)
+        assert store.version == 1
+        store.apply(zeros)
+        assert store.version == 2
         for a, b in zip(before, store.params):
             assert np.array_equal(a, b)
 
