@@ -51,17 +51,13 @@ def _policy_from_store(store: ParameterStore):
     raise ConfigError(f"checkpoint head layout {heads} is not a known policy")
 
 
-def _greedy_episode(store: ParameterStore, vms, profiles, workload: WorkloadSpec,
+def _greedy_episode(policy, vms, profiles, workload: WorkloadSpec,
                     env_config: EnvConfig, sim_config: SimConfig) -> EpisodeMetrics:
-    """One episode under the checkpoint's greedy policy; no reward is computed."""
-    policy = _policy_from_store(store)
+    """One episode under a ``_policy_from_store`` policy; no reward is computed."""
     env = ServerlessEnv(vms, profiles,
                         replace(env_config, target_mode="highest_rfrt"),
                         sim_config, seed=0)
     state = env.reset(workload)
-    if store.spec.input_dim != env.state_dim:
-        raise ConfigError(f"checkpoint expects state dim {store.spec.input_dim}, "
-                          f"environment provides {env.state_dim}")
     done = False
     while not done:
         state, _, done, _ = env.step(policy(state), rewarded=False)
@@ -91,21 +87,27 @@ def evaluate_targets(
     if parallel != 1:
         raise ConfigError(f"parallel must be 1 (evaluation runs on one thread), "
                           f"got {parallel}")
-    stores: dict[str, ParameterStore] = {}
+    # Every checkpoint is loaded and checked before the first episode runs.
+    policies = {}
     for target in targets:
         if target not in BASELINES:
             path = Path(target)
             if not path.exists():
                 raise ConfigError(f"unknown target {target!r}: neither a baseline "
                                   f"name {BASELINES} nor a checkpoint path")
-            stores[target] = ParameterStore.load(path)
+            store = ParameterStore.load(path)
+            state_dim = ServerlessEnv(vms, profiles).state_dim
+            if store.spec.input_dim != state_dim:
+                raise ConfigError(f"checkpoint {target} expects state dim "
+                                  f"{store.spec.input_dim}, environment provides {state_dim}")
+            policies[target] = _policy_from_store(store)
 
     rows = []
     for target in targets:
         for band, workloads in sorted(workload_sets.items()):
             for idx, workload in enumerate(workloads):
-                if target in stores:
-                    summary = _greedy_episode(stores[target], vms, profiles, workload,
+                if target in policies:
+                    summary = _greedy_episode(policies[target], vms, profiles, workload,
                                               env_config, sim_config)
                 else:
                     summary = run_baseline(target, vms, profiles, workload, env_config,

@@ -185,14 +185,15 @@ def cmd_train_sweep(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     exp = _load(args)
     bands = [args.band] if args.band else None
-    rows = evaluate_targets(args.targets, exp.eval_sets(bands), exp.vms,
-                            exp.profiles, exp.env, exp.sim,
-                            policy_config=exp.baselines)
     out = exp.output_dir
     # A checkpoint is labelled by its path relative to the output directory,
-    # so an absolute and a relative path to one file give the same CSVs.
+    # and each label is evaluated once, however many of the paths name it.
     labels = {t: t if t in BASELINE_NAMES else os.path.relpath(Path(t).resolve(), out.resolve())
               for t in args.targets}
+    targets = {label: t for t, label in labels.items()}
+    rows = evaluate_targets(list(targets.values()), exp.eval_sets(bands), exp.vms,
+                            exp.profiles, exp.env, exp.sim,
+                            policy_config=exp.baselines)
     rows = sorted((replace(r, target=labels[r.target]) for r in rows),
                   key=lambda r: (r.target, r.band, r.workload_index))
     meta = _meta_lines(exp, exp.train.seed, "deterministic")

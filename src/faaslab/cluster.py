@@ -776,25 +776,19 @@ class ClusterEngine:
         return cpu_target_replicas(len(live), util, self.queued[fn], target_util,
                                    self.config.max_replicas) - len(live)
 
-    def apply_horizontal(self, fn: int, delta: int) -> list[int]:
-        """Create or remove pods; returns ids of pods created/affected.
+    def apply_horizontal(self, fn: int, delta: int) -> None:
+        """Create ``delta`` pods of fn, or remove ``-delta``.
 
         Creations use best-fit placement (smallest remaining CPU after
         placement, ties to the lowest vm id); once a placement fits nowhere
         the rest are skipped. Removals take idle pods first,
         newest first; busy pods drain via Terminating.
         """
-        if delta > 0:
-            created = []
-            for _ in range(delta):
-                pod_id = self._place_pod(fn)
-                if pod_id is None:
-                    break
-                created.append(pod_id)
-            return created
+        for _ in range(delta):
+            if self._place_pod(fn) is None:
+                break
         if delta < 0:
-            return self._scale_down(fn, -delta)
-        return []
+            self._scale_down(fn, -delta)
 
     def _place_pod(self, fn: int) -> Optional[int]:
         cpu, mem = self.pod_size[fn]
@@ -825,7 +819,7 @@ class ClusterEngine:
         self._log("pod_create", pod_id, best.spec.vm_id)
         return pod_id
 
-    def _scale_down(self, fn: int, count: int) -> list[int]:
+    def _scale_down(self, fn: int, count: int) -> None:
         chosen = sorted(self._live_pods(fn), key=lambda p: (p.in_flight > 0, -p.pod_id))[:count]
         for pod in chosen:
             if not pod.in_flight:
@@ -835,7 +829,6 @@ class ClusterEngine:
                 self.open_pods[fn] -= 1
             pod.phase = PodPhase.TERMINATING
             self._log("pod_terminating", pod.pod_id)
-        return [pod.pod_id for pod in chosen]
 
     def _remove_pod(self, pod: PodState) -> None:
         if pod.is_open:

@@ -142,7 +142,6 @@ class _TopLevel:
     output_dir: str = "runs"
     calibration_file: Optional[str] = None
     beta_list: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    eval_parallel: int = 1
     env: EnvConfig = field(default_factory=EnvConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -153,8 +152,6 @@ class _TopLevel:
     def __post_init__(self) -> None:
         for beta in self.beta_list:
             require(0 <= beta <= 1, "beta_list values must lie in [0, 1]", beta)
-        require(self.eval_parallel == 1, "eval_parallel must be 1 (evaluation runs "
-                "on one thread)", self.eval_parallel)
 
 
 @dataclass
@@ -175,7 +172,7 @@ class Experiment:
     beta_list: list[float]
     output_dir: Path
     calibration_file: Path
-    eval_parallel: int = 1  # always 1; load_experiment rejects other values
+    eval_parallel: int = 1  # read only by the benchmark; goes with ROADMAP item 2 PR B
 
     @property
     def config_hash(self) -> str:

@@ -28,6 +28,8 @@ TARGET_UTIL_MIN = 0.10
 TARGET_UTIL_MAX = 0.90
 CPU_DELTA_MAX = 0.25   # vCPU per action step at full deflection
 MEM_DELTA_MAX = 256.0  # MB per action step at full deflection
+RFRT_CAP = 20.0        # state normalizer for the response-time ratio
+RATE_CAP = 60.0        # state normalizer for arrival rate (req/s)
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,9 @@ class EnvConfig:
     observe_delay: float = 10.0
     beta: float = 1.0
     target_mode: str = "random"  # "random" (training) | "highest_rfrt" (evaluation)
-    rfrt_cap: float = 20.0       # state normalizer for the response-time ratio
-    rate_cap: float = 60.0       # state normalizer for arrival rate (req/s)
 
     def __post_init__(self) -> None:
-        for key in ("decision_interval", "observe_delay", "rfrt_cap", "rate_cap"):
+        for key in ("decision_interval", "observe_delay"):
             require(getattr(self, key) > 0, f"env.{key} must be > 0", getattr(self, key))
         require(self.observe_delay <= self.decision_interval + 1e-9,
                 "env.observe_delay must not exceed env.decision_interval", self.observe_delay)
@@ -225,7 +225,6 @@ class ServerlessEnv:
     # ------------------------------------------------------------------ state
 
     def _state(self) -> np.ndarray:
-        cfg = self.config
         engine = self.engine
         replicas = engine.replicas_per_vm(self.target_fn)
         max_replicas = engine.config.max_replicas
@@ -241,14 +240,14 @@ class ServerlessEnv:
                 spec.mem_capacity / self._max_mem,
                 replicas[vm_id] / max_replicas,
             ))
-        fn = engine.snapshot(self.target_fn, cfg.observe_delay)
+        fn = engine.snapshot(self.target_fn, self.config.observe_delay)
         features.extend((
             fn.pod_cpu / POD_CPU_MAX,
             fn.pod_mem / POD_MEM_MAX,
             fn.req_cpu / POD_CPU_MAX,
             fn.req_mem / POD_MEM_MAX,
-            fn.arrival_rate / cfg.rate_cap,
-            fn.rfrt / cfg.rfrt_cap,
+            fn.arrival_rate / RATE_CAP,
+            fn.rfrt / RFRT_CAP,
             fn.rfr,
             fn.avg_pod_cpu_util,
             fn.avg_pod_mem_util,

@@ -46,9 +46,8 @@ def replica_log(monkeypatch):
     apply_horizontal = ClusterEngine.apply_horizontal
 
     def recording(engine, fn, delta):
-        affected = apply_horizontal(engine, fn, delta)
+        apply_horizontal(engine, fn, delta)
         log.append((engine.clock, fn, engine.snapshot(fn, 0.0).replicas))
-        return affected
 
     monkeypatch.setattr(ClusterEngine, "apply_horizontal", recording)
     return log

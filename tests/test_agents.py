@@ -246,8 +246,8 @@ class TestEvaluate:
         args = (desk_vms, {0: tiny_profile()}, tiny_workload(rate=4),
                 EnvConfig())
         from faaslab.cluster import SimConfig
-        live = _greedy_episode(result.actor, *args, SimConfig())
-        disk = _greedy_episode(loaded, *args, SimConfig())
+        live = _greedy_episode(_policy_from_store(result.actor), *args, SimConfig())
+        disk = _greedy_episode(_policy_from_store(loaded), *args, SimConfig())
         assert live == disk  # the checkpoint reproduces evaluation metrics
 
         sets = {"mid": [tiny_workload(rate=4)]}

@@ -5,8 +5,10 @@ import yaml
 
 import pytest
 
+from faaslab.agents import evaluate
 from faaslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, read_csv
 from faaslab.config import load_experiment
+from faaslab.env import ServerlessEnv
 from faaslab.metrics import ChannelBounds, RewardBounds
 from faaslab.nnet import NetworkSpec, ParameterStore
 
@@ -172,11 +174,11 @@ class TestEvaluate:
             (ref - knative) / ref)
         assert float(by_target["kube_cpu"][i_rel]) == pytest.approx(0.0)
 
-    def test_eval_parallel_other_than_one_is_config_error(self, tmp_path, capsys):
-        config = write_config(tmp_path, eval_parallel=2)
+    def test_eval_parallel_is_an_unknown_key(self, tmp_path, capsys):
+        config = write_config(tmp_path, eval_parallel=1)
         assert main(["evaluate", "--config", str(config),
                      "--targets", "kube_cpu"]) == EXIT_CONFIG
-        assert "eval_parallel" in capsys.readouterr().err
+        assert "unknown config key eval_parallel" in capsys.readouterr().err
 
     def test_unknown_target_is_config_error(self, workspace):
         config, _ = workspace
@@ -225,6 +227,42 @@ class TestEvaluate:
         _, header, rows = read_csv(run_dir / "eval_workloads.csv")
         assert [r[header.index("target")] for r in rows] == \
             ["actor_a3c_beta1_w1.npz"] * 2 + ["kube_cpu"] * 2
+
+    def test_target_named_twice_is_evaluated_once(self, workspace, monkeypatch):
+        config, run_dir = workspace
+        main(["calibrate", "--config", str(config)])
+        main(["train", "--config", str(config)])
+        monkeypatch.chdir(run_dir.parent)
+        ckpt = run_dir / "actor_a3c_beta1_w1.npz"
+        bodies = []
+        for targets in (["kube_cpu", str(ckpt)],
+                        ["kube_cpu", str(ckpt), "kube_cpu", "run/actor_a3c_beta1_w1.npz"]):
+            assert main(["evaluate", "--config", str(config), "--band", "low",
+                         "--targets", *targets]) == EXIT_OK
+            bodies.append([no_timestamp(run_dir / name)
+                           for name in ("eval_workloads.csv", "eval_summary.csv")])
+        assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("kind", ["critic", "wrong_state_dim"])
+    def test_unusable_checkpoint_runs_no_episode(self, workspace, monkeypatch, capsys,
+                                                 kind):
+        config, run_dir = workspace
+        exp = load_experiment(config)
+        state_dim = ServerlessEnv(exp.vms, exp.profiles).state_dim
+        spec = (NetworkSpec(input_dim=state_dim, hidden=(8,), head_sizes=(1,))
+                if kind == "critic" else
+                NetworkSpec(input_dim=state_dim + 1, hidden=(8,), head_sizes=(11, 11, 11)))
+        ckpt = run_dir.parent / f"{kind}.npz"
+        ParameterStore(spec).save(ckpt)
+
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the checkpoint was rejected")
+
+        monkeypatch.setattr(evaluate, "run_baseline", no_episode)
+        assert main(["evaluate", "--config", str(config), "--band", "low",
+                     "--targets", "kube_cpu", "knative", str(ckpt)]) == EXIT_CONFIG
+        assert ("head layout (1,)" if kind == "critic" else "state dim") \
+            in capsys.readouterr().err
 
     def test_stdout_table_keeps_its_columns_apart(self, workspace, capsys):
         config, run_dir = workspace
@@ -350,11 +388,12 @@ class TestErrors:
                                             ("rate_cap", -1.0), ("cpu_cap_norm", 8.0),
                                             ("mem_cap_norm", 32768.0)])
     def test_bad_env_key_is_config_error(self, tmp_path, capsys, key, value):
-        # calibrate builds no agent state, so without the check a zero cap
-        # would only fail later, dividing by zero in train
+        # The state normalizers are module constants of faaslab.env, not config
+        # keys: a checkpoint records no normalizer, so a config could otherwise
+        # feed a trained actor rescaled features. Any value of them is unknown.
         config = write_config(tmp_path, env={key: value})
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        assert f"unknown config key env.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key, value", [
         ("calibrate", "sim.exec_noise_sigma", -1),

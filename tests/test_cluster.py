@@ -550,9 +550,10 @@ class TestHorizontalScaling:
     def test_full_cluster_creates_nothing(self, fast_profile, single_app):
         tiny = VmSpec(vm_id=0, cpu_capacity=1.0, mem_capacity=1024.0, unit_price=0.05)
         eng = make_engine([tiny], [fast_profile], [single_app])
-        assert eng.apply_horizontal(0, 1) == [0]
-        created = eng.apply_horizontal(0, 2)  # no room left
-        assert created == []
+        eng.apply_horizontal(0, 1)
+        assert eng.fn_pods[0] == [0]
+        eng.apply_horizontal(0, 2)  # no room left
+        assert eng.fn_pods[0] == [0]
 
     def test_best_fit_prefers_tightest_vm(self, single_app):
         prof = FunctionProfile(function_id=0, req_cpu=0.1, req_mem=64.0,
@@ -564,14 +565,16 @@ class TestHorizontalScaling:
         eng.pod_size[0] = (0.7, 256.0)
         eng.apply_horizontal(0, 2)  # both land on vm0: 2.0 -> 1.3 -> 0.6 remaining
         eng.pod_size[0] = (0.5, 256.0)
-        pod_id = eng.apply_horizontal(0, 1)[0]
+        eng.apply_horizontal(0, 1)
+        pod_id = eng.fn_pods[0][-1]
         assert eng.pods[pod_id].vm_id == 0  # remaining 0.1 beats remaining 1.5
 
     def test_tie_breaks_to_lowest_vm_id(self, fast_profile, single_app):
         vms = [VmSpec(vm_id=1, cpu_capacity=2.0, mem_capacity=8192.0, unit_price=0.1),
                VmSpec(vm_id=0, cpu_capacity=2.0, mem_capacity=8192.0, unit_price=0.1)]
         eng = make_engine(vms, [fast_profile], [single_app])
-        pod_id = eng.apply_horizontal(0, 1)[0]
+        eng.apply_horizontal(0, 1)
+        pod_id = eng.fn_pods[0][-1]
         assert eng.pods[pod_id].vm_id == 0
 
     def test_scale_down_idle_newest_first_then_drain(self, big_vm, fast_profile,
@@ -669,7 +672,8 @@ class TestVerticalScaling:
                                                 single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
         eng.apply_vertical(0, *eng.clamp_vertical(0, -0.25, -256.0))
-        pod_id = eng.apply_horizontal(0, 1)[0]
+        eng.apply_horizontal(0, 1)
+        pod_id = eng.fn_pods[0][-1]
         assert eng.pods[pod_id].cpu_limit == pytest.approx(0.75)
         assert eng.pods[pod_id].mem_limit == pytest.approx(768.0)
 
