@@ -12,7 +12,7 @@ from .cluster import (Application, ClusterEngine, FunctionProfile, PodPhase,
                       PodState, RequestRecord, RequestStatus, SimConfig,
                       VmSpec, VmState)
 from .env import EnvConfig, ScalingAction, ServerlessEnv, decode
-from .errors import ConfigError, FaasLabError, MetricsError, SimulationError
+from .errors import ConfigError, FaasLabError, SimulationError
 from .metrics import EpisodeLedger, RewardBounds, step_reward
 from .workload import TraceSeries, WorkloadSpec, load_traces, make_workload, synthesize
 
@@ -21,7 +21,7 @@ __all__ = [
     "Application", "ClusterEngine", "FunctionProfile", "PodPhase", "PodState",
     "RequestRecord", "RequestStatus", "SimConfig", "VmSpec", "VmState",
     "EnvConfig", "ScalingAction", "ServerlessEnv", "decode",
-    "ConfigError", "FaasLabError", "MetricsError", "SimulationError",
+    "ConfigError", "FaasLabError", "SimulationError",
     "EpisodeLedger", "RewardBounds", "step_reward",
     "TraceSeries", "WorkloadSpec", "load_traces", "make_workload", "synthesize",
 ]

@@ -91,11 +91,10 @@ def evaluate_targets(
     policies = {}
     for target in targets:
         if target not in BASELINES:
-            path = Path(target)
-            if not path.exists():
+            if not Path(target).exists():
                 raise ConfigError(f"unknown target {target!r}: neither a baseline "
                                   f"name {BASELINES} nor a checkpoint path")
-            store = ParameterStore.load(path)
+            store = ParameterStore.load(target)
             state_dim = ServerlessEnv(vms, profiles).state_dim
             if store.spec.input_dim != state_dim:
                 raise ConfigError(f"checkpoint {target} expects state dim "

@@ -23,7 +23,7 @@ from .agents.evaluate import BASELINE_NAMES
 from .baselines import run_baseline
 from .config import Experiment, load_experiment
 from .env import ServerlessEnv
-from .errors import ConfigError, FaasLabError
+from .errors import ConfigError, FaasLabError, read_text
 from .metrics import RewardBounds, derive_bounds
 from .nnet import ParameterStore
 from .workload import EVAL_BANDS
@@ -57,21 +57,23 @@ def write_csv(path: Path, meta: list[str], header: Sequence[str],
         writer.writerows(rows)
 
 
-def read_csv(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
+def read_csv(path: Path, columns: Sequence[str] = ()
+             ) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """Meta, header and rows; ConfigError if a column is missing or a row misshapen."""
     meta: dict[str, str] = {}
-    header: list[str] = []
-    rows: list[list[str]] = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                meta[key] = value
-                continue
-            if not header:
-                header = line.split(",")
-            else:
-                rows.append(next(csv.reader([line])))
+    lines: list[str] = []
+    for line in read_text(path).splitlines():
+        if line.startswith("#"):
+            key, _, value = line.lstrip("# ").partition("=")
+            meta[key] = value
+        else:
+            lines.append(line)
+    header, *rows = list(csv.reader(lines)) or [[]]
+    if not set(columns) <= set(header):
+        raise ConfigError(f"{path}: missing columns {sorted(set(columns) - set(header))}")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: row {i} has {len(row)} fields, the header {len(header)}")
     return meta, header, rows
 
 
@@ -84,8 +86,7 @@ def _load(args: argparse.Namespace) -> Experiment:
         overrides["dqn"] = {"seed": args.seed}
     if getattr(args, "preset", None):
         overrides["preset"] = args.preset
-    exp = load_experiment(args.config, overrides)
-    return exp
+    return load_experiment(args.config, overrides)
 
 
 # ----------------------------------------------------------------- calibrate
@@ -246,22 +247,24 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     meta = _meta_lines(exp, exp.train.seed, "report")
     long_rows = []
+    curve_metrics = ("reward", "rfrt", "rfr", "cost")
     for path in curves:
         tag = path.stem.removeprefix("curves_")
-        _, header, rows = read_csv(path)
+        _, header, rows = read_csv(path, ("episode", "worker", *curve_metrics))
         idx = {name: i for i, name in enumerate(header)}
         for row in rows:
-            for metric in ("reward", "rfrt", "rfr", "cost"):
+            for metric in curve_metrics:
                 long_rows.append((tag, row[idx["episode"]], row[idx["worker"]],
                                   metric, row[idx[metric]]))
     write_csv(run_dir / "report_curves.csv", meta,
               ("run", "episode", "worker", "metric", "value"), long_rows)
 
-    _, header, rows = read_csv(eval_path)
+    eval_metrics = ("rart", "rfr", "cost")
+    _, header, rows = read_csv(eval_path, ("target", "band", "workload", *eval_metrics))
     idx = {name: i for i, name in enumerate(header)}
     eval_rows = []
     for row in rows:
-        for metric in ("rart", "rfr", "cost"):
+        for metric in eval_metrics:
             eval_rows.append((row[idx["target"]], row[idx["band"]],
                               row[idx["workload"]], metric, row[idx[metric]]))
     write_csv(run_dir / "report_evaluation.csv", meta,

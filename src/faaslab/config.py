@@ -22,7 +22,7 @@ from .agents.dqn import DqnConfig
 from .baselines import BaselinePolicyConfig
 from .cluster import Application, FunctionProfile, SimConfig, VmSpec
 from .env import EnvConfig
-from .errors import ConfigError, require
+from .errors import ConfigError, read_text, require
 from .workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
                        load_traces, make_workload, select_apps, synthetic_traces,
                        training_apps)
@@ -90,13 +90,9 @@ def load_profiles_file(path: str | Path) -> dict[int, FunctionProfile]:
 
 
 def _read_yaml(path: str | Path):
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"file not found: {path}")
+    text = read_text(path)
     try:
-        return yaml.safe_load(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from None
 
@@ -274,14 +270,11 @@ def _typed(cls, data, name: str):
 def load_experiment(path: Optional[str | Path] = None,
                     overrides: Optional[dict] = None) -> Experiment:
     """Resolve preset defaults, the config file, and CLI overrides, in order."""
-    file_data: dict = {}
-    if path is not None:
-        loaded = _read_yaml(path)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
-        file_data = loaded
+    file_data = {} if path is None else _read_yaml(path)
+    if file_data is None:  # an empty file
+        file_data = {}
+    if not isinstance(file_data, dict):
+        raise ConfigError(f"{path}: top level must be a mapping")
     preset = (overrides or {}).get("preset") or file_data.get("preset", "desk")
     if not isinstance(preset, str) or preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; known: {sorted(_PRESETS)}")

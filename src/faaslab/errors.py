@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, and ``require``, the range
-check of the config dataclasses."""
+"""The two package errors: ``ConfigError`` (exit 2) for any bad input, a config
+value or an input file, and ``SimulationError`` (exit 3) for runtime errors.
+``read_text`` reads every input text file; ``require`` checks a config range."""
+from pathlib import Path
 
 
 class FaasLabError(Exception):
@@ -14,8 +16,18 @@ class SimulationError(FaasLabError):
     """Illegal operation against the simulation engine or environment."""
 
 
-class MetricsError(FaasLabError):
-    """Metric undefined for the requested scope, or missing calibration."""
+def read_text(path: str | Path) -> str:
+    """The text of input file ``path``, or a ``ConfigError`` that names it."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{path}: not a regular file" if path.exists()
+                          else f"file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: unreadable ({exc.strerror})") from None
 
 
 def require(ok: bool, rule: str, value: object) -> None:

@@ -14,7 +14,7 @@ from typing import Sequence
 import yaml
 
 from .cluster import ClusterEngine
-from .errors import ConfigError, MetricsError
+from .errors import ConfigError, read_text
 
 _DEGENERATE_SPAN = 1e-12
 
@@ -48,12 +48,12 @@ class RewardBounds:
 
     @classmethod
     def load(cls, path: str | Path) -> "RewardBounds":
-        path = Path(path)
-        if not path.exists():
-            raise MetricsError(
+        if not Path(path).exists():
+            raise ConfigError(
                 f"calibration file {path} not found; run `faaslab calibrate` first")
+        text = read_text(path)
         try:
-            data = yaml.safe_load(path.read_text())
+            data = yaml.safe_load(text)
             return cls(**{name: ChannelBounds(lo=float(data[name]["min"]),
                                               hi=float(data[name]["max"]))
                           for name in ("rfrt", "rfr", "cost")})
@@ -153,7 +153,7 @@ def step_reward(channels: tuple[float, float, float], bounds: RewardBounds | Non
     the calibrated bounds clamp to the [0, 1] edges.
     """
     if bounds is None:
-        raise MetricsError("reward bounds not calibrated; run `faaslab calibrate` first")
+        raise ConfigError("reward bounds not calibrated; run `faaslab calibrate` first")
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
     rfrt, rfr, cost = channels

@@ -44,21 +44,19 @@ class NetworkSpec:
         return len(self.hidden)
 
 
+def param_shapes(spec: NetworkSpec) -> list[tuple[int, ...]]:
+    """Shape of each parameter array: (weights, bias) per trunk layer, then per head."""
+    dims = (spec.input_dim, *spec.hidden)
+    layers = [*zip(dims, spec.hidden), *((dims[-1], head) for head in spec.head_sizes)]
+    return [shape for fan_in, width in layers for shape in ((fan_in, width), (width,))]
+
+
 def init_params(spec: NetworkSpec) -> list[np.ndarray]:
     """Fan-in-scaled uniform weights, zero biases, seeded."""
     rng = np.random.default_rng(spec.seed)
-    params: list[np.ndarray] = []
-    fan_in = spec.input_dim
-    for width in spec.hidden:
-        bound = 1.0 / np.sqrt(fan_in)
-        params.append(rng.uniform(-bound, bound, size=(fan_in, width)))
-        params.append(np.zeros(width))
-        fan_in = width
-    for head in spec.head_sizes:
-        bound = 1.0 / np.sqrt(fan_in)
-        params.append(rng.uniform(-bound, bound, size=(fan_in, head)))
-        params.append(np.zeros(head))
-    return params
+    return [np.zeros(shape) if len(shape) == 1
+            else rng.uniform(-1.0 / np.sqrt(shape[0]), 1.0 / np.sqrt(shape[0]), size=shape)
+            for shape in param_shapes(spec)]
 
 
 def _check_input(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
@@ -282,8 +280,7 @@ class ParameterStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "ParameterStore":
-        path = Path(path)
-        if not path.exists():
+        if not Path(path).exists():
             raise ConfigError(f"checkpoint {path} not found")
         try:
             with np.load(path, allow_pickle=False) as data:
@@ -295,18 +292,19 @@ class ParameterStore:
                                    hidden=tuple(meta["hidden"]),
                                    head_sizes=tuple(meta["head_sizes"]),
                                    seed=int(meta["seed"]))
-                store = cls(spec)
-                n = len(store.params)
-                for i in range(n):
-                    for attr, key in ((store.params, f"p{i}"), (store.m, f"m{i}"),
-                                      (store.v, f"v{i}")):
-                        arr = data[key]
-                        if arr.shape != attr[i].shape:
-                            raise ConfigError(f"{path}: array {key} has shape {arr.shape}, "
-                                              f"expected {attr[i].shape}")
+                # Checked before the store is built: the meta's sizes allocate nothing.
+                arrays: dict[str, list[np.ndarray]] = {"p": [], "m": [], "v": []}
+                for i, shape in enumerate(param_shapes(spec)):
+                    for prefix, loaded in arrays.items():
+                        arr = data[f"{prefix}{i}"]
+                        if arr.shape != shape:
+                            raise ConfigError(f"{path}: array {prefix}{i} has shape "
+                                              f"{arr.shape}, expected {shape}")
                         if not np.isfinite(arr).all():
-                            raise ConfigError(f"{path}: array {key} holds non-finite values")
-                        attr[i] = arr.astype(np.float64)
+                            raise ConfigError(f"{path}: array {prefix}{i} holds non-finite values")
+                        loaded.append(arr.astype(np.float64))
+                store = cls(spec, arrays["p"])
+                store.m, store.v = arrays["m"], arrays["v"]
                 store.version = int(meta["version"])
         except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
                 zipfile.BadZipFile) as exc:

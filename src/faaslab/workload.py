@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cluster import Application, FunctionProfile
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 TRAIN_BAND = (10, 60)
 EVAL_BANDS = {"low": (5, 20), "mid": (20, 40), "high": (40, 60)}
@@ -46,13 +46,7 @@ class TraceSeries:
 
 def load_traces(path: str | Path) -> list[TraceSeries]:
     """Parse a delimited trace file: ``trace_id, c1 c2 ... cn`` per line."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    text = read_text(path)
     series = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

@@ -1,4 +1,6 @@
+import json
 import random
+import tracemalloc
 
 import numpy as np
 import yaml
@@ -6,7 +8,7 @@ import yaml
 import pytest
 
 from faaslab.agents import evaluate
-from faaslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main, read_csv
+from faaslab.cli import EXIT_CONFIG, EXIT_OK, main, read_csv
 from faaslab.config import load_experiment
 from faaslab.env import ServerlessEnv
 from faaslab.metrics import ChannelBounds, RewardBounds
@@ -54,9 +56,10 @@ class TestCalibrate:
 
 
 class TestTrain:
-    def test_requires_calibration(self, workspace):
+    def test_requires_calibration(self, workspace, capsys):
         config, _ = workspace
-        assert main(["train", "--config", str(config)]) == EXIT_RUNTIME
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        assert "run `faaslab calibrate` first" in capsys.readouterr().err
 
     def test_trains_and_is_deterministic(self, workspace):
         config, run_dir = workspace
@@ -342,7 +345,8 @@ class TestErrors:
                                         "constant_rate": 0})
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("damage", ["random_bytes", "truncated", "nan_array"])
+    @pytest.mark.parametrize("damage", ["random_bytes", "truncated", "nan_array",
+                                        "meta_only"])
     def test_corrupt_checkpoint_is_config_error(self, workspace, capsys, damage):
         config, run_dir = workspace
         ckpt = run_dir.parent / f"{damage}.npz"
@@ -352,26 +356,73 @@ class TestErrors:
         elif damage == "truncated":
             store.save(ckpt)
             ckpt.write_bytes(ckpt.read_bytes()[:ckpt.stat().st_size // 2])
-        else:  # a well-formed file whose weights are NaN, which save refuses to write
+        elif damage == "nan_array":  # well-formed, but NaN weights, which save refuses
             store.save(ckpt)
             with np.load(ckpt) as data:
                 arrays = dict(data)
             arrays["p0"][:] = float("nan")
             with ckpt.open("wb") as fh:
                 np.savez(fh, **arrays)
-        assert main(["evaluate", "--config", str(config), "--band", "low",
-                     "--targets", str(ckpt)]) == EXIT_CONFIG
+        else:  # a meta claiming ~100 MB of layers, and no arrays
+            meta = {"format": 1, "input_dim": 4, "hidden": [2000, 2000],
+                    "head_sizes": [11, 11, 11], "seed": 0, "version": 0}
+            with ckpt.open("wb") as fh:
+                np.savez(fh, meta=json.dumps(meta))
+        tracemalloc.start()
+        try:
+            code = main(["evaluate", "--config", str(config), "--band", "low",
+                         "--targets", str(ckpt)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
         assert str(ckpt) in capsys.readouterr().err
+        assert peak < 10e6  # the file's claims allocate nothing before a check
 
-    @pytest.mark.parametrize("key", ["config", "cluster_file", "profiles_file",
-                                     "traces_file"])
-    def test_non_utf8_input_is_config_error(self, tmp_path, capsys, key):
-        bad = tmp_path / "latin1.txt"
-        bad.write_bytes(b"# caf\xe9\n")
-        config = bad if key == "config" else write_config(tmp_path, **{key: str(bad)})
-        assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
+    # Each input and the command that reads it: a config key names a file of
+    # its own, a file name (with a dot) lives in the run directory. Report's
+    # CSVs start as the valid text below, so the damaged one is what fails.
+    INPUTS = {"config": "calibrate", "cluster_file": "calibrate",
+              "profiles_file": "calibrate", "traces_file": "calibrate",
+              "calibration.yaml": "train", "curves_a3c_beta1_w1.csv": "report",
+              "eval_workloads.csv": "report"}
+    REPORT_CSVS = {
+        "curves_a3c_beta1_w1.csv": "episode,worker,beta,reward,rfrt,rfr,cost\n"
+                                   "0,0,1,-0.5,1.5,0,0.001\n",
+        "eval_workloads.csv": "target,band,workload,rart,rfr,cost\n"
+                              "kube_cpu,low,0,1.5,0,0.001\n"}
+
+    @pytest.mark.parametrize("key, damage", [
+        pytest.param(key, damage, id=key if damage == "not_utf8" else f"{key}-{damage}")
+        for key, damage in [*((key, "not_utf8") for key in INPUTS),
+                            *((key, "directory") for key in INPUTS),
+                            *((key, damage) for key in REPORT_CSVS
+                              for damage in ("missing_column", "short_row")),
+                            ("calibration.yaml", "missing")]])
+    def test_non_utf8_input_is_config_error(self, tmp_path, capsys, key, damage):
+        # Every input file is read by errors.read_text, so each kind of damage
+        # fails alike: exit 2 with the file's path on stderr.
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name, text in self.REPORT_CSVS.items():
+            (run_dir / name).write_text(text)
+        bad = run_dir / key if "." in key else tmp_path / "input.txt"
+        bad.unlink(missing_ok=True)
+        if damage == "not_utf8":
+            bad.write_bytes(b"# caf\xe9\n")
+        elif damage == "directory":
+            bad.mkdir()
+        elif damage == "missing_column":
+            bad.write_text(self.REPORT_CSVS[key].replace("rfr,", "", 1))
+        elif damage == "short_row":
+            bad.write_text(self.REPORT_CSVS[key].rsplit(",", 1)[0] + "\n")
+        config = bad if key == "config" else write_config(
+            tmp_path, **({} if "." in key else {key: str(bad)}))
+        assert main([self.INPUTS[key], "--config", str(config)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert str(bad) in err and "not UTF-8" in err
+        assert str(bad) in err and "unexpected error" not in err
+        assert {"not_utf8": "not UTF-8", "directory": "not a regular file",
+                "missing": "run `faaslab calibrate` first"}.get(damage, "") in err
 
     @pytest.mark.parametrize("key, extra", [
         ("beta_list", {"beta_list": 0.5}),

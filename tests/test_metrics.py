@@ -4,7 +4,7 @@ import pytest
 
 from faaslab.cluster import (Application, ClusterEngine, FunctionProfile,
                              RequestStatus, SimConfig, VmSpec)
-from faaslab.errors import ConfigError, MetricsError
+from faaslab.errors import ConfigError
 from faaslab.metrics import (ChannelBounds, EpisodeLedger, RewardBounds,
                              derive_bounds, step_reward)
 
@@ -202,7 +202,7 @@ class TestStepReward:
         assert step_reward((100.0, 2.0, 1.0), BOUNDS, 1.0) == -1.0
 
     def test_uncalibrated_errors(self):
-        with pytest.raises(MetricsError, match="calibrate"):
+        with pytest.raises(ConfigError, match="calibrate"):
             step_reward((1.0, 0.0, 0.0), None, 1.0)
 
     def test_bad_beta_rejected(self):
@@ -218,7 +218,7 @@ class TestCalibration:
         assert loaded == BOUNDS
 
     def test_missing_file_mentions_calibrate(self, tmp_path):
-        with pytest.raises(MetricsError, match="calibrate"):
+        with pytest.raises(ConfigError, match="calibrate"):
             RewardBounds.load(tmp_path / "nope.yaml")
 
     def test_derive_bounds(self):
