@@ -160,7 +160,7 @@ class _Worker:
             total_reward = 0.0
             while not done:
                 action = select_action(self.actor_spec, self.local_actor, state, self.rng)
-                next_state, reward, done, _ = self.env.step(action)
+                next_state, reward, done = self.env.step(action)
                 self.memory.append(Transition(state, action, reward, next_state, done))
                 total_reward += reward
                 self.t += 1

@@ -91,8 +91,6 @@ def dqn_train(
     rng = np.random.default_rng(config.seed)
     buffer: deque = deque(maxlen=config.buffer_capacity)
 
-    steps_per_episode = max(1, int(round(pool[0].duration / env.config.decision_interval)))
-    anneal_steps = max(1, config.episodes * steps_per_episode // 2)
     global_step = 0
     updates = 0
     stats: list[EpisodeStats] = []
@@ -100,6 +98,7 @@ def dqn_train(
     for episode in range(config.episodes):
         workload = pool[episode % len(pool)]
         state = env.reset(workload)
+        anneal_steps = max(1, config.episodes * env.total_steps // 2)
         done = False
         total_reward = 0.0
         while not done:
@@ -110,7 +109,7 @@ def dqn_train(
             else:
                 values = forward_heads(spec, store.params, state)[0][0]
                 a_idx = greedy_index(values)
-            next_state, reward, done, _ = env.step(compound_to_action(a_idx))
+            next_state, reward, done = env.step(compound_to_action(a_idx))
             buffer.append((state, a_idx, reward, next_state, done))
             total_reward += reward
             state = next_state

@@ -60,7 +60,7 @@ def _greedy_episode(policy, vms, profiles, workload: WorkloadSpec,
     state = env.reset(workload)
     done = False
     while not done:
-        state, _, done, _ = env.step(policy(state), rewarded=False)
+        state, _, done = env.step(policy(state), rewarded=False)
     return env.ledger.summary()
 
 

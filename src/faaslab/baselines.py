@@ -130,10 +130,10 @@ def run_baseline(
 ) -> BaselineResult:
     """One full episode under a rule-based scaler.
 
-    Every ``decision_interval`` the policy's desired replica count is turned
-    into a scaling delta per function and applied; ``ServerlessEnv.run_window``
-    then runs the window, as it does for the learned agent, so calibration,
-    training and evaluation share one definition. No target is picked and no
+    Every decision window the policy's desired replica count is turned into a
+    scaling delta per function and applied; ``ServerlessEnv.run_window`` then
+    runs the window, as it does for the learned agent, so calibration,
+    training and evaluation share one window schedule. No target is picked and no
     agent state is built. ``log_events`` keeps the engine's event log.
     """
     cfg = policy_config or BaselinePolicyConfig()
@@ -141,14 +141,13 @@ def run_baseline(
     env.start_episode(workload)
     engine = env.engine
     channels: list[tuple[float, float, float]] = []
-    for step in range(env.total_steps):
-        t0 = step * env_config.decision_interval
+    while not env.done:
         # Every function is judged on the cluster as it stood before this tick's scaling.
         snaps = [engine.snapshot(fn, env_config.observe_delay) for fn in engine.deployed_fns]
         for snap in snaps:
             desired = decide(policy, snap, cfg, sim_config.max_replicas)
             engine.apply_horizontal(snap.function_id, desired - snap.replicas)
-        window = env.run_window(t0, collect_channels)
+        window = env.run_window(collect_channels)
         if collect_channels:
             channels.append(window)
     return BaselineResult(summary=env.ledger.summary(), channels=channels, engine=engine)

@@ -52,7 +52,7 @@ def write_csv(path: Path, meta: list[str], header: Sequence[str],
     with path.open("w", newline="") as fh:
         for line in meta:
             fh.write(line + "\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 

@@ -105,7 +105,6 @@ class WorkloadSettings:
     calibration_per_band: int = 20
     constant_rate: Optional[int] = None  # replaces traces with a flat rate
     jitter: bool = False
-    bands: tuple[str, ...] = ("low", "mid", "high")
 
     def __post_init__(self) -> None:
         require(0 < self.duration <= 86400 and float(self.duration).is_integer(),
@@ -115,8 +114,6 @@ class WorkloadSettings:
             require(getattr(self, key) >= 1, f"workload.{key} must be >= 1", getattr(self, key))
         require(self.constant_rate is None or self.constant_rate >= 0,
                 "workload.constant_rate must be >= 0 or null", self.constant_rate)
-        for band in self.bands:
-            require(band in EVAL_BANDS, f"workload.bands must be in {sorted(EVAL_BANDS)}", band)
 
 
 @dataclass(frozen=True)
@@ -211,14 +208,14 @@ class Experiment:
                 for k, band in enumerate(sorted(bands))}
 
     def eval_sets(self, bands: Optional[Sequence[str]] = None) -> dict[str, list[WorkloadSpec]]:
-        chosen = tuple(bands) if bands else self.workload.bands
+        chosen = tuple(bands or EVAL_BANDS)
         for band in chosen:
             if band not in EVAL_BANDS:
                 raise ConfigError(f"unknown band {band!r}")
         return self._banded(chosen, _EVAL_SEED_OFFSET, self.workload.workloads_per_band)
 
     def calibration_sets(self) -> dict[str, list[WorkloadSpec]]:
-        return self._banded(self.workload.bands, _CALIB_SEED_OFFSET,
+        return self._banded(tuple(EVAL_BANDS), _CALIB_SEED_OFFSET,
                             self.workload.calibration_per_band)
 
 

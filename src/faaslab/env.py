@@ -5,9 +5,10 @@ utilization, CPU resize delta, memory resize delta), applies vertical then
 horizontal scaling for one target function, lets the simulator run for an
 observation window, and emits a blended negative reward.
 
-``start_episode`` and ``run_window`` are the only code that starts, advances
-and drains an episode: the agents reach them through ``reset`` and ``step``,
-and the rule-based baselines call them directly.
+``ServerlessEnv`` alone decides where each decision window starts (at the engine
+clock) and how many there are: ``start_episode`` and ``run_window`` start, advance
+and drain every episode, for the agents through ``reset`` and ``step``, and for
+the rule-based baselines directly.
 """
 from __future__ import annotations
 
@@ -171,7 +172,7 @@ class ServerlessEnv:
     # ------------------------------------------------------------------- step
 
     def step(self, action: ScalingAction,
-             rewarded: bool = True) -> tuple[np.ndarray, Optional[float], bool, dict]:
+             rewarded: bool = True) -> tuple[np.ndarray, Optional[float], bool]:
         """Apply ``action`` to the target function and run one decision window.
 
         With ``rewarded=False`` (greedy evaluation) the window's reward
@@ -182,32 +183,24 @@ class ServerlessEnv:
             raise SimulationError("episode is over; call reset() before stepping")
         decoded = decode(action)
         target = self.target_fn
-        t0 = self.engine.clock
         cpu_star, mem_star = self.engine.clamp_vertical(target, decoded.cpu_delta,
                                                         decoded.mem_delta)
         self.engine.apply_vertical(target, cpu_star, mem_star)
-        n_delta = self.engine.horizontal_delta(target, decoded.target_util)
-        self.engine.apply_horizontal(target, n_delta)
+        self.engine.apply_horizontal(target,
+                                     self.engine.horizontal_delta(target, decoded.target_util))
 
-        channels = self.run_window(t0, channels=rewarded)
+        channels = self.run_window(channels=rewarded)
         reward = step_reward(channels, self.bounds, self.config.beta) if rewarded else None
         if not self.done:
             self._select_target()
-        info = {
-            "target_fn": target,
-            "decoded": decoded,
-            "clamped": (cpu_star, mem_star),
-            "n_delta": n_delta,
-            "channels": channels,
-            "time": self.engine.clock,
-        }
-        return self._state(), reward, self.done, info
+        return self._state(), reward, self.done
 
-    def run_window(self, t0: float, channels: bool) -> Optional[tuple[float, float, float]]:
-        """Advance through the decision window at ``t0``; drain after the last one.
+    def run_window(self, channels: bool) -> Optional[tuple[float, float, float]]:
+        """Run the decision window that starts at the engine clock; drain after the last.
 
         Returns the observation window's (rfrt, rfr, cost) if ``channels``, else None.
         """
+        t0 = self.engine.clock
         self.engine.advance(t0 + self.config.observe_delay)
         window = (self.ledger.window_channels(t0, t0 + self.config.observe_delay)
                   if channels else None)

@@ -362,7 +362,7 @@ def test_c06_reward_bounds_and_channel_separation():
         done = False
         while not done:
             action = ScalingAction(*(int(rng.integers(k)) for k in ACTION_SIZES))
-            _, r, done, _ = env.step(action)
+            _, r, done = env.step(action)
             rewards.append(r)
         return rewards
 

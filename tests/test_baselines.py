@@ -5,9 +5,10 @@ import pytest
 from faaslab.baselines import (BASELINES, BaselinePolicyConfig, KnativeConfig,
                                KubeCpuConfig, OpenFaasConfig, decide, knative_decide,
                                kube_cpu_decide, openfaas_decide, run_baseline)
-from faaslab.cluster import Application, FunctionProfile, FunctionSnapshot, SimConfig
+from faaslab.cluster import (Application, ClusterEngine, FunctionProfile, FunctionSnapshot,
+                             SimConfig)
 from faaslab.config import load_experiment
-from faaslab.env import EnvConfig
+from faaslab.env import EnvConfig, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError
 from faaslab.workload import TraceSeries, WorkloadSpec
 
@@ -171,6 +172,32 @@ class TestRunBaseline:
         assert replica_log
         for _, _, count in replica_log:
             assert 0 <= count <= 80
+
+    def test_baseline_and_agent_share_one_window_schedule(self, monkeypatch):
+        # At 0.1 s, step * interval and a clock advanced window by window part by
+        # an ulp from the 7th window on, so a driver with its own schedule shows.
+        exp = load_experiment(overrides={
+            "workload": {"duration": 2},
+            "env": {"decision_interval": 0.1, "observe_delay": 0.1}})
+        workload = exp.eval_sets(["mid"])["mid"][0]
+        untils = []
+        advance = ClusterEngine.advance
+
+        def recording(engine, until):
+            untils.append(until)
+            advance(engine, until)
+
+        monkeypatch.setattr(ClusterEngine, "advance", recording)
+        run_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env, exp.sim)
+        baseline = untils[:]
+        untils.clear()
+        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim)
+        env.reset(workload)
+        while not env.done:
+            env.step(ScalingAction(5, 5, 5), rewarded=False)
+        # advance(0.0), then an observation and a decision target per window
+        assert untils[0] == 0.0 and len(untils) >= 41
+        assert baseline[:41] == untils[:41]
 
 
 class TestEventLogDigests:

