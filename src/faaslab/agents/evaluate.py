@@ -2,8 +2,9 @@
 
 Targets are either rule-based baseline names or checkpoint paths; checkpoints
 are recognized by head layout (three 11-way heads: actor policy; one 64-way
-head: compound-action value policy). Evaluation always selects the function
-with the worst recent response-time ratio as the scaling target.
+head: compound-action value policy). Evaluation always selects as the scaling
+target the function with the most window drops plus queued requests, then the
+worst window response-time ratio (``env.target_mode: highest_rfrt``).
 """
 from __future__ import annotations
 

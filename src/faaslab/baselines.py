@@ -143,7 +143,7 @@ def run_baseline(
     channels: list[tuple[float, float, float]] = []
     while not env.done:
         # Every function is judged on the cluster as it stood before this tick's scaling.
-        snaps = [engine.snapshot(fn, env_config.observe_delay) for fn in engine.deployed_fns]
+        snaps = [engine.snapshot(fn, env_config.decision_interval) for fn in engine.deployed_fns]
         for snap in snaps:
             desired = decide(policy, snap, cfg, sim_config.max_replicas)
             engine.apply_horizontal(snap.function_id, desired - snap.replicas)

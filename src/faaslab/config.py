@@ -103,7 +103,6 @@ class WorkloadSettings:
     workloads_per_band: int = 10
     train_pool_size: int = 10
     calibration_per_band: int = 20
-    constant_rate: Optional[int] = None  # replaces traces with a flat rate
     jitter: bool = False
 
     def __post_init__(self) -> None:
@@ -112,8 +111,6 @@ class WorkloadSettings:
                 self.duration)
         for key in ("workloads_per_band", "train_pool_size", "calibration_per_band"):
             require(getattr(self, key) >= 1, f"workload.{key} must be >= 1", getattr(self, key))
-        require(self.constant_rate is None or self.constant_rate >= 0,
-                "workload.constant_rate must be >= 0 or null", self.constant_rate)
 
 
 @dataclass(frozen=True)
@@ -177,19 +174,9 @@ class Experiment:
 
     # --------------------------------------------------------- workload sets
 
-    def _constant_corpus(self) -> list[TraceSeries]:
-        rate = self.workload.constant_rate
-        length = int(self.workload.duration)
-        return [TraceSeries(trace_id=f"constant-{rate}", counts=(rate,) * length)]
-
-    def _one(self, band: Optional[tuple[int, int]], seed: int,
-             training: bool) -> WorkloadSpec:
-        if self.workload.constant_rate is not None:
-            corpus, band = self._constant_corpus(), None
-        else:
-            corpus = self.corpus
+    def _one(self, band: tuple[int, int], seed: int, training: bool) -> WorkloadSpec:
         apps = training_apps(self.apps, seed) if training else self.apps
-        return make_workload(apps, corpus, band, self.workload.duration,
+        return make_workload(apps, self.corpus, band, self.workload.duration,
                              seed, jitter=self.workload.jitter, training=training)
 
     def train_pool(self) -> list[WorkloadSpec]:

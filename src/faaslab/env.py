@@ -2,8 +2,8 @@
 
 Each step decodes a 3-dimensional discrete action (horizontal target
 utilization, CPU resize delta, memory resize delta), applies vertical then
-horizontal scaling for one target function, lets the simulator run for an
-observation window, and emits a blended negative reward.
+horizontal scaling for one target function, lets the simulator run for one
+decision window, and emits a blended negative reward scored over that window.
 
 ``ServerlessEnv`` alone decides where each decision window starts (at the engine
 clock) and how many there are: ``start_episode`` and ``run_window`` start, advance
@@ -76,15 +76,12 @@ def decode(action: ScalingAction) -> DecodedAction:
 @dataclass(frozen=True)
 class EnvConfig:
     decision_interval: float = 10.0
-    observe_delay: float = 10.0
     beta: float = 1.0
-    target_mode: str = "random"  # "random" (training) | "highest_rfrt" (evaluation)
+    target_mode: str = "random"  # training; "highest_rfrt": evaluation, most failing first
 
     def __post_init__(self) -> None:
-        for key in ("decision_interval", "observe_delay"):
-            require(getattr(self, key) > 0, f"env.{key} must be > 0", getattr(self, key))
-        require(self.observe_delay <= self.decision_interval + 1e-9,
-                "env.observe_delay must not exceed env.decision_interval", self.observe_delay)
+        require(self.decision_interval > 0, "env.decision_interval must be > 0",
+                self.decision_interval)
         require(0.0 <= self.beta <= 1.0, "env.beta must lie in [0, 1]", self.beta)
         require(self.target_mode in ("random", "highest_rfrt"),
                 "env.target_mode must be 'random' or 'highest_rfrt'", self.target_mode)
@@ -164,10 +161,13 @@ class ServerlessEnv:
         if self.config.target_mode == "random":
             self.target_fn = fns[self._rng.randrange(len(fns))]
         else:
-            now = self.engine.clock
-            t0 = now - self.config.observe_delay
-            scored = sorted(((-self.engine.window_rfrt(fn, t0, now), fn) for fn in fns))
-            self.target_fn = scored[0][1]
+            # Drops and queued requests outrank an empty window's neutral ratio 1.0.
+            engine = self.engine
+            now = engine.clock
+            t0 = now - self.config.decision_interval
+            self.target_fn = min(fns, key=lambda fn: (
+                -(engine.window_drops(fn, t0, now) + engine.queued[fn]),
+                -engine.window_rfrt(fn, t0, now), fn))
 
     # ------------------------------------------------------------------- step
 
@@ -198,13 +198,12 @@ class ServerlessEnv:
     def run_window(self, channels: bool) -> Optional[tuple[float, float, float]]:
         """Run the decision window that starts at the engine clock; drain after the last.
 
-        Returns the observation window's (rfrt, rfr, cost) if ``channels``, else None.
+        Returns the window's (rfrt, rfr, cost) if ``channels``, else None.
         """
         t0 = self.engine.clock
-        self.engine.advance(t0 + self.config.observe_delay)
-        window = (self.ledger.window_channels(t0, t0 + self.config.observe_delay)
-                  if channels else None)
-        self.engine.advance(t0 + self.config.decision_interval)
+        t1 = t0 + self.config.decision_interval
+        self.engine.advance(t1)
+        window = self.ledger.window_channels(t0, t1) if channels else None
         self._steps_taken += 1
         if self._steps_taken >= self.total_steps:
             while self.engine.pending_requests():
@@ -233,7 +232,7 @@ class ServerlessEnv:
                 spec.mem_capacity / self._max_mem,
                 replicas[vm_id] / max_replicas,
             ))
-        fn = engine.snapshot(self.target_fn, self.config.observe_delay)
+        fn = engine.snapshot(self.target_fn, self.config.decision_interval)
         features.extend((
             fn.pod_cpu / POD_CPU_MAX,
             fn.pod_mem / POD_MEM_MAX,

@@ -146,7 +146,7 @@ class EpisodeMetrics:
 
 def step_reward(channels: tuple[float, float, float], bounds: RewardBounds | None,
                 beta: float) -> float:
-    """Blended negative reward in [-1, 0] for one observation window.
+    """Blended negative reward in [-1, 0] for one decision window.
 
     The performance term averages the normalized RFRT and RFR channels; the
     cost term is the normalized cost accrued over the window. Values outside

@@ -221,7 +221,7 @@ def training_apps(applications: Sequence[Application], seed: int) -> tuple[Appli
 def make_workload(
     applications: Sequence[Application],
     corpus: Sequence[TraceSeries],
-    band: tuple[int, int] | None,
+    band: tuple[int, int],
     duration: float,
     seed: int,
     jitter: bool = False,

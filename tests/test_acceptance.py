@@ -384,7 +384,7 @@ def test_c07_learning_smoke_test():
     profiles, apps = select_apps(["primary"])
     wl = WorkloadSpec(duration=60, applications=tuple(apps),
                       entry_traces={0: TraceSeries("c10", (10,) * 60)})
-    env_cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0, beta=1.0)
+    env_cfg = EnvConfig(decision_interval=10.0, beta=1.0)
     res = run_baseline("kube_cpu", DESK_VMS, profiles, wl, env_cfg,
                        collect_channels=True)
     bounds = derive_bounds(res.channels)
@@ -414,7 +414,7 @@ def test_c08_beta_ordering_reproduction(tmp_path):
     profiles, apps = select_apps(["primary", "thumbnail", "load"])
     assert len(profiles) == 4
     corpus = synthetic_traces()
-    env_cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0)
+    env_cfg = EnvConfig(decision_interval=10.0)
     samples = []
     for b_idx, band in enumerate(sorted(EVAL_BANDS)):
         for i in range(6):

@@ -33,7 +33,7 @@ def tiny_workload(rate=2, duration=30):
 
 
 def tiny_env(desk_vms, seed=0, beta=1.0):
-    cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0, beta=beta)
+    cfg = EnvConfig(decision_interval=10.0, beta=beta)
     return ServerlessEnv(desk_vms, {0: tiny_profile()}, cfg, bounds=BOUNDS,
                          seed=seed)
 

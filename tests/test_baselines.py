@@ -178,7 +178,7 @@ class TestRunBaseline:
         # an ulp from the 7th window on, so a driver with its own schedule shows.
         exp = load_experiment(overrides={
             "workload": {"duration": 2},
-            "env": {"decision_interval": 0.1, "observe_delay": 0.1}})
+            "env": {"decision_interval": 0.1}})
         workload = exp.eval_sets(["mid"])["mid"][0]
         untils = []
         advance = ClusterEngine.advance
@@ -195,9 +195,9 @@ class TestRunBaseline:
         env.reset(workload)
         while not env.done:
             env.step(ScalingAction(5, 5, 5), rewarded=False)
-        # advance(0.0), then an observation and a decision target per window
-        assert untils[0] == 0.0 and len(untils) >= 41
-        assert baseline[:41] == untils[:41]
+        # advance(0.0), then one call per window: 2 s / 0.1 s is 20 windows
+        assert untils[0] == 0.0 and len(untils) >= 21
+        assert baseline[:21] == untils[:21]
 
 
 class TestEventLogDigests:

@@ -337,14 +337,6 @@ class TestErrors:
         assert main(["calibrate", "--config", str(tmp_path / "nope.yaml")]) == \
                EXIT_CONFIG
 
-    def test_zero_traffic_calibration_rejected(self, tmp_path):
-        config = write_config(tmp_path,
-                              workload={"duration": 30, "workloads_per_band": 1,
-                                        "train_pool_size": 1,
-                                        "calibration_per_band": 1,
-                                        "constant_rate": 0})
-        assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
-
     @pytest.mark.parametrize("damage", ["random_bytes", "truncated", "nan_array",
                                         "meta_only"])
     def test_corrupt_checkpoint_is_config_error(self, workspace, capsys, damage):
@@ -436,26 +428,31 @@ class TestErrors:
 
     @pytest.mark.parametrize("key, value", [("rfrt_cap", 0), ("rate_cap", 0),
                                             ("rate_cap", -1.0), ("cpu_cap_norm", 8.0),
-                                            ("mem_cap_norm", 32768.0)])
+                                            ("mem_cap_norm", 32768.0),
+                                            ("observe_delay", 10)])
     def test_bad_env_key_is_config_error(self, tmp_path, capsys, key, value):
         # The state normalizers are module constants of faaslab.env, not config
         # keys: a checkpoint records no normalizer, so a config could otherwise
-        # feed a trained actor rescaled features. Any value of them is unknown.
+        # feed a trained actor rescaled features. A window is observed whole, so
+        # observe_delay is gone too. Any value of these keys is unknown.
         config = write_config(tmp_path, env={key: value})
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
         assert f"unknown config key env.{key}" in capsys.readouterr().err
+
+    def test_constant_rate_is_unknown_key(self, tmp_path, capsys):
+        # Workloads come only from band-fitted traces.
+        config = write_config(tmp_path, workload={"constant_rate": 5})
+        assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
+        assert "unknown config key workload.constant_rate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key, value", [
         ("calibrate", "sim.exec_noise_sigma", -1),
         ("train", "train.seed", -1),
         ("train --agent dqn", "dqn.seed", -1),
         ("train --agent dqn", "dqn.batch_size", 0),
-        ("calibrate", "workload.constant_rate", -5),
-        ("calibrate", "workload.constant_rate", 0),  # loads, then carries no traffic
         ("train", "train.entropy_beta", 1.0e+308),
         ("simulate", "sim.retry_interval", 1.0e+308),  # the second retry would fall due at inf
     ], ids=["sim.exec_noise_sigma", "train.seed", "dqn.seed", "dqn.batch_size",
-            "workload.constant_rate", "workload.constant_rate-no-traffic",
             "train.entropy_beta", "sim.retry_interval"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, key,
                                                 value):

@@ -682,7 +682,7 @@ class TestSnapshot:
     @staticmethod
     def idle_env(vms, profile, app):
         """An env reset on a traffic-free workload; function 0 is the target."""
-        env = ServerlessEnv(vms, {0: profile}, EnvConfig(observe_delay=10.0))
+        env = ServerlessEnv(vms, {0: profile}, EnvConfig())
         workload = WorkloadSpec(duration=30, applications=(app,),
                                 entry_traces={0: TraceSeries("idle", (0,) * 30)})
         return env, env.reset(workload)

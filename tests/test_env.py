@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from faaslab.cluster import Application, FunctionProfile, RequestStatus
+from faaslab.cluster import Application, FunctionProfile, RequestStatus, VmSpec
 from faaslab.config import load_experiment
 from faaslab.env import (ACTION_SIZES, DecodedAction, EnvConfig, ScalingAction,
                          ServerlessEnv, decode, grid_value)
@@ -32,7 +32,7 @@ def env_pair(desk_vms):
                               standard_response_time=1.0, cold_start_seconds=2.0,
                               initial_pod_cpu=0.5, initial_pod_mem=1024.0)
     app = Application(app_id=0, function_sequence=(0,))
-    cfg = EnvConfig(decision_interval=10.0, observe_delay=10.0, beta=1.0)
+    cfg = EnvConfig(decision_interval=10.0, beta=1.0)
     env = ServerlessEnv(desk_vms, {0: profile}, cfg, bounds=BOUNDS, seed=1)
     return env, constant_workload([app], rate=2, duration=30)
 
@@ -72,10 +72,6 @@ class TestEnvConfig:
         env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig(decision_interval=10.0))
         with pytest.raises(ConfigError, match="decision_interval"):
             env.start_episode(constant_workload([single_app], rate=0, duration=35))
-
-    def test_observe_within_interval(self):
-        with pytest.raises(ConfigError):
-            EnvConfig(decision_interval=10.0, observe_delay=11.0)
 
     def test_steps_per_episode(self, desk_vms, fast_profile, single_app):
         env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig())
@@ -168,6 +164,28 @@ class TestStep:
             assert np.array_equal(ra[0], rb[0])
             assert ra[1] == rb[1] and ra[2] == rb[2]
 
+    def test_evaluation_targets_the_function_that_fails(self):
+        # Both functions start with no pods. Function 0 is picked first (a tie)
+        # and then completes requests at a ratio >= 1; function 1 completes
+        # nothing, so its window ratio is the neutral 1.0, but its drops and
+        # queued requests must still make it the target.
+        profiles = {i: FunctionProfile(function_id=i, req_cpu=0.1, req_mem=128.0,
+                                       standard_response_time=0.5,
+                                       cold_start_seconds=2.0,
+                                       initial_pod_cpu=0.4, initial_pod_mem=512.0)
+                    for i in (0, 1)}
+        apps = [Application(app_id=i, function_sequence=(i,)) for i in (0, 1)]
+        env = ServerlessEnv([VmSpec(0, 8.0, 32768.0, 0.3)], profiles,
+                            EnvConfig(target_mode="highest_rfrt"), seed=0)
+        env.reset(constant_workload(apps, rate=4, duration=60))
+        targets = [env.target_fn]
+        done = False
+        while not done:
+            _, _, done = env.step(ScalingAction(0, 5, 5), rewarded=False)
+            targets.append(env.target_fn)
+        assert 1 in targets
+        assert env.engine.completion_times[1]
+
     def test_episode_ends_after_duration_and_drain(self, env_pair):
         env, wl = env_pair
         env.reset(wl)
@@ -203,27 +221,36 @@ class TestStep:
 
 class TestStateDigest:
     # sha256 over every state vector and reward of seeded random-action
-    # episodes; a one-ulp change in any state feature or reward changes it
-    DIGEST = "8ab52f3eb71c1e2e60cbfefa4529fea2db06aff3d9fb44f3609ccfd7bff2e4ec"
+    # episodes; a one-ulp change in any state feature or reward changes it.
+    # Training draws random targets and evaluation ranks them, so each target
+    # mode pins its own digest.
+    DIGESTS = {"random": "0c1b45f0ae1a49150c61100f9256e46cc286eccbf9ceca29021150414a160a86",
+               "highest_rfrt": "f056a4258b9c1debd6827659072b8a2c9ed0693ca33032759f6ceb404c68e07c"}
 
-    def test_states_and_rewards_unchanged(self):
+    @staticmethod
+    def digest(mode):
         digest = hashlib.sha256()
         for preset in ("desk", "paper"):
             exp = load_experiment(overrides={"preset": preset})
             for workload in (exp.train_pool()[0], exp.eval_sets(["high"])["high"][0]):
-                for mode in ("random", "highest_rfrt"):
-                    env = ServerlessEnv(exp.vms, exp.profiles,
-                                        replace(exp.env, target_mode=mode), exp.sim,
-                                        BOUNDS, seed=3)
-                    rng = random.Random(7)
-                    digest.update(env.reset(workload).tobytes())
-                    done = False
-                    while not done:
-                        action = ScalingAction(*(rng.randrange(k) for k in ACTION_SIZES))
-                        state, reward, done = env.step(action)
-                        digest.update(state.tobytes())
-                        digest.update(struct.pack("<d", reward))
-        assert digest.hexdigest() == self.DIGEST
+                env = ServerlessEnv(exp.vms, exp.profiles,
+                                    replace(exp.env, target_mode=mode), exp.sim,
+                                    BOUNDS, seed=3)
+                rng = random.Random(7)
+                digest.update(env.reset(workload).tobytes())
+                done = False
+                while not done:
+                    action = ScalingAction(*(rng.randrange(k) for k in ACTION_SIZES))
+                    state, reward, done = env.step(action)
+                    digest.update(state.tobytes())
+                    digest.update(struct.pack("<d", reward))
+        return digest.hexdigest()
+
+    def test_states_and_rewards_unchanged(self):
+        assert self.digest("random") == self.DIGESTS["random"]
+
+    def test_highest_rfrt_states_and_rewards_unchanged(self):
+        assert self.digest("highest_rfrt") == self.DIGESTS["highest_rfrt"]
 
 
 class TestPaperTrainingPool:
