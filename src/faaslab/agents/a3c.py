@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..env import ACTION_SIZES, ScalingAction, ServerlessEnv
-from ..errors import ConfigError, FaasLabError, require
+from ..errors import ConfigError, FaasLabError, SimulationError, require
 from ..nnet import (NetworkSpec, ParameterStore, actor_loss_and_grad,
                     critic_loss_and_grad, forward_actor, forward_critic)
 from ..workload import WorkloadSpec
@@ -84,7 +84,17 @@ def select_action(spec: NetworkSpec, params: Sequence[np.ndarray], state: np.nda
     """Sample one index per head of the factorized policy (greedy evaluation
     takes each head's ``greedy_index`` instead, in ``agents.evaluate``)."""
     probs = [head[0] for head in forward_actor(spec, params, state)]
-    return ScalingAction(*(int(rng.choice(len(p), p=p / p.sum())) for p in probs))
+    return ScalingAction(*(sample_index(p / p.sum(), rng) for p in probs))
+
+
+def sample_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(p), p=p)`` by the same inverse-CDF lookup and one
+    ``rng.random()`` draw, without ``choice``'s per-call argument checks."""
+    cdf = p.cumsum()
+    if not cdf[-1] > 0:  # also NaN, which searchsorted would map to index 0
+        raise SimulationError(f"policy probabilities sum to {cdf[-1]}")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def compute_advantages(
@@ -188,7 +198,9 @@ def train(
 
     The workload pool is shuffled once (seeded); worker ``w``'s episode ``e``
     takes entry ``(w + e * workers) % len(pool)``. Workers advance
-    round-robin, one episode each, on the calling thread.
+    round-robin, one episode each, on the calling thread. ``on_episode`` gets
+    each episode's row while that worker's ``env.engine`` and ``env.ledger``
+    still hold the episode; when it returns they are released.
     """
     if len(envs) != config.workers:
         raise ConfigError(f"need {config.workers} environments, got {len(envs)}")
@@ -220,4 +232,6 @@ def train(
             stats.append(row)
             if on_episode is not None:
                 on_episode(row)
+            # on_episode may read the engine; afterwards only one worker's is alive.
+            worker.env.release()
     return TrainResult(actor=actor_store, critic=critic_store, stats=stats)

@@ -69,7 +69,6 @@ class DqnConfig:
 class DqnResult:
     store: ParameterStore
     stats: list[EpisodeStats]
-    buffer: deque
 
 
 def dqn_train(
@@ -137,4 +136,4 @@ def dqn_train(
         stats.append(row)
         if on_episode is not None:
             on_episode(row)
-    return DqnResult(store=store, stats=stats, buffer=buffer)
+    return DqnResult(store=store, stats=stats)

@@ -102,6 +102,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
                                collect_channels=True)
             samples.extend(res.channels)
             total_requests += res.summary.total
+            del res  # frees this episode's engine before the next one is built
     bounds = derive_bounds(samples)
     exp.calibration_file.parent.mkdir(parents=True, exist_ok=True)
     bounds.save(exp.calibration_file)

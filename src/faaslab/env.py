@@ -134,7 +134,12 @@ class ServerlessEnv:
     # ------------------------------------------------------------------ reset
 
     def start_episode(self, workload: WorkloadSpec) -> None:
-        """Build the engine for ``workload`` at time 0; ``reset`` adds target and state."""
+        """Build the engine for ``workload`` at time 0; ``reset`` adds target and state.
+
+        The previous episode's engine is released first, so it is freed before
+        the next one is built.
+        """
+        self.release()
         steps = workload.duration / self.config.decision_interval
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("workload.duration must be a multiple of env.decision_interval")
@@ -149,6 +154,12 @@ class ServerlessEnv:
         self.total_steps = int(round(steps))
         self._steps_taken = 0
         self.done = False
+
+    def release(self) -> None:
+        """Drop the episode's engine and ledger; ``step`` then raises until the next reset."""
+        self.engine = None
+        self.ledger = None
+        self.done = True
 
     def reset(self, workload: WorkloadSpec) -> np.ndarray:
         """Start an episode; random targets are drawn with the constructor's ``seed``."""

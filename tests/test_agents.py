@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from faaslab.agents import (DQN_GRID_POINTS, N_COMPOUND_ACTIONS, DqnConfig, Trai
                             Transition, aggregate, compound_to_action,
                             compute_advantages, dqn_train, evaluate_targets,
                             greedy_index, select_action, train)
+from faaslab.agents.a3c import sample_index
 from faaslab.agents.evaluate import _policy_from_store
 from faaslab.cluster import Application, FunctionProfile
 from faaslab.env import ACTION_SIZES, EnvConfig, ScalingAction, ServerlessEnv
-from faaslab.errors import ConfigError
+from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import ChannelBounds, RewardBounds
 from faaslab.nnet import NetworkSpec, ParameterStore, init_params
 from faaslab.workload import TraceSeries, WorkloadSpec
@@ -74,6 +76,22 @@ class TestSelectAction:
             freq = counts[dim] / n
             sigma = np.sqrt(expected[dim] * (1 - expected[dim]) / n)
             assert np.all(np.abs(freq - expected[dim]) <= 3 * sigma + 1e-9)
+
+    def test_sample_index_matches_generator_choice(self):
+        draw = np.random.default_rng(2024)
+        for seed in range(1000):
+            n = int(draw.integers(1, 16))
+            p = draw.random(n) ** 4
+            p[draw.random(n) < 0.2] = 0.0
+            p[draw.integers(n)] += 0.1  # at least one positive entry
+            p /= p.sum()
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_index(p, ours) == ref.choice(n, p=p)
+            assert ours.random() == ref.random()
+
+    def test_sample_index_rejects_nan_probabilities(self):
+        with pytest.raises(SimulationError, match="probabilities"):
+            sample_index(np.full(3, np.nan), np.random.default_rng(0))
 
 
 class TestAdvantages:
@@ -156,6 +174,25 @@ class TestWorkerLoop:
         assert result.actor.version == sum(last_updates.values())
         assert result.critic.version == sum(last_updates.values())
 
+    def test_one_engine_alive_at_a_time(self, desk_vms):
+        cfg = TrainConfig(workers=3, episodes=2, update_freq=2, seed=7,
+                          hidden=(8, 8))
+        envs = [tiny_env(desk_vms, seed=7 + w) for w in range(3)]
+        earlier = []
+
+        def on_episode(row):
+            env = envs[row.worker]
+            assert env.engine is not None and env.ledger is not None
+            assert all(ref() is None for ref in earlier)
+            earlier.append(weakref.ref(env.engine))
+
+        train(envs, [tiny_workload()], cfg, on_episode=on_episode)
+        assert len(earlier) == 6
+        for env in envs:
+            assert env.engine is None and env.ledger is None
+            with pytest.raises(SimulationError, match="reset"):
+                env.step(ScalingAction(5, 5, 5))
+
     def test_only_deterministic_sync_mode(self):
         assert TrainConfig(sync_mode="deterministic").sync_mode == "deterministic"
         with pytest.raises(ConfigError, match="sync_mode"):
@@ -201,7 +238,6 @@ class TestDqn:
                         hidden=(8, 8), target_refresh=5)
         env = tiny_env(desk_vms, seed=12)
         result = dqn_train(env, [tiny_workload()], cfg)
-        assert len(result.buffer) <= 8
         assert len(result.stats) == 4
         assert result.store.version > 0
 

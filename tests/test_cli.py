@@ -1,13 +1,16 @@
 import json
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import yaml
 
 import pytest
 
+from faaslab import cli
 from faaslab.agents import evaluate
+from faaslab.baselines import run_baseline
 from faaslab.cli import EXIT_CONFIG, EXIT_OK, main, read_csv
 from faaslab.config import load_experiment
 from faaslab.env import ServerlessEnv
@@ -53,6 +56,20 @@ class TestCalibrate:
         assert path.read_text() == first
         data = yaml.safe_load(first)
         assert set(data) == {"rfrt", "rfr", "cost"}
+
+    def test_one_engine_alive_at_a_time(self, workspace, monkeypatch):
+        config, _ = workspace
+        earlier = []
+
+        def wrapped(*args, **kwargs):
+            assert all(ref() is None for ref in earlier)
+            res = run_baseline(*args, **kwargs)
+            earlier.append(weakref.ref(res.engine))
+            return res
+
+        monkeypatch.setattr(cli, "run_baseline", wrapped)
+        assert main(["calibrate", "--config", str(config)]) == EXIT_OK
+        assert len(earlier) == 6  # calibration_per_band 2 over three bands
 
 
 class TestTrain:

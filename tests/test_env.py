@@ -1,11 +1,13 @@
 import hashlib
 import random
 import struct
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from faaslab import env as env_module
 from faaslab.cluster import Application, FunctionProfile, RequestStatus, VmSpec
 from faaslab.config import load_experiment
 from faaslab.env import (ACTION_SIZES, DecodedAction, EnvConfig, ScalingAction,
@@ -94,6 +96,21 @@ class TestReset:
         a, b = (ServerlessEnv(env.vms, env.profiles, env.config, bounds=BOUNDS, seed=5).reset(wl)
                 for _ in range(2))
         assert np.array_equal(a, b)
+
+    def test_reset_frees_the_previous_engine_before_building(self, env_pair, monkeypatch):
+        env, workload = env_pair
+        env.reset(workload)
+        previous = weakref.ref(env.engine)
+        real = env_module.ClusterEngine
+        freed = []
+
+        def engine(*args, **kwargs):
+            freed.append(previous() is None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(env_module, "ClusterEngine", engine)
+        env.reset(workload)
+        assert freed == [True]
 
     def test_eval_mode_tie_picks_lowest_function(self, desk_vms):
         profiles = {i: FunctionProfile(function_id=i, req_cpu=0.1, req_mem=128.0,
