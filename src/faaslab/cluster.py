@@ -15,7 +15,7 @@ import math
 import random
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import pairwise
 from operator import itemgetter
@@ -234,6 +234,19 @@ class RequestRecord:
     pod_id: Optional[int] = None
 
 
+# The pod-column mark of a dropped request, which never holds a pod.
+_DROPPED = -1
+
+
+def _request_status(finish_time: Optional[float], pod_id: Optional[int]) -> RequestStatus:
+    """A request's status from its finish-time and pod columns."""
+    if pod_id is None:
+        return RequestStatus.QUEUED
+    if pod_id == _DROPPED:
+        return RequestStatus.DROPPED
+    return RequestStatus.RUNNING if finish_time is None else RequestStatus.COMPLETED
+
+
 class RequestView(Mapping[int, RequestRecord]):
     """Read-only mapping of request id to ``RequestRecord`` over the engine's columns.
 
@@ -255,7 +268,9 @@ class RequestView(Mapping[int, RequestRecord]):
     def __getitem__(self, rid: int) -> RequestRecord:
         if not isinstance(rid, int) or not 0 <= rid < len(self._columns[0]):
             raise KeyError(rid)
-        return RequestRecord(rid, *[column[rid] for column in self._columns])
+        *fixed, finish, retries, pod = [column[rid] for column in self._columns]
+        return RequestRecord(rid, *fixed, finish, _request_status(finish, pod), retries,
+                             None if pod == _DROPPED else pod)
 
 
 @dataclass(frozen=True)
@@ -349,12 +364,15 @@ class ClusterEngine:
     end of the loop body. ``route_request`` is the same rule for one queued
     request, for callers outside the loop.
 
-    Requests are columns: ``req_status`` and its parallel lists, one per
-    ``RequestRecord`` field after the id, indexed by request id. They hold
-    no object the garbage collector tracks. ``requests`` is a read-only
-    ``RequestView`` of them whose lookups build frozen snapshots. Each pod
-    counts its running requests in ``PodState.in_flight``, and each finish
-    appends its time and response-time ratio to the function's
+    Requests are columns: ``req_function_id`` and its parallel lists, one
+    per ``RequestRecord`` field after the id but the status, indexed by
+    request id. They hold no object the garbage collector tracks. A
+    request's status is read off its pod and finish columns: no pod means
+    queued, a pod and no finish time running, a finish time completed, and
+    the mark ``_DROPPED`` in the pod column dropped. ``requests`` is a
+    read-only ``RequestView`` of them whose lookups build frozen snapshots.
+    Each pod counts its running requests in ``PodState.in_flight``, and each
+    finish appends its time and response-time ratio to the function's
     ``completion_times`` and ``completion_ratios``, in finish order. A
     request's start time and VM are not stored: its ``assign`` log entry
     says when it started and on which pod, and the pod table ``pods`` is the
@@ -412,12 +430,12 @@ class ClusterEngine:
         # Pods per function for which ``PodState.is_open`` holds.
         self.open_pods: dict[int, int] = {fn: 0 for fn in self.profiles}
 
-        # One column per RequestRecord field after the id, indexed by request id.
-        self._req_columns = tuple([] for _ in fields(RequestRecord)[1:])
+        # One column per RequestRecord field after the id but the status,
+        # indexed by request id; the status is derived by ``_request_status``.
+        self._req_columns = tuple([] for _ in range(9))
         (self.req_app_id, self.req_chain_index, self.req_function_id,
          self.req_arrival_time, self.req_root_id, self.req_chain_elapsed,
-         self.req_finish_time, self.req_status, self.req_retries,
-         self.req_pod_id) = self._req_columns
+         self.req_finish_time, self.req_retries, self.req_pod_id) = self._req_columns
         self.requests: Mapping[int, RequestRecord] = RequestView(self._req_columns)
         self._app_fns = {app_id: app.function_sequence for app_id, app in self.apps.items()}
         # Per app, root id -> response-time ratio of each fully completed chain:
@@ -510,8 +528,10 @@ class ClusterEngine:
         i = self._cursor
         # The next arrival's (time, seq), rebuilt as each arrival is dispatched.
         nxt = (pending_times[i], pending_seqs[i]) if i < n_pending else _NO_ARRIVAL
-        # The last sequence number issued; written back to ``_seq`` on exit.
+        # The last sequence number issued and the completions so far; written
+        # back to ``_seq`` and ``completed_total`` on every exit.
         seq = self._seq
+        completed = self.completed_total
         pods = self.pods
         vms = self.vms
         fn_pods = self.fn_pods
@@ -522,12 +542,11 @@ class ClusterEngine:
         arrival_times = self.arrival_times
         completion_times = self.completion_times
         completion_ratios = self.completion_ratios
+        drop_times = self.drop_times
+        chain_ratios = self.chain_ratios
+        chain_standard = self._chain_standard
         (req_app_id, req_chain_index, req_fn, req_arrival_time, req_root_id, req_chain_elapsed,
-         req_finish_time, req_status, req_retries, req_pod_id) = self._req_columns
-        # Column handles for the new-request block.
-        (add_app_id, add_chain_index, add_fn, add_arrival_time, add_root_id,
-         add_chain_elapsed, add_finish_time, add_status, add_retries,
-         add_pod_id) = (column.append for column in self._req_columns)
+         req_finish_time, req_retries, req_pod_id) = self._req_columns
         max_retries = self.config.max_retries
         retry_interval = self.config.retry_interval
         sigma = self.config.exec_noise_sigma
@@ -535,7 +554,6 @@ class ClusterEngine:
         pods_mode = self._pods_mode
         heappop, heappush = heapq.heappop, heapq.heappush
         ready, terminating = PodPhase.READY, PodPhase.TERMINATING
-        queued, running = RequestStatus.QUEUED, RequestStatus.RUNNING
         log = self.event_log if self.log_events else None
         while True:
             if retries and (not heap or retries[0] < heap[0]) and retries[0] < nxt:
@@ -549,10 +567,10 @@ class ClusterEngine:
                     log.append((time, "retry", rid))
                 tries = req_retries[rid]
                 if tries >= max_retries:
-                    req_status[rid] = RequestStatus.DROPPED
+                    req_pod_id[rid] = _DROPPED
                     n_queued[fn] -= 1
                     self.dropped_total += 1
-                    self.drop_times[fn].append(time)
+                    drop_times[fn].append(time)
                     if log is not None:
                         log.append((time, "drop", rid))
                     continue
@@ -568,14 +586,13 @@ class ClusterEngine:
                         break
                     time, _, kind, arg = heappop(heap)
                     self.clock = time
-                    if kind == _POD_READY:
+                    if kind:  # _POD_READY
                         self._on_pod_ready(arg)
                         continue
                     pod = pods[req_pod_id[arg]]
                     profile = pod.profile
                     fn = req_fn[arg]
                     vm = vms[pod.vm_id]
-                    req_status[arg] = RequestStatus.COMPLETED
                     req_finish_time[arg] = time
                     in_flight = pod.in_flight = pod.in_flight - 1
                     if pod.phase is ready and in_flight == pod.max_concurrency - 1:
@@ -588,7 +605,7 @@ class ClusterEngine:
                         # "pods" mode the pod is still on the VM, so it stays active.
                         vm.busy_log.append((vm.busy_since, time))
                         vm.busy_since = None
-                    self.completed_total += 1
+                    completed += 1
                     response = time - req_arrival_time[arg]
                     completion_times[fn].append(time)
                     completion_ratios[fn].append(response / profile.standard_response_time)
@@ -604,9 +621,10 @@ class ClusterEngine:
                     stage = req_chain_index[arg] + 1
                     fns = app_fns[app_id]
                     if stage == len(fns):
-                        self.chain_ratios[app_id][root] = elapsed / self._chain_standard[app_id]
+                        chain_ratios[app_id][root] = elapsed / chain_standard[app_id]
                         continue
                     # Chained functions hand off immediately: no inter-function delay.
+                    rid = len(req_fn)
                 else:
                     time = nxt[0]
                     if time > until or nxt is _NO_ARRIVAL:
@@ -615,54 +633,60 @@ class ClusterEngine:
                     app_id = pending_apps[i]
                     i += 1
                     nxt = (pending_times[i], pending_seqs[i]) if i < n_pending else _NO_ARRIVAL
-                    stage, root, elapsed = 0, len(req_status), 0.0
+                    stage, elapsed = 0, 0.0
+                    rid = root = len(req_fn)
                     fns = app_fns[app_id]
-                # A request for stage ``stage`` of ``app_id`` arrives now, with
-                # the next id. It is routed below if its function has an open
-                # pod and queued otherwise; a failed arrival-time attempt
-                # counts as its first retry.
-                rid = len(req_status)
+                # Request ``rid``, for stage ``stage`` of ``app_id``, arrives
+                # now. It is routed below if its function has an open pod and
+                # queued otherwise; a failed arrival-time attempt counts as
+                # its first retry.
                 fn = fns[stage]
-                add_app_id(app_id)
-                add_chain_index(stage)
-                add_fn(fn)
-                add_arrival_time(time)
-                add_root_id(root)
-                add_chain_elapsed(elapsed)
-                add_finish_time(None)
-                add_status(queued)
-                add_pod_id(None)
+                req_app_id.append(app_id)
+                req_chain_index.append(stage)
+                req_fn.append(fn)
+                req_arrival_time.append(time)
+                req_root_id.append(root)
+                req_chain_elapsed.append(elapsed)
+                req_finish_time.append(None)
+                req_pod_id.append(None)
                 arrival_times[fn].append(time)
                 if log is not None:
                     log.append((time, "arrival", rid, fn))
                 if not open_pods[fn]:
-                    add_retries(1)
+                    req_retries.append(1)
                     n_queued[fn] += 1
                     if log is not None:
                         log.append((time, "queue", rid))
                     seq += 1
                     retries.append((time + retry_interval, seq, rid))
                     continue
-                add_retries(0)
+                req_retries.append(0)
             # Start request ``rid`` of ``fn`` on the next open pod by the
             # function's round-robin cursor: charge the pod and its VM and
-            # schedule the finish.
+            # schedule the finish. The cursor's own pod is almost always
+            # open; only otherwise are the others scanned, from the next one.
             pod_ids = fn_pods[fn]
             n = len(pod_ids)
-            cursor = rr_cursor[fn] % n if n else 0
-            for off in range(n):
-                pod = pods[pod_ids[(cursor + off) % n]]
-                if pod.phase is ready and pod.in_flight < pod.max_concurrency:
-                    break
-            else:
-                self._seq = seq
-                raise SimulationError(
-                    f"function {fn}: open-pod count is {open_pods[fn]} but no pod is open")
-            rr_cursor[fn] = (cursor + off + 1) % n
+            if n:
+                k = rr_cursor[fn] % n
+                pod = pods[pod_ids[k]]
+            if not n or pod.phase is not ready or pod.in_flight >= pod.max_concurrency:
+                for off in range(1, n):
+                    j = (k + off) % n
+                    pod = pods[pod_ids[j]]
+                    if pod.phase is ready and pod.in_flight < pod.max_concurrency:
+                        k = j
+                        break
+                else:
+                    self._seq = seq
+                    self.completed_total = completed
+                    raise SimulationError(
+                        f"function {fn}: open-pod count is {open_pods[fn]} but no pod is open")
+            k += 1
+            rr_cursor[fn] = k if k < n else 0
             pod_id = pod.pod_id
             profile = pod.profile
             vm = vms[pod.vm_id]
-            req_status[rid] = running
             req_pod_id[rid] = pod_id
             in_flight = pod.in_flight = pod.in_flight + 1
             if in_flight == pod.max_concurrency:
@@ -680,6 +704,7 @@ class ClusterEngine:
             seq += 1
             heappush(heap, (time + exec_time, seq, _FINISH, rid))
         self._seq = seq
+        self.completed_total = completed
         if i and i == n_pending:  # every loaded arrival is dispatched: free the columns
             self._pending, i = ([], [], []), 0
         self._cursor = i
@@ -709,7 +734,7 @@ class ClusterEngine:
         request that is not queued, or a function with no open pod, raises
         ``SimulationError`` and leaves the engine as it was.
         """
-        if not 0 <= rid < len(self.req_status) or self.req_status[rid] is not RequestStatus.QUEUED:
+        if not 0 <= rid < len(self.req_pod_id) or self.req_pod_id[rid] is not None:
             raise SimulationError(f"request {rid} is not queued")
         fn = self.req_function_id[rid]
         pod_ids = self.fn_pods[fn]
@@ -729,7 +754,6 @@ class ClusterEngine:
         pod_id = pod.pod_id
         profile = pod.profile
         vm = self.vms[pod.vm_id]
-        self.req_status[rid] = RequestStatus.RUNNING
         self.req_pod_id[rid] = pod_id
         pod.in_flight += 1
         if pod.in_flight == pod.max_concurrency:
@@ -989,18 +1013,38 @@ class ClusterEngine:
                "request columns differ in length")
         running_pods: Counter[int] = Counter()
         queued_rids = []
-        for rid, (status, pod_id, finish, retries) in enumerate(zip(
-                self.req_status, self.req_pod_id, self.req_finish_time, self.req_retries)):
-            if status is RequestStatus.RUNNING:
-                _check(pod_id is not None and finish is None,
-                       "running request without a pod or with a finish time")
-                running_pods[pod_id] += 1
-            elif status is RequestStatus.COMPLETED:
-                _check(finish is not None, "completed request without a finish time")
-            elif status is RequestStatus.QUEUED:
-                _check(pod_id is None, "queued request holding a pod")
+        finished = dropped = 0
+        for rid, (pod_id, finish, retries) in enumerate(zip(
+                self.req_pod_id, self.req_finish_time, self.req_retries)):
+            if pod_id is None:
+                _check(finish is None, "queued request with a finish time")
                 queued_rids.append(rid)
+            elif pod_id == _DROPPED:
+                _check(finish is None, "dropped request with a finish time")
+                dropped += 1
+            elif finish is None:
+                running_pods[pod_id] += 1
+            else:
+                finished += 1
             _check(retries <= self.config.max_retries, "retries above the retry budget")
+        _check(self.completed_total == finished,
+               "completed total differs from the finish times")
+        _check(all(len(self.completion_ratios[fn]) == len(times)
+                   for fn, times in self.completion_times.items()),
+               "completion times and ratios differ in length")
+        _check(self.completed_total == sum(map(len, self.completion_times.values())),
+               "completed total differs from the completion times")
+        _check(self.dropped_total == dropped, "dropped total differs from the drop marks")
+        _check(self.dropped_total == sum(map(len, self.drop_times.values())),
+               "dropped total differs from the drop times")
+        _check(Counter({fn: len(times) for fn, times in self.arrival_times.items()})
+               == Counter(self.req_function_id), "arrival times differ from the request count")
+        _check(all(a < b for a, b in pairwise(self._retries)), "retry FIFO out of order")
+        # queued_rids ascends: one pending retry per queued request and none for any other
+        _check(sorted(rid for _, _, rid in self._retries) == queued_rids,
+               "queued requests and pending retries differ")
+        queued_fns = Counter(self.req_function_id[rid] for rid in queued_rids)
+        _check(self.queued == {fn: queued_fns[fn] for fn in self.profiles}, "queued count drift")
         for pod in self.pods.values():
             _check(pod.in_flight == running_pods[pod.pod_id], "in-flight count drift")
             _check(pod.max_concurrency == pod.concurrency_bound(), "stale concurrency bound")
@@ -1010,12 +1054,6 @@ class ClusterEngine:
         for fn, pod_ids in self.fn_pods.items():
             open_count = sum(1 for pid in pod_ids if self.pods[pid].is_open)
             _check(open_count == self.open_pods[fn], "open-pod count drift")
-        _check(all(a < b for a, b in pairwise(self._retries)), "retry FIFO out of order")
-        # queued_rids ascends: one pending retry per queued request and none for any other
-        _check(sorted(rid for _, _, rid in self._retries) == queued_rids,
-               "queued requests and pending retries differ")
-        queued_fns = Counter(self.req_function_id[rid] for rid in queued_rids)
-        _check(self.queued == {fn: queued_fns[fn] for fn in self.profiles}, "queued count drift")
         _check(all(kind in (_FINISH, _POD_READY) for _, _, kind, _ in self._heap),
                "heap entry of an unknown kind")
         _check(all(seq <= self._seq for _, seq, _, _ in self._heap),

@@ -438,11 +438,14 @@ class TestRouting:
     def test_routing_a_request_that_is_not_queued_raises(self, big_vm, fast_profile,
                                                          single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
+        eng.advance(10.0)  # request 0 finds no pod and is dropped
         eng.apply_horizontal(0, 2)
-        eng.load_arrivals(*arrival_columns([(2.0, 0)]))
-        eng.advance(2.0)
-        assert eng.requests[0].status is RequestStatus.RUNNING
-        for rid in (0, 1, -1):  # running, and two ids that do not exist
+        eng.load_arrivals(*arrival_columns([(12.5, 0)]))
+        eng.advance(12.5)
+        assert [r.status for r in eng.requests.values()] == [RequestStatus.DROPPED,
+                                                              RequestStatus.RUNNING]
+        for rid in (0, 1, 2, -1):  # dropped, running, and two ids that do not exist
             with pytest.raises(SimulationError, match=f"request {rid} is not queued"):
                 eng.route_request(rid)
         eng.check_invariants()
@@ -844,12 +847,14 @@ class TestInvariantsAndDeterminism:
 
     @pytest.mark.parametrize("damage, message", [
         ("length", "request columns differ in length"),
-        ("running", "running request without a pod or with a finish time"),
-        ("completed", "completed request without a finish time"),
-        ("queued", "queued request holding a pod"),
+        ("running", "completed total differs from the finish times"),
+        ("completed", "dropped request with a finish time"),
+        ("queued", "queued requests and pending retries differ"),
+        ("finish_without_pod", "queued request with a finish time"),
         ("retries", "retries above the retry budget"),
         ("queued_count", "queued count drift"),
-    ], ids=["length", "running", "completed", "queued", "retries", "queued_count"])
+    ], ids=["length", "running", "completed", "queued", "finish_without_pod", "retries",
+            "queued_count"])
     def test_invariants_catch_corrupted_request_columns(self, big_vm, fast_profile,
                                                        single_app, damage, message):
         # One pod of concurrency 4: request 0 finishes at 3.0, requests 1-3
@@ -864,16 +869,57 @@ class TestInvariantsAndDeterminism:
         eng.check_invariants()
         if damage == "length":
             eng.req_pod_id.append(None)
-        elif damage == "running":
+        elif damage == "running":  # a finish time on a running request
             eng.req_finish_time[1] = 3.0
-        elif damage == "completed":
-            eng.req_finish_time[0] = None
-        elif damage == "queued":
+        elif damage == "completed":  # the drop mark on a finished request
+            eng.req_pod_id[0] = -1
+        elif damage == "queued":  # a pod on a request with a pending retry
             eng.req_pod_id[4] = 0
+        elif damage == "finish_without_pod":
+            eng.req_finish_time[4] = 3.0
         elif damage == "retries":
             eng.req_retries[4] = eng.config.max_retries + 1
         else:
             eng.queued[0] += 1
+        with pytest.raises(AssertionError, match=message):
+            eng.check_invariants()
+
+    @pytest.mark.parametrize("damage, message", [
+        ("completed_total", "completed total differs from the finish times"),
+        ("completion_times", "completed total differs from the completion times"),
+        ("completion_ratios", "completion times and ratios differ in length"),
+        ("dropped_total", "dropped total differs from the drop marks"),
+        ("drop_times", "dropped total differs from the drop times"),
+        ("arrival_times", "arrival times differ from the request count"),
+    ], ids=["completed_total", "completion_times", "completion_ratios", "dropped_total",
+            "drop_times", "arrival_times"])
+    def test_invariants_recount_totals(self, big_vm, fast_profile, single_app, damage,
+                                       message):
+        # Request 0 finds no pod and is dropped at 10.0; request 1 runs on
+        # the pod made at 10.0 and finishes at 13.5.
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
+        eng.advance(10.0)
+        eng.apply_horizontal(0, 1)
+        eng.load_arrivals(*arrival_columns([(12.5, 0)]))
+        eng.advance(20.0)
+        assert [r.status for r in eng.requests.values()] == [RequestStatus.DROPPED,
+                                                              RequestStatus.COMPLETED]
+        assert (eng.completed_total, eng.dropped_total) == (1, 1)
+        eng.check_invariants()
+        if damage == "completed_total":
+            eng.completed_total += 1
+        elif damage == "completion_times":  # one finish too many, in both lists
+            eng.completion_times[0].append(20.0)
+            eng.completion_ratios[0].append(1.0)
+        elif damage == "completion_ratios":
+            eng.completion_ratios[0].pop()
+        elif damage == "dropped_total":
+            eng.dropped_total -= 1
+        elif damage == "drop_times":
+            eng.drop_times[0].append(20.0)
+        else:
+            eng.arrival_times[0].pop()
         with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
 

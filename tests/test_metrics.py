@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from faaslab.cluster import (Application, ClusterEngine, FunctionProfile,
-                             RequestStatus, SimConfig, VmSpec)
+from faaslab.cluster import (Application, ClusterEngine, FunctionProfile, SimConfig,
+                             VmSpec)
 from faaslab.errors import ConfigError
 from faaslab.metrics import (ChannelBounds, EpisodeLedger, RewardBounds,
                              derive_bounds, step_reward)
@@ -22,7 +22,7 @@ def warm_engine(vm, profile, app, pods=1):
 
 
 def inject_chain(eng, app_id, arrival, ratios):
-    """Append one fully completed chain with the given per-stage ratios.
+    """Append one fully completed chain, run on pod 0, with the given per-stage ratios.
 
     The chain ratio is stored as the engine stores it when a chain's last
     function finishes: summed response time over summed standard time, both
@@ -37,7 +37,7 @@ def inject_chain(eng, app_id, arrival, ratios):
         finish = t + ratios[stage] * r0
         fields = dict(app_id=app_id, chain_index=stage, function_id=fn, arrival_time=t,
                       root_id=root, chain_elapsed=0.0, finish_time=finish,
-                      status=RequestStatus.COMPLETED, retries=0, pod_id=None)
+                      retries=0, pod_id=0)
         for name, value in fields.items():
             getattr(eng, f"req_{name}").append(value)
         actual += finish - t
