@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import pairwise
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -212,10 +212,6 @@ class PodState:
     def cpu_util(self) -> float:
         return self.cpu_used / self.cpu_limit
 
-    @property
-    def mem_util(self) -> float:
-        return self.mem_used / self.mem_limit
-
 
 @dataclass(frozen=True, slots=True)
 class RequestRecord:
@@ -306,8 +302,7 @@ class SimConfig:
                 self.exec_noise_sigma)
 
 
-@dataclass(frozen=True)
-class FunctionSnapshot:
+class FunctionSnapshot(NamedTuple):
     """One function's load and performance, handed to scaling policies and the RL state."""
 
     function_id: int
@@ -324,6 +319,15 @@ class FunctionSnapshot:
     running_requests: int
     queued_requests: int
     standard_response_time: float
+
+
+class FunctionWindow(NamedTuple):
+    """One function's traffic in a window (t0, t1], as ``ClusterEngine.window`` counts it."""
+
+    arrivals: int
+    drops: int
+    rfrt: float
+    rfr: float
 
 
 # Event kinds of a heap entry (time, seq, kind, arg); arg is a request or pod id.
@@ -937,52 +941,50 @@ class ClusterEngine:
 
     # ------------------------------------------------------------ observation
 
-    def window_arrivals(self, fn: int, t0: float, t1: float) -> int:
-        return _count_in_window(self.arrival_times[fn], t0, t1)
-
-    def window_drops(self, fn: int, t0: float, t1: float) -> int:
-        return _count_in_window(self.drop_times[fn], t0, t1)
-
-    def window_rfrt(self, fn: int, t0: float, t1: float) -> float:
-        """Mean response-time ratio of fn requests completed in (t0, t1].
-
-        An empty window reports the neutral ratio 1.0, so idle functions
-        neither reward nor punish a scaling policy.
-        """
+    def window(self, fn: int, t0: float, t1: float) -> FunctionWindow:
+        """Arrivals and drops of ``fn`` in (t0, t1], the mean response-time ratio
+        (RFRT) of its completions there, 1.0 with none so that idle functions
+        neither reward nor punish a policy, and drops over arrivals (RFR), 0.0
+        with no arrivals."""
+        times = self.arrival_times[fn]
+        arrivals = bisect.bisect_right(times, t1) - bisect.bisect_right(times, t0)
+        times = self.drop_times[fn]
+        drops = bisect.bisect_right(times, t1) - bisect.bisect_right(times, t0)
         times = self.completion_times[fn]
         ratios = self.completion_ratios[fn][bisect.bisect_right(times, t0):
                                             bisect.bisect_right(times, t1)]
-        return sum(ratios) / len(ratios) if ratios else 1.0
-
-    def window_rfr(self, fn: int, t0: float, t1: float) -> float:
-        """Drops in (t0, t1] over arrivals in (t0, t1]; 0.0 with no arrivals."""
-        arrived = self.window_arrivals(fn, t0, t1)
-        return self.window_drops(fn, t0, t1) / arrived if arrived else 0.0
+        return FunctionWindow(arrivals, drops,
+                              sum(ratios) / len(ratios) if ratios else 1.0,
+                              drops / arrivals if arrivals else 0.0)
 
     def snapshot(self, fn: int, window: float) -> FunctionSnapshot:
-        """Function ``fn`` now; rates and ratios cover the last ``window`` seconds."""
+        """Function ``fn`` now; rates and ratios cover the last ``window`` seconds.
+
+        Idle pods' utilization terms are exactly 0.0, so the sums skip them."""
         now = self.clock
-        t0 = now - window
-        live = self._live_pods(fn)
-        cpu_size, mem_size = self.pod_size[fn]
+        counts = self.window(fn, now - window, now)
         profile = self.profiles[fn]
+        req_cpu, req_mem = profile.req_cpu, profile.req_mem
+        pods = self.pods
+        terminating = PodPhase.TERMINATING
+        replicas = running = 0
+        cpu_utils, mem_utils = [], []
+        for pid in self.fn_pods[fn]:
+            pod = pods[pid]
+            if pod.phase is not terminating:
+                replicas += 1
+                if n := pod.in_flight:
+                    running += n
+                    cpu_utils.append(n * req_cpu / pod.cpu_limit)
+                    mem_utils.append(n * req_mem / pod.mem_limit)
+        cpu_size, mem_size = self.pod_size[fn]
         return FunctionSnapshot(
-            function_id=fn,
-            pod_cpu=cpu_size,
-            pod_mem=mem_size,
-            req_cpu=profile.req_cpu,
-            req_mem=profile.req_mem,
-            arrival_rate=(self.window_arrivals(fn, t0, now) / window
-                          if window > 0 else 0.0),
-            rfrt=self.window_rfrt(fn, t0, now),
-            rfr=self.window_rfr(fn, t0, now),
-            avg_pod_cpu_util=sum(p.cpu_util for p in live) / len(live) if live else 0.0,
-            avg_pod_mem_util=sum(p.mem_util for p in live) / len(live) if live else 0.0,
-            replicas=len(live),
-            running_requests=sum(p.in_flight for p in live),
-            queued_requests=self.queued[fn],
-            standard_response_time=profile.standard_response_time,
-        )
+            fn, cpu_size, mem_size, req_cpu, req_mem,
+            counts.arrivals / window if window > 0 else 0.0,
+            counts.rfrt, counts.rfr,
+            sum(cpu_utils) / replicas if replicas else 0.0,
+            sum(mem_utils) / replicas if replicas else 0.0,
+            replicas, running, self.queued[fn], profile.standard_response_time)
 
     # ------------------------------------------------------------ diagnostics
 
@@ -1026,7 +1028,8 @@ class ClusterEngine:
                 running_pods[pod_id] += 1
             else:
                 finished += 1
-            _check(retries <= self.config.max_retries, "retries above the retry budget")
+            # a request queued on arrival counts that failed attempt as retry 1
+            _check(retries <= max(self.config.max_retries, 1), "retries above the retry budget")
         _check(self.completed_total == finished,
                "completed total differs from the finish times")
         _check(all(len(self.completion_ratios[fn]) == len(times)
@@ -1074,8 +1077,3 @@ def _check(ok: bool, message: str) -> None:
     """``assert ok, message`` that ``python -O`` does not strip."""
     if not ok:
         raise AssertionError(message)
-
-
-def _count_in_window(times: list[float], t0: float, t1: float) -> int:
-    """Events with timestamp in the half-open window (t0, t1]."""
-    return bisect.bisect_right(times, t1) - bisect.bisect_right(times, t0)

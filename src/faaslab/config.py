@@ -8,7 +8,6 @@ full-scale experiments. Every value is overridable from the file or CLI.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -170,6 +169,7 @@ class Experiment:
         inputs = {k: v for k, v in self.raw.items()
                   if k not in ("output_dir", "calibration_file")}
         canon = json.dumps(inputs, sort_keys=True, default=str)
+        import hashlib  # imported here: it loads OpenSSL, ~3.6 MB in every process
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     # --------------------------------------------------------- workload sets

@@ -176,9 +176,9 @@ class ServerlessEnv:
             engine = self.engine
             now = engine.clock
             t0 = now - self.config.decision_interval
+            windows = {fn: engine.window(fn, t0, now) for fn in fns}
             self.target_fn = min(fns, key=lambda fn: (
-                -(engine.window_drops(fn, t0, now) + engine.queued[fn]),
-                -engine.window_rfrt(fn, t0, now), fn))
+                -(windows[fn].drops + engine.queued[fn]), -windows[fn].rfrt, fn))
 
     # ------------------------------------------------------------------- step
 

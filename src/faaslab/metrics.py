@@ -1,13 +1,14 @@
 """Episode and window metrics: response-time ratios, failure rates, VM cost,
 reward shaping, and calibration bounds for reward normalization.
 
-The per-window RFRT and RFR formulas are ``ClusterEngine.window_rfrt`` and
-``window_rfr``; VM cost is the integral of each VM's busy log
-(``VmState.busy_overlap``), over a window or over the whole episode."""
+The per-window RFRT and RFR formulas are ``ClusterEngine.window``'s; VM cost
+is the integral of each VM's busy log (``VmState.busy_overlap``), over a
+window or over the whole episode."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -96,17 +97,17 @@ class EpisodeLedger:
     # ----------------------------------------------------------- window views
 
     def window_cost(self, t0: float, t1: float) -> float:
-        """VM cost of the busy time inside [t0, t1], summed over VMs."""
-        return sum(vm.spec.unit_price * vm.busy_overlap(t0, t1) / 3600.0
-                   for vm in self.engine.vms.values())
+        """VM cost of the busy time inside [t0, t1], summed from 0.0 over the VMs ever active."""
+        return sum((vm.spec.unit_price * vm.busy_overlap(t0, t1) / 3600.0
+                    for vm in self.engine.vms.values()
+                    if vm.busy_log or vm.busy_since is not None), 0.0)
 
     def window_channels(self, t0: float, t1: float) -> tuple[float, float, float]:
         """(mean RFRT, mean RFR, cost) over all deployed functions in (t0, t1]."""
         engine = self.engine
         fns = engine.deployed_fns
-        rfrt = sum(engine.window_rfrt(fn, t0, t1) for fn in fns) / len(fns)
-        rfr = sum(engine.window_rfr(fn, t0, t1) for fn in fns) / len(fns)
-        return rfrt, rfr, self.window_cost(t0, t1)
+        _, _, rfrts, rfrs = zip(*[engine.window(fn, t0, t1) for fn in fns])
+        return sum(rfrts) / len(fns), sum(rfrs) / len(fns), self.window_cost(t0, t1)
 
     # ---------------------------------------------------------- episode view
 
@@ -118,9 +119,10 @@ class EpisodeLedger:
         RFR: drops over requests (0.0 with none). RFRT: mean ratio of completed
         requests (1.0 with none). Cost: VM cost from time 0 to the clock."""
         engine = self.engine
-        means = [sum(ratios[root] for root in sorted(ratios)) / len(ratios)
+        means = [sum(map(ratios.__getitem__, sorted(ratios))) / len(ratios)
                  for ratios in engine.chain_ratios.values() if ratios]
-        ratios = [r for fn in engine.deployed_fns for r in engine.completion_ratios[fn]]
+        ratios = list(chain.from_iterable(engine.completion_ratios[fn]
+                                          for fn in engine.deployed_fns))
         total = len(engine.requests)
         return EpisodeMetrics(
             rart=sum(means) / len(means) if means else math.nan,

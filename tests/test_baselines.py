@@ -230,3 +230,46 @@ class TestEventLogDigests:
                 repr(res.engine.event_log).encode()).hexdigest()[:16]
         assert digests == {key: digest for key, digest in self.DIGESTS.items()
                            if key[0] == preset}
+
+
+class TestObservationDigest:
+    """Everything the engine and the ledger report during kube_cpu episodes.
+
+    sha256 over the repr of every ``snapshot`` field at every tick, every
+    ``window_channels`` triple and the episode summary; repr keeps every float
+    bit and tells an int from a float, so a rewrite of the observation path
+    that moves one ulp or one type changes the digest.
+    """
+
+    FIELDS = ("function_id", "pod_cpu", "pod_mem", "req_cpu", "req_mem", "arrival_rate",
+              "rfrt", "rfr", "avg_pod_cpu_util", "avg_pod_mem_util", "replicas",
+              "running_requests", "queued_requests", "standard_response_time")
+    DIGESTS = {
+        "desk": "f8215b0533aa8cf8da256c1885fa729eab9ea13433d519d7f098487f372e9770",
+        "paper": "21d22b29450f73d518d7b976dbc7f9a1e8b0bf0696029772b0539e1b2bf6f9f1",
+        "desk-0.1s": "6c8a0bc57231f984126db4f8e48ca3cdacbb51f392506b9e69f7f869dbab8606",
+    }
+    OVERRIDES = {
+        "desk": {"preset": "desk"},
+        "paper": {"preset": "paper"},
+        "desk-0.1s": {"preset": "desk", "env": {"decision_interval": 0.1}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_observations_match_recorded_digest(self, case, monkeypatch):
+        exp = load_experiment(overrides=self.OVERRIDES[case])
+        workload = exp.eval_sets(["high"])["high"][0]
+        digest = hashlib.sha256()
+        snapshot = ClusterEngine.snapshot
+
+        def recording(engine, fn, window):
+            snap = snapshot(engine, fn, window)
+            digest.update(repr(tuple(getattr(snap, name) for name in self.FIELDS)).encode())
+            return snap
+
+        monkeypatch.setattr(ClusterEngine, "snapshot", recording)
+        res = run_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env,
+                           exp.sim, exp.baselines, collect_channels=True)
+        digest.update(repr(res.channels).encode())
+        digest.update(repr(res.summary).encode())
+        assert digest.hexdigest() == self.DIGESTS[case]

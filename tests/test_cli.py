@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -552,3 +556,16 @@ class TestConfigHash:
         base = load_experiment(config)
         reseeded = load_experiment(config, overrides={"train": {"seed": 4}})
         assert base.config_hash != reseeded.config_hash
+
+    def test_importing_the_config_module_loads_no_hashlib(self):
+        # hashlib loads OpenSSL, some 3.6 MB resident; only config_hash needs it
+        script = ("import sys, numpy, yaml\n"
+                  "if 'hashlib' in sys.modules: print('preloaded'); raise SystemExit\n"
+                  "import faaslab.config\n"
+                  "print('hashlib' in sys.modules)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        if out.strip() == "preloaded":
+            pytest.skip("an earlier import brought in hashlib")
+        assert out.strip() == "False"

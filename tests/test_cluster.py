@@ -884,6 +884,18 @@ class TestInvariantsAndDeterminism:
         with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
 
+    def test_invariants_hold_with_no_retry_budget(self, big_vm, fast_profile, single_app):
+        # With max_retries 0 a request queued on arrival holds retry 1 (the
+        # failed arrival-time attempt) until its first retry drops it at 1.0.
+        eng = make_engine([big_vm], [fast_profile], [single_app], max_retries=0)
+        eng.load_arrivals(*arrival_columns([(0.0, 0)]))
+        eng.advance(0.0)
+        assert eng.requests[0].status is RequestStatus.QUEUED
+        eng.check_invariants()
+        eng.advance(1.0)
+        assert eng.requests[0].status is RequestStatus.DROPPED
+        eng.check_invariants()
+
     @pytest.mark.parametrize("damage, message", [
         ("completed_total", "completed total differs from the finish times"),
         ("completion_times", "completed total differs from the completion times"),

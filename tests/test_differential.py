@@ -123,7 +123,7 @@ def assert_same(fast, ref, t0):
     noise=st.sampled_from((0.0, 0.0, 0.4)),
     mode=st.sampled_from(("inflight", "pods")),
     seed=st.integers(0, 1000),
-    retry=st.tuples(st.sampled_from((0.5, 1.0)), st.sampled_from((1, 3, 10))),
+    retry=st.tuples(st.sampled_from((0.5, 1.0)), st.sampled_from((0, 1, 3, 10))),
     log_events=st.sampled_from((True, True, True, False)),
     sequences=chains,
     initial_pods=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),

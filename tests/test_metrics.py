@@ -52,17 +52,17 @@ class TestRfrt:
         eng = warm_engine(big_vm, fast_profile, single_app)
         eng.load_arrivals(*arrival_columns([(3.0, 0), (4.5, 0)]))
         eng.advance(10.0)
-        assert eng.window_rfrt(0, 0.0, 10.0) == pytest.approx(1.0)
+        assert eng.window(0, 0.0, 10.0).rfrt == pytest.approx(1.0)
 
     def test_mean_of_ratios(self, big_vm, fast_profile, single_app):
         eng = warm_engine(big_vm, fast_profile, single_app)
         eng.completion_times[0] = [5.0, 6.0]
         eng.completion_ratios[0] = [2.0, 4.0]
-        assert eng.window_rfrt(0, 0.0, 10.0) == pytest.approx(3.0)
+        assert eng.window(0, 0.0, 10.0).rfrt == pytest.approx(3.0)
 
     def test_empty_window_neutral(self, big_vm, fast_profile, single_app):
         eng = warm_engine(big_vm, fast_profile, single_app)
-        assert eng.window_rfrt(0, 0.0, 10.0) == 1.0
+        assert eng.window(0, 0.0, 10.0).rfrt == 1.0
 
     def test_cold_start_contributes_full_wait(self, big_vm, single_app):
         profile = FunctionProfile(function_id=0, req_cpu=0.25, req_mem=256.0,
@@ -77,7 +77,7 @@ class TestRfrt:
         eng.advance(10.0)
         req = eng.requests[0]
         assert req.finish_time - req.arrival_time == pytest.approx(4.0)
-        assert eng.window_rfrt(0, 0.0, 10.0) == pytest.approx(4.0)
+        assert eng.window(0, 0.0, 10.0).rfrt == pytest.approx(4.0)
 
 
 class TestRart:
@@ -144,8 +144,8 @@ class TestRfr:
             eng.advance(eng.next_event_time())
         end = eng.clock
         split = 7.0
-        arrived = [eng.window_arrivals(0, -1.0, split), eng.window_arrivals(0, split, end)]
-        dropped = [eng.window_drops(0, -1.0, split), eng.window_drops(0, split, end)]
+        arrived = [eng.window(0, -1.0, split).arrivals, eng.window(0, split, end).arrivals]
+        dropped = [eng.window(0, -1.0, split).drops, eng.window(0, split, end).drops]
         ledger = EpisodeLedger(eng)
         rfr_parts = [d / a if a else 0.0 for d, a in zip(dropped, arrived)]
         recombined = sum(r * a for r, a in zip(rfr_parts, arrived)) / sum(arrived)
