@@ -208,10 +208,6 @@ class PodState:
     def mem_used(self) -> float:
         return self.in_flight * self.profile.req_mem
 
-    @property
-    def cpu_util(self) -> float:
-        return self.cpu_used / self.cpu_limit
-
 
 @dataclass(frozen=True, slots=True)
 class RequestRecord:
@@ -377,7 +373,9 @@ class ClusterEngine:
     read-only ``RequestView`` of them whose lookups build frozen snapshots.
     Each pod counts its running requests in ``PodState.in_flight``, and each
     finish appends its time and response-time ratio to the function's
-    ``completion_times`` and ``completion_ratios``, in finish order. A
+    ``completion_times`` and ``completion_ratios``, in finish order; each
+    drop appends its time to ``drop_times``. ``completed_total`` and
+    ``dropped_total`` are counts over those lists, not counters of their own. A
     request's start time and VM are not stored: its ``assign`` log entry
     says when it started and on which pod, and the pod table ``pods`` is the
     one record of where each pod runs.
@@ -459,9 +457,6 @@ class ClusterEngine:
         self.completion_ratios: dict[int, list[float]] = {fn: [] for fn in self.profiles}
         self.drop_times: dict[int, list[float]] = {fn: [] for fn in self.profiles}
 
-        self.completed_total = 0
-        self.dropped_total = 0
-
         self.log_events = log_events
         self.event_log: list[tuple] = []
         self._heap: list[tuple[float, int, int, int]] = []
@@ -522,7 +517,8 @@ class ClusterEngine:
     def advance(self, until: float) -> None:
         """Dispatch every event with timestamp <= until and move the clock to it.
 
-        With ``log_events`` each dispatched event is appended to ``event_log``."""
+        A finish or drop is recorded only in its function's time lists. With
+        ``log_events`` each dispatched event is appended to ``event_log``."""
         if until < self.clock - _EPS:
             raise SimulationError(f"cannot advance backwards ({self.clock} -> {until})")
         heap = self._heap
@@ -532,10 +528,8 @@ class ClusterEngine:
         i = self._cursor
         # The next arrival's (time, seq), rebuilt as each arrival is dispatched.
         nxt = (pending_times[i], pending_seqs[i]) if i < n_pending else _NO_ARRIVAL
-        # The last sequence number issued and the completions so far; written
-        # back to ``_seq`` and ``completed_total`` on every exit.
+        # The last sequence number issued; written back to ``_seq`` on every exit.
         seq = self._seq
-        completed = self.completed_total
         pods = self.pods
         vms = self.vms
         fn_pods = self.fn_pods
@@ -573,7 +567,6 @@ class ClusterEngine:
                 if tries >= max_retries:
                     req_pod_id[rid] = _DROPPED
                     n_queued[fn] -= 1
-                    self.dropped_total += 1
                     drop_times[fn].append(time)
                     if log is not None:
                         log.append((time, "drop", rid))
@@ -609,7 +602,6 @@ class ClusterEngine:
                         # "pods" mode the pod is still on the VM, so it stays active.
                         vm.busy_log.append((vm.busy_since, time))
                         vm.busy_since = None
-                    completed += 1
                     response = time - req_arrival_time[arg]
                     completion_times[fn].append(time)
                     completion_ratios[fn].append(response / profile.standard_response_time)
@@ -683,7 +675,6 @@ class ClusterEngine:
                         break
                 else:
                     self._seq = seq
-                    self.completed_total = completed
                     raise SimulationError(
                         f"function {fn}: open-pod count is {open_pods[fn]} but no pod is open")
             k += 1
@@ -708,7 +699,6 @@ class ClusterEngine:
             seq += 1
             heappush(heap, (time + exec_time, seq, _FINISH, rid))
         self._seq = seq
-        self.completed_total = completed
         if i and i == n_pending:  # every loaded arrival is dispatched: free the columns
             self._pending, i = ([], [], []), 0
         self._cursor = i
@@ -718,6 +708,16 @@ class ClusterEngine:
         next_arrival = self._pending[0][self._cursor:self._cursor + 1]  # [] when none
         return min([queue[0][0] for queue in (self._heap, self._retries) if queue]
                    + next_arrival, default=None)
+
+    @property
+    def completed_total(self) -> int:
+        """Requests completed so far: the summed length of ``completion_times``."""
+        return sum(map(len, self.completion_times.values()))
+
+    @property
+    def dropped_total(self) -> int:
+        """Requests dropped so far: the summed length of ``drop_times``."""
+        return sum(map(len, self.drop_times.values()))
 
     def pending_requests(self) -> bool:
         """True while any request is neither completed nor dropped."""
@@ -796,13 +796,13 @@ class ClusterEngine:
         return Counter(pod.vm_id for pod in self._live_pods(fn))
 
     def horizontal_delta(self, fn: int, target_util: float) -> int:
-        """Replica change that brings fn's average pod CPU utilization to the target."""
+        """Replica change that brings fn's average pod CPU utilization to the
+        target: the ``kube_cpu`` rule on the function's ``snapshot``."""
         if fn not in self.profiles:
             raise ConfigError(f"unknown function {fn}")
-        live = self._live_pods(fn)
-        util = sum(p.cpu_util for p in live) / len(live) if live else 0.0
-        return cpu_target_replicas(len(live), util, self.queued[fn], target_util,
-                                   self.config.max_replicas) - len(live)
+        snap = self.snapshot(fn, 0.0)
+        return cpu_target_replicas(snap.replicas, snap.avg_pod_cpu_util, snap.queued_requests,
+                                   target_util, self.config.max_replicas) - snap.replicas
 
     def apply_horizontal(self, fn: int, delta: int) -> None:
         """Create ``delta`` pods of fn, or remove ``-delta``.
@@ -1031,15 +1031,11 @@ class ClusterEngine:
             # a request queued on arrival counts that failed attempt as retry 1
             _check(retries <= max(self.config.max_retries, 1), "retries above the retry budget")
         _check(self.completed_total == finished,
-               "completed total differs from the finish times")
+               "finish times differ from the completion times")
         _check(all(len(self.completion_ratios[fn]) == len(times)
                    for fn, times in self.completion_times.items()),
                "completion times and ratios differ in length")
-        _check(self.completed_total == sum(map(len, self.completion_times.values())),
-               "completed total differs from the completion times")
-        _check(self.dropped_total == dropped, "dropped total differs from the drop marks")
-        _check(self.dropped_total == sum(map(len, self.drop_times.values())),
-               "dropped total differs from the drop times")
+        _check(self.dropped_total == dropped, "drop marks differ from the drop times")
         _check(Counter({fn: len(times) for fn, times in self.arrival_times.items()})
                == Counter(self.req_function_id), "arrival times differ from the request count")
         _check(all(a < b for a, b in pairwise(self._retries)), "retry FIFO out of order")

@@ -185,7 +185,6 @@ class ReferenceEngine(ClusterEngine):
         if req.retries >= self.config.max_retries:
             req.status = RequestStatus.DROPPED
             self.queued_ids[req.function_id].discard(request_id)
-            self.dropped_total += 1
             self.drop_times[req.function_id].append(self.clock)
             self._log("drop", request_id)
             return
@@ -206,7 +205,6 @@ class ReferenceEngine(ClusterEngine):
         vm.mem_used -= pod.profile.req_mem
         vm.inflight -= 1
         self._update_vm_activity(vm)
-        self.completed_total += 1
         response = req.finish_time - req.arrival_time
         self.completion_times[req.function_id].append(self.clock)
         self.completion_ratios[req.function_id].append(

@@ -200,6 +200,26 @@ class TestRunBaseline:
         assert baseline[:21] == untils[:21]
 
 
+class TestAgentActionIsKubeCpu:
+    def test_constant_action_reproduces_kube_cpu_event_log(self):
+        # Action (5, 5, 5) is a CPU-utilization target of 0.5 and no resize:
+        # the kube_cpu rule at its default threshold, read through the same
+        # snapshot. With one function, the agent's one target per tick is
+        # every function, so the two episodes must log the same events.
+        exp = load_experiment(overrides={"preset": "desk", "applications": ["primary"]})
+        assert len(exp.profiles) == 1
+        workload = exp.eval_sets(["high"])["high"][0]
+        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, log_events=True)
+        env.reset(workload)
+        while not env.done:
+            env.step(ScalingAction(5, 5, 5), rewarded=False)
+        res = run_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env, exp.sim,
+                           exp.baselines, log_events=True)
+        kinds = {entry[1] for entry in res.engine.event_log}
+        assert {"pod_create", "finish", "queue"} <= kinds
+        assert env.engine.event_log == res.engine.event_log
+
+
 class TestEventLogDigests:
     """Every baseline's full event log on high-band workload 0 of each preset.
 

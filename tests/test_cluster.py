@@ -847,7 +847,7 @@ class TestInvariantsAndDeterminism:
 
     @pytest.mark.parametrize("damage, message", [
         ("length", "request columns differ in length"),
-        ("running", "completed total differs from the finish times"),
+        ("running", "finish times differ from the completion times"),
         ("completed", "dropped request with a finish time"),
         ("queued", "queued requests and pending retries differ"),
         ("finish_without_pod", "queued request with a finish time"),
@@ -897,14 +897,11 @@ class TestInvariantsAndDeterminism:
         eng.check_invariants()
 
     @pytest.mark.parametrize("damage, message", [
-        ("completed_total", "completed total differs from the finish times"),
-        ("completion_times", "completed total differs from the completion times"),
+        ("completion_times", "finish times differ from the completion times"),
         ("completion_ratios", "completion times and ratios differ in length"),
-        ("dropped_total", "dropped total differs from the drop marks"),
-        ("drop_times", "dropped total differs from the drop times"),
+        ("drop_times", "drop marks differ from the drop times"),
         ("arrival_times", "arrival times differ from the request count"),
-    ], ids=["completed_total", "completion_times", "completion_ratios", "dropped_total",
-            "drop_times", "arrival_times"])
+    ], ids=["completion_times", "completion_ratios", "drop_times", "arrival_times"])
     def test_invariants_recount_totals(self, big_vm, fast_profile, single_app, damage,
                                        message):
         # Request 0 finds no pod and is dropped at 10.0; request 1 runs on
@@ -919,15 +916,11 @@ class TestInvariantsAndDeterminism:
                                                               RequestStatus.COMPLETED]
         assert (eng.completed_total, eng.dropped_total) == (1, 1)
         eng.check_invariants()
-        if damage == "completed_total":
-            eng.completed_total += 1
-        elif damage == "completion_times":  # one finish too many, in both lists
+        if damage == "completion_times":  # one finish too many, in both lists
             eng.completion_times[0].append(20.0)
             eng.completion_ratios[0].append(1.0)
         elif damage == "completion_ratios":
             eng.completion_ratios[0].pop()
-        elif damage == "dropped_total":
-            eng.dropped_total -= 1
         elif damage == "drop_times":
             eng.drop_times[0].append(20.0)
         else:

@@ -24,9 +24,11 @@ def warm_engine(vm, profile, app, pods=1):
 def inject_chain(eng, app_id, arrival, ratios):
     """Append one fully completed chain, run on pod 0, with the given per-stage ratios.
 
-    The chain ratio is stored as the engine stores it when a chain's last
-    function finishes: summed response time over summed standard time, both
-    added up stage by stage in chain order.
+    Each stage leaves the records a finish leaves: its request columns, its
+    arrival time, and its finish time and response-time ratio. The chain
+    ratio is stored as the engine stores it when a chain's last function
+    finishes: summed response time over summed standard time, both added up
+    stage by stage in chain order.
     """
     app = eng.apps[app_id]
     root = len(eng.requests)
@@ -40,10 +42,13 @@ def inject_chain(eng, app_id, arrival, ratios):
                       retries=0, pod_id=0)
         for name, value in fields.items():
             getattr(eng, f"req_{name}").append(value)
-        actual += finish - t
+        response = finish - t
+        eng.arrival_times[fn].append(t)
+        eng.completion_times[fn].append(finish)
+        eng.completion_ratios[fn].append(response / r0)
+        actual += response
         standard += r0
         t = finish
-    eng.completed_total += len(app.function_sequence)
     eng.chain_ratios[app_id][root] = actual / standard
 
 
@@ -96,6 +101,7 @@ class TestRart:
         eng = ClusterEngine([big_vm], profs, [app])
         inject_chain(eng, 0, arrival=0.0, ratios=[2.0, 2.0])
         assert EpisodeLedger(eng).summary().rart == pytest.approx(2.0)
+        eng.check_invariants()
 
     def test_unweighted_mean_over_apps(self, big_vm, fast_profile):
         apps = [Application(app_id=0, function_sequence=(0,)),
@@ -106,6 +112,7 @@ class TestRart:
         for i in range(1000):
             inject_chain(eng, 1, arrival=float(i), ratios=[3.0])
         assert EpisodeLedger(eng).summary().rart == pytest.approx(2.25)
+        eng.check_invariants()
 
     def test_dropped_chains_excluded(self, big_vm, fast_profile, single_app):
         eng = ClusterEngine([big_vm], [fast_profile], [single_app])
