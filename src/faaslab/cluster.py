@@ -1038,6 +1038,11 @@ class ClusterEngine:
         _check(self.dropped_total == dropped, "drop marks differ from the drop times")
         _check(Counter({fn: len(times) for fn, times in self.arrival_times.items()})
                == Counter(self.req_function_id), "arrival times differ from the request count")
+        # window() bisects these lists, so each must ascend
+        for name, record in (("arrival", self.arrival_times), ("completion", self.completion_times),
+                             ("drop", self.drop_times)):
+            _check(all(a <= b for times in record.values() for a, b in pairwise(times)),
+                   f"{name} times out of order")
         _check(all(a < b for a, b in pairwise(self._retries)), "retry FIFO out of order")
         # queued_rids ascends: one pending retry per queued request and none for any other
         _check(sorted(rid for _, _, rid in self._retries) == queued_rids,

@@ -14,17 +14,14 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
-import yaml
-
 from .agents.a3c import TrainConfig
 from .agents.dqn import DqnConfig
 from .baselines import BaselinePolicyConfig
 from .cluster import Application, FunctionProfile, SimConfig, VmSpec
 from .env import EnvConfig
 from .errors import ConfigError, read_text, require
-from .workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
-                       load_traces, make_workload, select_apps, synthetic_traces,
-                       training_apps)
+from .workload import (BUNDLED_TRACES, EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
+                       load_traces, make_workload, select_apps, training_apps)
 
 # Table of VM shapes: (vCPU, memory MB, $/hour).
 VM_SHAPES = {
@@ -89,6 +86,7 @@ def load_profiles_file(path: str | Path) -> dict[int, FunctionProfile]:
 
 
 def _read_yaml(path: str | Path):
+    import yaml  # imported here: only a config, cluster or profiles file needs it
     text = read_text(path)
     try:
         return yaml.safe_load(text)
@@ -253,7 +251,12 @@ def _typed(cls, data, name: str):
 
 def load_experiment(path: Optional[str | Path] = None,
                     overrides: Optional[dict] = None) -> Experiment:
-    """Resolve preset defaults, the config file, and CLI overrides, in order."""
+    """Resolve preset defaults, the config file, and CLI overrides, in order.
+
+    The trace corpus is read from ``traces_file``, or from the bundled
+    ``BUNDLED_TRACES`` when it is unset; ``raw`` keeps ``traces_file`` as
+    given, so the default adds nothing to ``config_hash``.
+    """
     file_data = {} if path is None else _read_yaml(path)
     if file_data is None:  # an empty file
         file_data = {}
@@ -294,7 +297,7 @@ def load_experiment(path: Optional[str | Path] = None,
             raise ConfigError("applications must be catalog names (or provide profiles_file)")
         profiles, apps = select_apps(top.applications)
 
-    corpus = load_traces(top.traces_file) if top.traces_file else synthetic_traces()
+    corpus = load_traces(top.traces_file or BUNDLED_TRACES)
     output_dir = Path(top.output_dir)
     return Experiment(
         raw=data, vms=vms, profiles=profiles, apps=apps, corpus=corpus,

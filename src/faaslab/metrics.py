@@ -12,8 +12,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-import yaml
-
 from .cluster import ClusterEngine
 from .errors import ConfigError, read_text
 
@@ -43,6 +41,7 @@ class RewardBounds:
     cost: ChannelBounds
 
     def save(self, path: str | Path) -> None:
+        import yaml  # imported here and in load: only the calibration file is YAML
         data = {name: {"min": getattr(self, name).lo, "max": getattr(self, name).hi}
                 for name in ("rfrt", "rfr", "cost")}
         Path(path).write_text(yaml.safe_dump(data, sort_keys=True))
@@ -52,6 +51,7 @@ class RewardBounds:
         if not Path(path).exists():
             raise ConfigError(
                 f"calibration file {path} not found; run `faaslab calibrate` first")
+        import yaml
         text = read_text(path)
         try:
             data = yaml.safe_load(text)

@@ -6,6 +6,11 @@ inside a window are evenly spaced by default (keeps oracle tests exact); a
 jitter flag places them uniformly at random instead, which is equivalent to a
 Poisson process conditioned on the window count.
 
+The default corpus ships as the trace file ``BUNDLED_TRACES``: 40 synthetic
+series of 360 counts, written once by ``synthetic_traces`` in
+``tests/oracles.py``, whose parameters its ``#`` header line names. It is read
+like any ``traces_file``, which replaces it.
+
 Synthesis runs as numpy array passes, not a loop per window and arrival:
 ``window_rates`` band-fits one windows x entry-functions count array, and
 ``synthesize`` derives each arrival's window, offset and dealt app from it.
@@ -30,6 +35,7 @@ from .errors import ConfigError, read_text
 TRAIN_BAND = (10, 60)
 EVAL_BANDS = {"low": (5, 20), "mid": (20, 40), "high": (40, 60)}
 MAX_TRAINING_ENTRY_FNS = 4
+BUNDLED_TRACES = Path(__file__).parent / "data" / "synthetic_traces.txt"
 
 
 @dataclass(frozen=True)
@@ -40,12 +46,13 @@ class TraceSeries:
     def __post_init__(self) -> None:
         if not self.counts:
             raise ConfigError(f"trace {self.trace_id!r} is empty")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ConfigError(f"trace {self.trace_id!r} has negative counts")
 
 
 def load_traces(path: str | Path) -> list[TraceSeries]:
-    """Parse a delimited trace file: ``trace_id, c1 c2 ... cn`` per line."""
+    """Parse a delimited trace file: ``trace_id, c1 c2 ... cn`` per line;
+    blank lines and ``#`` lines are skipped."""
     text = read_text(path)
     series = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -59,44 +66,17 @@ def load_traces(path: str | Path) -> list[TraceSeries]:
         if not trace_id:
             raise ConfigError(f"{path}:{lineno}: missing trace id")
         try:
-            counts = tuple(int(tok) for tok in rest.split())
+            counts = tuple(map(int, rest.split()))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: non-integer count ({exc})") from None
         if not counts:
             raise ConfigError(f"{path}:{lineno}: no counts")
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:
             raise ConfigError(f"{path}:{lineno}: negative count")
         series.append(TraceSeries(trace_id=trace_id, counts=counts))
     if not series:
         raise ConfigError(f"{path}: no traces found")
     return series
-
-
-def synthetic_traces(n: int = 40, length: int = 360, seed: int = 20260810,
-                     max_rate: int = 60) -> list[TraceSeries]:
-    """Bundled stand-in corpus with fluctuating per-window request rates.
-
-    Mixes a random baseline, a slow sinusoid-like swell, and occasional
-    bursts. Purely synthetic; replaces external trace datasets in the default
-    configuration.
-    """
-    rng = random.Random(seed)
-    out = []
-    for i in range(n):
-        base = rng.randint(1, max(1, max_rate // 4))
-        amplitude = rng.randint(0, max(1, max_rate // 6))
-        period = rng.randint(40, 180)
-        phase = rng.randint(0, period)
-        counts = []
-        level = base
-        for t in range(length):
-            swell = amplitude * abs(((t + phase) % period) - period / 2) / (period / 2)
-            level += rng.choice((-1, 0, 0, 1))
-            level = min(max(level, 0), max_rate)
-            burst = rng.randint(0, base) if rng.random() < 0.05 else 0
-            counts.append(int(min(max_rate, max(0, level + swell + burst))))
-        out.append(TraceSeries(trace_id=f"synth-{i:03d}", counts=tuple(counts)))
-    return out
 
 
 @dataclass(frozen=True)

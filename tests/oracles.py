@@ -4,9 +4,10 @@ request ledger. Deliberately avoids the engine's streaming histories
 timestamps and statuses.
 
 Also the scalar workload synthesis rule, one window, function and arrival at
-a time, as the reference for the array passes of ``faaslab.workload``, and
+a time, as the reference for the array passes of ``faaslab.workload``;
 ``arrival_columns``, which turns (time, app_id) pairs into the two columns
-``ClusterEngine.load_arrivals`` takes."""
+``ClusterEngine.load_arrivals`` takes; and ``synthetic_traces``, the generator
+of the bundled trace corpus ``faaslab.workload.BUNDLED_TRACES``."""
 from __future__ import annotations
 
 import random
@@ -16,7 +17,7 @@ from operator import itemgetter
 
 from faaslab.cluster import ClusterEngine, RequestStatus
 from faaslab.errors import ConfigError
-from faaslab.workload import WorkloadSpec
+from faaslab.workload import TraceSeries, WorkloadSpec
 
 
 def arrival_columns(arrivals: Iterable[tuple[float, int]]) -> tuple[list[float], list[int]]:
@@ -186,3 +187,31 @@ def scalar_synthesize(spec: WorkloadSpec) -> list[tuple[float, int]]:
             deal[fn] = (start + count) % len(apps)
     arrivals.sort(key=itemgetter(0))
     return arrivals
+
+
+def synthetic_traces(n: int = 40, length: int = 360, seed: int = 20260810,
+                     max_rate: int = 60) -> list[TraceSeries]:
+    """Bundled stand-in corpus with fluctuating per-window request rates.
+
+    Mixes a random baseline, a slow sinusoid-like swell, and occasional
+    bursts. Purely synthetic; its default-parameter output is the file
+    ``BUNDLED_TRACES``, which replaces external trace datasets in the default
+    configuration.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        base = rng.randint(1, max(1, max_rate // 4))
+        amplitude = rng.randint(0, max(1, max_rate // 6))
+        period = rng.randint(40, 180)
+        phase = rng.randint(0, period)
+        counts = []
+        level = base
+        for t in range(length):
+            swell = amplitude * abs(((t + phase) % period) - period / 2) / (period / 2)
+            level += rng.choice((-1, 0, 0, 1))
+            level = min(max(level, 0), max_rate)
+            burst = rng.randint(0, base) if rng.random() < 0.05 else 0
+            counts.append(int(min(max_rate, max(0, level + swell + burst))))
+        out.append(TraceSeries(trace_id=f"synth-{i:03d}", counts=tuple(counts)))
+    return out

@@ -28,8 +28,8 @@ from faaslab.metrics import (ChannelBounds, EpisodeLedger, RewardBounds,
                              derive_bounds)
 from faaslab.nnet import (NetworkSpec, actor_loss_and_grad, critic_loss_and_grad,
                           init_params)
-from faaslab.workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
-                              make_workload, select_apps, synthetic_traces)
+from faaslab.workload import (BUNDLED_TRACES, EVAL_BANDS, TRAIN_BAND, TraceSeries,
+                              WorkloadSpec, load_traces, make_workload, select_apps)
 
 from oracles import arrival_columns, brute_cost, brute_rart, brute_rfr, brute_rfrt
 
@@ -258,7 +258,7 @@ def test_c03_simulator_oracle_scenarios():
 def test_c04_metric_identities_against_brute_force():
     """Streaming metrics equal an independent raw-ledger recomputation."""
     profiles, apps = select_apps(["primary", "thumbnail", "load"])
-    corpus = synthetic_traces()
+    corpus = load_traces(BUNDLED_TRACES)
     checked = 0
     for policy in ("kube_cpu", "knative"):
         for seed in (1, 2, 3):
@@ -344,7 +344,7 @@ def test_c06_reward_bounds_and_channel_separation():
     """Step rewards stay in [-1, 0]; beta=1 ignores cost bounds and beta=0
     ignores performance bounds, exactly."""
     profiles, apps = select_apps(["primary", "load"])
-    corpus = synthetic_traces()
+    corpus = load_traces(BUNDLED_TRACES)
     wl = make_workload(apps, corpus, EVAL_BANDS["mid"], 60, 321)
     base = RewardBounds(rfrt=ChannelBounds(1.0, 8.0), rfr=ChannelBounds(0.0, 0.5),
                         cost=ChannelBounds(0.0, 0.002))
@@ -413,7 +413,7 @@ def test_c08_beta_ordering_reproduction(tmp_path):
     start = time.time()
     profiles, apps = select_apps(["primary", "thumbnail", "load"])
     assert len(profiles) == 4
-    corpus = synthetic_traces()
+    corpus = load_traces(BUNDLED_TRACES)
     env_cfg = EnvConfig(decision_interval=10.0)
     samples = []
     for b_idx, band in enumerate(sorted(EVAL_BANDS)):

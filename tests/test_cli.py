@@ -569,3 +569,23 @@ class TestConfigHash:
         if out.strip() == "preloaded":
             pytest.skip("an earlier import brought in hashlib")
         assert out.strip() == "False"
+
+    def test_a_preset_run_loads_no_yaml(self):
+        # PyYAML is read only for YAML files; a preset needs none. The imports
+        # are the CLI's and the benchmark's (perfbench/workloads.py).
+        script = ("import sys\n"
+                  "if 'yaml' in sys.modules: print('preloaded'); raise SystemExit\n"
+                  "import faaslab.cli\n"
+                  "import faaslab.agents.a3c, faaslab.agents.evaluate, faaslab.baselines\n"
+                  "from faaslab.config import load_experiment\n"
+                  "from faaslab.env import ServerlessEnv\n"
+                  "from faaslab.metrics import ChannelBounds, EpisodeLedger, RewardBounds\n"
+                  "from faaslab.workload import EVAL_BANDS, TRAIN_BAND, make_workload\n"
+                  "load_experiment(overrides={'preset': 'paper'})\n"
+                  "print('yaml' in sys.modules)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        if out.strip() == "preloaded":
+            pytest.skip("the interpreter loads yaml at start-up")
+        assert out.strip() == "False"

@@ -928,6 +928,26 @@ class TestInvariantsAndDeterminism:
         with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
 
+    @pytest.mark.parametrize("record", ["arrival", "completion", "drop"])
+    def test_invariants_catch_time_records_out_of_order(self, big_vm, fast_profile,
+                                                         single_app, record):
+        # Two requests dropped with no pod, then two served by one pod: each
+        # function's arrival, completion and drop times hold two entries.
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.load_arrivals(*arrival_columns([(0.0, 0), (1.0, 0)]))
+        eng.advance(12.0)
+        eng.apply_horizontal(0, 1)
+        eng.load_arrivals(*arrival_columns([(14.5, 0), (15.0, 0)]))
+        eng.advance(30.0)
+        assert [r.status for r in eng.requests.values()] == (
+            [RequestStatus.DROPPED] * 2 + [RequestStatus.COMPLETED] * 2)
+        eng.check_invariants()
+        times = getattr(eng, f"{record}_times")[0]
+        assert len(times) in (2, 4) and times[0] < times[-1]
+        times.reverse()  # same counts, so only the order check can see it
+        with pytest.raises(AssertionError, match=f"{record} times out of order"):
+            eng.check_invariants()
+
     @pytest.mark.parametrize("mode", ["inflight", "pods"])
     @pytest.mark.parametrize("damage, message", [
         ("busy_since", "busy interval out of step with activity"),

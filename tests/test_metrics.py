@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -104,9 +105,10 @@ class TestRart:
         eng.check_invariants()
 
     def test_unweighted_mean_over_apps(self, big_vm, fast_profile):
+        # one function per app, so each function's time records ascend
         apps = [Application(app_id=0, function_sequence=(0,)),
-                Application(app_id=1, function_sequence=(0,))]
-        eng = ClusterEngine([big_vm], [fast_profile], apps)
+                Application(app_id=1, function_sequence=(1,))]
+        eng = ClusterEngine([big_vm], [fast_profile, replace(fast_profile, function_id=1)], apps)
         for i in range(10):
             inject_chain(eng, 0, arrival=float(i), ratios=[1.5])
         for i in range(1000):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import struct
 from dataclasses import replace
 from itertools import starmap
@@ -11,12 +12,11 @@ from hypothesis import strategies as st
 from faaslab.cluster import Application
 from faaslab.config import load_experiment
 from faaslab.errors import ConfigError
-from faaslab.workload import (EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
-                              builtin_catalog, load_traces, make_workload,
-                              select_apps, synthesize, synthetic_traces,
-                              training_apps, window_rates)
+from faaslab.workload import (BUNDLED_TRACES, EVAL_BANDS, TRAIN_BAND, TraceSeries,
+                              WorkloadSpec, builtin_catalog, load_traces, make_workload,
+                              select_apps, synthesize, training_apps, window_rates)
 
-from oracles import scalar_synthesize
+from oracles import scalar_synthesize, synthetic_traces
 
 
 def arrival_pairs(spec):
@@ -253,3 +253,13 @@ class TestSyntheticCorpus:
         for series in a:
             assert len(series.counts) == 100
             assert max(series.counts) <= 60
+
+    def test_bundled_file_is_the_generators_corpus(self):
+        corpus = load_traces(BUNDLED_TRACES)
+        assert len(corpus) == 40
+        assert all(len(series.counts) == 360 for series in corpus)
+        assert corpus == synthetic_traces()
+        # the header names the generator's parameters, which are its defaults
+        params = inspect.signature(synthetic_traces).parameters.values()
+        call = f"synthetic_traces({', '.join(f'{p.name}={p.default}' for p in params)})"
+        assert BUNDLED_TRACES.read_text().startswith(f"# {call} ")
