@@ -75,7 +75,7 @@ def knative_decide(snap: FunctionSnapshot, cfg: KnativeConfig,
                    max_replicas: int) -> int:
     desired = ceil_guarded(_outstanding(snap)
                            / (cfg.target_concurrency * cfg.target_utilization))
-    return min(max(desired, 0), max_replicas)
+    return min(desired, max_replicas)
 
 
 def kube_cpu_decide(snap: FunctionSnapshot, cfg: KubeCpuConfig,
@@ -93,7 +93,7 @@ def openfaas_decide(snap: FunctionSnapshot, cfg: OpenFaasConfig,
     else:  # cpu mode: the kube_cpu rule
         return cpu_target_replicas(snap.replicas, snap.avg_pod_cpu_util, snap.queued_requests,
                                    cfg.cpu_threshold, max_replicas)
-    return min(max(desired, 0), max_replicas)
+    return min(desired, max_replicas)
 
 
 BASELINES = ("knative", "kube_cpu", "openfaas")

@@ -105,23 +105,20 @@ class VmSpec:
 class VmState:
     """Mutable per-VM bookkeeping.
 
-    ``pod_count`` counts the VM's pods; ``PodState.vm_id`` says which they are.
-    ``busy_log`` is the only record of when the VM was "active": by default
-    while it has at least one in-flight request, optionally
-    (``active_time_mode="pods"``) while it hosts at least one pod. It holds
-    the closed busy intervals; ``busy_since``, set exactly while the VM is
-    active, starts the open one. The intervals are disjoint and appended in
-    time order, so both their starts and their ends ascend, and
-    ``busy_overlap`` bisects to the first interval that can overlap a window
-    instead of scanning the whole log.
+    Its pods are those whose ``PodState.vm_id`` names it; its pod count and
+    its CPU and memory in use are read off them, not kept here. ``busy_log``
+    is the only record of when the VM was "active": by default while it has
+    at least one in-flight request, optionally (``active_time_mode="pods"``)
+    while it hosts at least one pod. It holds the closed busy intervals;
+    ``busy_since``, set exactly while the VM is active, starts the open one.
+    The intervals are disjoint and appended in time order, so both their
+    starts and their ends ascend, and ``busy_overlap`` bisects to the first
+    interval that can overlap a window instead of scanning the whole log.
     """
 
     spec: VmSpec
     cpu_allocated: float = 0.0
     mem_allocated: float = 0.0
-    cpu_used: float = 0.0
-    mem_used: float = 0.0
-    pod_count: int = 0
     inflight: int = 0
     busy_since: Optional[float] = None
     busy_log: list[tuple[float, float]] = field(default_factory=list)
@@ -594,8 +591,6 @@ class ClusterEngine:
                     in_flight = pod.in_flight = pod.in_flight - 1
                     if pod.phase is ready and in_flight == pod.max_concurrency - 1:
                         open_pods[fn] += 1
-                    vm.cpu_used -= profile.req_cpu
-                    vm.mem_used -= profile.req_mem
                     vm.inflight -= 1
                     if not vm.inflight and not pods_mode:
                         # The last request left: close the busy interval. In
@@ -686,8 +681,6 @@ class ClusterEngine:
             in_flight = pod.in_flight = pod.in_flight + 1
             if in_flight == pod.max_concurrency:
                 open_pods[fn] -= 1
-            vm.cpu_used += profile.req_cpu
-            vm.mem_used += profile.req_mem
             vm.inflight += 1
             if vm.busy_since is None:  # in either mode a VM serving a request is active
                 vm.busy_since = time
@@ -762,8 +755,6 @@ class ClusterEngine:
         pod.in_flight += 1
         if pod.in_flight == pod.max_concurrency:
             self.open_pods[fn] -= 1
-        vm.cpu_used += profile.req_cpu
-        vm.mem_used += profile.req_mem
         vm.inflight += 1
         if vm.busy_since is None:  # in either mode a VM serving a request is active
             vm.busy_since = now
@@ -790,10 +781,6 @@ class ClusterEngine:
         """Pods of a function that participate in scaling (not Terminating)."""
         return [self.pods[pid] for pid in self.fn_pods[fn]
                 if self.pods[pid].phase is not PodPhase.TERMINATING]
-
-    def replicas_per_vm(self, fn: int) -> Counter[int]:
-        """Live pods of ``fn`` on each VM, keyed by vm id; 0 for a VM without one."""
-        return Counter(pod.vm_id for pod in self._live_pods(fn))
 
     def horizontal_delta(self, fn: int, target_util: float) -> int:
         """Replica change that brings fn's average pod CPU utilization to the
@@ -838,7 +825,6 @@ class ClusterEngine:
         self.pods[pod_id] = PodState(pod_id=pod_id, profile=profile, vm_id=best.spec.vm_id,
                                      cpu_limit=cpu, mem_limit=mem, phase=PodPhase.CREATING)
         self.fn_pods[fn].append(pod_id)
-        best.pod_count += 1
         best.cpu_allocated += cpu
         best.mem_allocated += mem
         if self._pods_mode and best.busy_since is None:  # the VM's first pod
@@ -862,12 +848,8 @@ class ClusterEngine:
         if pod.is_open:
             self.open_pods[pod.function_id] -= 1
         vm = self.vms[pod.vm_id]
-        vm.pod_count -= 1
         vm.cpu_allocated -= pod.cpu_limit
         vm.mem_allocated -= pod.mem_limit
-        if self._pods_mode and not vm.pod_count:  # the VM's last pod left
-            vm.busy_log.append((vm.busy_since, self.clock))
-            vm.busy_since = None
         fn = pod.function_id
         idx = self.fn_pods[fn].index(pod.pod_id)
         self.fn_pods[fn].pop(idx)
@@ -878,6 +860,9 @@ class ClusterEngine:
         else:
             self._rr_cursor[fn] = 0
         del self.pods[pod.pod_id]
+        if self._pods_mode and all(p.vm_id != pod.vm_id for p in self.pods.values()):
+            vm.busy_log.append((vm.busy_since, self.clock))  # the VM's last pod left
+            vm.busy_since = None
         self._log("pod_remove", pod.pod_id)
 
     def clamp_vertical(self, fn: int, cpu_delta: float, mem_delta: float) -> tuple[float, float]:
@@ -892,7 +877,7 @@ class ClusterEngine:
             raise ConfigError(f"unknown function {fn}")
         cpu_now, mem_now = self.pod_size[fn]
         live = self._live_pods(fn)
-        per_vm = [(self.vms[vm_id], n) for vm_id, n in self.replicas_per_vm(fn).items()]
+        per_vm = [(self.vms[vm_id], n) for vm_id, n in Counter(p.vm_id for p in live).items()]
 
         def clamp(delta: float, now: float, lo: float, hi: float,
                   util_floor: float, free_per_replica: Iterable[float]) -> float:
@@ -999,17 +984,14 @@ class ClusterEngine:
             hosted[pod.vm_id].append(pod)
         for vm_id, vm in self.vms.items():
             pods = hosted[vm_id]
-            _check(vm.pod_count == len(pods), "pod count drift")
             _check(vm.inflight == sum(p.in_flight for p in pods), "vm in-flight count drift")
             _check(abs(sum(p.cpu_limit for p in pods) - vm.cpu_allocated) < 1e-6, "cpu allocation drift")
             _check(abs(sum(p.mem_limit for p in pods) - vm.mem_allocated) < 1e-6, "mem allocation drift")
-            _check(abs(sum(p.cpu_used for p in pods) - vm.cpu_used) < 1e-6, "cpu usage drift")
-            _check(abs(sum(p.mem_used for p in pods) - vm.mem_used) < 1e-6, "mem usage drift")
             _check(vm.cpu_allocated <= vm.spec.cpu_capacity + 1e-6, "cpu over-allocation")
             _check(vm.mem_allocated <= vm.spec.mem_capacity + 1e-6, "mem over-allocation")
-            _check(vm.cpu_used <= vm.cpu_allocated + 1e-6, "cpu usage above allocation")
-            _check(vm.mem_used <= vm.mem_allocated + 1e-6, "mem usage above allocation")
-            active = vm.pod_count > 0 if self._pods_mode else vm.inflight > 0
+            _check(sum(p.cpu_used for p in pods) <= vm.cpu_allocated + 1e-6, "cpu usage above allocation")
+            _check(sum(p.mem_used for p in pods) <= vm.mem_allocated + 1e-6, "mem usage above allocation")
+            active = bool(pods) if self._pods_mode else vm.inflight > 0
             _check((vm.busy_since is not None) == active, "busy interval out of step with activity")
         _check(len({len(column) for column in self._req_columns}) == 1,
                "request columns differ in length")

@@ -137,6 +137,7 @@ class _TopLevel:
     workload: WorkloadSettings = field(default_factory=WorkloadSettings)
 
     def __post_init__(self) -> None:
+        require(self.beta_list, "beta_list must hold at least one beta", list(self.beta_list))
         for beta in self.beta_list:
             require(0 <= beta <= 1, "beta_list values must lie in [0, 1]", beta)
 
@@ -296,6 +297,10 @@ def load_experiment(path: Optional[str | Path] = None,
         if top.applications is None or not all(isinstance(a, str) for a in top.applications):
             raise ConfigError("applications must be catalog names (or provide profiles_file)")
         profiles, apps = select_apps(top.applications)
+    app_ids = [app.app_id for app in apps]
+    require(app_ids, "applications must list at least one application", top.applications)
+    require(len(set(app_ids)) == len(app_ids), "applications must not list an app id twice",
+            top.applications)
 
     corpus = load_traces(top.traces_file or BUNDLED_TRACES)
     output_dir = Path(top.output_dir)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cluster import (POD_CPU_MAX, POD_MEM_MAX, ClusterEngine, FunctionProfile,
-                      SimConfig, VmSpec)
+                      PodPhase, SimConfig, VmSpec)
 from .errors import ConfigError, SimulationError, require
 from .metrics import EpisodeLedger, RewardBounds, step_reward
 from .workload import WorkloadSpec, synthesize
@@ -229,14 +229,22 @@ class ServerlessEnv:
 
     def _state(self) -> np.ndarray:
         engine = self.engine
-        replicas = engine.replicas_per_vm(self.target_fn)
+        # One pass over the pods in pod-id order: each VM's CPU and memory in
+        # use, and its live replicas of the target function.
+        cpu_used, mem_used, replicas = (dict.fromkeys(engine.vms, 0) for _ in range(3))
+        for pod in engine.pods.values():
+            vm_id = pod.vm_id
+            cpu_used[vm_id] += pod.cpu_used
+            mem_used[vm_id] += pod.mem_used
+            if pod.function_id == self.target_fn and pod.phase is not PodPhase.TERMINATING:
+                replicas[vm_id] += 1
         max_replicas = engine.config.max_replicas
         features: list[float] = []
         for vm_id, vm in engine.vms.items():
             spec = vm.spec
             features.extend((
-                vm.cpu_used / spec.cpu_capacity,
-                vm.mem_used / spec.mem_capacity,
+                cpu_used[vm_id] / spec.cpu_capacity,
+                mem_used[vm_id] / spec.mem_capacity,
                 vm.cpu_allocated / spec.cpu_capacity,
                 vm.mem_allocated / spec.mem_capacity,
                 spec.cpu_capacity / self._max_cpu,

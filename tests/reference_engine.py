@@ -169,8 +169,6 @@ class ReferenceEngine(ClusterEngine):
         pod.in_flight += 1
         if pod.in_flight == pod.max_concurrency:
             self.open_pods[req.function_id] -= 1
-        vm.cpu_used += pod.profile.req_cpu
-        vm.mem_used += pod.profile.req_mem
         vm.inflight += 1
         self._update_vm_activity(vm)
         self._log("assign", req.request_id, pod.pod_id)
@@ -201,8 +199,6 @@ class ReferenceEngine(ClusterEngine):
         pod.in_flight -= 1
         if pod.phase is PodPhase.READY and pod.in_flight == pod.max_concurrency - 1:
             self.open_pods[req.function_id] += 1
-        vm.cpu_used -= pod.profile.req_cpu
-        vm.mem_used -= pod.profile.req_mem
         vm.inflight -= 1
         self._update_vm_activity(vm)
         response = req.finish_time - req.arrival_time

@@ -951,9 +951,8 @@ class TestInvariantsAndDeterminism:
     @pytest.mark.parametrize("mode", ["inflight", "pods"])
     @pytest.mark.parametrize("damage, message", [
         ("busy_since", "busy interval out of step with activity"),
-        ("pod_count", "pod count drift"),
         ("inflight", "vm in-flight count drift"),
-    ], ids=["busy_since", "pod_count", "inflight"])
+    ], ids=["busy_since", "inflight"])
     def test_invariants_catch_corrupted_vm_records(self, big_vm, fast_profile, single_app,
                                                    mode, damage, message):
         # One idle pod after its only request finished: the VM is idle in
@@ -963,12 +962,11 @@ class TestInvariantsAndDeterminism:
         eng.load_arrivals(*arrival_columns([(2.0, 0)]))
         eng.advance(5.0)
         vm = eng.vms[0]
-        assert (vm.pod_count, vm.inflight, vm.busy_since is None) == (1, 0, mode == "inflight")
+        pod_count = sum(pod.vm_id == 0 for pod in eng.pods.values())
+        assert (pod_count, vm.inflight, vm.busy_since is None) == (1, 0, mode == "inflight")
         eng.check_invariants()
         if damage == "busy_since":
             vm.busy_since = eng.clock if vm.busy_since is None else None
-        elif damage == "pod_count":
-            vm.pod_count += 1
         else:
             vm.inflight += 1
         with pytest.raises(AssertionError, match=message):
@@ -984,7 +982,7 @@ class TestInvariantsAndDeterminism:
                                       initial_pod_cpu=1.0, initial_pod_mem=1024.0)
             eng = ClusterEngine([vm], [profile], [Application(app_id=0, function_sequence=(0,))])
             eng.apply_horizontal(0, 1)
-            eng.vms[0].pod_count += 1
+            eng.vms[0].inflight += 1
             try:
                 eng.check_invariants()
             except AssertionError as exc:
@@ -994,7 +992,7 @@ class TestInvariantsAndDeterminism:
         result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                                 text=True, check=True,
                                 env={**os.environ, "PYTHONPATH": str(src)})
-        assert result.stdout.strip() == "raised: pod count drift"
+        assert result.stdout.strip() == "raised: vm in-flight count drift"
 
     def test_accounting_holds_throughout(self, desk_vms, fast_profile, single_app):
         eng = make_engine(desk_vms, [fast_profile], [single_app])
@@ -1036,6 +1034,30 @@ class TestInvariantsAndDeterminism:
         eng.apply_horizontal(0, -1)
         eng.advance(9.0)
         assert eng.vms[0].busy_overlap(0.0, 9.0) == pytest.approx(5.0)
+
+    def test_pods_mode_closes_when_the_last_pod_drains(self, big_vm, fast_profile,
+                                                        single_app):
+        # Pod 0 on VM 0 serves a request and drains as Terminating; pod 1,
+        # idle on VM 1, is removed at once. Each VM's busy interval closes
+        # when its last pod is removed, not earlier.
+        small = VmSpec(vm_id=0, cpu_capacity=1.0, mem_capacity=4096.0, unit_price=0.048)
+        eng = make_engine([small, dataclasses.replace(big_vm, vm_id=1)], [fast_profile],
+                          [single_app], active_time_mode="pods")
+        eng.apply_horizontal(0, 2)
+        assert [pod.vm_id for pod in eng.pods.values()] == [0, 1]
+        eng.advance(2.0)
+        eng.load_arrivals(*arrival_columns([(2.5, 0)]))
+        eng.advance(3.0)
+        eng.apply_horizontal(0, -2)
+        assert eng.pods[0].phase is PodPhase.TERMINATING and 1 not in eng.pods
+        assert (eng.vms[1].busy_log, eng.vms[1].busy_since) == ([(0.0, 3.0)], None)
+        eng.advance(3.25)
+        assert (eng.vms[0].busy_log, eng.vms[0].busy_since) == ([], 0.0)
+        eng.check_invariants()
+        eng.advance(5.0)
+        assert eng.event_log[-2:] == [(3.5, "finish", 0), (3.5, "pod_remove", 0)]
+        assert (eng.vms[0].busy_log, eng.vms[0].busy_since) == ([(0.0, 3.5)], None)
+        eng.check_invariants()
 
     def test_execution_noise_flag(self, big_vm, fast_profile, single_app):
         def response(sigma, seed):

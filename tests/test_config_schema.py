@@ -1,7 +1,7 @@
 """The typed config reader, held to every leaf key.
 
 Each leaf key of the config sections, plus ``beta_list``, ``cluster`` and
-``applications``, is set to each of nine wrong-or-edge values. The loader
+``applications``, is set to each of ten wrong-or-edge values. The loader
 must either accept the value or raise a ``ConfigError`` that names the key,
 and an accepted value must never make a command exit 3 (an unexpected
 error). ``train --agent dqn`` runs every accepted value here; the full command
@@ -34,7 +34,7 @@ SECTIONS = {"env": EnvConfig, "sim": SimConfig, "train": TrainConfig, "dqn": Dqn
 LEAF_KEYS = [f"{section}.{f.name}" for section, cls in SECTIONS.items()
              for f in dataclasses.fields(cls)] + ["beta_list", "cluster", "applications"]
 # 1e308 is finite but overflows anything it is multiplied into
-VALUES = ["abc", None, -1, 0, 2.5, [1], {"a": 1}, True, 1.0e+308]
+VALUES = ["abc", None, -1, 0, 2.5, [1], [], {"a": 1}, True, 1.0e+308]
 
 # One app on one VM, 20 s episodes, one episode per agent.
 BASE = {
@@ -148,6 +148,10 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     ({"workload": {"duration": 1.0e+15}}, "workload.duration"),
     # a finite but huge entropy weight trained into infinite Adam moments
     ({"train": {"entropy_beta": 1.0e+308}}, "train.entropy_beta"),
+    # train-sweep would exit 0 having trained nothing
+    ({"beta_list": []}, "beta_list"),
+    ({"applications": []}, "applications"),
+    ({"applications": ["primary", "primary"]}, "applications"),
 ])
 def test_wrong_type_or_unknown_key_is_named(overrides, key):
     with pytest.raises(ConfigError, match=key):
@@ -183,11 +187,24 @@ def test_cluster_file_rows_are_typed(tmp_path, row, message):
         load_cluster_file(path)
 
 
+PROFILE_ROW = {"function_id": 0, "req_cpu": 0.25, "req_mem": 256.0,
+               "standard_response_time": 1.0, "cold_start_seconds": 2.0,
+               "initial_pod_cpu": 1.0, "initial_pod_mem": 1024.0}
+
+
 def test_profiles_file_rows_are_typed(tmp_path):
     path = tmp_path / "profiles.yaml"
-    path.write_text(yaml.safe_dump([{
-        "function_id": 0, "req_cpu": "0.25", "req_mem": 256.0,
-        "standard_response_time": 1.0, "cold_start_seconds": 2.0,
-        "initial_pod_cpu": 1.0, "initial_pod_mem": 1024.0}]))
+    path.write_text(yaml.safe_dump([{**PROFILE_ROW, "req_cpu": "0.25"}]))
     with pytest.raises(ConfigError, match=r"\[0\].req_cpu' must be a finite float"):
         load_profiles_file(path)
+
+
+@pytest.mark.parametrize("applications", [[], [{"app_id": 0, "functions": [0]}] * 2],
+                         ids=["empty", "repeated-app-id"])
+def test_explicit_applications_name_their_key(tmp_path, applications):
+    path = tmp_path / "profiles.yaml"
+    path.write_text(yaml.safe_dump([PROFILE_ROW]))
+    with pytest.raises(ConfigError, match="applications"):
+        load_experiment(overrides={"profiles_file": str(path), "applications": applications})
+
+

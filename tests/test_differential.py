@@ -12,7 +12,8 @@ and execution noise on and off. The timing constants are multiples of
 
 After every advance the engines must agree exactly: event log, the fields
 of every request (``ClusterEngine`` columns against ``ReferenceEngine``
-records), pods, VM accounting and busy logs, chain ratios,
+records), pods, VM accounting (CPU and memory in use summed over each
+engine's pods) and busy logs, chain ratios,
 completion times and ratios, the episode summary and the reward channels of
 the window just run. The fast engine's open-pod counts must equal a full
 scan, and its own ``check_invariants`` must pass. A rejected batch must raise
@@ -82,9 +83,13 @@ def test_reference_records_have_the_record_fields():
     assert tuple(f.name for f in fields(Record)) == FIELDS
 
 
-def vm_state(vm):
-    return (vm.cpu_allocated, vm.mem_allocated, vm.cpu_used, vm.mem_used, vm.pod_count,
-            vm.inflight, vm.busy_since, vm.busy_log)
+def vm_states(engine):
+    """Each VM's record, with its CPU and memory in use summed over its pods."""
+    return [(vm.cpu_allocated, vm.mem_allocated,
+             sum(pod.cpu_used for pod in engine.pods.values() if pod.vm_id == vm_id),
+             sum(pod.mem_used for pod in engine.pods.values() if pod.vm_id == vm_id),
+             vm.inflight, vm.busy_since, vm.busy_log)
+            for vm_id, vm in engine.vms.items()]
 
 
 def agree(what, fast_value, ref_value):
@@ -102,8 +107,7 @@ def assert_same(fast, ref, t0):
     agree("round-robin cursors", fast._rr_cursor, ref._rr_cursor)
     agree("queued counts", fast.queued, ref.queued)
     agree("open-pod counts", fast.open_pods, ref.open_pod_counts())
-    agree("vm states", [vm_state(vm) for vm in fast.vms.values()],
-          [vm_state(vm) for vm in ref.vms.values()])
+    agree("vm states", vm_states(fast), vm_states(ref))
     agree("chain ratios", fast.chain_ratios, ref.chain_ratios)
     agree("completion times", fast.completion_times, ref.completion_times)
     agree("completion ratios", fast.completion_ratios, ref.completion_ratios)

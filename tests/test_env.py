@@ -10,8 +10,8 @@ import pytest
 from faaslab import env as env_module
 from faaslab.cluster import Application, FunctionProfile, RequestStatus, VmSpec
 from faaslab.config import load_experiment
-from faaslab.env import (ACTION_SIZES, DecodedAction, EnvConfig, ScalingAction,
-                         ServerlessEnv, decode, grid_value)
+from faaslab.env import (ACTION_SIZES, FEATURES_PER_VM, DecodedAction, EnvConfig,
+                         ScalingAction, ServerlessEnv, decode, grid_value)
 from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import ChannelBounds, RewardBounds
 from faaslab.workload import (EVAL_BANDS, MAX_TRAINING_ENTRY_FNS, TraceSeries,
@@ -236,13 +236,35 @@ class TestStep:
             env.step(ScalingAction(5, 5, 5))
 
 
+class TestVmUsageFeatures:
+    def test_idle_vm_reads_exactly_zero_usage(self):
+        # A VM's CPU and memory in use are sums over its pods, so a VM with no
+        # request in flight reads exactly 0.0, not a residue of adding and
+        # subtracting per-request amounts.
+        exp = load_experiment(overrides={"preset": "desk"})
+        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, seed=0)
+        state, done = env.reset(exp.eval_sets(["high"])["high"][0]), False
+        ticks = idle = 0
+        while True:
+            for k, vm in enumerate(env.engine.vms.values()):
+                if not vm.inflight:
+                    idle += 1
+                    cpu, mem = state[FEATURES_PER_VM * k:FEATURES_PER_VM * k + 2]
+                    assert (cpu, mem) == (0.0, 0.0), f"tick {ticks}, vm {k}"
+            if done:
+                break
+            state, _, done = env.step(ScalingAction(5, 5, 5), rewarded=False)
+            ticks += 1
+        assert ticks == env.total_steps and idle
+
+
 class TestStateDigest:
     # sha256 over every state vector and reward of seeded random-action
     # episodes; a one-ulp change in any state feature or reward changes it.
     # Training draws random targets and evaluation ranks them, so each target
     # mode pins its own digest.
-    DIGESTS = {"random": "0c1b45f0ae1a49150c61100f9256e46cc286eccbf9ceca29021150414a160a86",
-               "highest_rfrt": "f056a4258b9c1debd6827659072b8a2c9ed0693ca33032759f6ceb404c68e07c"}
+    DIGESTS = {"random": "dc65e03a11963e85f603787f30b8473a1a8ff31e36dc6c2dcdb88510829978f3",
+               "highest_rfrt": "a309bbbec1e2759c458d9c63e16dbfdfdf2e02175e1fe1aab016be25c217bc27"}
 
     @staticmethod
     def digest(mode):
