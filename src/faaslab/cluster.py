@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import pairwise
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -340,9 +340,9 @@ class ClusterEngine:
     Pending events come from three sources, all keyed by the same (time, seq):
 
     * retries sit in ``_retries``, a FIFO of ``(time, seq, request_id)``,
-      one per queued request; ``queued`` counts them per function. A retry
-      is due one ``retry_interval`` after the clock it was pushed at, and
-      the clock never goes back, so each push goes at the tail.
+      one per queued request. A retry is due one ``retry_interval`` after
+      the clock it was pushed at, and the clock never goes back, so each
+      push goes at the tail.
     * finishes and pod readiness sit in ``_heap`` as ``(time, seq, kind,
       arg)``, where ``kind`` is ``_FINISH`` or ``_POD_READY`` and ``arg`` the
       request or pod id.
@@ -445,9 +445,6 @@ class ClusterEngine:
                         for fn in app.function_sequence)
             for app_id, app in self.apps.items()
         }
-        # Queued requests per function; each has one entry in ``_retries``.
-        self.queued: dict[int, int] = {fn: 0 for fn in self.profiles}
-
         # Monotone per-function histories for windowed metrics.
         self.arrival_times: dict[int, list[float]] = {fn: [] for fn in self.profiles}
         self.completion_times: dict[int, list[float]] = {fn: [] for fn in self.profiles}
@@ -533,7 +530,6 @@ class ClusterEngine:
         rr_cursor = self._rr_cursor
         app_fns = self._app_fns
         open_pods = self.open_pods
-        n_queued = self.queued
         arrival_times = self.arrival_times
         completion_times = self.completion_times
         completion_ratios = self.completion_ratios
@@ -563,7 +559,6 @@ class ClusterEngine:
                 tries = req_retries[rid]
                 if tries >= max_retries:
                     req_pod_id[rid] = _DROPPED
-                    n_queued[fn] -= 1
                     drop_times[fn].append(time)
                     if log is not None:
                         log.append((time, "drop", rid))
@@ -573,7 +568,6 @@ class ClusterEngine:
                     seq += 1
                     retries.append((time + retry_interval, seq, rid))
                     continue
-                n_queued[fn] -= 1  # routed below
             else:
                 if heap and heap[0] < nxt:
                     if heap[0][0] > until:
@@ -645,7 +639,6 @@ class ClusterEngine:
                     log.append((time, "arrival", rid, fn))
                 if not open_pods[fn]:
                     req_retries.append(1)
-                    n_queued[fn] += 1
                     if log is not None:
                         log.append((time, "queue", rid))
                     seq += 1
@@ -746,7 +739,6 @@ class ClusterEngine:
                 f"function {fn}: open-pod count is {self.open_pods[fn]} but no pod is open")
         self._rr_cursor[fn] = (cursor + off + 1) % n
         self._retries.remove(next(entry for entry in self._retries if entry[2] == rid))
-        self.queued[fn] -= 1
         now = self.clock
         pod_id = pod.pod_id
         profile = pod.profile
@@ -926,6 +918,10 @@ class ClusterEngine:
 
     # ------------------------------------------------------------ observation
 
+    def queued_requests(self, fn: int) -> int:
+        """Queued requests of ``fn``: its entries in the retry FIFO, counted now."""
+        return countOf(map(self.req_function_id.__getitem__, map(itemgetter(2), self._retries)), fn)
+
     def window(self, fn: int, t0: float, t1: float) -> FunctionWindow:
         """Arrivals and drops of ``fn`` in (t0, t1], the mean response-time ratio
         (RFRT) of its completions there, 1.0 with none so that idle functions
@@ -969,7 +965,7 @@ class ClusterEngine:
             counts.rfrt, counts.rfr,
             sum(cpu_utils) / replicas if replicas else 0.0,
             sum(mem_utils) / replicas if replicas else 0.0,
-            replicas, running, self.queued[fn], profile.standard_response_time)
+            replicas, running, self.queued_requests(fn), profile.standard_response_time)
 
     # ------------------------------------------------------------ diagnostics
 
@@ -1029,8 +1025,6 @@ class ClusterEngine:
         # queued_rids ascends: one pending retry per queued request and none for any other
         _check(sorted(rid for _, _, rid in self._retries) == queued_rids,
                "queued requests and pending retries differ")
-        queued_fns = Counter(self.req_function_id[rid] for rid in queued_rids)
-        _check(self.queued == {fn: queued_fns[fn] for fn in self.profiles}, "queued count drift")
         for pod in self.pods.values():
             _check(pod.in_flight == running_pods[pod.pod_id], "in-flight count drift")
             _check(pod.max_concurrency == pod.concurrency_bound(), "stale concurrency bound")

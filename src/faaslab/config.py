@@ -56,7 +56,8 @@ def cluster_from_shapes(shapes: Sequence[str]) -> list[VmSpec]:
     vms = []
     for vm_id, name in enumerate(shapes):
         if name not in VM_SHAPES:
-            raise ConfigError(f"unknown VM shape {name!r}; known: {sorted(VM_SHAPES)}")
+            raise ConfigError(f"cluster lists unknown VM shape {name!r}; "
+                              f"known: {sorted(VM_SHAPES)}")
         cpu, mem, price = VM_SHAPES[name]
         vms.append(VmSpec(vm_id=vm_id, cpu_capacity=cpu, mem_capacity=mem,
                           unit_price=price))
@@ -278,7 +279,7 @@ def load_experiment(path: Optional[str | Path] = None,
     elif top.cluster:
         vms = cluster_from_shapes(top.cluster)
     else:
-        raise ConfigError("config needs either cluster_file or a cluster shape list")
+        raise ConfigError("cluster must list at least one VM shape (or set cluster_file)")
 
     if top.profiles_file:
         profiles = load_profiles_file(top.profiles_file)

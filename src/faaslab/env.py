@@ -178,7 +178,7 @@ class ServerlessEnv:
             t0 = now - self.config.decision_interval
             windows = {fn: engine.window(fn, t0, now) for fn in fns}
             self.target_fn = min(fns, key=lambda fn: (
-                -(windows[fn].drops + engine.queued[fn]), -windows[fn].rfrt, fn))
+                -(windows[fn].drops + engine.queued_requests(fn)), -windows[fn].rfrt, fn))
 
     # ------------------------------------------------------------------- step
 

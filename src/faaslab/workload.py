@@ -283,7 +283,8 @@ def select_apps(names: Sequence[str]) -> tuple[dict[int, FunctionProfile], list[
     chosen = []
     for name in names:
         if name not in index:
-            raise ConfigError(f"unknown application {name!r}; catalog: {sorted(index)}")
+            raise ConfigError(f"applications lists unknown application {name!r}; "
+                              f"catalog: {sorted(index)}")
         chosen.append(apps[index[name]])
     used = {fn for app in chosen for fn in app.function_sequence}
     return {fn: profiles[fn] for fn in sorted(used)}, chosen

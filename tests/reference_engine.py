@@ -20,7 +20,7 @@ of the per-request lifecycle with the rule it stands for:
   ``ClusterEngine`` keeps columns;
 * queued requests are kept as per-function id sets in ``queued_ids``, and the
   inherited ``snapshot`` and ``horizontal_delta`` read their sizes through
-  the ``queued`` property;
+  ``queued_requests``;
 * a VM's busy interval opens and closes by ``_update_vm_activity``, which
   asks ``_vm_is_active``: in-flight requests, or in "pods" mode a scan of the
   pod table. It runs after every assign and finish, and after the inherited
@@ -262,14 +262,9 @@ class ReferenceEngine(ClusterEngine):
     def chain_ratios(self, _value) -> None:
         pass  # ClusterEngine.__init__ sets up the store the fast path fills
 
-    @property
-    def queued(self) -> dict[int, int]:
-        """Per function, the number of queued requests, from the id sets."""
-        return {fn: len(ids) for fn, ids in self.queued_ids.items()}
-
-    @queued.setter
-    def queued(self, _value) -> None:
-        pass  # ClusterEngine.__init__ sets up the counts the fast path keeps
+    def queued_requests(self, fn: int) -> int:
+        """Queued requests of ``fn``, from its id set."""
+        return len(self.queued_ids[fn])
 
     def open_pod_counts(self) -> dict[int, int]:
         """Per function, the pods routing could assign to, by a full scan."""

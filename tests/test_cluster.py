@@ -541,6 +541,37 @@ class TestRetryDrop:
         assert req.status is RequestStatus.QUEUED
         assert req.retries == 4
 
+    def test_queued_requests_count_the_retry_fifo(self, big_vm, fast_profile):
+        # Function 0 gets one pod (concurrency 4) at 2.0: its six requests
+        # from 0.0 route four at 2.0 and two at 3.0, and request 8 (2.2) is
+        # routed by hand at 3.0. Function 1 never gets a pod: requests 6 and
+        # 7 (0.5) drop at 4.5, when their fourth retry finds the budget spent.
+        apps = [Application(app_id=0, function_sequence=(0,)),
+                Application(app_id=1, function_sequence=(1,))]
+        profiles = [fast_profile, dataclasses.replace(fast_profile, function_id=1)]
+        eng = make_engine([big_vm], profiles, apps, max_retries=4)
+        eng.load_arrivals(*arrival_columns([(0.0, 0)] * 6 + [(0.5, 1)] * 2 + [(2.2, 0)]))
+        eng.apply_horizontal(0, 1)
+        trace = {}
+
+        def counts():
+            fifo = [eng.req_function_id[rid] for _, _, rid in eng._retries]
+            got = (eng.queued_requests(0), eng.queued_requests(1))
+            assert got == (fifo.count(0), fifo.count(1))
+            return got
+
+        for step in range(13):
+            eng.advance(0.5 * step)
+            trace[eng.clock] = counts()
+            if eng.clock == 3.0:
+                eng.route_request(8)
+                trace["routed"] = counts()
+        assert trace == {0.0: (6, 0), 0.5: (6, 2), 1.0: (6, 2), 1.5: (6, 2), 2.0: (2, 2),
+                         2.5: (3, 2), 3.0: (1, 2), "routed": (0, 2), 3.5: (0, 2), 4.0: (0, 2),
+                         4.5: (0, 0), 5.0: (0, 0), 5.5: (0, 0), 6.0: (0, 0)}
+        assert [e[2] for e in eng.event_log if e[1] == "drop"] == [6, 7]
+        eng.check_invariants()
+
 
 class TestHorizontalScaling:
     def test_delta_examples(self, big_vm, fast_profile, single_app):
@@ -852,9 +883,7 @@ class TestInvariantsAndDeterminism:
         ("queued", "queued requests and pending retries differ"),
         ("finish_without_pod", "queued request with a finish time"),
         ("retries", "retries above the retry budget"),
-        ("queued_count", "queued count drift"),
-    ], ids=["length", "running", "completed", "queued", "finish_without_pod", "retries",
-            "queued_count"])
+    ], ids=["length", "running", "completed", "queued", "finish_without_pod", "retries"])
     def test_invariants_catch_corrupted_request_columns(self, big_vm, fast_profile,
                                                        single_app, damage, message):
         # One pod of concurrency 4: request 0 finishes at 3.0, requests 1-3
@@ -877,10 +906,8 @@ class TestInvariantsAndDeterminism:
             eng.req_pod_id[4] = 0
         elif damage == "finish_without_pod":
             eng.req_finish_time[4] = 3.0
-        elif damage == "retries":
-            eng.req_retries[4] = eng.config.max_retries + 1
         else:
-            eng.queued[0] += 1
+            eng.req_retries[4] = eng.config.max_retries + 1
         with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
 

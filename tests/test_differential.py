@@ -105,7 +105,8 @@ def assert_same(fast, ref, t0):
     agree("pods", fast.pods, ref.pods)
     agree("pod lists", fast.fn_pods, ref.fn_pods)
     agree("round-robin cursors", fast._rr_cursor, ref._rr_cursor)
-    agree("queued counts", fast.queued, ref.queued)
+    agree("queued counts", {fn: fast.queued_requests(fn) for fn in fast.profiles},
+          {fn: ref.queued_requests(fn) for fn in ref.profiles})
     agree("open-pod counts", fast.open_pods, ref.open_pod_counts())
     agree("vm states", vm_states(fast), vm_states(ref))
     agree("chain ratios", fast.chain_ratios, ref.chain_ratios)
