@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cluster import (ClusterEngine, FunctionProfile, FunctionSnapshot, SimConfig,
-                      VmSpec, ceil_guarded, cpu_target_replicas)
+from .cluster import (MAX_REPLICAS, ClusterEngine, FunctionProfile, FunctionSnapshot,
+                      SimConfig, VmSpec, ceil_guarded, cpu_target_replicas)
 from .env import EnvConfig, ServerlessEnv
 from .errors import ConfigError, require
 from .metrics import EpisodeMetrics
@@ -71,42 +71,36 @@ def _outstanding(snap: FunctionSnapshot) -> int:
     return snap.running_requests + snap.queued_requests
 
 
-def knative_decide(snap: FunctionSnapshot, cfg: KnativeConfig,
-                   max_replicas: int) -> int:
+def knative_decide(snap: FunctionSnapshot, cfg: KnativeConfig) -> int:
     desired = ceil_guarded(_outstanding(snap)
                            / (cfg.target_concurrency * cfg.target_utilization))
-    return min(desired, max_replicas)
+    return min(desired, MAX_REPLICAS)
 
 
-def kube_cpu_decide(snap: FunctionSnapshot, cfg: KubeCpuConfig,
-                    max_replicas: int) -> int:
-    return cpu_target_replicas(snap.replicas, snap.avg_pod_cpu_util, snap.queued_requests,
-                               cfg.cpu_threshold, max_replicas)
+def kube_cpu_decide(snap: FunctionSnapshot, cfg: KubeCpuConfig) -> int:
+    return cpu_target_replicas(snap, cfg.cpu_threshold)
 
 
-def openfaas_decide(snap: FunctionSnapshot, cfg: OpenFaasConfig,
-                    max_replicas: int) -> int:
+def openfaas_decide(snap: FunctionSnapshot, cfg: OpenFaasConfig) -> int:
     if snap.standard_response_time > cfg.long_exec_cutoff:
         desired = ceil_guarded(_outstanding(snap) / cfg.capacity_threshold)
     elif snap.arrival_rate > cfg.high_rate_cutoff:
         desired = ceil_guarded(snap.arrival_rate / cfg.rps_threshold)
     else:  # cpu mode: the kube_cpu rule
-        return cpu_target_replicas(snap.replicas, snap.avg_pod_cpu_util, snap.queued_requests,
-                                   cfg.cpu_threshold, max_replicas)
-    return min(desired, max_replicas)
+        return cpu_target_replicas(snap, cfg.cpu_threshold)
+    return min(desired, MAX_REPLICAS)
 
 
 BASELINES = ("knative", "kube_cpu", "openfaas")
 
 
-def decide(policy: str, snap: FunctionSnapshot, cfg: BaselinePolicyConfig,
-           max_replicas: int) -> int:
+def decide(policy: str, snap: FunctionSnapshot, cfg: BaselinePolicyConfig) -> int:
     if policy == "knative":
-        return knative_decide(snap, cfg.knative, max_replicas)
+        return knative_decide(snap, cfg.knative)
     if policy == "kube_cpu":
-        return kube_cpu_decide(snap, cfg.kube_cpu, max_replicas)
+        return kube_cpu_decide(snap, cfg.kube_cpu)
     if policy == "openfaas":
-        return openfaas_decide(snap, cfg.openfaas, max_replicas)
+        return openfaas_decide(snap, cfg.openfaas)
     raise ConfigError(f"unknown baseline {policy!r}; choose from {BASELINES}")
 
 
@@ -145,7 +139,7 @@ def run_baseline(
         # Every function is judged on the cluster as it stood before this tick's scaling.
         snaps = [engine.snapshot(fn, env_config.decision_interval) for fn in engine.deployed_fns]
         for snap in snaps:
-            desired = decide(policy, snap, cfg, sim_config.max_replicas)
+            desired = decide(policy, snap, cfg)
             engine.apply_horizontal(snap.function_id, desired - snap.replicas)
         window = env.run_window(collect_channels)
         if collect_channels:

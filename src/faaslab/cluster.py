@@ -31,7 +31,9 @@ POD_CPU_MAX = 1.0
 POD_MEM_MIN = 128.0
 POD_MEM_MAX = 3072.0
 
-# Cap on concurrent replicas of any single function.
+# Cap on concurrent replicas of any single function, under every scaling rule.
+# A constant, not a config key: the agent state divides by it, and a
+# checkpoint records no normalizer.
 MAX_REPLICAS = 80
 
 _EPS = 1e-9
@@ -65,13 +67,24 @@ def desired_replicas(
     return min(ceil_guarded(base * avg_cpu_util / target_util), max_replicas)
 
 
-def cpu_target_replicas(replicas: int, avg_cpu_util: float, queued: int,
-                        target_util: float, max_replicas: int) -> int:
-    """``desired_replicas`` of a function; with zero replicas its utilization
-    reads 1.0 while requests queue and 0.0 otherwise."""
+def cpu_target_replicas(snap: FunctionSnapshot, target_util: float) -> int:
+    """Replica count of the function in ``snap`` under the CPU-target rule.
+
+    Not-ready (Creating) pods are set aside, as the Kubernetes HPA does:
+    - no replicas: utilization reads 1.0 while requests queue and 0.0
+      otherwise, so queued traffic creates the first pods;
+    - replicas but none ready: the count holds, as no pod reports a load;
+    - ``desired_replicas`` above the ready count while some pods are
+      Creating: the count never drops, so no pod goes before it can serve;
+    - otherwise ``desired_replicas``, whose average counts Creating pods at 0.
+    """
+    replicas, ready = snap.replicas, snap.ready_replicas
     if not replicas:
-        avg_cpu_util = 1.0 if queued else 0.0
-    return desired_replicas(replicas, avg_cpu_util, target_util, max_replicas)
+        return desired_replicas(0, 1.0 if snap.queued_requests else 0.0, target_util)
+    if not ready:
+        return replicas
+    desired = desired_replicas(replicas, snap.avg_pod_cpu_util, target_util)
+    return max(desired, replicas) if desired > ready else desired
 
 
 class PodPhase(Enum):
@@ -276,7 +289,6 @@ class Application:
 class SimConfig:
     retry_interval: float = 1.0
     max_retries: int = 10
-    max_replicas: int = MAX_REPLICAS
     exec_noise_sigma: float = 0.0      # lognormal sigma on execution time; 0 disables
     active_time_mode: str = "inflight"  # "inflight" | "pods"
     seed: int = 0
@@ -287,7 +299,6 @@ class SimConfig:
         require(0 < self.retry_interval <= 3600, "sim.retry_interval must lie in (0, 3600]",
                 self.retry_interval)
         require(self.max_retries >= 0, "sim.max_retries must be >= 0", self.max_retries)
-        require(self.max_replicas >= 1, "sim.max_replicas must be >= 1", self.max_replicas)
         require(self.active_time_mode in ("inflight", "pods"),
                 "sim.active_time_mode must be 'inflight' or 'pods'", self.active_time_mode)
         # lognormvariate's exp(sigma * z) overflows past 709: z > 70 at sigma 10, never drawn
@@ -309,6 +320,7 @@ class FunctionSnapshot(NamedTuple):
     avg_pod_cpu_util: float
     avg_pod_mem_util: float
     replicas: int
+    ready_replicas: int
     running_requests: int
     queued_requests: int
     standard_response_time: float
@@ -780,8 +792,7 @@ class ClusterEngine:
         if fn not in self.profiles:
             raise ConfigError(f"unknown function {fn}")
         snap = self.snapshot(fn, 0.0)
-        return cpu_target_replicas(snap.replicas, snap.avg_pod_cpu_util, snap.queued_requests,
-                                   target_util, self.config.max_replicas) - snap.replicas
+        return cpu_target_replicas(snap, target_util) - snap.replicas
 
     def apply_horizontal(self, fn: int, delta: int) -> None:
         """Create ``delta`` pods of fn, or remove ``-delta``.
@@ -947,13 +958,14 @@ class ClusterEngine:
         profile = self.profiles[fn]
         req_cpu, req_mem = profile.req_cpu, profile.req_mem
         pods = self.pods
-        terminating = PodPhase.TERMINATING
-        replicas = running = 0
+        terminating, ready_phase = PodPhase.TERMINATING, PodPhase.READY
+        replicas = ready = running = 0
         cpu_utils, mem_utils = [], []
         for pid in self.fn_pods[fn]:
             pod = pods[pid]
-            if pod.phase is not terminating:
+            if (phase := pod.phase) is not terminating:
                 replicas += 1
+                ready += phase is ready_phase
                 if n := pod.in_flight:
                     running += n
                     cpu_utils.append(n * req_cpu / pod.cpu_limit)
@@ -965,7 +977,8 @@ class ClusterEngine:
             counts.rfrt, counts.rfr,
             sum(cpu_utils) / replicas if replicas else 0.0,
             sum(mem_utils) / replicas if replicas else 0.0,
-            replicas, running, self.queued_requests(fn), profile.standard_response_time)
+            replicas, ready, running, self.queued_requests(fn),
+            profile.standard_response_time)
 
     # ------------------------------------------------------------ diagnostics
 

@@ -161,7 +161,7 @@ class Experiment:
     beta_list: list[float]
     output_dir: Path
     calibration_file: Path
-    eval_parallel: int = 1  # read only by the benchmark; goes with ROADMAP item 2 PR B
+    eval_parallel: int = 1  # read only by the benchmark; goes with ROADMAP item 7 PR B
 
     @property
     def config_hash(self) -> str:

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cluster import (POD_CPU_MAX, POD_MEM_MAX, ClusterEngine, FunctionProfile,
-                      PodPhase, SimConfig, VmSpec)
+from .cluster import (MAX_REPLICAS, POD_CPU_MAX, POD_MEM_MAX, ClusterEngine,
+                      FunctionProfile, PodPhase, SimConfig, VmSpec)
 from .errors import ConfigError, SimulationError, require
 from .metrics import EpisodeLedger, RewardBounds, step_reward
 from .workload import WorkloadSpec, synthesize
@@ -238,7 +238,6 @@ class ServerlessEnv:
             mem_used[vm_id] += pod.mem_used
             if pod.function_id == self.target_fn and pod.phase is not PodPhase.TERMINATING:
                 replicas[vm_id] += 1
-        max_replicas = engine.config.max_replicas
         features: list[float] = []
         for vm_id, vm in engine.vms.items():
             spec = vm.spec
@@ -249,7 +248,7 @@ class ServerlessEnv:
                 vm.mem_allocated / spec.mem_capacity,
                 spec.cpu_capacity / self._max_cpu,
                 spec.mem_capacity / self._max_mem,
-                replicas[vm_id] / max_replicas,
+                replicas[vm_id] / MAX_REPLICAS,
             ))
         fn = engine.snapshot(self.target_fn, self.config.decision_interval)
         features.extend((

@@ -5,8 +5,8 @@ import pytest
 from faaslab.baselines import (BASELINES, BaselinePolicyConfig, KnativeConfig,
                                KubeCpuConfig, OpenFaasConfig, decide, knative_decide,
                                kube_cpu_decide, openfaas_decide, run_baseline)
-from faaslab.cluster import (Application, ClusterEngine, FunctionProfile, FunctionSnapshot,
-                             SimConfig)
+from faaslab.cluster import (MAX_REPLICAS, Application, ClusterEngine, FunctionProfile,
+                             FunctionSnapshot, SimConfig)
 from faaslab.config import load_experiment
 from faaslab.env import EnvConfig, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError
@@ -24,57 +24,68 @@ def snap(**kw):
                     running_requests=0, queued_requests=0,
                     standard_response_time=1.0)
     defaults.update(kw)
+    defaults.setdefault("ready_replicas", defaults["replicas"])
     return FunctionSnapshot(**defaults)
 
 
 class TestKnative:
     def test_concurrency_formula(self):
         # 12 outstanding over 4 * 0.75 = 3 effective concurrency -> 4 replicas
-        assert knative_decide(snap(running_requests=9, queued_requests=3),
-                              KNATIVE, 80) == 4
+        assert knative_decide(snap(running_requests=9, queued_requests=3), KNATIVE) == 4
 
     def test_idle_scales_to_zero(self):
-        assert knative_decide(snap(), KNATIVE, 80) == 0
+        assert knative_decide(snap(), KNATIVE) == 0
 
     def test_single_request_gets_one_replica(self):
-        assert knative_decide(snap(running_requests=1), KNATIVE, 80) == 1
+        assert knative_decide(snap(running_requests=1), KNATIVE) == 1
 
     def test_clamped_to_max(self):
-        assert knative_decide(snap(running_requests=1000), KNATIVE, 80) == 80
+        assert knative_decide(snap(running_requests=1000), KNATIVE) == MAX_REPLICAS
 
 
 class TestKubeCpu:
     def test_fixed_point(self):
-        assert kube_cpu_decide(snap(replicas=4, avg_pod_cpu_util=0.5), KUBE, 80) == 4
+        assert kube_cpu_decide(snap(replicas=4, avg_pod_cpu_util=0.5), KUBE) == 4
 
     def test_scale_up_ceiling(self):
-        assert kube_cpu_decide(snap(replicas=4, avg_pod_cpu_util=0.8), KUBE, 80) == 7
+        assert kube_cpu_decide(snap(replicas=4, avg_pod_cpu_util=0.8), KUBE) == 7
 
     def test_bootstrap_from_queued_traffic(self):
         # zero replicas but queued work: utilization proxy 1.0 -> ceil(1/0.5)=2
-        assert kube_cpu_decide(snap(queued_requests=3), KUBE, 80) == 2
+        assert kube_cpu_decide(snap(queued_requests=3), KUBE) == 2
 
     def test_idle_zero_replicas_stays_zero(self):
-        assert kube_cpu_decide(snap(), KUBE, 80) == 0
+        assert kube_cpu_decide(snap(), KUBE) == 0
+
+    def test_episode_serves_below_the_cold_start(self):
+        # Desk cold starts take 2-5 s. At 1 s ticks a pod is still Creating at
+        # the next tick; counted at 0% load it would be removed before it
+        # could serve, and the episode would drop every request.
+        exp = load_experiment(overrides={"preset": "desk", "env": {"decision_interval": 1.0}})
+        workload = exp.eval_sets(["high"])["high"][0]
+        res = run_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env, exp.sim,
+                           exp.baselines)
+        assert res.summary.completed > 0
+        assert res.summary.rfr < 0.5
 
 
 class TestOpenFaas:
     def test_capacity_mode_for_slow_functions(self):
         s = snap(standard_response_time=3.0, running_requests=10)
-        assert openfaas_decide(s, OPENFAAS, 80) == 3  # ceil(10/4)
+        assert openfaas_decide(s, OPENFAAS) == 3  # ceil(10/4)
 
     def test_rps_mode_for_fast_busy_functions(self):
         s = snap(standard_response_time=0.5, arrival_rate=32.0)
-        assert openfaas_decide(s, OPENFAAS, 80) == 4  # ceil(32/8)
+        assert openfaas_decide(s, OPENFAAS) == 4  # ceil(32/8)
 
     def test_cpu_mode_fallback(self):
         s = snap(standard_response_time=0.5, arrival_rate=10.0, replicas=2,
                  avg_pod_cpu_util=0.6)
-        assert openfaas_decide(s, OPENFAAS, 80) == 3  # ceil(2*0.6/0.5)
+        assert openfaas_decide(s, OPENFAAS) == 3  # ceil(2*0.6/0.5)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
-            decide("nimbus", snap(), BaselinePolicyConfig(), 80)
+            decide("nimbus", snap(), BaselinePolicyConfig())
 
 
 def one_fn_workload(rate, duration=30):
@@ -201,12 +212,15 @@ class TestRunBaseline:
 
 
 class TestAgentActionIsKubeCpu:
-    def test_constant_action_reproduces_kube_cpu_event_log(self):
+    @pytest.mark.parametrize("interval", [10, 1.0])
+    def test_constant_action_reproduces_kube_cpu_event_log(self, interval):
         # Action (5, 5, 5) is a CPU-utilization target of 0.5 and no resize:
         # the kube_cpu rule at its default threshold, read through the same
         # snapshot. With one function, the agent's one target per tick is
-        # every function, so the two episodes must log the same events.
-        exp = load_experiment(overrides={"preset": "desk", "applications": ["primary"]})
+        # every function, so the two episodes must log the same events. At
+        # 1 s ticks, shorter than the cold start, both set Creating pods aside.
+        exp = load_experiment(overrides={"preset": "desk", "applications": ["primary"],
+                                         "env": {"decision_interval": interval}})
         assert len(exp.profiles) == 1
         workload = exp.eval_sets(["high"])["high"][0]
         env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, log_events=True)
@@ -218,6 +232,7 @@ class TestAgentActionIsKubeCpu:
         kinds = {entry[1] for entry in res.engine.event_log}
         assert {"pod_create", "finish", "queue"} <= kinds
         assert env.engine.event_log == res.engine.event_log
+        assert res.summary.rfr < 0.5
 
 
 class TestEventLogDigests:
@@ -263,11 +278,12 @@ class TestObservationDigest:
 
     FIELDS = ("function_id", "pod_cpu", "pod_mem", "req_cpu", "req_mem", "arrival_rate",
               "rfrt", "rfr", "avg_pod_cpu_util", "avg_pod_mem_util", "replicas",
-              "running_requests", "queued_requests", "standard_response_time")
+              "ready_replicas", "running_requests", "queued_requests",
+              "standard_response_time")
     DIGESTS = {
-        "desk": "f8215b0533aa8cf8da256c1885fa729eab9ea13433d519d7f098487f372e9770",
-        "paper": "21d22b29450f73d518d7b976dbc7f9a1e8b0bf0696029772b0539e1b2bf6f9f1",
-        "desk-0.1s": "6c8a0bc57231f984126db4f8e48ca3cdacbb51f392506b9e69f7f869dbab8606",
+        "desk": "f328e8eb8b250478953b4c222af2d3e6f89962873b7b6fe6c24b5049cc52eb6b",
+        "paper": "c045f5690256220c25e5a7f1824ba6e9451740e0ba5be8d0ee111150d4ac9971",
+        "desk-0.1s": "68b6d8bfeb9aeb89bd9e628fa8507d6eb4400de7628129b2a4c89118294fb8f9",
     }
     OVERRIDES = {
         "desk": {"preset": "desk"},

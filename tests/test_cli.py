@@ -460,6 +460,14 @@ class TestErrors:
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
         assert f"unknown config key env.{key}" in capsys.readouterr().err
 
+    def test_max_replicas_is_unknown_key(self, tmp_path, capsys):
+        # The replica cap is the module constant MAX_REPLICAS of faaslab.cluster:
+        # the agent state divides each VM's target replicas by it, and a
+        # checkpoint records no normalizer.
+        config = write_config(tmp_path, sim={"max_replicas": 80})
+        assert main(["simulate", "--config", str(config), "--band", "high"]) == EXIT_CONFIG
+        assert "unknown config key sim.max_replicas" in capsys.readouterr().err
+
     def test_constant_rate_is_unknown_key(self, tmp_path, capsys):
         # Workloads come only from band-fitted traces.
         config = write_config(tmp_path, workload={"constant_rate": 5})

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faaslab.cluster import (_FINISH, Application, ClusterEngine,
-                             FunctionProfile, PodPhase, RequestStatus,
+from faaslab.cluster import (_FINISH, MAX_REPLICAS, Application, ClusterEngine,
+                             FunctionProfile, FunctionSnapshot, PodPhase, RequestStatus,
                              SimConfig, VmSpec, VmState, ceil_guarded,
                              cpu_target_replicas, desired_replicas, floor_guarded)
 from faaslab.env import EnvConfig, ServerlessEnv
@@ -26,6 +26,17 @@ from oracles import arrival_columns
 
 def make_engine(vms, profiles, apps, **cfg):
     return ClusterEngine(vms, profiles, apps, SimConfig(**cfg))
+
+
+def fn_snapshot(replicas, avg_cpu_util, queued, ready=None):
+    """A snapshot with what the CPU rule reads, all replicas ready unless
+    ``ready`` says otherwise; the other fields are placeholders."""
+    return FunctionSnapshot(
+        function_id=0, pod_cpu=1.0, pod_mem=1024.0, req_cpu=0.25, req_mem=256.0,
+        arrival_rate=0.0, rfrt=1.0, rfr=0.0, avg_pod_cpu_util=avg_cpu_util,
+        avg_pod_mem_util=0.0, replicas=replicas,
+        ready_replicas=replicas if ready is None else ready, running_requests=0,
+        queued_requests=queued, standard_response_time=1.0)
 
 
 class TestGuardedRounding:
@@ -60,12 +71,28 @@ class TestDesiredReplicas:
             desired_replicas(4, 0.5, 0.0)
 
     def test_zero_replicas_read_queued_traffic_as_full_utilization(self):
-        assert cpu_target_replicas(0, 0.0, 3, 0.5, 80) == 2
-        assert cpu_target_replicas(0, 0.0, 0, 0.5, 80) == 0
-        assert cpu_target_replicas(0, 0.0, 3, 0.1, 5) == 5
+        assert cpu_target_replicas(fn_snapshot(0, 0.0, 3), 0.5) == 2
+        assert cpu_target_replicas(fn_snapshot(0, 0.0, 0), 0.5) == 0
+        assert cpu_target_replicas(fn_snapshot(0, 0.0, 3), 0.01) == MAX_REPLICAS
         # with replicas the measured utilization decides, whatever is queued
-        assert cpu_target_replicas(4, 0.8, 0, 0.4, 80) == 8
-        assert cpu_target_replicas(4, 0.0, 3, 0.4, 80) == 0
+        assert cpu_target_replicas(fn_snapshot(4, 0.8, 0), 0.4) == 8
+        assert cpu_target_replicas(fn_snapshot(4, 0.0, 3), 0.4) == 0
+
+    def test_no_ready_replica_holds_the_count(self):
+        # Three pods all Creating report no load: none is removed, none added.
+        assert cpu_target_replicas(fn_snapshot(3, 0.0, 5, ready=0), 0.5) == 3
+
+    def test_scale_up_past_the_ready_pods_never_drops_creating_ones(self):
+        # 2 of 4 ready at 0.6: ceil(4 * 0.3 / 0.5) = 3 is above the 2 ready,
+        # so the 2 Creating pods stay and the count holds at 4.
+        assert cpu_target_replicas(fn_snapshot(4, 0.3, 0, ready=2), 0.5) == 4
+        # 2 of 4 ready at 1.0: ceil(4 * 0.5 / 0.4) = 5 adds a pod.
+        assert cpu_target_replicas(fn_snapshot(4, 0.5, 0, ready=2), 0.4) == 5
+
+    def test_ready_pods_enough_applies_the_formula(self):
+        # 2 of 4 ready at 0.25: ceil(4 * 0.125 / 0.5) = 1 is within the ready
+        # pods, so the formula decides and Creating pods may go.
+        assert cpu_target_replicas(fn_snapshot(4, 0.125, 0, ready=2), 0.5) == 1
 
 
 class TestAdvance:
@@ -740,7 +767,7 @@ class TestSnapshot:
         state = env._state()
         assert state[2] == pytest.approx(0.25)  # cpu alloc
         assert state[3] == pytest.approx(0.25)  # mem alloc
-        assert state[6] == 1 / env.engine.config.max_replicas  # one target replica
+        assert state[6] == 1 / MAX_REPLICAS  # one target replica
 
     def test_windowed_arrival_rate(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
@@ -749,6 +776,16 @@ class TestSnapshot:
         eng.load_arrivals(*arrival_columns([(10.0 + (i + 0.5) / 3.0, 0) for i in range(30)]))
         eng.advance(20.0)
         assert eng.snapshot(0, window=10.0).arrival_rate == pytest.approx(3.0)
+
+    def test_ready_replicas_leave_out_creating_pods(self, big_vm, fast_profile, single_app):
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.apply_horizontal(0, 2)
+        snap = eng.snapshot(0, window=1.0)
+        assert (snap.replicas, snap.ready_replicas) == (2, 0)
+        eng.advance(2.0)  # the cold start
+        eng.apply_horizontal(0, 1)
+        snap = eng.snapshot(0, window=1.0)
+        assert (snap.replicas, snap.ready_replicas) == (3, 2)
 
 
 class TestBusyOverlap:

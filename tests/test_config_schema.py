@@ -126,7 +126,7 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     ({"baselines": {"knative": {"target": 2}}}, "baselines.knative.target"),
     ({"baselines": {"kube_cpu": 0.5}}, "baselines.kube_cpu"),
     ({"train": {"seed": True}}, "train.seed"),
-    ({"sim": {"max_replicas": 2.5}}, "sim.max_replicas"),
+    ({"sim": {"max_replicas": 2.5}}, "unknown config key sim.max_replicas"),
     ({"train": {"lr": float("inf")}}, "train.lr"),
     ({"sim": {"exec_noise_sigma": float("nan")}}, "sim.exec_noise_sigma"),
     ({"workload": {"jitter": "abc"}}, "workload.jitter"),
