@@ -228,6 +228,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- report
 
+def _long_rows(path: Path, keys: Sequence[str],
+               metrics: Sequence[str]) -> list[tuple[str, ...]]:
+    """The CSV at ``path`` in long format: for each row and then each metric,
+    the row's ``keys`` columns, the metric's name and its value."""
+    _, header, rows = read_csv(path, (*keys, *metrics))
+    idx = {name: i for i, name in enumerate(header)}
+    return [(*(row[idx[key]] for key in keys), metric, row[idx[metric]])
+            for row in rows for metric in metrics]
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     exp = _load(args)
     run_dir = Path(args.run_dir) if args.run_dir else exp.output_dir
@@ -242,27 +252,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError("report inputs missing: " + ", ".join(missing))
 
     meta = _meta_lines(exp, exp.train.seed, "report")
-    long_rows = []
-    curve_metrics = ("reward", "rfrt", "rfr", "cost")
-    for path in curves:
-        tag = path.stem.removeprefix("curves_")
-        _, header, rows = read_csv(path, ("episode", "worker", *curve_metrics))
-        idx = {name: i for i, name in enumerate(header)}
-        for row in rows:
-            for metric in curve_metrics:
-                long_rows.append((tag, row[idx["episode"]], row[idx["worker"]],
-                                  metric, row[idx[metric]]))
+    curve_keys, curve_metrics = ("episode", "worker"), ("reward", "rfrt", "rfr", "cost")
+    long_rows = [(path.stem.removeprefix("curves_"), *row) for path in curves
+                 for row in _long_rows(path, curve_keys, curve_metrics)]
     write_csv(run_dir / "report_curves.csv", meta,
               ("run", "episode", "worker", "metric", "value"), long_rows)
-
-    eval_metrics = ("rart", "rfr", "cost")
-    _, header, rows = read_csv(eval_path, ("target", "band", "workload", *eval_metrics))
-    idx = {name: i for i, name in enumerate(header)}
-    eval_rows = []
-    for row in rows:
-        for metric in eval_metrics:
-            eval_rows.append((row[idx["target"]], row[idx["band"]],
-                              row[idx["workload"]], metric, row[idx[metric]]))
+    eval_rows = _long_rows(eval_path, ("target", "band", "workload"), ("rart", "rfr", "cost"))
     write_csv(run_dir / "report_evaluation.csv", meta,
               ("target", "band", "workload", "metric", "value"), eval_rows)
     print(f"wrote {run_dir / 'report_curves.csv'} "

@@ -358,9 +358,11 @@ class ClusterEngine:
     * finishes and pod readiness sit in ``_heap`` as ``(time, seq, kind,
       arg)``, where ``kind`` is ``_FINISH`` or ``_POD_READY`` and ``arg`` the
       request or pod id.
-    * loaded arrivals sit in ``_pending``, three lists of times, sequence
+    * loaded arrivals sit in ``_pending``, three columns of times, sequence
       numbers and app ids in ``(time, seq)`` order; the ones before
-      ``_cursor`` are dispatched, and once all are the lists are emptied.
+      ``_cursor`` are dispatched, and once all are the columns are emptied.
+      The columns are lists, except that a batch loaded without a merge
+      keeps its consecutive sequence numbers as one ``range``.
 
     ``advance`` is the one dispatch loop. It always takes the smallest of the
     FIFO head, the heap top and the next arrival, so the order is the one a
@@ -449,9 +451,11 @@ class ClusterEngine:
          self.req_finish_time, self.req_retries, self.req_pod_id) = self._req_columns
         self.requests: Mapping[int, RequestRecord] = RequestView(self._req_columns)
         self._app_fns = {app_id: app.function_sequence for app_id, app in self.apps.items()}
-        # Per app, root id -> response-time ratio of each fully completed chain:
-        # its summed response time over its summed standard response time.
-        self.chain_ratios: dict[int, dict[int, float]] = {app_id: {} for app_id in self.apps}
+        # Per app, each fully completed chain's root id and response-time
+        # ratio (its summed response time over its summed standard response
+        # time), as two parallel lists in completion order.
+        self.chain_roots: dict[int, list[int]] = {app_id: [] for app_id in self.apps}
+        self.chain_ratios: dict[int, list[float]] = {app_id: [] for app_id in self.apps}
         self._chain_standard: dict[int, float] = {
             app_id: sum(self.profiles[fn].standard_response_time
                         for fn in app.function_sequence)
@@ -467,7 +471,7 @@ class ClusterEngine:
         self.event_log: list[tuple] = []
         self._heap: list[tuple[float, int, int, int]] = []
         self._retries: deque[tuple[float, int, int]] = deque()
-        self._pending: tuple[list[float], list[int], list[int]] = ([], [], [])
+        self._pending: tuple[list[float], Sequence[int], list[int]] = ([], [], [])
         self._cursor = 0
         self._seq = 0
         self._next_pod_id = 0
@@ -507,17 +511,18 @@ class ClusterEngine:
         if nonfinite.any():
             raise ConfigError(
                 f"arrival at {times[nonfinite.argmax()].item()} is not a finite time")
-        columns = (times, np.arange(self._seq + 1, self._seq + 1 + times.size),
-                   apps.astype(np.int64))
+        seqs = range(self._seq + 1, self._seq + 1 + times.size)
         self._seq += times.size
+        apps = apps.astype(np.int64)
         rest = self._cursor
         if rest < len(self._pending[0]) or (times[1:] < times[:-1]).any():
             # merge the undispatched arrivals and the batch in (time, seq) order
             columns = [np.concatenate((np.array(old[rest:], dtype=new.dtype), new))
-                       for old, new in zip(self._pending, columns)]
+                       for old, new in zip(self._pending, (times, np.array(seqs), apps))]
             order = np.lexsort((columns[1], columns[0]))
-            columns = [column[order] for column in columns]
-        self._pending = tuple(column.tolist() for column in columns)
+            self._pending = tuple(column[order].tolist() for column in columns)
+        else:
+            self._pending = (times.tolist(), seqs, apps.tolist())
         self._cursor = 0
 
     def advance(self, until: float) -> None:
@@ -546,6 +551,7 @@ class ClusterEngine:
         completion_times = self.completion_times
         completion_ratios = self.completion_ratios
         drop_times = self.drop_times
+        chain_roots = self.chain_roots
         chain_ratios = self.chain_ratios
         chain_standard = self._chain_standard
         (req_app_id, req_chain_index, req_fn, req_arrival_time, req_root_id, req_chain_elapsed,
@@ -618,7 +624,8 @@ class ClusterEngine:
                     stage = req_chain_index[arg] + 1
                     fns = app_fns[app_id]
                     if stage == len(fns):
-                        chain_ratios[app_id][root] = elapsed / chain_standard[app_id]
+                        chain_roots[app_id].append(root)
+                        chain_ratios[app_id].append(elapsed / chain_standard[app_id])
                         continue
                     # Chained functions hand off immediately: no inter-function delay.
                     rid = len(req_fn)
@@ -1027,6 +1034,9 @@ class ClusterEngine:
                    for fn, times in self.completion_times.items()),
                "completion times and ratios differ in length")
         _check(self.dropped_total == dropped, "drop marks differ from the drop times")
+        _check(all(len(self.chain_roots[app_id]) == len(ratios)
+                   for app_id, ratios in self.chain_ratios.items()),
+               "chain roots and ratios differ in length")
         _check(Counter({fn: len(times) for fn, times in self.arrival_times.items()})
                == Counter(self.req_function_id), "arrival times differ from the request count")
         # window() bisects these lists, so each must ascend

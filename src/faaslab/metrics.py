@@ -119,17 +119,22 @@ class EpisodeLedger:
         RFR: drops over requests (0.0 with none). RFRT: mean ratio of completed
         requests (1.0 with none). Cost: VM cost from time 0 to the clock."""
         engine = self.engine
-        means = [sum(map(ratios.__getitem__, sorted(ratios))) / len(ratios)
-                 for ratios in engine.chain_ratios.values() if ratios]
-        ratios = list(chain.from_iterable(engine.completion_ratios[fn]
-                                          for fn in engine.deployed_fns))
+        means = []
+        for app_id, ratios in engine.chain_ratios.items():
+            if ratios:
+                roots = engine.chain_roots[app_id]
+                in_root_order = sorted(range(len(roots)), key=roots.__getitem__)
+                means.append(sum(map(ratios.__getitem__, in_root_order)) / len(ratios))
+        completed = engine.completed_total
         total = len(engine.requests)
         return EpisodeMetrics(
             rart=sum(means) / len(means) if means else math.nan,
             rfr=engine.dropped_total / total if total else 0.0,
             cost=self.window_cost(0.0, engine.clock),
-            rfrt=sum(ratios) / len(ratios) if ratios else 1.0,
-            completed=engine.completed_total,
+            rfrt=sum(chain.from_iterable(engine.completion_ratios[fn]
+                                         for fn in engine.deployed_fns)) / completed
+            if completed else 1.0,
+            completed=completed,
             dropped=engine.dropped_total,
             total=total,
         )

@@ -6,8 +6,10 @@ timestamps and statuses.
 Also the scalar workload synthesis rule, one window, function and arrival at
 a time, as the reference for the array passes of ``faaslab.workload``;
 ``arrival_columns``, which turns (time, app_id) pairs into the two columns
-``ClusterEngine.load_arrivals`` takes; and ``synthetic_traces``, the generator
-of the bundled trace corpus ``faaslab.workload.BUNDLED_TRACES``."""
+``ClusterEngine.load_arrivals`` takes; ``completed_chains``, which reads an
+engine's two per-app chain lists as one root id -> ratio map; and
+``synthetic_traces``, the generator of the bundled trace corpus
+``faaslab.workload.BUNDLED_TRACES``."""
 from __future__ import annotations
 
 import random
@@ -24,6 +26,12 @@ def arrival_columns(arrivals: Iterable[tuple[float, int]]) -> tuple[list[float],
     """The ``(times, app_ids)`` columns of (time, app_id) pairs, in input order."""
     arrivals = list(arrivals)
     return [t for t, _ in arrivals], [app_id for _, app_id in arrivals]
+
+
+def completed_chains(engine: ClusterEngine) -> dict[int, dict[int, float]]:
+    """Per app, root id -> ratio of each completed chain, from ``chain_roots`` and ``chain_ratios``."""
+    return {app_id: dict(zip(engine.chain_roots[app_id], ratios))
+            for app_id, ratios in engine.chain_ratios.items()}
 
 
 def brute_rart(engine: ClusterEngine) -> float:

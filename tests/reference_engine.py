@@ -25,7 +25,7 @@ of the per-request lifecycle with the rule it stands for:
   asks ``_vm_is_active``: in-flight requests, or in "pods" mode a scan of the
   pod table. It runs after every assign and finish, and after the inherited
   ``_place_pod`` and ``_remove_pod``, so their inline rule is checked too;
-* chain ratios are recomputed from the request records when read, and each
+* completed chains are recomputed from the request records when read, and each
   finish appends its response time computed from the record;
 * ``busy_overlap`` sums over the whole busy log.
 
@@ -241,7 +241,7 @@ class ReferenceEngine(ClusterEngine):
     # -------------------------------------------------------------- recounts
 
     @property
-    def chain_ratios(self) -> dict[int, dict[int, float]]:
+    def completed_chains(self) -> dict[int, dict[int, float]]:
         """Per app, root id -> ratio of every fully completed chain, from the records."""
         chains: dict[int, list[Record]] = {}
         for req in self.requests.values():
@@ -258,9 +258,24 @@ class ReferenceEngine(ClusterEngine):
                 ratios[app.app_id][root_id] = actual / standard
         return ratios
 
+    # ``EpisodeLedger.summary`` reads these two parallel lists per app; here
+    # they list the completed chains in root-id order, not completion order.
+    @property
+    def chain_roots(self) -> dict[int, list[int]]:
+        return {app_id: list(ratios) for app_id, ratios in self.completed_chains.items()}
+
+    @property
+    def chain_ratios(self) -> dict[int, list[float]]:
+        return {app_id: list(ratios.values())
+                for app_id, ratios in self.completed_chains.items()}
+
+    @chain_roots.setter
+    def chain_roots(self, _value) -> None:
+        pass  # ClusterEngine.__init__ sets up the store the fast path fills
+
     @chain_ratios.setter
     def chain_ratios(self, _value) -> None:
-        pass  # ClusterEngine.__init__ sets up the store the fast path fills
+        pass
 
     def queued_requests(self, fn: int) -> int:
         """Queued requests of ``fn``, from its id set."""

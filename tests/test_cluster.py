@@ -21,7 +21,7 @@ from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import EpisodeLedger
 from faaslab.workload import TraceSeries, WorkloadSpec, select_apps
 
-from oracles import arrival_columns
+from oracles import arrival_columns, completed_chains
 
 
 def make_engine(vms, profiles, apps, **cfg):
@@ -540,6 +540,42 @@ class TestLoadArrivals:
         assert len(engines[0].requests) == 4
 
 
+    @staticmethod
+    def run_batches(vm, profile, app, batches):
+        """An engine with one pod that loads ``batches`` in turn, then runs to 30.0.
+
+        Returns the pending sequence-number column after the last load and
+        the event log; the invariants are checked after every step."""
+        eng = make_engine([vm], [profile], [app])
+        eng.apply_horizontal(0, 1)
+        for batch in batches:
+            eng.load_arrivals(*arrival_columns(batch))
+            eng.check_invariants()
+        seqs = eng._pending[1]
+        for until in (2.5, 7.25, 30.0):
+            eng.advance(until)
+            eng.check_invariants()
+        return seqs, eng.event_log
+
+    def test_pending_layouts_replay_alike(self, big_vm, fast_profile, single_app):
+        # Sorted and alone, the batch keeps its sequence numbers as a range;
+        # split in two, one batch unsorted, the arrivals are merged into lists.
+        arrivals = [(0.5 + 0.75 * k, 0) for k in range(12)]
+        seqs, log = self.run_batches(big_vm, fast_profile, single_app, [arrivals])
+        assert seqs == range(2, 14)  # sequence number 1 went to the pod's readiness
+        merged_seqs, merged_log = self.run_batches(big_vm, fast_profile, single_app,
+                                                   [arrivals[:0:-2], arrivals[::2]])
+        assert type(merged_seqs) is list and len(merged_seqs) == 12
+        assert merged_log == log
+        assert sum(entry[1] == "finish" for entry in log) == 12
+
+    def test_empty_batch_changes_no_event(self, big_vm, fast_profile, single_app):
+        arrivals = [(0.5 + 0.75 * k, 0) for k in range(6)]
+        _, log = self.run_batches(big_vm, fast_profile, single_app, [arrivals])
+        for batches in ([[], arrivals], [arrivals, []], [arrivals[:3], [], arrivals[3:]]):
+            assert self.run_batches(big_vm, fast_profile, single_app, batches)[1] == log
+
+
 class TestRetryDrop:
     def test_drop_after_ten_retries_at_t10(self, big_vm, fast_profile, single_app):
         eng = make_engine([big_vm], [fast_profile], [single_app])
@@ -889,8 +925,8 @@ class TestInvariantsAndDeterminism:
             eng._cursor = len(times) + 1
         elif damage == "pending_before_clock":
             times[i] = eng.clock - 0.25
-        elif damage == "pending_seq":
-            seqs[-1] = eng._seq + 1
+        elif damage == "pending_seq":  # a sorted batch's numbers are a range: replace it
+            eng._pending = (times, [*seqs[:-1], eng._seq + 1], apps)
         elif damage == "heap_seq":  # a finish whose number was never issued
             heapq.heappush(eng._heap, (2.0, eng._seq + 1, _FINISH, 0))
         else:  # the last retry renumbered past the last issued number
@@ -965,7 +1001,9 @@ class TestInvariantsAndDeterminism:
         ("completion_ratios", "completion times and ratios differ in length"),
         ("drop_times", "drop marks differ from the drop times"),
         ("arrival_times", "arrival times differ from the request count"),
-    ], ids=["completion_times", "completion_ratios", "drop_times", "arrival_times"])
+        ("chain_ratios", "chain roots and ratios differ in length"),
+    ], ids=["completion_times", "completion_ratios", "drop_times", "arrival_times",
+            "chain_ratios"])
     def test_invariants_recount_totals(self, big_vm, fast_profile, single_app, damage,
                                        message):
         # Request 0 finds no pod and is dropped at 10.0; request 1 runs on
@@ -987,8 +1025,10 @@ class TestInvariantsAndDeterminism:
             eng.completion_ratios[0].pop()
         elif damage == "drop_times":
             eng.drop_times[0].append(20.0)
-        else:
+        elif damage == "arrival_times":
             eng.arrival_times[0].pop()
+        else:
+            eng.chain_ratios[0].pop()
         with pytest.raises(AssertionError, match=message):
             eng.check_invariants()
 
@@ -1190,7 +1230,7 @@ class TestInvariantsAndDeterminism:
             standard = sum(profiles[r.function_id].standard_response_time
                            for r in reqs)
             completed[app_id][root] = actual / standard
-        assert eng.chain_ratios == completed
+        assert completed_chains(eng) == completed
         assert all(len(ratios) > 20 for ratios in completed.values())
         assert any(r > 1.0 for ratios in completed.values() for r in ratios.values())
         assert eng.dropped_total > 0

@@ -30,7 +30,7 @@ from faaslab.cluster import (Application, ClusterEngine, FunctionProfile, Reques
 from faaslab.errors import ConfigError
 from faaslab.metrics import EpisodeLedger
 
-from oracles import arrival_columns
+from oracles import arrival_columns, completed_chains
 from reference_engine import Record, ReferenceEngine
 
 FIELDS = tuple(f.name for f in fields(RequestRecord))
@@ -109,7 +109,7 @@ def assert_same(fast, ref, t0):
           {fn: ref.queued_requests(fn) for fn in ref.profiles})
     agree("open-pod counts", fast.open_pods, ref.open_pod_counts())
     agree("vm states", vm_states(fast), vm_states(ref))
-    agree("chain ratios", fast.chain_ratios, ref.chain_ratios)
+    agree("completed chains", completed_chains(fast), ref.completed_chains)
     agree("completion times", fast.completion_times, ref.completion_times)
     agree("completion ratios", fast.completion_ratios, ref.completion_ratios)
     agree("arrival times", fast.arrival_times, ref.arrival_times)
@@ -118,7 +118,9 @@ def assert_same(fast, ref, t0):
     fast_ledger, ref_ledger = EpisodeLedger(fast), EpisodeLedger(ref)
     agree("window channels", fast_ledger.window_channels(t0, fast.clock),
           ref_ledger.window_channels(t0, ref.clock))
-    # repr compares floats exactly and treats an undefined (nan) RART as equal
+    # repr compares floats exactly and treats an undefined (nan) RART as equal.
+    # The engine's chains are in completion order and the reference's in
+    # root-id order, so equal RARTs show that summary sums in root-id order.
     agree("summaries", repr(fast_ledger.summary()), repr(ref_ledger.summary()))
     fast.check_invariants()
 

@@ -9,7 +9,7 @@ from faaslab.errors import ConfigError
 from faaslab.metrics import (ChannelBounds, EpisodeLedger, RewardBounds,
                              derive_bounds, step_reward)
 
-from oracles import arrival_columns
+from oracles import arrival_columns, completed_chains
 
 BOUNDS = RewardBounds(rfrt=ChannelBounds(1.0, 11.0), rfr=ChannelBounds(0.0, 1.0),
                       cost=ChannelBounds(0.0, 0.01))
@@ -50,7 +50,8 @@ def inject_chain(eng, app_id, arrival, ratios):
         actual += response
         standard += r0
         t = finish
-    eng.chain_ratios[app_id][root] = actual / standard
+    eng.chain_roots[app_id].append(root)
+    eng.chain_ratios[app_id].append(actual / standard)
 
 
 class TestRfrt:
@@ -114,6 +115,29 @@ class TestRart:
         for i in range(1000):
             inject_chain(eng, 1, arrival=float(i), ratios=[3.0])
         assert EpisodeLedger(eng).summary().rart == pytest.approx(2.25)
+        eng.check_invariants()
+
+    def test_chains_summed_in_root_order(self, big_vm):
+        # Under execution noise, two pods per stage let later chains overtake
+        # earlier ones, so the engine records the chains out of root order.
+        # RART must be their mean in root order, bit for bit; here that
+        # differs from the mean in completion order.
+        profs = [FunctionProfile(function_id=i, req_cpu=0.25, req_mem=256.0,
+                                 standard_response_time=r0, cold_start_seconds=1.0,
+                                 initial_pod_cpu=1.0, initial_pod_mem=1024.0)
+                 for i, r0 in ((0, 1.0), (1, 2.0))]
+        app = Application(app_id=0, function_sequence=(0, 1))
+        eng = ClusterEngine([big_vm], profs, [app], SimConfig(exec_noise_sigma=0.5, seed=0))
+        eng.apply_horizontal(0, 2)
+        eng.apply_horizontal(1, 2)
+        eng.load_arrivals(*arrival_columns([(1.0 + 0.1 * k, 0) for k in range(20)]))
+        eng.advance(100.0)
+        roots, ratios = eng.chain_roots[0], eng.chain_ratios[0]
+        assert len(roots) == 20 and roots != sorted(roots)
+        by_root = completed_chains(eng)[0]
+        in_root_order = sum(by_root[root] for root in sorted(by_root)) / 20
+        assert EpisodeLedger(eng).summary().rart == in_root_order
+        assert sum(ratios) / 20 != in_root_order
         eng.check_invariants()
 
     def test_dropped_chains_excluded(self, big_vm, fast_profile, single_app):
