@@ -169,10 +169,16 @@ class FunctionProfile:
                      "cold_start_seconds", "initial_pod_cpu", "initial_pod_mem"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"function {self.function_id}: {name} must be positive")
-        if self.initial_pod_cpu > POD_CPU_MAX + _EPS:
-            raise ConfigError(f"function {self.function_id}: initial_pod_cpu exceeds {POD_CPU_MAX} vCPU")
-        if self.initial_pod_mem > POD_MEM_MAX + _EPS:
-            raise ConfigError(f"function {self.function_id}: initial_pod_mem exceeds {POD_MEM_MAX} MB")
+        # A new pod must be one the engine may resize to and must fit one
+        # request, by the bounds of _assert_feasible and PodState.concurrency_bound.
+        for limit, req, lo, hi in (("initial_pod_cpu", "req_cpu", POD_CPU_MIN, POD_CPU_MAX),
+                                   ("initial_pod_mem", "req_mem", POD_MEM_MIN, POD_MEM_MAX)):
+            if not lo - _EPS <= getattr(self, limit) <= hi + _EPS:
+                raise ConfigError(f"function {self.function_id}: {limit} must lie in "
+                                  f"[{lo}, {hi}], got {getattr(self, limit)}")
+            if floor_guarded(getattr(self, limit) / getattr(self, req)) < 1:
+                raise ConfigError(f"function {self.function_id}: {req} {getattr(self, req)} "
+                                  f"exceeds {limit} {getattr(self, limit)}: a pod fits no request")
         if self.standard_response_time >= 10.0:
             raise ConfigError(f"function {self.function_id}: standard_response_time must stay below 10 s")
 

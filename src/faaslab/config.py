@@ -19,7 +19,7 @@ from .agents.dqn import DqnConfig
 from .baselines import BaselinePolicyConfig
 from .cluster import Application, FunctionProfile, SimConfig, VmSpec
 from .env import EnvConfig
-from .errors import ConfigError, read_text, require
+from .errors import ConfigError, read_yaml, require
 from .workload import (BUNDLED_TRACES, EVAL_BANDS, TRAIN_BAND, TraceSeries, WorkloadSpec,
                        load_traces, make_workload, select_apps, training_apps)
 
@@ -64,35 +64,19 @@ def cluster_from_shapes(shapes: Sequence[str]) -> list[VmSpec]:
     return vms
 
 
-def load_cluster_file(path: str | Path) -> list[VmSpec]:
-    """YAML list of {vm_id, cpu_capacity, mem_capacity, unit_price} records."""
-    data = _read_yaml(path)
+def load_records(path: str | Path, cls, key: str) -> dict:
+    """A YAML file's non-empty list of ``cls`` records, keyed by their ``key`` field."""
+    data = read_yaml(path)
     if not isinstance(data, list) or not data:
-        raise ConfigError(f"{path}: expected a non-empty list of VM records")
-    return [_typed(VmSpec, row, f"{path}[{i}]") for i, row in enumerate(data)]
-
-
-def load_profiles_file(path: str | Path) -> dict[int, FunctionProfile]:
-    """YAML list of function profile records keyed by function_id."""
-    data = _read_yaml(path)
-    if not isinstance(data, list) or not data:
-        raise ConfigError(f"{path}: expected a non-empty list of profile records")
-    profiles = {}
+        raise ConfigError(f"{path}: expected a non-empty list of {cls.__name__} records")
+    records = {}
     for i, row in enumerate(data):
-        profile = _typed(FunctionProfile, row, f"{path}[{i}]")
-        if profile.function_id in profiles:
-            raise ConfigError(f"{path}: duplicate function id {profile.function_id}")
-        profiles[profile.function_id] = profile
-    return profiles
-
-
-def _read_yaml(path: str | Path):
-    import yaml  # imported here: only a config, cluster or profiles file needs it
-    text = read_text(path)
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML ({exc})") from None
+        record = _typed(cls, row, f"{path}[{i}]")
+        rid = getattr(record, key)
+        if rid in records:
+            raise ConfigError(f"{path}[{i}]: duplicate {key} {rid}")
+        records[rid] = record
+    return records
 
 
 @dataclass(frozen=True)
@@ -141,6 +125,9 @@ class _TopLevel:
         require(self.beta_list, "beta_list must hold at least one beta", list(self.beta_list))
         for beta in self.beta_list:
             require(0 <= beta <= 1, "beta_list values must lie in [0, 1]", beta)
+        names = [f"{beta:g}" for beta in self.beta_list]  # as _train_one names a run's outputs
+        require(len(set(names)) == len(names), "beta_list values must differ within "
+                "6 significant digits, which name each run's outputs", list(self.beta_list))
 
 
 @dataclass
@@ -259,7 +246,7 @@ def load_experiment(path: Optional[str | Path] = None,
     ``BUNDLED_TRACES`` when it is unset; ``raw`` keeps ``traces_file`` as
     given, so the default adds nothing to ``config_hash``.
     """
-    file_data = {} if path is None else _read_yaml(path)
+    file_data = {} if path is None else read_yaml(path)
     if file_data is None:  # an empty file
         file_data = {}
     if not isinstance(file_data, dict):
@@ -275,14 +262,14 @@ def load_experiment(path: Optional[str | Path] = None,
     top = _typed(_TopLevel, data, "")
 
     if top.cluster_file:
-        vms = load_cluster_file(top.cluster_file)
+        vms = list(load_records(top.cluster_file, VmSpec, "vm_id").values())
     elif top.cluster:
         vms = cluster_from_shapes(top.cluster)
     else:
         raise ConfigError("cluster must list at least one VM shape (or set cluster_file)")
 
     if top.profiles_file:
-        profiles = load_profiles_file(top.profiles_file)
+        profiles = load_records(top.profiles_file, FunctionProfile, "function_id")
         if top.applications is None:
             raise ConfigError("profiles_file requires explicit applications: "
                               "[{app_id, functions}]")

@@ -1,6 +1,7 @@
 """The two package errors: ``ConfigError`` (exit 2) for any bad input, a config
 value or an input file, and ``SimulationError`` (exit 3) for runtime errors.
-``read_text`` reads every input text file; ``require`` checks a config range."""
+``read_text`` reads every input text file, ``read_yaml`` parses every YAML
+input file, and ``require`` checks a config range."""
 from pathlib import Path
 
 
@@ -28,6 +29,16 @@ def read_text(path: str | Path) -> str:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     except OSError as exc:
         raise ConfigError(f"{path}: unreadable ({exc.strerror})") from None
+
+
+def read_yaml(path: str | Path):
+    """The parsed YAML of input file ``path``, or a ``ConfigError`` that names it."""
+    import yaml  # imported here: only a run that reads a YAML file needs it
+    text = read_text(path)
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: invalid YAML ({exc})") from None
 
 
 def require(ok: bool, rule: str, value: object) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .cluster import ClusterEngine
-from .errors import ConfigError, read_text
+from .errors import ConfigError, read_yaml
 
 _DEGENERATE_SPAN = 1e-12
 
@@ -41,7 +41,7 @@ class RewardBounds:
     cost: ChannelBounds
 
     def save(self, path: str | Path) -> None:
-        import yaml  # imported here and in load: only the calibration file is YAML
+        import yaml  # imported here: only the calibration file is written as YAML
         data = {name: {"min": getattr(self, name).lo, "max": getattr(self, name).hi}
                 for name in ("rfrt", "rfr", "cost")}
         Path(path).write_text(yaml.safe_dump(data, sort_keys=True))
@@ -51,14 +51,12 @@ class RewardBounds:
         if not Path(path).exists():
             raise ConfigError(
                 f"calibration file {path} not found; run `faaslab calibrate` first")
-        import yaml
-        text = read_text(path)
+        data = read_yaml(path)
         try:
-            data = yaml.safe_load(text)
             return cls(**{name: ChannelBounds(lo=float(data[name]["min"]),
                                               hi=float(data[name]["max"]))
                           for name in ("rfrt", "rfr", "cost")})
-        except (yaml.YAMLError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}: malformed calibration file ({exc})") from None
 
 

@@ -13,6 +13,7 @@ the actor checkpoint it wrote and ``report``) runs under
 import copy
 import dataclasses
 import os
+import re
 
 import pytest
 import yaml
@@ -20,10 +21,9 @@ import yaml
 from faaslab.agents.a3c import TrainConfig
 from faaslab.agents.dqn import DqnConfig
 from faaslab.baselines import KnativeConfig, KubeCpuConfig, OpenFaasConfig
-from faaslab.cli import EXIT_RUNTIME, main
-from faaslab.cluster import SimConfig
-from faaslab.config import (WorkloadSettings, load_cluster_file, load_experiment,
-                            load_profiles_file)
+from faaslab.cli import EXIT_CONFIG, EXIT_RUNTIME, main
+from faaslab.cluster import FunctionProfile, SimConfig, VmSpec
+from faaslab.config import WorkloadSettings, load_experiment, load_records
 from faaslab.env import EnvConfig
 from faaslab.errors import ConfigError
 from faaslab.metrics import ChannelBounds, RewardBounds
@@ -152,6 +152,9 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     ({"beta_list": []}, "beta_list"),
     ({"applications": []}, "applications"),
     ({"applications": ["primary", "primary"]}, "applications"),
+    # train-sweep names each run's outputs {beta:g}: the second run would overwrite the first
+    ({"beta_list": [0.1234561, 0.1234564]}, "beta_list"),
+    ({"beta_list": [1, 1.0]}, "beta_list"),
 ])
 def test_wrong_type_or_unknown_key_is_named(overrides, key):
     with pytest.raises(ConfigError, match=key):
@@ -184,7 +187,7 @@ def test_cluster_file_rows_are_typed(tmp_path, row, message):
     path = tmp_path / "cluster.yaml"
     path.write_text(yaml.safe_dump([row]))
     with pytest.raises(ConfigError, match=message):
-        load_cluster_file(path)
+        load_records(path, VmSpec, "vm_id")
 
 
 PROFILE_ROW = {"function_id": 0, "req_cpu": 0.25, "req_mem": 256.0,
@@ -196,7 +199,7 @@ def test_profiles_file_rows_are_typed(tmp_path):
     path = tmp_path / "profiles.yaml"
     path.write_text(yaml.safe_dump([{**PROFILE_ROW, "req_cpu": "0.25"}]))
     with pytest.raises(ConfigError, match=r"\[0\].req_cpu' must be a finite float"):
-        load_profiles_file(path)
+        load_records(path, FunctionProfile, "function_id")
 
 
 @pytest.mark.parametrize("applications", [[], [{"app_id": 0, "functions": [0]}] * 2],
@@ -208,3 +211,46 @@ def test_explicit_applications_name_their_key(tmp_path, applications):
         load_experiment(overrides={"profiles_file": str(path), "applications": applications})
 
 
+VM_ROW = {"vm_id": 0, "cpu_capacity": 2.0, "mem_capacity": 8192.0, "unit_price": 0.1}
+
+
+@pytest.mark.parametrize("key, field, rows, extra", [
+    ("cluster_file", "vm_id", [VM_ROW, {**VM_ROW, "cpu_capacity": 4.0}], {}),
+    ("profiles_file", "function_id", [PROFILE_ROW, {**PROFILE_ROW, "req_cpu": 0.5}],
+     {"applications": [{"app_id": 0, "functions": [0]}]}),
+], ids=["vm_id", "function_id"])
+def test_repeated_record_id_names_the_file(tmp_path, capsys, key, field, rows, extra):
+    path = tmp_path / "records.yaml"
+    path.write_text(yaml.safe_dump(rows))
+    overrides = {key: str(path), **extra}
+    with pytest.raises(ConfigError, match=re.escape(f"{path}[1]: duplicate {field} 0")):
+        load_experiment(overrides=overrides)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({**BASE, **overrides}))
+    assert main(["simulate", "--config", str(config), "--band", "high",
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"initial_pod_cpu": 0.05}, "initial_pod_cpu"),   # below POD_CPU_MIN
+    ({"initial_pod_mem": 64.0}, "initial_pod_mem"),   # below POD_MEM_MIN
+    ({"req_cpu": 0.3, "initial_pod_cpu": 0.2}, "req_cpu"),
+    ({"req_cpu": 1.5}, "req_cpu"),                    # no pod within POD_CPU_MAX fits one
+    ({"req_mem": 2048.0}, "req_mem"),
+], ids=["cpu-below-min", "mem-below-min", "cpu-fits-no-request", "req-cpu-above-max",
+        "mem-fits-no-request"])
+def test_profile_the_engine_cannot_run_is_rejected_at_load(tmp_path, change, field):
+    path = tmp_path / "profiles.yaml"
+    path.write_text(yaml.safe_dump([{**PROFILE_ROW, **change}]))
+    with pytest.raises(ConfigError, match=field):
+        load_records(path, FunctionProfile, "function_id")
+
+
+def test_profile_limits_at_the_pod_bounds_load():
+    edge = {**PROFILE_ROW, "req_cpu": 0.1, "req_mem": 128.0}
+    for cpu, mem in ((0.1, 128.0), (1.0, 3072.0), (0.1 - 1e-12, 3072.0 + 1e-12)):
+        FunctionProfile(**{**edge, "initial_pod_cpu": cpu, "initial_pod_mem": mem})
+    # a pod that fits exactly one request, up to float error
+    FunctionProfile(**{**PROFILE_ROW, "req_cpu": 0.3, "initial_pod_cpu": 0.1 + 0.2})
