@@ -21,7 +21,7 @@ from ..env import ACTION_SIZES, EnvConfig, ScalingAction, ServerlessEnv
 from ..errors import ConfigError
 from ..metrics import EpisodeMetrics, RewardBounds
 from ..nnet import ParameterStore, forward_actor, forward_heads
-from ..workload import WorkloadSpec
+from ..workload import Arrivals, WorkloadSpec, synthesize
 from .dqn import N_COMPOUND_ACTIONS, compound_to_action, greedy_index
 
 BASELINE_NAMES = BASELINES
@@ -53,12 +53,13 @@ def _policy_from_store(store: ParameterStore):
 
 
 def _greedy_episode(policy, vms, profiles, workload: WorkloadSpec,
-                    env_config: EnvConfig, sim_config: SimConfig) -> EpisodeMetrics:
+                    env_config: EnvConfig, sim_config: SimConfig,
+                    arrivals: Optional[Arrivals] = None) -> EpisodeMetrics:
     """One episode under a ``_policy_from_store`` policy; no reward is computed."""
     env = ServerlessEnv(vms, profiles,
                         replace(env_config, target_mode="highest_rfrt"),
                         sim_config, seed=0)
-    state = env.reset(workload)
+    state = env.reset(workload, arrivals)
     done = False
     while not done:
         state, _, done = env.step(policy(state), rewarded=False)
@@ -78,7 +79,9 @@ def evaluate_targets(
 ) -> list[EvalRow]:
     """Per-workload metrics for every target on every banded workload set.
 
-    Episodes run one after another on the calling thread; rows come back
+    Episodes run one after another on the calling thread, band by band and
+    workload by workload: each workload's arrivals are synthesized once and
+    every target's episode loads that one read-only batch. Rows come back
     sorted by (target, band, workload index) whatever the order of
     ``targets``. ``bounds`` is ignored: greedy evaluation computes no reward.
     It stays in the signature for callers that pass the arguments by
@@ -103,15 +106,17 @@ def evaluate_targets(
             policies[target] = _policy_from_store(store)
 
     rows = []
-    for target in targets:
-        for band, workloads in sorted(workload_sets.items()):
-            for idx, workload in enumerate(workloads):
+    for band, workloads in sorted(workload_sets.items()):
+        for idx, workload in enumerate(workloads):
+            arrivals = synthesize(workload)
+            for target in targets:
                 if target in policies:
                     summary = _greedy_episode(policies[target], vms, profiles, workload,
-                                              env_config, sim_config)
+                                              env_config, sim_config, arrivals)
                 else:
                     summary = run_baseline(target, vms, profiles, workload, env_config,
-                                           sim_config, policy_config).summary
+                                           sim_config, policy_config,
+                                           arrivals=arrivals).summary
                 rows.append(EvalRow(target=target, band=band, workload_index=idx,
                                     rart=summary.rart, rfr=summary.rfr, cost=summary.cost))
     rows.sort(key=lambda r: (r.target, r.band, r.workload_index))

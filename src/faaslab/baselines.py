@@ -16,7 +16,7 @@ from .cluster import (MAX_REPLICAS, ClusterEngine, FunctionProfile, FunctionSnap
 from .env import EnvConfig, ServerlessEnv
 from .errors import ConfigError, require
 from .metrics import EpisodeMetrics
-from .workload import WorkloadSpec
+from .workload import Arrivals, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,7 @@ def run_baseline(
     policy_config: Optional[BaselinePolicyConfig] = None,
     collect_channels: bool = False,
     log_events: bool = False,
+    arrivals: Optional[Arrivals] = None,
 ) -> BaselineResult:
     """One full episode under a rule-based scaler.
 
@@ -129,10 +130,11 @@ def run_baseline(
     runs the window, as it does for the learned agent, so calibration,
     training and evaluation share one window schedule. No target is picked and no
     agent state is built. ``log_events`` keeps the engine's event log.
+    ``arrivals``, when given, is ``synthesize(workload)`` made by the caller.
     """
     cfg = policy_config or BaselinePolicyConfig()
     env = ServerlessEnv(vms, profiles, env_config, sim_config, log_events=log_events)
-    env.start_episode(workload)
+    env.start_episode(workload, arrivals)
     engine = env.engine
     channels: list[tuple[float, float, float]] = []
     while not env.done:

@@ -113,6 +113,11 @@ class VmSpec:
         if self.unit_price < 0:
             raise ConfigError(f"vm {self.vm_id}: unit price must be nonnegative")
 
+    def holds(self, cpu: float, mem: float) -> bool:
+        """Whether a pod of these limits fits this VM while it is empty,
+        within the tolerance of ``ClusterEngine._place_pod``."""
+        return self.cpu_capacity - cpu >= -_EPS and self.mem_capacity - mem >= -_EPS
+
 
 @dataclass(slots=True)
 class VmState:

@@ -71,10 +71,15 @@ def load_records(path: str | Path, cls, key: str) -> dict:
         raise ConfigError(f"{path}: expected a non-empty list of {cls.__name__} records")
     records = {}
     for i, row in enumerate(data):
-        record = _typed(cls, row, f"{path}[{i}]")
+        where = f"{path}[{i}]"
+        kwargs = _fields(cls, row, where)
+        try:
+            record = cls(**kwargs)
+        except ConfigError as exc:  # the record's own check names no file or row
+            raise ConfigError(f"{where}: {exc}") from None
         rid = getattr(record, key)
         if rid in records:
-            raise ConfigError(f"{path}[{i}]: duplicate {key} {rid}")
+            raise ConfigError(f"{where}: duplicate {key} {rid}")
         records[rid] = record
     return records
 
@@ -148,7 +153,7 @@ class Experiment:
     beta_list: list[float]
     output_dir: Path
     calibration_file: Path
-    eval_parallel: int = 1  # read only by the benchmark; goes with ROADMAP item 7 PR B
+    eval_parallel: int = 1  # read only by the benchmark; goes with ROADMAP item 2 PR B
 
     @property
     def config_hash(self) -> str:
@@ -212,18 +217,7 @@ def _typed(cls, data, name: str):
     given), ``Optional[X]`` also takes null, and ``tuple[X, ...]`` a list of X.
     """
     if is_dataclass(cls):
-        data = {} if data is None else data
-        if not isinstance(data, dict):
-            raise ConfigError(f"config section {name!r} must be a mapping, got {data!r}")
-        hints, prefix = get_type_hints(cls), f"{name}." if name else ""
-        for key in data:
-            if key not in hints:
-                raise ConfigError(f"unknown config key {prefix}{key}")
-        for f in fields(cls):
-            if f.name not in data and f.default is f.default_factory is MISSING:
-                raise ConfigError(f"{name} is missing key {f.name!r}")
-        return cls(**{key: _typed(hints[key], value, prefix + key)
-                      for key, value in data.items()})
+        return cls(**_fields(cls, data, name))
     if get_origin(cls) is Union:  # Optional[X]
         return None if data is None else _typed(get_args(cls)[0], data, name)
     if get_origin(cls) is tuple:
@@ -236,6 +230,22 @@ def _typed(cls, data, name: str):
         kind = "a finite float" if cls is float else cls.__name__
         raise ConfigError(f"config key {name!r} must be {kind}, got {data!r}")
     return data
+
+
+def _fields(cls, data, name: str) -> dict:
+    """Dataclass ``cls``'s constructor arguments read from mapping ``data``
+    (null gives its defaults), each typed by ``_typed``; errors name ``name``."""
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping, got {data!r}")
+    hints, prefix = get_type_hints(cls), f"{name}." if name else ""
+    for key in data:
+        if key not in hints:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+    for f in fields(cls):
+        if f.name not in data and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"{name} is missing key {f.name!r}")
+    return {key: _typed(hints[key], value, prefix + key) for key, value in data.items()}
 
 
 def load_experiment(path: Optional[str | Path] = None,
@@ -289,6 +299,14 @@ def load_experiment(path: Optional[str | Path] = None,
     require(app_ids, "applications must list at least one application", top.applications)
     require(len(set(app_ids)) == len(app_ids), "applications must not list an app id twice",
             top.applications)
+    # Each function's first pod goes on one VM; a cluster with no room for it
+    # would drop every request to the function.
+    for fn in sorted({fn for app in apps for fn in app.function_sequence}):
+        cpu, mem = profiles[fn].initial_pod_cpu, profiles[fn].initial_pod_mem
+        if not any(vm.holds(cpu, mem) for vm in vms):
+            source = f"cluster_file {top.cluster_file}" if top.cluster_file else "cluster"
+            raise ConfigError(f"no VM of {source} holds function {fn}'s initial pod "
+                              f"({cpu} vCPU, {mem} MB)")
 
     corpus = load_traces(top.traces_file or BUNDLED_TRACES)
     output_dir = Path(top.output_dir)

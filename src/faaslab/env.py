@@ -22,7 +22,7 @@ from .cluster import (MAX_REPLICAS, POD_CPU_MAX, POD_MEM_MAX, ClusterEngine,
                       FunctionProfile, PodPhase, SimConfig, VmSpec)
 from .errors import ConfigError, SimulationError, require
 from .metrics import EpisodeLedger, RewardBounds, step_reward
-from .workload import WorkloadSpec, synthesize
+from .workload import Arrivals, WorkloadSpec, synthesize
 
 ACTION_SIZES = (11, 11, 11)
 TARGET_UTIL_MIN = 0.10
@@ -133,9 +133,11 @@ class ServerlessEnv:
 
     # ------------------------------------------------------------------ reset
 
-    def start_episode(self, workload: WorkloadSpec) -> None:
+    def start_episode(self, workload: WorkloadSpec, arrivals: Optional[Arrivals] = None) -> None:
         """Build the engine for ``workload`` at time 0; ``reset`` adds target and state.
 
+        ``arrivals`` is ``synthesize(workload)`` made once by a caller that runs
+        several episodes on one workload; when omitted it is synthesized here.
         The previous episode's engine is released first, so it is freed before
         the next one is built.
         """
@@ -148,7 +150,9 @@ class ServerlessEnv:
                               f"exceeds workload.duration ({workload.duration})")
         self.engine = ClusterEngine(self.vms, self.profiles, workload.applications,
                                     self.sim_config, log_events=self.log_events)
-        self.engine.load_arrivals(*synthesize(workload))
+        if arrivals is None:
+            arrivals = synthesize(workload)
+        self.engine.load_arrivals(*arrivals)
         self.engine.advance(0.0)
         self.ledger = EpisodeLedger(self.engine)
         self.total_steps = int(round(steps))
@@ -161,9 +165,9 @@ class ServerlessEnv:
         self.ledger = None
         self.done = True
 
-    def reset(self, workload: WorkloadSpec) -> np.ndarray:
+    def reset(self, workload: WorkloadSpec, arrivals: Optional[Arrivals] = None) -> np.ndarray:
         """Start an episode; random targets are drawn with the constructor's ``seed``."""
-        self.start_episode(workload)
+        self.start_episode(workload, arrivals)
         self._select_target()
         return self._state()
 

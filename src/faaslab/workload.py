@@ -36,6 +36,8 @@ TRAIN_BAND = (10, 60)
 EVAL_BANDS = {"low": (5, 20), "mid": (20, 40), "high": (40, 60)}
 MAX_TRAINING_ENTRY_FNS = 4
 BUNDLED_TRACES = Path(__file__).parent / "data" / "synthetic_traces.txt"
+# One workload's arrivals as ``synthesize`` returns them: (times, app_ids).
+Arrivals = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def window_rates(spec: WorkloadSpec) -> np.ndarray:
     return rates
 
 
-def synthesize(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray]:
+def synthesize(spec: WorkloadSpec) -> Arrivals:
     """Materialize the arrivals as two time-ordered columns: ``times``
     (float64 seconds) and ``app_ids`` (int64), the form ``load_arrivals`` takes.
 
@@ -158,6 +160,9 @@ def synthesize(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray]:
     spawned by the simulator when the preceding function completes. When
     several applications share an entry function its arrivals are dealt
     round-robin across them (sorted by app id), window after window.
+
+    Both columns are read-only, so one batch can be loaded into several
+    episodes' engines without any of them altering it.
     """
     rates = window_rates(spec)
     entries = spec.entry_functions
@@ -180,7 +185,10 @@ def synthesize(spec: WorkloadSpec) -> tuple[np.ndarray, np.ndarray]:
     dealt = (np.cumsum(rates, axis=0) - rates).ravel()[cell] + index
     app_ids = np.concatenate(apps)[(np.cumsum(sizes) - sizes)[column] + dealt % sizes[column]]
     order = np.argsort(times, kind="stable")
-    return times[order], app_ids[order]
+    times, app_ids = times[order], app_ids[order]
+    times.setflags(write=False)
+    app_ids.setflags(write=False)
+    return times, app_ids
 
 
 def training_apps(applications: Sequence[Application], seed: int) -> tuple[Application, ...]:

@@ -9,9 +9,12 @@ from faaslab.agents import (DQN_GRID_POINTS, N_COMPOUND_ACTIONS, DqnConfig, Trai
                             Transition, aggregate, compound_to_action,
                             compute_advantages, dqn_train, evaluate_targets,
                             greedy_index, select_action, train)
+from faaslab.agents import evaluate
 from faaslab.agents.a3c import sample_index
 from faaslab.agents.evaluate import _policy_from_store
+from faaslab.baselines import run_baseline
 from faaslab.cluster import Application, FunctionProfile
+from faaslab.config import load_experiment
 from faaslab.env import ACTION_SIZES, EnvConfig, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import ChannelBounds, RewardBounds
@@ -304,6 +307,46 @@ class TestEvaluate:
         assert [(r.target, r.band, r.workload_index) for r in forward] == [
             (t, b, i) for t in ("knative", "openfaas")
             for b, i in (("low", 0), ("mid", 0), ("mid", 1))]
+
+    def test_each_workload_synthesized_once_for_every_target(self, tmp_path, monkeypatch):
+        exp = load_experiment(overrides={"preset": "desk", "workload": {"duration": 20}})
+        sets = {band: workloads[:2] for band, workloads in exp.eval_sets().items()}
+        state_dim = ServerlessEnv(exp.vms, exp.profiles).state_dim
+        store = ParameterStore(NetworkSpec(input_dim=state_dim, hidden=(8,),
+                                           head_sizes=ACTION_SIZES, seed=3))
+        path = tmp_path / "actor.npz"
+        store.save(path)
+        targets = ["knative", "kube_cpu", "openfaas", str(path)]
+        calls = []
+        synthesize = evaluate.synthesize
+
+        def counting(workload):
+            calls.append(workload.seed)
+            return synthesize(workload)
+
+        monkeypatch.setattr(evaluate, "synthesize", counting)
+        rows = evaluate_targets(targets, sets, exp.vms, exp.profiles, exp.env, exp.sim,
+                                policy_config=exp.baselines)
+        seeds = [w.seed for _, workloads in sorted(sets.items()) for w in workloads]
+        assert calls == seeds
+
+        # one episode per (target, workload), each synthesizing its own arrivals
+        expected = []
+        for target in targets:
+            for band, workloads in sorted(sets.items()):
+                for idx, workload in enumerate(workloads):
+                    if target == str(path):
+                        summary = evaluate._greedy_episode(
+                            _policy_from_store(store), exp.vms, exp.profiles, workload,
+                            exp.env, exp.sim)
+                    else:
+                        summary = run_baseline(target, exp.vms, exp.profiles, workload,
+                                               exp.env, exp.sim, exp.baselines).summary
+                    expected.append((target, band, idx, summary.rart, summary.rfr,
+                                     summary.cost))
+        expected.sort(key=lambda r: r[:3])
+        assert [(r.target, r.band, r.workload_index, r.rart, r.rfr, r.cost)
+                for r in rows] == expected
 
     def test_parallel_other_than_one_rejected(self, desk_vms):
         with pytest.raises(ConfigError, match="parallel"):

@@ -10,7 +10,7 @@ from faaslab.cluster import (MAX_REPLICAS, Application, ClusterEngine, FunctionP
 from faaslab.config import load_experiment
 from faaslab.env import EnvConfig, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError
-from faaslab.workload import TraceSeries, WorkloadSpec
+from faaslab.workload import TraceSeries, WorkloadSpec, synthesize
 
 KNATIVE = KnativeConfig()
 KUBE = KubeCpuConfig()
@@ -265,6 +265,15 @@ class TestEventLogDigests:
                 repr(res.engine.event_log).encode()).hexdigest()[:16]
         assert digests == {key: digest for key, digest in self.DIGESTS.items()
                            if key[0] == preset}
+
+    @pytest.mark.parametrize("policy", BASELINES)
+    def test_given_arrivals_replay_the_episode(self, policy):
+        exp = load_experiment(overrides={"preset": "desk"})
+        workload = exp.eval_sets(["high"])["high"][0]
+        args = (policy, exp.vms, exp.profiles, workload, exp.env, exp.sim, exp.baselines)
+        given = run_baseline(*args, log_events=True, arrivals=synthesize(workload))
+        own = run_baseline(*args, log_events=True)
+        assert given.engine.event_log == own.engine.event_log
 
 
 class TestObservationDigest:

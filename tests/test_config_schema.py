@@ -254,3 +254,42 @@ def test_profile_limits_at_the_pod_bounds_load():
         FunctionProfile(**{**edge, "initial_pod_cpu": cpu, "initial_pod_mem": mem})
     # a pod that fits exactly one request, up to float error
     FunctionProfile(**{**PROFILE_ROW, "req_cpu": 0.3, "initial_pod_cpu": 0.1 + 0.2})
+
+
+@pytest.mark.parametrize("cls, key, good, change, message", [
+    (FunctionProfile, "function_id", PROFILE_ROW, {"initial_pod_cpu": 0.05},
+     "function 1: initial_pod_cpu must lie in"),
+    (VmSpec, "vm_id", VM_ROW, {"cpu_capacity": 0.0}, "vm 1: capacities must be positive"),
+], ids=["profile", "vm"])
+def test_record_check_names_its_file_and_row(tmp_path, cls, key, good, change, message):
+    path = tmp_path / "records.yaml"
+    path.write_text(yaml.safe_dump([good, {**good, key: 1, **change}]))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}[1]: {message}")):
+        load_records(path, cls, key)
+
+
+@pytest.mark.parametrize("change", [{"cpu_capacity": 0.05}, {"mem_capacity": 100.0}],
+                         ids=["cpu", "mem"])
+def test_cluster_that_holds_no_initial_pod_is_rejected(tmp_path, capsys, change):
+    cluster = tmp_path / "cluster.yaml"
+    cluster.write_text(yaml.safe_dump([{**VM_ROW, **change}, {**VM_ROW, "vm_id": 1, **change}]))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"no VM of cluster_file {cluster} holds function 0's initial pod")):
+        load_experiment(overrides={"cluster_file": str(cluster)})
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({**BASE, "cluster_file": str(cluster)}))
+    assert main(["simulate", "--config", str(config), "--band", "high",
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "cluster_file" in capsys.readouterr().err
+
+
+def test_cluster_fit_uses_the_placement_tolerance(tmp_path):
+    # primary's initial pod is 1.0 vCPU and 2048 MB; one VM holds it to within 1e-9
+    cluster = tmp_path / "cluster.yaml"
+    cluster.write_text(yaml.safe_dump([{**VM_ROW, "cpu_capacity": 1.0 - 1e-10,
+                                        "mem_capacity": 2048.0 - 1e-10}]))
+    exp = load_experiment(overrides={"applications": ["primary"], "cluster_file": str(cluster)})
+    assert (exp.profiles[0].initial_pod_cpu, exp.profiles[0].initial_pod_mem) == (1.0, 2048.0)
+    cluster.write_text(yaml.safe_dump([{**VM_ROW, "cpu_capacity": 1.0 - 1e-6}]))
+    with pytest.raises(ConfigError, match="cluster_file"):
+        load_experiment(overrides={"applications": ["primary"], "cluster_file": str(cluster)})

@@ -152,6 +152,14 @@ def test_synthesize_matches_scalar_rule(spec):
             == b"".join(starmap(PAIR.pack, scalar_synthesize(spec))))
 
 
+def test_synthesized_columns_are_read_only():
+    exp = load_experiment(overrides={"preset": "desk"})
+    times, app_ids = synthesize(exp.eval_sets(["high"])["high"][0])
+    assert times.size and not times.flags.writeable and not app_ids.flags.writeable
+    with pytest.raises(ValueError):
+        times[0] = 0.0
+
+
 class TestSynthesizeDigest:
     # sha256 over every (time, app) pair synthesize returns, recorded before
     # synthesize was rewritten; a one-ulp change in any time, a different app
