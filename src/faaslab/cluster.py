@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-import random
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -300,9 +299,7 @@ class Application:
 class SimConfig:
     retry_interval: float = 1.0
     max_retries: int = 10
-    exec_noise_sigma: float = 0.0      # lognormal sigma on execution time; 0 disables
     active_time_mode: str = "inflight"  # "inflight" | "pods"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         # A retry falls due one interval after the clock. An hour is far past
@@ -312,9 +309,6 @@ class SimConfig:
         require(self.max_retries >= 0, "sim.max_retries must be >= 0", self.max_retries)
         require(self.active_time_mode in ("inflight", "pods"),
                 "sim.active_time_mode must be 'inflight' or 'pods'", self.active_time_mode)
-        # lognormvariate's exp(sigma * z) overflows past 709: z > 70 at sigma 10, never drawn
-        require(0 <= self.exec_noise_sigma <= 10, "sim.exec_noise_sigma must lie in [0, 10]",
-                self.exec_noise_sigma)
 
 
 class FunctionSnapshot(NamedTuple):
@@ -486,7 +480,6 @@ class ClusterEngine:
         self._cursor = 0
         self._seq = 0
         self._next_pod_id = 0
-        self._rng = random.Random(config.seed)
 
     # ------------------------------------------------------------------ events
 
@@ -569,8 +562,6 @@ class ClusterEngine:
          req_finish_time, req_retries, req_pod_id) = self._req_columns
         max_retries = self.config.max_retries
         retry_interval = self.config.retry_interval
-        sigma = self.config.exec_noise_sigma
-        lognormvariate = self._rng.lognormvariate
         pods_mode = self._pods_mode
         heappop, heappush = heapq.heappop, heapq.heappush
         ready, terminating = PodPhase.READY, PodPhase.TERMINATING
@@ -698,7 +689,6 @@ class ClusterEngine:
             k += 1
             rr_cursor[fn] = k if k < n else 0
             pod_id = pod.pod_id
-            profile = pod.profile
             vm = vms[pod.vm_id]
             req_pod_id[rid] = pod_id
             in_flight = pod.in_flight = pod.in_flight + 1
@@ -709,11 +699,8 @@ class ClusterEngine:
                 vm.busy_since = time
             if log is not None:
                 log.append((time, "assign", rid, pod_id))
-            exec_time = profile.standard_response_time
-            if sigma > 0:
-                exec_time *= lognormvariate(0.0, sigma)
             seq += 1
-            heappush(heap, (time + exec_time, seq, _FINISH, rid))
+            heappush(heap, (time + pod.profile.standard_response_time, seq, _FINISH, rid))
         self._seq = seq
         if i and i == n_pending:  # every loaded arrival is dispatched: free the columns
             self._pending, i = ([], [], []), 0
@@ -771,7 +758,6 @@ class ClusterEngine:
         self._retries.remove(next(entry for entry in self._retries if entry[2] == rid))
         now = self.clock
         pod_id = pod.pod_id
-        profile = pod.profile
         vm = self.vms[pod.vm_id]
         self.req_pod_id[rid] = pod_id
         pod.in_flight += 1
@@ -781,11 +767,7 @@ class ClusterEngine:
         if vm.busy_since is None:  # in either mode a VM serving a request is active
             vm.busy_since = now
         self._log("assign", rid, pod_id)
-        exec_time = profile.standard_response_time
-        sigma = self.config.exec_noise_sigma
-        if sigma > 0:
-            exec_time *= self._rng.lognormvariate(0.0, sigma)
-        self._push(now + exec_time, _FINISH, rid)
+        self._push(now + pod.profile.standard_response_time, _FINISH, rid)
         return pod_id
 
     def _on_pod_ready(self, pod_id: int) -> None:

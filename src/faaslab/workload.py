@@ -71,11 +71,10 @@ def load_traces(path: str | Path) -> list[TraceSeries]:
             counts = tuple(map(int, rest.split()))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: non-integer count ({exc})") from None
-        if not counts:
-            raise ConfigError(f"{path}:{lineno}: no counts")
-        if min(counts) < 0:
-            raise ConfigError(f"{path}:{lineno}: negative count")
-        series.append(TraceSeries(trace_id=trace_id, counts=counts))
+        try:
+            series.append(TraceSeries(trace_id=trace_id, counts=counts))
+        except ConfigError as exc:  # the record's own check names no file or line
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if not series:
         raise ConfigError(f"{path}: no traces found")
     return series

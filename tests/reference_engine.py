@@ -172,10 +172,8 @@ class ReferenceEngine(ClusterEngine):
         vm.inflight += 1
         self._update_vm_activity(vm)
         self._log("assign", req.request_id, pod.pod_id)
-        exec_time = pod.profile.standard_response_time
-        if self.config.exec_noise_sigma > 0:
-            exec_time *= self._rng.lognormvariate(0.0, self.config.exec_noise_sigma)
-        self._push(self.clock + exec_time, ReferenceEngine._on_finish, req.request_id)
+        self._push(self.clock + pod.profile.standard_response_time, ReferenceEngine._on_finish,
+                   req.request_id)
 
     def _on_retry(self, request_id: int) -> None:
         req = self.requests[request_id]

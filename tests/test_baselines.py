@@ -6,7 +6,7 @@ from faaslab.baselines import (BASELINES, BaselinePolicyConfig, KnativeConfig,
                                KubeCpuConfig, OpenFaasConfig, decide, knative_decide,
                                kube_cpu_decide, openfaas_decide, run_baseline)
 from faaslab.cluster import (MAX_REPLICAS, Application, ClusterEngine, FunctionProfile,
-                             FunctionSnapshot, SimConfig)
+                             FunctionSnapshot)
 from faaslab.config import load_experiment
 from faaslab.env import EnvConfig, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError
@@ -139,9 +139,7 @@ class TestRunBaseline:
 
         def run(log_events):
             replica_log.clear()
-            res = run_baseline(policy, desk_vms, profiles, wl,
-                               EnvConfig(),
-                               SimConfig(exec_noise_sigma=0.3, seed=4),
+            res = run_baseline(policy, desk_vms, profiles, wl, EnvConfig(),
                                collect_channels=True, log_events=log_events)
             return res, list(replica_log)
 

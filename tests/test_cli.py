@@ -447,42 +447,37 @@ class TestErrors:
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
         assert f"{key!r} must be a list" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("rfrt_cap", 0), ("rate_cap", 0),
-                                            ("rate_cap", -1.0), ("cpu_cap_norm", 8.0),
-                                            ("mem_cap_norm", 32768.0),
-                                            ("observe_delay", 10)])
-    def test_bad_env_key_is_config_error(self, tmp_path, capsys, key, value):
-        # The state normalizers are module constants of faaslab.env, not config
-        # keys: a checkpoint records no normalizer, so a config could otherwise
-        # feed a trained actor rescaled features. A window is observed whole, so
-        # observe_delay is gone too. Any value of these keys is unknown.
-        config = write_config(tmp_path, env={key: value})
-        assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
-        assert f"unknown config key env.{key}" in capsys.readouterr().err
-
-    def test_max_replicas_is_unknown_key(self, tmp_path, capsys):
-        # The replica cap is the module constant MAX_REPLICAS of faaslab.cluster:
-        # the agent state divides each VM's target replicas by it, and a
-        # checkpoint records no normalizer.
-        config = write_config(tmp_path, sim={"max_replicas": 80})
-        assert main(["simulate", "--config", str(config), "--band", "high"]) == EXIT_CONFIG
-        assert "unknown config key sim.max_replicas" in capsys.readouterr().err
-
-    def test_constant_rate_is_unknown_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [
+        # The state normalizers are module constants of faaslab.env: a
+        # checkpoint records no normalizer, so a config could otherwise feed a
+        # trained actor rescaled features.
+        ("env.rfrt_cap", 0), ("env.rate_cap", 0), ("env.rate_cap", -1.0),
+        ("env.cpu_cap_norm", 8.0), ("env.mem_cap_norm", 32768.0),
+        # A window is observed whole.
+        ("env.observe_delay", 10),
+        # The replica cap is the constant MAX_REPLICAS of faaslab.cluster, for
+        # the same reason as the normalizers: the state divides by it.
+        ("sim.max_replicas", 80),
         # Workloads come only from band-fitted traces.
-        config = write_config(tmp_path, workload={"constant_rate": 5})
+        ("workload.constant_rate", 5),
+        # A routed request runs exactly its function's standard response time,
+        # so there is no execution-time noise and no seed for it.
+        ("sim.exec_noise_sigma", 0.0), ("sim.seed", 0),
+    ])
+    def test_retired_key_is_unknown(self, tmp_path, capsys, key, value):
+        section, name = key.split(".")
+        config = write_config(tmp_path, **{section: {name: value}})
         assert main(["calibrate", "--config", str(config)]) == EXIT_CONFIG
-        assert "unknown config key workload.constant_rate" in capsys.readouterr().err
+        assert f"unknown config key {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key, value", [
-        ("calibrate", "sim.exec_noise_sigma", -1),
         ("train", "train.seed", -1),
         ("train --agent dqn", "dqn.seed", -1),
         ("train --agent dqn", "dqn.batch_size", 0),
         ("train", "train.entropy_beta", 1.0e+308),
         ("simulate", "sim.retry_interval", 1.0e+308),  # the second retry would fall due at inf
-    ], ids=["sim.exec_noise_sigma", "train.seed", "dqn.seed", "dqn.batch_size",
-            "train.entropy_beta", "sim.retry_interval"])
+    ], ids=["train.seed", "dqn.seed", "dqn.batch_size", "train.entropy_beta",
+            "sim.retry_interval"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, key,
                                                 value):
         config = write_config(tmp_path, cluster=["t4g.large"])

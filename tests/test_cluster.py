@@ -349,8 +349,7 @@ class TestTieHeavyDigests:
     @classmethod
     def scenario(cls, seed: int) -> ClusterEngine:
         rng = random.Random(seed)
-        eng = make_engine(cls.VMS, cls.PROFILES, cls.APPS, retry_interval=1.0,
-                          seed=seed)
+        eng = make_engine(cls.VMS, cls.PROFILES, cls.APPS, retry_interval=1.0)
         arrivals = [(0.25 * rng.randrange(120), rng.randrange(2))
                     for _ in range(rng.randrange(60, 160))]
         rng.shuffle(arrivals)
@@ -857,7 +856,7 @@ class TestBusyOverlap:
 
 class TestInvariantsAndDeterminism:
     def _scripted_run(self, vms, profiles, apps):
-        eng = make_engine(vms, profiles, apps, seed=11)
+        eng = make_engine(vms, profiles, apps)
         eng.load_arrivals(*arrival_columns([(i * 0.37, 0) for i in range(40)]))
         eng.advance(0.0)
         eng.apply_horizontal(0, 2)
@@ -1163,22 +1162,6 @@ class TestInvariantsAndDeterminism:
         assert (eng.vms[0].busy_log, eng.vms[0].busy_since) == ([(0.0, 3.5)], None)
         eng.check_invariants()
 
-    def test_execution_noise_flag(self, big_vm, fast_profile, single_app):
-        def response(sigma, seed):
-            eng = make_engine([big_vm], [fast_profile], [single_app],
-                              exec_noise_sigma=sigma, seed=seed)
-            eng.apply_horizontal(0, 1)
-            eng.advance(2.0)
-            eng.load_arrivals(*arrival_columns([(3.0, 0)]))
-            eng.advance(60.0)
-            req = eng.requests[0]
-            return req.finish_time - req.arrival_time
-
-        assert response(0.0, 1) == 1.0  # default: deterministic standard time
-        noisy = response(0.3, 1)
-        assert noisy != 1.0
-        assert response(0.3, 1) == noisy  # seeded reproducibility
-
     def test_chain_handoff_is_immediate(self, big_vm):
         profs = [FunctionProfile(function_id=0, req_cpu=0.25, req_mem=256.0,
                                  standard_response_time=1.0, cold_start_seconds=1.0,
@@ -1200,12 +1183,12 @@ class TestInvariantsAndDeterminism:
         assert child.root_id == 0
 
     def test_chain_ratios_are_in_order_stage_sums(self, desk_vms):
-        # Two 5-stage apps and a 2-stage app under execution noise, queueing and
-        # horizontal scaling. Each stored ratio must equal, bit for bit, the
+        # Two 5-stage apps and a 2-stage app under queueing and horizontal
+        # scaling. Each stored ratio must equal, bit for bit, the
         # stages' response times over their standard times, both summed in
         # chain order from the request records.
         profiles, apps = select_apps(["facial", "todo", "thumbnail"])
-        eng = make_engine(desk_vms, profiles, apps, exec_noise_sigma=0.3, seed=5)
+        eng = make_engine(desk_vms, profiles, apps)
         rng = random.Random(11)
         eng.load_arrivals(*arrival_columns((rng.uniform(0.0, 60.0), rng.choice(apps).app_id)
                           for _ in range(400)))

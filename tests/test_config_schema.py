@@ -128,7 +128,8 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     ({"train": {"seed": True}}, "train.seed"),
     ({"sim": {"max_replicas": 2.5}}, "unknown config key sim.max_replicas"),
     ({"train": {"lr": float("inf")}}, "train.lr"),
-    ({"sim": {"exec_noise_sigma": float("nan")}}, "sim.exec_noise_sigma"),
+    # retired: a routed request runs exactly its standard response time
+    ({"sim": {"exec_noise_sigma": 0.0}}, "sim.exec_noise_sigma"),
     ({"workload": {"jitter": "abc"}}, "workload.jitter"),
     ({"dqn": {"hidden": [8, 2.5]}}, "dqn.hidden"),
     ({"sim": {"active_time_mode": 1}}, "sim.active_time_mode"),
@@ -141,9 +142,9 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     ({"train": {"grad_clip": 0.0}}, "train.grad_clip"),
     ({"workload": {"calibration_per_band": 0}}, "workload.calibration_per_band"),
     ({"baselines": {"openfaas": {"cpu_threshold": 2.5}}}, "baselines.openfaas.cpu_threshold"),
-    # finite but huge: they would overflow lognormvariate and window_rates
-    ({"sim": {"exec_noise_sigma": 1.0e+308}}, "sim.exec_noise_sigma"),
-    ({"sim": {"exec_noise_sigma": 1.0e+15}}, "sim.exec_noise_sigma"),
+    # finite but huge: retries would fall due at inf, window_rates would overflow
+    ({"sim": {"retry_interval": 1.0e+308}}, "sim.retry_interval"),
+    ({"sim": {"retry_interval": 1.0e+15}}, "sim.retry_interval"),
     ({"workload": {"duration": 1.0e+308}}, "workload.duration"),
     ({"workload": {"duration": 1.0e+15}}, "workload.duration"),
     # a finite but huge entropy weight trained into infinite Adam moments
@@ -162,10 +163,9 @@ def test_wrong_type_or_unknown_key_is_named(overrides, key):
 
 
 def test_upper_bounds_are_inclusive():
-    exp = load_experiment(overrides={"sim": {"exec_noise_sigma": 10, "retry_interval": 3600},
+    exp = load_experiment(overrides={"sim": {"retry_interval": 3600},
                                      "workload": {"duration": 86400}})
-    assert exp.sim.exec_noise_sigma == 10 and exp.workload.duration == 86400
-    assert exp.sim.retry_interval == 3600
+    assert exp.sim.retry_interval == 3600 and exp.workload.duration == 86400
 
 
 def test_values_are_kept_as_given():

@@ -6,9 +6,11 @@ times in one to three unsorted batches loaded together, more batches, sorted
 or not, loaded mid-run while earlier arrivals are still pending, random
 horizontal and clamped vertical scaling,
 arrivals just after a step back in time by less than the clock tolerance,
-batches that ``load_arrivals`` must reject whole, both ``active_time_mode``s
-and execution noise on and off. The timing constants are multiples of
-0.25 s, so without noise many events share a timestamp.
+batches that ``load_arrivals`` must reject whole and both
+``active_time_mode``s. The timing constants are multiples of 0.25 s, so
+many events share a timestamp; one draw in three replaces the standard
+response times with floats off that grid, so finishes fall between the
+retries, arrivals and pod readiness instead.
 
 After every advance the engines must agree exactly: event log, the fields
 of every request (``ClusterEngine`` columns against ``ReferenceEngine``
@@ -19,7 +21,7 @@ the window just run. The fast engine's open-pod counts must equal a full
 scan, and its own ``check_invariants`` must pass. A rejected batch must raise
 the same message in both engines.
 """
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,11 @@ PROFILES = (FunctionProfile(function_id=0, req_cpu=0.25, req_mem=256.0,
             FunctionProfile(function_id=2, req_cpu=0.1, req_mem=128.0,
                             standard_response_time=0.25, cold_start_seconds=0.5,
                             initial_pod_cpu=0.3, initial_pod_mem=384.0))
+
+# The same table with standard response times drawn off the 0.25 s grid.
+off_grid_profiles = st.tuples(*[st.floats(0.05, 2.0)] * len(PROFILES)).map(
+    lambda times: tuple(replace(profile, standard_response_time=t)
+                        for profile, t in zip(PROFILES, times)))
 
 functions = st.sampled_from((0, 1, 2))
 chains = st.lists(st.lists(functions, min_size=1, max_size=3), min_size=1, max_size=3)
@@ -127,9 +134,8 @@ def assert_same(fast, ref, t0):
 
 @settings(deadline=None)
 @given(
-    noise=st.sampled_from((0.0, 0.0, 0.4)),
+    profiles=st.one_of(st.just(PROFILES), st.just(PROFILES), off_grid_profiles),
     mode=st.sampled_from(("inflight", "pods")),
-    seed=st.integers(0, 1000),
     retry=st.tuples(st.sampled_from((0.5, 1.0)), st.sampled_from((0, 1, 3, 10))),
     log_events=st.sampled_from((True, True, True, False)),
     sequences=chains,
@@ -138,14 +144,14 @@ def assert_same(fast, ref, t0):
                      min_size=1, max_size=3),
     ops=st.lists(operations, max_size=30),
 )
-def test_engine_matches_reference(noise, mode, seed, retry, log_events, sequences,
+def test_engine_matches_reference(profiles, mode, retry, log_events, sequences,
                                   initial_pods, batches, ops):
     apps = [Application(app_id=i, function_sequence=tuple(seq))
             for i, seq in enumerate(sequences)]
     config = SimConfig(retry_interval=retry[0], max_retries=retry[1],
-                       exec_noise_sigma=noise, active_time_mode=mode, seed=seed)
-    fast = ClusterEngine(VMS, PROFILES, apps, config, log_events=log_events)
-    ref = ReferenceEngine(VMS, PROFILES, apps, config)
+                       active_time_mode=mode)
+    fast = ClusterEngine(VMS, profiles, apps, config, log_events=log_events)
+    ref = ReferenceEngine(VMS, profiles, apps, config)
     n_apps = len(apps)
 
     def load(batch):

@@ -3,8 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from faaslab.cluster import (Application, ClusterEngine, FunctionProfile, SimConfig,
-                             VmSpec)
+from faaslab.cluster import Application, ClusterEngine, FunctionProfile, VmSpec
 from faaslab.errors import ConfigError
 from faaslab.metrics import (ChannelBounds, EpisodeLedger, RewardBounds,
                              derive_bounds, step_reward)
@@ -118,16 +117,17 @@ class TestRart:
         eng.check_invariants()
 
     def test_chains_summed_in_root_order(self, big_vm):
-        # Under execution noise, two pods per stage let later chains overtake
-        # earlier ones, so the engine records the chains out of root order.
-        # RART must be their mean in root order, bit for bit; here that
-        # differs from the mean in completion order.
+        # Two pods of four slots per stage hold 8 of the 20 chains at once.
+        # The rest queue, and a later arrival that finds a slot freed before
+        # an earlier one's retry falls due overtakes it, so the engine records
+        # the chains out of root order. RART must be their mean in root order,
+        # bit for bit; here that differs from the mean in completion order.
         profs = [FunctionProfile(function_id=i, req_cpu=0.25, req_mem=256.0,
                                  standard_response_time=r0, cold_start_seconds=1.0,
                                  initial_pod_cpu=1.0, initial_pod_mem=1024.0)
                  for i, r0 in ((0, 1.0), (1, 2.0))]
         app = Application(app_id=0, function_sequence=(0, 1))
-        eng = ClusterEngine([big_vm], profs, [app], SimConfig(exec_noise_sigma=0.5, seed=0))
+        eng = ClusterEngine([big_vm], profs, [app])
         eng.apply_horizontal(0, 2)
         eng.apply_horizontal(1, 2)
         eng.load_arrivals(*arrival_columns([(1.0 + 0.1 * k, 0) for k in range(20)]))

@@ -1,17 +1,34 @@
-"""Property test: engine invariants hold under random scaling sequences.
+"""Property tests: engine invariants hold under random scaling sequences,
+and an experiment that loads from random files can serve.
 
 Random interleavings of horizontal scaling, clamped vertical resizes and
-``advance`` run over random arrivals, with and without execution noise and in
-both ``active_time_mode``s. After every advance the engine's own
-``check_invariants`` (which recounts allocations, usage, concurrency bounds
-and open pods from scratch) must pass, every arrival must be completed,
-dropped or still in flight, and the clock must never go back.
+``advance`` run over random arrivals in both ``active_time_mode``s. After
+every advance the engine's own ``check_invariants`` (which recounts
+allocations, usage, concurrency bounds and open pods from scratch) must
+pass, every arrival must be completed, dropped or still in flight, and the
+clock must never go back.
+
+Random cluster and profiles files, each field within its documented bounds,
+with random applications, retry settings and billing mode, must either
+fail to load with a ``ConfigError`` (exit 2) that names the file, or let
+every baseline and a random-action agent finish desk ``high`` workload 0
+with nothing pending and ``check_invariants`` passing. 25 examples run by
+default and 125 under ``HYPOTHESIS_PROFILE=ci``.
 """
+import os
+import tempfile
+from pathlib import Path
+
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faaslab.baselines import BASELINES, run_baseline
 from faaslab.cluster import (Application, ClusterEngine, FunctionProfile,
                              RequestStatus, SimConfig, VmSpec)
+from faaslab.config import load_experiment
+from faaslab.env import ACTION_SIZES, ScalingAction, ServerlessEnv
+from faaslab.errors import ConfigError
 
 from oracles import arrival_columns
 
@@ -37,19 +54,14 @@ operations = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    noise=st.sampled_from((0.0, 0.4)),
     mode=st.sampled_from(("inflight", "pods")),
-    seed=st.integers(0, 1000),
     initial_pods=st.tuples(st.integers(0, 4), st.integers(0, 4)),
     arrivals=st.lists(st.tuples(st.floats(0.0, 30.0), st.sampled_from((0, 1))),
                       min_size=10, max_size=120),
     ops=st.lists(operations, max_size=40),
 )
-def test_invariants_hold_under_random_scaling(noise, mode, seed, initial_pods,
-                                              arrivals, ops):
-    engine = ClusterEngine(VMS, PROFILES, APPS,
-                           SimConfig(exec_noise_sigma=noise, active_time_mode=mode,
-                                     seed=seed))
+def test_invariants_hold_under_random_scaling(mode, initial_pods, arrivals, ops):
+    engine = ClusterEngine(VMS, PROFILES, APPS, SimConfig(active_time_mode=mode))
     engine.load_arrivals(*arrival_columns(sorted(arrivals)))
     for fn, pods in enumerate(initial_pods):
         engine.apply_horizontal(fn, pods)
@@ -74,3 +86,65 @@ def test_invariants_hold_under_random_scaling(noise, mode, seed, initial_pods,
             advance(engine.clock + op[1])
     while (t := engine.next_event_time()) is not None and t <= 200.0:
         advance(t)
+
+
+# Each field within its documented bounds; a request may still exceed its
+# pod (a fraction past 1), and a VM may hold no initial pod (0.05 vCPU, 64 MB).
+vm_rows = st.lists(st.fixed_dictionaries({
+    "cpu_capacity": st.floats(0.05, 8.0), "mem_capacity": st.floats(64.0, 32768.0),
+    "unit_price": st.floats(0.0, 1.0)}), min_size=1, max_size=4)
+# initial_pod_cpu, initial_pod_mem, req_cpu and req_mem as fractions of
+# them, standard_response_time, cold_start_seconds
+profile_rows = st.lists(st.tuples(
+    st.floats(0.1, 1.0), st.floats(128.0, 3072.0), st.floats(0.05, 1.05),
+    st.floats(0.05, 1.05), st.floats(0.05, 9.5), st.floats(0.1, 5.0)), min_size=1, max_size=4)
+
+
+@st.composite
+def experiment_files(draw):
+    vms = [dict(row, vm_id=i) for i, row in enumerate(draw(vm_rows))]
+    profiles = [{"function_id": fn, "req_cpu": cpu * cpu_frac, "req_mem": mem * mem_frac,
+                 "standard_response_time": r0, "cold_start_seconds": cold,
+                 "initial_pod_cpu": cpu, "initial_pod_mem": mem}
+                for fn, (cpu, mem, cpu_frac, mem_frac, r0, cold)
+                in enumerate(draw(profile_rows))]
+    chains = draw(st.lists(st.lists(st.integers(0, len(profiles) - 1), min_size=1,
+                                    max_size=3), min_size=1, max_size=3))
+    apps = [{"app_id": i, "functions": chain} for i, chain in enumerate(chains)]
+    sim = {"retry_interval": draw(st.floats(0.0, 3600.0, exclude_min=True)),
+           "max_retries": draw(st.integers(0, 12)),
+           "active_time_mode": draw(st.sampled_from(("inflight", "pods")))}
+    return vms, profiles, apps, sim
+
+
+@settings(max_examples=125 if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else 25,
+          deadline=None)
+@given(experiment_files(), st.randoms(use_true_random=False))
+def test_experiment_files_load_and_run_or_name_the_fault(files, rng):
+    vms, profiles, apps, sim = files
+    with tempfile.TemporaryDirectory() as tmp:
+        cluster_file, profiles_file = Path(tmp, "cluster.yaml"), Path(tmp, "profiles.yaml")
+        cluster_file.write_text(yaml.safe_dump(vms))
+        profiles_file.write_text(yaml.safe_dump(profiles))
+        try:
+            exp = load_experiment(overrides={
+                "cluster_file": str(cluster_file), "profiles_file": str(profiles_file),
+                "applications": apps, "sim": sim})
+        except ConfigError as exc:
+            # exits 2 naming the file, and the row where a record fails its check
+            assert str(cluster_file) in str(exc) or str(profiles_file) in str(exc), exc
+            return
+    workload = exp.eval_sets(["high"])["high"][0]
+    for policy in BASELINES:
+        result = run_baseline(policy, exp.vms, exp.profiles, workload, exp.env, exp.sim,
+                              exp.baselines)
+        assert not result.engine.pending_requests()
+        result.engine.check_invariants()
+    env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim)
+    env.reset(workload)
+    done = False
+    while not done:
+        action = ScalingAction(*(rng.randrange(k) for k in ACTION_SIZES))
+        _, _, done = env.step(action, rewarded=False)
+    assert not env.engine.pending_requests()
+    env.engine.check_invariants()

@@ -36,7 +36,13 @@ class TestTraceIO:
     def test_negative_count_rejected_with_line(self, tmp_path):
         p = tmp_path / "traces.txt"
         p.write_text("ok, 1 2\nbad, 3 -1\n")
-        with pytest.raises(ConfigError, match=":2"):
+        with pytest.raises(ConfigError, match=r"traces\.txt:2: trace 'bad' has negative counts"):
+            load_traces(p)
+
+    def test_empty_counts_rejected_with_line(self, tmp_path):
+        p = tmp_path / "traces.txt"
+        p.write_text("# header\nempty,\n")
+        with pytest.raises(ConfigError, match=r"traces\.txt:2: trace 'empty' is empty"):
             load_traces(p)
 
     def test_empty_file_rejected(self, tmp_path):
