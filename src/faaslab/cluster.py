@@ -260,16 +260,19 @@ def _request_status(finish_time: Optional[float], pod_id: Optional[int]) -> Requ
 
 
 class RequestView(Mapping[int, RequestRecord]):
-    """Read-only mapping of request id to ``RequestRecord`` over the engine's columns.
+    """Read-only mapping of request id to ``RequestRecord`` over the engine's
+    columns and chain links.
 
     ``len`` is O(1). Each lookup builds a new frozen record: a snapshot that
-    later events do not change.
+    later events do not change. A request with no link starts its own chain:
+    its chain index, root and elapsed time read ``(0, its own id, 0.0)``.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_columns", "_links")
 
-    def __init__(self, columns: tuple[list, ...]):
+    def __init__(self, columns: tuple[list, ...], links: Mapping[int, tuple[int, int, float]]):
         self._columns = columns
+        self._links = links
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -280,8 +283,10 @@ class RequestView(Mapping[int, RequestRecord]):
     def __getitem__(self, rid: int) -> RequestRecord:
         if not isinstance(rid, int) or not 0 <= rid < len(self._columns[0]):
             raise KeyError(rid)
-        *fixed, finish, retries, pod = [column[rid] for column in self._columns]
-        return RequestRecord(rid, *fixed, finish, _request_status(finish, pod), retries,
+        app_id, fn, arrival, finish, retries, pod = [column[rid] for column in self._columns]
+        stage, root, elapsed = self._links.get(rid, (0, rid, 0.0))
+        return RequestRecord(rid, app_id, stage, fn, arrival, root, elapsed, finish,
+                             _request_status(finish, pod), retries,
                              None if pod == _DROPPED else pod)
 
 
@@ -381,8 +386,11 @@ class ClusterEngine:
     request, for callers outside the loop.
 
     Requests are columns: ``req_function_id`` and its parallel lists, one
-    per ``RequestRecord`` field after the id but the status, indexed by
-    request id. They hold no object the garbage collector tracks. A
+    per ``RequestRecord`` field after the id but the chain fields and the
+    status, indexed by request id. They hold no object the garbage collector
+    tracks. A request that starts its own chain (an arrival) stores no chain
+    state; ``chain_links`` maps each later stage's request id to its
+    ``(chain_index, root_id, chain_elapsed)``, written at the hand-off. A
     request's status is read off its pod and finish columns: no pod means
     queued, a pod and no finish time running, a finish time completed, and
     the mark ``_DROPPED`` in the pod column dropped. ``requests`` is a
@@ -448,13 +456,17 @@ class ClusterEngine:
         # Pods per function for which ``PodState.is_open`` holds.
         self.open_pods: dict[int, int] = {fn: 0 for fn in self.profiles}
 
-        # One column per RequestRecord field after the id but the status,
-        # indexed by request id; the status is derived by ``_request_status``.
-        self._req_columns = tuple([] for _ in range(9))
-        (self.req_app_id, self.req_chain_index, self.req_function_id,
-         self.req_arrival_time, self.req_root_id, self.req_chain_elapsed,
+        # One column per RequestRecord field after the id but the chain
+        # fields and the status, indexed by request id; the status is derived
+        # by ``_request_status``.
+        self._req_columns = tuple([] for _ in range(6))
+        (self.req_app_id, self.req_function_id, self.req_arrival_time,
          self.req_finish_time, self.req_retries, self.req_pod_id) = self._req_columns
-        self.requests: Mapping[int, RequestRecord] = RequestView(self._req_columns)
+        # (chain_index, root_id, chain_elapsed) of each request at chain index
+        # 1 or more; a request with no entry reads (0, its own id, 0.0).
+        self.chain_links: dict[int, tuple[int, int, float]] = {}
+        self.requests: Mapping[int, RequestRecord] = RequestView(self._req_columns,
+                                                                 self.chain_links)
         self._app_fns = {app_id: app.function_sequence for app_id, app in self.apps.items()}
         # Per app, each fully completed chain's root id and response-time
         # ratio (its summed response time over its summed standard response
@@ -558,8 +570,9 @@ class ClusterEngine:
         chain_roots = self.chain_roots
         chain_ratios = self.chain_ratios
         chain_standard = self._chain_standard
-        (req_app_id, req_chain_index, req_fn, req_arrival_time, req_root_id, req_chain_elapsed,
-         req_finish_time, req_retries, req_pod_id) = self._req_columns
+        links = self.chain_links
+        (req_app_id, req_fn, req_arrival_time, req_finish_time, req_retries,
+         req_pod_id) = self._req_columns
         max_retries = self.config.max_retries
         retry_interval = self.config.retry_interval
         pods_mode = self._pods_mode
@@ -612,25 +625,33 @@ class ClusterEngine:
                         vm.busy_log.append((vm.busy_since, time))
                         vm.busy_since = None
                     response = time - req_arrival_time[arg]
+                    ratio = response / profile.standard_response_time
                     completion_times[fn].append(time)
-                    completion_ratios[fn].append(response / profile.standard_response_time)
+                    completion_ratios[fn].append(ratio)
                     if log is not None:
                         log.append((time, "finish", arg))
                     if pod.phase is terminating and not in_flight:
                         self._remove_pod(pod)
+                    app_id = req_app_id[arg]
+                    fns = app_fns[app_id]
+                    if len(fns) == 1:
+                        # A one-function chain is its request: (0.0 + response)
+                        # / (0 + standard) is bit for bit ``ratio``.
+                        chain_roots[app_id].append(arg)
+                        chain_ratios[app_id].append(ratio)
+                        continue
                     # Stages finish in chain order, so this adds up in the same
                     # order as the standard times in ``_chain_standard``.
-                    elapsed = req_chain_elapsed[arg] + response
-                    app_id = req_app_id[arg]
-                    root = req_root_id[arg]
-                    stage = req_chain_index[arg] + 1
-                    fns = app_fns[app_id]
+                    stage, root, elapsed = links.get(arg) or (0, arg, 0.0)
+                    elapsed += response
+                    stage += 1
                     if stage == len(fns):
                         chain_roots[app_id].append(root)
                         chain_ratios[app_id].append(elapsed / chain_standard[app_id])
                         continue
                     # Chained functions hand off immediately: no inter-function delay.
                     rid = len(req_fn)
+                    links[rid] = (stage, root, elapsed)
                 else:
                     time = nxt[0]
                     if time > until or nxt is _NO_ARRIVAL:
@@ -639,8 +660,8 @@ class ClusterEngine:
                     app_id = pending_apps[i]
                     i += 1
                     nxt = (pending_times[i], pending_seqs[i]) if i < n_pending else _NO_ARRIVAL
-                    stage, elapsed = 0, 0.0
-                    rid = root = len(req_fn)
+                    stage = 0
+                    rid = len(req_fn)
                     fns = app_fns[app_id]
                 # Request ``rid``, for stage ``stage`` of ``app_id``, arrives
                 # now. It is routed below if its function has an open pod and
@@ -648,11 +669,8 @@ class ClusterEngine:
                 # its first retry.
                 fn = fns[stage]
                 req_app_id.append(app_id)
-                req_chain_index.append(stage)
                 req_fn.append(fn)
                 req_arrival_time.append(time)
-                req_root_id.append(root)
-                req_chain_elapsed.append(elapsed)
                 req_finish_time.append(None)
                 req_pod_id.append(None)
                 arrival_times[fn].append(time)
@@ -1032,6 +1050,17 @@ class ClusterEngine:
                "chain roots and ratios differ in length")
         _check(Counter({fn: len(times) for fn, times in self.arrival_times.items()})
                == Counter(self.req_function_id), "arrival times differ from the request count")
+        app_of, fn_of, links = self.req_app_id, self.req_function_id, self.chain_links
+        for rid, (stage, root, _) in links.items():
+            _check(0 <= rid < len(fn_of), "chain link of an unknown request")
+            fns = self._app_fns[app_of[rid]]
+            _check(1 <= stage < len(fns), "chain link index out of range")
+            _check(fn_of[rid] == fns[stage], "chain link on another function")
+            _check(0 <= root < rid and root not in links and app_of[root] == app_of[rid],
+                   "chain link root is not an earlier entry request of its app")
+        _check(all(fn == self._app_fns[app_id][0]
+                   for rid, (app_id, fn) in enumerate(zip(app_of, fn_of)) if rid not in links),
+               "entry request on another function")
         # window() bisects these lists, so each must ascend
         for name, record in (("arrival", self.arrival_times), ("completion", self.completion_times),
                              ("drop", self.drop_times)):

@@ -1260,3 +1260,102 @@ class TestRequestStore:
         assert record.status is RequestStatus.RUNNING
         assert eng.requests[0].status is RequestStatus.COMPLETED
         assert len(eng.requests) == EpisodeLedger(eng).summary().total == 80
+
+
+class TestChainLinks:
+    """A request that starts its own chain stores no chain state; each later
+    stage's ``(chain_index, root_id, chain_elapsed)`` is one ``chain_links``
+    entry."""
+
+    @staticmethod
+    def desk_run(vms, names):
+        # One pod per function from 0.0. The arrivals at 0.0 queue until
+        # their pods are ready; the burst at 6.0 overfills primary's pod
+        # (concurrency 4), so its requests wait for retries.
+        profiles, apps = select_apps(names)
+        eng = make_engine(vms, profiles, apps)
+        for fn in eng.deployed_fns:
+            eng.apply_horizontal(fn, 1)
+        arrivals = [(0.0, app.app_id) for app in apps]
+        arrivals += [(6.0, app.app_id) for app in apps for _ in range(6)]
+        eng.load_arrivals(*arrival_columns(arrivals))
+        eng.advance(6.0)
+        while eng.pending_requests():
+            eng.advance(eng.next_event_time())
+        eng.check_invariants()
+        return eng, apps
+
+    def test_entry_request_is_its_own_root_and_the_handoff_is_linked(self, desk_vms):
+        eng, apps = self.desk_run(desk_vms, ["primary", "thumbnail", "load"])
+        thumbnail = apps[1]
+        assert len(thumbnail.function_sequence) == 2
+        roots = [r for r in eng.requests.values()
+                 if r.app_id == thumbnail.app_id and r.chain_index == 0]
+        assert len(roots) == 7
+        for root in roots:
+            assert (root.root_id, root.chain_elapsed) == (root.request_id, 0.0)
+            assert root.request_id not in eng.chain_links
+        handoffs = {}
+        for rid, link in eng.chain_links.items():
+            record = eng.requests[rid]
+            assert (record.chain_index, record.root_id, record.chain_elapsed) == link
+            handoffs[record.root_id] = record
+        assert sorted(handoffs) == [root.request_id for root in roots]
+        for root in roots:
+            handoff = handoffs[root.request_id]
+            assert handoff.function_id == thumbnail.function_sequence[1]
+            assert handoff.chain_index == 1
+            assert handoff.arrival_time == root.finish_time
+            assert handoff.chain_elapsed == root.finish_time - root.arrival_time
+        # the request at 0.0 waited for its pod, so its first stage ran long
+        assert handoffs[roots[0].request_id].chain_elapsed > 2.5
+
+    def test_one_function_apps_hold_no_link(self, desk_vms):
+        eng, _ = self.desk_run(desk_vms, ["primary", "load"])
+        assert eng.chain_links == {}
+        assert len(eng.requests) == eng.completed_total == 14
+        assert all(r.chain_index == 0 and r.root_id == r.request_id and r.chain_elapsed == 0.0
+                   for r in eng.requests.values())
+
+    def test_one_function_chain_ratio_is_its_completion_ratio(self, desk_vms):
+        eng, apps = self.desk_run(desk_vms, ["primary", "thumbnail", "load"])
+        for app in apps:
+            if len(app.function_sequence) == 1:
+                fn, = app.function_sequence
+                assert eng.chain_ratios[app.app_id] == eng.completion_ratios[fn]
+                roots = eng.chain_roots[app.app_id]
+                assert sorted(roots) == [r.request_id for r in eng.requests.values()
+                                         if r.function_id == fn]
+                standard = eng.profiles[fn].standard_response_time
+                assert eng.chain_ratios[app.app_id] == [
+                    (eng.requests[root].finish_time - eng.requests[root].arrival_time) / standard
+                    for root in roots]
+        # queueing put the ratios above 1 for the request at 0.0 and the burst
+        assert max(eng.chain_ratios[apps[0].app_id]) > 1.0
+
+    @pytest.mark.parametrize("damage, message", [
+        ("unknown", "chain link of an unknown request"),
+        ("index", "chain link index out of range"),
+        ("function", "chain link on another function"),
+        ("root", "chain link root is not an earlier entry request of its app"),
+        ("entry", "entry request on another function"),
+    ], ids=["unknown", "index", "function", "root", "entry"])
+    def test_invariants_catch_a_corrupted_link(self, desk_vms, damage, message):
+        eng, apps = self.desk_run(desk_vms, ["primary", "thumbnail", "load"])
+        links = eng.chain_links
+        handoff = min(links)
+        stage, root, elapsed = links[handoff]
+        primary = next(r.request_id for r in eng.requests.values() if r.app_id == apps[0].app_id)
+        if damage == "unknown":
+            links[len(eng.requests)] = (1, root, elapsed)
+        elif damage == "index":
+            links[handoff] = (2, root, elapsed)
+        elif damage == "function":  # swapped, so every function keeps its request count
+            fns = eng.req_function_id
+            fns[handoff], fns[primary] = fns[primary], fns[handoff]
+        elif damage == "root":  # an earlier entry request, but of another app
+            links[handoff] = (stage, primary, elapsed)
+        else:  # the hand-off reads as an entry request
+            del links[handoff]
+        with pytest.raises(AssertionError, match=message):
+            eng.check_invariants()

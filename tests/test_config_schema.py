@@ -120,6 +120,8 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     assert crashed == []
 
 
+# The ids are written out, so removing a case renames no other; each keeps the
+# name its list position once gave it.
 @pytest.mark.parametrize("overrides, key", [
     ({"beta_lst": [0.5]}, "beta_lst"),
     ({"env": {"beta": 0.5, "cpu_cap_norm": 8.0}}, "env.cpu_cap_norm"),
@@ -156,7 +158,20 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     # train-sweep names each run's outputs {beta:g}: the second run would overwrite the first
     ({"beta_list": [0.1234561, 0.1234564]}, "beta_list"),
     ({"beta_list": [1, 1.0]}, "beta_list"),
-])
+], ids=["overrides0-beta_lst", "overrides1-env.cpu_cap_norm",
+        "overrides2-baselines.knative.target", "overrides3-baselines.kube_cpu",
+        "overrides4-train.seed", "overrides5-unknown config key sim.max_replicas",
+        "overrides6-train.lr", "overrides7-sim.exec_noise_sigma", "overrides8-workload.jitter",
+        "overrides9-dqn.hidden", "overrides10-sim.active_time_mode", "overrides11-output_dir",
+        "overrides12-calibration_file", "overrides13-cluster_file",
+        "overrides14-profiles_file", "overrides15-traces_file",
+        "overrides16-dqn.target_refresh", "overrides17-train.grad_clip",
+        "overrides18-workload.calibration_per_band",
+        "overrides19-baselines.openfaas.cpu_threshold", "overrides20-sim.retry_interval",
+        "overrides21-sim.retry_interval", "overrides22-workload.duration",
+        "overrides23-workload.duration", "overrides24-train.entropy_beta",
+        "overrides25-beta_list", "overrides26-applications", "overrides27-applications",
+        "overrides28-beta_list", "overrides29-beta_list"])
 def test_wrong_type_or_unknown_key_is_named(overrides, key):
     with pytest.raises(ConfigError, match=key):
         load_experiment(overrides=overrides)

@@ -24,11 +24,11 @@ def warm_engine(vm, profile, app, pods=1):
 def inject_chain(eng, app_id, arrival, ratios):
     """Append one fully completed chain, run on pod 0, with the given per-stage ratios.
 
-    Each stage leaves the records a finish leaves: its request columns, its
-    arrival time, and its finish time and response-time ratio. The chain
-    ratio is stored as the engine stores it when a chain's last function
-    finishes: summed response time over summed standard time, both added up
-    stage by stage in chain order.
+    Each stage leaves the records a finish leaves: its request columns (and,
+    past the first stage, its chain link), its arrival time, and its finish
+    time and response-time ratio. The chain ratio is stored as the engine
+    stores it when a chain's last function finishes: summed response time
+    over summed standard time, both added up stage by stage in chain order.
     """
     app = eng.apps[app_id]
     root = len(eng.requests)
@@ -37,9 +37,10 @@ def inject_chain(eng, app_id, arrival, ratios):
     for stage, fn in enumerate(app.function_sequence):
         r0 = eng.profiles[fn].standard_response_time
         finish = t + ratios[stage] * r0
-        fields = dict(app_id=app_id, chain_index=stage, function_id=fn, arrival_time=t,
-                      root_id=root, chain_elapsed=0.0, finish_time=finish,
+        fields = dict(app_id=app_id, function_id=fn, arrival_time=t, finish_time=finish,
                       retries=0, pod_id=0)
+        if stage:
+            eng.chain_links[len(eng.requests)] = (stage, root, actual)
         for name, value in fields.items():
             getattr(eng, f"req_{name}").append(value)
         response = finish - t
