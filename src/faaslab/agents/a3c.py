@@ -45,7 +45,6 @@ class TrainConfig:
     entropy_beta: float = 0.01
     seed: int = 7
     sync_mode: str = "deterministic"  # the only mode; kept for configs that name it
-    grad_clip: Optional[float] = None
     hidden: tuple[int, ...] = ACTOR_HIDDEN
 
     def __post_init__(self) -> None:
@@ -57,8 +56,8 @@ class TrainConfig:
         require(self.seed >= 0, "train.seed must be >= 0", self.seed)
         require(self.sync_mode == "deterministic", "train.sync_mode must be 'deterministic' "
                 "(workers run round-robin on one thread)", self.sync_mode)
-        require(self.grad_clip is None or self.grad_clip > 0,
-                "train.grad_clip must be > 0 or null", self.grad_clip)
+        require(all(h >= 1 for h in self.hidden), "train.hidden widths must be >= 1",
+                self.hidden)
 
 
 @dataclass
@@ -142,8 +141,6 @@ class _Worker:
         self.updates = 0
 
     def _flush(self) -> None:
-        if not self.memory:
-            return
         advantages, targets = compute_advantages(self.memory, self.critic_spec,
                                                  self.local_critic, self.config.gamma)
         states = np.stack([t.state for t in self.memory])
@@ -154,10 +151,8 @@ class _Worker:
         _, critic_grads = critic_loss_and_grad(self.critic_spec, self.local_critic,
                                                states, targets)
         # Actor gradients arrive in the ascent direction; the store descends.
-        self.global_actor.apply([-g for g in actor_grads], lr=self.config.lr,
-                                clip_norm=self.config.grad_clip)
-        self.global_critic.apply(critic_grads, lr=self.config.lr,
-                                 clip_norm=self.config.grad_clip)
+        self.global_actor.apply([-g for g in actor_grads], lr=self.config.lr)
+        self.global_critic.apply(critic_grads, lr=self.config.lr)
         self.local_actor = self.global_actor.snapshot()
         self.local_critic = self.global_critic.snapshot()
         self.memory.clear()

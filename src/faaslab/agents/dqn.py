@@ -63,6 +63,8 @@ class DqnConfig:
             require(0.0 <= getattr(self, key) <= 1.0, f"dqn.{key} must lie in [0, 1]",
                     getattr(self, key))
         require(self.seed >= 0, "dqn.seed must be >= 0", self.seed)
+        require(all(h >= 1 for h in self.hidden), "dqn.hidden widths must be >= 1",
+                self.hidden)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..baselines import BASELINES, BaselinePolicyConfig, run_baseline
-from ..cluster import FunctionProfile, SimConfig, VmSpec
+from ..cluster import FunctionProfile, SimConfig, VmSpec, float_sum
 from ..env import ACTION_SIZES, EnvConfig, ScalingAction, ServerlessEnv
 from ..errors import ConfigError
 from ..metrics import EpisodeMetrics, RewardBounds
@@ -135,8 +135,8 @@ def aggregate(rows: Sequence[EvalRow]) -> list[dict]:
             "target": target,
             "band": band,
             "workloads": len(members),
-            "rart": sum(rarts) / len(rarts) if rarts else math.nan,
-            "rfr": sum(m.rfr for m in members) / len(members),
-            "cost": sum(m.cost for m in members) / len(members),
+            "rart": float_sum(rarts) / len(rarts) if rarts else math.nan,
+            "rfr": float_sum(m.rfr for m in members) / len(members),
+            "cost": float_sum(m.cost for m in members) / len(members),
         })
     return out

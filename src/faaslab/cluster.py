@@ -16,8 +16,9 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from itertools import pairwise
-from operator import countOf, itemgetter
+from operator import add, countOf, itemgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,6 +47,15 @@ def ceil_guarded(x: float) -> int:
 def floor_guarded(x: float) -> int:
     """Floor that tolerates float error nudging an exact integer downward."""
     return math.floor(x + _EPS)
+
+
+def float_sum(xs: Iterable[float]) -> float:
+    """``0.0 + x0 + x1 + ...`` left to right, on every Python version.
+
+    Python 3.12's built-in ``sum()`` adds floats with compensation, so a
+    metric summed with it could differ from 3.10 and 3.11 in its last bits.
+    """
+    return reduce(add, xs, 0.0)
 
 
 def desired_replicas(
@@ -474,8 +484,8 @@ class ClusterEngine:
         self.chain_roots: dict[int, list[int]] = {app_id: [] for app_id in self.apps}
         self.chain_ratios: dict[int, list[float]] = {app_id: [] for app_id in self.apps}
         self._chain_standard: dict[int, float] = {
-            app_id: sum(self.profiles[fn].standard_response_time
-                        for fn in app.function_sequence)
+            app_id: float_sum(self.profiles[fn].standard_response_time
+                              for fn in app.function_sequence)
             for app_id, app in self.apps.items()
         }
         # Monotone per-function histories for windowed metrics.
@@ -964,7 +974,7 @@ class ClusterEngine:
         ratios = self.completion_ratios[fn][bisect.bisect_right(times, t0):
                                             bisect.bisect_right(times, t1)]
         return FunctionWindow(arrivals, drops,
-                              sum(ratios) / len(ratios) if ratios else 1.0,
+                              float_sum(ratios) / len(ratios) if ratios else 1.0,
                               drops / arrivals if arrivals else 0.0)
 
     def snapshot(self, fn: int, window: float) -> FunctionSnapshot:
@@ -993,8 +1003,8 @@ class ClusterEngine:
             fn, cpu_size, mem_size, req_cpu, req_mem,
             counts.arrivals / window if window > 0 else 0.0,
             counts.rfrt, counts.rfr,
-            sum(cpu_utils) / replicas if replicas else 0.0,
-            sum(mem_utils) / replicas if replicas else 0.0,
+            float_sum(cpu_utils) / replicas if replicas else 0.0,
+            float_sum(mem_utils) / replicas if replicas else 0.0,
             replicas, ready, running, self.queued_requests(fn),
             profile.standard_response_time)
 

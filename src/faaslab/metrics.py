@@ -12,7 +12,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-from .cluster import ClusterEngine
+from .cluster import ClusterEngine, float_sum
 from .errors import ConfigError, read_yaml
 
 _DEGENERATE_SPAN = 1e-12
@@ -96,16 +96,16 @@ class EpisodeLedger:
 
     def window_cost(self, t0: float, t1: float) -> float:
         """VM cost of the busy time inside [t0, t1], summed from 0.0 over the VMs ever active."""
-        return sum((vm.spec.unit_price * vm.busy_overlap(t0, t1) / 3600.0
-                    for vm in self.engine.vms.values()
-                    if vm.busy_log or vm.busy_since is not None), 0.0)
+        return float_sum(vm.spec.unit_price * vm.busy_overlap(t0, t1) / 3600.0
+                         for vm in self.engine.vms.values()
+                         if vm.busy_log or vm.busy_since is not None)
 
     def window_channels(self, t0: float, t1: float) -> tuple[float, float, float]:
         """(mean RFRT, mean RFR, cost) over all deployed functions in (t0, t1]."""
         engine = self.engine
         fns = engine.deployed_fns
         _, _, rfrts, rfrs = zip(*[engine.window(fn, t0, t1) for fn in fns])
-        return sum(rfrts) / len(fns), sum(rfrs) / len(fns), self.window_cost(t0, t1)
+        return float_sum(rfrts) / len(fns), float_sum(rfrs) / len(fns), self.window_cost(t0, t1)
 
     # ---------------------------------------------------------- episode view
 
@@ -122,15 +122,15 @@ class EpisodeLedger:
             if ratios:
                 roots = engine.chain_roots[app_id]
                 in_root_order = sorted(range(len(roots)), key=roots.__getitem__)
-                means.append(sum(map(ratios.__getitem__, in_root_order)) / len(ratios))
+                means.append(float_sum(map(ratios.__getitem__, in_root_order)) / len(ratios))
         completed = engine.completed_total
         total = len(engine.requests)
         return EpisodeMetrics(
-            rart=sum(means) / len(means) if means else math.nan,
+            rart=float_sum(means) / len(means) if means else math.nan,
             rfr=engine.dropped_total / total if total else 0.0,
             cost=self.window_cost(0.0, engine.clock),
-            rfrt=sum(chain.from_iterable(engine.completion_ratios[fn]
-                                         for fn in engine.deployed_fns)) / completed
+            rfrt=float_sum(chain.from_iterable(engine.completion_ratios[fn]
+                                               for fn in engine.deployed_fns)) / completed
             if completed else 1.0,
             completed=completed,
             dropped=engine.dropped_total,

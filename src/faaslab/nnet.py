@@ -213,10 +213,6 @@ def q_loss_and_grad(
     return loss, _backward(spec, params, acts, [grad_out])
 
 
-def global_norm(grads: Sequence[np.ndarray]) -> float:
-    return float(np.sqrt(sum(float((g ** 2).sum()) for g in grads)))
-
-
 class ParameterStore:
     """Shared weights plus optimizer state.
 
@@ -235,18 +231,13 @@ class ParameterStore:
     def snapshot(self) -> list[np.ndarray]:
         return [p.copy() for p in self.params]
 
-    def apply(self, grads: Sequence[np.ndarray], lr: float = 1e-4,
-              clip_norm: Optional[float] = None) -> None:
+    def apply(self, grads: Sequence[np.ndarray], lr: float = 1e-4) -> None:
         """Adam descent step on the given gradients; bumps ``version``."""
         if len(grads) != len(self.params):
             raise ConfigError("gradient list length mismatch")
         for g, p in zip(grads, self.params):
             if g.shape != p.shape:
                 raise ConfigError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if clip_norm is not None:
-            norm = global_norm(grads)
-            if norm > clip_norm:
-                grads = [g * (clip_norm / norm) for g in grads]
         self.version += 1
         t = self.version
         bias1 = 1.0 - ADAM_BETA1 ** t

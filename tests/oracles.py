@@ -7,9 +7,10 @@ Also the scalar workload synthesis rule, one window, function and arrival at
 a time, as the reference for the array passes of ``faaslab.workload``;
 ``arrival_columns``, which turns (time, app_id) pairs into the two columns
 ``ClusterEngine.load_arrivals`` takes; ``completed_chains``, which reads an
-engine's two per-app chain lists as one root id -> ratio map; and
+engine's two per-app chain lists as one root id -> ratio map;
 ``synthetic_traces``, the generator of the bundled trace corpus
-``faaslab.workload.BUNDLED_TRACES``."""
+``faaslab.workload.BUNDLED_TRACES``; and ``neumaier_sum``, the built-in
+``sum()`` of Python 3.12, for tests that swap it in."""
 from __future__ import annotations
 
 import random
@@ -223,3 +224,20 @@ def synthetic_traces(n: int = 40, length: int = 360, seed: int = 20260810,
             counts.append(int(min(max_rate, max(0, level + swell + burst))))
         out.append(TraceSeries(trace_id=f"synth-{i:03d}", counts=tuple(counts)))
     return out
+
+
+def neumaier_sum(items, start=0):
+    """The built-in ``sum()`` as Python 3.12 runs it: floats are added with
+    Neumaier compensation, anything else with plain ``+``."""
+    total, compensation = start, 0.0
+    for x in items:
+        if isinstance(x, float) and isinstance(total, (int, float)):
+            t = total + x
+            if abs(total) >= abs(x):
+                compensation += (total - t) + x
+            else:
+                compensation += (x - t) + total
+            total = t
+        else:
+            total = total + x
+    return total + compensation if compensation else total

@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import math
 import weakref
@@ -20,6 +21,8 @@ from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import ChannelBounds, RewardBounds
 from faaslab.nnet import NetworkSpec, ParameterStore, init_params
 from faaslab.workload import TraceSeries, WorkloadSpec
+
+from oracles import neumaier_sum
 
 BOUNDS = RewardBounds(rfrt=ChannelBounds(1.0, 11.0), rfr=ChannelBounds(0.0, 1.0),
                       cost=ChannelBounds(0.0, 0.01))
@@ -360,3 +363,11 @@ class TestEvaluate:
         agg = aggregate(rows)
         assert agg[0]["rart"] == pytest.approx(2.0)
         assert agg[0]["rfr"] == pytest.approx(0.3)
+
+    def test_aggregate_adds_left_to_right(self, monkeypatch):
+        # Python 3.12's sum() would give 1.0 / 10; every version must give this.
+        from faaslab.agents import EvalRow
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        rows = [EvalRow("x", "mid", i, 0.1, 0.1, 0.1) for i in range(10)]
+        (agg,) = aggregate(rows)
+        assert agg["rart"] == agg["rfr"] == agg["cost"] == 0.9999999999999999 / 10

@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 
 import pytest
@@ -11,6 +12,8 @@ from faaslab.config import load_experiment
 from faaslab.env import EnvConfig, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError
 from faaslab.workload import TraceSeries, WorkloadSpec, synthesize
+
+from oracles import neumaier_sum
 
 KNATIVE = KnativeConfig()
 KUBE = KubeCpuConfig()
@@ -316,3 +319,12 @@ class TestObservationDigest:
         digest.update(repr(res.channels).encode())
         digest.update(repr(res.summary).encode())
         assert digest.hexdigest() == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_digest_holds_under_a_compensated_sum(self, case, monkeypatch):
+        # Python 3.12's sum() adds floats with Neumaier compensation. The
+        # engine and the ledger sum floats left to right on every version,
+        # so a compensated built-in must not move one bit of the digest.
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        assert neumaier_sum([0.1] * 10) == 1.0  # left to right: 0.9999999999999999
+        self.test_observations_match_recorded_digest(case, monkeypatch)

@@ -463,6 +463,8 @@ class TestErrors:
         # A routed request runs exactly its function's standard response time,
         # so there is no execution-time noise and no seed for it.
         ("sim.exec_noise_sigma", 0.0), ("sim.seed", 0),
+        # A3C applies its Adam steps unclipped.
+        ("train.grad_clip", None),
     ])
     def test_retired_key_is_unknown(self, tmp_path, capsys, key, value):
         section, name = key.split(".")

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import gc
 import hashlib
@@ -21,7 +22,7 @@ from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import EpisodeLedger
 from faaslab.workload import TraceSeries, WorkloadSpec, select_apps
 
-from oracles import arrival_columns, completed_chains
+from oracles import arrival_columns, completed_chains, neumaier_sum
 
 
 def make_engine(vms, profiles, apps, **cfg):
@@ -822,6 +823,25 @@ class TestSnapshot:
         snap = eng.snapshot(0, window=1.0)
         assert (snap.replicas, snap.ready_replicas) == (3, 2)
 
+    def test_sums_add_left_to_right(self, monkeypatch):
+        # Python 3.12's sum() adds floats with compensation and would make
+        # each sum of ten 0.1 terms 1.0; the engine adds left to right on
+        # every version, which gives 0.9999999999999999.
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        profiles = [FunctionProfile(function_id=fn, req_cpu=0.1, req_mem=51.2,
+                                    standard_response_time=0.1, cold_start_seconds=1.0,
+                                    initial_pod_cpu=1.0, initial_pod_mem=512.0)
+                    for fn in range(10)]
+        vm = VmSpec(vm_id=0, cpu_capacity=16.0, mem_capacity=32768.0, unit_price=0.1)
+        eng = make_engine([vm], profiles, [Application(app_id=0,
+                                                        function_sequence=tuple(range(10)))])
+        assert eng._chain_standard[0] == 0.9999999999999999
+        eng.apply_horizontal(0, 10)
+        eng.load_arrivals(*arrival_columns([(5.0, 0)] * 10))
+        eng.advance(5.0)  # one request on each of the ten pods, at util 0.1
+        snap = eng.snapshot(0, window=1.0)
+        assert snap.avg_pod_cpu_util == snap.avg_pod_mem_util == 0.9999999999999999 / 10
+
 
 class TestBusyOverlap:
     @staticmethod
@@ -1209,9 +1229,10 @@ class TestInvariantsAndDeterminism:
             if (len(reqs) < len(eng.apps[app_id].function_sequence)
                     or reqs[-1].status is not RequestStatus.COMPLETED):
                 continue
-            actual = sum(r.finish_time - r.arrival_time for r in reqs)
-            standard = sum(profiles[r.function_id].standard_response_time
-                           for r in reqs)
+            actual = standard = 0.0
+            for r in reqs:  # with +, as the engine adds: 3.12's sum() compensates
+                actual += r.finish_time - r.arrival_time
+                standard += profiles[r.function_id].standard_response_time
             completed[app_id][root] = actual / standard
         assert completed_chains(eng) == completed
         assert all(len(ratios) > 20 for ratios in completed.values())

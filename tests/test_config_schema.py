@@ -141,7 +141,6 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     ({"profiles_file": 1.0}, "profiles_file"),
     ({"traces_file": {"a": 1}}, "traces_file"),
     ({"dqn": {"target_refresh": 0}}, "dqn.target_refresh"),
-    ({"train": {"grad_clip": 0.0}}, "train.grad_clip"),
     ({"workload": {"calibration_per_band": 0}}, "workload.calibration_per_band"),
     ({"baselines": {"openfaas": {"cpu_threshold": 2.5}}}, "baselines.openfaas.cpu_threshold"),
     # finite but huge: retries would fall due at inf, window_rates would overflow
@@ -158,6 +157,9 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     # train-sweep names each run's outputs {beta:g}: the second run would overwrite the first
     ({"beta_list": [0.1234561, 0.1234564]}, "beta_list"),
     ({"beta_list": [1, 1.0]}, "beta_list"),
+    # a zero-width layer would fail later, in the network, naming no key
+    ({"train": {"hidden": [0]}}, "train.hidden"),
+    ({"dqn": {"hidden": [8, 0]}}, "dqn.hidden"),
 ], ids=["overrides0-beta_lst", "overrides1-env.cpu_cap_norm",
         "overrides2-baselines.knative.target", "overrides3-baselines.kube_cpu",
         "overrides4-train.seed", "overrides5-unknown config key sim.max_replicas",
@@ -165,13 +167,13 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
         "overrides9-dqn.hidden", "overrides10-sim.active_time_mode", "overrides11-output_dir",
         "overrides12-calibration_file", "overrides13-cluster_file",
         "overrides14-profiles_file", "overrides15-traces_file",
-        "overrides16-dqn.target_refresh", "overrides17-train.grad_clip",
-        "overrides18-workload.calibration_per_band",
+        "overrides16-dqn.target_refresh", "overrides18-workload.calibration_per_band",
         "overrides19-baselines.openfaas.cpu_threshold", "overrides20-sim.retry_interval",
         "overrides21-sim.retry_interval", "overrides22-workload.duration",
         "overrides23-workload.duration", "overrides24-train.entropy_beta",
         "overrides25-beta_list", "overrides26-applications", "overrides27-applications",
-        "overrides28-beta_list", "overrides29-beta_list"])
+        "overrides28-beta_list", "overrides29-beta_list", "train.hidden-zero-width",
+        "dqn.hidden-zero-width"])
 def test_wrong_type_or_unknown_key_is_named(overrides, key):
     with pytest.raises(ConfigError, match=key):
         load_experiment(overrides=overrides)
@@ -184,10 +186,10 @@ def test_upper_bounds_are_inclusive():
 
 
 def test_values_are_kept_as_given():
-    exp = load_experiment(overrides={"env": {"beta": 1}, "train": {"grad_clip": None},
+    exp = load_experiment(overrides={"env": {"beta": 1}, "calibration_file": None,
                                      "baselines": {"knative": None}})
     assert type(exp.env.beta) is int  # a float field takes an int unchanged
-    assert exp.train.grad_clip is None
+    assert exp.calibration_file == exp.output_dir / "calibration.yaml"
     assert exp.baselines.knative == KnativeConfig()
 
 

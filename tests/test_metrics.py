@@ -1,14 +1,16 @@
+import builtins
 import math
 from dataclasses import replace
 
 import pytest
 
-from faaslab.cluster import Application, ClusterEngine, FunctionProfile, VmSpec
+from faaslab.cluster import (Application, ClusterEngine, FunctionProfile, FunctionWindow,
+                             VmSpec)
 from faaslab.errors import ConfigError
 from faaslab.metrics import (ChannelBounds, EpisodeLedger, RewardBounds,
                              derive_bounds, step_reward)
 
-from oracles import arrival_columns, completed_chains
+from oracles import arrival_columns, completed_chains, neumaier_sum
 
 BOUNDS = RewardBounds(rfrt=ChannelBounds(1.0, 11.0), rfr=ChannelBounds(0.0, 1.0),
                       cost=ChannelBounds(0.0, 0.01))
@@ -184,6 +186,34 @@ class TestRfr:
         rfr_parts = [d / a if a else 0.0 for d, a in zip(dropped, arrived)]
         recombined = sum(r * a for r, a in zip(rfr_parts, arrived)) / sum(arrived)
         assert recombined == pytest.approx(ledger.summary().rfr, abs=1e-12)
+
+
+class TestLeftToRightSums:
+    """Python 3.12's sum() adds floats with compensation and would make a sum
+    of ten 0.1 terms 1.0; the ledger adds left to right on every version,
+    which gives 0.9999999999999999."""
+
+    class TenFunctions:
+        """An engine stand-in: ten one-function apps, each with one completed
+        request at ratio 0.1 and an RFR of 0.1 in every window, and no VM."""
+        deployed_fns = range(10)
+        vms: dict = {}
+        clock = 1.0
+        chain_roots = {app: [app] for app in range(10)}
+        chain_ratios = {app: [0.1] for app in range(10)}
+        completion_ratios = {fn: [0.1] for fn in range(10)}
+        completed_total, dropped_total, requests = 10, 0, range(10)
+
+        def window(self, fn, t0, t1):
+            return FunctionWindow(10, 1, 0.1, 0.1)
+
+    def test_window_channels_and_summary(self, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        ledger = EpisodeLedger(self.TenFunctions())
+        mean = 0.9999999999999999 / 10
+        assert ledger.window_channels(0.0, 1.0) == (mean, mean, 0.0)
+        summary = ledger.summary()
+        assert summary.rart == summary.rfrt == mean
 
 
 class TestVmCost:
