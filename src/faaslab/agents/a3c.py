@@ -51,7 +51,7 @@ class TrainConfig:
         for key in ("workers", "episodes", "update_freq"):
             require(getattr(self, key) >= 1, f"train.{key} must be >= 1", getattr(self, key))
         require(0.0 <= self.gamma < 1.0, "train.gamma must lie in [0, 1)", self.gamma)
-        require(self.lr > 0, "train.lr must be > 0", self.lr)
+        require(0 < self.lr <= 1, "train.lr must lie in (0, 1]", self.lr)
         require(0 <= self.entropy_beta <= 1, "train.entropy_beta must lie in [0, 1]", self.entropy_beta)
         require(self.seed >= 0, "train.seed must be >= 0", self.seed)
         require(self.sync_mode == "deterministic", "train.sync_mode must be 'deterministic' "

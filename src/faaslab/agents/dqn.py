@@ -18,7 +18,7 @@ from ..env import ScalingAction, ServerlessEnv
 from ..errors import ConfigError, require
 from ..nnet import NetworkSpec, ParameterStore, forward_heads, q_loss_and_grad
 from ..workload import WorkloadSpec
-from .a3c import EpisodeStats
+from .a3c import EpisodeStats, TrainConfig
 
 DQN_GRID_POINTS = (0, 3, 7, 10)  # indices into the 11-point action grid
 N_COMPOUND_ACTIONS = len(DQN_GRID_POINTS) ** 3
@@ -41,30 +41,24 @@ def greedy_index(values: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class DqnConfig:
+    """DQN's own schedule and step size; its discount, trunk and seed are ``train``'s."""
     episodes: int = 300
-    gamma: float = 0.6
     lr: float = 1e-4
     buffer_capacity: int = 10_000
     batch_size: int = 32
     target_refresh: int = 200   # gradient updates between target-network syncs
     eps_start: float = 1.0
     eps_end: float = 0.05
-    seed: int = 7
-    hidden: tuple[int, ...] = (150, 150)
 
     def __post_init__(self) -> None:
         for key in ("episodes", "batch_size", "target_refresh"):
             require(getattr(self, key) >= 1, f"dqn.{key} must be >= 1", getattr(self, key))
         require(self.buffer_capacity >= self.batch_size,
                 "dqn.buffer_capacity must be >= dqn.batch_size", self.buffer_capacity)
-        require(0.0 <= self.gamma < 1.0, "dqn.gamma must lie in [0, 1)", self.gamma)
-        require(self.lr > 0, "dqn.lr must be > 0", self.lr)
+        require(0 < self.lr <= 1, "dqn.lr must lie in (0, 1]", self.lr)
         for key in ("eps_start", "eps_end"):
             require(0.0 <= getattr(self, key) <= 1.0, f"dqn.{key} must lie in [0, 1]",
                     getattr(self, key))
-        require(self.seed >= 0, "dqn.seed must be >= 0", self.seed)
-        require(all(h >= 1 for h in self.hidden), "dqn.hidden widths must be >= 1",
-                self.hidden)
 
 
 @dataclass
@@ -77,19 +71,20 @@ def dqn_train(
     env: ServerlessEnv,
     pool: Sequence[WorkloadSpec],
     config: DqnConfig,
+    shared: TrainConfig,
     store: Optional[ParameterStore] = None,
     on_episode: Optional[Callable[[EpisodeStats], None]] = None,
 ) -> DqnResult:
     if not pool:
         raise ConfigError("empty workload pool")
-    spec = NetworkSpec(input_dim=env.state_dim, hidden=config.hidden,
-                       head_sizes=(N_COMPOUND_ACTIONS,), seed=config.seed)
+    spec = NetworkSpec(input_dim=env.state_dim, hidden=shared.hidden,
+                       head_sizes=(N_COMPOUND_ACTIONS,), seed=shared.seed)
     if store is None:
         store = ParameterStore(spec)
     elif store.spec != spec:
         raise ConfigError("resumed DQN checkpoint does not match the environment")
     target_params = store.snapshot()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(shared.seed)
     buffer: deque = deque(maxlen=config.buffer_capacity)
 
     global_step = 0
@@ -125,7 +120,7 @@ def dqn_train(
                 terminal = np.array([b[4] for b in batch], dtype=bool)
                 next_q = forward_heads(spec, target_params, next_states)[0]
                 bootstrap = np.where(terminal, 0.0, next_q.max(axis=1))
-                targets = rewards + config.gamma * bootstrap
+                targets = rewards + shared.gamma * bootstrap
                 _, grads = q_loss_and_grad(spec, store.params, states, actions, targets)
                 store.apply(grads, lr=config.lr)
                 updates += 1

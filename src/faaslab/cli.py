@@ -83,7 +83,6 @@ def _load(args: argparse.Namespace) -> Experiment:
         overrides["output_dir"] = args.out
     if getattr(args, "seed", None) is not None:
         overrides["train"] = {"seed": args.seed}
-        overrides["dqn"] = {"seed": args.seed}
     if getattr(args, "preset", None):
         overrides["preset"] = args.preset
     return load_experiment(args.config, overrides)
@@ -123,12 +122,13 @@ def _train_one(exp: Experiment, agent: str, beta: float, workers: int,
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
     pool = exp.train_pool()
+    seed = exp.train.seed
 
     if agent == "a3c":
         tag = f"a3c_beta{beta:g}_w{workers}"
         cfg = replace(exp.train, workers=workers)
         envs = [ServerlessEnv(exp.vms, exp.profiles, env_cfg, exp.sim, bounds,
-                              seed=cfg.seed + w) for w in range(workers)]
+                              seed=seed + w) for w in range(workers)]
         actor_path = out / f"actor_{tag}.npz"
         critic_path = out / f"critic_{tag}.npz"
         actor = ParameterStore.load(actor_path) if resume else None
@@ -137,19 +137,15 @@ def _train_one(exp: Experiment, agent: str, beta: float, workers: int,
         result.actor.save(actor_path)
         result.critic.save(critic_path)
         stats = result.stats
-        seed = cfg.seed
         checkpoint = actor_path
     else:  # dqn; argparse allows only the two
         tag = f"dqn_beta{beta:g}"  # one environment: no worker count
-        cfg = exp.dqn
-        env = ServerlessEnv(exp.vms, exp.profiles, env_cfg, exp.sim, bounds,
-                            seed=cfg.seed)
+        env = ServerlessEnv(exp.vms, exp.profiles, env_cfg, exp.sim, bounds, seed=seed)
         q_path = out / f"{tag}.npz"
         store = ParameterStore.load(q_path) if resume else None
-        result = dqn_train(env, pool, cfg, store=store)
+        result = dqn_train(env, pool, exp.dqn, exp.train, store=store)
         result.store.save(q_path)
         stats = result.stats
-        seed = cfg.seed
         checkpoint = q_path
 
     curve_path = out / f"curves_{tag}.csv"

@@ -240,18 +240,17 @@ class TestDqn:
             assert greedy_index(values) == greedy_index(2.5 * values + 3.0)
 
     def test_buffer_respects_capacity(self, desk_vms):
-        cfg = DqnConfig(episodes=4, buffer_capacity=8, batch_size=4, seed=12,
-                        hidden=(8, 8), target_refresh=5)
+        cfg = DqnConfig(episodes=4, buffer_capacity=8, batch_size=4, target_refresh=5)
         env = tiny_env(desk_vms, seed=12)
-        result = dqn_train(env, [tiny_workload()], cfg)
+        result = dqn_train(env, [tiny_workload()], cfg, TrainConfig(seed=12, hidden=(8, 8)))
         assert len(result.stats) == 4
         assert result.store.version > 0
 
     def test_training_reproducible(self, desk_vms):
         def run():
-            cfg = DqnConfig(episodes=2, buffer_capacity=32, batch_size=4,
-                            seed=13, hidden=(8, 8))
-            return dqn_train(tiny_env(desk_vms, seed=13), [tiny_workload()], cfg)
+            cfg = DqnConfig(episodes=2, buffer_capacity=32, batch_size=4)
+            return dqn_train(tiny_env(desk_vms, seed=13), [tiny_workload()], cfg,
+                             TrainConfig(seed=13, hidden=(8, 8)))
 
         a, b = run(), run()
         assert [s.reward for s in a.stats] == [s.reward for s in b.stats]

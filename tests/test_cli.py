@@ -31,8 +31,7 @@ def write_config(tmp_path, **extra):
                      "train_pool_size": 2, "calibration_per_band": 2},
         "train": {"workers": 1, "episodes": 2, "update_freq": 3, "seed": 3,
                   "sync_mode": "deterministic", "hidden": [16, 16]},
-        "dqn": {"episodes": 2, "batch_size": 4, "buffer_capacity": 32,
-                "seed": 3, "hidden": [8, 8]},
+        "dqn": {"episodes": 2, "batch_size": 4, "buffer_capacity": 32},
     }
     cfg.update(extra)
     path = tmp_path / "config.yaml"
@@ -154,6 +153,16 @@ class TestTrain:
         assert (run_dir / "dqn_beta1.npz").exists()
         assert (run_dir / "curves_dqn_beta1.csv").exists()
         assert not [p.name for p in run_dir.iterdir() if "_w" in p.name]
+
+    def test_dqn_takes_seed_and_trunk_from_train_section(self, tmp_path):
+        config = write_config(tmp_path, train={"seed": 5, "gamma": 0.0, "hidden": [6]})
+        run_dir = tmp_path / "run"
+        main(["calibrate", "--config", str(config)])
+        assert main(["train", "--config", str(config), "--agent", "dqn"]) == EXIT_OK
+        with np.load(run_dir / "dqn_beta1.npz") as data:
+            meta = json.loads(str(data["meta"]))
+        assert meta["hidden"] == [6] and meta["seed"] == 5
+        assert "# seed=5" in (run_dir / "curves_dqn_beta1.csv").read_text().splitlines()
 
     def test_async_sync_mode_is_a_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, train={"sync_mode": "async"})
@@ -465,6 +474,8 @@ class TestErrors:
         ("sim.exec_noise_sigma", 0.0), ("sim.seed", 0),
         # A3C applies its Adam steps unclipped.
         ("train.grad_clip", None),
+        # DQN trains on the train section's discount, trunk and seed.
+        ("dqn.gamma", 0.6), ("dqn.hidden", [8, 8]), ("dqn.seed", 3),
     ])
     def test_retired_key_is_unknown(self, tmp_path, capsys, key, value):
         section, name = key.split(".")
@@ -474,11 +485,11 @@ class TestErrors:
 
     @pytest.mark.parametrize("command, key, value", [
         ("train", "train.seed", -1),
-        ("train --agent dqn", "dqn.seed", -1),
+        ("train --agent dqn", "dqn.lr", 1.0e+308),
         ("train --agent dqn", "dqn.batch_size", 0),
         ("train", "train.entropy_beta", 1.0e+308),
         ("simulate", "sim.retry_interval", 1.0e+308),  # the second retry would fall due at inf
-    ], ids=["train.seed", "dqn.seed", "dqn.batch_size", "train.entropy_beta",
+    ], ids=["train.seed", "dqn.lr", "dqn.batch_size", "train.entropy_beta",
             "sim.retry_interval"])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, command, key,
                                                 value):

@@ -43,7 +43,7 @@ BASE = {
     "workload": {"duration": 20, "workloads_per_band": 1, "train_pool_size": 1,
                  "calibration_per_band": 1},
     "train": {"workers": 1, "episodes": 1, "hidden": [4]},
-    "dqn": {"episodes": 1, "batch_size": 2, "buffer_capacity": 8, "hidden": [4]},
+    "dqn": {"episodes": 1, "batch_size": 2, "buffer_capacity": 8},
 }
 
 
@@ -133,7 +133,7 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     # retired: a routed request runs exactly its standard response time
     ({"sim": {"exec_noise_sigma": 0.0}}, "sim.exec_noise_sigma"),
     ({"workload": {"jitter": "abc"}}, "workload.jitter"),
-    ({"dqn": {"hidden": [8, 2.5]}}, "dqn.hidden"),
+    ({"train": {"hidden": [8, 2.5]}}, "train.hidden"),
     ({"sim": {"active_time_mode": 1}}, "sim.active_time_mode"),
     ({"output_dir": 5}, "output_dir"),
     ({"calibration_file": ["a"]}, "calibration_file"),
@@ -159,12 +159,15 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
     ({"beta_list": [1, 1.0]}, "beta_list"),
     # a zero-width layer would fail later, in the network, naming no key
     ({"train": {"hidden": [0]}}, "train.hidden"),
-    ({"dqn": {"hidden": [8, 0]}}, "dqn.hidden"),
+    ({"train": {"hidden": [8, 0]}}, "train.hidden"),
+    # a finite but huge step size trained an actor whose forward pass overflowed
+    ({"train": {"lr": 1.0e+308}}, "train.lr"),
+    ({"dqn": {"lr": 1.0e+308}}, "dqn.lr"),
 ], ids=["overrides0-beta_lst", "overrides1-env.cpu_cap_norm",
         "overrides2-baselines.knative.target", "overrides3-baselines.kube_cpu",
         "overrides4-train.seed", "overrides5-unknown config key sim.max_replicas",
         "overrides6-train.lr", "overrides7-sim.exec_noise_sigma", "overrides8-workload.jitter",
-        "overrides9-dqn.hidden", "overrides10-sim.active_time_mode", "overrides11-output_dir",
+        "train.hidden-non-integer", "overrides10-sim.active_time_mode", "overrides11-output_dir",
         "overrides12-calibration_file", "overrides13-cluster_file",
         "overrides14-profiles_file", "overrides15-traces_file",
         "overrides16-dqn.target_refresh", "overrides18-workload.calibration_per_band",
@@ -173,7 +176,7 @@ def test_accepted_value_never_exits_3(tmp_path, capsys, command):
         "overrides23-workload.duration", "overrides24-train.entropy_beta",
         "overrides25-beta_list", "overrides26-applications", "overrides27-applications",
         "overrides28-beta_list", "overrides29-beta_list", "train.hidden-zero-width",
-        "dqn.hidden-zero-width"])
+        "train.hidden-second-layer-zero", "train.lr-huge", "dqn.lr-huge"])
 def test_wrong_type_or_unknown_key_is_named(overrides, key):
     with pytest.raises(ConfigError, match=key):
         load_experiment(overrides=overrides)
