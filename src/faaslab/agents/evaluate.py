@@ -2,26 +2,26 @@
 
 Targets are either rule-based baseline names or checkpoint paths; checkpoints
 are recognized by head layout (three 11-way heads: actor policy; one 64-way
-head: compound-action value policy). Evaluation always selects as the scaling
-target the function with the most window drops plus queued requests, then the
-worst window response-time ratio (``env.target_mode: highest_rfrt``).
+head: compound-action value policy). A checkpoint's policy always targets the
+function with the most window drops plus queued requests, then the worst
+window response-time ratio (``highest_rfrt``).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..baselines import BASELINES, BaselinePolicyConfig, run_baseline
 from ..cluster import FunctionProfile, SimConfig, VmSpec, float_sum
-from ..env import ACTION_SIZES, EnvConfig, ScalingAction, ServerlessEnv
+from ..env import ACTION_SIZES, EnvConfig, Policy, ScalingAction, ServerlessEnv
 from ..errors import ConfigError
-from ..metrics import EpisodeMetrics, RewardBounds
+from ..metrics import RewardBounds
 from ..nnet import ParameterStore, forward_actor, forward_heads
-from ..workload import Arrivals, WorkloadSpec, synthesize
+from ..workload import WorkloadSpec, synthesize
 from .dqn import N_COMPOUND_ACTIONS, compound_to_action, greedy_index
 
 BASELINE_NAMES = BASELINES
@@ -37,33 +37,39 @@ class EvalRow:
     cost: float
 
 
-def _policy_from_store(store: ParameterStore):
+def _policy_from_store(store: ParameterStore) -> Callable[[np.ndarray], ScalingAction]:
+    """The checkpoint's greedy action for one state."""
     heads = store.spec.head_sizes
     if heads == ACTION_SIZES:
-        def actor_policy(state: np.ndarray) -> ScalingAction:
-            heads = forward_actor(store.spec, store.params, state)
-            return ScalingAction(*(greedy_index(head[0]) for head in heads))
-        return actor_policy
+        return lambda state: ScalingAction(*(
+            greedy_index(head[0]) for head in forward_actor(store.spec, store.params, state)))
     if heads == (N_COMPOUND_ACTIONS,):
-        def value_policy(state: np.ndarray) -> ScalingAction:
-            values = forward_heads(store.spec, store.params, state)[0][0]
-            return compound_to_action(greedy_index(values))
-        return value_policy
+        return lambda state: compound_to_action(
+            greedy_index(forward_heads(store.spec, store.params, state)[0][0]))
     raise ConfigError(f"checkpoint head layout {heads} is not a known policy")
 
 
-def _greedy_episode(policy, vms, profiles, workload: WorkloadSpec,
-                    env_config: EnvConfig, sim_config: SimConfig,
-                    arrivals: Optional[Arrivals] = None) -> EpisodeMetrics:
-    """One episode under a ``_policy_from_store`` policy; no reward is computed."""
-    env = ServerlessEnv(vms, profiles,
-                        replace(env_config, target_mode="highest_rfrt"),
-                        sim_config, seed=0)
-    state = env.reset(workload, arrivals)
-    done = False
-    while not done:
-        state, _, done = env.step(policy(state), rewarded=False)
-    return env.ledger.summary()
+def greedy_policy(store: ParameterStore) -> Policy:
+    """Each tick, the checkpoint's greedy action for its ``highest_rfrt`` target."""
+    act = _policy_from_store(store)
+    def policy(env: ServerlessEnv) -> dict[int, ScalingAction]:
+        state = env.observe("highest_rfrt")
+        return {env.target_fn: act(state)}
+    return policy
+
+
+def load_policy(path: str, vms: Sequence[VmSpec],
+                profiles: dict[int, FunctionProfile]) -> Policy:
+    """The greedy policy of the checkpoint at ``path``, checked against the cluster."""
+    if not Path(path).exists():
+        raise ConfigError(f"unknown target {path!r}: neither a baseline "
+                          f"name {BASELINES} nor a checkpoint path")
+    store = ParameterStore.load(path)
+    state_dim = ServerlessEnv(vms, profiles).state_dim
+    if store.spec.input_dim != state_dim:
+        raise ConfigError(f"checkpoint {path} expects state dim "
+                          f"{store.spec.input_dim}, environment provides {state_dim}")
+    return greedy_policy(store)
 
 
 def evaluate_targets(
@@ -80,30 +86,17 @@ def evaluate_targets(
     """Per-workload metrics for every target on every banded workload set.
 
     Episodes run one after another on the calling thread, band by band and
-    workload by workload: each workload's arrivals are synthesized once and
-    every target's episode loads that one read-only batch. Rows come back
-    sorted by (target, band, workload index) whatever the order of
-    ``targets``. ``bounds`` is ignored: greedy evaluation computes no reward.
-    It stays in the signature for callers that pass the arguments by
-    position, and ``parallel`` for callers that name it; it must be 1,
-    because the pure-Python simulator gains nothing from threads.
+    workload by workload; each workload's arrivals are synthesized once for
+    every target. Rows come back sorted by (target, band, workload index).
+    ``bounds`` is ignored, as greedy evaluation computes no reward, and
+    ``parallel`` must be 1; both stay for callers that pass them.
     """
     if parallel != 1:
         raise ConfigError(f"parallel must be 1 (evaluation runs on one thread), "
                           f"got {parallel}")
     # Every checkpoint is loaded and checked before the first episode runs.
-    policies = {}
-    for target in targets:
-        if target not in BASELINES:
-            if not Path(target).exists():
-                raise ConfigError(f"unknown target {target!r}: neither a baseline "
-                                  f"name {BASELINES} nor a checkpoint path")
-            store = ParameterStore.load(target)
-            state_dim = ServerlessEnv(vms, profiles).state_dim
-            if store.spec.input_dim != state_dim:
-                raise ConfigError(f"checkpoint {target} expects state dim "
-                                  f"{store.spec.input_dim}, environment provides {state_dim}")
-            policies[target] = _policy_from_store(store)
+    policies = {target: load_policy(target, vms, profiles)
+                for target in targets if target not in BASELINES}
 
     rows = []
     for band, workloads in sorted(workload_sets.items()):
@@ -111,8 +104,9 @@ def evaluate_targets(
             arrivals = synthesize(workload)
             for target in targets:
                 if target in policies:
-                    summary = _greedy_episode(policies[target], vms, profiles, workload,
-                                              env_config, sim_config, arrivals)
+                    env = ServerlessEnv(vms, profiles, env_config, sim_config)
+                    env.run_episode(workload, policies[target], arrivals=arrivals)
+                    summary = env.ledger.summary()
                 else:
                     summary = run_baseline(target, vms, profiles, workload, env_config,
                                            sim_config, policy_config,

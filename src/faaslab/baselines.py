@@ -1,10 +1,7 @@
-"""Rule-based horizontal scalers driven through the same simulator stepping.
+"""Rule-based horizontal scalers, run as ``ServerlessEnv.run_episode`` policies.
 
-Unlike the learned agent, which reconfigures a single target function per
-decision tick, these controllers evaluate every deployed function on every
-tick (matching how the real autoscalers operate). None of them emit vertical
-resizes. Episodes start, advance and drain through ``ServerlessEnv``, the
-same code that runs the learned agents' episodes.
+Each controller sets a replica target for every deployed function on every
+tick, as the real autoscalers do, and none emits a vertical resize.
 """
 from __future__ import annotations
 
@@ -13,7 +10,7 @@ from typing import Optional, Sequence
 
 from .cluster import (MAX_REPLICAS, ClusterEngine, FunctionProfile, FunctionSnapshot,
                       SimConfig, VmSpec, ceil_guarded, cpu_target_replicas)
-from .env import EnvConfig, ServerlessEnv
+from .env import EnvConfig, Policy, ServerlessEnv
 from .errors import ConfigError, require
 from .metrics import EpisodeMetrics
 from .workload import Arrivals, WorkloadSpec
@@ -104,6 +101,15 @@ def decide(policy: str, snap: FunctionSnapshot, cfg: BaselinePolicyConfig) -> in
     raise ConfigError(f"unknown baseline {policy!r}; choose from {BASELINES}")
 
 
+def baseline_policy(name: str, cfg: BaselinePolicyConfig) -> Policy:
+    """``name``'s replica target for every function, each decided on its snapshot
+    over the last decision window; all are read before any function scales."""
+    def targets(env: ServerlessEnv) -> dict[int, int]:
+        engine, interval = env.engine, env.config.decision_interval
+        return {fn: decide(name, engine.snapshot(fn, interval), cfg) for fn in engine.deployed_fns}
+    return targets
+
+
 @dataclass
 class BaselineResult:
     summary: EpisodeMetrics
@@ -123,27 +129,10 @@ def run_baseline(
     log_events: bool = False,
     arrivals: Optional[Arrivals] = None,
 ) -> BaselineResult:
-    """One full episode under a rule-based scaler.
-
-    Every decision window the policy's desired replica count is turned into a
-    scaling delta per function and applied; ``ServerlessEnv.run_window`` then
-    runs the window, as it does for the learned agent, so calibration,
-    training and evaluation share one window schedule. No target is picked and no
-    agent state is built. ``log_events`` keeps the engine's event log.
-    ``arrivals``, when given, is ``synthesize(workload)`` made by the caller.
-    """
+    """One full episode under a ``baseline_policy``, which picks no target and
+    builds no agent state. ``log_events`` keeps the engine's event log.
+    ``arrivals``, when given, is ``synthesize(workload)`` made by the caller."""
     cfg = policy_config or BaselinePolicyConfig()
     env = ServerlessEnv(vms, profiles, env_config, sim_config, log_events=log_events)
-    env.start_episode(workload, arrivals)
-    engine = env.engine
-    channels: list[tuple[float, float, float]] = []
-    while not env.done:
-        # Every function is judged on the cluster as it stood before this tick's scaling.
-        snaps = [engine.snapshot(fn, env_config.decision_interval) for fn in engine.deployed_fns]
-        for snap in snaps:
-            desired = decide(policy, snap, cfg)
-            engine.apply_horizontal(snap.function_id, desired - snap.replicas)
-        window = env.run_window(collect_channels)
-        if collect_channels:
-            channels.append(window)
-    return BaselineResult(summary=env.ledger.summary(), channels=channels, engine=engine)
+    channels = env.run_episode(workload, baseline_policy(policy, cfg), collect_channels, arrivals)
+    return BaselineResult(summary=env.ledger.summary(), channels=channels, engine=env.engine)

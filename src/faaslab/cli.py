@@ -19,8 +19,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .agents import aggregate, dqn_train, evaluate_targets, train
-from .agents.evaluate import BASELINE_NAMES
-from .baselines import run_baseline
+from .agents.evaluate import BASELINE_NAMES, load_policy
+from .baselines import baseline_policy, run_baseline
 from .config import Experiment, load_experiment
 from .env import ServerlessEnv
 from .errors import ConfigError, FaasLabError, read_text
@@ -271,16 +271,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not 0 <= args.workload_index < per_band:
         raise ConfigError(f"--workload-index {args.workload_index} outside [0, {per_band})")
     workload = exp.eval_sets([band])[band][args.workload_index]
-    res = run_baseline(args.policy, exp.vms, exp.profiles, workload, exp.env,
-                       exp.sim, exp.baselines, log_events=True)
+    policy = (baseline_policy(args.policy, exp.baselines) if args.policy in BASELINE_NAMES
+              else load_policy(args.policy, exp.vms, exp.profiles))
+    env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, log_events=True)
+    env.run_episode(workload, policy)
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    log_path = out / f"events_{args.policy}_{band}_{args.workload_index}.log"
+    log_path = out / f"events_{Path(args.policy).stem}_{band}_{args.workload_index}.log"
     with log_path.open("w") as fh:
-        for entry in res.engine.event_log:
+        for entry in env.engine.event_log:
             stamp, kind, *ids = entry
             fh.write(f"{stamp:.6f} {kind} {' '.join(str(i) for i in ids)}\n")
-    s = res.summary
+    s = env.ledger.summary()
     print(f"policy={args.policy} band={band} requests={s.total} "
           f"completed={s.completed} dropped={s.dropped}")
     rart = "n/a" if math.isnan(s.rart) else f"{s.rart:.4f}"
@@ -335,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", default=None)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("simulate", help="run one baseline episode with event log")
+    p = sub.add_parser("simulate", help="run one episode with event log")
     common(p)
-    p.add_argument("--policy", choices=sorted(BASELINE_NAMES), default="kube_cpu")
+    p.add_argument("--policy", default="kube_cpu", help=f"checkpoint path or {BASELINE_NAMES}")
     p.add_argument("--band", choices=sorted(EVAL_BANDS), default=None)
     p.add_argument("--workload-index", type=int, default=0)
     p.set_defaults(func=cmd_simulate)

@@ -493,6 +493,7 @@ class ClusterEngine:
         self.completion_times: dict[int, list[float]] = {fn: [] for fn in self.profiles}
         self.completion_ratios: dict[int, list[float]] = {fn: [] for fn in self.profiles}
         self.drop_times: dict[int, list[float]] = {fn: [] for fn in self.profiles}
+        self._windows: dict[tuple, FunctionWindow] = {}  # ``window`` memo; ``advance`` empties it
 
         self.log_events = log_events
         self.event_log: list[tuple] = []
@@ -558,6 +559,7 @@ class ClusterEngine:
         ``log_events`` each dispatched event is appended to ``event_log``."""
         if until < self.clock - _EPS:
             raise SimulationError(f"cannot advance backwards ({self.clock} -> {until})")
+        self._windows.clear()
         heap = self._heap
         retries = self._retries
         pending_times, pending_seqs, pending_apps = self._pending
@@ -809,7 +811,7 @@ class ClusterEngine:
 
     # -------------------------------------------------------------- scaling
 
-    def _live_pods(self, fn: int) -> list[PodState]:
+    def live_pods(self, fn: int) -> list[PodState]:
         """Pods of a function that participate in scaling (not Terminating)."""
         return [self.pods[pid] for pid in self.fn_pods[fn]
                 if self.pods[pid].phase is not PodPhase.TERMINATING]
@@ -865,7 +867,7 @@ class ClusterEngine:
         return pod_id
 
     def _scale_down(self, fn: int, count: int) -> None:
-        chosen = sorted(self._live_pods(fn), key=lambda p: (p.in_flight > 0, -p.pod_id))[:count]
+        chosen = sorted(self.live_pods(fn), key=lambda p: (p.in_flight > 0, -p.pod_id))[:count]
         for pod in chosen:
             if not pod.in_flight:
                 self._remove_pod(pod)
@@ -907,7 +909,7 @@ class ClusterEngine:
         if fn not in self.profiles:
             raise ConfigError(f"unknown function {fn}")
         cpu_now, mem_now = self.pod_size[fn]
-        live = self._live_pods(fn)
+        live = self.live_pods(fn)
         per_vm = [(self.vms[vm_id], n) for vm_id, n in Counter(p.vm_id for p in live).items()]
 
         def clamp(delta: float, now: float, lo: float, hi: float,
@@ -931,7 +933,7 @@ class ClusterEngine:
         """In-place resize of every live pod; future pods adopt the new size."""
         cpu_now, mem_now = self.pod_size[fn]
         self.pod_size[fn] = (cpu_now + cpu_delta, mem_now + mem_delta)
-        for pod in self._live_pods(fn):
+        for pod in self.live_pods(fn):
             was_open = pod.is_open
             pod.resize(cpu_delta, mem_delta)
             self.open_pods[fn] += pod.is_open - was_open
@@ -946,7 +948,7 @@ class ClusterEngine:
             raise SimulationError(f"function {fn}: pod cpu limit {cpu} out of bounds")
         if not (POD_MEM_MIN - _EPS <= mem <= POD_MEM_MAX + _EPS):
             raise SimulationError(f"function {fn}: pod mem limit {mem} out of bounds")
-        for pod in self._live_pods(fn):
+        for pod in self.live_pods(fn):
             if pod.cpu_used > pod.cpu_limit + _EPS or pod.mem_used > pod.mem_limit + _EPS:
                 raise SimulationError(f"pod {pod.pod_id}: limit resized below utilization")
         for vm in self.vms.values():
@@ -966,6 +968,8 @@ class ClusterEngine:
         (RFRT) of its completions there, 1.0 with none so that idle functions
         neither reward nor punish a policy, and drops over arrivals (RFR), 0.0
         with no arrivals."""
+        if (counts := self._windows.get((fn, t0, t1))) is not None:  # counted since the last advance
+            return counts
         times = self.arrival_times[fn]
         arrivals = bisect.bisect_right(times, t1) - bisect.bisect_right(times, t0)
         times = self.drop_times[fn]
@@ -973,9 +977,10 @@ class ClusterEngine:
         times = self.completion_times[fn]
         ratios = self.completion_ratios[fn][bisect.bisect_right(times, t0):
                                             bisect.bisect_right(times, t1)]
-        return FunctionWindow(arrivals, drops,
-                              float_sum(ratios) / len(ratios) if ratios else 1.0,
-                              drops / arrivals if arrivals else 0.0)
+        counts = self._windows[fn, t0, t1] = FunctionWindow(
+            arrivals, drops, float_sum(ratios) / len(ratios) if ratios else 1.0,
+            drops / arrivals if arrivals else 0.0)
+        return counts
 
     def snapshot(self, fn: int, window: float) -> FunctionSnapshot:
         """Function ``fn`` now; rates and ratios cover the last ``window`` seconds.

@@ -1,20 +1,18 @@
 """Episodic scaling environment over the cluster simulator.
 
-Each step decodes a 3-dimensional discrete action (horizontal target
-utilization, CPU resize delta, memory resize delta), applies vertical then
-horizontal scaling for one target function, lets the simulator run for one
-decision window, and emits a blended negative reward scored over that window.
-
-``ServerlessEnv`` alone decides where each decision window starts (at the engine
-clock) and how many there are: ``start_episode`` and ``run_window`` start, advance
-and drain every episode, for the agents through ``reset`` and ``step``, and for
-the rule-based baselines directly.
+Each decision tick applies one command per function (``ServerlessEnv.apply``),
+a replica target or a 3-dimensional discrete action (horizontal target
+utilization, CPU resize delta, memory resize delta), then runs the simulator
+for one decision window. ``run_episode`` drives whole episodes under a policy;
+the agents' ``step`` commands one target and emits a blended negative reward
+scored over the window. ``start_episode`` and ``run_window`` alone decide where
+each window starts (at the engine clock) and how many there are.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -87,17 +85,18 @@ class EnvConfig:
                 "env.target_mode must be 'random' or 'highest_rfrt'", self.target_mode)
 
 
+# Each tick's commands for ``ServerlessEnv.apply``, read off the environment.
+Policy = Callable[["ServerlessEnv"], Mapping[int, "ScalingAction | int"]]
 FEATURES_PER_VM = 7
 FEATURES_PER_FN = 9
 
 
 class ServerlessEnv:
-    """One agent's copy of the scaling decision process.
+    """One copy of the scaling decision process; independent and single-threaded.
 
-    Environments are independent and single-threaded; training with several
-    workers instantiates one environment per worker. ``log_events`` turns on
-    the engine's event log, which no episode metric reads. VM capacity
-    features are normalized by the fleet's largest VM.
+    Training with several workers instantiates one environment per worker.
+    ``log_events`` turns on the engine's event log, which no episode metric
+    reads. VM capacity features are normalized by the fleet's largest VM.
     """
 
     def __init__(
@@ -124,7 +123,6 @@ class ServerlessEnv:
         self.ledger: Optional[EpisodeLedger] = None
         self.target_fn: Optional[int] = None
         self.done = True
-        self._steps_taken = 0
         self.log_events = log_events
 
     @property
@@ -168,47 +166,59 @@ class ServerlessEnv:
     def reset(self, workload: WorkloadSpec, arrivals: Optional[Arrivals] = None) -> np.ndarray:
         """Start an episode; random targets are drawn with the constructor's ``seed``."""
         self.start_episode(workload, arrivals)
-        self._select_target()
-        return self._state()
+        return self.observe()
 
-    def _select_target(self) -> None:
-        fns = self.engine.deployed_fns
-        if self.config.target_mode == "random":
+    def observe(self, target_mode: Optional[str] = None) -> np.ndarray:
+        """Pick this tick's target by ``target_mode``, else the config's; return its state."""
+        engine = self.engine
+        fns = engine.deployed_fns
+        if (target_mode or self.config.target_mode) == "random":
             self.target_fn = fns[self._rng.randrange(len(fns))]
         else:
             # Drops and queued requests outrank an empty window's neutral ratio 1.0.
-            engine = self.engine
             now = engine.clock
             t0 = now - self.config.decision_interval
             windows = {fn: engine.window(fn, t0, now) for fn in fns}
             self.target_fn = min(fns, key=lambda fn: (
                 -(windows[fn].drops + engine.queued_requests(fn)), -windows[fn].rfrt, fn))
+        return self._state()
 
     # ------------------------------------------------------------------- step
 
     def step(self, action: ScalingAction,
              rewarded: bool = True) -> tuple[np.ndarray, Optional[float], bool]:
         """Apply ``action`` to the target function and run one decision window.
-
-        With ``rewarded=False`` (greedy evaluation) the window's reward
-        channels and the reward are not computed: the reward is None, and no
-        calibrated bounds are needed.
-        """
+        With ``rewarded=False`` the reward is None and needs no calibrated bounds."""
         if self.done or self.engine is None:
             raise SimulationError("episode is over; call reset() before stepping")
-        decoded = decode(action)
-        target = self.target_fn
-        cpu_star, mem_star = self.engine.clamp_vertical(target, decoded.cpu_delta,
-                                                        decoded.mem_delta)
-        self.engine.apply_vertical(target, cpu_star, mem_star)
-        self.engine.apply_horizontal(target,
-                                     self.engine.horizontal_delta(target, decoded.target_util))
-
+        self.apply({self.target_fn: action})
         channels = self.run_window(channels=rewarded)
         reward = step_reward(channels, self.bounds, self.config.beta) if rewarded else None
-        if not self.done:
-            self._select_target()
-        return self._state(), reward, self.done
+        return self._state() if self.done else self.observe(), reward, self.done
+
+    def apply(self, commands: Mapping[int, ScalingAction | int]) -> None:
+        """Apply each function's command in function id order. A ``ScalingAction``
+        resizes the pods, then scales to its utilization target read against the
+        resized limits; an ``int`` is a replica target."""
+        engine = self.engine
+        for fn, command in sorted(commands.items()):
+            if isinstance(command, ScalingAction):
+                d = decode(command)
+                engine.apply_vertical(fn, *engine.clamp_vertical(fn, d.cpu_delta, d.mem_delta))
+                engine.apply_horizontal(fn, engine.horizontal_delta(fn, d.target_util))
+            else:
+                engine.apply_horizontal(fn, command - len(engine.live_pods(fn)))
+
+    def run_episode(self, workload: WorkloadSpec, policy: Policy, channels: bool = False,
+                    arrivals: Optional[Arrivals] = None) -> list[tuple[float, float, float]]:
+        """Start an episode and run it to its end, each tick applying ``policy(self)``.
+        Returns every window's (rfrt, rfr, cost) if ``channels``."""
+        self.start_episode(workload, arrivals)
+        windows = []
+        while not self.done:
+            self.apply(policy(self))
+            windows.append(self.run_window(channels))
+        return windows if channels else []
 
     def run_window(self, channels: bool) -> Optional[tuple[float, float, float]]:
         """Run the decision window that starts at the engine clock; drain after the last.

@@ -274,7 +274,7 @@ class TestEvaluate:
                              {0: tiny_profile()})
 
     def test_checkpoint_roundtrip_evaluation(self, desk_vms, tmp_path):
-        from faaslab.agents.evaluate import _greedy_episode
+        from faaslab.agents.evaluate import greedy_policy
         from faaslab.nnet import ParameterStore
 
         cfg = TrainConfig(workers=1, episodes=1, update_freq=3, seed=14,
@@ -284,11 +284,12 @@ class TestEvaluate:
         path = tmp_path / "actor.npz"
         result.actor.save(path)
         loaded = ParameterStore.load(path)
-        args = (desk_vms, {0: tiny_profile()}, tiny_workload(rate=4),
-                EnvConfig())
-        from faaslab.cluster import SimConfig
-        live = _greedy_episode(_policy_from_store(result.actor), *args, SimConfig())
-        disk = _greedy_episode(_policy_from_store(loaded), *args, SimConfig())
+        summaries = []
+        for store in (result.actor, loaded):
+            env = ServerlessEnv(desk_vms, {0: tiny_profile()}, EnvConfig())
+            env.run_episode(tiny_workload(rate=4), greedy_policy(store))
+            summaries.append(env.ledger.summary())
+        live, disk = summaries
         assert live == disk  # the checkpoint reproduces evaluation metrics
 
         sets = {"mid": [tiny_workload(rate=4)]}
@@ -338,9 +339,9 @@ class TestEvaluate:
             for band, workloads in sorted(sets.items()):
                 for idx, workload in enumerate(workloads):
                     if target == str(path):
-                        summary = evaluate._greedy_episode(
-                            _policy_from_store(store), exp.vms, exp.profiles, workload,
-                            exp.env, exp.sim)
+                        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim)
+                        env.run_episode(workload, evaluate.greedy_policy(store))
+                        summary = env.ledger.summary()
                     else:
                         summary = run_baseline(target, exp.vms, exp.profiles, workload,
                                                exp.env, exp.sim, exp.baselines).summary

@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+from faaslab import cluster
 from faaslab.baselines import (BASELINES, BaselinePolicyConfig, KnativeConfig,
                                KubeCpuConfig, OpenFaasConfig, decide, knative_decide,
                                kube_cpu_decide, openfaas_decide, run_baseline)
@@ -235,6 +236,22 @@ class TestAgentActionIsKubeCpu:
         assert env.engine.event_log == res.engine.event_log
         assert res.summary.rfr < 0.5
 
+    @pytest.mark.parametrize("preset", ["desk", "paper"])
+    def test_constant_action_on_every_function_reproduces_kube_cpu(self, preset):
+        # Commanding (5, 5, 5) for every deployed function on every tick resizes
+        # by zero and then reads each function's replica target against its own
+        # pods, so the order of functions within a tick cannot move an event.
+        exp = load_experiment(overrides={"preset": preset})
+        assert len(exp.profiles) > 1
+        workload = exp.eval_sets(["high"])["high"][0]
+        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, log_events=True)
+        env.run_episode(workload,
+                        lambda env: dict.fromkeys(env.engine.deployed_fns, ScalingAction(5, 5, 5)))
+        res = run_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env, exp.sim,
+                           exp.baselines, log_events=True)
+        assert env.engine.event_log == res.engine.event_log
+        assert env.ledger.summary() == res.summary
+
 
 class TestEventLogDigests:
     """Every baseline's full event log on high-band workload 0 of each preset.
@@ -328,3 +345,31 @@ class TestObservationDigest:
         monkeypatch.setattr(builtins, "sum", neumaier_sum)
         assert neumaier_sum([0.1] * 10) == 1.0  # left to right: 0.9999999999999999
         self.test_observations_match_recorded_digest(case, monkeypatch)
+
+
+class TestWindowsCountedOnce:
+    def test_calibration_episode_counts_each_window_once(self, monkeypatch):
+        # A desk kube_cpu calibration episode asks for 48 windows: 4 functions'
+        # snapshots and channels on each of 6 ticks. Each tick's snapshot window
+        # is the previous tick's channel window, so 28 are distinct, and the
+        # engine must count each of them once.
+        exp = load_experiment(overrides={"preset": "desk"})
+        workload = exp.calibration_sets()["high"][0]
+        asked, counted = [], []
+        window, function_window = ClusterEngine.window, cluster.FunctionWindow
+
+        def asking(engine, fn, t0, t1):
+            asked.append((fn, t0, t1))
+            return window(engine, fn, t0, t1)
+
+        def counting(*fields):
+            counted.append(fields)
+            return function_window(*fields)
+
+        monkeypatch.setattr(ClusterEngine, "window", asking)
+        monkeypatch.setattr(cluster, "FunctionWindow", counting)
+        res = run_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env,
+                           exp.sim, exp.baselines, collect_channels=True)
+        assert len(res.channels) == 6
+        assert len(asked) == 48 and len(set(asked)) == 28
+        assert len(counted) == 28

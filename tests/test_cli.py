@@ -18,7 +18,7 @@ from faaslab.baselines import run_baseline
 from faaslab.cli import EXIT_CONFIG, EXIT_OK, main, read_csv
 from faaslab.config import load_experiment
 from faaslab.env import ServerlessEnv
-from faaslab.metrics import ChannelBounds, RewardBounds
+from faaslab.metrics import ChannelBounds, EpisodeLedger, RewardBounds
 from faaslab.nnet import NetworkSpec, ParameterStore
 
 
@@ -349,6 +349,36 @@ class TestSimulate:
         float(stamp)
         assert kind in {"arrival", "queue", "assign", "retry", "drop", "finish",
                         "pod_create", "pod_ready", "pod_terminating", "pod_remove"}
+
+    def test_checkpoint_episode_is_its_evaluate_row(self, workspace, monkeypatch):
+        config, run_dir = workspace
+        main(["calibrate", "--config", str(config)])
+        main(["train", "--config", str(config)])
+        ckpt = run_dir / "actor_a3c_beta1_w1.npz"
+        assert main(["evaluate", "--config", str(config), "--band", "high",
+                     "--targets", str(ckpt)]) == EXIT_OK
+        _, header, rows = read_csv(run_dir / "eval_workloads.csv")
+        row = dict(zip(header, rows[0]))
+        assert (row["band"], row["workload"]) == ("high", "0")
+        summaries = []
+        summary = EpisodeLedger.summary
+
+        def recording(ledger):
+            summaries.append(summary(ledger))
+            return summaries[-1]
+
+        monkeypatch.setattr(EpisodeLedger, "summary", recording)
+        assert main(["simulate", "--config", str(config), "--band", "high",
+                     "--policy", str(ckpt)]) == EXIT_OK
+        (s,) = summaries
+        assert [f"{v:.9g}" for v in (s.rart, s.rfr, s.cost)] == [
+            row["rart"], row["rfr"], row["cost"]]
+        assert (run_dir / "events_actor_a3c_beta1_w1_high_0.log").read_text()
+
+    def test_unknown_policy_is_config_error_naming_it(self, workspace, capsys):
+        config, _ = workspace
+        assert main(["simulate", "--config", str(config), "--policy", "sorcery"]) == EXIT_CONFIG
+        assert "'sorcery'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("index", [2, 99, -1])
     def test_workload_index_outside_band_is_config_error(self, workspace, index):

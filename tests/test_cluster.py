@@ -823,6 +823,15 @@ class TestSnapshot:
         snap = eng.snapshot(0, window=1.0)
         assert (snap.replicas, snap.ready_replicas) == (3, 2)
 
+    def test_window_counts_again_after_advance(self, big_vm, fast_profile, single_app):
+        # ``window`` reuses a count only until the next ``advance``, which may
+        # dispatch events inside an interval already counted.
+        eng = make_engine([big_vm], [fast_profile], [single_app])
+        eng.load_arrivals(*arrival_columns([(1.0, 0), (2.0, 0)]))
+        assert eng.window(0, 0.0, 5.0).arrivals == 0
+        eng.advance(5.0)
+        assert eng.window(0, 0.0, 5.0).arrivals == 2
+
     def test_sums_add_left_to_right(self, monkeypatch):
         # Python 3.12's sum() adds floats with compensation and would make
         # each sum of ten 0.1 terms 1.0; the engine adds left to right on
