@@ -87,7 +87,10 @@ def evaluate_targets(
 
     Episodes run one after another on the calling thread, band by band and
     workload by workload; each workload's arrivals are synthesized once for
-    every target. Rows come back sorted by (target, band, workload index).
+    every target. A baseline whose targets matched an earlier baseline's on
+    every tick of the workload shares that episode (``run_baseline``'s
+    ``twins``) instead of simulating it again. Rows come back sorted by
+    (target, band, workload index).
     ``bounds`` is ignored, as greedy evaluation computes no reward, and
     ``parallel`` must be 1; both stay for callers that pass them.
     """
@@ -101,7 +104,7 @@ def evaluate_targets(
     rows = []
     for band, workloads in sorted(workload_sets.items()):
         for idx, workload in enumerate(workloads):
-            arrivals = synthesize(workload)
+            arrivals, twins = synthesize(workload), {}
             for target in targets:
                 if target in policies:
                     env = ServerlessEnv(vms, profiles, env_config, sim_config)
@@ -110,7 +113,7 @@ def evaluate_targets(
                 else:
                     summary = run_baseline(target, vms, profiles, workload, env_config,
                                            sim_config, policy_config,
-                                           arrivals=arrivals).summary
+                                           arrivals=arrivals, twins=twins).summary
                 rows.append(EvalRow(target=target, band=band, workload_index=idx,
                                     rart=summary.rart, rfr=summary.rfr, cost=summary.cost))
     rows.sort(key=lambda r: (r.target, r.band, r.workload_index))

@@ -101,12 +101,28 @@ def decide(policy: str, snap: FunctionSnapshot, cfg: BaselinePolicyConfig) -> in
     raise ConfigError(f"unknown baseline {policy!r}; choose from {BASELINES}")
 
 
-def baseline_policy(name: str, cfg: BaselinePolicyConfig) -> Policy:
+def _tick_targets(name: str, snapshots: Sequence[tuple[int, FunctionSnapshot]],
+                  cfg: BaselinePolicyConfig) -> dict[int, int]:
+    """``name``'s replica target for each ``(function, snapshot)`` of one tick."""
+    return {fn: decide(name, snap, cfg) for fn, snap in snapshots}
+
+
+def baseline_policy(name: str, cfg: BaselinePolicyConfig,
+                    shadows: Optional[list[str]] = None) -> Policy:
     """``name``'s replica target for every function, each decided on its snapshot
-    over the last decision window; all are read before any function scales."""
+    over the last decision window; all are read before any function scales.
+
+    Each tick also drops from ``shadows``, a list of other baseline names,
+    every baseline whose targets on the same snapshots differ from ``name``'s.
+    """
     def targets(env: ServerlessEnv) -> dict[int, int]:
         engine, interval = env.engine, env.config.decision_interval
-        return {fn: decide(name, engine.snapshot(fn, interval), cfg) for fn in engine.deployed_fns}
+        snapshots = [(fn, engine.snapshot(fn, interval)) for fn in engine.deployed_fns]
+        own = _tick_targets(name, snapshots, cfg)
+        if shadows:
+            shadows[:] = [twin for twin in shadows
+                          if _tick_targets(twin, snapshots, cfg) == own]
+        return own
     return targets
 
 
@@ -128,11 +144,34 @@ def run_baseline(
     collect_channels: bool = False,
     log_events: bool = False,
     arrivals: Optional[Arrivals] = None,
+    twins: Optional[dict] = None,
 ) -> BaselineResult:
     """One full episode under a ``baseline_policy``, which picks no target and
     builds no agent state. ``log_events`` keeps the engine's event log.
-    ``arrivals``, when given, is ``synthesize(workload)`` made by the caller."""
+    ``arrivals``, when given, is ``synthesize(workload)`` made by the caller.
+
+    ``twins`` is one dict per workload, shared by the calls that run each
+    baseline on it. An episode stores its result under every other baseline
+    not yet in the dict whose targets equalled its own on every tick: the
+    engine is deterministic and the targets are its only input, so that
+    baseline's episode is this one. A call for a stored baseline returns the
+    stored result without simulating; it raises ``ConfigError`` if any other
+    argument but ``arrivals`` differs from the call that stored it.
+    """
     cfg = policy_config or BaselinePolicyConfig()
+    call = (vms, profiles, workload, env_config, sim_config, cfg, collect_channels, log_events)
+    if twins is not None and policy in twins:
+        made_for, result = twins[policy]
+        if made_for != call:
+            raise ConfigError(f"twins hold {policy!r} for another workload or configuration; "
+                              f"pass one dict per workload")
+        return result
+    shadows = ([] if twins is None else
+               [twin for twin in BASELINES if twin != policy and twin not in twins])
     env = ServerlessEnv(vms, profiles, env_config, sim_config, log_events=log_events)
-    channels = env.run_episode(workload, baseline_policy(policy, cfg), collect_channels, arrivals)
-    return BaselineResult(summary=env.ledger.summary(), channels=channels, engine=env.engine)
+    channels = env.run_episode(workload, baseline_policy(policy, cfg, shadows),
+                               collect_channels, arrivals)
+    result = BaselineResult(summary=env.ledger.summary(), channels=channels, engine=env.engine)
+    for twin in shadows:
+        twins[twin] = (call, result)
+    return result

@@ -754,7 +754,7 @@ class ClusterEngine:
 
     def pending_requests(self) -> bool:
         """True while any request is neither completed nor dropped."""
-        return len(self.requests) > self.completed_total + self.dropped_total
+        return len(self.req_function_id) > self.completed_total + self.dropped_total
 
     def _log(self, kind: str, *ids) -> None:
         if self.log_events:

@@ -185,15 +185,13 @@ class ServerlessEnv:
 
     # ------------------------------------------------------------------- step
 
-    def step(self, action: ScalingAction,
-             rewarded: bool = True) -> tuple[np.ndarray, Optional[float], bool]:
-        """Apply ``action`` to the target function and run one decision window.
-        With ``rewarded=False`` the reward is None and needs no calibrated bounds."""
+    def step(self, action: ScalingAction) -> tuple[np.ndarray, float, bool]:
+        """Apply ``action`` to the target function, run one decision window and
+        score it with the calibrated bounds."""
         if self.done or self.engine is None:
             raise SimulationError("episode is over; call reset() before stepping")
         self.apply({self.target_fn: action})
-        channels = self.run_window(channels=rewarded)
-        reward = step_reward(channels, self.bounds, self.config.beta) if rewarded else None
+        reward = step_reward(self.run_window(channels=True), self.bounds, self.config.beta)
         return self._state() if self.done else self.observe(), reward, self.done
 
     def apply(self, commands: Mapping[int, ScalingAction | int]) -> None:

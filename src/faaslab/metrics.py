@@ -124,7 +124,7 @@ class EpisodeLedger:
                 in_root_order = sorted(range(len(roots)), key=roots.__getitem__)
                 means.append(float_sum(map(ratios.__getitem__, in_root_order)) / len(ratios))
         completed = engine.completed_total
-        total = len(engine.requests)
+        total = len(engine.req_function_id)
         return EpisodeMetrics(
             rart=float_sum(means) / len(means) if means else math.nan,
             rfr=engine.dropped_total / total if total else 0.0,

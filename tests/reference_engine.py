@@ -275,6 +275,16 @@ class ReferenceEngine(ClusterEngine):
     def chain_ratios(self, _value) -> None:
         pass
 
+    # ``EpisodeLedger.summary`` and ``pending_requests`` count requests by the
+    # length of this column; here it is read off the records.
+    @property
+    def req_function_id(self) -> list[int]:
+        return [req.function_id for req in self.requests.values()]
+
+    @req_function_id.setter
+    def req_function_id(self, _value) -> None:
+        pass
+
     def queued_requests(self, fn: int) -> int:
         """Queued requests of ``fn``, from its id set."""
         return len(self.queued_ids[fn])

@@ -13,8 +13,8 @@ from faaslab.agents import (DQN_GRID_POINTS, N_COMPOUND_ACTIONS, DqnConfig, Trai
 from faaslab.agents import evaluate
 from faaslab.agents.a3c import sample_index
 from faaslab.agents.evaluate import _policy_from_store
-from faaslab.baselines import run_baseline
-from faaslab.cluster import Application, FunctionProfile
+from faaslab.baselines import BASELINES, baseline_policy, run_baseline
+from faaslab.cluster import Application, ClusterEngine, FunctionProfile
 from faaslab.config import load_experiment
 from faaslab.env import ACTION_SIZES, EnvConfig, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError, SimulationError
@@ -371,3 +371,88 @@ class TestEvaluate:
         rows = [EvalRow("x", "mid", i, 0.1, 0.1, 0.1) for i in range(10)]
         (agg,) = aggregate(rows)
         assert agg["rart"] == agg["rfr"] == agg["cost"] == 0.9999999999999999 / 10
+
+
+def _openfaas_divergence(exp, workload):
+    """The first tick on which openfaas's targets differ from kube_cpu's, None
+    if they never do, and the episode's tick count."""
+    shadows = ["openfaas"]
+    policy = baseline_policy("kube_cpu", exp.baselines, shadows)
+    agreed = []
+
+    def recording(env):
+        targets = policy(env)
+        agreed.append(bool(shadows))
+        return targets
+
+    ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim).run_episode(workload, recording)
+    return (agreed.index(False) if False in agreed else None), len(agreed)
+
+
+class TestBaselineTwins:
+    """``evaluate_targets`` simulates a baseline episode once and hands it to
+    every baseline whose targets equalled it on every tick."""
+
+    @pytest.fixture(scope="class")
+    def exp(self):
+        return load_experiment(overrides={"preset": "desk",
+                                          "workload": {"workloads_per_band": 2}})
+
+    @pytest.fixture(scope="class")
+    def sets(self, exp):
+        return exp.eval_sets(["low", "mid", "high"])
+
+    def rows(self, exp, sets, targets):
+        return evaluate_targets(targets, sets, exp.vms, exp.profiles, exp.env, exp.sim,
+                                policy_config=exp.baselines)
+
+    def test_sets_hold_an_agreeing_and_a_diverging_workload(self, exp, sets):
+        firsts = [_openfaas_divergence(exp, w) for ws in sets.values() for w in ws]
+        assert any(first is None for first, _ in firsts)
+        assert any(first is not None and 0 < first < ticks - 1 for first, ticks in firsts)
+
+    def test_rows_equal_independent_episodes(self, exp, sets):
+        expected = sorted(
+            (target, band, idx, s.rart, s.rfr, s.cost)
+            for target in BASELINES
+            for band, workloads in sets.items()
+            for idx, workload in enumerate(workloads)
+            for s in [run_baseline(target, exp.vms, exp.profiles, workload, exp.env,
+                                   exp.sim, exp.baselines).summary])
+        rows = self.rows(exp, sets, BASELINES)
+        # NaN RART would never compare equal; a desk episode completes chains
+        assert not any(math.isnan(r.rart) for r in rows)
+        assert [(r.target, r.band, r.workload_index, r.rart, r.rfr, r.cost)
+                for r in rows] == expected
+
+    def test_rows_do_not_depend_on_target_order(self, exp, sets):
+        assert (self.rows(exp, sets, ["kube_cpu", "knative", "openfaas"])
+                == self.rows(exp, sets, ["openfaas", "knative", "kube_cpu"]))
+
+    @pytest.mark.parametrize("agreeing", [True, False])
+    def test_an_agreeing_baseline_builds_no_engine(self, exp, sets, agreeing, monkeypatch):
+        workload = next(w for ws in sets.values() for w in ws
+                        if (_openfaas_divergence(exp, w)[0] is None) == agreeing)
+        built = []
+        init = ClusterEngine.__init__
+
+        def counting(engine, *args, **kwargs):
+            built.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterEngine, "__init__", counting)
+        self.rows(exp, {"mid": [workload]}, BASELINES)
+        assert len(built) == (2 if agreeing else 3)
+
+    def test_twins_of_another_workload_are_refused(self, exp, sets):
+        first, second = sets["low"]
+        args = (exp.vms, exp.profiles)
+        config = (exp.env, exp.sim, exp.baselines)
+        twins = {}
+        kube = run_baseline("kube_cpu", *args, first, *config, twins=twins)
+        assert "openfaas" in twins
+        with pytest.raises(ConfigError, match="another workload"):
+            run_baseline("openfaas", *args, second, *config, twins=twins)
+        with pytest.raises(ConfigError, match="another workload"):
+            run_baseline("openfaas", *args, first, *config, log_events=True, twins=twins)
+        assert run_baseline("openfaas", *args, first, *config, twins=twins) is kube

@@ -12,6 +12,7 @@ from faaslab.cluster import (MAX_REPLICAS, Application, ClusterEngine, FunctionP
 from faaslab.config import load_experiment
 from faaslab.env import EnvConfig, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError
+from faaslab.metrics import ChannelBounds, RewardBounds
 from faaslab.workload import TraceSeries, WorkloadSpec, synthesize
 
 from oracles import neumaier_sum
@@ -19,6 +20,9 @@ from oracles import neumaier_sum
 KNATIVE = KnativeConfig()
 KUBE = KubeCpuConfig()
 OPENFAAS = OpenFaasConfig()
+# Fixed bounds for agent episodes that step with a reward and need no calibration.
+BOUNDS = RewardBounds(rfrt=ChannelBounds(1.0, 11.0), rfr=ChannelBounds(0.0, 1.0),
+                      cost=ChannelBounds(0.0, 0.01))
 
 
 def snap(**kw):
@@ -204,10 +208,10 @@ class TestRunBaseline:
         run_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env, exp.sim)
         baseline = untils[:]
         untils.clear()
-        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim)
+        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, BOUNDS)
         env.reset(workload)
         while not env.done:
-            env.step(ScalingAction(5, 5, 5), rewarded=False)
+            env.step(ScalingAction(5, 5, 5))
         # advance(0.0), then one call per window: 2 s / 0.1 s is 20 windows
         assert untils[0] == 0.0 and len(untils) >= 21
         assert baseline[:21] == untils[:21]
@@ -225,10 +229,10 @@ class TestAgentActionIsKubeCpu:
                                          "env": {"decision_interval": interval}})
         assert len(exp.profiles) == 1
         workload = exp.eval_sets(["high"])["high"][0]
-        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, log_events=True)
+        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, BOUNDS, log_events=True)
         env.reset(workload)
         while not env.done:
-            env.step(ScalingAction(5, 5, 5), rewarded=False)
+            env.step(ScalingAction(5, 5, 5))
         res = run_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env, exp.sim,
                            exp.baselines, log_events=True)
         kinds = {entry[1] for entry in res.engine.event_log}

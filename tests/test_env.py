@@ -193,12 +193,12 @@ class TestStep:
                     for i in (0, 1)}
         apps = [Application(app_id=i, function_sequence=(i,)) for i in (0, 1)]
         env = ServerlessEnv([VmSpec(0, 8.0, 32768.0, 0.3)], profiles,
-                            EnvConfig(target_mode="highest_rfrt"), seed=0)
+                            EnvConfig(target_mode="highest_rfrt"), bounds=BOUNDS, seed=0)
         env.reset(constant_workload(apps, rate=4, duration=60))
         targets = [env.target_fn]
         done = False
         while not done:
-            _, _, done = env.step(ScalingAction(0, 5, 5), rewarded=False)
+            _, _, done = env.step(ScalingAction(0, 5, 5))
             targets.append(env.target_fn)
         assert 1 in targets
         assert env.engine.completion_times[1]
@@ -242,7 +242,7 @@ class TestVmUsageFeatures:
         # request in flight reads exactly 0.0, not a residue of adding and
         # subtracting per-request amounts.
         exp = load_experiment(overrides={"preset": "desk"})
-        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, seed=0)
+        env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, BOUNDS, seed=0)
         state, done = env.reset(exp.eval_sets(["high"])["high"][0]), False
         ticks = idle = 0
         while True:
@@ -253,7 +253,7 @@ class TestVmUsageFeatures:
                     assert (cpu, mem) == (0.0, 0.0), f"tick {ticks}, vm {k}"
             if done:
                 break
-            state, _, done = env.step(ScalingAction(5, 5, 5), rewarded=False)
+            state, _, done = env.step(ScalingAction(5, 5, 5))
             ticks += 1
         assert ticks == env.total_steps and idle
 

@@ -202,7 +202,7 @@ class TestLeftToRightSums:
         chain_roots = {app: [app] for app in range(10)}
         chain_ratios = {app: [0.1] for app in range(10)}
         completion_ratios = {fn: [0.1] for fn in range(10)}
-        completed_total, dropped_total, requests = 10, 0, range(10)
+        completed_total, dropped_total, req_function_id = 10, 0, range(10)
 
         def window(self, fn, t0, t1):
             return FunctionWindow(10, 1, 0.1, 0.1)

@@ -29,6 +29,7 @@ from faaslab.cluster import (Application, ClusterEngine, FunctionProfile,
 from faaslab.config import load_experiment
 from faaslab.env import ACTION_SIZES, ScalingAction, ServerlessEnv
 from faaslab.errors import ConfigError
+from faaslab.metrics import ChannelBounds, RewardBounds
 
 from oracles import arrival_columns
 
@@ -42,6 +43,9 @@ PROFILES = (FunctionProfile(function_id=0, req_cpu=0.25, req_mem=256.0,
                             initial_pod_cpu=0.3, initial_pod_mem=384.0))
 APPS = (Application(app_id=0, function_sequence=(0, 1)),
         Application(app_id=1, function_sequence=(1,)))
+# Fixed reward bounds, so the random-action agent steps with no calibration.
+BOUNDS = RewardBounds(rfrt=ChannelBounds(1.0, 11.0), rfr=ChannelBounds(0.0, 1.0),
+                      cost=ChannelBounds(0.0, 0.01))
 
 functions = st.sampled_from((0, 1))
 operations = st.one_of(
@@ -140,11 +144,11 @@ def test_experiment_files_load_and_run_or_name_the_fault(files, rng):
                               exp.baselines)
         assert not result.engine.pending_requests()
         result.engine.check_invariants()
-    env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim)
+    env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, BOUNDS)
     env.reset(workload)
     done = False
     while not done:
         action = ScalingAction(*(rng.randrange(k) for k in ACTION_SIZES))
-        _, _, done = env.step(action, rewarded=False)
+        _, _, done = env.step(action)
     assert not env.engine.pending_requests()
     env.engine.check_invariants()
