@@ -9,8 +9,7 @@ scalers, and a CLI experiment runner.
 __version__ = "0.1.0"
 
 from .cluster import (Application, ClusterEngine, FunctionProfile, PodPhase,
-                      PodState, RequestRecord, RequestStatus, SimConfig,
-                      VmSpec, VmState)
+                      PodState, SimConfig, VmSpec, VmState)
 from .env import EnvConfig, ScalingAction, ServerlessEnv, decode
 from .errors import ConfigError, FaasLabError, SimulationError
 from .metrics import EpisodeLedger, RewardBounds, step_reward
@@ -19,7 +18,7 @@ from .workload import TraceSeries, WorkloadSpec, load_traces, make_workload, syn
 __all__ = [
     "__version__",
     "Application", "ClusterEngine", "FunctionProfile", "PodPhase", "PodState",
-    "RequestRecord", "RequestStatus", "SimConfig", "VmSpec", "VmState",
+    "SimConfig", "VmSpec", "VmState",
     "EnvConfig", "ScalingAction", "ServerlessEnv", "decode",
     "ConfigError", "FaasLabError", "SimulationError",
     "EpisodeLedger", "RewardBounds", "step_reward",

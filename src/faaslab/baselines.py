@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .cluster import (MAX_REPLICAS, ClusterEngine, FunctionProfile, FunctionSnapshot,
-                      SimConfig, VmSpec, ceil_guarded, cpu_target_replicas)
+from .cluster import (ClusterEngine, FunctionProfile, FunctionSnapshot, SimConfig, VmSpec,
+                      cpu_target_replicas, replica_count)
 from .env import EnvConfig, Policy, ServerlessEnv
 from .errors import ConfigError, require
 from .metrics import EpisodeMetrics
@@ -69,9 +69,7 @@ def _outstanding(snap: FunctionSnapshot) -> int:
 
 
 def knative_decide(snap: FunctionSnapshot, cfg: KnativeConfig) -> int:
-    desired = ceil_guarded(_outstanding(snap)
-                           / (cfg.target_concurrency * cfg.target_utilization))
-    return min(desired, MAX_REPLICAS)
+    return replica_count(_outstanding(snap) / (cfg.target_concurrency * cfg.target_utilization))
 
 
 def kube_cpu_decide(snap: FunctionSnapshot, cfg: KubeCpuConfig) -> int:
@@ -80,12 +78,10 @@ def kube_cpu_decide(snap: FunctionSnapshot, cfg: KubeCpuConfig) -> int:
 
 def openfaas_decide(snap: FunctionSnapshot, cfg: OpenFaasConfig) -> int:
     if snap.standard_response_time > cfg.long_exec_cutoff:
-        desired = ceil_guarded(_outstanding(snap) / cfg.capacity_threshold)
-    elif snap.arrival_rate > cfg.high_rate_cutoff:
-        desired = ceil_guarded(snap.arrival_rate / cfg.rps_threshold)
-    else:  # cpu mode: the kube_cpu rule
-        return cpu_target_replicas(snap, cfg.cpu_threshold)
-    return min(desired, MAX_REPLICAS)
+        return replica_count(_outstanding(snap) / cfg.capacity_threshold)
+    if snap.arrival_rate > cfg.high_rate_cutoff:
+        return replica_count(snap.arrival_rate / cfg.rps_threshold)
+    return cpu_target_replicas(snap, cfg.cpu_threshold)  # cpu mode: the kube_cpu rule
 
 
 BASELINES = ("knative", "kube_cpu", "openfaas")

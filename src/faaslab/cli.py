@@ -236,12 +236,12 @@ def _long_rows(path: Path, keys: Sequence[str],
 
 def cmd_report(args: argparse.Namespace) -> int:
     exp = _load(args)
-    run_dir = Path(args.run_dir) if args.run_dir else exp.output_dir
-    curves = sorted(run_dir.glob("curves_*.csv"))
-    eval_path = run_dir / "eval_workloads.csv"
+    out = exp.output_dir
+    curves = sorted(out.glob("curves_*.csv"))
+    eval_path = out / "eval_workloads.csv"
     missing = []
     if not curves:
-        missing.append(str(run_dir / "curves_*.csv"))
+        missing.append(str(out / "curves_*.csv"))
     if not eval_path.exists():
         missing.append(str(eval_path))
     if missing:
@@ -251,14 +251,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     curve_keys, curve_metrics = ("episode", "worker"), ("reward", "rfrt", "rfr", "cost")
     long_rows = [(path.stem.removeprefix("curves_"), *row) for path in curves
                  for row in _long_rows(path, curve_keys, curve_metrics)]
-    write_csv(run_dir / "report_curves.csv", meta,
+    write_csv(out / "report_curves.csv", meta,
               ("run", "episode", "worker", "metric", "value"), long_rows)
     eval_rows = _long_rows(eval_path, ("target", "band", "workload"), ("rart", "rfr", "cost"))
-    write_csv(run_dir / "report_evaluation.csv", meta,
+    write_csv(out / "report_evaluation.csv", meta,
               ("target", "band", "workload", "metric", "value"), eval_rows)
-    print(f"wrote {run_dir / 'report_curves.csv'} "
-          f"({len(long_rows)} rows) and {run_dir / 'report_evaluation.csv'} "
-          f"({len(eval_rows)} rows)")
+    print(f"wrote {out / 'report_curves.csv'} ({len(long_rows)} rows) and "
+          f"{out / 'report_evaluation.csv'} ({len(eval_rows)} rows)")
     return EXIT_OK
 
 
@@ -334,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="merge run artifacts into tidy CSVs")
     common(p)
-    p.add_argument("--run-dir", default=None)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("simulate", help="run one episode with event log")

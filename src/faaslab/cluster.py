@@ -39,9 +39,10 @@ MAX_REPLICAS = 80
 _EPS = 1e-9
 
 
-def ceil_guarded(x: float) -> int:
-    """Ceiling that tolerates float error nudging an exact integer upward."""
-    return math.ceil(x - _EPS)
+def replica_count(x: float, cap: int = MAX_REPLICAS) -> int:
+    """Replicas for load ratio ``x``: capped, so ``inf`` gives ``cap``, then rounded
+    up, tolerating float error that nudges an exact integer upward."""
+    return math.ceil(min(x, cap) - _EPS)
 
 
 def floor_guarded(x: float) -> int:
@@ -66,14 +67,14 @@ def desired_replicas(
 ) -> int:
     """Replica count that brings average pod CPU utilization to the target.
 
-    desired = min(ceil(M * C / T), max_replicas). With zero replicas the
+    desired = ceil(min(M * C / T, max_replicas)). With zero replicas the
     product uses one virtual replica, so a utilization proxy of 1.0 (queued
     traffic but no pods) bootstraps creation instead of staying pinned at 0.
     """
     if target_util <= 0.0:
         raise SimulationError(f"target utilization must be positive, got {target_util}")
     base = max(current, 1)
-    return min(ceil_guarded(base * avg_cpu_util / target_util), max_replicas)
+    return replica_count(base * avg_cpu_util / target_util, max_replicas)
 
 
 def cpu_target_replicas(snap: FunctionSnapshot, target_util: float) -> int:

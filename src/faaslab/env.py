@@ -10,6 +10,7 @@ each window starts (at the engine clock) and how many there are.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -141,11 +142,11 @@ class ServerlessEnv:
         """
         self.release()
         steps = workload.duration / self.config.decision_interval
+        if not 0.5 <= steps < math.inf:  # round(steps) must be a tick count of at least 1
+            raise ConfigError(f"env.decision_interval ({self.config.decision_interval}) gives "
+                              f"workload.duration ({workload.duration}) no tick or too many")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("workload.duration must be a multiple of env.decision_interval")
-        if round(steps) < 1:
-            raise ConfigError(f"env.decision_interval ({self.config.decision_interval}) "
-                              f"exceeds workload.duration ({workload.duration})")
         self.engine = ClusterEngine(self.vms, self.profiles, workload.applications,
                                     self.sim_config, log_events=self.log_events)
         if arrivals is None:
@@ -163,9 +164,9 @@ class ServerlessEnv:
         self.ledger = None
         self.done = True
 
-    def reset(self, workload: WorkloadSpec, arrivals: Optional[Arrivals] = None) -> np.ndarray:
+    def reset(self, workload: WorkloadSpec) -> np.ndarray:
         """Start an episode; random targets are drawn with the constructor's ``seed``."""
-        self.start_episode(workload, arrivals)
+        self.start_episode(workload)
         return self.observe()
 
     def observe(self, target_mode: Optional[str] = None) -> np.ndarray:

@@ -279,6 +279,9 @@ class ParameterStore:
                 if meta.get("format") != CHECKPOINT_FORMAT:
                     raise ConfigError(f"{path}: unsupported checkpoint format "
                                       f"{meta.get('format')}")
+                version = meta["version"]
+                if type(version) is not int or version < 0:  # Adam's next t is version + 1
+                    raise ConfigError(f"{path}: version {version!r} is not a nonnegative integer")
                 spec = NetworkSpec(input_dim=int(meta["input_dim"]),
                                    hidden=tuple(meta["hidden"]),
                                    head_sizes=tuple(meta["head_sizes"]),
@@ -296,7 +299,7 @@ class ParameterStore:
                         loaded.append(arr.astype(np.float64))
                 store = cls(spec, arrays["p"])
                 store.m, store.v = arrays["m"], arrays["v"]
-                store.version = int(meta["version"])
+                store.version = version
         except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
                 zipfile.BadZipFile) as exc:
             raise ConfigError(f"{path}: corrupt checkpoint "

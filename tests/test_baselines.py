@@ -96,6 +96,18 @@ class TestOpenFaas:
             decide("nimbus", snap(), BaselinePolicyConfig())
 
 
+def test_overflowed_ratio_gives_the_cap():
+    # Each threshold passes its > 0 check, yet the load ratio overflows to inf.
+    busy = dict(running_requests=10, queued_requests=2, replicas=4, avg_pod_cpu_util=0.5)
+    tiny = 5e-324
+    for cfg in (KnativeConfig(target_concurrency=tiny), KnativeConfig(target_utilization=tiny)):
+        assert knative_decide(snap(**busy), cfg) == MAX_REPLICAS
+    assert kube_cpu_decide(snap(**busy), KubeCpuConfig(cpu_threshold=tiny)) == MAX_REPLICAS
+    for mode in (dict(standard_response_time=3.0), dict(arrival_rate=32.0), {}):
+        cfg = OpenFaasConfig(capacity_threshold=tiny, rps_threshold=tiny, cpu_threshold=tiny)
+        assert openfaas_decide(snap(**busy, **mode), cfg) == MAX_REPLICAS, mode
+
+
 def one_fn_workload(rate, duration=30):
     app = Application(app_id=0, function_sequence=(0,))
     return WorkloadSpec(duration=duration, applications=(app,),

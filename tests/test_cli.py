@@ -321,6 +321,13 @@ class TestReport:
         config, run_dir = workspace
         assert main(["report", "--config", str(config)]) == EXIT_CONFIG
 
+    def test_run_dir_flag_is_gone(self, workspace):
+        # --out names the run directory, as for every other command
+        config, run_dir = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--config", str(config), "--run-dir", str(run_dir)])
+        assert exc.value.code == 2  # argparse rejects the unknown flag
+
     def test_long_format_row_counts(self, workspace):
         config, run_dir = workspace
         main(["calibrate", "--config", str(config)])
@@ -398,7 +405,7 @@ class TestErrors:
                EXIT_CONFIG
 
     @pytest.mark.parametrize("damage", ["random_bytes", "truncated", "nan_array",
-                                        "meta_only"])
+                                        "meta_only", "negative_version"])
     def test_corrupt_checkpoint_is_config_error(self, workspace, capsys, damage):
         config, run_dir = workspace
         ckpt = run_dir.parent / f"{damage}.npz"
@@ -415,6 +422,9 @@ class TestErrors:
             arrays["p0"][:] = float("nan")
             with ckpt.open("wb") as fh:
                 np.savez(fh, **arrays)
+        elif damage == "negative_version":  # Adam's next step would divide by 1 - 0.9 ** 0
+            store.version = -1
+            store.save(ckpt)
         else:  # a meta claiming ~100 MB of layers, and no arrays
             meta = {"format": 1, "input_dim": 4, "hidden": [2000, 2000],
                     "head_sizes": [11, 11, 11], "seed": 0, "version": 0}

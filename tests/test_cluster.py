@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import heapq
+import math
 import os
 import random
 import subprocess
@@ -15,8 +16,8 @@ import pytest
 
 from faaslab.cluster import (_FINISH, MAX_REPLICAS, Application, ClusterEngine,
                              FunctionProfile, FunctionSnapshot, PodPhase, RequestStatus,
-                             SimConfig, VmSpec, VmState, ceil_guarded,
-                             cpu_target_replicas, desired_replicas, floor_guarded)
+                             SimConfig, VmSpec, VmState, cpu_target_replicas,
+                             desired_replicas, floor_guarded, replica_count)
 from faaslab.env import EnvConfig, ServerlessEnv
 from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import EpisodeLedger
@@ -42,9 +43,18 @@ def fn_snapshot(replicas, avg_cpu_util, queued, ready=None):
 
 class TestGuardedRounding:
     def test_ceil_tolerates_float_noise(self):
-        assert ceil_guarded(4 * 0.8 / 0.4) == 8
-        assert ceil_guarded(5.5) == 6
-        assert ceil_guarded(8.000000000000002) == 8
+        assert replica_count(4 * 0.8 / 0.4) == 8
+        assert replica_count(5.5) == 6
+        assert replica_count(8.000000000000002) == 8
+
+    @pytest.mark.parametrize("cap", [1, 3, 8, MAX_REPLICAS])
+    def test_capped_count_is_rounded_count_capped(self, cap):
+        # Below, at and above each integer: capping first changes no finite count.
+        for n in range(cap + 3):
+            for x in (n - 1e-6, n - 1e-10, n, n + 1e-10, n + 1e-6, n + 0.5):
+                if x >= 0:
+                    assert replica_count(x, cap) == min(math.ceil(x - 1e-9), cap), (x, cap)
+        assert replica_count(float("inf"), cap) == cap
 
     def test_floor_tolerates_float_noise(self):
         assert floor_guarded(0.3 / 0.1) == 3

@@ -1,7 +1,7 @@
 """The typed config reader, held to every leaf key.
 
 Each leaf key of the config sections, plus ``beta_list``, ``cluster`` and
-``applications``, is set to each of eleven wrong-or-edge values. The loader
+``applications``, is set to each of twelve wrong-or-edge values. The loader
 must either accept the value or raise a ``ConfigError`` that names the key,
 and an accepted value must never make a command exit 3 (an unexpected
 error). ``train --agent dqn`` runs every accepted value here; the full command
@@ -33,8 +33,9 @@ SECTIONS = {"env": EnvConfig, "sim": SimConfig, "train": TrainConfig, "dqn": Dqn
             "baselines.kube_cpu": KubeCpuConfig, "baselines.openfaas": OpenFaasConfig}
 LEAF_KEYS = [f"{section}.{f.name}" for section, cls in SECTIONS.items()
              for f in dataclasses.fields(cls)] + ["beta_list", "cluster", "applications"]
-# 1e308 is finite but overflows anything it is multiplied into
-VALUES = ["abc", None, -1, 0, 2.5, [1], [], ["nope"], {"a": 1}, True, 1.0e+308]
+# 1e308 is finite but overflows anything it is multiplied into; 5e-324 passes a
+# > 0 check but overflows anything divided by it
+VALUES = ["abc", None, -1, 0, 2.5, [1], [], ["nope"], {"a": 1}, True, 1.0e+308, 5.0e-324]
 
 # One app on one VM, 20 s episodes, one episode per agent.
 BASE = {

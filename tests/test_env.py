@@ -75,6 +75,12 @@ class TestEnvConfig:
         with pytest.raises(ConfigError, match="decision_interval"):
             env.start_episode(constant_workload([single_app], rate=0, duration=35))
 
+    def test_interval_too_small_to_count_ticks(self, desk_vms, fast_profile, single_app):
+        # 20 / 5e-324 overflows to inf: a config error, not an OverflowError.
+        env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig(decision_interval=5e-324))
+        with pytest.raises(ConfigError, match="env.decision_interval"):
+            env.start_episode(constant_workload([single_app], rate=0, duration=20))
+
     def test_steps_per_episode(self, desk_vms, fast_profile, single_app):
         env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig())
         env.start_episode(constant_workload([single_app], rate=0, duration=300))
