@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .a3c import EpisodeStats, TrainConfig
 
 DQN_GRID_POINTS = (0, 3, 7, 10)  # indices into the 11-point action grid
 N_COMPOUND_ACTIONS = len(DQN_GRID_POINTS) ** 3
+EPS_START = 1.0  # exploration rate at the first step,
+EPS_END = 0.05   # annealed linearly to this over the first half of the run's steps
 
 
 def compound_to_action(index: int) -> ScalingAction:
@@ -47,8 +49,6 @@ class DqnConfig:
     buffer_capacity: int = 10_000
     batch_size: int = 32
     target_refresh: int = 200   # gradient updates between target-network syncs
-    eps_start: float = 1.0
-    eps_end: float = 0.05
 
     def __post_init__(self) -> None:
         for key in ("episodes", "batch_size", "target_refresh"):
@@ -56,9 +56,6 @@ class DqnConfig:
         require(self.buffer_capacity >= self.batch_size,
                 "dqn.buffer_capacity must be >= dqn.batch_size", self.buffer_capacity)
         require(0 < self.lr <= 1, "dqn.lr must lie in (0, 1]", self.lr)
-        for key in ("eps_start", "eps_end"):
-            require(0.0 <= getattr(self, key) <= 1.0, f"dqn.{key} must lie in [0, 1]",
-                    getattr(self, key))
 
 
 @dataclass
@@ -73,7 +70,6 @@ def dqn_train(
     config: DqnConfig,
     shared: TrainConfig,
     store: Optional[ParameterStore] = None,
-    on_episode: Optional[Callable[[EpisodeStats], None]] = None,
 ) -> DqnResult:
     if not pool:
         raise ConfigError("empty workload pool")
@@ -99,7 +95,7 @@ def dqn_train(
         total_reward = 0.0
         while not done:
             frac = min(1.0, global_step / anneal_steps)
-            eps = config.eps_start + (config.eps_end - config.eps_start) * frac
+            eps = EPS_START + (EPS_END - EPS_START) * frac
             if rng.random() < eps:
                 a_idx = int(rng.integers(N_COMPOUND_ACTIONS))
             else:
@@ -127,10 +123,7 @@ def dqn_train(
                 if updates % config.target_refresh == 0:
                     target_params = store.snapshot()
         summary = env.ledger.summary()
-        row = EpisodeStats(worker=0, episode=episode, reward=total_reward,
-                           rfrt=summary.rfrt, rfr=summary.rfr, cost=summary.cost,
-                           updates=updates)
-        stats.append(row)
-        if on_episode is not None:
-            on_episode(row)
+        stats.append(EpisodeStats(worker=0, episode=episode, reward=total_reward,
+                                  rfrt=summary.rfrt, rfr=summary.rfr, cost=summary.cost,
+                                  updates=updates))
     return DqnResult(store=store, stats=stats)

@@ -27,6 +27,10 @@ class KnativeConfig:
         require(0 < self.target_utilization <= 1,
                 "baselines.knative.target_utilization must lie in (0, 1]",
                 self.target_utilization)
+        # knative_decide divides by the product, which two tiny factors underflow to 0.
+        product = self.target_concurrency * self.target_utilization
+        require(product > 0, "baselines.knative.target_concurrency * "
+                "baselines.knative.target_utilization must be > 0", product)
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,10 @@ EXIT_RUNTIME = 3
 CURVE_COLUMNS = ("episode", "worker", "beta", "reward", "rfrt", "rfr", "cost")
 
 
-def _meta_lines(exp: Experiment, seed: int, mode: str) -> list[str]:
+def _meta_lines(config_hash: str, seed: int | str, mode: str) -> list[str]:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return [
-        f"# config_hash={exp.config_hash}",
+        f"# config_hash={config_hash}",
         f"# seed={seed}",
         f"# mode={mode}",
         f"# version={__version__}",
@@ -149,7 +149,7 @@ def _train_one(exp: Experiment, agent: str, beta: float, workers: int,
         checkpoint = q_path
 
     curve_path = out / f"curves_{tag}.csv"
-    write_csv(curve_path, _meta_lines(exp, seed, "deterministic"), CURVE_COLUMNS,
+    write_csv(curve_path, _meta_lines(exp.config_hash, seed, "deterministic"), CURVE_COLUMNS,
               [(s.episode, s.worker, f"{beta:g}", f"{s.reward:.9g}",
                 f"{s.rfrt:.9g}", f"{s.rfr:.9g}", f"{s.cost:.9g}") for s in stats])
     print(f"trained {tag}: {len(stats)} episodes -> {checkpoint}")
@@ -189,7 +189,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                             policy_config=exp.baselines)
     rows = sorted((replace(r, target=labels[r.target]) for r in rows),
                   key=lambda r: (r.target, r.band, r.workload_index))
-    meta = _meta_lines(exp, exp.train.seed, "deterministic")
+    meta = _meta_lines(exp.config_hash, exp.train.seed, "deterministic")
     write_csv(out / "eval_workloads.csv", meta,
               ("target", "band", "workload", "rart", "rfr", "cost"),
               [(r.target, r.band, r.workload_index, f"{r.rart:.9g}",
@@ -224,14 +224,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- report
 
-def _long_rows(path: Path, keys: Sequence[str],
-               metrics: Sequence[str]) -> list[tuple[str, ...]]:
-    """The CSV at ``path`` in long format: for each row and then each metric,
-    the row's ``keys`` columns, the metric's name and its value."""
-    _, header, rows = read_csv(path, (*keys, *metrics))
+def _long_rows(path: Path, keys: Sequence[str], metrics: Sequence[str]
+               ) -> tuple[tuple[str, str], list[tuple[str, ...]]]:
+    """The ``(config_hash, seed)`` of the CSV at ``path``, and the CSV in long
+    format: for each row and then each metric, the row's ``keys`` columns, the
+    metric's name and its value."""
+    meta, header, rows = read_csv(path, (*keys, *metrics))
+    for key in ("config_hash", "seed"):
+        if key not in meta:
+            raise ConfigError(f"{path}: no '# {key}=' line")
     idx = {name: i for i, name in enumerate(header)}
-    return [(*(row[idx[key]] for key in keys), metric, row[idx[metric]])
-            for row in rows for metric in metrics]
+    return (meta["config_hash"], meta["seed"]), [
+        (*(row[idx[key]] for key in keys), metric, row[idx[metric]])
+        for row in rows for metric in metrics]
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -247,14 +252,24 @@ def cmd_report(args: argparse.Namespace) -> int:
     if missing:
         raise ConfigError("report inputs missing: " + ", ".join(missing))
 
-    meta = _meta_lines(exp, exp.train.seed, "report")
+    # Each output is stamped with the config hash and seed of the files it
+    # merges, not with this command's config.
     curve_keys, curve_metrics = ("episode", "worker"), ("reward", "rfrt", "rfr", "cost")
-    long_rows = [(path.stem.removeprefix("curves_"), *row) for path in curves
-                 for row in _long_rows(path, curve_keys, curve_metrics)]
-    write_csv(out / "report_curves.csv", meta,
+    first_with: dict[tuple[str, str], Path] = {}  # each (config_hash, seed) -> a file with it
+    long_rows = []
+    for path in curves:
+        provenance, rows = _long_rows(path, curve_keys, curve_metrics)
+        first_with.setdefault(provenance, path)
+        long_rows += [(path.stem.removeprefix("curves_"), *row) for row in rows]
+    if len(first_with) > 1:
+        a, b = list(first_with.values())[:2]
+        raise ConfigError(f"curve files {a} and {b} differ in their # config_hash= "
+                          "or # seed= line; report merges the curves of one experiment")
+    write_csv(out / "report_curves.csv", _meta_lines(*next(iter(first_with)), "report"),
               ("run", "episode", "worker", "metric", "value"), long_rows)
-    eval_rows = _long_rows(eval_path, ("target", "band", "workload"), ("rart", "rfr", "cost"))
-    write_csv(out / "report_evaluation.csv", meta,
+    provenance, eval_rows = _long_rows(eval_path, ("target", "band", "workload"),
+                                       ("rart", "rfr", "cost"))
+    write_csv(out / "report_evaluation.csv", _meta_lines(*provenance, "report"),
               ("target", "band", "workload", "metric", "value"), eval_rows)
     print(f"wrote {out / 'report_curves.csv'} ({len(long_rows)} rows) and "
           f"{out / 'report_evaluation.csv'} ({len(eval_rows)} rows)")

@@ -10,7 +10,6 @@ each window starts (at the engine clock) and how many there are.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -30,6 +29,7 @@ CPU_DELTA_MAX = 0.25   # vCPU per action step at full deflection
 MEM_DELTA_MAX = 256.0  # MB per action step at full deflection
 RFRT_CAP = 20.0        # state normalizer for the response-time ratio
 RATE_CAP = 60.0        # state normalizer for arrival rate (req/s)
+MAX_TICKS = 100_000    # decision windows per episode: a day at 0.864 s
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,10 @@ class ServerlessEnv:
         """
         self.release()
         steps = workload.duration / self.config.decision_interval
-        if not 0.5 <= steps < math.inf:  # round(steps) must be a tick count of at least 1
+        if not 0.5 <= steps <= MAX_TICKS:  # round(steps) must be a tick count in [1, MAX_TICKS]
             raise ConfigError(f"env.decision_interval ({self.config.decision_interval}) gives "
-                              f"workload.duration ({workload.duration}) no tick or too many")
+                              f"workload.duration ({workload.duration}) {steps:.6g} ticks, "
+                              f"outside [1, {MAX_TICKS}]")
         if abs(steps - round(steps)) > 1e-9:
             raise ConfigError("workload.duration must be a multiple of env.decision_interval")
         self.engine = ClusterEngine(self.vms, self.profiles, workload.applications,

@@ -343,6 +343,41 @@ class TestReport:
         main(["report", "--config", str(config)])
         assert no_timestamp(run_dir / "report_curves.csv") == first
 
+    def test_stamps_the_provenance_of_its_inputs(self, workspace):
+        # report under another config (here the seed differs) labels what it
+        # merges with the inputs' hash and seed, not with its own
+        config, run_dir = workspace
+        seeded = ["--config", str(config), "--seed", "5"]
+        main(["calibrate", *seeded])
+        main(["train", *seeded])
+        main(["evaluate", *seeded, "--band", "mid", "--targets", "kube_cpu"])
+        trained, _, _ = read_csv(run_dir / "curves_a3c_beta1_w1.csv")
+        assert trained["config_hash"] != load_experiment(config).config_hash
+        assert main(["report", "--config", str(config)]) == EXIT_OK
+        for name in ("report_curves.csv", "report_evaluation.csv"):
+            meta, _, _ = read_csv(run_dir / name)
+            assert (meta["config_hash"], meta["seed"]) == (trained["config_hash"], "5")
+
+    def test_input_without_provenance_is_config_error(self, workspace, capsys):
+        config, run_dir = workspace
+        run_dir.mkdir(parents=True)
+        (run_dir / "curves_a3c_beta1_w1.csv").write_text(
+            "# seed=3\nepisode,worker,reward,rfrt,rfr,cost\n")
+        (run_dir / "eval_workloads.csv").write_text(
+            "# config_hash=0123456789ab\n# seed=3\ntarget,band,workload,rart,rfr,cost\n")
+        assert main(["report", "--config", str(config)]) == EXIT_CONFIG
+        assert "curves_a3c_beta1_w1.csv: no '# config_hash=' line" in capsys.readouterr().err
+
+    def test_curves_of_two_experiments_are_refused(self, workspace, capsys):
+        config, run_dir = workspace
+        main(["calibrate", "--config", str(config)])
+        main(["train", "--config", str(config)])
+        main(["train", "--config", str(config), "--seed", "5", "--beta", "0"])
+        main(["evaluate", "--config", str(config), "--band", "mid", "--targets", "kube_cpu"])
+        assert main(["report", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "curves_a3c_beta0_w1.csv" in err and "curves_a3c_beta1_w1.csv" in err
+
 
 class TestSimulate:
     def test_writes_event_log(self, workspace):
@@ -443,16 +478,18 @@ class TestErrors:
 
     # Each input and the command that reads it: a config key names a file of
     # its own, a file name (with a dot) lives in the run directory. Report's
-    # CSVs start as the valid text below, so the damaged one is what fails.
+    # CSVs start as the valid text below, so the damaged one is what fails;
+    # report stamps its outputs with their config hash and seed lines.
     INPUTS = {"config": "calibrate", "cluster_file": "calibrate",
               "profiles_file": "calibrate", "traces_file": "calibrate",
               "calibration.yaml": "train", "curves_a3c_beta1_w1.csv": "report",
               "eval_workloads.csv": "report"}
+    PROVENANCE = "# config_hash=0123456789ab\n# seed=3\n"
     REPORT_CSVS = {
-        "curves_a3c_beta1_w1.csv": "episode,worker,beta,reward,rfrt,rfr,cost\n"
-                                   "0,0,1,-0.5,1.5,0,0.001\n",
-        "eval_workloads.csv": "target,band,workload,rart,rfr,cost\n"
-                              "kube_cpu,low,0,1.5,0,0.001\n"}
+        "curves_a3c_beta1_w1.csv": PROVENANCE + "episode,worker,beta,reward,rfrt,rfr,cost\n"
+                                                "0,0,1,-0.5,1.5,0,0.001\n",
+        "eval_workloads.csv": PROVENANCE + "target,band,workload,rart,rfr,cost\n"
+                                           "kube_cpu,low,0,1.5,0,0.001\n"}
 
     @pytest.mark.parametrize("key, damage", [
         pytest.param(key, damage, id=key if damage == "not_utf8" else f"{key}-{damage}")
@@ -516,6 +553,8 @@ class TestErrors:
         ("train.grad_clip", None),
         # DQN trains on the train section's discount, trunk and seed.
         ("dqn.gamma", 0.6), ("dqn.hidden", [8, 8]), ("dqn.seed", 3),
+        # DQN explores on a fixed schedule.
+        ("dqn.eps_start", 0.5), ("dqn.eps_end", 0.1),
     ])
     def test_retired_key_is_unknown(self, tmp_path, capsys, key, value):
         section, name = key.split(".")
@@ -540,6 +579,17 @@ class TestErrors:
         config.write_text(yaml.safe_dump(cfg))
         assert main([*command.split(), "--config", str(config)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    def test_knative_product_that_underflows_is_config_error(self, tmp_path, capsys):
+        # Each factor passes its own check, but their product, the divisor of
+        # knative_decide, underflows to 0.0.
+        config = write_config(tmp_path, baselines={"knative": {
+            "target_concurrency": 5.0e-324, "target_utilization": 0.4}})
+        assert main(["simulate", "--policy", "knative", "--band", "high",
+                     "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "baselines.knative.target_concurrency" in err
+        assert "baselines.knative.target_utilization" in err
 
     @pytest.mark.parametrize("entry, key", [({"functions": [0]}, "app_id"),
                                             ({"app_id": 0}, "functions")])

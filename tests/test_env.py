@@ -10,8 +10,8 @@ import pytest
 from faaslab import env as env_module
 from faaslab.cluster import Application, FunctionProfile, RequestStatus, VmSpec
 from faaslab.config import load_experiment
-from faaslab.env import (ACTION_SIZES, FEATURES_PER_VM, DecodedAction, EnvConfig,
-                         ScalingAction, ServerlessEnv, decode, grid_value)
+from faaslab.env import (ACTION_SIZES, FEATURES_PER_VM, MAX_TICKS, DecodedAction,
+                         EnvConfig, ScalingAction, ServerlessEnv, decode, grid_value)
 from faaslab.errors import ConfigError, SimulationError
 from faaslab.metrics import ChannelBounds, RewardBounds
 from faaslab.workload import (EVAL_BANDS, MAX_TRAINING_ENTRY_FNS, TraceSeries,
@@ -80,6 +80,15 @@ class TestEnvConfig:
         env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig(decision_interval=5e-324))
         with pytest.raises(ConfigError, match="env.decision_interval"):
             env.start_episode(constant_workload([single_app], rate=0, duration=20))
+
+    def test_tick_count_is_capped(self, desk_vms, fast_profile, single_app):
+        # 60 / 1e-12 is finite, but an episode of 6e13 ticks would never end.
+        env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig(decision_interval=1.0e-12))
+        with pytest.raises(ConfigError, match=r"env\.decision_interval.*6e\+13 ticks"):
+            env.start_episode(constant_workload([single_app], rate=0, duration=60))
+        env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig(decision_interval=0.001))
+        env.start_episode(constant_workload([single_app], rate=0, duration=100))
+        assert env.total_steps == MAX_TICKS
 
     def test_steps_per_episode(self, desk_vms, fast_profile, single_app):
         env = ServerlessEnv(desk_vms, {0: fast_profile}, EnvConfig())
