@@ -315,10 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, preset: bool = True, seed: bool = False) -> None:
         p.add_argument("--config", default=None, help="YAML experiment config")
-        p.add_argument("--preset", choices=("desk", "paper"), default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if preset:
+            p.add_argument("--preset", choices=("desk", "paper"), default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory override")
 
     p = sub.add_parser("calibrate", help="derive reward normalization bounds")
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("train", help="train one agent configuration")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--agent", choices=("a3c", "dqn"), default="a3c")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--workers", type=int, default=None)
@@ -334,20 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-sweep", help="train one run per beta value")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--agent", choices=("a3c", "dqn"), default="a3c")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_train_sweep)
 
     p = sub.add_parser("evaluate", help="evaluate checkpoints and baselines")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--targets", nargs="+", required=True,
                    help=f"checkpoint paths and/or baselines {BASELINE_NAMES}")
     p.add_argument("--band", choices=sorted(EVAL_BANDS), default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="merge run artifacts into tidy CSVs")
-    common(p)
+    common(p, preset=False)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("simulate", help="run one episode with event log")

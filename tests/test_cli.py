@@ -328,6 +328,20 @@ class TestReport:
             main(["report", "--config", str(config), "--run-dir", str(run_dir)])
         assert exc.value.code == 2  # argparse rejects the unknown flag
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "--seed", "9"],
+        ["report", "--preset", "paper"],
+        ["calibrate", "--seed", "5"],
+        ["simulate", "--seed", "5"],
+    ], ids=["report-seed", "report-preset", "calibrate-seed", "simulate-seed"])
+    def test_flag_the_command_does_not_read_is_gone(self, workspace, argv):
+        # calibrate, simulate and report write no byte that --seed sets, and
+        # report none that --preset sets, so none of them takes the flag
+        config, _ = workspace
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(config)])
+        assert exc.value.code == 2  # argparse rejects the unknown flag
+
     def test_long_format_row_counts(self, workspace):
         config, run_dir = workspace
         main(["calibrate", "--config", str(config)])
@@ -348,7 +362,7 @@ class TestReport:
         # merges with the inputs' hash and seed, not with its own
         config, run_dir = workspace
         seeded = ["--config", str(config), "--seed", "5"]
-        main(["calibrate", *seeded])
+        main(["calibrate", "--config", str(config)])  # writes no seed
         main(["train", *seeded])
         main(["evaluate", *seeded, "--band", "mid", "--targets", "kube_cpu"])
         trained, _, _ = read_csv(run_dir / "curves_a3c_beta1_w1.csv")
@@ -392,11 +406,14 @@ class TestSimulate:
         assert kind in {"arrival", "queue", "assign", "retry", "drop", "finish",
                         "pod_create", "pod_ready", "pod_terminating", "pod_remove"}
 
-    def test_checkpoint_episode_is_its_evaluate_row(self, workspace, monkeypatch):
+    # dqn's checkpoint takes the compound-action branch of _policy_from_store
+    @pytest.mark.parametrize("agent, name", [("a3c", "actor_a3c_beta1_w1"),
+                                             ("dqn", "dqn_beta1")], ids=["a3c", "dqn"])
+    def test_checkpoint_episode_is_its_evaluate_row(self, workspace, monkeypatch, agent, name):
         config, run_dir = workspace
         main(["calibrate", "--config", str(config)])
-        main(["train", "--config", str(config)])
-        ckpt = run_dir / "actor_a3c_beta1_w1.npz"
+        main(["train", "--config", str(config), "--agent", agent])
+        ckpt = run_dir / f"{name}.npz"
         assert main(["evaluate", "--config", str(config), "--band", "high",
                      "--targets", str(ckpt)]) == EXIT_OK
         _, header, rows = read_csv(run_dir / "eval_workloads.csv")
@@ -415,7 +432,7 @@ class TestSimulate:
         (s,) = summaries
         assert [f"{v:.9g}" for v in (s.rart, s.rfr, s.cost)] == [
             row["rart"], row["rfr"], row["cost"]]
-        assert (run_dir / "events_actor_a3c_beta1_w1_high_0.log").read_text()
+        assert (run_dir / f"events_{name}_high_0.log").read_text()
 
     def test_unknown_policy_is_config_error_naming_it(self, workspace, capsys):
         config, _ = workspace
