@@ -5,7 +5,8 @@ sample actions from their local actor, accumulate transitions, and every
 ``update_freq`` steps (or at episode end) push gradients to the shared global
 stores and pull back a fresh snapshot. ``train`` is the only entry point. It
 runs the workers round-robin, one episode each, on the calling thread, so a
-run is reproducible from its seed. The A3C paper runs workers as lock-free
+run is reproducible from its seed. Each episode runs through ``play_episode``,
+the one reset-and-step loop that DQN training shares. The A3C paper runs workers as lock-free
 threads; under CPython's global interpreter lock the pure-Python simulator
 gains nothing from threads, so there are none.
 """
@@ -68,7 +69,6 @@ class EpisodeStats:
     rfrt: float
     rfr: float
     cost: float
-    updates: int
 
 
 @dataclass
@@ -76,6 +76,25 @@ class TrainResult:
     actor: ParameterStore
     critic: ParameterStore
     stats: list[EpisodeStats]
+
+
+def play_episode(env: ServerlessEnv, workload: WorkloadSpec,
+                 act: Callable[[np.ndarray], ScalingAction], record: Callable[..., None],
+                 worker: int, episode: int) -> EpisodeStats:
+    """One training episode: reset, then ``act(state)``, step and ``record(state,
+    action, reward, next_state, done)`` to its end; metrics from ``env.ledger.summary()``."""
+    state = env.reset(workload)
+    done = False
+    total_reward = 0.0
+    while not done:
+        action = act(state)
+        next_state, reward, done = env.step(action)
+        record(state, action, reward, next_state, done)
+        total_reward += reward
+        state = next_state
+    summary = env.ledger.summary()
+    return EpisodeStats(worker=worker, episode=episode, reward=total_reward,
+                        rfrt=summary.rfrt, rfr=summary.rfr, cost=summary.cost)
 
 
 def select_action(spec: NetworkSpec, params: Sequence[np.ndarray], state: np.ndarray,
@@ -138,7 +157,16 @@ class _Worker:
         self.local_critic = global_critic.snapshot()
         self.t = 0  # lifetime step counter; update cadence runs off it
         self.memory: list[Transition] = []
-        self.updates = 0
+
+    def _act(self, state: np.ndarray) -> ScalingAction:
+        return select_action(self.actor_spec, self.local_actor, state, self.rng)
+
+    def _record(self, state: np.ndarray, action: ScalingAction, reward: float,
+                next_state: np.ndarray, done: bool) -> None:
+        self.memory.append(Transition(state, action, reward, next_state, done))
+        self.t += 1
+        if self.t % self.config.update_freq == 0 or done:
+            self._flush()
 
     def _flush(self) -> None:
         advantages, targets = compute_advantages(self.memory, self.critic_spec,
@@ -156,29 +184,13 @@ class _Worker:
         self.local_actor = self.global_actor.snapshot()
         self.local_critic = self.global_critic.snapshot()
         self.memory.clear()
-        self.updates += 1
 
     def run_episode(self, workload: WorkloadSpec, episode: int) -> EpisodeStats:
         try:
-            state = self.env.reset(workload)
-            done = False
-            total_reward = 0.0
-            while not done:
-                action = select_action(self.actor_spec, self.local_actor, state, self.rng)
-                next_state, reward, done = self.env.step(action)
-                self.memory.append(Transition(state, action, reward, next_state, done))
-                total_reward += reward
-                self.t += 1
-                if self.t % self.config.update_freq == 0 or done:
-                    self._flush()
-                state = next_state
+            return play_episode(self.env, workload, self._act, self._record,
+                                self.worker_id, episode)
         except FaasLabError as exc:
             raise type(exc)(f"worker {self.worker_id}: {exc}") from exc
-        summary = self.env.ledger.summary()
-        return EpisodeStats(worker=self.worker_id, episode=episode,
-                            reward=total_reward, rfrt=summary.rfrt,
-                            rfr=summary.rfr, cost=summary.cost,
-                            updates=self.updates)
 
 
 def train(

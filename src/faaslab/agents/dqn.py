@@ -4,7 +4,8 @@ The three action dimensions are coarsened to four points each (the outermost,
 inner-third, and middle indices of the 11-point grid), giving 64 compound
 actions scored by one value head. Uniform replay, a periodically refreshed
 target network, and linearly annealed epsilon-greedy exploration complete the
-standard recipe.
+standard recipe. Episodes run through ``a3c.play_episode``, the training loop
+the actor-critic workers use.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from ..env import ScalingAction, ServerlessEnv
 from ..errors import ConfigError, require
 from ..nnet import NetworkSpec, ParameterStore, forward_heads, q_loss_and_grad
 from ..workload import WorkloadSpec
-from .a3c import EpisodeStats, TrainConfig
+from .a3c import EpisodeStats, TrainConfig, play_episode
 
 DQN_GRID_POINTS = (0, 3, 7, 10)  # indices into the 11-point action grid
 N_COMPOUND_ACTIONS = len(DQN_GRID_POINTS) ** 3
@@ -82,48 +83,37 @@ def dqn_train(
     target_params = store.snapshot()
     rng = np.random.default_rng(shared.seed)
     buffer: deque = deque(maxlen=config.buffer_capacity)
+    global_step = updates = 0
+    a_idx = 0  # the compound action ``act`` chose, for ``record`` to store
 
-    global_step = 0
-    updates = 0
-    stats: list[EpisodeStats] = []
-
-    for episode in range(config.episodes):
-        workload = pool[episode % len(pool)]
-        state = env.reset(workload)
+    def act(state: np.ndarray) -> ScalingAction:
+        nonlocal a_idx
         anneal_steps = max(1, config.episodes * env.total_steps // 2)
-        done = False
-        total_reward = 0.0
-        while not done:
-            frac = min(1.0, global_step / anneal_steps)
-            eps = EPS_START + (EPS_END - EPS_START) * frac
-            if rng.random() < eps:
-                a_idx = int(rng.integers(N_COMPOUND_ACTIONS))
-            else:
-                values = forward_heads(spec, store.params, state)[0][0]
-                a_idx = greedy_index(values)
-            next_state, reward, done = env.step(compound_to_action(a_idx))
-            buffer.append((state, a_idx, reward, next_state, done))
-            total_reward += reward
-            state = next_state
-            global_step += 1
-            if len(buffer) >= config.batch_size:
-                picks = rng.choice(len(buffer), size=config.batch_size, replace=False)
-                batch = [buffer[i] for i in picks]
-                states = np.stack([b[0] for b in batch])
-                actions = np.array([b[1] for b in batch], dtype=np.int64)
-                rewards = np.array([b[2] for b in batch], dtype=np.float64)
-                next_states = np.stack([b[3] for b in batch])
-                terminal = np.array([b[4] for b in batch], dtype=bool)
-                next_q = forward_heads(spec, target_params, next_states)[0]
-                bootstrap = np.where(terminal, 0.0, next_q.max(axis=1))
-                targets = rewards + shared.gamma * bootstrap
-                _, grads = q_loss_and_grad(spec, store.params, states, actions, targets)
-                store.apply(grads, lr=config.lr)
-                updates += 1
-                if updates % config.target_refresh == 0:
-                    target_params = store.snapshot()
-        summary = env.ledger.summary()
-        stats.append(EpisodeStats(worker=0, episode=episode, reward=total_reward,
-                                  rfrt=summary.rfrt, rfr=summary.rfr, cost=summary.cost,
-                                  updates=updates))
+        eps = EPS_START + (EPS_END - EPS_START) * min(1.0, global_step / anneal_steps)
+        if rng.random() < eps:
+            a_idx = int(rng.integers(N_COMPOUND_ACTIONS))
+        else:
+            a_idx = greedy_index(forward_heads(spec, store.params, state)[0][0])
+        return compound_to_action(a_idx)
+
+    def record(state, action, reward, next_state, done) -> None:
+        nonlocal global_step, updates, target_params
+        buffer.append((state, a_idx, reward, next_state, done))
+        global_step += 1
+        if len(buffer) < config.batch_size:
+            return
+        picks = rng.choice(len(buffer), size=config.batch_size, replace=False)
+        states, actions, rewards, next_states, terminal = zip(*(buffer[i] for i in picks))
+        next_q = forward_heads(spec, target_params, np.stack(next_states))[0]
+        bootstrap = np.where(np.array(terminal, dtype=bool), 0.0, next_q.max(axis=1))
+        targets = np.array(rewards, dtype=np.float64) + shared.gamma * bootstrap
+        _, grads = q_loss_and_grad(spec, store.params, np.stack(states),
+                                   np.array(actions, dtype=np.int64), targets)
+        store.apply(grads, lr=config.lr)
+        updates += 1
+        if updates % config.target_refresh == 0:
+            target_params = store.snapshot()
+
+    stats = [play_episode(env, pool[episode % len(pool)], act, record, 0, episode)
+             for episode in range(config.episodes)]
     return DqnResult(store=store, stats=stats)

@@ -193,7 +193,9 @@ class ServerlessEnv:
         if self.done or self.engine is None:
             raise SimulationError("episode is over; call reset() before stepping")
         self.apply({self.target_fn: action})
-        reward = step_reward(self.run_window(channels=True), self.bounds, self.config.beta)
+        # At beta 1 the cost term weighs exactly 0.0, so the window's cost is skipped.
+        window = self.run_window(channels=True, cost=self.config.beta < 1.0)
+        reward = step_reward(window, self.bounds, self.config.beta)
         return self._state() if self.done else self.observe(), reward, self.done
 
     def apply(self, commands: Mapping[int, ScalingAction | int]) -> None:
@@ -220,15 +222,17 @@ class ServerlessEnv:
             windows.append(self.run_window(channels))
         return windows if channels else []
 
-    def run_window(self, channels: bool) -> Optional[tuple[float, float, float]]:
+    def run_window(self, channels: bool,
+                   cost: bool = True) -> Optional[tuple[float, float, float]]:
         """Run the decision window that starts at the engine clock; drain after the last.
 
-        Returns the window's (rfrt, rfr, cost) if ``channels``, else None.
+        Returns the window's (rfrt, rfr, cost) if ``channels``, else None; the
+        cost is 0.0 when ``cost`` is false.
         """
         t0 = self.engine.clock
         t1 = t0 + self.config.decision_interval
         self.engine.advance(t1)
-        window = self.ledger.window_channels(t0, t1) if channels else None
+        window = self.ledger.window_channels(t0, t1, cost) if channels else None
         self._steps_taken += 1
         if self._steps_taken >= self.total_steps:
             while self.engine.pending_requests():

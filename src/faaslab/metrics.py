@@ -100,12 +100,15 @@ class EpisodeLedger:
                          for vm in self.engine.vms.values()
                          if vm.busy_log or vm.busy_since is not None)
 
-    def window_channels(self, t0: float, t1: float) -> tuple[float, float, float]:
-        """(mean RFRT, mean RFR, cost) over all deployed functions in (t0, t1]."""
+    def window_channels(self, t0: float, t1: float,
+                        cost: bool = True) -> tuple[float, float, float]:
+        """(mean RFRT, mean RFR, cost) over all deployed functions in (t0, t1];
+        the cost is 0.0 when ``cost`` is false."""
         engine = self.engine
         fns = engine.deployed_fns
         _, _, rfrts, rfrs = zip(*[engine.window(fn, t0, t1) for fn in fns])
-        return float_sum(rfrts) / len(fns), float_sum(rfrs) / len(fns), self.window_cost(t0, t1)
+        return (float_sum(rfrts) / len(fns), float_sum(rfrs) / len(fns),
+                self.window_cost(t0, t1) if cost else 0.0)
 
     # ---------------------------------------------------------- episode view
 

@@ -1,7 +1,14 @@
 import builtins
+import hashlib
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +17,7 @@ from faaslab.agents import (DQN_GRID_POINTS, N_COMPOUND_ACTIONS, DqnConfig, Trai
                             Transition, aggregate, compound_to_action,
                             compute_advantages, dqn_train, evaluate_targets,
                             greedy_index, select_action, train)
-from faaslab.agents import evaluate
+from faaslab.agents import a3c, evaluate
 from faaslab.agents.a3c import sample_index
 from faaslab.agents.evaluate import _policy_from_store
 from faaslab.baselines import BASELINES, baseline_policy, run_baseline
@@ -44,6 +51,49 @@ def tiny_env(desk_vms, seed=0, beta=1.0):
     cfg = EnvConfig(decision_interval=10.0, beta=beta)
     return ServerlessEnv(desk_vms, {0: tiny_profile()}, cfg, bounds=BOUNDS,
                          seed=seed)
+
+
+def desk_a3c(beta, on_episode=None):
+    """``train`` of desk A3C, 3 workers x 2 episodes of 6 steps, as ``faaslab
+    train`` builds it but with fixed reward bounds."""
+    exp = load_experiment(overrides={"preset": "desk"})
+    config = replace(exp.train, workers=3, episodes=2)
+    env_config = replace(exp.env, beta=beta, target_mode="random")
+    envs = [ServerlessEnv(exp.vms, exp.profiles, env_config, exp.sim, BOUNDS,
+                          seed=config.seed + w) for w in range(config.workers)]
+    return train(envs, exp.train_pool(), config, on_episode=on_episode)
+
+
+def desk_dqn():
+    """``dqn_train`` at desk over 4 episodes of 6 steps: a batch of 8 makes 17
+    updates, and the target network refreshes after updates 5, 10 and 15."""
+    exp = load_experiment(overrides={"preset": "desk"})
+    env = ServerlessEnv(exp.vms, exp.profiles, replace(exp.env, beta=1.0, target_mode="random"),
+                        exp.sim, BOUNDS, seed=exp.train.seed)
+    config = replace(exp.dqn, episodes=4, batch_size=8, target_refresh=5)
+    return dqn_train(env, exp.train_pool(), config, exp.train)
+
+
+def curve_rows(stats):
+    """Each row's episode, worker, reward, rfrt, rfr and cost as the curves CSV writes them."""
+    return [",".join((str(s.episode), str(s.worker),
+                      *(f"{x:.9g}" for x in (s.reward, s.rfrt, s.rfr, s.cost))))
+            for s in stats]
+
+
+def parameter_digest(stores):
+    return hashlib.sha256(b"".join(p.tobytes() for store in stores
+                                   for p in store.params)).hexdigest()
+
+
+def pinned_runs():
+    """Rows and parameter digest of each pinned desk run, by run name."""
+    a3c = {f"a3c_beta{beta:g}": desk_a3c(beta) for beta in (1.0, 0.5)}
+    runs = {name: (r.stats, (r.actor, r.critic)) for name, r in a3c.items()}
+    dqn = desk_dqn()
+    runs["dqn_beta1"] = (dqn.stats, (dqn.store,))
+    return {name: {"rows": curve_rows(stats), "params": parameter_digest(stores)}
+            for name, (stats, stores) in runs.items()}
 
 
 class TestSelectAction:
@@ -148,9 +198,14 @@ class TestWorkerLoop:
     def test_update_per_episode_when_f_equals_t(self, desk_vms):
         cfg = TrainConfig(workers=1, episodes=3, update_freq=3, seed=5,
                           hidden=(16, 16))
-        result = train([tiny_env(desk_vms, seed=5)], [tiny_workload()], cfg)
+        env = tiny_env(desk_vms, seed=5)
+        actor = ParameterStore(NetworkSpec(input_dim=env.state_dim, hidden=cfg.hidden,
+                                           head_sizes=ACTION_SIZES, seed=cfg.seed))
+        versions = []
+        result = train([env], [tiny_workload()], cfg, actor_store=actor,
+                       on_episode=lambda row: versions.append(actor.version))
         # T = 3 steps per episode equals f, so exactly one flush per episode
-        assert [s.updates for s in result.stats] == [1, 2, 3]
+        assert versions == [1, 2, 3]
         assert result.actor.version == result.critic.version == 3
 
     def test_deterministic_single_worker_reproducible(self, desk_vms):
@@ -172,13 +227,42 @@ class TestWorkerLoop:
         cfg = TrainConfig(workers=3, episodes=2, update_freq=2, seed=7,
                           hidden=(16, 16))
         envs = [tiny_env(desk_vms, seed=7 + w) for w in range(3)]
-        result = train(envs, [tiny_workload()], cfg)
+        actor = ParameterStore(NetworkSpec(input_dim=envs[0].state_dim, hidden=cfg.hidden,
+                                           head_sizes=ACTION_SIZES, seed=cfg.seed))
+        versions = []
+        result = train(envs, [tiny_workload()], cfg, actor_store=actor,
+                       on_episode=lambda row: versions.append(actor.version))
         assert len(result.stats) == 6
         assert [(s.episode, s.worker) for s in result.stats] == \
                [(e, w) for e in range(2) for w in range(3)]
-        last_updates = {s.worker: s.updates for s in result.stats}
-        assert result.actor.version == sum(last_updates.values())
-        assert result.critic.version == sum(last_updates.values())
+        # Each worker flushes at lifetime steps 2, 3, 4 and 6 of its two
+        # 3-step episodes: twice per episode, one store version per flush.
+        assert versions == [2, 4, 6, 8, 10, 12]
+        assert result.critic.version == 12
+
+    def test_a_round_reads_only_snapshots_from_before_it(self, monkeypatch):
+        # Desk episodes take 6 steps and update_freq is 30, so each worker
+        # flushes once, at its episode's end. Holding a round's flushes back
+        # until its last episode has run, then applying them in worker order
+        # (each worker snapshotting right after its own apply), changes no
+        # byte: no episode reads an update made in its own round.
+        direct = desk_a3c(1.0)
+        held = []
+        flush = a3c._Worker._flush
+        monkeypatch.setattr(a3c._Worker, "_flush", lambda worker: held.append(worker))
+
+        def on_episode(row):
+            if row.worker == 2:
+                assert [worker.worker_id for worker in held] == [0, 1, 2]
+                for worker in held:
+                    flush(worker)
+                held.clear()
+
+        replay = desk_a3c(1.0, on_episode=on_episode)
+        assert curve_rows(replay.stats) == curve_rows(direct.stats)
+        for ours, theirs in ((replay.actor, direct.actor), (replay.critic, direct.critic)):
+            assert ours.version == theirs.version == 6
+            assert [p.tobytes() for p in ours.params] == [p.tobytes() for p in theirs.params]
 
     def test_one_engine_alive_at_a_time(self, desk_vms):
         cfg = TrainConfig(workers=3, episodes=2, update_freq=2, seed=7,
@@ -218,6 +302,55 @@ class TestWorkerLoop:
         second = train([tiny_env(desk_vms, seed=9)], [tiny_workload()], cfg,
                        actor_store=first.actor, critic_store=first.critic)
         assert second.actor.version > v1
+
+
+class TestTrainingPins:
+    """Every row of three short desk runs, pinned across commits. Rows, not
+    parameter bytes, are pinned: gemm bits may differ between CPUs, while the
+    sampled actions behind the rows rarely do."""
+
+    ROWS = {
+        "a3c_beta1": [
+            "0,0,-1.13226618,3.30448128,0.256843066,0.00438353226",
+            "0,1,-1.82781163,4.78031419,0.411101474,0.00339990809",
+            "0,2,-2.3102903,8.163626,0.535241123,0.00102255556",
+            "1,0,-1.82866258,3.64606893,0.240956468,0.00446645389",
+            "1,1,-1.76443699,6.18394437,0.368966893,0.00284842879",
+            "1,2,-1.42272678,2.28469456,0.322079676,0.00282054557",
+        ],
+        "a3c_beta0.5": [
+            "0,0,-0.78289674,3.30448128,0.256843066,0.00438353226",
+            "0,1,-1.07136618,4.78031419,0.411101474,0.00339990809",
+            "0,2,-1.2039113,8.163626,0.535241123,0.00102255556",
+            "1,0,-1.13561553,3.64606893,0.240956468,0.00446645389",
+            "1,1,-1.01110173,6.18394437,0.368966893,0.00284842879",
+            "1,2,-0.850264745,2.28469456,0.322079676,0.00282054557",
+        ],
+        "dqn_beta1": [
+            "0,0,-1.13258481,3.44546248,0.226720648,0.00380163016",
+            "1,0,-1.53772802,4.16126491,0.260609086,0.00277218678",
+            "2,0,-1.22527898,5.15248619,0.538029607,0.00139857485",
+            "3,0,-1.00260137,3.00091659,0.540438079,0.00838296012",
+        ],
+    }
+
+    def test_rows_unchanged(self):
+        runs = pinned_runs()
+        assert {name: run["rows"] for name, run in runs.items()} == self.ROWS
+
+    def test_blas_thread_count_changes_no_byte(self):
+        # numpy reads OPENBLAS_NUM_THREADS at import, so each count trains in
+        # a child process; this process's own BLAS is left as it is.
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join((str(tests.parent / "src"), str(tests)))
+        script = "import json, test_agents\nprint(json.dumps(test_agents.pinned_runs()))\n"
+        runs = [json.loads(subprocess.run(
+                    [sys.executable, "-c", script], capture_output=True, text=True,
+                    check=True, env={**os.environ, "PYTHONPATH": path,
+                                     "OPENBLAS_NUM_THREADS": threads}).stdout)
+                for threads in ("1", "2")]
+        assert runs[0] == runs[1]
+        assert {name: run["rows"] for name, run in runs[0].items()} == self.ROWS
 
 
 class TestDqn:

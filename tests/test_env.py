@@ -13,7 +13,7 @@ from faaslab.config import load_experiment
 from faaslab.env import (ACTION_SIZES, FEATURES_PER_VM, MAX_TICKS, DecodedAction,
                          EnvConfig, ScalingAction, ServerlessEnv, decode, grid_value)
 from faaslab.errors import ConfigError, SimulationError
-from faaslab.metrics import ChannelBounds, RewardBounds
+from faaslab.metrics import ChannelBounds, EpisodeLedger, RewardBounds
 from faaslab.workload import (EVAL_BANDS, MAX_TRAINING_ENTRY_FNS, TraceSeries,
                               WorkloadSpec, make_workload)
 
@@ -242,6 +242,22 @@ class TestStep:
             assert state.shape == (env.state_dim,)
             assert np.all(state >= 0.0) and np.all(state <= 1.0)
             assert -1.0 <= reward <= 0.0
+
+    @pytest.mark.parametrize("beta, costed", [(1.0, 0), (0.5, 3)])
+    def test_window_cost_only_below_beta_one(self, env_pair, monkeypatch, beta, costed):
+        # step_reward weighs the cost term by 1 - beta, exactly 0.0 at beta 1
+        base, wl = env_pair
+        env = ServerlessEnv(base.vms, base.profiles, replace(base.config, beta=beta),
+                            bounds=BOUNDS, seed=1)
+        calls = []
+        window_cost = EpisodeLedger.window_cost
+        monkeypatch.setattr(EpisodeLedger, "window_cost",
+                            lambda ledger, *span: calls.append(span) or window_cost(ledger, *span))
+        env.reset(wl)
+        done = False
+        while not done:
+            _, _, done = env.step(ScalingAction(5, 5, 5))
+        assert len(calls) == costed
 
     def test_reward_requires_calibration(self, desk_vms, fast_profile, single_app):
         env = ServerlessEnv(desk_vms, {0: fast_profile},
