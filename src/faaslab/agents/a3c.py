@@ -5,10 +5,10 @@ sample actions from their local actor, accumulate transitions, and every
 ``update_freq`` steps (or at episode end) push gradients to the shared global
 stores and pull back a fresh snapshot. ``train`` is the only entry point. It
 runs the workers round-robin, one episode each, on the calling thread, so a
-run is reproducible from its seed. Each episode runs through ``play_episode``,
-the one reset-and-step loop that DQN training shares. The A3C paper runs workers as lock-free
+run is reproducible from its seed. The A3C paper runs workers as lock-free
 threads; under CPython's global interpreter lock the pure-Python simulator
-gains nothing from threads, so there are none.
+gains nothing from threads, so there are none. Each episode runs through
+``play_episode``, the one reset-and-step loop that DQN training shares.
 """
 from __future__ import annotations
 
@@ -83,9 +83,7 @@ def play_episode(env: ServerlessEnv, workload: WorkloadSpec,
                  worker: int, episode: int) -> EpisodeStats:
     """One training episode: reset, then ``act(state)``, step and ``record(state,
     action, reward, next_state, done)`` to its end; metrics from ``env.ledger.summary()``."""
-    state = env.reset(workload)
-    done = False
-    total_reward = 0.0
+    state, done, total_reward = env.reset(workload), False, 0.0
     while not done:
         action = act(state)
         next_state, reward, done = env.step(action)
@@ -93,8 +91,7 @@ def play_episode(env: ServerlessEnv, workload: WorkloadSpec,
         total_reward += reward
         state = next_state
     summary = env.ledger.summary()
-    return EpisodeStats(worker=worker, episode=episode, reward=total_reward,
-                        rfrt=summary.rfrt, rfr=summary.rfr, cost=summary.cost)
+    return EpisodeStats(worker, episode, total_reward, summary.rfrt, summary.rfr, summary.cost)
 
 
 def select_action(spec: NetworkSpec, params: Sequence[np.ndarray], state: np.ndarray,
