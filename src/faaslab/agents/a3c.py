@@ -1,7 +1,8 @@
 """Multi-worker advantage actor-critic training over the scaling environment.
 
 Every worker owns an environment copy and local network parameters. Workers
-sample actions from their local actor, accumulate transitions, and every
+sample actions from their local actor, keep each step as the ``(state,
+action, reward, next_state, done)`` tuple that ``record`` receives, and every
 ``update_freq`` steps (or at episode end) push gradients to the shared global
 stores and pull back a fresh snapshot. ``train`` is the only entry point. It
 runs the workers round-robin, one episode each, on the calling thread, so a
@@ -13,7 +14,7 @@ gains nothing from threads, so there are none. Each episode runs through
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,15 +26,6 @@ from ..nnet import (NetworkSpec, ParameterStore, actor_loss_and_grad,
 from ..workload import WorkloadSpec
 
 ACTOR_HIDDEN = (150, 150)
-
-
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: ScalingAction
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
 
 
 @dataclass(frozen=True)
@@ -112,28 +104,43 @@ def sample_index(p: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def compute_advantages(
-    transitions: Sequence[Transition],
-    critic_spec: NetworkSpec,
-    critic_params: Sequence[np.ndarray],
-    gamma: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-step TD advantages and critic targets for a contiguous segment.
+def step_columns(steps: Sequence[tuple]) -> tuple:
+    """``record``'s ``(state, action, reward, next_state, done)`` steps as five
+    columns, the states and next states stacked into arrays."""
+    if not steps:
+        raise ConfigError("empty batch of steps")
+    states, actions, rewards, next_states, done = zip(*steps)
+    return np.stack(states), actions, rewards, np.stack(next_states), done
 
-    advantage_t = r_t + gamma * V(s_{t+1}) - V(s_t), bootstrapping 0 past a
-    terminal transition; the critic target is r_t + gamma * V(s_{t+1}).
-    """
-    if not transitions:
-        raise ConfigError("empty transition segment")
-    states = np.stack([t.state for t in transitions])
-    next_states = np.stack([t.next_state for t in transitions])
-    rewards = np.array([t.reward for t in transitions], dtype=np.float64)
-    terminal = np.array([t.terminal for t in transitions], dtype=bool)
+
+def td_target(rewards: Sequence[float], bootstrap: np.ndarray, done: Sequence[bool],
+              gamma: float) -> np.ndarray:
+    """One-step TD targets r + gamma * bootstrap, the bootstrap 0 past a terminal step."""
+    return np.array(rewards, dtype=np.float64) + gamma * np.where(
+        np.array(done, dtype=bool), 0.0, bootstrap)
+
+
+def compute_advantages(columns: tuple, critic_spec: NetworkSpec, critic_params: Sequence[np.ndarray],
+                       gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """One-step TD advantages and critic targets for a segment's ``step_columns``:
+    the target bootstraps V(s_{t+1}) and the advantage is the target - V(s_t)."""
+    states, _, rewards, next_states, done = columns
     v = forward_critic(critic_spec, critic_params, states)
-    v_next = forward_critic(critic_spec, critic_params, next_states)
-    v_next = np.where(terminal, 0.0, v_next)
-    targets = rewards + gamma * v_next
+    targets = td_target(rewards, forward_critic(critic_spec, critic_params, next_states),
+                        done, gamma)
     return targets - v, targets
+
+
+def resumed(store: Optional[ParameterStore], spec: NetworkSpec, name: str) -> ParameterStore:
+    """``store`` if it was built to ``spec``, a fresh store if it is None; a
+    ConfigError naming each field that differs otherwise."""
+    if store is None:
+        return ParameterStore(spec)
+    diffs = [f"{f.name} {a!r} in the checkpoint, {b!r} in this run"
+             for f, a, b in zip(fields(spec), astuple(store.spec), astuple(spec)) if a != b]
+    if diffs:
+        raise ConfigError(f"resumed {name} checkpoint does not match: " + "; ".join(diffs))
+    return store
 
 
 class _Worker:
@@ -153,23 +160,23 @@ class _Worker:
         self.local_actor = global_actor.snapshot()
         self.local_critic = global_critic.snapshot()
         self.t = 0  # lifetime step counter; update cadence runs off it
-        self.memory: list[Transition] = []
+        self.memory: list[tuple] = []  # the segment's steps since the last flush
 
     def _act(self, state: np.ndarray) -> ScalingAction:
         return select_action(self.actor_spec, self.local_actor, state, self.rng)
 
     def _record(self, state: np.ndarray, action: ScalingAction, reward: float,
                 next_state: np.ndarray, done: bool) -> None:
-        self.memory.append(Transition(state, action, reward, next_state, done))
+        self.memory.append((state, action, reward, next_state, done))
         self.t += 1
         if self.t % self.config.update_freq == 0 or done:
             self._flush()
 
     def _flush(self) -> None:
-        advantages, targets = compute_advantages(self.memory, self.critic_spec,
+        columns = step_columns(self.memory)
+        advantages, targets = compute_advantages(columns, self.critic_spec,
                                                  self.local_critic, self.config.gamma)
-        states = np.stack([t.state for t in self.memory])
-        actions = np.array([t.action.as_tuple() for t in self.memory], dtype=np.int64)
+        states, actions = columns[0], np.array([a.as_tuple() for a in columns[1]], dtype=np.int64)
         _, actor_grads = actor_loss_and_grad(self.actor_spec, self.local_actor,
                                              states, actions, advantages,
                                              self.config.entropy_beta)
@@ -215,14 +222,8 @@ def train(
                              head_sizes=ACTION_SIZES, seed=config.seed)
     critic_spec = NetworkSpec(input_dim=state_dim, hidden=config.hidden,
                               head_sizes=(1,), seed=config.seed + 1)
-    if actor_store is None:
-        actor_store = ParameterStore(actor_spec)
-    elif actor_store.spec != actor_spec:
-        raise ConfigError("resumed actor checkpoint does not match the environment")
-    if critic_store is None:
-        critic_store = ParameterStore(critic_spec)
-    elif critic_store.spec != critic_spec:
-        raise ConfigError("resumed critic checkpoint does not match the environment")
+    actor_store = resumed(actor_store, actor_spec, "actor")
+    critic_store = resumed(critic_store, critic_spec, "critic")
 
     order = list(pool)
     random.Random(config.seed).shuffle(order)

@@ -5,7 +5,8 @@ inner-third, and middle indices of the 11-point grid), giving 64 compound
 actions scored by one value head. Uniform replay, a periodically refreshed
 target network, and linearly annealed epsilon-greedy exploration complete the
 standard recipe. Episodes run through ``a3c.play_episode``, the training loop
-the actor-critic workers use.
+the actor-critic workers use, and the replay buffer keeps each step as the
+``(state, action, reward, next_state, done)`` tuple that ``record`` receives.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from ..env import ScalingAction, ServerlessEnv
 from ..errors import ConfigError, require
 from ..nnet import NetworkSpec, ParameterStore, forward_heads, q_loss_and_grad
 from ..workload import WorkloadSpec
-from .a3c import EpisodeStats, TrainConfig, play_episode
+from .a3c import EpisodeStats, TrainConfig, play_episode, resumed, step_columns, td_target
 
 DQN_GRID_POINTS = (0, 3, 7, 10)  # indices into the 11-point action grid
 N_COMPOUND_ACTIONS = len(DQN_GRID_POINTS) ** 3
@@ -35,6 +36,10 @@ def compound_to_action(index: int) -> ScalingAction:
     i1, rem = divmod(index, base * base)
     i2, i3 = divmod(rem, base)
     return ScalingAction(DQN_GRID_POINTS[i1], DQN_GRID_POINTS[i2], DQN_GRID_POINTS[i3])
+
+
+# compound_to_action's inverse, for the actions that the replay buffer keeps
+ACTION_INDEX = {compound_to_action(i): i for i in range(N_COMPOUND_ACTIONS)}
 
 
 def greedy_index(values: np.ndarray) -> int:
@@ -76,39 +81,31 @@ def dqn_train(
         raise ConfigError("empty workload pool")
     spec = NetworkSpec(input_dim=env.state_dim, hidden=shared.hidden,
                        head_sizes=(N_COMPOUND_ACTIONS,), seed=shared.seed)
-    if store is None:
-        store = ParameterStore(spec)
-    elif store.spec != spec:
-        raise ConfigError("resumed DQN checkpoint does not match the environment")
+    store = resumed(store, spec, "DQN")
     target_params = store.snapshot()
     rng = np.random.default_rng(shared.seed)
     buffer: deque = deque(maxlen=config.buffer_capacity)
     global_step = updates = 0
-    a_idx = 0  # the compound action ``act`` chose, for ``record`` to store
 
     def act(state: np.ndarray) -> ScalingAction:
-        nonlocal a_idx
         anneal_steps = max(1, config.episodes * env.total_steps // 2)
         eps = EPS_START + (EPS_END - EPS_START) * min(1.0, global_step / anneal_steps)
         if rng.random() < eps:
-            a_idx = int(rng.integers(N_COMPOUND_ACTIONS))
-        else:
-            a_idx = greedy_index(forward_heads(spec, store.params, state)[0][0])
-        return compound_to_action(a_idx)
+            return compound_to_action(int(rng.integers(N_COMPOUND_ACTIONS)))
+        return compound_to_action(greedy_index(forward_heads(spec, store.params, state)[0][0]))
 
     def record(state, action, reward, next_state, done) -> None:
         nonlocal global_step, updates, target_params
-        buffer.append((state, a_idx, reward, next_state, done))
+        buffer.append((state, action, reward, next_state, done))
         global_step += 1
         if len(buffer) < config.batch_size:
             return
         picks = rng.choice(len(buffer), size=config.batch_size, replace=False)
-        states, actions, rewards, next_states, terminal = zip(*(buffer[i] for i in picks))
-        next_q = forward_heads(spec, target_params, np.stack(next_states))[0]
-        bootstrap = np.where(np.array(terminal, dtype=bool), 0.0, next_q.max(axis=1))
-        targets = np.array(rewards, dtype=np.float64) + shared.gamma * bootstrap
-        _, grads = q_loss_and_grad(spec, store.params, np.stack(states),
-                                   np.array(actions, dtype=np.int64), targets)
+        states, actions, rewards, next_states, terminal = step_columns([buffer[i] for i in picks])
+        next_q = forward_heads(spec, target_params, next_states)[0]
+        targets = td_target(rewards, next_q.max(axis=1), terminal, shared.gamma)
+        _, grads = q_loss_and_grad(spec, store.params, states, np.array(
+            [ACTION_INDEX[a] for a in actions], dtype=np.int64), targets)
         store.apply(grads, lr=config.lr)
         updates += 1
         if updates % config.target_refresh == 0:

@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from faaslab.agents import (DQN_GRID_POINTS, N_COMPOUND_ACTIONS, DqnConfig, TrainConfig,
-                            Transition, aggregate, compound_to_action,
-                            compute_advantages, dqn_train, evaluate_targets,
-                            greedy_index, select_action, train)
+                            aggregate, compound_to_action, compute_advantages, dqn_train,
+                            evaluate_targets, greedy_index, select_action, train)
 from faaslab.agents import a3c, evaluate
-from faaslab.agents.a3c import sample_index
+from faaslab.agents.a3c import sample_index, step_columns
 from faaslab.agents.evaluate import _policy_from_store
 from faaslab.baselines import BASELINES, baseline_policy, run_baseline
 from faaslab.cluster import Application, ClusterEngine, FunctionProfile
@@ -151,19 +150,17 @@ class TestSelectAction:
 
 
 class TestAdvantages:
-    def _transitions(self, rewards, terminal_last=True, dim=4):
-        out = []
-        for i, r in enumerate(rewards):
-            out.append(Transition(state=np.full(dim, 0.1 * i),
-                                  action=ScalingAction(0, 0, 0), reward=r,
-                                  next_state=np.full(dim, 0.1 * (i + 1)),
-                                  terminal=terminal_last and i == len(rewards) - 1))
-        return out
+    def _columns(self, rewards, terminal_last=True, dim=4):
+        """``step_columns`` of ``record``-shaped steps with the given rewards."""
+        return step_columns([(np.full(dim, 0.1 * i), ScalingAction(0, 0, 0), r,
+                              np.full(dim, 0.1 * (i + 1)),
+                              terminal_last and i == len(rewards) - 1)
+                             for i, r in enumerate(rewards)])
 
     def test_zero_critic_gives_rewards(self):
         spec = NetworkSpec(input_dim=4, hidden=(5,), head_sizes=(1,))
         params = [np.zeros_like(p) for p in init_params(spec)]
-        adv, targets = compute_advantages(self._transitions([-0.5, -0.2]), spec,
+        adv, targets = compute_advantages(self._columns([-0.5, -0.2]), spec,
                                           params, gamma=0.6)
         assert np.allclose(adv, [-0.5, -0.2])
         assert np.allclose(targets, [-0.5, -0.2])
@@ -171,27 +168,25 @@ class TestAdvantages:
     def test_terminal_cuts_bootstrap(self):
         spec = NetworkSpec(input_dim=4, hidden=(5,), head_sizes=(1,), seed=3)
         params = init_params(spec)
-        trans = self._transitions([-0.3])
+        columns = self._columns([-0.3])
         from faaslab.nnet import forward_critic
-        v = forward_critic(spec, params, trans[0].state[None, :])[0]
-        adv, targets = compute_advantages(trans, spec, params, gamma=0.9)
+        v = forward_critic(spec, params, columns[0])[0]
+        adv, targets = compute_advantages(columns, spec, params, gamma=0.9)
         assert adv[0] == pytest.approx(-0.3 - v)
         assert targets[0] == pytest.approx(-0.3)
 
     def test_gamma_zero_is_myopic(self):
         spec = NetworkSpec(input_dim=4, hidden=(5,), head_sizes=(1,), seed=4)
         params = init_params(spec)
-        trans = self._transitions([-0.4, -0.1], terminal_last=False)
+        columns = self._columns([-0.4, -0.1], terminal_last=False)
         from faaslab.nnet import forward_critic
-        states = np.stack([t.state for t in trans])
-        v = forward_critic(spec, params, states)
-        adv, _ = compute_advantages(trans, spec, params, gamma=0.0)
+        v = forward_critic(spec, params, columns[0])
+        adv, _ = compute_advantages(columns, spec, params, gamma=0.0)
         assert np.allclose(adv, np.array([-0.4, -0.1]) - v)
 
     def test_empty_segment_rejected(self):
-        spec = NetworkSpec(input_dim=4, hidden=(5,), head_sizes=(1,))
         with pytest.raises(ConfigError):
-            compute_advantages([], spec, init_params(spec), 0.6)
+            step_columns([])
 
 
 class TestWorkerLoop:
@@ -303,6 +298,18 @@ class TestWorkerLoop:
                        actor_store=first.actor, critic_store=first.critic)
         assert second.actor.version > v1
 
+    def test_resumed_store_of_another_spec_is_refused_naming_each_field(self, desk_vms):
+        cfg = TrainConfig(workers=1, episodes=1, seed=8, hidden=(16, 16))
+        env = tiny_env(desk_vms, seed=8)
+        other = ParameterStore(NetworkSpec(input_dim=env.state_dim + 1, hidden=(8,),
+                                           head_sizes=(4,), seed=8))
+        with pytest.raises(ConfigError) as info:
+            train([env], [tiny_workload()], cfg, actor_store=other)
+        assert str(info.value) == (
+            f"resumed actor checkpoint does not match: input_dim {env.state_dim + 1} in "
+            f"the checkpoint, {env.state_dim} in this run; hidden (8,) in the checkpoint, "
+            "(16, 16) in this run; head_sizes (4,) in the checkpoint, (11, 11, 11) in this run")
+
 
 class TestTrainingPins:
     """Every row of three short desk runs, pinned across commits. Rows, not
@@ -351,6 +358,30 @@ class TestTrainingPins:
                 for threads in ("1", "2")]
         assert runs[0] == runs[1]
         assert {name: run["rows"] for name, run in runs[0].items()} == self.ROWS
+
+
+class TestCheckpointEvaluationPins:
+    """Greedy evaluation of the checkpoints that the pinned desk runs save,
+    pinned across commits: evaluation reads ``compound_to_action`` and
+    ``greedy_index`` from the DQN module and the actor's heads from training."""
+
+    ROWS = [
+        "actor,high,0,5.32093543,0.164290805,0.00285658013",
+        "actor,high,1,6.92231165,0.259358289,0.00272088736",
+        "dqn,high,0,3.6907477,0.102790533,0.00864260612",
+        "dqn,high,1,4.02585626,0.222407099,0.00668405861",
+    ]
+
+    def test_rows_unchanged(self, tmp_path):
+        exp = load_experiment(overrides={"preset": "desk"})
+        desk_a3c(1.0).actor.save(tmp_path / "actor.npz")
+        desk_dqn().store.save(tmp_path / "dqn.npz")
+        rows = evaluate_targets([str(tmp_path / "actor.npz"), str(tmp_path / "dqn.npz")],
+                                {"high": exp.eval_sets(["high"])["high"][:2]}, exp.vms,
+                                exp.profiles, exp.env, exp.sim, policy_config=exp.baselines)
+        assert [",".join((Path(r.target).stem, r.band, str(r.workload_index),
+                          *(f"{x:.9g}" for x in (r.rart, r.rfr, r.cost))))
+                for r in rows] == self.ROWS
 
 
 class TestDqn:

@@ -125,6 +125,16 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == EXIT_OK
         assert main(["train", "--config", str(config), "--resume"]) == EXIT_OK
 
+    @pytest.mark.parametrize("agent, store", [("a3c", "actor"), ("dqn", "DQN")])
+    def test_resume_under_another_seed_names_the_seed(self, workspace, capsys, agent, store):
+        config, _ = workspace
+        main(["calibrate", "--config", str(config)])
+        assert main(["train", "--config", str(config), "--agent", agent]) == EXIT_OK
+        assert main(["train", "--config", str(config), "--agent", agent, "--resume",
+                     "--seed", "9"]) == EXIT_CONFIG
+        assert (f"resumed {store} checkpoint does not match: "
+                "seed 3 in the checkpoint, 9 in this run\n") in capsys.readouterr().err
+
     def test_ten_episode_smoke_run_is_quick(self, tmp_path):
         import time
         config = write_config(tmp_path,
