@@ -9,13 +9,14 @@ runs the workers round-robin, one episode each, on the calling thread, so a
 run is reproducible from its seed. The A3C paper runs workers as lock-free
 threads; under CPython's global interpreter lock the pure-Python simulator
 gains nothing from threads, so there are none. Each episode runs through
-``play_episode``, the one reset-and-step loop that DQN training shares.
+``play_episode``, the one reset-and-step loop that DQN training shares, and
+``train`` takes and returns its stores by checkpoint name, as ``dqn_train`` does.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import astuple, dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -65,8 +66,8 @@ class EpisodeStats:
 
 @dataclass
 class TrainResult:
-    actor: ParameterStore
-    critic: ParameterStore
+    """A learner's trained stores by checkpoint name, and one row per episode."""
+    stores: dict[str, ParameterStore]
     stats: list[EpisodeStats]
 
 
@@ -201,11 +202,13 @@ def train(
     envs: Sequence[ServerlessEnv],
     pool: Sequence[WorkloadSpec],
     config: TrainConfig,
-    actor_store: Optional[ParameterStore] = None,
-    critic_store: Optional[ParameterStore] = None,
+    stores: Optional[Mapping[str, ParameterStore]] = None,
     on_episode: Optional[Callable[[EpisodeStats], None]] = None,
 ) -> TrainResult:
     """Run ``config.workers`` workers against shared global stores.
+
+    ``stores`` may hold a resumed ``actor`` and ``critic``; a missing one starts
+    fresh. The result's ``stores`` holds both under those names.
 
     The workload pool is shuffled once (seeded); worker ``w``'s episode ``e``
     takes entry ``(w + e * workers) % len(pool)``. Workers advance
@@ -222,14 +225,15 @@ def train(
                              head_sizes=ACTION_SIZES, seed=config.seed)
     critic_spec = NetworkSpec(input_dim=state_dim, hidden=config.hidden,
                               head_sizes=(1,), seed=config.seed + 1)
-    actor_store = resumed(actor_store, actor_spec, "actor")
-    critic_store = resumed(critic_store, critic_spec, "critic")
+    stores = stores or {}
+    actor = resumed(stores.get("actor"), actor_spec, "actor")
+    critic = resumed(stores.get("critic"), critic_spec, "critic")
 
     order = list(pool)
     random.Random(config.seed).shuffle(order)
     stats: list[EpisodeStats] = []
-    workers = [_Worker(w, envs[w], actor_spec, critic_spec, actor_store,
-                       critic_store, config) for w in range(config.workers)]
+    workers = [_Worker(w, envs[w], actor_spec, critic_spec, actor, critic, config)
+               for w in range(config.workers)]
     for episode in range(config.episodes):
         for worker in workers:
             workload = order[(worker.worker_id + episode * config.workers) % len(order)]
@@ -239,4 +243,4 @@ def train(
                 on_episode(row)
             # on_episode may read the engine; afterwards only one worker's is alive.
             worker.env.release()
-    return TrainResult(actor=actor_store, critic=critic_store, stats=stats)
+    return TrainResult({"actor": actor, "critic": critic}, stats)

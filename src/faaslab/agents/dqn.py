@@ -7,12 +7,13 @@ target network, and linearly annealed epsilon-greedy exploration complete the
 standard recipe. Episodes run through ``a3c.play_episode``, the training loop
 the actor-critic workers use, and the replay buffer keeps each step as the
 ``(state, action, reward, next_state, done)`` tuple that ``record`` receives.
+``dqn_train`` takes and returns its store as ``a3c.train`` does, named ``dqn``.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from ..env import ScalingAction, ServerlessEnv
 from ..errors import ConfigError, require
 from ..nnet import NetworkSpec, ParameterStore, forward_heads, q_loss_and_grad
 from ..workload import WorkloadSpec
-from .a3c import EpisodeStats, TrainConfig, play_episode, resumed, step_columns, td_target
+from .a3c import (TrainConfig, TrainResult, play_episode, resumed, step_columns,
+                  td_target)
 
 DQN_GRID_POINTS = (0, 3, 7, 10)  # indices into the 11-point action grid
 N_COMPOUND_ACTIONS = len(DQN_GRID_POINTS) ** 3
@@ -64,31 +66,30 @@ class DqnConfig:
         require(0 < self.lr <= 1, "dqn.lr must lie in (0, 1]", self.lr)
 
 
-@dataclass
-class DqnResult:
-    store: ParameterStore
-    stats: list[EpisodeStats]
-
-
 def dqn_train(
-    env: ServerlessEnv,
+    envs: Sequence[ServerlessEnv],
     pool: Sequence[WorkloadSpec],
-    config: DqnConfig,
-    shared: TrainConfig,
-    store: Optional[ParameterStore] = None,
-) -> DqnResult:
+    config: TrainConfig,
+    stores: Optional[Mapping[str, ParameterStore]] = None,
+    *,
+    dqn: DqnConfig,
+) -> TrainResult:
+    """Train on ``envs``' one environment over ``pool`` in order; ``stores`` may hold ``dqn``."""
+    if len(envs) != 1:
+        raise ConfigError(f"need 1 environment, got {len(envs)}")
     if not pool:
         raise ConfigError("empty workload pool")
-    spec = NetworkSpec(input_dim=env.state_dim, hidden=shared.hidden,
-                       head_sizes=(N_COMPOUND_ACTIONS,), seed=shared.seed)
-    store = resumed(store, spec, "DQN")
+    env = envs[0]
+    spec = NetworkSpec(input_dim=env.state_dim, hidden=config.hidden,
+                       head_sizes=(N_COMPOUND_ACTIONS,), seed=config.seed)
+    store = resumed((stores or {}).get("dqn"), spec, "DQN")
     target_params = store.snapshot()
-    rng = np.random.default_rng(shared.seed)
-    buffer: deque = deque(maxlen=config.buffer_capacity)
+    rng = np.random.default_rng(config.seed)
+    buffer: deque = deque(maxlen=dqn.buffer_capacity)
     global_step = updates = 0
 
     def act(state: np.ndarray) -> ScalingAction:
-        anneal_steps = max(1, config.episodes * env.total_steps // 2)
+        anneal_steps = max(1, dqn.episodes * env.total_steps // 2)
         eps = EPS_START + (EPS_END - EPS_START) * min(1.0, global_step / anneal_steps)
         if rng.random() < eps:
             return compound_to_action(int(rng.integers(N_COMPOUND_ACTIONS)))
@@ -98,19 +99,19 @@ def dqn_train(
         nonlocal global_step, updates, target_params
         buffer.append((state, action, reward, next_state, done))
         global_step += 1
-        if len(buffer) < config.batch_size:
+        if len(buffer) < dqn.batch_size:
             return
-        picks = rng.choice(len(buffer), size=config.batch_size, replace=False)
+        picks = rng.choice(len(buffer), size=dqn.batch_size, replace=False)
         states, actions, rewards, next_states, terminal = step_columns([buffer[i] for i in picks])
         next_q = forward_heads(spec, target_params, next_states)[0]
-        targets = td_target(rewards, next_q.max(axis=1), terminal, shared.gamma)
+        targets = td_target(rewards, next_q.max(axis=1), terminal, config.gamma)
         _, grads = q_loss_and_grad(spec, store.params, states, np.array(
             [ACTION_INDEX[a] for a in actions], dtype=np.int64), targets)
-        store.apply(grads, lr=config.lr)
+        store.apply(grads, lr=dqn.lr)
         updates += 1
-        if updates % config.target_refresh == 0:
+        if updates % dqn.target_refresh == 0:
             target_params = store.snapshot()
 
     stats = [play_episode(env, pool[episode % len(pool)], act, record, 0, episode)
-             for episode in range(config.episodes)]
-    return DqnResult(store=store, stats=stats)
+             for episode in range(dqn.episodes)]
+    return TrainResult({"dqn": store}, stats)

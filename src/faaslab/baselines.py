@@ -142,13 +142,11 @@ def run_baseline(
     sim_config: SimConfig = SimConfig(),
     policy_config: Optional[BaselinePolicyConfig] = None,
     collect_channels: bool = False,
-    log_events: bool = False,
     arrivals: Optional[Arrivals] = None,
     twins: Optional[dict] = None,
 ) -> BaselineResult:
     """One full episode under a ``baseline_policy``, which picks no target and
-    builds no agent state. ``log_events`` keeps the engine's event log.
-    ``arrivals``, when given, is ``synthesize(workload)`` made by the caller.
+    builds no agent state. ``arrivals``, if given, is the caller's ``synthesize(workload)``.
 
     ``twins`` is one dict per workload, shared by the calls that run each
     baseline on it. An episode stores its result under every other baseline
@@ -159,7 +157,7 @@ def run_baseline(
     argument but ``arrivals`` differs from the call that stored it.
     """
     cfg = policy_config or BaselinePolicyConfig()
-    call = (vms, profiles, workload, env_config, sim_config, cfg, collect_channels, log_events)
+    call = (vms, profiles, workload, env_config, sim_config, cfg, collect_channels)
     if twins is not None and policy in twins:
         made_for, result = twins[policy]
         if made_for != call:
@@ -168,7 +166,7 @@ def run_baseline(
         return result
     shadows = ([] if twins is None else
                [twin for twin in BASELINES if twin != policy and twin not in twins])
-    env = ServerlessEnv(vms, profiles, env_config, sim_config, log_events=log_events)
+    env = ServerlessEnv(vms, profiles, env_config, sim_config)
     channels = env.run_episode(workload, baseline_policy(policy, cfg, shadows),
                                collect_channels, arrivals)
     result = BaselineResult(summary=env.ledger.summary(), channels=channels, engine=env.engine)

@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -47,13 +48,14 @@ def _meta_lines(config_hash: str, seed: int | str, mode: str) -> list[str]:
 
 
 def write_csv(path: Path, meta: list[str], header: Sequence[str],
-              rows: Iterable[Sequence]) -> None:
+              rows: Iterable[Sequence], append: bool = False) -> None:
+    """``meta``, ``header`` and ``rows`` to ``path``; only ``rows``, at its end, if ``append``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        for line in meta:
-            fh.write(line + "\n")
+    with path.open("a" if append else "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        if not append:
+            fh.writelines(line + "\n" for line in meta)
+            writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -115,61 +117,59 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- train
 
-def _train_one(exp: Experiment, agent: str, beta: float, workers: int,
-               resume: bool) -> Path:
+def _train_one(exp: Experiment, agent: str, beta: float, workers: Optional[int],
+               resume: bool) -> None:
     bounds = RewardBounds.load(exp.calibration_file)
-    env_cfg = replace(exp.env, beta=beta, target_mode="random")
     out = exp.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    pool = exp.train_pool()
     seed = exp.train.seed
-
+    workers = exp.train.workers if workers is None else workers
     if agent == "a3c":
-        tag = f"a3c_beta{beta:g}_w{workers}"
-        cfg = replace(exp.train, workers=workers)
-        envs = [ServerlessEnv(exp.vms, exp.profiles, env_cfg, exp.sim, bounds,
-                              seed=seed + w) for w in range(workers)]
-        actor_path = out / f"actor_{tag}.npz"
-        critic_path = out / f"critic_{tag}.npz"
-        actor = ParameterStore.load(actor_path) if resume else None
-        critic = ParameterStore.load(critic_path) if resume else None
-        result = train(envs, pool, cfg, actor_store=actor, critic_store=critic)
-        result.actor.save(actor_path)
-        result.critic.save(critic_path)
-        stats = result.stats
-        checkpoint = actor_path
-    else:  # dqn; argparse allows only the two
-        tag = f"dqn_beta{beta:g}"  # one environment: no worker count
-        env = ServerlessEnv(exp.vms, exp.profiles, env_cfg, exp.sim, bounds, seed=seed)
-        q_path = out / f"{tag}.npz"
-        store = ParameterStore.load(q_path) if resume else None
-        result = dqn_train(env, pool, exp.dqn, exp.train, store=store)
-        result.store.save(q_path)
-        stats = result.stats
-        checkpoint = q_path
-
+        tag, learn = f"a3c_beta{beta:g}_w{workers}", train
+        paths = {name: out / f"{name}_{tag}.npz" for name in ("actor", "critic")}
+    else:  # dqn, on one environment, so its names carry no worker count
+        tag, learn, workers = f"dqn_beta{beta:g}", partial(dqn_train, dqn=exp.dqn), 1
+        paths = {"dqn": out / f"{tag}.npz"}
+    envs = [ServerlessEnv(exp.vms, exp.profiles, replace(exp.env, beta=beta, target_mode="random"),
+                          exp.sim, bounds, seed=seed + w) for w in range(workers)]
+    stores = {name: ParameterStore.load(path) for name, path in paths.items()} if resume else None
+    result = learn(envs, exp.train_pool(), replace(exp.train, workers=workers), stores)
+    # After the learner has checked the resumed stores, before any file is written.
     curve_path = out / f"curves_{tag}.csv"
+    append = resume and curve_path.exists()
+    first = _next_episode(curve_path, exp.config_hash, seed) if append else 0
+    for name, path in paths.items():
+        result.stores[name].save(path)
     write_csv(curve_path, _meta_lines(exp.config_hash, seed, "deterministic"), CURVE_COLUMNS,
-              [(s.episode, s.worker, f"{beta:g}", f"{s.reward:.9g}",
-                f"{s.rfrt:.9g}", f"{s.rfr:.9g}", f"{s.cost:.9g}") for s in stats])
-    print(f"trained {tag}: {len(stats)} episodes -> {checkpoint}")
+              [(first + s.episode, s.worker, f"{beta:g}", f"{s.reward:.9g}", f"{s.rfrt:.9g}",
+                f"{s.rfr:.9g}", f"{s.cost:.9g}") for s in result.stats], append=append)
+    print(f"trained {tag}: {len(result.stats)} episodes -> {next(iter(paths.values()))}")
     print(f"curves -> {curve_path}")
-    return checkpoint
+
+
+def _next_episode(path: Path, config_hash: str, seed: int) -> int:
+    """The episode after the curve's last, if the curve has this run's config
+    hash and seed; a ConfigError naming both values of each that differs."""
+    meta, header, rows = read_csv(path, CURVE_COLUMNS)
+    diffs = [f"{key} {meta.get(key)} in the file, {ours} in this run"
+             for key, ours in (("config_hash", config_hash), ("seed", str(seed)))
+             if meta.get(key) != ours]
+    if diffs:
+        raise ConfigError(f"resumed curve {path} does not match: " + "; ".join(diffs))
+    return int(rows[-1][header.index("episode")]) + 1 if rows else 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     exp = _load(args)
     beta = args.beta if args.beta is not None else exp.env.beta
-    workers = args.workers if args.workers is not None else exp.train.workers
-    _train_one(exp, args.agent, beta, workers, args.resume)
+    _train_one(exp, args.agent, beta, args.workers, args.resume)
     return EXIT_OK
 
 
 def cmd_train_sweep(args: argparse.Namespace) -> int:
     exp = _load(args)
-    workers = args.workers if args.workers is not None else exp.train.workers
     for beta in exp.beta_list:
-        _train_one(exp, args.agent, beta, workers, resume=False)
+        _train_one(exp, args.agent, beta, args.workers, resume=False)
     return EXIT_OK
 
 

@@ -39,10 +39,10 @@ MAX_REPLICAS = 80
 _EPS = 1e-9
 
 
-def replica_count(x: float, cap: int = MAX_REPLICAS) -> int:
-    """Replicas for load ratio ``x``: capped, so ``inf`` gives ``cap``, then rounded
-    up, tolerating float error that nudges an exact integer upward."""
-    return math.ceil(min(x, cap) - _EPS)
+def replica_count(x: float) -> int:
+    """Replicas for load ratio ``x``: capped, so ``inf`` gives ``MAX_REPLICAS``, then
+    rounded up, tolerating float error that nudges an exact integer upward."""
+    return math.ceil(min(x, MAX_REPLICAS) - _EPS)
 
 
 def floor_guarded(x: float) -> int:
@@ -59,22 +59,17 @@ def float_sum(xs: Iterable[float]) -> float:
     return reduce(add, xs, 0.0)
 
 
-def desired_replicas(
-    current: int,
-    avg_cpu_util: float,
-    target_util: float,
-    max_replicas: int = MAX_REPLICAS,
-) -> int:
+def desired_replicas(current: int, avg_cpu_util: float, target_util: float) -> int:
     """Replica count that brings average pod CPU utilization to the target.
 
-    desired = ceil(min(M * C / T, max_replicas)). With zero replicas the
+    desired = ceil(min(M * C / T, MAX_REPLICAS)). With zero replicas the
     product uses one virtual replica, so a utilization proxy of 1.0 (queued
     traffic but no pods) bootstraps creation instead of staying pinned at 0.
     """
     if target_util <= 0.0:
         raise SimulationError(f"target utilization must be positive, got {target_util}")
     base = max(current, 1)
-    return replica_count(base * avg_cpu_util / target_util, max_replicas)
+    return replica_count(base * avg_cpu_util / target_util)
 
 
 def cpu_target_replicas(snap: FunctionSnapshot, target_util: float) -> int:

@@ -9,8 +9,9 @@ a time, as the reference for the array passes of ``faaslab.workload``;
 ``ClusterEngine.load_arrivals`` takes; ``completed_chains``, which reads an
 engine's two per-app chain lists as one root id -> ratio map;
 ``synthetic_traces``, the generator of the bundled trace corpus
-``faaslab.workload.BUNDLED_TRACES``; and ``neumaier_sum``, the built-in
-``sum()`` of Python 3.12, for tests that swap it in."""
+``faaslab.workload.BUNDLED_TRACES``; ``neumaier_sum``, the built-in
+``sum()`` of Python 3.12, for tests that swap it in; and ``logged_baseline``,
+a baseline episode that keeps the engine's event log."""
 from __future__ import annotations
 
 import random
@@ -18,9 +19,22 @@ from collections.abc import Iterable
 from itertools import cycle, islice
 from operator import itemgetter
 
-from faaslab.cluster import ClusterEngine, RequestStatus
+from faaslab.baselines import BaselinePolicyConfig, BaselineResult, baseline_policy
+from faaslab.cluster import ClusterEngine, RequestStatus, SimConfig
+from faaslab.env import EnvConfig, ServerlessEnv
 from faaslab.errors import ConfigError
 from faaslab.workload import TraceSeries, WorkloadSpec
+
+
+def logged_baseline(policy, vms, profiles, workload, env_config=EnvConfig(),
+                    sim_config=SimConfig(), policy_config=None, collect_channels=False,
+                    arrivals=None) -> BaselineResult:
+    """``run_baseline``'s episode, built as ``faaslab simulate`` builds its own:
+    on an environment with ``log_events=True``, so ``engine.event_log`` holds it."""
+    env = ServerlessEnv(vms, profiles, env_config, sim_config, log_events=True)
+    policy = baseline_policy(policy, policy_config or BaselinePolicyConfig())
+    channels = env.run_episode(workload, policy, collect_channels, arrivals)
+    return BaselineResult(summary=env.ledger.summary(), channels=channels, engine=env.engine)
 
 
 def arrival_columns(arrivals: Iterable[tuple[float, int]]) -> tuple[list[float], list[int]]:

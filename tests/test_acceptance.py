@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from faaslab import cluster
 from faaslab.agents import TrainConfig, aggregate, evaluate_targets, train
 from faaslab.baselines import run_baseline
 from faaslab.cluster import (Application, ClusterEngine, FunctionProfile,
@@ -31,7 +32,8 @@ from faaslab.nnet import (NetworkSpec, actor_loss_and_grad, critic_loss_and_grad
 from faaslab.workload import (BUNDLED_TRACES, EVAL_BANDS, TRAIN_BAND, TraceSeries,
                               WorkloadSpec, load_traces, make_workload, select_apps)
 
-from oracles import arrival_columns, brute_cost, brute_rart, brute_rfr, brute_rfrt
+from oracles import (arrival_columns, brute_cost, brute_rart, brute_rfr, brute_rfrt,
+                     logged_baseline)
 
 DESK_VMS = [
     VmSpec(vm_id=0, cpu_capacity=1.0, mem_capacity=4096.0, unit_price=0.048),
@@ -56,7 +58,7 @@ def scripted_profile(**kw):
 
 # ---------------------------------------------------------------- criterion 1
 
-def test_c01_horizontal_formula_unit_suite():
+def test_c01_horizontal_formula_unit_suite(monkeypatch):
     """20 hand-computed (M, C, T, M_max) cases, both clamp branches."""
     start = time.time()
     cases = [
@@ -84,7 +86,8 @@ def test_c01_horizontal_formula_unit_suite():
     ]
     assert len(cases) == 20
     for (m, c, t, m_max), expected in cases:
-        assert desired_replicas(m, c, t, m_max) - m == expected, (m, c, t, m_max)
+        monkeypatch.setattr(cluster, "MAX_REPLICAS", m_max)
+        assert desired_replicas(m, c, t) - m == expected, (m, c, t, m_max)
     assert time.time() - start < 1.0
     _report(1, "horizontal scaling formula unit suite")
 
@@ -263,8 +266,7 @@ def test_c04_metric_identities_against_brute_force():
     for policy in ("kube_cpu", "knative"):
         for seed in (1, 2, 3):
             wl = make_workload(apps, corpus, EVAL_BANDS["mid"], 60, 7000 + seed)
-            res = run_baseline(policy, DESK_VMS, profiles, wl,
-                               EnvConfig(), log_events=True)
+            res = logged_baseline(policy, DESK_VMS, profiles, wl, EnvConfig())
             summary = EpisodeLedger(res.engine).summary()
             assert abs(summary.rfr - brute_rfr(res.engine)) <= 1e-9
             assert abs(summary.rfrt - brute_rfrt(res.engine)) <= 1e-9
@@ -436,7 +438,7 @@ def test_c08_beta_ordering_reproduction(tmp_path):
                               bounds=bounds, seed=cfg.seed + w) for w in range(3)]
         result = train(envs, pool, cfg)
         path = tmp_path / f"actor_beta{beta:g}.npz"
-        result.actor.save(path)
+        result.stores["actor"].save(path)
         paths[beta] = str(path)
 
     rows = evaluate_targets([paths[1.0], paths[0.0]], {"mid": eval_mid},
@@ -465,7 +467,7 @@ def test_c09_baseline_trajectories_match_formulas(replica_log):
                           entry_traces={0: TraceSeries(f"r{rate}", (rate,) * 30)})
         vm = VmSpec(vm_id=0, cpu_capacity=8.0, mem_capacity=32768.0, unit_price=0.3)
         replica_log.clear()
-        res = run_baseline(policy, [vm], {0: profile}, wl, EnvConfig(), log_events=True)
+        res = logged_baseline(policy, [vm], {0: profile}, wl, EnvConfig())
         return res.engine, [c for _, _, c in replica_log]
 
     # light load: 2 req/s, 0.25 s executions, pods hold 4 concurrent requests

@@ -70,7 +70,7 @@ def desk_dqn():
     env = ServerlessEnv(exp.vms, exp.profiles, replace(exp.env, beta=1.0, target_mode="random"),
                         exp.sim, BOUNDS, seed=exp.train.seed)
     config = replace(exp.dqn, episodes=4, batch_size=8, target_refresh=5)
-    return dqn_train(env, exp.train_pool(), config, exp.train)
+    return dqn_train([env], exp.train_pool(), exp.train, dqn=config)
 
 
 def curve_rows(stats):
@@ -88,9 +88,9 @@ def parameter_digest(stores):
 def pinned_runs():
     """Rows and parameter digest of each pinned desk run, by run name."""
     a3c = {f"a3c_beta{beta:g}": desk_a3c(beta) for beta in (1.0, 0.5)}
-    runs = {name: (r.stats, (r.actor, r.critic)) for name, r in a3c.items()}
+    runs = {name: (r.stats, r.stores.values()) for name, r in a3c.items()}
     dqn = desk_dqn()
-    runs["dqn_beta1"] = (dqn.stats, (dqn.store,))
+    runs["dqn_beta1"] = (dqn.stats, dqn.stores.values())
     return {name: {"rows": curve_rows(stats), "params": parameter_digest(stores)}
             for name, (stats, stores) in runs.items()}
 
@@ -197,11 +197,11 @@ class TestWorkerLoop:
         actor = ParameterStore(NetworkSpec(input_dim=env.state_dim, hidden=cfg.hidden,
                                            head_sizes=ACTION_SIZES, seed=cfg.seed))
         versions = []
-        result = train([env], [tiny_workload()], cfg, actor_store=actor,
+        result = train([env], [tiny_workload()], cfg, stores={"actor": actor},
                        on_episode=lambda row: versions.append(actor.version))
         # T = 3 steps per episode equals f, so exactly one flush per episode
         assert versions == [1, 2, 3]
-        assert result.actor.version == result.critic.version == 3
+        assert result.stores["actor"].version == result.stores["critic"].version == 3
 
     def test_deterministic_single_worker_reproducible(self, desk_vms):
         def run():
@@ -213,10 +213,9 @@ class TestWorkerLoop:
         a, b = run(), run()
         assert [(s.worker, s.episode, s.reward) for s in a.stats] == \
                [(s.worker, s.episode, s.reward) for s in b.stats]
-        for pa, pb in zip(a.actor.params, b.actor.params):
-            assert np.array_equal(pa, pb)
-        for pa, pb in zip(a.critic.params, b.critic.params):
-            assert np.array_equal(pa, pb)
+        for name in ("actor", "critic"):
+            for pa, pb in zip(a.stores[name].params, b.stores[name].params):
+                assert np.array_equal(pa, pb)
 
     def test_multi_worker_version_equals_total_updates(self, desk_vms):
         cfg = TrainConfig(workers=3, episodes=2, update_freq=2, seed=7,
@@ -225,7 +224,7 @@ class TestWorkerLoop:
         actor = ParameterStore(NetworkSpec(input_dim=envs[0].state_dim, hidden=cfg.hidden,
                                            head_sizes=ACTION_SIZES, seed=cfg.seed))
         versions = []
-        result = train(envs, [tiny_workload()], cfg, actor_store=actor,
+        result = train(envs, [tiny_workload()], cfg, stores={"actor": actor},
                        on_episode=lambda row: versions.append(actor.version))
         assert len(result.stats) == 6
         assert [(s.episode, s.worker) for s in result.stats] == \
@@ -233,7 +232,7 @@ class TestWorkerLoop:
         # Each worker flushes at lifetime steps 2, 3, 4 and 6 of its two
         # 3-step episodes: twice per episode, one store version per flush.
         assert versions == [2, 4, 6, 8, 10, 12]
-        assert result.critic.version == 12
+        assert result.stores["critic"].version == 12
 
     def test_a_round_reads_only_snapshots_from_before_it(self, monkeypatch):
         # Desk episodes take 6 steps and update_freq is 30, so each worker
@@ -255,7 +254,7 @@ class TestWorkerLoop:
 
         replay = desk_a3c(1.0, on_episode=on_episode)
         assert curve_rows(replay.stats) == curve_rows(direct.stats)
-        for ours, theirs in ((replay.actor, direct.actor), (replay.critic, direct.critic)):
+        for ours, theirs in zip(replay.stores.values(), direct.stores.values()):
             assert ours.version == theirs.version == 6
             assert [p.tobytes() for p in ours.params] == [p.tobytes() for p in theirs.params]
 
@@ -293,10 +292,9 @@ class TestWorkerLoop:
                           hidden=(16, 16))
         envs = [tiny_env(desk_vms, seed=8)]
         first = train(envs, [tiny_workload()], cfg)
-        v1 = first.actor.version
-        second = train([tiny_env(desk_vms, seed=9)], [tiny_workload()], cfg,
-                       actor_store=first.actor, critic_store=first.critic)
-        assert second.actor.version > v1
+        v1 = first.stores["actor"].version
+        second = train([tiny_env(desk_vms, seed=9)], [tiny_workload()], cfg, first.stores)
+        assert second.stores["actor"].version > v1
 
     def test_resumed_store_of_another_spec_is_refused_naming_each_field(self, desk_vms):
         cfg = TrainConfig(workers=1, episodes=1, seed=8, hidden=(16, 16))
@@ -304,7 +302,7 @@ class TestWorkerLoop:
         other = ParameterStore(NetworkSpec(input_dim=env.state_dim + 1, hidden=(8,),
                                            head_sizes=(4,), seed=8))
         with pytest.raises(ConfigError) as info:
-            train([env], [tiny_workload()], cfg, actor_store=other)
+            train([env], [tiny_workload()], cfg, stores={"actor": other})
         assert str(info.value) == (
             f"resumed actor checkpoint does not match: input_dim {env.state_dim + 1} in "
             f"the checkpoint, {env.state_dim} in this run; hidden (8,) in the checkpoint, "
@@ -374,8 +372,8 @@ class TestCheckpointEvaluationPins:
 
     def test_rows_unchanged(self, tmp_path):
         exp = load_experiment(overrides={"preset": "desk"})
-        desk_a3c(1.0).actor.save(tmp_path / "actor.npz")
-        desk_dqn().store.save(tmp_path / "dqn.npz")
+        desk_a3c(1.0).stores["actor"].save(tmp_path / "actor.npz")
+        desk_dqn().stores["dqn"].save(tmp_path / "dqn.npz")
         rows = evaluate_targets([str(tmp_path / "actor.npz"), str(tmp_path / "dqn.npz")],
                                 {"high": exp.eval_sets(["high"])["high"][:2]}, exp.vms,
                                 exp.profiles, exp.env, exp.sim, policy_config=exp.baselines)
@@ -406,19 +404,24 @@ class TestDqn:
     def test_buffer_respects_capacity(self, desk_vms):
         cfg = DqnConfig(episodes=4, buffer_capacity=8, batch_size=4, target_refresh=5)
         env = tiny_env(desk_vms, seed=12)
-        result = dqn_train(env, [tiny_workload()], cfg, TrainConfig(seed=12, hidden=(8, 8)))
+        result = dqn_train([env], [tiny_workload()], TrainConfig(seed=12, hidden=(8, 8)), dqn=cfg)
         assert len(result.stats) == 4
-        assert result.store.version > 0
+        assert result.stores["dqn"].version > 0
+
+    def test_trains_on_one_environment(self, desk_vms):
+        envs = [tiny_env(desk_vms, seed=12), tiny_env(desk_vms, seed=13)]
+        with pytest.raises(ConfigError, match="need 1 environment, got 2"):
+            dqn_train(envs, [tiny_workload()], TrainConfig(), dqn=DqnConfig())
 
     def test_training_reproducible(self, desk_vms):
         def run():
             cfg = DqnConfig(episodes=2, buffer_capacity=32, batch_size=4)
-            return dqn_train(tiny_env(desk_vms, seed=13), [tiny_workload()], cfg,
-                             TrainConfig(seed=13, hidden=(8, 8)))
+            return dqn_train([tiny_env(desk_vms, seed=13)], [tiny_workload()],
+                             TrainConfig(seed=13, hidden=(8, 8)), dqn=cfg)
 
         a, b = run(), run()
         assert [s.reward for s in a.stats] == [s.reward for s in b.stats]
-        for pa, pb in zip(a.store.params, b.store.params):
+        for pa, pb in zip(a.stores["dqn"].params, b.stores["dqn"].params):
             assert np.array_equal(pa, pb)
 
 
@@ -446,10 +449,10 @@ class TestEvaluate:
         envs = [tiny_env(desk_vms, seed=14)]
         result = train(envs, [tiny_workload()], cfg)
         path = tmp_path / "actor.npz"
-        result.actor.save(path)
+        result.stores["actor"].save(path)
         loaded = ParameterStore.load(path)
         summaries = []
-        for store in (result.actor, loaded):
+        for store in (result.stores["actor"], loaded):
             env = ServerlessEnv(desk_vms, {0: tiny_profile()}, EnvConfig())
             env.run_episode(tiny_workload(rate=4), greedy_policy(store))
             summaries.append(env.ledger.summary())
@@ -618,5 +621,5 @@ class TestBaselineTwins:
         with pytest.raises(ConfigError, match="another workload"):
             run_baseline("openfaas", *args, second, *config, twins=twins)
         with pytest.raises(ConfigError, match="another workload"):
-            run_baseline("openfaas", *args, first, *config, log_events=True, twins=twins)
+            run_baseline("openfaas", *args, first, *config, collect_channels=True, twins=twins)
         assert run_baseline("openfaas", *args, first, *config, twins=twins) is kube

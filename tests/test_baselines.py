@@ -15,7 +15,7 @@ from faaslab.errors import ConfigError
 from faaslab.metrics import ChannelBounds, RewardBounds
 from faaslab.workload import TraceSeries, WorkloadSpec, synthesize
 
-from oracles import neumaier_sum
+from oracles import logged_baseline, neumaier_sum
 
 KNATIVE = KnativeConfig()
 KUBE = KubeCpuConfig()
@@ -132,10 +132,10 @@ class TestRunBaseline:
     def test_rerun_bit_identical(self, desk_vms, profile, replica_log):
         def run(policy):
             replica_log.clear()
-            res = run_baseline(policy, desk_vms, {0: profile},
-                               one_fn_workload(rate=4),
-                               EnvConfig(),
-                               collect_channels=True, log_events=True)
+            res = logged_baseline(policy, desk_vms, {0: profile},
+                                  one_fn_workload(rate=4),
+                                  EnvConfig(),
+                                  collect_channels=True)
             assert res.engine.event_log
             return (res.engine.event_log, res.channels, list(replica_log),
                     res.summary)
@@ -145,7 +145,8 @@ class TestRunBaseline:
 
     @pytest.mark.parametrize("policy", BASELINES)
     def test_event_log_is_a_pure_sink(self, desk_vms, policy, replica_log):
-        """Turning the event log off changes no result, only the log itself."""
+        """The event log changes no result: ``run_baseline``, which keeps none,
+        matches an episode that keeps it."""
         profiles = {fn: FunctionProfile(function_id=fn, req_cpu=0.25, req_mem=256.0,
                                         standard_response_time=r0,
                                         cold_start_seconds=2.0,
@@ -157,13 +158,13 @@ class TestRunBaseline:
                           entry_traces={0: TraceSeries("a", (12,) * 30),
                                         1: TraceSeries("b", (6,) * 30)})
 
-        def run(log_events):
+        def run(episode):
             replica_log.clear()
-            res = run_baseline(policy, desk_vms, profiles, wl, EnvConfig(),
-                               collect_channels=True, log_events=log_events)
+            res = episode(policy, desk_vms, profiles, wl, EnvConfig(), collect_channels=True)
             return res, list(replica_log)
 
-        (logged, logged_replicas), (silent, silent_replicas) = run(True), run(False)
+        (logged, logged_replicas), (silent, silent_replicas) = (run(logged_baseline),
+                                                                run(run_baseline))
         assert logged.engine.event_log and silent.engine.event_log == []
         assert logged.summary == silent.summary
         assert logged.channels == silent.channels
@@ -245,8 +246,8 @@ class TestAgentActionIsKubeCpu:
         env.reset(workload)
         while not env.done:
             env.step(ScalingAction(5, 5, 5))
-        res = run_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env, exp.sim,
-                           exp.baselines, log_events=True)
+        res = logged_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env, exp.sim,
+                              exp.baselines)
         kinds = {entry[1] for entry in res.engine.event_log}
         assert {"pod_create", "finish", "queue"} <= kinds
         assert env.engine.event_log == res.engine.event_log
@@ -263,8 +264,8 @@ class TestAgentActionIsKubeCpu:
         env = ServerlessEnv(exp.vms, exp.profiles, exp.env, exp.sim, log_events=True)
         env.run_episode(workload,
                         lambda env: dict.fromkeys(env.engine.deployed_fns, ScalingAction(5, 5, 5)))
-        res = run_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env, exp.sim,
-                           exp.baselines, log_events=True)
+        res = logged_baseline("kube_cpu", exp.vms, exp.profiles, workload, exp.env, exp.sim,
+                              exp.baselines)
         assert env.engine.event_log == res.engine.event_log
         assert env.ledger.summary() == res.summary
 
@@ -293,8 +294,8 @@ class TestEventLogDigests:
         workload = exp.eval_sets(["high"])["high"][0]
         digests = {}
         for policy in BASELINES:
-            res = run_baseline(policy, exp.vms, exp.profiles, workload, exp.env,
-                               exp.sim, exp.baselines, log_events=True)
+            res = logged_baseline(policy, exp.vms, exp.profiles, workload, exp.env,
+                                  exp.sim, exp.baselines)
             digests[preset, policy] = hashlib.sha256(
                 repr(res.engine.event_log).encode()).hexdigest()[:16]
         assert digests == {key: digest for key, digest in self.DIGESTS.items()
@@ -305,9 +306,10 @@ class TestEventLogDigests:
         exp = load_experiment(overrides={"preset": "desk"})
         workload = exp.eval_sets(["high"])["high"][0]
         args = (policy, exp.vms, exp.profiles, workload, exp.env, exp.sim, exp.baselines)
-        given = run_baseline(*args, log_events=True, arrivals=synthesize(workload))
-        own = run_baseline(*args, log_events=True)
+        given = logged_baseline(*args, arrivals=synthesize(workload))
+        own = logged_baseline(*args)
         assert given.engine.event_log == own.engine.event_log
+        assert run_baseline(*args, arrivals=synthesize(workload)).summary == own.summary
 
 
 class TestObservationDigest:

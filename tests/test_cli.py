@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -125,6 +126,38 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == EXIT_OK
         assert main(["train", "--config", str(config), "--resume"]) == EXIT_OK
 
+    @pytest.mark.parametrize("agent, curve", [("a3c", "curves_a3c_beta1_w2.csv"),
+                                              ("dqn", "curves_dqn_beta1.csv")], ids=["a3c", "dqn"])
+    def test_resume_appends_to_the_curve(self, workspace, agent, curve):
+        config, run_dir = workspace
+        main(["calibrate", "--config", str(config)])
+        argv = ["train", "--config", str(config), "--agent", agent, "--workers", "2"]
+        assert main(argv) == EXIT_OK
+        first = (run_dir / curve).read_text()
+        _, _, first_rows = read_csv(run_dir / curve)
+        assert main([*argv, "--resume"]) == EXIT_OK
+        text = (run_dir / curve).read_text()
+        _, _, rows = read_csv(run_dir / curve)
+        assert text.startswith(first)  # metadata lines and rows byte for byte
+        assert len(rows) == 2 * len(first_rows)
+        assert [int(r[0]) for r in rows[len(first_rows):]] == [
+            int(r[0]) + int(first_rows[-1][0]) + 1 for r in first_rows]
+
+    @pytest.mark.parametrize("key, value", [("config_hash", "0123456789ab"), ("seed", "4")])
+    def test_resume_onto_another_experiments_curve_names_both_values(self, workspace, capsys,
+                                                                   key, value):
+        config, run_dir = workspace
+        main(["calibrate", "--config", str(config)])
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        curve = run_dir / "curves_a3c_beta1_w1.csv"
+        meta, _, _ = read_csv(curve)
+        before = curve.read_text().replace(f"# {key}={meta[key]}\n", f"# {key}={value}\n")
+        curve.write_text(before)
+        assert main(["train", "--config", str(config), "--resume"]) == EXIT_CONFIG
+        assert (f"resumed curve {curve} does not match: "
+                f"{key} {value} in the file, {meta[key]} in this run\n") in capsys.readouterr().err
+        assert curve.read_text() == before
+
     @pytest.mark.parametrize("agent, store", [("a3c", "actor"), ("dqn", "DQN")])
     def test_resume_under_another_seed_names_the_seed(self, workspace, capsys, agent, store):
         config, _ = workspace
@@ -178,6 +211,46 @@ class TestTrain:
         config = write_config(tmp_path, train={"sync_mode": "async"})
         assert main(["train", "--config", str(config)]) == EXIT_CONFIG
         assert "sync_mode" in capsys.readouterr().err
+
+
+class TestTrainOutputPins:
+    """What ``faaslab train`` writes for desk A3C (two workers) and desk DQN: each
+    curve's data rows, and a sha256 over each checkpoint's meta and arrays in key
+    order. Any change to what either learner computes or how a run saves it shows."""
+
+    ROWS = {
+        "curves_a3c_beta1_w2.csv": [
+            "0,0,1,-0.243550052,2.14563107,0,0.00265838889",
+            "0,1,1,-0.38931539,2.71428571,0.00323624595,0.00152893333",
+            "1,0,1,-0.28620571,2.34627832,0,0.00127967778",
+            "1,1,1,-0.957494976,3.83823529,0.1197411,0.00117998283",
+        ],
+        "curves_dqn_beta1.csv": [
+            "0,0,1,-0.23254214,2.09385113,0,0.00169451667",
+            "1,0,1,-0.716928701,2.9787234,0.0873786408,0.00105587778",
+        ],
+    }
+    CHECKPOINTS = {
+        "actor_a3c_beta1_w2.npz": "04b001e9449c9650fc52f3b0d642829dd7b09f6299a93056b089392c7852825e",
+        "critic_a3c_beta1_w2.npz": "48100f140b27d813be27b600c6dc5b378eaa86244a66558b7090442acc91e079",
+        "dqn_beta1.npz": "07dacdc27729299d09173dba5a00b2ae8ca26ac3596268477ac2292d764c0fb7",
+    }
+
+    def test_files_unchanged(self, workspace):
+        config, run_dir = workspace
+        assert main(["calibrate", "--config", str(config)]) == EXIT_OK
+        assert main(["train", "--config", str(config), "--workers", "2"]) == EXIT_OK
+        assert main(["train", "--config", str(config), "--agent", "dqn"]) == EXIT_OK
+        assert {name: [",".join(row) for row in read_csv(run_dir / name)[2]]
+                for name in self.ROWS} == self.ROWS
+        digests = {}
+        for name in self.CHECKPOINTS:
+            digest = hashlib.sha256()
+            with np.load(run_dir / name) as data:
+                for key in sorted(data.files):
+                    digest.update(data[key].tobytes())
+            digests[name] = digest.hexdigest()
+        assert digests == self.CHECKPOINTS
 
 
 class TestTrainSweep:

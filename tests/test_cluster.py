@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from faaslab import cluster
 from faaslab.cluster import (_FINISH, MAX_REPLICAS, Application, ClusterEngine,
                              FunctionProfile, FunctionSnapshot, PodPhase, RequestStatus,
                              SimConfig, VmSpec, VmState, cpu_target_replicas,
@@ -48,13 +49,14 @@ class TestGuardedRounding:
         assert replica_count(8.000000000000002) == 8
 
     @pytest.mark.parametrize("cap", [1, 3, 8, MAX_REPLICAS])
-    def test_capped_count_is_rounded_count_capped(self, cap):
+    def test_capped_count_is_rounded_count_capped(self, cap, monkeypatch):
         # Below, at and above each integer: capping first changes no finite count.
+        monkeypatch.setattr(cluster, "MAX_REPLICAS", cap)
         for n in range(cap + 3):
             for x in (n - 1e-6, n - 1e-10, n, n + 1e-10, n + 1e-6, n + 0.5):
                 if x >= 0:
-                    assert replica_count(x, cap) == min(math.ceil(x - 1e-9), cap), (x, cap)
-        assert replica_count(float("inf"), cap) == cap
+                    assert replica_count(x) == min(math.ceil(x - 1e-9), cap), (x, cap)
+        assert replica_count(float("inf")) == cap
 
     def test_floor_tolerates_float_noise(self):
         assert floor_guarded(0.3 / 0.1) == 3
